@@ -34,14 +34,6 @@ impl Cplx {
         }
     }
 
-    /// Constructs from polar magnitude and angle.
-    pub fn from_polar(mag: f64, theta: f64) -> Self {
-        Self {
-            re: mag * theta.cos(),
-            im: mag * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     pub fn conj(self) -> Self {
         Self {
@@ -187,13 +179,6 @@ mod tests {
                     < 1e-12
             );
         }
-    }
-
-    #[test]
-    fn polar_roundtrip() {
-        let z = Cplx::from_polar(2.5, 0.7);
-        assert!(close(z.abs(), 2.5));
-        assert!(close(z.arg(), 0.7));
     }
 
     #[test]

@@ -2,45 +2,30 @@
 //!
 //! The paper's reader (Sec. 6.1) is a C++ pipeline fed by a 500 kHz DAQ:
 //! *down conversion → frequency-offset calibration → Schmitt triggering →
-//! filtering → decimation → packet decoding*, with adjacent blocks sharing
-//! a buffer under back-pressure. This crate provides those blocks — and the
-//! analysis tools the evaluation uses (Welch PSD for the SNR of Fig. 12a,
-//! IQ clustering for the collision detection of Sec. 5.3) — as plain,
-//! allocation-conscious Rust with no external DSP dependency.
+//! filtering → decimation → packet decoding*. The reproduction's receiver
+//! (`arachnet-reader::rx`) runs that chain as one batch pass per slot; this
+//! crate holds the primitives it is built from — and the analysis tools the
+//! evaluation uses (Welch PSD for the SNR of Fig. 12a, IQ clustering for
+//! the collision detection of Sec. 5.3) — as plain, allocation-conscious
+//! Rust with no external DSP dependency.
 //!
 //! Module map:
 //!
 //! * [`cplx`] — a minimal complex number type;
 //! * [`fft`] — iterative radix-2 FFT;
 //! * [`window`] — Hann / Hamming / rectangular windows;
-//! * [`psd`] — Welch power-spectral-density estimation and band-power SNR;
-//! * [`iir`] — RBJ biquad filters and cascades;
-//! * [`fir`] — windowed-sinc FIR design and streaming filtering;
-//! * [`decimate`] — anti-aliased decimation;
+//! * [`psd`] — Welch power-spectral-density estimation and band power;
 //! * [`nco`] — numerically controlled oscillator and complex down-mixing;
-//! * [`goertzel`] — single-bin DFT (tone power without a full FFT);
-//! * [`envelope`] — diode + RC envelope detector model;
 //! * [`schmitt`] — hysteresis comparator;
-//! * [`freq`] — carrier frequency-offset estimation;
-//! * [`correlate`] — bit-level and soft-value preamble correlation;
-//! * [`cluster`] — IQ-domain cluster counting for collision detection;
-//! * [`pipeline`] — bounded-buffer block pipeline with back-pressure.
+//! * [`cluster`] — IQ-domain cluster counting for collision detection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod correlate;
 pub mod cplx;
-pub mod decimate;
-pub mod envelope;
 pub mod fft;
-pub mod fir;
-pub mod freq;
-pub mod goertzel;
-pub mod iir;
 pub mod nco;
-pub mod pipeline;
 pub mod psd;
 pub mod schmitt;
 pub mod window;

@@ -25,12 +25,6 @@ impl Nco {
         }
     }
 
-    /// Sets a new frequency without phase discontinuity (used by the
-    /// frequency-offset calibration block).
-    pub fn retune(&mut self, fs: f64, freq: f64) {
-        self.step = 2.0 * PI * freq / fs;
-    }
-
     /// Current phase in radians.
     pub fn phase(&self) -> f64 {
         self.phase
@@ -65,11 +59,6 @@ impl DownConverter {
         Self {
             nco: Nco::new(fs, carrier),
         }
-    }
-
-    /// Adjusts the mixing frequency (frequency-offset calibration).
-    pub fn retune(&mut self, fs: f64, carrier: f64) {
-        self.nco.retune(fs, carrier);
     }
 
     /// Mixes one real sample to baseband.
@@ -261,19 +250,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!((nco.next().abs() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn retune_changes_rate_without_jump() {
-        let fs = 1_000.0;
-        let mut nco = Nco::new(fs, 100.0);
-        let before = nco.next();
-        nco.retune(fs, 200.0);
-        let after = nco.next();
-        // One step at the *old* rate was already applied to `before`; the
-        // jump between consecutive outputs is bounded by the new step.
-        let dphi = (after * before.conj()).arg().abs();
-        assert!(dphi <= 2.0 * PI * 200.0 / fs + 1e-9);
     }
 
     use std::f64::consts::PI;

@@ -1,11 +1,10 @@
-//! Welch power-spectral-density estimation and band-power SNR.
+//! Welch power-spectral-density estimation.
 //!
 //! Fig. 12(a) computes the uplink SNR "by dividing the backscattering
 //! frequency power by the surrounding frequency power via Power Spectral
-//! Density". [`welch_psd`] reproduces the estimator; [`band_snr_db`]
-//! reproduces the ratio: signal power integrated over the backscatter
-//! sidebands divided by the power of the surrounding band (excluding the
-//! signal band itself).
+//! Density". [`welch_psd`] reproduces the estimator and
+//! [`Psd::band_power`] integrates it over a band; the receiver
+//! (`arachnet-reader::rx`) forms the sideband-over-surround ratio.
 
 use crate::cplx::Cplx;
 use crate::fft::RealFft;
@@ -131,30 +130,6 @@ pub fn welch_psd_into(
     out.density.extend(acc.iter().map(|p| p * norm));
 }
 
-/// The paper's SNR metric: power in the signal band over power in the
-/// surrounding band (the guard region around the signal band is excluded
-/// from both). Returns dB.
-pub fn band_snr_db(
-    psd: &Psd,
-    signal_lo: f64,
-    signal_hi: f64,
-    surround_lo: f64,
-    surround_hi: f64,
-) -> f64 {
-    let sig = psd.band_power(signal_lo, signal_hi);
-    let surround_total = psd.band_power(surround_lo, surround_hi);
-    let noise = (surround_total
-        - psd.band_power(signal_lo.max(surround_lo), signal_hi.min(surround_hi)))
-    .max(f64::MIN_POSITIVE);
-    // Normalize by bandwidth so the ratio compares *densities* scaled to the
-    // signal bandwidth, as the paper's PSD-based metric does.
-    let sig_bw = signal_hi - signal_lo;
-    let noise_bw = (surround_hi - surround_lo) - sig_bw.max(0.0);
-    let sig_density = sig / sig_bw.max(f64::MIN_POSITIVE);
-    let noise_density = noise / noise_bw.max(f64::MIN_POSITIVE);
-    10.0 * (sig_density / noise_density).log10()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,38 +196,6 @@ mod tests {
         let rest = psd.band_power(1_500.0, 2_500.0);
         assert!((p1 - p3).abs() / p1 < 0.05);
         assert!(rest < p1 * 1e-6);
-    }
-
-    #[test]
-    fn snr_increases_with_signal_amplitude() {
-        let fs = 10_000.0;
-        let n = 16384;
-        let mut rng = 0x12345u64;
-        let mut noise = || {
-            // xorshift noise, roughly uniform [-1,1]
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        };
-        let mut snrs = Vec::new();
-        for amp in [0.5, 2.0] {
-            let sig: Vec<f64> = (0..n)
-                .map(|i| amp * (2.0 * PI * 2_000.0 * i as f64 / fs).sin() + 0.3 * noise())
-                .collect();
-            let psd = welch_psd(&sig, fs, 1024, Window::Hann);
-            snrs.push(band_snr_db(&psd, 1_950.0, 2_050.0, 1_000.0, 3_000.0));
-        }
-        assert!(snrs[1] > snrs[0] + 8.0, "SNRs {snrs:?}");
-    }
-
-    #[test]
-    fn snr_of_pure_tone_is_large() {
-        let fs = 10_000.0;
-        let sig = tone(2_000.0, fs, 8192, 1.0);
-        let psd = welch_psd(&sig, fs, 1024, Window::Hann);
-        let snr = band_snr_db(&psd, 1_900.0, 2_100.0, 500.0, 4_500.0);
-        assert!(snr > 40.0, "pure tone SNR should be huge, got {snr}");
     }
 
     #[test]

@@ -62,5 +62,3 @@ pub mod table4;
 pub mod vanilla;
 
 pub use report::{Experiment, ExperimentCtx, ExperimentCtxBuilder, Report, Section};
-#[allow(deprecated)]
-pub use report::Params;

@@ -14,8 +14,7 @@
 //! An [`ExperimentCtx`] is built through [`ExperimentCtx::builder`], which
 //! validates the combination up front (zero thread counts, malformed fleet
 //! shapes) and returns [`ConfigError`] instead of deferring the blow-up to
-//! the middle of a long run. The flat `Params` struct this replaces
-//! survives as a deprecated alias with its old constructors.
+//! the middle of a long run.
 
 use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot};
 use arachnet_sim::sweep::{CheckpointSpec, RunTelemetry, SweepConfig, SweepStats, TelemetrySpec};
@@ -451,39 +450,6 @@ impl ExperimentCtx {
         }
         Ok(())
     }
-
-    /// Deprecated shim for the old flat `Params::quick`.
-    #[deprecated(note = "use ExperimentCtx::builder(seed).quick().build()")]
-    pub fn quick(seed: u64) -> Self {
-        Self::builder(seed)
-            .quick()
-            .build()
-            .expect("quick preset is always valid")
-    }
-
-    /// Deprecated shim for the old flat `Params::full`.
-    #[deprecated(note = "use ExperimentCtx::builder(seed).build()")]
-    pub fn full(seed: u64) -> Self {
-        Self::builder(seed)
-            .build()
-            .expect("full preset is always valid")
-    }
-
-    /// Deprecated shim for the old `Params::with_threads`. Unlike the
-    /// builder this cannot report an error, so zero panics.
-    #[deprecated(note = "use ExperimentCtx::builder(..).threads(n).build()")]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "threads must be positive");
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Deprecated shim for the old `Params::with_observe`.
-    #[deprecated(note = "use ExperimentCtx::builder(..).observe(on).build()")]
-    pub fn with_observe(mut self, observe: bool) -> Self {
-        self.observe = observe;
-        self
-    }
 }
 
 impl Default for ExperimentCtx {
@@ -494,10 +460,6 @@ impl Default for ExperimentCtx {
             .expect("default context is valid")
     }
 }
-
-/// The old flat parameter struct, now an alias for the validated context.
-#[deprecated(note = "use ExperimentCtx")]
-pub type Params = ExperimentCtx;
 
 /// One table of an experiment's output: a title, column headers, data
 /// rows, and free-form notes (the "paper says" anchors).
@@ -543,7 +505,7 @@ impl Section {
 }
 
 /// A structured experiment result: one or more [`Section`]s, plus the
-/// observability payload collected when [`Params::observe`] was set —
+/// observability payload collected when [`ExperimentCtx::observe`] was set —
 /// sim-domain metrics and a flight-recorder snapshot of a representative
 /// trial. Both stay empty on unobserved runs.
 #[derive(Debug, Clone, Default)]
@@ -811,22 +773,6 @@ mod tests {
         assert!(fleet.validate_for(&Multi).is_ok());
         let plain = ExperimentCtx::builder(1).build().unwrap();
         assert!(plain.validate_for(&Single).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_params_shims_still_work() {
-        // The old flat API must keep compiling (deprecated) and agree with
-        // the builder it forwards to.
-        let old = Params::quick(7).with_threads(2).with_observe(true);
-        let new = ExperimentCtx::builder(7)
-            .quick()
-            .threads(2)
-            .observe(true)
-            .build()
-            .unwrap();
-        assert_eq!(old, new);
-        assert_eq!(Params::full(3), ExperimentCtx::builder(3).build().unwrap());
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! * [`tx`] — the beacon transmitter: PIE modulation with the 0.1–0.3 ms
 //!   per-symbol software jitter the paper measures (the reader modulates
 //!   PIE "using software… via USB commands");
-//! * [`rx`] — the uplink receiver: down-conversion, low-pass/decimation,
-//!   adaptive slicing, edge-domain FM0 decoding (immune to tag clock
-//!   drift), CRC check, IQ-domain collision detection (Sec. 5.3) and the
-//!   PSD-based SNR metric of Fig. 12(a);
-//! * [`pipeline`] — the same receiver assembled as the paper's
-//!   back-pressure block pipeline, for the streaming/real-time form;
+//! * [`rx`] — the uplink receiver, one batch pass per slot over
+//!   per-worker scratch buffers: down-conversion, boxcar decimation, PCA
+//!   projection with Schmitt slicing, edge-domain FM0 decoding (immune to
+//!   tag clock drift), CRC check, IQ-domain collision detection (Sec. 5.3)
+//!   and the PSD-based SNR metric of Fig. 12(a);
 //! * [`driver`] — the slot loop that binds the reader MAC
 //!   (`arachnet-core`) to TX and RX timing;
 //! * [`fleet`] — frequency-space division for reader fleets: the
@@ -25,7 +24,6 @@
 pub mod driver;
 pub mod fdma;
 pub mod fleet;
-pub mod pipeline;
 pub mod rx;
 pub mod tx;
 

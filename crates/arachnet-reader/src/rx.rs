@@ -2,9 +2,10 @@
 //!
 //! Chain: **down conversion** (mix the 500 kHz real stream to baseband) →
 //! **filtering + decimation** (boxcar anti-alias, rate matched to ~16
-//! samples per raw bit) → **envelope + adaptive slicing** (Schmitt around
-//! the percentile midpoint — the backscatter rides on a large carrier
-//! leak) → **edge-domain FM0 decoding** → CRC-checked packet.
+//! samples per raw bit) → **PCA projection + adaptive slicing** (Schmitt
+//! around the percentile midpoint — the backscatter rides on a large
+//! carrier leak) → **edge-domain FM0 decoding** → CRC-checked packet, in
+//! one pass per slot over a per-worker [`RxScratch`].
 //!
 //! Two design points worth calling out:
 //!
@@ -24,7 +25,7 @@ use arachnet_obs::DecodeFailReason;
 use arachnet_dsp::cluster::{cluster_iq, ClusterConfig};
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::{CarrierTable, DownConverter};
-use arachnet_dsp::psd::{welch_psd, welch_psd_into, Psd, WelchScratch};
+use arachnet_dsp::psd::{welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
 
@@ -391,10 +392,7 @@ impl UplinkReceiver {
 
     /// Edge-domain FM0 decode: runs → raw bits → preamble search → packet.
     /// `Err` carries the first stage that could not proceed.
-    pub(crate) fn decode_edges_internal(
-        &self,
-        edges: &[Edge],
-    ) -> Result<UlPacket, DecodeFailReason> {
+    fn decode_edges_internal(&self, edges: &[Edge]) -> Result<UlPacket, DecodeFailReason> {
         if edges.len() < 8 {
             return Err(DecodeFailReason::TooFewEdges);
         }
@@ -513,12 +511,6 @@ impl UplinkReceiver {
             }
         }
         (None, saw_preamble)
-    }
-
-    /// Welch PSD of a slot waveform (for analysis and the SNR metric).
-    pub fn psd(&self, wave: &[f64]) -> Psd {
-        let seg = 8_192.min(wave.len().next_power_of_two() / 2).max(256);
-        welch_psd(wave, self.cfg.sample_rate, seg, Window::Hann)
     }
 
     /// The paper's Fig. 12(a) SNR: backscatter sideband power density over

@@ -43,6 +43,15 @@ pub const MAX_SLEEP_MS: u64 = 10_000;
 /// Highest valid tag id in the paper deployment (12 tags, 0..=11).
 pub const MAX_TAG: u64 = 11;
 
+/// Slowest `decode` uplink rate, the bottom of the paper's UL ladder
+/// (12 kHz / 128). The receiver is built for the ladder's span: a rate far
+/// below it sizes an enormous waveform, one far above it leaves a packet
+/// shorter than one PSD segment.
+pub const MIN_UL_BPS: f64 = 93.75;
+
+/// Fastest `decode` uplink rate: the top of the UL ladder (12 kHz / 4).
+pub const MAX_UL_BPS: f64 = 3_000.0;
+
 /// A parsed, validated request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -63,7 +72,7 @@ pub enum Request {
     Decode {
         /// Tag id (0..=[`MAX_TAG`]).
         tag: u8,
-        /// Uplink bit rate in bits/s.
+        /// Uplink bit rate in bits/s ([`MIN_UL_BPS`]..=[`MAX_UL_BPS`]).
         ul_bps: f64,
         /// Packets to send (1..=[`MAX_PACKETS`]).
         packets: u64,
@@ -173,10 +182,10 @@ impl Request {
                     .get("ul_bps")
                     .and_then(JsonValue::as_f64)
                     .ok_or_else(|| Reject::new("bad_request", "missing numeric field `ul_bps`"))?;
-                if !(ul_bps.is_finite() && ul_bps > 0.0 && ul_bps <= 1e6) {
+                if !(MIN_UL_BPS..=MAX_UL_BPS).contains(&ul_bps) {
                     return Err(Reject::new(
                         "bad_request",
-                        "ul_bps must be finite, positive, and at most 1e6",
+                        format!("ul_bps must be in {MIN_UL_BPS}..={MAX_UL_BPS} bps"),
                     ));
                 }
                 let packets = u64_field(&v, "packets")?;
@@ -379,6 +388,9 @@ mod tests {
         for bad in [
             r#"{"op":"decode","tag":12,"ul_bps":2000,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":-5,"packets":4}"#,
+            r#"{"op":"decode","tag":3,"ul_bps":0.001,"packets":4}"#,
+            r#"{"op":"decode","tag":3,"ul_bps":60000,"packets":4}"#,
+            r#"{"op":"decode","tag":3,"ul_bps":1e6,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":2000,"packets":0}"#,
             r#"{"op":"decode","tag":3,"ul_bps":2000,"packets":99999}"#,
             r#"{"op":"decode","tag":3.5,"ul_bps":2000,"packets":4}"#,
@@ -386,6 +398,13 @@ mod tests {
             r#"{"op":"experiment"}"#,
         ] {
             assert_eq!(Request::parse(bad).unwrap_err().code, "bad_request", "{bad}");
+        }
+        // The ends of the UL ladder are themselves valid rates.
+        for ok in [
+            r#"{"op":"decode","tag":3,"ul_bps":93.75,"packets":4}"#,
+            r#"{"op":"decode","tag":3,"ul_bps":3000,"packets":4}"#,
+        ] {
+            assert!(Request::parse(ok).is_ok(), "{ok}");
         }
         // Error lines are themselves valid single-line JSON.
         let line = Request::parse("{nope").unwrap_err().to_line();

@@ -49,6 +49,5 @@ pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};
 pub use slotsim::{SlotSim, SlotSimConfig};
 pub use sweep::{
     run_matrix, run_matrix_sweep, run_sweep, run_trials, CheckpointSpec, MatrixRun,
-    ResiliencePolicy, RunTelemetry, SweepConfig, SweepRun, SweepStats, SweepSummary,
-    TelemetrySpec,
+    ResiliencePolicy, RunTelemetry, SweepConfig, SweepRun, SweepStats, TelemetrySpec,
 };

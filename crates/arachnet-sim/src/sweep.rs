@@ -67,7 +67,6 @@ use arachnet_obs::{
 };
 
 use crate::codec::TrialCodec;
-use crate::metrics::{five_num, Ecdf, FiveNum};
 
 /// Sweep configuration: worker count, base seed, and resilience policy.
 #[derive(Debug, Clone)]
@@ -1319,39 +1318,6 @@ where
     }
 }
 
-/// Aggregate of a sweep of scalar trials: five-number summary, empirical
-/// CDF, and the errors that were excluded from both.
-#[derive(Debug, Clone)]
-pub struct SweepSummary {
-    /// Trials that returned a value.
-    pub ok: usize,
-    /// Trials that failed (panicked or were lost with their worker).
-    pub errors: Vec<TrialError>,
-    /// Five-number summary over the successful trials.
-    pub stats: FiveNum,
-    /// Empirical CDF over the successful trials.
-    pub ecdf: Ecdf,
-}
-
-/// Reduces scalar trial results to a [`SweepSummary`] (errors set aside,
-/// statistics over the survivors).
-pub fn summarize(results: &[TrialResult<f64>]) -> SweepSummary {
-    let mut values = Vec::with_capacity(results.len());
-    let mut errors = Vec::new();
-    for r in results {
-        match r {
-            Ok(v) => values.push(*v),
-            Err(e) => errors.push(e.clone()),
-        }
-    }
-    SweepSummary {
-        ok: values.len(),
-        errors,
-        stats: five_num(&values),
-        ecdf: Ecdf::new(&values),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1806,21 +1772,6 @@ mod tests {
         // Configs without a checkpoint pass through tagging unchanged.
         let cfg = SweepConfig::new(1).checkpoint_tagged("x");
         assert!(cfg.policy.checkpoint.is_none());
-    }
-
-    #[test]
-    fn summarize_splits_values_and_panics() {
-        let cfg = SweepConfig::new(3).with_threads(2);
-        let out = run_trials(&cfg, 9, |i, _| {
-            assert!(i % 4 != 3, "boom");
-            i as f64
-        });
-        let s = summarize(&out);
-        assert_eq!(s.ok, 7);
-        assert_eq!(s.errors.len(), 2);
-        assert_eq!(s.stats.min, 0.0);
-        assert_eq!(s.stats.max, 8.0);
-        assert_eq!(s.ecdf.len(), 7);
     }
 
     /// Property (testkit): whatever the trial count, thread count and

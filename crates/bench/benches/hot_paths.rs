@@ -1,7 +1,7 @@
-//! Hot-path microbenchmarks: the per-sample and per-slot costs that bound
-//! the reader's real-time budget (Sec. 6.1 claims real-time operation at a
-//! 500 kHz sample rate). Runs on the in-tree harness; emits
-//! `BENCH_hot_paths.json`.
+//! Hot-path microbenchmarks: codecs, DSP primitives and the slot-sim step
+//! (Sec. 6.1 claims real-time operation at a 500 kHz sample rate). The RX
+//! chain's per-slot costs are benched once, in `phy` (`rx/*`). Runs on the
+//! in-tree harness; emits `BENCH_hot_paths.json`.
 
 use bench::{black_box, Suite};
 
@@ -15,12 +15,8 @@ use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::fft::fft_real;
 use arachnet_dsp::psd::welch_psd;
 use arachnet_dsp::window::Window;
-use arachnet_reader::rx::{RxConfig, UplinkReceiver};
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
-use biw_channel::channel::{BiwChannel, ChannelConfig};
-use biw_channel::noise::NoiseConfig;
-use biw_channel::pzt::PztState;
 
 fn bench_codecs(s: &mut Suite) {
     let pkt = UlPacket::new(7, 0xABC).unwrap();
@@ -72,25 +68,6 @@ fn bench_dsp(s: &mut Suite) {
     });
 }
 
-fn bench_rx_chain(s: &mut Suite) {
-    let ch = BiwChannel::paper(ChannelConfig {
-        noise: NoiseConfig::default(),
-        ..ChannelConfig::default()
-    });
-    let pkt = UlPacket::new(8, 0x123).unwrap();
-    let mut enc = Fm0Encoder::new();
-    let raw = enc.encode(pkt.to_bits().iter()).to_bools();
-    let spb = (500_000.0f64 / 375.0).round() as usize;
-    let mut states = vec![PztState::Absorptive; 4 * spb];
-    states.extend(BiwChannel::states_from_raw_bits(&raw, spb));
-    states.extend(vec![PztState::Absorptive; 4 * spb]);
-    let len = states.len();
-    let wave = ch.uplink_waveform(&[(8, &states)], len);
-    let rx = UplinkReceiver::new(RxConfig::default());
-    s.bench("rx_chain/process_slot_375bps", || rx.process_slot(&wave));
-    s.bench("rx_chain/uplink_snr", || rx.uplink_snr_db(&wave));
-}
-
 fn bench_slotsim(s: &mut Suite) {
     let mut sim = SlotSim::new(SlotSimConfig::new(Pattern::c3(), 1));
     s.bench("slotsim/step_c3_12tags", move || black_box(sim.step()));
@@ -103,7 +80,6 @@ fn main() {
     let mut s = Suite::new("hot_paths");
     bench_codecs(&mut s);
     bench_dsp(&mut s);
-    bench_rx_chain(&mut s);
     bench_slotsim(&mut s);
     s.finish();
 }

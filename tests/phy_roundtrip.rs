@@ -137,28 +137,3 @@ fn snr_ladder_is_ordered_and_positive() {
     assert!(s8 > s4 && s4 > s11, "s8={s8:.1} s4={s4:.1} s11={s11:.1}");
     assert!(s11 > 3.0, "weakest link margin too small: {s11:.1} dB");
 }
-
-/// The streaming (back-pressure) receiver agrees with the batch receiver.
-#[test]
-fn streaming_receiver_matches_batch() {
-    use arachnet_reader::pipeline::StreamingReceiver;
-    let ch = channel(NoiseConfig::silent(), 26);
-    let pkt = UlPacket::new(2, 0x2F2).unwrap();
-    let wave = uplink_wave(&ch, 8, &pkt, 375.0);
-    // Batch.
-    let rx = UplinkReceiver::new(RxConfig::default());
-    assert_eq!(rx.process_slot(&wave).packet, Some(pkt));
-    // Streaming, fed in DAQ-sized chunks.
-    let mut sr = StreamingReceiver::new(RxConfig::default(), 2_048);
-    let mut found = Vec::new();
-    let mut offset = 0;
-    while offset < wave.len() {
-        let end = (offset + 777).min(wave.len());
-        offset += sr.offer(&wave[offset..end]);
-        while sr.poll() {}
-        while let Some(p) = sr.pop_packet() {
-            found.push(p);
-        }
-    }
-    assert_eq!(found, vec![pkt]);
-}

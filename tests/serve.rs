@@ -3,6 +3,7 @@
 //! under a burst, and drain-during-in-flight. Everything here runs against
 //! `arachnet_serve::start` on an ephemeral 127.0.0.1 port — no mocks.
 
+use arachnet::serve::proto::{MAX_UL_BPS, MIN_UL_BPS};
 use arachnet::serve::{error_code, is_ok, start, ServeClient, ServeConfig, MAX_LINE_BYTES};
 use std::io::Write;
 use std::net::SocketAddr;
@@ -72,6 +73,16 @@ fn protocol_roundtrip_ping_decode_stats_and_errors() {
     let stats = handle.join();
     assert_eq!(stats.requests, stats.completed);
     assert!(stats.malformed >= 2);
+}
+
+/// `decode` accepts exactly the span of the paper's UL rate ladder. The
+/// pin lives here because `arachnet-serve` does not depend on
+/// `arachnet-core`.
+#[test]
+fn decode_rate_bounds_match_the_ul_ladder() {
+    let rates = arachnet::core_protocol::rates::ul_rates();
+    assert_eq!(rates.first().map(|r| r.bps), Some(MIN_UL_BPS));
+    assert_eq!(rates.last().map(|r| r.bps), Some(MAX_UL_BPS));
 }
 
 #[test]

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: build, lint, full test suite, a quick pass over every
+# Repo verification: build, lint, full test suite, the benchmark's
+# self-tests plus one short checked benchmark run, a quick pass over every
 # registered experiment, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the run-telemetry smoke
@@ -37,6 +38,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+
+echo "== benchmark (perfbench/): self-tests + one short checked run =="
+# perfbench is a cargo workspace of its own, so the workspace build above
+# never compiles it. Building it here makes removing or renaming a public
+# item the benchmark uses fail verification instead of the benchmark. The
+# run is pinned to seed 7, whatever seed this script was given, so its
+# paper-shape checks see a seed whose outcome is on record.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+bench_out="$(mktemp)"
+bash perfbench/run.sh --workload uplink-sweep --seed 7 --seconds 1 --trace 0 > "$bench_out"
+if ! tail -1 "$bench_out" | grep -q '"correct": true'; then
+  echo "FAIL: perfbench uplink-sweep run did not report \"correct\": true" >&2
+  tail -5 "$bench_out" >&2
+  rm -f "$bench_out"
+  exit 1
+fi
+rm -f "$bench_out"
+echo "   perfbench: self-tests pass, uplink-sweep seed 7 correct (re-checked against fig12::report)"
 
 echo "== quick pass over every artifact =="
 "$repro" all --quick --seed "$seed" > /dev/null
