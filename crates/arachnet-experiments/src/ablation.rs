@@ -6,15 +6,15 @@
 //! The variant × trial loops fan out over `arachnet_sim::sweep`.
 
 use arachnet_core::mac::ProtocolConfig;
-use arachnet_sim::metrics::{five_num, mean};
+use arachnet_sim::metrics::mean;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
-use arachnet_sim::sweep::{run_matrix, SweepConfig};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::resonator::DriveScheme;
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::render::{f, five_num_cells};
+use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
 
 /// Protocol-refinement ablation experiment.
 pub struct Ablation;
@@ -33,7 +33,7 @@ impl Experiment for Ablation {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report_protocol(ctx.scale(2, 7), &ctx.sweep())
+        report_protocol(ctx.scale(2, 7), &ctx.sweep_for(self.id()))
     }
 }
 
@@ -84,7 +84,7 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
         ),
     ];
     // Convergence (ideal channel, RESET protocol), parallel over the matrix.
-    let matrix = run_matrix(sweep, &variants, trials, |&(_, protocol), _trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &variants, trials, |&(_, protocol), _trial, seed| {
         let mut sim = SlotSim::new(SlotSimConfig {
             protocol,
             ..SlotSimConfig::ideal(Pattern::c3(), seed)
@@ -96,7 +96,7 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
             .unwrap_or(300_000) as f64
     });
     let mut rows = Vec::new();
-    for ((name, protocol), cell) in variants.iter().zip(&matrix) {
+    for ((name, protocol), cell) in variants.iter().zip(&matrix.cells) {
         let conv: Vec<f64> = cell.iter().filter_map(|r| r.as_ref().ok()).copied().collect();
         // Long-run health under losses (one run per variant, base seed).
         let mut sim = SlotSim::new(SlotSimConfig {
@@ -105,11 +105,11 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
             ..SlotSimConfig::new(Pattern::c3(), sweep.base_seed)
         });
         let run = sim.run(5_000);
-        let s = five_num(&conv);
+        let [_, _, median, _, max] = five_num_cells(&conv, 0);
         rows.push(vec![
             name.to_string(),
-            f(s.median, 0),
-            f(s.max, 0),
+            median,
+            max,
             f(run.non_empty_ratio, 3),
             f(run.collision_ratio, 3),
         ]);
@@ -134,6 +134,8 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
              matter most for late arrivals (see `repro ablation-latearrival`).",
         ),
     )
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Late-arrival ablation experiment.
@@ -153,7 +155,7 @@ impl Experiment for AblationLateArrival {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report_late_arrival(ctx.scale(2, 7), &ctx.sweep())
+        report_late_arrival(ctx.scale(2, 7), &ctx.sweep_for(self.id()))
     }
 }
 
@@ -178,7 +180,7 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
         ),
     ];
     let horizon = 1_500u64;
-    let matrix = run_matrix(sweep, &variants, trials, move |&(_, protocol), _trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &variants, trials, |&(_, protocol), _trial, seed| {
         let mut sim = SlotSim::new(SlotSimConfig {
             protocol,
             charged_start: false, // staggered activation = real late arrivals
@@ -193,7 +195,7 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
         (settled as f64, run.collision_ratio)
     });
     let mut rows = Vec::new();
-    for ((name, _), cell) in variants.iter().zip(&matrix) {
+    for ((name, _), cell) in variants.iter().zip(&matrix.cells) {
         let ok: Vec<&(f64, f64)> = cell.iter().filter_map(|r| r.as_ref().ok()).collect();
         let settled: Vec<f64> = ok.iter().map(|&&(s, _)| s).collect();
         let disruption: Vec<f64> = ok.iter().map(|&&(_, c)| c).collect();
@@ -217,6 +219,8 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
              settled schedule.",
         ),
     )
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Drive-scheme ablation experiment.
@@ -236,7 +240,7 @@ impl Experiment for AblationDrive {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report_drive(ctx.scale(50, 400), &ctx.sweep())
+        report_drive(ctx.scale(50, 400), &ctx.sweep_for(self.id()))
     }
 }
 
@@ -256,18 +260,15 @@ pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
     let cells: Vec<(usize, f64)> = (0..schemes.len())
         .flat_map(|si| rates.iter().map(move |&bps| (si, bps)))
         .collect();
-    let matrix = run_matrix(sweep, &cells, n, |&(si, bps), _trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &cells, n, |&(si, bps), _trial, seed| {
         sims[si].downlink_beacon(8, bps, seed)
     });
     let mut rows = Vec::new();
     for (si, (name, _)) in schemes.iter().enumerate() {
         let mut row = vec![name.to_string()];
         for ri in 0..rates.len() {
-            let lost = matrix[si * rates.len() + ri]
-                .iter()
-                .filter(|r| !matches!(r, Ok(true)))
-                .count();
-            row.push(format!("{lost}/{n}"));
+            let (sent, lost) = sent_lost(&matrix.cells[si * rates.len() + ri], |&ok| ok);
+            row.push(format!("{lost}/{sent}"));
         }
         rows.push(row);
     }
@@ -283,6 +284,8 @@ pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
              amplifier-loaded and the tail ~5x shorter (Sec. 4.1).",
         ),
     )
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Multiplier-stage ablation experiment.

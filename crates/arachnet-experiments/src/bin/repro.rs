@@ -29,7 +29,9 @@
 //! dispatches (testing/verify hook for interrupting a run mid-sweep);
 //! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` and
 //! `JOURNAL_<id>.jsonl` into `DIR`, creating it if needed (a directory
-//! that cannot be created is a clear exit-3 error, never a panic).
+//! that cannot be created is a clear exit-3 error, never a panic). Every
+//! sweep experiment honours these flags and `--journal` / `--stall-secs`;
+//! an experiment that runs no sweep rejects them with exit 2.
 //!
 //! Telemetry flags (DESIGN.md §15, all wall-domain — the deterministic
 //! exports never change): `--journal` streams progress heartbeats to
@@ -631,12 +633,21 @@ fn run_serve(opts: ServeOpts) {
 /// The seeded fault plan `repro chaos` self-tests with: one of every
 /// injectable fault at an explicit index, plus a rate-based decode-delay
 /// stream so the deterministic-schedule comparison is non-trivial.
+///
+/// The timed faults keep every handler timeout (the 150 ms deadline plus
+/// the 50 ms grace: 200 ms after admission) clear of every worker wake-up,
+/// so the `deadlines` count cannot depend on which timer fires first.
+/// Request 4's 275 ms stall outlasts its handler's timeout by 75 ms;
+/// request 5, sent when that timeout answers, is popped 75 ms before its
+/// own deadline and has 125 ms to finish. Request 8's 60 ms decode delay,
+/// even with a 30 ms rate hit on top, leaves 110 ms for a debug-build
+/// decode.
 fn chaos_plan(seed: u64) -> arachnet_serve::FaultPlan {
     arachnet_serve::FaultPlan::new(seed)
         .panic_at(2)
-        .stall_at(4, 400)
+        .stall_at(4, 275)
         .torn_at(6)
-        .decode_delay_at(8, 120)
+        .decode_delay_at(8, 60)
         .slow_read_conn(1, 40)
         .rate(arachnet_serve::Fault::DecodeDelay { delay_ms: 30 }, 250)
 }
@@ -957,6 +968,11 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
             std::process::exit(EXIT_FAILURE);
         }
     };
+    // Sweep-only flags on an experiment that ran no sweep are a usage
+    // error, reported before anything is printed or written.
+    if let Err(err) = ctx.validate_report(&report) {
+        usage(&format!("{}: {err}", e.id()));
+    }
     println!("{}", report.render());
     // Resilience provenance: stdout-only, never part of the exported
     // artifacts, so resumed and uninterrupted runs still compare equal.

@@ -14,7 +14,6 @@
 //! and metric document is bit-identical at any `--threads` count.
 
 use arachnet_obs::{MetricSet, Recorder};
-use arachnet_sim::metrics::five_num;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::scenario::Scenario;
 use arachnet_sim::slotsim::run_scenario_trial;
@@ -22,7 +21,7 @@ use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::timevarying::{ChannelDrift, TimeVaryingChannel};
 
-use crate::render::f;
+use crate::render::{f, five_num_cells};
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
 
 use arachnet_core::slot::Period;
@@ -75,12 +74,7 @@ fn measure(cases: &[Case], trials: u64, sweep: &SweepConfig, observe: bool, titl
                 }
             }
         }
-        let (lo, mid, hi) = if finite.is_empty() {
-            ("-".to_string(), "-".to_string(), "-".to_string())
-        } else {
-            let s = five_num(&finite);
-            (f(s.min, 0), f(s.median, 0), f(s.max, 0))
-        };
+        let [lo, _, mid, _, hi] = five_num_cells(&finite, 0);
         if observe {
             let prefix = format!("reconvergence.{}", c.name);
             for &d in &finite {

@@ -3,7 +3,7 @@
 use arachnet_core::packet::UlPacket;
 use arachnet_core::rng::TagRng;
 use arachnet_reader::fdma::{FdmaConfig, FdmaReceiver};
-use arachnet_sim::sweep::{run_matrix, SweepConfig};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::with_phy_scratch;
 use arachnet_tag::subcarrier::SubcarrierChannel;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
@@ -30,7 +30,7 @@ impl Experiment for Fdma {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report(ctx.scale(3, 10), &ctx.sweep())
+        report(ctx.scale(3, 10), &ctx.sweep_for(self.id()))
     }
 }
 
@@ -83,7 +83,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         ..ChannelConfig::default()
     });
     let cells: Vec<usize> = (1..=assignments.len()).collect();
-    let matrix = run_matrix(sweep, &cells, trials, |&concurrent, _trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &cells, trials, |&concurrent, _trial, seed| {
         let mut rng = TagRng::new(seed);
         let subset = &assignments[..concurrent];
         let mut streams = Vec::new();
@@ -115,7 +115,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         })
     });
     let mut rows = Vec::new();
-    for (&concurrent, cell) in cells.iter().zip(&matrix) {
+    for (&concurrent, cell) in cells.iter().zip(&matrix.cells) {
         let (ok, total) = cell
             .iter()
             .filter_map(|r| r.as_ref().ok())
@@ -148,6 +148,8 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
              simply carries several channels.",
         ),
     )
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 #[cfg(test)]

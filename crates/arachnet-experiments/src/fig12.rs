@@ -6,11 +6,11 @@
 
 use arachnet_core::rates::ul_rates;
 use arachnet_reader::rx::UplinkReceiver;
-use arachnet_sim::sweep::{run_matrix, SweepConfig};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::{with_phy_scratch, WaveSim};
 
 use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
 
 /// Tags the paper evaluates (near / junction / far).
 pub const TAGS: [u8; 3] = [8, 4, 11];
@@ -34,7 +34,7 @@ impl Experiment for Fig12 {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report(ctx.scale(20, 200), &ctx.sweep(), ctx.observe())
+        report(ctx.scale(20, 200), &ctx.sweep_for(self.id()), ctx.observe())
     }
 }
 
@@ -64,7 +64,7 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
         })
         .collect();
     // Trial 0 of each cell also measures the representative-waveform SNR.
-    let matrix = run_matrix(sweep, &cells, n, |cell, trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &cells, n, |cell, trial, seed| {
         with_phy_scratch(|s| {
             let ok = sim.uplink_packet(&cell.rx, cell.tid, seed, s);
             let snr = (trial == 0).then(|| sim.uplink_snr(&cell.rx, cell.tid, s));
@@ -78,17 +78,13 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
         let mut snr_row = vec![format!("Tag {tid}")];
         let mut loss_row = vec![format!("Tag {tid}")];
         for (ri, _) in rates.iter().enumerate() {
-            let cell = &matrix[ti * rates.len() + ri];
-            // A trial that errored out counts as a lost packet.
-            let lost = cell
-                .iter()
-                .filter(|r| !matches!(r, Ok((true, _))))
-                .count();
+            let cell = &matrix.cells[ti * rates.len() + ri];
+            let (sent, lost) = sent_lost(cell, |&(ok, _)| ok);
             if observe {
-                metrics.add_count(&format!("uplink.tag{tid}.sent"), n);
-                metrics.add_count(&format!("uplink.tag{tid}.lost"), lost as u64);
-                metrics.add_count("uplink.sent", n);
-                metrics.add_count("uplink.lost", lost as u64);
+                metrics.add_count(&format!("uplink.tag{tid}.sent"), sent);
+                metrics.add_count(&format!("uplink.tag{tid}.lost"), lost);
+                metrics.add_count("uplink.sent", sent);
+                metrics.add_count("uplink.lost", lost);
             }
             let snr_db = cell
                 .iter()
@@ -138,6 +134,8 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
     ])
     .with_metrics(metrics)
     .with_snapshot(snapshot)
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! Fig. 13 — downlink packet loss (a) and synchronization offset (b).
 
 use arachnet_core::rates::DL_RATES_BPS;
-use arachnet_sim::sweep::{run_matrix, SweepConfig};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 
 use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
 
 /// Fig. 13(a): beacons lost of `n` sent, per tag and DL rate.
 pub struct Fig13a;
@@ -24,7 +24,7 @@ impl Experiment for Fig13a {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report_a(ctx.scale(100, 1_000), &ctx.sweep())
+        report_a(ctx.scale(100, 1_000), &ctx.sweep_for(self.id()))
     }
 }
 
@@ -39,18 +39,14 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
         .iter()
         .flat_map(|&tid| DL_RATES_BPS.iter().map(move |&bps| (tid, bps)))
         .collect();
-    let matrix = run_matrix(sweep, &cells, n, |&(tid, bps), _trial, seed| {
+    let matrix = run_matrix_sweep(sweep, &cells, n, |&(tid, bps), _trial, seed| {
         sim.downlink_beacon(tid, bps, seed)
     });
     let mut rows = Vec::new();
     for (ti, &tid) in tags.iter().enumerate() {
         let mut row = vec![format!("Tag {tid}")];
         for ri in 0..DL_RATES_BPS.len() {
-            // Errored trials count as lost beacons.
-            let lost = matrix[ti * DL_RATES_BPS.len() + ri]
-                .iter()
-                .filter(|r| !matches!(r, Ok(true)))
-                .count();
+            let (_, lost) = sent_lost(&matrix.cells[ti * DL_RATES_BPS.len() + ri], |&ok| ok);
             row.push(format!("{lost}"));
         }
         rows.push(row);
@@ -71,6 +67,8 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
              software PIE jitter.",
         ),
     )
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Fig. 13(b): per-tag beacon decode-completion offset vs Tag 6 (ms).

@@ -1,7 +1,7 @@
 //! Fig. 14 — the ping-pong test: raw waveform (a) and latency CDF (b).
 
 use arachnet_sim::metrics::Ecdf;
-use arachnet_sim::sweep::{run_trials, SweepConfig};
+use arachnet_sim::sweep::{run_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::noise::NoiseConfig;
 
@@ -70,7 +70,7 @@ impl Experiment for Fig14b {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        report_b(ctx.scale(200, 1_000) as usize, &ctx.sweep())
+        report_b(ctx.scale(200, 1_000) as usize, &ctx.sweep_for(self.id()))
     }
 }
 
@@ -79,13 +79,20 @@ impl Experiment for Fig14b {
 /// its sweep seed, so the CDF is bit-identical at any thread count.
 pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
     let sim = WaveSim::paper(sweep.base_seed);
-    let samples: Vec<_> = run_trials(sweep, n as u64, |_i, seed| sim.ping_pong_sample(seed))
-        .into_iter()
-        .filter_map(|r| r.ok())
+    let run = run_sweep(sweep, n as u64, |_i, seed| {
+        let p = sim.ping_pong_sample(seed);
+        (p.stage1_s, p.stage2_s)
+    });
+    let samples: Vec<(f64, f64)> = run
+        .results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .copied()
         .collect();
-    let stage1: Vec<f64> = samples.iter().map(|p| p.stage1_s).collect();
-    let stage2: Vec<f64> = samples.iter().map(|p| p.stage2_s).collect();
-    let total: Vec<f64> = samples.iter().map(|p| p.total()).collect();
+    let stage1: Vec<f64> = samples.iter().map(|p| p.0).collect();
+    let stage2: Vec<f64> = samples.iter().map(|p| p.1).collect();
+    // `PingPong::total`: the two stages summed.
+    let total: Vec<f64> = samples.iter().map(|(s1, s2)| s1 + s2).collect();
     let rows: Vec<Vec<String>> = [
         ("Stage 1 (DL)", &stage1),
         ("Stage 2 (DL end→UL decoded)", &stage2),
@@ -96,9 +103,9 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
         let e = Ecdf::new(v);
         vec![
             name.to_string(),
-            f(e.quantile(0.5) * 1e3, 1),
-            f(e.quantile(0.9) * 1e3, 1),
-            f(e.quantile(0.99) * 1e3, 1),
+            quantile_ms(&e, 0.5),
+            quantile_ms(&e, 0.9),
+            quantile_ms(&e, 0.99),
         ]
     })
     .collect();
@@ -112,13 +119,24 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
             rows,
         )
         .with_note(format!(
-            "stage-2 p99 = {:.1} ms (paper: 99 % under 281.9 ms); mean software delay = {:.1} \
+            "stage-2 p99 = {} ms (paper: 99 % under 281.9 ms); mean software delay = {:.1} \
              ms (paper: ~58.9 ms),\nwhich is {:.0} % of the ~200 ms UL slot cost (paper: <30 %).",
-            e2.quantile(0.99) * 1e3,
+            quantile_ms(&e2, 0.99),
             software * 1e3,
             software / guard_ul * 100.0
         )),
     )
+    .with_sweep(run.stats)
+    .with_telemetry(run.telemetry)
+}
+
+/// Quantile `q` of a latency CDF in ms, or `-` when a partial run left it
+/// without samples.
+fn quantile_ms(e: &Ecdf, q: f64) -> String {
+    if e.is_empty() {
+        return "-".to_string();
+    }
+    f(e.quantile(q) * 1e3, 1)
 }
 
 #[cfg(test)]

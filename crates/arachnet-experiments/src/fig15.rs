@@ -7,12 +7,11 @@
 //! bit-identical at any thread count.
 
 use arachnet_obs::MetricSet;
-use arachnet_sim::metrics::five_num;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::first_convergence_trial;
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 
-use crate::render::f;
+use crate::render::{f, five_num_cells};
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
 
 /// Convergence-slot cap (trials that never converge count as the cap).
@@ -43,7 +42,7 @@ fn measure(
             .filter_map(|r| r.as_ref().ok())
             .map(|(t, _)| *t)
             .collect();
-        let s = five_num(&times);
+        let [min, q1, median, q3, max] = five_num_cells(&times, 0);
         if observe {
             let prefix = format!("convergence.{}", p.name);
             for &t in &times {
@@ -65,11 +64,11 @@ fn measure(
             p.name.to_string(),
             f(p.utilization(), 3),
             format!("{}", p.len()),
-            f(s.min, 0),
-            f(s.q1, 0),
-            f(s.median, 0),
-            f(s.q3, 0),
-            f(s.max, 0),
+            min,
+            q1,
+            median,
+            q3,
+            max,
         ]);
     }
     let mut report = Report::single(
@@ -83,7 +82,8 @@ fn measure(
         .with_note(note),
     )
     .with_metrics(metrics)
-    .with_sweep(matrix.stats);
+    .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry);
     if let Some(snap) = snapshot {
         report = report.with_snapshot(snap);
     }

@@ -2,7 +2,7 @@
 
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
-use arachnet_sim::sweep::{run_trials, SweepConfig};
+use arachnet_sim::sweep::{run_sweep, SweepConfig};
 
 use crate::render::f;
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
@@ -28,7 +28,7 @@ impl Experiment for Fig16 {
         report(
             ctx.scale(1_000, 10_000),
             ctx.scale(4, 8),
-            &ctx.sweep(),
+            &ctx.sweep_for(self.id()),
             ctx.observe(),
         )
     }
@@ -58,13 +58,14 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
         })
         .collect();
     // Whole-run averages across an independent seed sweep (parallel).
-    let sweep_runs = run_trials(sweep, extra_seeds, |_trial, seed| {
+    let sweep_runs = run_sweep(sweep, extra_seeds, |_trial, seed| {
         let mut s = SlotSim::new(SlotSimConfig::new(Pattern::c3(), seed));
         let r = s.run(slots);
         (r.non_empty_ratio, r.collision_ratio)
     });
-    let ne: Vec<f64> = sweep_runs.iter().filter_map(|r| r.as_ref().ok()).map(|&(a, _)| a).collect();
-    let col: Vec<f64> = sweep_runs.iter().filter_map(|r| r.as_ref().ok()).map(|&(_, b)| b).collect();
+    let ok = || sweep_runs.results.iter().filter_map(|r| r.as_ref().ok());
+    let ne: Vec<f64> = ok().map(|&(a, _)| a).collect();
+    let col: Vec<f64> = ok().map(|&(_, b)| b).collect();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let mut metrics = arachnet_obs::MetricSet::new();
     if observe {
@@ -98,6 +99,8 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
     )
     .with_metrics(metrics)
     .with_snapshot(snapshot)
+    .with_sweep(sweep_runs.stats)
+    .with_telemetry(sweep_runs.telemetry)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Fig. 19 / Appendix B — the ALOHA baseline.
 
 use arachnet_sim::aloha::{run_aloha, AlohaConfig};
-use arachnet_sim::metrics::five_num;
-use arachnet_sim::sweep::{run_trials, SweepConfig};
+use arachnet_sim::sweep::{run_sweep, SweepConfig};
 
-use crate::render::f;
+use crate::render::{f, five_num_cells};
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
 
 /// Fig. 19 experiment: the ALOHA simulation, per-tag table from the base
@@ -28,7 +27,7 @@ impl Experiment for Fig19 {
         report(
             if ctx.is_quick() { 1_000.0 } else { 10_000.0 },
             ctx.scale(3, 8),
-            &ctx.sweep(),
+            &ctx.sweep_for(self.id()),
         )
     }
 }
@@ -55,7 +54,7 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
             ]
         })
         .collect();
-    let sweep_rates = run_trials(sweep, extra_seeds, |_trial, seed| {
+    let sweep_rates = run_sweep(sweep, extra_seeds, |_trial, seed| {
         run_aloha(&AlohaConfig {
             duration_s,
             seed,
@@ -64,8 +63,13 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
         .overall_success_rate()
             * 100.0
     });
-    let rates: Vec<f64> = sweep_rates.iter().filter_map(|r| r.as_ref().ok()).copied().collect();
-    let s = five_num(&rates);
+    let rates: Vec<f64> = sweep_rates
+        .results
+        .iter()
+        .filter_map(|r| r.as_ref().ok())
+        .copied()
+        .collect();
+    let [min, _, median, _, max] = five_num_cells(&rates, 1);
     Report::single(
         Section::new(
             format!("Fig. 19 — ALOHA baseline over {duration_s:.0} s"),
@@ -75,16 +79,15 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
         .with_note(format!(
             "overall collision-free: {:.1} % (paper: 34.0 %; our calibrated deployment charges \
              faster overall, loading the channel harder).\nacross {} independent seeds: median \
-             {:.1} %, range {:.1}–{:.1} %.\npaper: fast chargers dominate the channel yet still \
-             collide in most attempts — ALOHA is both inefficient and unfair;\ncompare the \
+             {median} %, range {min}–{max} %.\npaper: fast chargers dominate the channel yet \
+             still collide in most attempts — ALOHA is both inefficient and unfair;\ncompare the \
              protocol's long-run collision ratio of ~0.06 (Fig. 16).",
             run.overall_success_rate() * 100.0,
             rates.len(),
-            s.median,
-            s.min,
-            s.max,
         )),
     )
+    .with_sweep(sweep_rates.stats)
+    .with_telemetry(sweep_rates.telemetry)
 }
 
 #[cfg(test)]

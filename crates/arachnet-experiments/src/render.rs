@@ -1,5 +1,7 @@
 //! Minimal fixed-width table rendering for experiment output.
 
+use arachnet_sim::metrics::five_num;
+
 /// Renders a header row plus data rows as an aligned text table.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -38,6 +40,18 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{:.*}", decimals, v)
 }
 
+/// The five-number summary of `values` as table cells — `[min, q1,
+/// median, q3, max]` with the given decimals — or five `-` cells when the
+/// sample is empty, as a partial run can leave a cell with no completed
+/// trial.
+pub fn five_num_cells(values: &[f64], decimals: usize) -> [String; 5] {
+    if values.is_empty() {
+        return std::array::from_fn(|_| "-".to_string());
+    }
+    let s = five_num(values);
+    [s.min, s.q1, s.median, s.q3, s.max].map(|v| f(v, decimals))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,5 +77,12 @@ mod tests {
     fn float_format() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(f(10.0, 1), "10.0");
+    }
+
+    #[test]
+    fn five_num_cells_dash_an_empty_sample() {
+        assert_eq!(five_num_cells(&[], 0), ["-", "-", "-", "-", "-"]);
+        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[0], "1.0");
+        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[4], "4.0");
     }
 }

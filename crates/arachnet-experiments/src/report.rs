@@ -17,7 +17,9 @@
 //! the middle of a long run.
 
 use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot};
-use arachnet_sim::sweep::{CheckpointSpec, RunTelemetry, SweepConfig, SweepStats, TelemetrySpec};
+use arachnet_sim::sweep::{
+    CheckpointSpec, RunTelemetry, SweepConfig, SweepStats, TelemetrySpec, TrialResult,
+};
 use arachnet_sim::ConfigError;
 
 use crate::render;
@@ -277,11 +279,6 @@ impl ExperimentCtx {
         self.seed
     }
 
-    /// Pinned worker-thread count, if any.
-    pub fn threads(&self) -> Option<usize> {
-        self.threads
-    }
-
     /// Metric/event collection on?
     pub fn observe(&self) -> bool {
         self.observe
@@ -324,36 +321,6 @@ impl ExperimentCtx {
         self.resume
     }
 
-    /// Wall-clock budget in seconds, if any.
-    pub fn budget_secs(&self) -> Option<u64> {
-        self.budget_secs
-    }
-
-    /// Checkpoint flush interval, if checkpointing was requested.
-    pub fn checkpoint_every(&self) -> Option<u64> {
-        self.checkpoint_every
-    }
-
-    /// Deterministic dispatch cap, if any.
-    pub fn halt_after(&self) -> Option<u64> {
-        self.halt_after
-    }
-
-    /// Journal heartbeats requested?
-    pub fn journal(&self) -> bool {
-        self.journal
-    }
-
-    /// Stall-watchdog soft-deadline override, if any.
-    pub fn stall_secs(&self) -> Option<f64> {
-        self.stall_secs
-    }
-
-    /// Per-worker trial lanes requested (Chrome trace export)?
-    pub fn lanes(&self) -> bool {
-        self.lanes
-    }
-
     /// Flight-recorder ring capacity override, if any.
     pub fn ring_capacity(&self) -> Option<usize> {
         self.ring_capacity
@@ -366,25 +333,17 @@ impl ExperimentCtx {
         self.journal || self.stall_secs.is_some() || self.lanes
     }
 
-    /// The sweep configuration implied by this context: base seed from
-    /// [`ExperimentCtx::seed`], worker count from
-    /// [`ExperimentCtx::threads`]. Carries the retry default but none of
-    /// the per-experiment checkpoint/budget wiring — experiments that
-    /// persist state use [`ExperimentCtx::sweep_for`].
-    pub fn sweep(&self) -> SweepConfig {
-        let cfg = SweepConfig::new(self.seed);
-        match self.threads {
-            Some(t) => cfg.with_threads(t),
-            None => cfg,
-        }
-    }
-
-    /// The full resilient sweep configuration for experiment `id`:
-    /// [`ExperimentCtx::sweep`] plus the context's budget / dispatch-cap
-    /// overrides, and — when `--resume` or `--checkpoint-every` was given —
-    /// a checkpoint at `CHECKPOINT_<id>.bin` in the working directory.
+    /// The sweep configuration for experiment `id` — the only way an
+    /// experiment gets one: base seed from [`ExperimentCtx::seed`], the
+    /// `--threads` worker count, the context's budget / dispatch-cap
+    /// overrides, run telemetry when requested, and — when `--resume` or
+    /// `--checkpoint-every` was given — a checkpoint at
+    /// [`ExperimentCtx::checkpoint_path`].
     pub fn sweep_for(&self, id: &str) -> SweepConfig {
-        let mut cfg = self.sweep();
+        let mut cfg = SweepConfig::new(self.seed);
+        if let Some(threads) = self.threads {
+            cfg = cfg.with_threads(threads);
+        }
         if let Some(secs) = self.budget_secs {
             cfg = cfg.with_budget(std::time::Duration::from_secs(secs));
         }
@@ -446,6 +405,29 @@ impl ExperimentCtx {
         if !e.multi_reader() && (self.readers.is_some() || self.bands.is_some()) {
             return Err(ConfigError::Inconsistent {
                 reason: "fleet options (readers/bands) on a single-reader experiment",
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks this context against a finished report: the resilience and
+    /// journal options (`resume`, `checkpoint_every`, `budget_secs`,
+    /// `halt_after`, `journal`, `stall_secs`) act only on sweeps, so a
+    /// report with no sweep trials rejects them as
+    /// [`ConfigError::Inconsistent`] rather than silently ignoring them.
+    /// Trial lanes stay allowed: a Chrome export without them still
+    /// carries sim events and spans.
+    pub fn validate_report(&self, report: &Report) -> Result<(), ConfigError> {
+        let sweep_only = self.resume
+            || self.checkpoint_every.is_some()
+            || self.budget_secs.is_some()
+            || self.halt_after.is_some()
+            || self.journal
+            || self.stall_secs.is_some();
+        if sweep_only && report.sweep.trials == 0 {
+            return Err(ConfigError::Inconsistent {
+                reason: "resume/checkpoint/budget/halt/journal/stall options on an experiment \
+                         that runs no sweep",
             });
         }
         Ok(())
@@ -636,6 +618,23 @@ pub fn export_metrics(report: &Report) -> MetricSet {
     metrics
 }
 
+/// `(sent, lost)` over one cell of packet trials, where `delivered` says
+/// whether a trial's packet got through. A budget-skipped slot was never
+/// sent, so it counts as neither; a quarantined slot counts as lost.
+pub fn sent_lost<T>(cell: &[TrialResult<T>], delivered: impl Fn(&T) -> bool) -> (u64, u64) {
+    let mut sent = 0;
+    let mut lost = 0;
+    for r in cell {
+        match r {
+            Err(e) if e.is_budget_skip() => continue,
+            Ok(v) if delivered(v) => {}
+            _ => lost += 1,
+        }
+        sent += 1;
+    }
+    (sent, lost)
+}
+
 /// An artifact regenerator: every table/figure of the paper implements
 /// this, and the static registry ([`crate::registry`]) lists them all.
 ///
@@ -676,7 +675,7 @@ mod tests {
             .threads(2)
             .build()
             .unwrap()
-            .sweep();
+            .sweep_for("x");
         assert_eq!(cfg.base_seed, 42);
         assert_eq!(cfg.threads, 2);
     }
@@ -773,6 +772,25 @@ mod tests {
         assert!(fleet.validate_for(&Multi).is_ok());
         let plain = ExperimentCtx::builder(1).build().unwrap();
         assert!(plain.validate_for(&Single).is_ok());
+    }
+
+    #[test]
+    fn ctx_rejects_sweep_only_options_on_a_report_without_a_sweep() {
+        let swept = Report::default().with_sweep(SweepStats {
+            trials: 4,
+            ..SweepStats::default()
+        });
+        let halted = ExperimentCtx::builder(1).halt_after(1).build().unwrap();
+        assert!(matches!(
+            halted.validate_report(&Report::default()),
+            Err(ConfigError::Inconsistent { .. })
+        ));
+        assert!(halted.validate_report(&swept).is_ok());
+        // Lanes (`--chrome`) and plain contexts pass either way.
+        let lanes = ExperimentCtx::builder(1).lanes(true).build().unwrap();
+        assert!(lanes.validate_report(&Report::default()).is_ok());
+        let plain = ExperimentCtx::builder(1).build().unwrap();
+        assert!(plain.validate_report(&Report::default()).is_ok());
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! the regression the old `unwrap` in the sweep aggregator allowed.
 
 use arachnet_obs::MetricSet;
-use arachnet_sim::metrics::five_num;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::first_convergence_time;
 use arachnet_sim::sweep::run_sweep;
 
-use crate::render::f;
+use crate::render::five_num_cells;
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
 
 /// Convergence-slot cap for the healthy trials.
@@ -54,7 +53,7 @@ impl Experiment for Resilience {
             .filter_map(|r| r.as_ref().ok())
             .copied()
             .collect();
-        let s = five_num(&times);
+        let [_, _, median, _, _] = five_num_cells(&times, 0);
         let mut metrics = MetricSet::new();
         if ctx.observe() {
             for &t in &times {
@@ -66,9 +65,11 @@ impl Experiment for Resilience {
             format!("{trials}"),
             format!("{}", times.len()),
             format!("{}", run.stats.quarantined),
-            f(s.median, 0),
+            median,
         ]];
-        for e in run.results.iter().filter_map(|r| r.as_ref().err()) {
+        // Budget-skipped slots never ran: only quarantined ones get a row.
+        let errors = run.results.iter().filter_map(|r| r.as_ref().err());
+        for e in errors.filter(|e| !e.is_budget_skip()) {
             rows.push(vec![
                 format!("trial {}", e.trial),
                 "-".to_string(),

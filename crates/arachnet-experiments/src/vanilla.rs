@@ -111,6 +111,7 @@ pub fn report(slots: u64, sweep: &SweepConfig) -> Report {
         ),
     )
     .with_sweep(matrix.stats)
+    .with_telemetry(matrix.telemetry)
 }
 
 #[cfg(test)]

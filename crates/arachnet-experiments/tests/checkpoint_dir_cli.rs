@@ -2,7 +2,8 @@
 //! not-yet-existing (nested) directory is created and receives the
 //! checkpoint + journal artifacts, `--resume` picks them up from there,
 //! and a directory that cannot be created is a clear exit-3 error — never
-//! a panic.
+//! a panic. A resume also ignores a checkpoint that a run with other
+//! settings wrote.
 
 use std::fs;
 use std::path::PathBuf;
@@ -76,6 +77,34 @@ fn missing_checkpoint_dir_is_created_and_resume_works_from_it() {
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(stdout.contains("resumed:"), "{stdout}");
     assert!(!ckpt.exists(), "a completed resume deletes the checkpoint");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_ignores_a_checkpoint_written_by_a_run_with_other_settings() {
+    // `run` records no flight-recorder events and `metrics` does, so the
+    // trials a halted `run` checkpointed are not what `metrics` computes:
+    // the resume must restore nothing and still match an uninterrupted run.
+    let dir = scratch("foreign");
+    let fresh = dir.join("fresh");
+    fs::create_dir_all(&fresh).unwrap();
+    let common = ["dyn-churn", "--quick", "--seed", "7", "--threads", "2"];
+    let halt = ["--checkpoint-every", "1", "--halt-after", "3"];
+    let halted = repro_in(&dir, &[&["run"], &common[..], &halt].concat());
+    assert_eq!(halted.status.code(), Some(0), "{halted:?}");
+    assert!(dir.join("CHECKPOINT_dyn-churn.bin").exists());
+    let resumed = repro_in(&dir, &[&["metrics"], &common[..], &["--resume"]].concat());
+    assert_eq!(resumed.status.code(), Some(0), "{resumed:?}");
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(!stdout.contains("resumed:"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("does not reproduce"), "{stderr}");
+    let uninterrupted = repro_in(&fresh, &[&["metrics"], &common[..]].concat());
+    assert_eq!(uninterrupted.status.code(), Some(0), "{uninterrupted:?}");
+    assert_eq!(
+        fs::read(dir.join("METRICS_dyn-churn.json")).unwrap(),
+        fs::read(fresh.join("METRICS_dyn-churn.json")).unwrap()
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -2,7 +2,8 @@
 //! aborted run can leave `TRACE_<id>.jsonl`, `TRACE_<id>.chrome.json`, and
 //! `CHECKPOINT_<id>.bin` behind; a fresh run of the same id must delete
 //! them (the policy the journal already followed), while `--resume` keeps
-//! the checkpoint it was asked to resume from.
+//! the checkpoint it was asked to resume from. Sweep-only flags on an
+//! experiment that runs no sweep are a usage error that writes nothing.
 
 use std::fs;
 use std::path::PathBuf;
@@ -62,10 +63,12 @@ fn fresh_run_deletes_stale_traces_and_checkpoints() {
 fn resume_keeps_the_checkpoint_it_was_asked_to_resume_from() {
     let dir = scratch("resume");
     // table1 is analytic (no sweep), so nothing else touches this file:
-    // whether it survives is decided purely by the cleanup policy.
+    // whether it survives is decided purely by the cleanup policy. Having
+    // no sweep, it rejects --resume as a usage error — after the cleanup
+    // step, which must still spare the file.
     fs::write(dir.join("CHECKPOINT_table1.bin"), b"precious").unwrap();
     let out = repro_in(&dir, &["run", "table1", "--quick", "--resume"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(
         dir.join("CHECKPOINT_table1.bin").exists(),
         "--resume must not delete the checkpoint pre-run"
@@ -74,5 +77,17 @@ fn resume_keeps_the_checkpoint_it_was_asked_to_resume_from() {
     let out = repro_in(&dir, &["run", "table1", "--quick"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(!dir.join("CHECKPOINT_table1.bin").exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_only_flag_on_an_experiment_without_a_sweep_exits_2_and_writes_nothing() {
+    let dir = scratch("nosweep");
+    let out = repro_in(&dir, &["metrics", "table1", "--quick", "--halt-after", "1"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("runs no sweep"), "{stderr}");
+    assert!(!dir.join("METRICS_table1.json").exists());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -359,11 +359,11 @@ pub struct FleetRun {
 
 /// Runs a K-cell fleet as a sharded (cell × trial) matrix over the sweep
 /// worker pool. Cell `c`, trial `t` runs `run_scenario_trial` at seed
-/// `trial_seed(trial_seed(sweep.base_seed, c), t)` — the same derivation
-/// `run_matrix` applies everywhere else — so the result grid is
-/// byte-identical at any thread count. The sweep config's resilience
-/// policy (retries, checkpoint/resume, budget) applies over the flattened
-/// job space; counters land in [`FleetRun::stats`].
+/// `trial_seed(trial_seed(sweep.base_seed, c), t)` — the derivation
+/// [`run_matrix_sweep`] applies, since it runs the grid — so the result
+/// grid is byte-identical at any thread count. Retries and the sweep
+/// config's resilience policy (checkpoint/resume, budget) apply over the
+/// flattened job space; counters land in [`FleetRun::stats`].
 ///
 /// When `observe` is set, trial 0 of every cell records its flight; the
 /// snapshot is prefixed with [`EventKind::ReaderAssigned`] (tag = reader

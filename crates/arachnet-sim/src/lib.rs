@@ -48,6 +48,6 @@ pub use patterns::Pattern;
 pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};
 pub use slotsim::{SlotSim, SlotSimConfig};
 pub use sweep::{
-    run_matrix, run_matrix_sweep, run_sweep, run_trials, CheckpointSpec, MatrixRun,
-    ResiliencePolicy, RunTelemetry, SweepConfig, SweepRun, SweepStats, TelemetrySpec,
+    run_matrix_sweep, run_sweep, CheckpointSpec, MatrixRun, ResiliencePolicy, RunTelemetry,
+    SweepConfig, SweepRun, SweepStats, TelemetrySpec,
 };

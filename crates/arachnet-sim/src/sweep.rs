@@ -1,11 +1,13 @@
 //! Deterministic, resilient parallel trial runner.
 //!
-//! The evaluation sweeps (Fig. 15's 9 patterns × dozens of convergence
-//! trials, Fig. 19's ALOHA runs, the dyn-* soaks, the fleet grids) are
-//! embarrassingly parallel: every trial is a pure function of
-//! `(pattern, seed)`. This module runs such sweeps over a
-//! `std::thread::scope` worker pool while keeping results **bit-identical
-//! at any thread count**:
+//! The evaluation sweeps (Fig. 12's tag × rate × packet matrix, Fig. 15's
+//! 9 patterns × dozens of convergence trials, Fig. 19's ALOHA runs, the
+//! dyn-* soaks, the fleet grids) are embarrassingly parallel: every trial
+//! is a pure function of `(pattern, seed)`. Every sweep experiment runs
+//! through one of two entry points — [`run_sweep`] for a flat trial list,
+//! [`run_matrix_sweep`] for a `cells × trials` grid — which share one
+//! runner core and one `std::thread::scope` worker pool at every thread
+//! count, and keep results **bit-identical at any thread count**:
 //!
 //! * each trial's seed is derived from the sweep's base seed and the trial
 //!   index alone ([`trial_seed`], a splitmix64 finalizer) — never from
@@ -23,20 +25,20 @@
 //! On top of that baseline, [`ResiliencePolicy`] adds the machinery long
 //! sweeps need to survive real hosts:
 //!
-//! * **trial quarantine** — a panicking trial is retried up to
-//!   [`ResiliencePolicy::retries`] times, each attempt at a
+//! * **trial quarantine** — a panicking trial is retried once, at a
 //!   deterministically-salted seed ([`retry_seed`]); a trial that fails
-//!   every attempt is *quarantined*: its slot carries the final
+//!   both attempts is *quarantined*: its slot carries the final
 //!   [`TrialError`] (with the attempt count) and the sweep keeps going.
 //!   Because panics are pure in `(trial, seed)`, the quarantine set is
 //!   itself deterministic and safe to export in metrics.
-//! * **checkpoint/resume** — with a [`CheckpointSpec`], [`run_sweep`] /
-//!   [`run_matrix_sweep`] append every completed trial to a
-//!   length-prefixed binary file (exact [`TrialCodec`] encodings, floats
-//!   as raw bits). A resumed sweep restores those slots instead of
-//!   recomputing them, so an interrupted-then-resumed run is
-//!   byte-identical to an uninterrupted one at any thread count. The file
-//!   is deleted when the sweep completes.
+//! * **checkpoint/resume** — with a [`CheckpointSpec`], every completed
+//!   trial is appended to a length-prefixed binary file (exact
+//!   [`TrialCodec`] encodings, floats as raw bits). A resumed sweep
+//!   replays its lowest restored trial to check that the file is its own,
+//!   then restores those slots instead of recomputing them, so an
+//!   interrupted-then-resumed run is byte-identical to an uninterrupted
+//!   one at any thread count. The file is deleted when the sweep
+//!   completes.
 //! * **deadline budgets** — [`ResiliencePolicy::budget`] stops
 //!   *dispatching* new trials once the wall-clock deadline passes (already
 //!   running trials finish and are checkpointed); undispatched slots come
@@ -46,10 +48,10 @@
 //!   which is scheduler-independent.
 //!
 //! ```
-//! use arachnet_sim::sweep::{SweepConfig, run_trials};
+//! use arachnet_sim::sweep::{run_sweep, SweepConfig};
 //!
 //! let cfg = SweepConfig::new(42).with_threads(4);
-//! let squares = run_trials(&cfg, 8, |trial, _seed| trial * trial);
+//! let squares = run_sweep(&cfg, 8, |trial, _seed| trial * trial).results;
 //! assert_eq!(squares[3], Ok(9));
 //! ```
 
@@ -71,7 +73,7 @@ use crate::codec::TrialCodec;
 /// Sweep configuration: worker count, base seed, and resilience policy.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Worker threads. `1` runs inline on the calling thread.
+    /// Worker threads (at least 1). Every count runs the same scoped pool.
     pub threads: usize,
     /// Base seed; trial `i` runs with [`trial_seed`]`(base_seed, i)`.
     pub base_seed: u64,
@@ -83,21 +85,11 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep seeded with `base_seed`, using all available cores (or the
-    /// `ARACHNET_SWEEP_THREADS` environment override) and the default
-    /// resilience policy (one retry, no checkpoint, no budget).
+    /// A sweep seeded with `base_seed`, using all available cores and the
+    /// default resilience policy (no checkpoint, no budget).
     pub fn new(base_seed: u64) -> Self {
-        let threads = std::env::var("ARACHNET_SWEEP_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
         Self {
-            threads,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             base_seed,
             policy: ResiliencePolicy::default(),
             telemetry: None,
@@ -107,12 +99,6 @@ impl SweepConfig {
     /// Overrides the worker count (clamped to at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the per-trial retry budget (0 disables retries).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.policy.retries = retries;
         self
     }
 
@@ -130,9 +116,7 @@ impl SweepConfig {
         self
     }
 
-    /// Attaches a checkpoint file ([`run_sweep`] / [`run_matrix_sweep`]
-    /// honour it; the codec-less [`run_trials`] / [`run_matrix`] ignore
-    /// it, since they cannot serialize results).
+    /// Attaches a checkpoint file.
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.policy.checkpoint = Some(spec);
         self
@@ -160,18 +144,16 @@ impl SweepConfig {
 
 /// Wall-domain run-telemetry options for a sweep.
 ///
-/// Attaching a spec makes the sweep entry points spawn one
-/// monitor thread alongside the workers (even at `--threads 1`, so the
-/// watchdog can observe a single stuck worker). With no spec attached the
-/// sweep runs exactly as before — zero extra threads, zero extra work.
+/// Attaching a spec makes the sweep spawn one monitor thread alongside the
+/// workers, which emits a heartbeat every second and polls the stall
+/// watchdog. With no spec attached there is no monitor thread and no
+/// extra work.
 #[derive(Debug, Clone)]
 pub struct TelemetrySpec {
     /// Append [`Heartbeat`] lines to this JSONL file and mirror them to
     /// stderr as a live progress line. `None` disables heartbeats (the
     /// watchdog can still run).
     pub journal: Option<PathBuf>,
-    /// Interval between heartbeats (min 100 ms; default 1 s).
-    pub heartbeat: Duration,
     /// Stall watchdog soft deadline override in seconds. `None` derives
     /// the deadline from the running median of trial durations.
     pub stall_secs: Option<f64>,
@@ -192,7 +174,6 @@ impl TelemetrySpec {
     pub fn new() -> Self {
         Self {
             journal: None,
-            heartbeat: Duration::from_secs(1),
             stall_secs: None,
             lanes: false,
         }
@@ -201,12 +182,6 @@ impl TelemetrySpec {
     /// Journal heartbeats to `path` (conventionally `JOURNAL_<id>.jsonl`).
     pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
         self.journal = Some(path.into());
-        self
-    }
-
-    /// Overrides the heartbeat interval (clamped to ≥ 100 ms).
-    pub fn with_heartbeat(mut self, interval: Duration) -> Self {
-        self.heartbeat = interval.max(Duration::from_millis(100));
         self
     }
 
@@ -246,12 +221,17 @@ impl RunTelemetry {
     }
 }
 
-/// How a sweep behaves when trials fail, hosts die, or time runs out.
-#[derive(Debug, Clone)]
+/// Interval between journal heartbeats of a sweep with telemetry attached.
+const HEARTBEAT: Duration = Duration::from_secs(1);
+
+/// Extra attempts a panicking trial gets, each at a salted deterministic
+/// seed ([`retry_seed`]), before its slot is quarantined.
+const RETRIES: u32 = 1;
+
+/// How a sweep behaves when hosts die or time runs out. A panicking trial
+/// is always retried once before it is quarantined.
+#[derive(Debug, Clone, Default)]
 pub struct ResiliencePolicy {
-    /// Extra attempts for a panicking trial, each at a salted
-    /// deterministic seed ([`retry_seed`]). Default 1.
-    pub retries: u32,
     /// Wall-clock dispatch budget. `None` (default) runs to completion.
     pub budget: Option<Duration>,
     /// Deterministic dispatch cap: at most this many jobs (by dispatch
@@ -261,17 +241,6 @@ pub struct ResiliencePolicy {
     pub halt_after: Option<u64>,
     /// Persist completed trials for crash/interrupt recovery.
     pub checkpoint: Option<CheckpointSpec>,
-}
-
-impl Default for ResiliencePolicy {
-    fn default() -> Self {
-        Self {
-            retries: 1,
-            budget: None,
-            halt_after: None,
-            checkpoint: None,
-        }
-    }
 }
 
 /// Where and how often a sweep checkpoints completed trials.
@@ -285,9 +254,11 @@ impl Default for ResiliencePolicy {
 ///
 /// `kind` 0 carries a [`TrialCodec`] encoding of the result; `kind` 1 a
 /// UTF-8 quarantine payload. A torn tail (the process died mid-write) is
-/// detected by the length prefix and truncated away on resume; a header
-/// that does not match the resuming sweep's `(base_seed, trials)` shape
-/// makes the whole file ignored — never silently misapplied.
+/// detected by the length prefix and truncated away on resume. A header
+/// that does not match the resuming sweep's `(base_seed, trials)` shape,
+/// or a restored trial that does not reproduce its record when replayed
+/// (the file came from other settings or another build), makes the whole
+/// file ignored — never silently misapplied.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file path (conventionally `CHECKPOINT_<id>.bin`).
@@ -553,21 +524,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Function-pointer vtable for checkpoint serialization, so the core
-/// runner stays monomorphic over `T` without a `TrialCodec` bound on the
-/// codec-less entry points.
-struct CodecVt<T> {
-    encode: fn(&T, &mut Vec<u8>),
-    decode: fn(&mut &[u8]) -> Option<T>,
-}
-
-impl<T> Clone for CodecVt<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for CodecVt<T> {}
-
 const CKPT_MAGIC: [u8; 4] = *b"ACP1";
 const CKPT_HEADER_LEN: usize = 20;
 const CKPT_REC_HEADER_LEN: usize = 17;
@@ -713,6 +669,36 @@ fn open_writer(
     }
 }
 
+/// Re-runs the lowest-index restored `Ok` trial at the seed it recorded
+/// (its last retry seed when it needed retries) and compares the
+/// [`TrialCodec`] bytes with the restored value's. A checkpoint whose
+/// header matches but that a run with other settings (scale, observation,
+/// fleet options) or another build wrote would otherwise restore foreign
+/// results; one replayed trial per resume catches that. Returns the index
+/// of the trial that did not reproduce (or panicked on replay).
+fn replay_mismatch<T: TrialCodec>(
+    slots: &[Option<TrialResult<T>>],
+    attempts: &[u32],
+    seed_of: impl Fn(u64) -> u64,
+    f: impl Fn(u64, u64) -> T,
+) -> Option<u64> {
+    let (i, recorded) = slots.iter().enumerate().find_map(|(i, s)| match s {
+        Some(Ok(v)) => Some((i as u64, v)),
+        _ => None,
+    })?;
+    let seed = match attempts[i as usize] {
+        a if a > 1 => retry_seed(seed_of(i), u64::from(a - 1)),
+        _ => seed_of(i),
+    };
+    let encode = |v: &T| {
+        let mut out = Vec::new();
+        v.encode(&mut out);
+        out
+    };
+    let replayed = catch_unwind(AssertUnwindSafe(|| encode(&f(i, seed))));
+    (replayed.ok() != Some(encode(recorded))).then_some(i)
+}
+
 type JobOutput<T> = (u64, u32, TrialResult<T>);
 
 /// Live telemetry shared between the workers and the monitor thread.
@@ -815,19 +801,13 @@ impl TeleRt {
     }
 }
 
-/// The shared runner behind every public entry point: seed derivation via
-/// `seed_of`, retry/quarantine around `f`, optional checkpoint restore +
-/// append when `codec` is present, budget/halt dispatch gating, and the
-/// scheduling-independent merge.
-fn run_core<T, F, S>(
-    cfg: &SweepConfig,
-    trials: u64,
-    seed_of: S,
-    f: F,
-    codec: Option<CodecVt<T>>,
-) -> SweepRun<T>
+/// The runner core behind both entry points: seed derivation via
+/// `seed_of`, retry/quarantine around `f`, checkpoint restore + append
+/// when the policy has a [`CheckpointSpec`], budget/halt dispatch gating,
+/// and the scheduling-independent merge.
+fn run_core<T, F, S>(cfg: &SweepConfig, trials: u64, seed_of: S, f: F) -> SweepRun<T>
 where
-    T: Send,
+    T: Send + TrialCodec,
     F: Fn(u64, u64) -> T + Sync,
     S: Fn(u64) -> u64 + Sync,
 {
@@ -837,12 +817,9 @@ where
     let mut restored = 0u64;
 
     // --- restore from checkpoint ---------------------------------------
-    let ckpt = match (&codec, pol.checkpoint.as_ref()) {
-        (Some(_), Some(spec)) => Some(spec),
-        _ => None,
-    };
+    let ckpt = pol.checkpoint.as_ref();
     let mut writer: Option<CkptWriter> = None;
-    if let (Some(vt), Some(spec)) = (codec, ckpt) {
+    if let Some(spec) = ckpt {
         let mut append_at = None;
         if spec.resume {
             if let Some((records, valid)) = load_checkpoint(&spec.path, cfg.base_seed, trials) {
@@ -871,7 +848,7 @@ where
                     }
                     let slot = if rec.ok {
                         let mut input = rec.payload.as_slice();
-                        match (vt.decode)(&mut input) {
+                        match T::decode(&mut input) {
                             Some(v) if input.is_empty() => Ok(v),
                             _ => {
                                 arachnet_obs::warn!(
@@ -893,7 +870,18 @@ where
                     slots[i] = Some(slot);
                     attempts_of[i] = rec.attempts;
                 }
-                append_at = Some(valid);
+                if let Some(i) = replay_mismatch(&slots, &attempts_of, &seed_of, &f) {
+                    arachnet_obs::warn!(
+                        "ignoring checkpoint '{}': trial {i} does not reproduce its recorded \
+                         result (written with other settings or by another build)",
+                        spec.path.display()
+                    );
+                    slots.fill_with(|| None);
+                    attempts_of.fill(0);
+                    restored = 0;
+                } else {
+                    append_at = Some(valid);
+                }
             }
         }
         writer = open_writer(spec, cfg.base_seed, trials, append_at);
@@ -907,7 +895,7 @@ where
     // Wall-domain utilization stats land in the obs globals; `take_global_stats`
     // reads them out. They are diagnostics about this host's scheduling, so
     // they are never part of the deterministic metrics export (DESIGN.md §11).
-    let _sweep_span = span("sweep.run_trials");
+    let _sweep_span = span("sweep.run");
     global_counter_add("sweep.sweeps", 1);
     global_counter_add("sweep.trials", trials);
     global_counter_add("sweep.workers", workers as u64);
@@ -916,7 +904,6 @@ where
     }
 
     let deadline = pol.budget.map(|b| Instant::now() + b);
-    let retries = pol.retries;
     let next_job = AtomicU64::new(0);
     let starved = AtomicBool::new(false);
     let sink: Mutex<Option<CkptWriter>> = Mutex::new(writer);
@@ -939,7 +926,7 @@ where
             match r {
                 Ok(v) => return (i, attempt, Ok(v)),
                 Err(p) => {
-                    if attempt > retries {
+                    if attempt > RETRIES {
                         return (
                             i,
                             attempt,
@@ -957,13 +944,12 @@ where
     };
 
     let checkpoint_one = |i: u64, attempts: u32, r: &TrialResult<T>| {
-        let Some(vt) = codec else { return };
         let mut guard = sink.lock().unwrap_or_else(|p| p.into_inner());
         let Some(w) = guard.as_mut() else { return };
         let mut payload = Vec::new();
         let kind = match r {
             Ok(v) => {
-                (vt.encode)(v, &mut payload);
+                v.encode(&mut payload);
                 0u8
             }
             Err(e) => {
@@ -1028,17 +1014,10 @@ where
     let mut worker_deaths: Vec<String> = Vec::new();
     let mut outputs: Vec<JobOutput<T>> = Vec::new();
     let mut all_lanes: Vec<TrialLane> = Vec::new();
-    if pending.is_empty() {
-        // Fully restored (or zero trials): nothing to dispatch — and no
-        // jobs_per_worker sample, so readers of that histogram must
-        // tolerate its absence.
-    } else if workers <= 1 && tele.is_none() {
-        let (local, lanes) = work(0);
-        outputs = local;
-        all_lanes = lanes;
-    } else {
-        // With telemetry attached, even a 1-worker sweep takes the scoped
-        // path so the monitor thread can watch it.
+    // A fully restored (or zero-trial) sweep dispatches nothing — and
+    // records no jobs_per_worker sample, so readers of that histogram must
+    // tolerate its absence.
+    if !pending.is_empty() {
         let monitor_stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let work = &work;
@@ -1060,7 +1039,7 @@ where
                     while !monitor_stop.load(Ordering::Relaxed) {
                         std::thread::sleep(Duration::from_millis(25));
                         t.watchdog.poll();
-                        if last_beat.elapsed() >= t.spec.heartbeat {
+                        if last_beat.elapsed() >= HEARTBEAT {
                             last_beat = Instant::now();
                             t.emit(trials, restored, 0, workers as u32, deadline, false);
                         }
@@ -1191,105 +1170,30 @@ where
 }
 
 /// Runs `trials` independent trials of `f(trial_index, trial_seed)` across
-/// the worker pool and returns results ordered by trial index. Bit-identical
-/// at any thread count; a panicking trial is retried per the config's
-/// [`ResiliencePolicy`] and quarantined as `Err(TrialError)` in its slot on
-/// final failure. Even a worker thread dying outside the isolated-panic
+/// the worker pool, seeding trial `i` with [`trial_seed`]`(base_seed, i)`,
+/// and returns results ordered by trial index plus the sweep's
+/// quarantine/resume/budget counters. Bit-identical at any thread count;
+/// a panicking trial is retried and then quarantined as `Err(TrialError)`
+/// in its slot, and even a worker thread dying outside the isolated-panic
 /// window cannot poison the sweep: the trials it never reported come back
-/// as structured errors. Checkpoint specs are ignored here (no codec) —
-/// use [`run_sweep`] for resumable sweeps.
-pub fn run_trials<T, F>(cfg: &SweepConfig, trials: u64, f: F) -> Vec<TrialResult<T>>
-where
-    T: Send,
-    F: Fn(u64, u64) -> T + Sync,
-{
-    run_core(
-        cfg,
-        trials,
-        |i| trial_seed(cfg.base_seed, i),
-        f,
-        None::<CodecVt<T>>,
-    )
-    .results
-}
-
-/// [`run_trials`] with the full resilience feature set: the returned
-/// [`SweepRun`] carries quarantine/resume/budget counters, and when the
-/// config has a [`CheckpointSpec`], completed trials are persisted and
-/// restored so an interrupted sweep resumes byte-identically.
+/// as structured errors. When the config has a [`CheckpointSpec`],
+/// completed trials are persisted and restored so an interrupted sweep
+/// resumes byte-identically.
 pub fn run_sweep<T, F>(cfg: &SweepConfig, trials: u64, f: F) -> SweepRun<T>
 where
     T: Send + TrialCodec,
     F: Fn(u64, u64) -> T + Sync,
 {
-    run_core(
-        cfg,
-        trials,
-        |i| trial_seed(cfg.base_seed, i),
-        f,
-        Some(CodecVt {
-            encode: <T as TrialCodec>::encode,
-            decode: <T as TrialCodec>::decode,
-        }),
-    )
-}
-
-fn matrix_core<P, T, F>(
-    cfg: &SweepConfig,
-    cells: &[P],
-    trials: u64,
-    f: F,
-    codec: Option<CodecVt<T>>,
-) -> SweepRun<T>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P, u64, u64) -> T + Sync,
-{
-    let per = trials.max(1);
-    let total = cells.len() as u64 * trials;
-    run_core(
-        cfg,
-        total,
-        |job| trial_seed(trial_seed(cfg.base_seed, job / per), job % per),
-        |job, seed| f(&cells[(job / per) as usize], job % per, seed),
-        codec,
-    )
-}
-
-fn reshape<T>(flat: Vec<TrialResult<T>>, cells: usize, trials: u64) -> Vec<Vec<TrialResult<T>>> {
-    let mut out: Vec<Vec<TrialResult<T>>> = Vec::with_capacity(cells);
-    let mut it = flat.into_iter();
-    for _ in 0..cells {
-        out.push(it.by_ref().take(trials as usize).collect());
-    }
-    out
+    run_core(cfg, trials, |i| trial_seed(cfg.base_seed, i), f)
 }
 
 /// Runs a `cells × trials` matrix (e.g. Table 3 patterns × seeds) over one
-/// shared worker pool, returning `results[cell][trial]` ordered like the
+/// shared worker pool, returning `cells[cell][trial]` ordered like the
 /// inputs. A trial's seed depends only on `(base_seed, cell index, trial
 /// index)` — never on worker scheduling — so the whole matrix is
-/// bit-identical at any thread count. Retries re-run a trial at a salted
-/// seed ([`retry_seed`] over the cell-trial seed).
-pub fn run_matrix<P, T, F>(
-    cfg: &SweepConfig,
-    cells: &[P],
-    trials: u64,
-    f: F,
-) -> Vec<Vec<TrialResult<T>>>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P, u64, u64) -> T + Sync,
-{
-    let run = matrix_core(cfg, cells, trials, f, None::<CodecVt<T>>);
-    reshape(run.results, cells.len(), trials)
-}
-
-/// [`run_matrix`] with the full resilience feature set (checkpoint/resume
-/// over the flattened `cells × trials` job space, quarantine and budget
-/// counters in [`MatrixRun::stats`]).
+/// bit-identical at any thread count. Retries, checkpoint/resume and the
+/// budget apply over the flattened `cells × trials` job space, with
+/// counters in [`MatrixRun::stats`].
 pub fn run_matrix_sweep<P, T, F>(
     cfg: &SweepConfig,
     cells: &[P],
@@ -1301,18 +1205,19 @@ where
     T: Send + TrialCodec,
     F: Fn(&P, u64, u64) -> T + Sync,
 {
-    let run = matrix_core(
+    let per = trials.max(1);
+    let run = run_core(
         cfg,
-        cells,
-        trials,
-        f,
-        Some(CodecVt {
-            encode: <T as TrialCodec>::encode,
-            decode: <T as TrialCodec>::decode,
-        }),
+        cells.len() as u64 * trials,
+        |job| trial_seed(trial_seed(cfg.base_seed, job / per), job % per),
+        |job, seed| f(&cells[(job / per) as usize], job % per, seed),
     );
+    let mut flat = run.results.into_iter();
     MatrixRun {
-        cells: reshape(run.results, cells.len(), trials),
+        cells: cells
+            .iter()
+            .map(|_| flat.by_ref().take(trials as usize).collect())
+            .collect(),
         stats: run.stats,
         telemetry: run.telemetry,
     }
@@ -1339,7 +1244,7 @@ mod tests {
     #[test]
     fn results_are_ordered_by_trial_index() {
         let cfg = SweepConfig::new(7).with_threads(4);
-        let out = run_trials(&cfg, 64, |i, _| i);
+        let out = run_sweep(&cfg, 64, |i, _| i).results;
         let expect: Vec<_> = (0..64).map(Ok).collect();
         assert_eq!(out, expect);
     }
@@ -1351,9 +1256,10 @@ mod tests {
         // the trial index, never the scheduler).
         let run_at = |threads| {
             let cfg = SweepConfig::new(42).with_threads(threads);
-            run_trials(&cfg, 24, |_i, seed| {
+            run_sweep(&cfg, 24, |_i, seed| {
                 first_convergence_time(&Pattern::c1(), seed, 50_000, true)
             })
+            .results
         };
         let single = run_at(1);
         for threads in [2, 4, 8] {
@@ -1366,7 +1272,7 @@ mod tests {
         let cells = [1u64, 2, 3];
         let run_at = |threads| {
             let cfg = SweepConfig::new(9).with_threads(threads);
-            run_matrix(&cfg, &cells, 5, |&c, t, seed| (c, t, seed))
+            run_matrix_sweep(&cfg, &cells, 5, |&c, t, seed| (c, t, seed)).cells
         };
         let single = run_at(1);
         assert_eq!(single, run_at(4));
@@ -1393,14 +1299,15 @@ mod tests {
         // keeps its value — at any thread count.
         let cells = ["a", "b", "c"];
         let run_at = |threads| {
-            let cfg = SweepConfig::new(11).with_threads(threads).with_retries(1);
-            run_matrix(&cfg, &cells, 4, |&name, t, seed| {
+            let cfg = SweepConfig::new(11).with_threads(threads);
+            run_matrix_sweep(&cfg, &cells, 4, |&name, t, seed| {
                 assert!(
                     !(name == "b" && t == 2),
                     "injected failure in cell b trial 2"
                 );
                 (name.len() as u64, t, seed)
             })
+            .cells
         };
         let grid = run_at(1);
         assert_eq!(grid, run_at(5), "error slots are thread-invariant too");
@@ -1429,10 +1336,11 @@ mod tests {
     #[test]
     fn panics_are_isolated_per_trial() {
         let cfg = SweepConfig::new(1).with_threads(3);
-        let out = run_trials(&cfg, 10, |i, _| {
+        let out = run_sweep(&cfg, 10, |i, _| {
             assert!(i != 7, "trial seven always fails");
             i * 2
-        });
+        })
+        .results;
         for (i, r) in out.iter().enumerate() {
             if i == 7 {
                 let e = r.as_ref().unwrap_err();
@@ -1449,7 +1357,7 @@ mod tests {
         // A trial that panics only at its attempt-0 seed succeeds on the
         // salted retry — deterministically.
         let base = 1234;
-        let cfg = SweepConfig::new(base).with_threads(2).with_retries(1);
+        let cfg = SweepConfig::new(base).with_threads(2);
         let run = run_sweep(&cfg, 6, |i, seed| {
             assert!(
                 !(i == 3 && seed == trial_seed(base, 3)),
@@ -1467,21 +1375,21 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_with_attempt_count() {
-        let cfg = SweepConfig::new(5).with_threads(1).with_retries(2);
+        let cfg = SweepConfig::new(5).with_threads(1);
         let run = run_sweep(&cfg, 4, |i, _seed| {
             assert!(i != 1, "always fails");
             i
         });
         let e = run.results[1].as_ref().unwrap_err();
-        assert_eq!(e.attempts, 3, "first attempt plus two retries");
+        assert_eq!(e.attempts, 2, "first attempt plus one retry");
         assert!(!e.is_budget_skip());
         assert_eq!(run.stats.quarantined, 1);
-        assert_eq!(run.stats.retried, 2);
+        assert_eq!(run.stats.retried, 1);
         assert_eq!(run.stats.completed, 3);
         let events = run.quarantine_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].slot, 1);
-        assert_eq!(events[0].kind, EventKind::TrialQuarantined { attempts: 3 });
+        assert_eq!(events[0].kind, EventKind::TrialQuarantined { attempts: 2 });
     }
 
     #[test]
@@ -1489,7 +1397,7 @@ mod tests {
         // Regression: 8 requested workers with 2 trials must neither
         // spawn idle workers nor panic any utilization bookkeeping.
         let cfg = SweepConfig::new(3).with_threads(8);
-        let out = run_trials(&cfg, 2, |i, _| i * 10);
+        let out = run_sweep(&cfg, 2, |i, _| i * 10).results;
         assert_eq!(out, vec![Ok(0), Ok(10)]);
         // The jobs_per_worker histogram may have been drained by a
         // concurrent test (the global sinks are process-wide), so its
@@ -1508,7 +1416,7 @@ mod tests {
         // concurrent `take_global_stats` can have drained a sink entirely,
         // so presence is checked gracefully instead of `.expect()`ed.
         let cfg = SweepConfig::new(77).with_threads(3);
-        let out = run_trials(&cfg, 12, |i, _| i + 1);
+        let out = run_sweep(&cfg, 12, |i, _| i + 1).results;
         assert_eq!(out.len(), 12);
         let stats = arachnet_obs::take_global_stats();
         if let Some(jobs) = stats.histos.get("sweep.jobs_per_worker") {
@@ -1596,10 +1504,7 @@ mod tests {
         let path = temp_ckpt("quarantine");
         let mk = |halt: Option<u64>, resume: bool| {
             let spec = CheckpointSpec::new(&path).with_every(1).with_resume(resume);
-            let mut cfg = SweepConfig::new(4)
-                .with_threads(1)
-                .with_retries(1)
-                .with_checkpoint(spec);
+            let mut cfg = SweepConfig::new(4).with_threads(1).with_checkpoint(spec);
             if let Some(h) = halt {
                 cfg = cfg.with_halt_after(h);
             }
@@ -1620,7 +1525,7 @@ mod tests {
         assert_eq!(e.attempts, 2);
         // Identical to a run that never checkpointed.
         let fresh = {
-            let cfg = SweepConfig::new(4).with_threads(1).with_retries(1);
+            let cfg = SweepConfig::new(4).with_threads(1);
             run_sweep(&cfg, 5, |i, _seed| {
                 assert!(i != 0, "poison pill");
                 i
@@ -1668,8 +1573,9 @@ mod tests {
         // Craft a checkpoint by hand: header for (seed 77, 4 trials), a
         // record for trial 0, a record for trial 1, then TWO duplicates of
         // trial 0 with different payloads — the replay pattern a crash
-        // between append and fsync leaves behind.
-        let first: (u64, u64) = (123_456, 999);
+        // between append and fsync leaves behind. The first records hold
+        // what the sweep computes, so the resume replay accepts the file.
+        let first: (u64, u64) = (0, trial_seed(77, 0));
         let dup: (u64, u64) = (42, 43);
         let tr1: (u64, u64) = (1, trial_seed(77, 1));
         let mut bytes = Vec::new();
@@ -1729,6 +1635,29 @@ mod tests {
             warnings.iter().any(|w| w.contains("shape mismatch")),
             "{warnings:?}"
         );
+        assert!(!path.exists(), "completed run cleans up");
+        // Same seed and trial count, but a run whose trials compute other
+        // values (another scale or build): the header matches, the replay
+        // of trial 0 does not, so the whole file is ignored once.
+        let halted = SweepConfig::new(1)
+            .with_threads(1)
+            .with_halt_after(2)
+            .with_checkpoint(CheckpointSpec::new(&path).with_every(1));
+        run_sweep(&halted, 4, |i, seed| (i, seed));
+        let (run, warnings) = arachnet_obs::capture(|| {
+            let cfg = SweepConfig::new(1).with_threads(2).with_checkpoint(
+                CheckpointSpec::new(&path).with_every(1).with_resume(true),
+            );
+            run_sweep(&cfg, 4, |i, seed| (i + 100, seed))
+        });
+        assert_eq!(run.stats.restored, 0);
+        assert_eq!(run.stats.completed, 4);
+        assert_eq!(run.results[0], Ok((100, trial_seed(1, 0))));
+        let replay_warns = warnings
+            .iter()
+            .filter(|w| w.contains("does not reproduce"))
+            .count();
+        assert_eq!(replay_warns, 1, "{warnings:?}");
         assert!(!path.exists(), "completed run cleans up");
     }
 
@@ -1790,13 +1719,12 @@ mod tests {
             "sweep_panic_isolation",
             &g,
             |&(trials, threads, modulus)| {
-                let cfg = SweepConfig::new(trials ^ 0xC0FFEE)
-                    .with_threads(threads as usize)
-                    .with_retries(0);
-                let out = run_trials(&cfg, trials, |i, _| {
+                let cfg = SweepConfig::new(trials ^ 0xC0FFEE).with_threads(threads as usize);
+                let out = run_sweep(&cfg, trials, |i, _| {
                     assert!(i % modulus != 0, "synthetic failure at {i}");
                     i * 3
-                });
+                })
+                .results;
                 prop_assert_eq!(out.len(), trials as usize);
                 for (i, r) in out.iter().enumerate() {
                     if (i as u64).is_multiple_of(modulus) {
@@ -1886,9 +1814,9 @@ mod tests {
     #[test]
     fn zero_trials_is_fine() {
         let cfg = SweepConfig::new(5).with_threads(4);
-        let out = run_trials(&cfg, 0, |i, _| i);
+        let out = run_sweep(&cfg, 0, |i, _| i).results;
         assert!(out.is_empty());
-        let m = run_matrix(&cfg, &[1, 2], 0, |_, _, _| 0u8);
+        let m = run_matrix_sweep(&cfg, &[1, 2], 0, |_, _, _| 0u8).cells;
         assert_eq!(m, vec![Vec::new(), Vec::new()]);
         // Even with a checkpoint attached: no residue left behind.
         let path = temp_ckpt("empty");

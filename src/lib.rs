@@ -67,5 +67,5 @@ pub mod prelude {
     };
     pub use arachnet_sim::cosim::CoSimConfig;
     pub use arachnet_sim::slotsim::SlotSimConfig;
-    pub use arachnet_sim::sweep::{run_matrix, run_trials, SweepConfig};
+    pub use arachnet_sim::sweep::{run_matrix_sweep, run_sweep, SweepConfig};
 }

@@ -5,11 +5,14 @@
 //! `METRICS_<id>.json` document byte-identical to an uninterrupted run —
 //! at every worker-thread count, and even when one of the trials is
 //! quarantined along the way. `tools/verify.sh` drives the same loop
-//! through the `repro` binary; this test exercises the library path.
+//! through the `repro` binary; this test exercises the library path. A
+//! halted run of any registered experiment must still report, flagged
+//! partial.
 
 use std::fs;
 use std::path::PathBuf;
 
+use arachnet_experiments::registry;
 use arachnet_experiments::report::{metrics_json, Experiment, ExperimentCtx};
 use arachnet_experiments::resilience::Resilience;
 
@@ -140,4 +143,38 @@ fn quarantined_trials_survive_a_checkpoint_round_trip() {
     assert_eq!(metrics_json("resilience", &resumed), baseline);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+fn ctx_halt(halt_after: u64) -> ExperimentCtx {
+    ExperimentCtx::builder(SEED)
+        .quick()
+        .threads(2)
+        .observe(true)
+        .halt_after(halt_after)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn every_experiment_reports_a_run_halted_before_its_sweep_finished() {
+    // A run cut short after 0 or 1 dispatched trials still returns a
+    // report (empty samples render as `-`), and every sweep-backed report
+    // says it is partial.
+    for halt in [0, 1] {
+        let ctx = ctx_halt(halt);
+        for e in registry::all() {
+            let report = e.run(&ctx);
+            assert!(!report.render().is_empty(), "{}", e.id());
+            if report.sweep.trials > 0 {
+                assert!(
+                    report.is_partial(),
+                    "{} halted after {halt} trial(s) is not partial",
+                    e.id()
+                );
+            }
+        }
+    }
+    // Budget-skipped packets count as neither sent nor lost.
+    let fig12 = registry::find("fig12a12b").unwrap().run(&ctx_halt(3));
+    assert_eq!(fig12.metrics.get_count("uplink.sent"), Some(3));
 }

@@ -3,7 +3,9 @@
 # self-tests plus one short checked benchmark run, a quick pass over every
 # registered experiment, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
-# threads, gated by `repro diff --tolerance 0`), the run-telemetry smoke
+# threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
+# gate (dyn-churn and fig12a12b at 1/2/8 threads) and the rejection of
+# sweep-only flags on a sweep-less experiment, the run-telemetry smoke
 # (journal heartbeats parse, chrome trace loads), the serve smoke
 # (admission control, structured errors, graceful drain over a real
 # socket), the chaos self-test (`repro chaos`: seeded fault injection,
@@ -106,35 +108,52 @@ echo "== checkpoint/resume determinism (seed $seed) =="
 # An interrupted-then-resumed sweep must export byte-identical metrics to
 # an uninterrupted run, at every thread count. `--halt-after 3` plays the
 # interruption deterministically; `--resume` picks the checkpoint up.
-base="$(mktemp -d)"
-(cd "$base" && "$OLDPWD/$repro" metrics dyn-churn --quick --seed "$seed" --threads 2 > stdout.txt)
-for threads in 1 2 8; do
-  rdir="$(mktemp -d)"
-  (cd "$rdir" && "$OLDPWD/$repro" metrics dyn-churn --quick --seed "$seed" --threads "$threads" \
-     --checkpoint-every 1 --halt-after 3 > run1.txt)
-  if ! grep -q '"partial":true' "$rdir/METRICS_dyn-churn.json"; then
-    echo "FAIL: halted dyn-churn run at --threads $threads is not flagged partial" >&2
-    exit 1
-  fi
-  if [ ! -f "$rdir/CHECKPOINT_dyn-churn.bin" ]; then
-    echo "FAIL: halted dyn-churn run at --threads $threads left no checkpoint" >&2
-    exit 1
-  fi
-  (cd "$rdir" && "$OLDPWD/$repro" metrics dyn-churn --quick --seed "$seed" --threads "$threads" \
-     --resume > run2.txt)
-  if [ -f "$rdir/CHECKPOINT_dyn-churn.bin" ]; then
-    echo "FAIL: completed resume at --threads $threads did not delete the checkpoint" >&2
-    exit 1
-  fi
-  if ! cmp -s "$rdir/METRICS_dyn-churn.json" "$base/METRICS_dyn-churn.json"; then
-    echo "FAIL: resumed METRICS_dyn-churn.json differs from an uninterrupted run at --threads $threads" >&2
-    diff "$rdir/METRICS_dyn-churn.json" "$base/METRICS_dyn-churn.json" | head >&2
-    exit 1
-  fi
-  echo "   dyn-churn: interrupt+resume at --threads $threads byte-identical to uninterrupted"
-  rm -rf "$rdir"
+for artifact in dyn-churn fig12a12b; do
+  base="$(mktemp -d)"
+  (cd "$base" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads 2 > stdout.txt)
+  for threads in 1 2 8; do
+    rdir="$(mktemp -d)"
+    (cd "$rdir" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads "$threads" \
+       --checkpoint-every 1 --halt-after 3 > run1.txt)
+    if ! grep -q '"partial":true' "$rdir/METRICS_$artifact.json"; then
+      echo "FAIL: halted $artifact run at --threads $threads is not flagged partial" >&2
+      exit 1
+    fi
+    if [ ! -f "$rdir/CHECKPOINT_$artifact.bin" ]; then
+      echo "FAIL: halted $artifact run at --threads $threads left no checkpoint" >&2
+      exit 1
+    fi
+    (cd "$rdir" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads "$threads" \
+       --resume > run2.txt)
+    if [ -f "$rdir/CHECKPOINT_$artifact.bin" ]; then
+      echo "FAIL: completed $artifact resume at --threads $threads did not delete the checkpoint" >&2
+      exit 1
+    fi
+    if ! cmp -s "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json"; then
+      echo "FAIL: resumed METRICS_$artifact.json differs from an uninterrupted run at --threads $threads" >&2
+      diff "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json" | head >&2
+      exit 1
+    fi
+    echo "   $artifact: interrupt+resume at --threads $threads byte-identical to uninterrupted"
+    rm -rf "$rdir"
+  done
+  rm -rf "$base"
 done
-rm -rf "$base"
+
+echo "== sweep-only flags on an experiment without a sweep exit 2 =="
+ndir="$(mktemp -d)"
+code=0
+(cd "$ndir" && "$OLDPWD/$repro" metrics table1 --quick --halt-after 1 > stdout.txt 2> stderr.txt) || code=$?
+if [ "$code" != "2" ]; then
+  echo "FAIL: repro metrics table1 --halt-after 1 exited $code, expected 2 (table1 runs no sweep)" >&2
+  exit 1
+fi
+if [ -e "$ndir/METRICS_table1.json" ]; then
+  echo "FAIL: a rejected table1 run wrote METRICS_table1.json" >&2
+  exit 1
+fi
+echo "   table1 --halt-after 1: exit 2, nothing written"
+rm -rf "$ndir"
 
 echo "== run telemetry: journal heartbeats + chrome trace (seed $seed) =="
 tdir="$(mktemp -d)"
