@@ -13,7 +13,7 @@
 //!
 //! * [`cplx`] — a minimal complex number type;
 //! * [`fft`] — iterative radix-2 FFT;
-//! * [`window`] — Hann / Hamming / rectangular windows;
+//! * [`window`] — Hann / rectangular windows;
 //! * [`psd`] — Welch power-spectral-density estimation and band power;
 //! * [`nco`] — numerically controlled oscillator and complex down-mixing;
 //! * [`schmitt`] — hysteresis comparator;

@@ -25,11 +25,6 @@ impl Nco {
         }
     }
 
-    /// Current phase in radians.
-    pub fn phase(&self) -> f64 {
-        self.phase
-    }
-
     /// Next complex oscillator sample `e^{jφ}`.
     ///
     /// Not an `Iterator`: the oscillator never ends and returning

@@ -9,8 +9,6 @@ pub enum Window {
     Rectangular,
     /// Hann (raised cosine) — the Welch default here.
     Hann,
-    /// Hamming.
-    Hamming,
 }
 
 impl Window {
@@ -26,7 +24,6 @@ impl Window {
                 match self {
                     Window::Rectangular => 1.0,
                     Window::Hann => 0.5 - 0.5 * (2.0 * PI * x).cos(),
-                    Window::Hamming => 0.54 - 0.46 * (2.0 * PI * x).cos(),
                 }
             })
             .collect()
@@ -59,15 +56,8 @@ mod tests {
     }
 
     #[test]
-    fn hamming_endpoints_are_nonzero() {
-        let w = Window::Hamming.coefficients(33);
-        assert!((w[0] - 0.08).abs() < 1e-12);
-        assert!((w[16] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn windows_are_symmetric() {
-        for win in [Window::Hann, Window::Hamming] {
+        for win in [Window::Rectangular, Window::Hann] {
             let w = win.coefficients(64);
             for i in 0..32 {
                 assert!(
@@ -88,7 +78,7 @@ mod tests {
 
     #[test]
     fn length_one_window() {
-        for win in [Window::Rectangular, Window::Hann, Window::Hamming] {
+        for win in [Window::Rectangular, Window::Hann] {
             assert_eq!(win.coefficients(1), vec![1.0]);
         }
     }

@@ -7,11 +7,15 @@
 //! repro trace <artifact> <tag|all> [flags]  (run with --trace implied)
 //! repro diff <A.json> <B.json> [--tolerance F]
 //! repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N]
-//!             [--fault-plan SPEC] [--deadline-ms N] [--brownout-us N]
-//!             [--respawn-budget N]
-//! repro chaos [--seed N]                    (fault-injection self-test)
+//!             [--journal] [--deadline-ms N]
 //! repro <artifact|all> [flags]              (legacy alias for `run`)
 //! ```
+//!
+//! Each subcommand accepts only the flags it reads: `list` takes none,
+//! `diff` only `--tolerance`, `serve` only its six flags above, and
+//! `run`/`metrics`/`trace` everything except the serve-only flags and
+//! `--tolerance`. Any other flag is a usage error (exit 2) before anything
+//! is bound, printed or written.
 //!
 //! Flags: `--quick` shrinks trial counts; `--seed N` reseeds every random
 //! stream; `--threads N` caps the parallel sweep pool (results are
@@ -43,26 +47,13 @@
 //! `--trace-window N` sizes the text timeline (default 40);
 //! `--ring-capacity N` overrides the flight-recorder ring size.
 //!
-//! `repro serve` (DESIGN.md §16/§17) runs the backpressured TCP query
+//! `repro serve` (DESIGN.md §16) runs the backpressured TCP query
 //! service: `--port 0` binds an ephemeral port (announced as the first
 //! stdout line), `--workers`/`--queue-depth` size the pool and the
 //! bounded admission queue, `--max-batch` caps same-seed micro-batches,
-//! and `--journal` streams `JOURNAL_serve.jsonl` heartbeats. Drains
-//! gracefully on the wire `shutdown` op and exits 0. Resilience knobs:
-//! `--deadline-ms N` is the per-request deadline (0 disables),
-//! `--brownout-us N` the queue-wait EWMA shed threshold (0 disables),
-//! `--respawn-budget N` caps supervisor worker respawns, and
-//! `--fault-plan SPEC` installs a deterministic fault-injection schedule
-//! (see `arachnet-serve::chaos`; e.g.
-//! `panic@req2,torn@req6,slow-read@conn1:40ms,decode-delay%250:30ms`).
-//!
-//! `repro chaos` is the self-test mirror of `repro resilience`: it stands
-//! up an in-process server under a seeded fault plan covering every
-//! injectable fault (slow read, torn write, worker panic, queue stall,
-//! decode latency), drives it with the retrying client, and exits 0 only
-//! if every admitted request was answered or structurally rejected, a
-//! panicked worker respawned, and two identically-seeded runs produced
-//! identical fault schedules and counters.
+//! `--journal` streams `JOURNAL_serve.jsonl` heartbeats, and
+//! `--deadline-ms N` (N ≥ 1, default 30000) is the per-request deadline.
+//! Drains gracefully on the wire `shutdown` op and exits 0.
 //!
 //! Exit codes: `0` success, `1` regression (`diff` found violations), `2`
 //! usage error (unknown artifact, bad flag combination), `3` experiment
@@ -109,6 +100,15 @@ const EXIT_USAGE: i32 = 2;
 /// Exit code for experiment failures (panics, unwritable outputs).
 const EXIT_FAILURE: i32 = 3;
 
+/// Flags only `repro serve` reads (it also reads the shared `--journal`).
+const SERVE_ONLY_FLAGS: [&str; 5] = [
+    "--port",
+    "--workers",
+    "--queue-depth",
+    "--max-batch",
+    "--deadline-ms",
+];
+
 /// Observability output options parsed from the command line.
 #[derive(Clone, Copy)]
 struct ObsOpts {
@@ -143,10 +143,7 @@ fn main() {
     let mut serve_workers = 2usize;
     let mut queue_depth = 64usize;
     let mut max_batch = 8usize;
-    let mut fault_plan_spec: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut brownout_us: Option<u64> = None;
-    let mut respawn_budget: Option<u32> = None;
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut obs = ObsOpts {
         metrics: false,
@@ -154,8 +151,13 @@ fn main() {
         chrome: false,
         trace_window: TIMELINE_WINDOW,
     };
+    // Every flag given, checked against the subcommand once it is known.
+    let mut flags: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            flags.push(a);
+        }
         match a.as_str() {
             "--quick" => quick = true,
             "--seed" => {
@@ -258,32 +260,12 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--max-batch needs a number >= 1"));
             }
-            "--fault-plan" => {
-                fault_plan_spec = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage("--fault-plan needs a spec string")),
-                );
-            }
             "--deadline-ms" => {
                 deadline_ms = Some(
                     it.next()
                         .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage("--deadline-ms needs a number (0 disables)")),
-                );
-            }
-            "--brownout-us" => {
-                brownout_us = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| usage("--brownout-us needs a number (0 disables)")),
-                );
-            }
-            "--respawn-budget" => {
-                respawn_budget = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .unwrap_or_else(|| usage("--respawn-budget needs a number")),
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage("--deadline-ms needs a number >= 1")),
                 );
             }
             "--checkpoint-dir" => {
@@ -319,6 +301,7 @@ fn main() {
     let (command, artifact) = match positionals.first().map(String::as_str) {
         None => usage("missing command"),
         Some("list") => {
+            accept_only("list", &flags, |_| false);
             if positionals.len() > 1 {
                 usage("`list` takes no artifact");
             }
@@ -328,6 +311,7 @@ fn main() {
             return;
         }
         Some("diff") => {
+            accept_only("diff", &flags, |f| f == "--tolerance");
             let files = &positionals[1..];
             if files.len() != 2 {
                 usage("`diff` takes exactly two METRICS json files");
@@ -336,6 +320,9 @@ fn main() {
             return;
         }
         Some("serve") => {
+            accept_only("serve", &flags, |f| {
+                f == "--journal" || SERVE_ONLY_FLAGS.contains(&f)
+            });
             if positionals.len() > 1 {
                 usage("`serve` takes no artifact");
             }
@@ -345,19 +332,8 @@ fn main() {
                 queue_depth,
                 max_batch,
                 journal,
-                seed,
-                fault_plan: fault_plan_spec,
                 deadline_ms,
-                brownout_us,
-                respawn_budget,
             });
-            return;
-        }
-        Some("chaos") => {
-            if positionals.len() > 1 {
-                usage("`chaos` takes no artifact");
-            }
-            run_chaos(seed);
             return;
         }
         Some("run") | Some("metrics") | Some("trace") => {
@@ -387,7 +363,9 @@ fn main() {
             ("run".to_string(), positionals[0].clone())
         }
     };
-    let _ = command;
+    accept_only(&command, &flags, |f| {
+        f != "--tolerance" && !SERVE_ONLY_FLAGS.contains(&f)
+    });
     if obs.chrome && obs.trace.is_none() {
         usage("--chrome needs the `trace` subcommand (or --trace)");
     }
@@ -501,6 +479,14 @@ fn run_diff(left: &str, right: &str, tolerance: f64) {
     }
 }
 
+/// Usage error (exit 2) naming the first flag in `flags` that `cmd` does
+/// not read: a flag that would be ignored is rejected instead.
+fn accept_only(cmd: &str, flags: &[&str], accepts: impl Fn(&str) -> bool) {
+    if let Some(flag) = flags.iter().find(|f| !accepts(f)) {
+        usage(&format!("`{cmd}` does not take {flag}"));
+    }
+}
+
 /// Everything `repro serve` needs from the command line.
 struct ServeOpts {
     port: u16,
@@ -508,15 +494,8 @@ struct ServeOpts {
     queue_depth: usize,
     max_batch: usize,
     journal: bool,
-    seed: u64,
-    /// `--fault-plan SPEC`: deterministic fault-injection schedule.
-    fault_plan: Option<String>,
-    /// `--deadline-ms N`: per-request deadline; `Some(0)` disables.
+    /// `--deadline-ms N`: per-request deadline (N ≥ 1).
     deadline_ms: Option<u64>,
-    /// `--brownout-us N`: queue-wait EWMA shed threshold; `Some(0)` disables.
-    brownout_us: Option<u64>,
-    /// `--respawn-budget N`: supervisor worker-respawn cap.
-    respawn_budget: Option<u32>,
 }
 
 /// `repro serve`: stand up the TCP query service over the PHY engines and
@@ -532,18 +511,8 @@ fn run_serve(opts: ServeOpts) {
         queue_depth,
         max_batch,
         journal,
-        seed,
-        fault_plan,
         deadline_ms,
-        brownout_us,
-        respawn_budget,
     } = opts;
-    let fault_plan = fault_plan.map(|spec| {
-        match arachnet_serve::FaultPlan::parse(&spec, seed) {
-            Ok(plan) => (spec, plan),
-            Err(err) => usage(&format!("--fault-plan: {err}")),
-        }
-    });
 
     // The `experiment` op runs registry artifacts on demand. The closure
     // is the seam that breaks the arachnet-serve → arachnet-experiments
@@ -576,16 +545,8 @@ fn run_serve(opts: ServeOpts) {
         ..arachnet_serve::ServeConfig::default()
     };
     if let Some(ms) = deadline_ms {
-        cfg.request_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
+        cfg.request_deadline = std::time::Duration::from_millis(ms);
     }
-    if let Some(us) = brownout_us {
-        cfg.brownout_enter_us = us;
-    }
-    if let Some(n) = respawn_budget {
-        cfg.respawn_budget = n;
-    }
-    let plan_banner = fault_plan.as_ref().map(|(spec, _)| spec.clone());
-    cfg.fault_plan = fault_plan.map(|(_, plan)| plan);
     let handle = match arachnet_serve::start(cfg) {
         Ok(h) => h,
         Err(err) => {
@@ -600,9 +561,6 @@ fn run_serve(opts: ServeOpts) {
         "serve: {workers} worker(s), queue depth {queue_depth}, max batch {max_batch} \
          — send {{\"op\":\"shutdown\"}} to drain"
     );
-    if let Some(spec) = plan_banner {
-        println!("serve: fault plan `{spec}` armed (seed {seed})");
-    }
     let _ = std::io::stdout().flush();
     while !handle.is_draining() {
         std::thread::sleep(std::time::Duration::from_millis(50));
@@ -621,290 +579,12 @@ fn run_serve(opts: ServeOpts) {
         stats.p95_us,
     );
     println!(
-        "serve: resilience — {} deadline_exceeded, {} shed, {} orphaned, {} respawned",
-        stats.deadlines, stats.shed, stats.orphaned, stats.respawned,
+        "serve: {} deadline_exceeded, {} orphaned",
+        stats.deadlines, stats.orphaned,
     );
     if journal {
         println!("serve: heartbeats -> JOURNAL_serve.jsonl");
     }
-    flush_warnings();
-}
-
-/// The seeded fault plan `repro chaos` self-tests with: one of every
-/// injectable fault at an explicit index, plus a rate-based decode-delay
-/// stream so the deterministic-schedule comparison is non-trivial.
-///
-/// The timed faults keep every handler timeout (the 150 ms deadline plus
-/// the 50 ms grace: 200 ms after admission) clear of every worker wake-up,
-/// so the `deadlines` count cannot depend on which timer fires first.
-/// Request 4's 275 ms stall outlasts its handler's timeout by 75 ms;
-/// request 5, sent when that timeout answers, is popped 75 ms before its
-/// own deadline and has 125 ms to finish. Request 8's 60 ms decode delay,
-/// even with a 30 ms rate hit on top, leaves 110 ms for a debug-build
-/// decode.
-fn chaos_plan(seed: u64) -> arachnet_serve::FaultPlan {
-    arachnet_serve::FaultPlan::new(seed)
-        .panic_at(2)
-        .stall_at(4, 275)
-        .torn_at(6)
-        .decode_delay_at(8, 60)
-        .slow_read_conn(1, 40)
-        .rate(arachnet_serve::Fault::DecodeDelay { delay_ms: 30 }, 250)
-}
-
-/// Abort the chaos self-test with a diagnostic; exit code is
-/// [`EXIT_FAILURE`], mirroring experiment failures.
-fn chaos_fail(msg: &str) -> ! {
-    eprintln!("error: chaos: {msg}");
-    std::process::exit(EXIT_FAILURE);
-}
-
-/// One deterministic chaos pass: a single-worker server under
-/// [`chaos_plan`], driven serially by the retrying client. Returns the
-/// rendered fault schedule and the deterministic counter tuple
-/// (everything except `injected_slow_reads`, whose count depends on how
-/// the kernel chunks socket reads, and the latency percentiles).
-fn chaos_pass(seed: u64, label: &str) -> (String, Vec<(&'static str, u64)>) {
-    use std::time::Duration;
-
-    let plan = chaos_plan(seed);
-    let schedule = plan.schedule(16, 4);
-    let cfg = arachnet_serve::ServeConfig {
-        port: 0,
-        workers: 1,
-        queue_depth: 8,
-        request_deadline: Some(Duration::from_millis(150)),
-        respawn_budget: 2,
-        brownout_enter_us: 0, // brownout has its own behavioral pass
-        fault_plan: Some(plan),
-        ..arachnet_serve::ServeConfig::default()
-    };
-    let handle = arachnet_serve::start(cfg)
-        .unwrap_or_else(|err| chaos_fail(&format!("{label}: cannot bind: {err}")));
-    let policy = arachnet_serve::RetryPolicy {
-        max_attempts: 4,
-        base: Duration::from_millis(25),
-        cap: Duration::from_millis(200),
-        seed,
-    };
-    let breaker = arachnet_serve::CircuitBreaker::new(8, Duration::from_millis(500));
-    let mut client =
-        arachnet_serve::RetryClient::new(handle.local_addr(), Duration::from_secs(5), policy, breaker);
-    for i in 0..12u64 {
-        let line = format!(
-            r#"{{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":{}}}"#,
-            7 + i
-        );
-        match client.call(&line) {
-            Ok(v) => {
-                if !(arachnet_serve::is_ok(&v) || arachnet_serve::error_code(&v).is_some()) {
-                    chaos_fail(&format!("{label}: request {i}: unstructured reply"));
-                }
-            }
-            Err(err) => chaos_fail(&format!("{label}: request {i} lost: {err}")),
-        }
-    }
-    let rstats = client.stats();
-    drop(client);
-    handle.shutdown();
-    let stats = handle.join();
-    if stats.requests != stats.completed + stats.orphaned {
-        chaos_fail(&format!(
-            "{label}: admitted-request conservation broken: {} admitted != {} completed + {} orphaned",
-            stats.requests, stats.completed, stats.orphaned
-        ));
-    }
-    if stats.respawned < 1 {
-        chaos_fail(&format!(
-            "{label}: the injected panic never triggered a supervisor respawn"
-        ));
-    }
-    if stats.deadlines < 1 {
-        chaos_fail(&format!(
-            "{label}: the injected queue stall never produced a deadline_exceeded reply"
-        ));
-    }
-    if rstats.retries < 1 {
-        chaos_fail(&format!(
-            "{label}: the torn mid-reply write never forced a client retry"
-        ));
-    }
-    if stats.injected_panics < 1
-        || stats.injected_stalls < 1
-        || stats.injected_torn < 1
-        || stats.injected_decode_delays < 1
-        || stats.injected_slow_reads < 1
-    {
-        chaos_fail(&format!(
-            "{label}: not every fault kind fired (panics {}, stalls {}, torn {}, \
-             decode delays {}, slow reads {})",
-            stats.injected_panics,
-            stats.injected_stalls,
-            stats.injected_torn,
-            stats.injected_decode_delays,
-            stats.injected_slow_reads
-        ));
-    }
-    let counters = vec![
-        ("requests", stats.requests),
-        ("completed", stats.completed),
-        ("rejected", stats.rejected),
-        ("malformed", stats.malformed),
-        ("torn", stats.torn),
-        ("orphaned", stats.orphaned),
-        ("deadlines", stats.deadlines),
-        ("shed", stats.shed),
-        ("respawned", stats.respawned),
-        ("injected_panics", stats.injected_panics),
-        ("injected_stalls", stats.injected_stalls),
-        ("injected_torn", stats.injected_torn),
-        ("injected_decode_delays", stats.injected_decode_delays),
-    ];
-    (schedule, counters)
-}
-
-/// Behavioral brownout pass: park the lone worker behind a long sleep,
-/// queue decodes behind it so the queue-wait EWMA spikes, then verify a
-/// low-priority request is shed with `{"error":"brownout"}` and that idle
-/// decay eventually exits brownout mode.
-fn chaos_brownout(seed: u64) -> (u64, u64, u64) {
-    use std::time::Duration;
-
-    let cfg = arachnet_serve::ServeConfig {
-        port: 0,
-        workers: 1,
-        queue_depth: 8,
-        request_deadline: None,
-        brownout_enter_us: 2_000,
-        ..arachnet_serve::ServeConfig::default()
-    };
-    let handle = arachnet_serve::start(cfg)
-        .unwrap_or_else(|err| chaos_fail(&format!("brownout: cannot bind: {err}")));
-    let addr = handle.local_addr();
-    // Admitted before brownout: parks the worker for 400 ms.
-    let parker = std::thread::spawn(move || {
-        let mut c = arachnet_serve::ServeClient::connect(addr, Duration::from_secs(5))
-            .unwrap_or_else(|err| panic!("brownout parker connect: {err}"));
-        c.query(r#"{"op":"sleep","ms":400}"#)
-    });
-    std::thread::sleep(Duration::from_millis(100)); // let the sleep get popped
-    // Decodes pile up behind the parked worker; each pops with ~400 ms of
-    // queue wait, spiking the EWMA far past the 2 ms threshold.
-    let decoders: Vec<_> = (0..4u64)
-        .map(|i| {
-            std::thread::spawn(move || {
-                let mut c = arachnet_serve::ServeClient::connect(addr, Duration::from_secs(10))
-                    .unwrap_or_else(|err| panic!("brownout decoder connect: {err}"));
-                c.query(&format!(
-                    r#"{{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":{}}}"#,
-                    seed.wrapping_add(20 + i)
-                ))
-            })
-        })
-        .collect();
-    if parker
-        .join()
-        .unwrap_or_else(|_| chaos_fail("brownout: parker thread panicked"))
-        .is_err()
-    {
-        chaos_fail("brownout: parked sleep request never answered");
-    }
-    // The worker is now popping the queued decodes: brownout mode is
-    // active and cannot decay while the queue drains. Probe with a
-    // low-priority request until the shed reply shows up.
-    let mut probe = arachnet_serve::ServeClient::connect(addr, Duration::from_secs(5))
-        .unwrap_or_else(|err| chaos_fail(&format!("brownout probe connect: {err}")));
-    let mut shed_seen = false;
-    for _ in 0..100 {
-        let v = probe
-            .query(r#"{"op":"sleep","ms":1}"#)
-            .unwrap_or_else(|err| chaos_fail(&format!("brownout probe: {err}")));
-        if arachnet_serve::error_code(&v) == Some("brownout") {
-            shed_seen = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    if !shed_seen {
-        chaos_fail("brownout: low-priority request was never shed");
-    }
-    for d in decoders {
-        let reply = d
-            .join()
-            .unwrap_or_else(|_| chaos_fail("brownout: decoder thread panicked"));
-        match reply {
-            Ok(v) if arachnet_serve::is_ok(&v) => {}
-            Ok(v) => chaos_fail(&format!(
-                "brownout: queued decode rejected: {}",
-                arachnet_serve::error_code(&v).unwrap_or("?")
-            )),
-            Err(err) => chaos_fail(&format!("brownout: queued decode lost: {err}")),
-        }
-    }
-    // Idle decay (25% per supervisor tick) must drop the EWMA below the
-    // exit threshold (enter/2) and announce the transition.
-    let mut exited = false;
-    for _ in 0..500 {
-        let v = probe
-            .query(r#"{"op":"stats"}"#)
-            .unwrap_or_else(|err| chaos_fail(&format!("brownout stats probe: {err}")));
-        if v.get("brownout").and_then(|b| b.as_bool()) == Some(false) {
-            exited = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    if !exited {
-        chaos_fail("brownout: mode never exited after the queue went idle");
-    }
-    drop(probe);
-    handle.shutdown();
-    let stats = handle.join();
-    if stats.shed < 1 || stats.brownout_entered < 1 || stats.brownout_exited < 1 {
-        chaos_fail(&format!(
-            "brownout: counters did not move (shed {}, entered {}, exited {})",
-            stats.shed, stats.brownout_entered, stats.brownout_exited
-        ));
-    }
-    (stats.shed, stats.brownout_entered, stats.brownout_exited)
-}
-
-/// `repro chaos`: the fault-injection self-test (DESIGN.md §17). Two
-/// identically-seeded serial passes must agree on the rendered fault
-/// schedule and on every deterministic counter; a behavioral pass
-/// exercises brownout enter → shed → exit. Exits 0 only when the serve
-/// tier survived every injected fault without hanging or losing a client.
-fn run_chaos(seed: u64) {
-    let (sched_a, counters_a) = chaos_pass(seed, "pass 1");
-    let (sched_b, counters_b) = chaos_pass(seed, "pass 2");
-    if sched_a != sched_b {
-        chaos_fail("fault schedules diverged between identically-seeded passes");
-    }
-    if counters_a != counters_b {
-        let diff: Vec<String> = counters_a
-            .iter()
-            .zip(&counters_b)
-            .filter(|(a, b)| a != b)
-            .map(|((name, a), (_, b))| format!("{name}: {a} vs {b}"))
-            .collect();
-        chaos_fail(&format!(
-            "counters diverged between identically-seeded passes: {}",
-            diff.join(", ")
-        ));
-    }
-    println!("chaos: seed {seed} fault schedule (first 16 requests, 4 conns):");
-    for line in sched_a.lines() {
-        println!("chaos:   {line}");
-    }
-    for (name, v) in &counters_a {
-        println!("chaos:   {name} = {v}");
-    }
-    let (shed, entered, exited) = chaos_brownout(seed);
-    println!("chaos:   brownout shed = {shed}, entered = {entered}, exited = {exited}");
-    println!(
-        "chaos: OK — every admitted request answered or structurally rejected, \
-         panicked worker respawned, two seeded passes identical"
-    );
     flush_warnings();
 }
 
@@ -1108,9 +788,8 @@ fn usage(err: &str) -> ! {
     eprintln!("       repro diff <A.json> <B.json> [--tolerance F]");
     eprintln!(
         "       repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N] [--journal] \
-         [--fault-plan SPEC] [--deadline-ms N] [--brownout-us N] [--respawn-budget N]"
+         [--deadline-ms N>=1]"
     );
-    eprintln!("       repro chaos [--seed N]   (fault-injection self-test; exits 0 on success)");
     eprintln!("       repro <artifact|all>   (alias for `repro run`)");
     eprintln!(
         "artifacts: {}",

@@ -68,7 +68,7 @@ impl DecodeFailReason {
 }
 
 /// Number of distinct [`EventKind`] variants (size of per-kind count arrays).
-pub const KIND_COUNT: usize = 24;
+pub const KIND_COUNT: usize = 21;
 
 /// A structured sim event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -168,24 +168,6 @@ pub enum EventKind {
         /// (saturating at `u32::MAX`).
         waited_ms: u32,
     },
-    /// The serve supervisor replaced a panicked worker thread (the `slot`
-    /// field carries the respawn ordinal). Wall-domain diagnostics.
-    WorkerRespawned {
-        /// Worker slot index that was respawned.
-        worker: u16,
-    },
-    /// The serve tier entered brownout mode: queue-wait EWMA crossed the
-    /// shed threshold and low-priority work is now rejected.
-    BrownoutEntered {
-        /// Queue-wait EWMA at the transition, microseconds (saturating).
-        ewma_us: u32,
-    },
-    /// The serve tier left brownout mode (EWMA fell below the exit
-    /// threshold; admission is back to normal).
-    BrownoutExited {
-        /// Queue-wait EWMA at the transition, microseconds (saturating).
-        ewma_us: u32,
-    },
 }
 
 impl EventKind {
@@ -213,9 +195,6 @@ impl EventKind {
             EventKind::SweepResumed { .. } => 18,
             EventKind::BudgetExhausted => 19,
             EventKind::TrialStalled { .. } => 20,
-            EventKind::WorkerRespawned { .. } => 21,
-            EventKind::BrownoutEntered { .. } => 22,
-            EventKind::BrownoutExited { .. } => 23,
         }
     }
 
@@ -243,9 +222,6 @@ impl EventKind {
             "sweep_resumed",
             "budget_exhausted",
             "trial_stalled",
-            "worker_respawned",
-            "brownout_entered",
-            "brownout_exited",
         ];
         LABELS[index]
     }
@@ -268,8 +244,6 @@ impl EventKind {
                 | EventKind::TrialQuarantined { .. }
                 | EventKind::BudgetExhausted
                 | EventKind::TrialStalled { .. }
-                | EventKind::WorkerRespawned { .. }
-                | EventKind::BrownoutEntered { .. }
         )
     }
 
@@ -315,15 +289,6 @@ impl EventKind {
             EventKind::TrialStalled { waited_ms } => {
                 format!("trial stalled ({waited_ms} ms past dispatch)")
             }
-            EventKind::WorkerRespawned { worker } => {
-                format!("serve worker {worker} respawned after a panic")
-            }
-            EventKind::BrownoutEntered { ewma_us } => {
-                format!("brownout entered (queue-wait EWMA {ewma_us} us)")
-            }
-            EventKind::BrownoutExited { ewma_us } => {
-                format!("brownout exited (queue-wait EWMA {ewma_us} us)")
-            }
         }
     }
 
@@ -346,10 +311,6 @@ impl EventKind {
             EventKind::TrialQuarantined { attempts } => format!(",\"attempts\":{attempts}"),
             EventKind::SweepResumed { restored } => format!(",\"restored\":{restored}"),
             EventKind::TrialStalled { waited_ms } => format!(",\"waited_ms\":{waited_ms}"),
-            EventKind::WorkerRespawned { worker } => format!(",\"worker\":{worker}"),
-            EventKind::BrownoutEntered { ewma_us } | EventKind::BrownoutExited { ewma_us } => {
-                format!(",\"ewma_us\":{ewma_us}")
-            }
             _ => String::new(),
         }
     }
@@ -427,9 +388,6 @@ mod tests {
             EventKind::SweepResumed { restored: 12 },
             EventKind::BudgetExhausted,
             EventKind::TrialStalled { waited_ms: 5000 },
-            EventKind::WorkerRespawned { worker: 1 },
-            EventKind::BrownoutEntered { ewma_us: 900 },
-            EventKind::BrownoutExited { ewma_us: 400 },
         ];
         assert_eq!(kinds.len(), KIND_COUNT);
         for (i, k) in kinds.iter().enumerate() {

@@ -97,7 +97,9 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; only ever advanced past ASCII bytes or whole
+    /// runs that end before one, so it always sits on a char boundary.
     pos: usize,
 }
 
@@ -110,7 +112,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -129,7 +131,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -226,11 +228,14 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
+                            // Exactly four ASCII hex digits (`from_str_radix`
+                            // would also take a sign, as in `\u+041`).
+                            let digits = self.src.as_bytes().get(self.pos + 1..self.pos + 5);
+                            let hex = digits.and_then(|h| {
+                                h.iter().try_fold(0u32, |acc, &b| {
+                                    Some(acc * 16 + char::from(b).to_digit(16)?)
+                                })
+                            });
                             // Surrogate pairs are rejected rather than
                             // recombined: nothing in the repo emits them.
                             match hex.and_then(char::from_u32) {
@@ -247,16 +252,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return self.err("raw control character in string"),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so this is safe
-                    // to slice on char boundaries).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                        offset: self.pos,
-                        reason: "invalid UTF-8".into(),
-                    })?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte in one slice. Those stop bytes are ASCII,
+                    // so both ends of the run are char boundaries.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -270,8 +273,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        match text.parse::<f64>() {
+        match self.src[start..self.pos].parse::<f64>() {
             Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
             _ => {
                 self.pos = start;
@@ -284,13 +286,10 @@ impl<'a> Parser<'a> {
 /// Parses one complete JSON document; trailing non-whitespace is an error,
 /// so a torn tail ("{\"a\":1" with the close brace missing) never parses.
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return p.err("trailing garbage after document");
     }
     Ok(v)
@@ -340,6 +339,8 @@ mod tests {
             "nul",
             "--5",
             "{\"a\":NaN}",
+            "\"\\u+041\"",
+            "\"\\u004\"",
         ] {
             assert!(parse_json(bad).is_err(), "{bad:?} must not parse");
         }

@@ -1,26 +1,10 @@
-//! A minimal blocking client for the serve wire protocol, plus the
-//! resilient [`RetryClient`] wrapper.
+//! A minimal blocking client for the serve wire protocol.
 //!
 //! One connection, one request in flight (the protocol is closed-loop per
 //! connection); used by the load generator, the bench serve suite, and the
-//! integration tests. [`ServeClient`] is the raw transport; [`RetryClient`]
-//! layers capped exponential backoff with deterministic jitter, reconnect
-//! on io failure, and a circuit breaker on top (DESIGN.md §17):
-//!
-//! ```text
-//!            success               failure (io / overloaded / brownout)
-//!   CLOSED ◀─────────┐   CLOSED ──────────────────────▶ failures += 1
-//!     │              │                                     │ ≥ threshold
-//!     ▼              │                                     ▼
-//!   request ─────────┘                                   OPEN ── fail fast
-//!                                                          │ cooldown over
-//!                                                          ▼
-//!                                  probe fails ◀──── HALF-OPEN ──▶ probe ok
-//!                                  (reopen)                        (close)
-//! ```
+//! integration tests.
 
 use arachnet_obs::{parse_json, JsonValue};
-use arachnet_sim::sweep::trial_seed;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -139,251 +123,6 @@ pub fn error_code(v: &JsonValue) -> Option<&str> {
     v.get("error").and_then(JsonValue::as_str)
 }
 
-/// Retry schedule: capped exponential backoff with deterministic jitter.
-///
-/// Attempt `k` (0-based) sleeps `base * 2^k`, capped at `cap`, scaled by a
-/// jitter factor in `[0.5, 1.0)` drawn from the same splitmix64 stream as
-/// the sweep engine's per-trial seeds — pure in `(seed, attempt)`, so a
-/// replayed run backs off identically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); clamped to ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff.
-    pub cap: Duration,
-    /// Jitter stream seed.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(25),
-            cap: Duration::from_millis(400),
-            seed: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff slept after failed attempt `attempt` (0-based). Pure —
-    /// no clock, no global RNG — so tests can pin the schedule exactly.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << attempt.min(20))
-            .min(self.cap);
-        // Jitter in [0.5, 1.0): decorrelates clients without ever
-        // shrinking the backoff below half the exponential envelope.
-        let frac = (trial_seed(self.seed, attempt as u64) >> 11) as f64 / (1u64 << 53) as f64;
-        exp.mul_f64(0.5 + 0.5 * frac)
-    }
-}
-
-/// Circuit-breaker state (see the module diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-/// A consecutive-failure circuit breaker: after `threshold` failures the
-/// circuit opens and calls fail fast (no socket touched) until `cooldown`
-/// elapses; then one half-open probe either closes it or re-opens it.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: Duration,
-    failures: u32,
-    state: BreakerState,
-    opened_at: Option<Instant>,
-    /// Fast-fails served while open (telemetry).
-    pub fast_fails: u64,
-}
-
-impl CircuitBreaker {
-    /// A breaker that opens after `threshold` consecutive failures and
-    /// probes again after `cooldown`.
-    pub fn new(threshold: u32, cooldown: Duration) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            cooldown,
-            failures: 0,
-            state: BreakerState::Closed,
-            opened_at: None,
-            fast_fails: 0,
-        }
-    }
-
-    /// May a request be attempted right now? Transitions OPEN → HALF-OPEN
-    /// once the cooldown has elapsed.
-    pub fn allow(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => true,
-            BreakerState::Open => {
-                if self.opened_at.is_some_and(|t| t.elapsed() >= self.cooldown) {
-                    self.state = BreakerState::HalfOpen;
-                    true
-                } else {
-                    self.fast_fails += 1;
-                    false
-                }
-            }
-        }
-    }
-
-    /// Record a delivered (structured) reply: closes the circuit.
-    pub fn on_success(&mut self) {
-        self.failures = 0;
-        self.state = BreakerState::Closed;
-        self.opened_at = None;
-    }
-
-    /// Record a failed attempt; a half-open probe failure re-opens
-    /// immediately, otherwise the circuit opens at the threshold.
-    pub fn on_failure(&mut self) {
-        self.failures += 1;
-        if self.state == BreakerState::HalfOpen || self.failures >= self.threshold {
-            self.state = BreakerState::Open;
-            self.opened_at = Some(Instant::now());
-        }
-    }
-
-    /// Is the circuit currently refusing calls?
-    pub fn is_open(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-}
-
-/// Wall-clock telemetry a [`RetryClient`] accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Calls that eventually returned a structured reply.
-    pub delivered: u64,
-    /// Retries performed (attempts beyond each call's first).
-    pub retries: u64,
-    /// Reconnects performed after io failures.
-    pub reconnects: u64,
-    /// Calls refused by the open circuit breaker.
-    pub fast_fails: u64,
-}
-
-/// A self-healing client: [`ServeClient`] + [`RetryPolicy`] +
-/// [`CircuitBreaker`]. A call returns `Ok(reply)` for *any* structured
-/// reply line (success or server-side rejection — the caller inspects the
-/// code) and `Err` only when the breaker is open or every attempt failed
-/// at the transport/overload layer.
-pub struct RetryClient {
-    addr: SocketAddr,
-    timeout: Duration,
-    policy: RetryPolicy,
-    breaker: CircuitBreaker,
-    conn: Option<ServeClient>,
-    stats: RetryStats,
-}
-
-impl RetryClient {
-    /// A lazily-connecting retry client; the first call dials `addr`.
-    pub fn new(
-        addr: SocketAddr,
-        timeout: Duration,
-        policy: RetryPolicy,
-        breaker: CircuitBreaker,
-    ) -> Self {
-        RetryClient {
-            addr,
-            timeout,
-            policy,
-            breaker,
-            conn: None,
-            stats: RetryStats::default(),
-        }
-    }
-
-    /// Telemetry so far.
-    pub fn stats(&self) -> RetryStats {
-        let mut s = self.stats;
-        s.fast_fails = self.breaker.fast_fails;
-        s
-    }
-
-    /// Is a retry worth it for this structured rejection? `overloaded`
-    /// and `brownout` are load transients; everything else (bad_request,
-    /// deadline_exceeded, internal, draining, …) is a definitive answer
-    /// the caller should see.
-    fn retryable_code(code: &str) -> bool {
-        matches!(code, "overloaded" | "brownout")
-    }
-
-    /// Send one request line, retrying per the policy. See the type docs
-    /// for the `Ok`/`Err` contract.
-    pub fn call(&mut self, line: &str) -> Result<JsonValue, String> {
-        if !self.breaker.allow() {
-            return Err("circuit_open: breaker cooling down after repeated failures".into());
-        }
-        let attempts = self.policy.max_attempts.max(1);
-        let mut last_err = String::new();
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                std::thread::sleep(self.policy.backoff(attempt - 1));
-            }
-            let conn = match self.conn.as_mut() {
-                Some(c) => c,
-                None => match ServeClient::connect(self.addr, self.timeout) {
-                    Ok(c) => {
-                        self.stats.reconnects += 1;
-                        self.conn.insert(c)
-                    }
-                    Err(e) => {
-                        last_err = format!("connect: {e}");
-                        self.breaker.on_failure();
-                        if self.breaker.is_open() {
-                            return Err(format!(
-                                "circuit_open: breaker opened after `{last_err}`"
-                            ));
-                        }
-                        continue;
-                    }
-                },
-            };
-            match conn.query(line) {
-                Ok(v) => {
-                    if let Some(code) = error_code(&v).filter(|c| Self::retryable_code(c)) {
-                        last_err = format!("server rejection `{code}`");
-                        self.breaker.on_failure();
-                        if self.breaker.is_open() {
-                            return Err(format!("circuit_open: breaker opened after `{last_err}`"));
-                        }
-                        continue;
-                    }
-                    // Delivered: success lines and definitive rejections
-                    // both close the breaker (the server is answering).
-                    self.stats.delivered += 1;
-                    self.breaker.on_success();
-                    return Ok(v);
-                }
-                Err(e) => {
-                    // Transport-layer failure (torn reply, reset, timeout):
-                    // the connection state is unknown — drop it and redial
-                    // on the next attempt.
-                    last_err = e;
-                    self.conn = None;
-                    self.breaker.on_failure();
-                    if self.breaker.is_open() {
-                        return Err(format!("circuit_open: breaker opened after `{last_err}`"));
-                    }
-                }
-            }
-        }
-        Err(format!("retries exhausted ({attempts} attempts): {last_err}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,48 +154,5 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
         assert!(err.to_string().contains("torn"), "{err}");
         server.join().unwrap();
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_grows() {
-        let p = RetryPolicy {
-            max_attempts: 6,
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(200),
-            seed: 7,
-        };
-        let a: Vec<Duration> = (0..6).map(|k| p.backoff(k)).collect();
-        let b: Vec<Duration> = (0..6).map(|k| p.backoff(k)).collect();
-        assert_eq!(a, b, "same (seed, attempt) must give the same backoff");
-        for (k, d) in a.iter().enumerate() {
-            let envelope = p.base.saturating_mul(1 << k).min(p.cap);
-            assert!(*d <= envelope, "attempt {k}: {d:?} > {envelope:?}");
-            assert!(*d >= envelope / 2, "attempt {k}: {d:?} < half envelope");
-        }
-        // A different seed jitters differently somewhere in the schedule.
-        let q = RetryPolicy { seed: 8, ..p };
-        assert!((0..6).any(|k| q.backoff(k) != p.backoff(k)));
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_probes_after_cooldown() {
-        let mut b = CircuitBreaker::new(3, Duration::from_millis(30));
-        assert!(b.allow());
-        b.on_failure();
-        b.on_failure();
-        assert!(!b.is_open(), "below threshold stays closed");
-        b.on_failure();
-        assert!(b.is_open());
-        assert!(!b.allow(), "open circuit fails fast");
-        assert_eq!(b.fast_fails, 1);
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(b.allow(), "cooldown elapsed: half-open probe goes through");
-        b.on_failure();
-        assert!(b.is_open(), "failed probe re-opens immediately");
-        std::thread::sleep(Duration::from_millis(40));
-        assert!(b.allow());
-        b.on_success();
-        assert!(!b.is_open());
-        assert!(b.allow(), "success closes the circuit");
     }
 }

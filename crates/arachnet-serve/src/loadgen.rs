@@ -46,7 +46,7 @@ impl Default for LoadConfig {
 pub struct LoadReport {
     /// Replies with `"ok":true`.
     pub ok: u64,
-    /// Structured rejections (`overloaded` / `draining` / `brownout`).
+    /// Structured rejections (`overloaded` / `draining`).
     pub rejected: u64,
     /// Other error replies (`bad_request`, `internal`, ...).
     pub errored: u64,
@@ -91,7 +91,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
                                 rep.ok += 1;
                             } else if matches!(
                                 error_code(&v),
-                                Some("overloaded") | Some("draining") | Some("brownout")
+                                Some("overloaded") | Some("draining")
                             ) {
                                 rep.rejected += 1;
                                 std::thread::sleep(backoff);

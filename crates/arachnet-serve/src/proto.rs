@@ -12,12 +12,11 @@
 //! | `malformed` | the line is not valid JSON / not an object with `"op"` |
 //! | `bad_request` | known op, but a field is missing or out of range |
 //! | `oversized` | request line longer than [`MAX_LINE_BYTES`] (connection closes — the stream cannot be resynchronized) |
-//! | `overloaded` | admission control refused the job (queue full / too many connections) |
+//! | `overloaded` | admission control refused the job: the queue is full |
 //! | `draining` | the server is shutting down and admits no new work |
 //! | `unsupported` | op needs a capability this server was not started with |
 //! | `internal` | the worker panicked serving the request (quarantined) |
 //! | `deadline_exceeded` | the request outlived its per-request deadline (admitted, but the reply is this structured error — never a hung client) |
-//! | `brownout` | low-priority work shed while queue-wait EWMA is past the brownout threshold (retry later; decode stays admitted) |
 //!
 //! Ops: `ping`, `stats`, `shutdown` (answered inline by the connection
 //! handler — health and control must work even when the queue is full),
@@ -238,13 +237,6 @@ impl Request {
             _ => None,
         }
     }
-
-    /// Brownout shedding priority: `sleep` and `experiment` are
-    /// low-priority (shed first under overload); `decode` — the paper
-    /// workload — is not. Inline ops never reach admission control.
-    pub fn is_low_priority(&self) -> bool {
-        matches!(self, Request::Sleep { .. } | Request::Experiment { .. })
-    }
 }
 
 /// The successful `decode` reply line (no trailing newline). `batched` is
@@ -286,12 +278,6 @@ pub struct ServeBeat {
     pub p95_us: u64,
     /// Requests answered with `deadline_exceeded`.
     pub deadlines: u64,
-    /// Low-priority requests shed with `brownout`.
-    pub shed: u64,
-    /// Panicked workers replaced by the supervisor.
-    pub respawned: u64,
-    /// Is the server in brownout mode right now?
-    pub brownout: bool,
     /// True on the final beat written when the drain completes.
     pub done: bool,
 }
@@ -300,7 +286,7 @@ impl ServeBeat {
     /// One JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"t_ms\":{},\"requests\":{},\"completed\":{},\"rejected\":{},\"malformed\":{},\"queue_depth\":{},\"inflight\":{},\"workers\":{},\"rps\":{},\"p50_us\":{},\"p95_us\":{},\"deadlines\":{},\"shed\":{},\"respawned\":{},\"brownout\":{},\"done\":{}}}",
+            "{{\"t_ms\":{},\"requests\":{},\"completed\":{},\"rejected\":{},\"malformed\":{},\"queue_depth\":{},\"inflight\":{},\"workers\":{},\"rps\":{},\"p50_us\":{},\"p95_us\":{},\"deadlines\":{},\"done\":{}}}",
             self.t_ms,
             self.requests,
             self.completed,
@@ -313,35 +299,8 @@ impl ServeBeat {
             self.p50_us,
             self.p95_us,
             self.deadlines,
-            self.shed,
-            self.respawned,
-            self.brownout,
             self.done,
         )
-    }
-
-    /// Decode one journal line (`None` for torn or foreign lines).
-    pub fn parse(line: &str) -> Option<ServeBeat> {
-        let v = parse_json(line.trim_end()).ok()?;
-        let u = |k: &str| v.get(k)?.as_f64().map(|x| x.max(0.0) as u64);
-        Some(ServeBeat {
-            t_ms: u("t_ms")?,
-            requests: u("requests")?,
-            completed: u("completed")?,
-            rejected: u("rejected")?,
-            malformed: u("malformed")?,
-            queue_depth: u("queue_depth")?,
-            inflight: u("inflight")?,
-            workers: u("workers")? as u32,
-            rps: v.get("rps")?.as_f64().unwrap_or(0.0),
-            p50_us: u("p50_us")?,
-            p95_us: u("p95_us")?,
-            deadlines: u("deadlines")?,
-            shed: u("shed")?,
-            respawned: u("respawned")?,
-            brownout: v.get("brownout")?.as_bool()?,
-            done: v.get("done")?.as_bool()?,
-        })
     }
 }
 
@@ -430,20 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn brownout_priority_sheds_diagnostics_before_decodes() {
-        assert!(Request::Sleep { ms: 5 }.is_low_priority());
-        assert!(Request::Experiment {
-            id: "table3".into(),
-            quick: true,
-            seed: 1
-        }
-        .is_low_priority());
-        let decode =
-            Request::parse(r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":4}"#).unwrap();
-        assert!(!decode.is_low_priority());
-    }
-
-    #[test]
     fn serve_beat_roundtrips_and_decode_line_is_json() {
         let beat = ServeBeat {
             t_ms: 1234,
@@ -458,12 +403,28 @@ mod tests {
             p50_us: 800,
             p95_us: 2100,
             deadlines: 4,
-            shed: 6,
-            respawned: 1,
-            brownout: true,
             done: false,
         };
-        assert_eq!(ServeBeat::parse(&beat.to_json()), Some(beat));
+        // The journal line is one JSON object carrying every field.
+        let v = parse_json(&beat.to_json()).unwrap();
+        let num = |k: &str| v.get(k).and_then(JsonValue::as_f64);
+        for (k, want) in [
+            ("t_ms", 1234.0),
+            ("requests", 100.0),
+            ("completed", 90.0),
+            ("rejected", 5.0),
+            ("malformed", 2.0),
+            ("queue_depth", 3.0),
+            ("inflight", 2.0),
+            ("workers", 4.0),
+            ("rps", 123.5),
+            ("p50_us", 800.0),
+            ("p95_us", 2100.0),
+            ("deadlines", 4.0),
+        ] {
+            assert_eq!(num(k), Some(want), "{k}");
+        }
+        assert_eq!(v.get("done").and_then(JsonValue::as_bool), Some(false));
         let line = decode_line(8, 2000.0, 20, 1, 12.25, 3);
         let v = parse_json(&line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));

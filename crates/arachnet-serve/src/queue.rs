@@ -114,23 +114,11 @@ impl<T> Bounded<T> {
         out
     }
 
-    /// Non-blocking pop: a queued job if one is waiting, else `None`.
-    /// The supervisor's last-resort drain uses this when every worker is
-    /// dead — admitted jobs still get (error) replies.
-    pub fn try_pop(&self) -> Option<T> {
-        self.lock().q.pop_front()
-    }
-
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
     /// and workers drain the remaining jobs then observe `None`.
     pub fn close(&self) {
         self.lock().closed = true;
         self.takeable.notify_all();
-    }
-
-    /// Has [`Bounded::close`] been called?
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Jobs currently queued (admission-control / telemetry gauge).

@@ -1,5 +1,5 @@
 //! The serving runtime: acceptor, connection handlers, worker pool,
-//! supervisor, monitor.
+//! monitor.
 //!
 //! Thread layout (all plain `std::thread`, std-only rule):
 //!
@@ -12,10 +12,8 @@
 //!                        │
 //!                        ▼
 //!            worker × N  (micro-batch compatible decodes, reply via mpsc)
-//!                        ▲
-//! supervisor: respawns panicked workers (bounded budget), decays the
-//!             brownout EWMA while idle, last-resort drains the queue
-//! monitor:    journals a ServeBeat every heartbeat interval
+//!
+//! monitor: journals a ServeBeat every heartbeat interval
 //! ```
 //!
 //! Invariants the tests pin down:
@@ -24,40 +22,24 @@
 //!   into an `{"error":"overloaded"}` line at the client, never growth.
 //! * **Admitted means answered.** Every job that passes admission control
 //!   gets exactly one reply line, even across drain (workers run until the
-//!   closed queue is empty), worker panics (`catch_unwind` → a structured
-//!   `internal` error; a killed worker → the handler's fallback), and
-//!   deadlines (a structured `deadline_exceeded`, never a hung client).
-//! * **Supervision.** A worker thread that dies to an unwinding panic is
-//!   replaced by the supervisor (up to [`ServeConfig::respawn_budget`]
-//!   times), its per-slot `WaveSim` cache rebuilt, with a
-//!   `WorkerRespawned` recorder event — capacity recovers instead of
-//!   bleeding away.
-//! * **Brownout.** When the queue-wait EWMA crosses
-//!   [`ServeConfig::brownout_enter_us`], low-priority work (`sleep`,
-//!   `experiment`) is shed with `{"error":"brownout"}` until the EWMA
-//!   falls below half the threshold (hysteresis); transitions are counted,
-//!   recorded, and announced in heartbeats.
-//! * **Deterministic chaos.** With a [`FaultPlan`] installed, faults fire
-//!   at exact request/connection indices (see [`crate::chaos`]); with none
-//!   installed every hook is a cheap atomic/`None` check (the bench gate
-//!   pins this down).
+//!   closed queue is empty), a panicking request (`catch_unwind` → a
+//!   structured `internal` error, the worker's channel cache reset), and
+//!   deadlines (a structured `deadline_exceeded`, never a hung client). A
+//!   reply channel that drops without an answer becomes the handler's own
+//!   `internal` line, counted as `orphaned`.
 //! * **Drain order.** `shutdown` sets the drain flag; the acceptor stops
 //!   accepting and joins handlers (which finish their in-flight request,
-//!   reply, and close); only then is the queue closed, the workers joined
-//!   (via the supervisor), and the final `done:true` heartbeat flushed.
+//!   reply, and close); only then is the queue closed, the workers joined,
+//!   and the final `done:true` heartbeat flushed.
 //! * **Wall-domain only.** Nothing here touches `METRICS_<id>.json`; the
-//!   journal, spans, and stats are diagnostics (DESIGN.md §11/§15/§16/§17).
+//!   journal, spans, and stats are diagnostics (DESIGN.md §11/§15/§16).
 
-use crate::chaos::{Fault, FaultPlan};
 use crate::proto::{decode_line, error_line, Request, ServeBeat, MAX_LINE_BYTES};
 use crate::queue::{Bounded, PushError};
-use arachnet_obs::{
-    flush_thread_spans, global_counter_add, span, warn_str, Event, EventKind, Histo, Recorder,
-    NO_TAG,
-};
+use arachnet_obs::{flush_thread_spans, global_counter_add, span, warn_str, Histo};
 use arachnet_sim::wavesim::WaveSim;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -84,31 +66,14 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Most decode requests one worker folds into a micro-batch (≥ 1).
     pub max_batch: usize,
-    /// Per-connection idle read deadline: a connection that sends no byte
-    /// for this long is closed.
-    pub read_timeout: Duration,
-    /// Per-connection write deadline (slow reader back-pressure bound).
-    pub write_timeout: Duration,
     /// Where to journal [`ServeBeat`] heartbeats (`None` = no journal).
     pub journal: Option<PathBuf>,
-    /// Heartbeat interval for the monitor thread.
-    pub heartbeat: Duration,
     /// Optional `experiment` op capability.
     pub experiment_runner: Option<ExperimentRunner>,
     /// Per-request deadline: an admitted request not answered within this
     /// budget gets a structured `deadline_exceeded` line instead of a hung
-    /// client. `None` disables enforcement.
-    pub request_deadline: Option<Duration>,
-    /// How many panicked workers the supervisor may replace over the
-    /// server's lifetime (0 = report only, never respawn).
-    pub respawn_budget: u32,
-    /// Brownout threshold: when the queue-wait EWMA (microseconds)
-    /// crosses this, low-priority work is shed until the EWMA falls below
-    /// half of it. 0 disables brownout.
-    pub brownout_enter_us: u64,
-    /// Deterministic fault-injection schedule (`None` = no chaos; every
-    /// hook degenerates to a cheap no-op).
-    pub fault_plan: Option<FaultPlan>,
+    /// client.
+    pub request_deadline: Duration,
 }
 
 impl Default for ServeConfig {
@@ -118,15 +83,9 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             max_batch: 8,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             journal: None,
-            heartbeat: Duration::from_millis(500),
             experiment_runner: None,
-            request_deadline: Some(Duration::from_secs(30)),
-            respawn_budget: 4,
-            brownout_enter_us: 400_000,
-            fault_plan: None,
+            request_deadline: Duration::from_secs(30),
         }
     }
 }
@@ -155,43 +114,22 @@ pub struct ServeStats {
     pub p95_us: u64,
     /// `deadline_exceeded` replies generated (handler- and worker-side).
     pub deadlines: u64,
-    /// Low-priority requests shed with `{"error":"brownout"}`.
-    pub shed: u64,
-    /// Admitted requests whose worker died before replying (the handler's
-    /// structured `internal` fallback answered the client).
+    /// Admitted requests whose reply channel dropped without an answer
+    /// (the handler's structured `internal` fallback answered the client).
     pub orphaned: u64,
-    /// Panicked workers replaced by the supervisor.
-    pub respawned: u64,
-    /// Brownout mode entries.
-    pub brownout_entered: u64,
-    /// Brownout mode exits.
-    pub brownout_exited: u64,
-    /// Chaos: worker panics injected.
-    pub injected_panics: u64,
-    /// Chaos: queue stalls injected.
-    pub injected_stalls: u64,
-    /// Chaos: torn mid-reply writes injected.
-    pub injected_torn: u64,
-    /// Chaos: artificial decode delays injected.
-    pub injected_decode_delays: u64,
-    /// Chaos: slowed connection reads injected.
-    pub injected_slow_reads: u64,
 }
 
 /// One admitted unit of work: the request plus its reply channel.
 struct Job {
     req: Request,
-    /// Admission-order index of this work op (the chaos targeting key).
-    idx: u64,
     enqueued: Instant,
-    deadline: Option<Instant>,
+    deadline: Instant,
     reply: mpsc::Sender<String>,
 }
 
 /// A worker's cached channel: compatible decode requests reuse the
-/// expensive `WaveSim::paper(seed)` synthesis. Shared with the supervisor
-/// so a respawn can rebuild a cache a panic may have poisoned.
-type WorkerCache = Arc<Mutex<Option<(u64, WaveSim)>>>;
+/// expensive `WaveSim::paper(seed)` synthesis.
+type ChannelCache = Option<(u64, WaveSim)>;
 
 /// State shared by every thread of one server.
 struct Shared {
@@ -206,28 +144,8 @@ struct Shared {
     batched_requests: AtomicU64,
     inflight: AtomicU64,
     deadlines: AtomicU64,
-    shed: AtomicU64,
     orphaned: AtomicU64,
-    respawned: AtomicU64,
-    brownout_entered: AtomicU64,
-    brownout_exited: AtomicU64,
-    injected_panics: AtomicU64,
-    injected_stalls: AtomicU64,
-    injected_torn: AtomicU64,
-    injected_decode_delays: AtomicU64,
-    injected_slow_reads: AtomicU64,
-    /// Admission-order sequence for work ops (burned even when the push
-    /// is refused, so indices stay schedule-stable under rejection).
-    req_seq: AtomicU64,
-    /// Accept-order sequence for connections.
-    conn_seq: AtomicU64,
-    /// Queue-wait EWMA in microseconds (α = 1/8), the brownout signal.
-    queue_wait_ewma_us: AtomicU64,
-    brownout: AtomicBool,
-    brownout_enter_us: u64,
-    request_deadline: Option<Duration>,
-    plan: Option<FaultPlan>,
-    recorder: Mutex<Recorder>,
+    request_deadline: Duration,
     latency_us: Mutex<Histo>,
     started: Instant,
     workers: u32,
@@ -261,9 +179,6 @@ impl Shared {
             p50_us,
             p95_us,
             deadlines: self.deadlines.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            respawned: self.respawned.load(Ordering::Relaxed),
-            brownout: self.brownout.load(Ordering::Relaxed),
             done,
         }
     }
@@ -277,83 +192,6 @@ impl Shared {
             b.to_json().trim_start_matches('{').trim_end_matches('}'),
         )
     }
-
-    /// Every fault the plan schedules for work-op index `idx` (empty and
-    /// allocation-free when no plan is installed — the common case).
-    fn faults_for(&self, idx: u64) -> Vec<Fault> {
-        match &self.plan {
-            None => Vec::new(),
-            Some(p) => p.faults_for_request(idx),
-        }
-    }
-
-    fn torn_write_at(&self, idx: u64) -> bool {
-        self.plan.as_ref().is_some_and(|p| {
-            p.faults_for_request(idx)
-                .iter()
-                .any(|f| matches!(f, Fault::TornWrite))
-        })
-    }
-
-    fn record_event(&self, slot: u64, kind: EventKind) {
-        self.recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(slot, NO_TAG, kind);
-    }
-
-    /// Fold one observed queue wait into the EWMA (α = 1/8, integer) and
-    /// re-evaluate the brownout state.
-    fn note_queue_wait(&self, wait_us: u64) {
-        let _ = self
-            .queue_wait_ewma_us
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur - cur / 8 + wait_us / 8)
-            });
-        self.update_brownout();
-    }
-
-    /// Idle decay (supervisor tick with an empty queue): without pops the
-    /// EWMA would freeze above the exit threshold forever.
-    fn decay_queue_wait(&self) {
-        let _ = self
-            .queue_wait_ewma_us
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur - cur / 4)
-            });
-        self.update_brownout();
-    }
-
-    /// Hysteresis: enter at `brownout_enter_us`, exit below half of it.
-    fn update_brownout(&self) {
-        if self.brownout_enter_us == 0 {
-            return;
-        }
-        let ewma = self.queue_wait_ewma_us.load(Ordering::Relaxed);
-        let clamped = ewma.min(u32::MAX as u64) as u32;
-        if ewma >= self.brownout_enter_us {
-            if self
-                .brownout
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                let n = self.brownout_entered.fetch_add(1, Ordering::Relaxed) + 1;
-                self.record_event(n, EventKind::BrownoutEntered { ewma_us: clamped });
-                warn_str(&format!(
-                    "serve: brownout entered (queue-wait EWMA {ewma} us >= {} us); shedding low-priority work",
-                    self.brownout_enter_us
-                ));
-            }
-        } else if ewma < self.brownout_enter_us / 2
-            && self
-                .brownout
-                .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-        {
-            let n = self.brownout_exited.fetch_add(1, Ordering::Relaxed) + 1;
-            self.record_event(n, EventKind::BrownoutExited { ewma_us: clamped });
-        }
-    }
 }
 
 /// A running server; dropping the handle does **not** stop it — call
@@ -362,7 +200,7 @@ pub struct ServerHandle {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
-    supervisor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
 }
 
@@ -386,16 +224,6 @@ impl ServerHandle {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Snapshot of the wall-domain recorder events so far
-    /// (`WorkerRespawned`, `BrownoutEntered`/`Exited`).
-    pub fn events(&self) -> Vec<Event> {
-        self.shared
-            .recorder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events()
-    }
-
     /// Block until the drain completes and return the final tallies.
     /// Implies [`ServerHandle::shutdown`].
     pub fn join(mut self) -> ServeStats {
@@ -413,11 +241,12 @@ impl ServerHandle {
             let _ = h.join();
         }
         // 3. Only now close the queue: workers drain what was admitted,
-        //    then observe `None` and exit; the supervisor joins them (and
-        //    last-resort answers anything left if every worker is dead).
+        //    then observe `None` and exit.
         self.shared.queue.close();
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
+        for w in self.workers.drain(..) {
+            if w.join().is_err() {
+                warn_str("serve: a worker died to a panic outside its per-request catch");
+            }
         }
         // 4. Final telemetry: the monitor writes the `done:true` beat.
         if let Some(m) = self.monitor.take() {
@@ -439,16 +268,7 @@ impl ServerHandle {
             p50_us,
             p95_us,
             deadlines: s.deadlines.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
             orphaned: s.orphaned.load(Ordering::Relaxed),
-            respawned: s.respawned.load(Ordering::Relaxed),
-            brownout_entered: s.brownout_entered.load(Ordering::Relaxed),
-            brownout_exited: s.brownout_exited.load(Ordering::Relaxed),
-            injected_panics: s.injected_panics.load(Ordering::Relaxed),
-            injected_stalls: s.injected_stalls.load(Ordering::Relaxed),
-            injected_torn: s.injected_torn.load(Ordering::Relaxed),
-            injected_decode_delays: s.injected_decode_delays.load(Ordering::Relaxed),
-            injected_slow_reads: s.injected_slow_reads.load(Ordering::Relaxed),
         };
         // Mirror the tallies into the process-wide obs counters so
         // `repro serve` reports them alongside everything else.
@@ -458,8 +278,6 @@ impl ServerHandle {
         global_counter_add("serve.malformed", stats.malformed);
         global_counter_add("serve.batches", stats.batches);
         global_counter_add("serve.deadlines", stats.deadlines);
-        global_counter_add("serve.shed", stats.shed);
-        global_counter_add("serve.respawned", stats.respawned);
         stats
     }
 }
@@ -472,7 +290,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     listener.set_nonblocking(true)?;
 
     let workers = config.workers.max(1);
-    let recorder_seed = config.fault_plan.as_ref().map_or(0, FaultPlan::seed);
     let shared = Arc::new(Shared {
         queue: Bounded::new(config.queue_depth),
         draining: AtomicBool::new(false),
@@ -485,24 +302,8 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         batched_requests: AtomicU64::new(0),
         inflight: AtomicU64::new(0),
         deadlines: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
         orphaned: AtomicU64::new(0),
-        respawned: AtomicU64::new(0),
-        brownout_entered: AtomicU64::new(0),
-        brownout_exited: AtomicU64::new(0),
-        injected_panics: AtomicU64::new(0),
-        injected_stalls: AtomicU64::new(0),
-        injected_torn: AtomicU64::new(0),
-        injected_decode_delays: AtomicU64::new(0),
-        injected_slow_reads: AtomicU64::new(0),
-        req_seq: AtomicU64::new(0),
-        conn_seq: AtomicU64::new(0),
-        queue_wait_ewma_us: AtomicU64::new(0),
-        brownout: AtomicBool::new(false),
-        brownout_enter_us: config.brownout_enter_us,
         request_deadline: config.request_deadline,
-        plan: config.fault_plan,
-        recorder: Mutex::new(Recorder::enabled(recorder_seed)),
         latency_us: Mutex::new(Histo::new()),
         started: Instant::now(),
         workers: workers as u32,
@@ -510,43 +311,26 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     });
 
     let max_batch = config.max_batch.max(1);
-    let slots: Vec<WorkerSlot> = (0..workers)
-        .map(|i| {
-            let cache: WorkerCache = Arc::new(Mutex::new(None));
-            let handle = spawn_worker(Arc::clone(&shared), Arc::clone(&cache), max_batch);
-            WorkerSlot {
-                index: i,
-                cache,
-                handle: Some(handle),
-            }
+    let worker_handles = (0..workers)
+        .map(|_| {
+            let sh = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(&sh, max_batch))
         })
         .collect();
-    let supervisor = {
-        let sh = Arc::clone(&shared);
-        let budget = config.respawn_budget;
-        std::thread::spawn(move || supervisor_loop(&sh, slots, max_batch, budget))
-    };
 
-    let monitor = config.journal.as_ref().map(|path| {
+    let monitor = config.journal.map(|path| {
         let sh = Arc::clone(&shared);
-        let path = path.clone();
-        let every = config.heartbeat.max(Duration::from_millis(20));
-        std::thread::spawn(move || monitor_loop(&sh, &path, every))
+        std::thread::spawn(move || monitor_loop(&sh, &path))
     });
 
     let sh = Arc::clone(&shared);
-    let read_timeout = config.read_timeout;
-    let write_timeout = config.write_timeout;
     let acceptor = std::thread::spawn(move || {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !sh.draining.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let sh2 = Arc::clone(&sh);
-                    let conn_idx = sh.conn_seq.fetch_add(1, Ordering::Relaxed);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_conn(stream, &sh2, conn_idx, read_timeout, write_timeout);
-                    }));
+                    handlers.push(std::thread::spawn(move || handle_conn(stream, &sh2)));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
@@ -561,7 +345,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         local_addr,
         shared,
         acceptor: Some(acceptor),
-        supervisor: Some(supervisor),
+        workers: worker_handles,
         monitor,
     })
 }
@@ -570,31 +354,27 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
 /// drain flag; also the granularity of the idle deadline.
 const READ_SLICE: Duration = Duration::from_millis(100);
 
+/// Per-connection idle read deadline: a connection that sends no byte for
+/// this long is closed.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Per-connection write deadline (slow reader back-pressure bound).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Heartbeat interval for the monitor thread.
+const HEARTBEAT: Duration = Duration::from_millis(500);
+
 /// Extra slack the handler grants past the request deadline before it
 /// answers `deadline_exceeded` itself, so a worker-side deadline reply
 /// (which carries better accounting) wins the race when both fire.
 const DEADLINE_GRACE: Duration = Duration::from_millis(50);
 
-/// Supervisor poll period: the bound on how long a dead worker slot stays
-/// empty.
-const SUPERVISE_EVERY: Duration = Duration::from_millis(10);
-
-fn handle_conn(
-    mut stream: TcpStream,
-    sh: &Shared,
-    conn_idx: u64,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) {
+fn handle_conn(mut stream: TcpStream, sh: &Shared) {
     let _ = stream.set_read_timeout(Some(READ_SLICE));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Replies are single small lines: disable Nagle so a reply is not
     // parked behind the peer's delayed ACK (~40 ms on loopback).
     let _ = stream.set_nodelay(true);
-    let slow_read = sh
-        .plan
-        .as_ref()
-        .and_then(|p| p.slow_read_for_conn(conn_idx));
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     let mut idle = Instant::now();
@@ -647,17 +427,9 @@ fn handle_conn(
                 }
                 return;
             }
-            Ok(n) => {
-                if let Some(delay) = slow_read {
-                    // Chaos: a slow/fragmented client. Injected after the
-                    // bytes land so the count is one per data-bearing read.
-                    sh.injected_slow_reads.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(delay);
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if idle.elapsed() > read_timeout {
+                if idle.elapsed() > READ_TIMEOUT {
                     return;
                 }
             }
@@ -712,31 +484,10 @@ fn serve_line(line: &str, sh: &Shared, stream: &mut TcpStream) -> LineOutcome {
                 );
                 return LineOutcome::Close;
             }
-            if work.is_low_priority() && sh.brownout.load(Ordering::Relaxed) {
-                // Brownout shedding happens before admission (and before
-                // an index is burned): the queue's remaining capacity is
-                // reserved for the paper workload.
-                sh.shed.fetch_add(1, Ordering::Relaxed);
-                return match write_line(
-                    stream,
-                    &error_line(
-                        "brownout",
-                        "low-priority work shed while overloaded, retry later",
-                    ),
-                ) {
-                    Ok(()) => LineOutcome::Continue,
-                    Err(()) => LineOutcome::Close,
-                };
-            }
-            // The chaos targeting key: burned per admission *attempt*, so
-            // a plan's indices line up with the client's send order even
-            // when a later push is refused.
-            let idx = sh.req_seq.fetch_add(1, Ordering::Relaxed);
-            let deadline = sh.request_deadline.map(|d| Instant::now() + d);
+            let deadline = Instant::now() + sh.request_deadline;
             let (tx, rx) = mpsc::channel();
             let job = Job {
                 req: work,
-                idx,
                 enqueued: Instant::now(),
                 deadline,
                 reply: tx,
@@ -745,47 +496,27 @@ fn serve_line(line: &str, sh: &Shared, stream: &mut TcpStream) -> LineOutcome {
                 Ok(()) => {
                     sh.requests.fetch_add(1, Ordering::Relaxed);
                     // Admitted means answered: workers reply to every
-                    // popped job; if the worker died mid-job (chaos panic,
-                    // real bug) the dropped sender lands here, and if
-                    // nothing arrives by the deadline the handler answers
-                    // itself — the client is never left hanging.
-                    let reply = match deadline {
-                        None => rx.recv().unwrap_or_else(|_| {
+                    // popped job; a reply channel dropped without an answer
+                    // lands here, and if nothing arrives by the deadline the
+                    // handler answers itself — the client is never left
+                    // hanging.
+                    let wait = deadline
+                        .saturating_duration_since(Instant::now())
+                        .saturating_add(DEADLINE_GRACE);
+                    let reply = match rx.recv_timeout(wait) {
+                        Ok(r) => r,
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
+                            sh.deadlines.fetch_add(1, Ordering::Relaxed);
+                            error_line(
+                                "deadline_exceeded",
+                                "request outlived its deadline before a worker replied",
+                            )
+                        }
+                        Err(mpsc::RecvTimeoutError::Disconnected) => {
                             sh.orphaned.fetch_add(1, Ordering::Relaxed);
                             error_line("internal", "worker disappeared before replying")
-                        }),
-                        Some(d) => {
-                            let wait = d
-                                .saturating_duration_since(Instant::now())
-                                .saturating_add(DEADLINE_GRACE);
-                            match rx.recv_timeout(wait) {
-                                Ok(r) => r,
-                                Err(mpsc::RecvTimeoutError::Timeout) => {
-                                    sh.deadlines.fetch_add(1, Ordering::Relaxed);
-                                    error_line(
-                                        "deadline_exceeded",
-                                        "request outlived its deadline before a worker replied",
-                                    )
-                                }
-                                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                    sh.orphaned.fetch_add(1, Ordering::Relaxed);
-                                    error_line("internal", "worker disappeared before replying")
-                                }
-                            }
                         }
                     };
-                    if sh.torn_write_at(idx) {
-                        // Chaos: tear the reply mid-line and sever the
-                        // connection — the client must treat it as an io
-                        // error, not parse a prefix.
-                        sh.injected_torn.fetch_add(1, Ordering::Relaxed);
-                        let bytes = reply.as_bytes();
-                        let cut = (bytes.len() / 2).max(1);
-                        let _ = stream.write_all(&bytes[..cut]);
-                        let _ = stream.flush();
-                        let _ = stream.shutdown(Shutdown::Both);
-                        return LineOutcome::Close;
-                    }
                     match write_line(stream, &reply) {
                         Ok(()) => LineOutcome::Continue,
                         Err(()) => LineOutcome::Close,
@@ -824,99 +555,10 @@ fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), ()> {
         .map_err(|_| ())
 }
 
-/// One supervised worker slot: its shared cache plus the live thread (the
-/// handle is `None` once the worker exited and was joined).
-struct WorkerSlot {
-    index: usize,
-    cache: WorkerCache,
-    handle: Option<JoinHandle<()>>,
-}
-
-fn spawn_worker(sh: Arc<Shared>, cache: WorkerCache, max_batch: usize) -> JoinHandle<()> {
-    std::thread::spawn(move || worker_loop(&sh, &cache, max_batch))
-}
-
-/// Supervisor: replaces panicked workers (bounded budget, poisoned cache
-/// rebuilt), decays the brownout EWMA while the pool is idle, and — if
-/// every worker is gone — answers whatever is still queued so admitted
-/// jobs are never silently lost. Exits once the queue is closed and all
-/// workers are joined.
-fn supervisor_loop(sh: &Arc<Shared>, mut slots: Vec<WorkerSlot>, max_batch: usize, budget: u32) {
-    let mut respawns_used = 0u32;
-    loop {
-        std::thread::sleep(SUPERVISE_EVERY);
-        for slot in slots.iter_mut() {
-            let finished = slot.handle.as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
-                continue;
-            }
-            let died = slot
-                .handle
-                .take()
-                .map(|h| h.join().is_err())
-                .unwrap_or(false);
-            if !died {
-                continue; // normal exit: the closed queue ran dry
-            }
-            let drained = sh.queue.is_closed() && sh.queue.is_empty();
-            if respawns_used < budget && !drained {
-                respawns_used += 1;
-                // The panic may have left the slot's cache mutex poisoned
-                // mid-write — rebuild from scratch so the replacement
-                // worker starts clean (satellite fix: a poisoned cache
-                // must not fail every later batch).
-                *slot.cache.lock().unwrap_or_else(|p| p.into_inner()) = None;
-                let n = sh.respawned.fetch_add(1, Ordering::Relaxed) + 1;
-                sh.record_event(
-                    n,
-                    EventKind::WorkerRespawned {
-                        worker: slot.index.min(u16::MAX as usize) as u16,
-                    },
-                );
-                warn_str(&format!(
-                    "serve: worker {} died to a panic; respawned ({}/{} budget used)",
-                    slot.index, respawns_used, budget
-                ));
-                slot.handle = Some(spawn_worker(
-                    Arc::clone(sh),
-                    Arc::clone(&slot.cache),
-                    max_batch,
-                ));
-            } else {
-                warn_str(&format!(
-                    "serve: worker {} died to a panic; not respawned ({})",
-                    slot.index,
-                    if drained {
-                        "drain complete".to_string()
-                    } else {
-                        format!("respawn budget {budget} exhausted")
-                    }
-                ));
-            }
-        }
-        // Brownout exit needs the EWMA to move even when nothing is being
-        // popped: decay it whenever the pool is idle.
-        if sh.queue.is_empty() && sh.inflight.load(Ordering::Relaxed) == 0 {
-            sh.decay_queue_wait();
-        }
-        if sh.queue.is_closed() && slots.iter().all(|s| s.handle.is_none()) {
-            // Every worker is gone. Normally the queue is already empty
-            // (workers drain before exiting); if the whole pool died to
-            // panics, answer the leftovers so no admitted job is lost.
-            while let Some(job) = sh.queue.try_pop() {
-                sh.orphaned.fetch_add(1, Ordering::Relaxed);
-                let _ = job
-                    .reply
-                    .send(error_line("internal", "no workers left to serve this request"));
-            }
-            return;
-        }
-    }
-}
-
 /// Worker: pop → (maybe micro-batch) → execute → reply, until the queue
 /// is closed and empty.
-fn worker_loop(sh: &Shared, cache: &Mutex<Option<(u64, WaveSim)>>, max_batch: usize) {
+fn worker_loop(sh: &Shared, max_batch: usize) {
+    let mut cache: ChannelCache = None;
     while let Some(job) = sh.queue.pop() {
         let mut batch = vec![job];
         if let Some(key) = batch[0].req.batch_key() {
@@ -933,58 +575,24 @@ fn worker_loop(sh: &Shared, cache: &Mutex<Option<(u64, WaveSim)>>, max_batch: us
         if batch.len() >= 2 {
             sh.batched_requests.fetch_add(n, Ordering::Relaxed);
         }
-        let mut left = n;
         for job in batch.drain(..) {
-            sh.note_queue_wait(job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64);
-            let mut decode_delay = None;
-            for fault in sh.faults_for(job.idx) {
-                match fault {
-                    Fault::QueueStall { stall_ms } => {
-                        // Chaos: hold the worker with the job popped —
-                        // exactly what a stalled dependency looks like.
-                        sh.injected_stalls.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(stall_ms));
-                    }
-                    Fault::WorkerPanic => {
-                        // Chaos: kill this worker thread outright. This
-                        // unwind escapes the per-request catch below on
-                        // purpose — it models a worker *death*, not a
-                        // request bug. `resume_unwind` skips the panic
-                        // hook so tests stay quiet. Dropping the batch
-                        // drops its reply senders, which the handlers turn
-                        // into structured `internal` fallbacks; in-flight
-                        // accounting is settled first so the drain monitor
-                        // never waits on jobs nobody holds.
-                        sh.injected_panics.fetch_add(1, Ordering::Relaxed);
-                        sh.inflight.fetch_sub(left, Ordering::Relaxed);
-                        std::panic::resume_unwind(Box::new("chaos: injected worker panic"));
-                    }
-                    Fault::DecodeDelay { delay_ms } => {
-                        decode_delay = Some(Duration::from_millis(delay_ms));
-                    }
-                    Fault::SlowRead { .. } | Fault::TornWrite => {} // handler-side faults
-                }
-            }
-            if let Some(d) = job.deadline {
-                if Instant::now() > d {
-                    // Expired while queued (or stalled): skip the work,
-                    // answer structurally. The handler may have answered
-                    // already (after the grace) — this send then lands in
-                    // a dropped receiver, which is fine.
-                    sh.deadlines.fetch_add(1, Ordering::Relaxed);
-                    sh.completed.fetch_add(1, Ordering::Relaxed);
-                    sh.inflight.fetch_sub(1, Ordering::Relaxed);
-                    left -= 1;
-                    let _ = job.reply.send(error_line(
-                        "deadline_exceeded",
-                        "request expired before a worker could serve it",
-                    ));
-                    continue;
-                }
+            if Instant::now() > job.deadline {
+                // Expired while queued: skip the work, answer structurally.
+                // The handler may have answered already (after the grace)
+                // — this send then lands in a dropped receiver, which is
+                // fine.
+                sh.deadlines.fetch_add(1, Ordering::Relaxed);
+                sh.completed.fetch_add(1, Ordering::Relaxed);
+                sh.inflight.fetch_sub(1, Ordering::Relaxed);
+                let _ = job.reply.send(error_line(
+                    "deadline_exceeded",
+                    "request expired before a worker could serve it",
+                ));
+                continue;
             }
             let _t = span("serve.request");
             let result = catch_unwind(AssertUnwindSafe(|| {
-                execute(&job.req, n as usize, cache, sh, decode_delay)
+                execute(&job.req, n as usize, &mut cache, sh)
             }));
             let reply = match result {
                 Ok(r) => r,
@@ -993,8 +601,8 @@ fn worker_loop(sh: &Shared, cache: &Mutex<Option<(u64, WaveSim)>>, max_batch: us
                     // whole pool) down — quarantine it behind a structured
                     // error, like the sweep engine quarantines trials. The
                     // cache is rebuilt from scratch: the panic may have
-                    // poisoned its mutex or left a half-written entry.
-                    *cache.lock().unwrap_or_else(|p| p.into_inner()) = None;
+                    // left a half-written entry.
+                    cache = None;
                     error_line("internal", "request panicked; worker recovered")
                 }
             };
@@ -1005,7 +613,6 @@ fn worker_loop(sh: &Shared, cache: &Mutex<Option<(u64, WaveSim)>>, max_batch: us
                 .record(us);
             sh.completed.fetch_add(1, Ordering::Relaxed);
             sh.inflight.fetch_sub(1, Ordering::Relaxed);
-            left -= 1;
             // A dead reply receiver (handler gone) is fine — the work is
             // done and accounted; there is just nobody left to tell.
             let _ = job.reply.send(reply);
@@ -1016,13 +623,7 @@ fn worker_loop(sh: &Shared, cache: &Mutex<Option<(u64, WaveSim)>>, max_batch: us
 
 /// Run one queued request to its reply line. `batched` is the size of the
 /// micro-batch this request rode in (1 = alone).
-fn execute(
-    req: &Request,
-    batched: usize,
-    cache: &Mutex<Option<(u64, WaveSim)>>,
-    sh: &Shared,
-    decode_delay: Option<Duration>,
-) -> String {
+fn execute(req: &Request, batched: usize, cache: &mut ChannelCache, sh: &Shared) -> String {
     match req {
         Request::Sleep { ms } => {
             std::thread::sleep(Duration::from_millis(*ms));
@@ -1034,19 +635,12 @@ fn execute(
             packets,
             seed,
         } => {
-            if let Some(d) = decode_delay {
-                // Chaos: artificial decode latency, inside the decode
-                // path so deadlines see it exactly like a slow PHY.
-                sh.injected_decode_delays.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(d);
-            }
-            let mut cached = cache.lock().unwrap_or_else(|p| p.into_inner());
-            let hit = matches!(&*cached, Some((s, _)) if *s == *seed);
+            let hit = matches!(cache, Some((s, _)) if *s == *seed);
             if !hit {
                 let _t = span("serve.channel_synth");
-                *cached = Some((*seed, WaveSim::paper(*seed)));
+                *cache = Some((*seed, WaveSim::paper(*seed)));
             }
-            let sim = &cached.as_ref().expect("just cached").1;
+            let sim = &cache.as_ref().expect("just cached").1;
             let _t = span("serve.decode");
             let r = sim.uplink_trial(*tag, *ul_bps, *packets);
             decode_line(*tag, *ul_bps, r.sent, r.lost, r.snr_db, batched)
@@ -1077,12 +671,11 @@ fn execute(
 
 /// Monitor: append a [`ServeBeat`] heartbeat line every interval, plus the
 /// final `done:true` beat once the drain completes.
-fn monitor_loop(sh: &Shared, path: &std::path::Path, every: Duration) {
+fn monitor_loop(sh: &Shared, path: &std::path::Path) {
     let mut journal = arachnet_obs::Journal::open(path);
     loop {
-        // Sleep in short slices so shutdown is prompt even with a long
-        // heartbeat interval.
-        let wake = Instant::now() + every;
+        // Sleep in short slices so shutdown is prompt.
+        let wake = Instant::now() + HEARTBEAT;
         while Instant::now() < wake {
             if sh.draining.load(Ordering::SeqCst) {
                 break;

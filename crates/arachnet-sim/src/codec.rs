@@ -241,10 +241,6 @@ impl TrialCodec for EventKind {
             EventKind::TrialQuarantined { attempts } => attempts.encode(out),
             EventKind::SweepResumed { restored } => restored.encode(out),
             EventKind::TrialStalled { waited_ms } => waited_ms.encode(out),
-            EventKind::WorkerRespawned { worker } => worker.encode(out),
-            EventKind::BrownoutEntered { ewma_us } | EventKind::BrownoutExited { ewma_us } => {
-                ewma_us.encode(out)
-            }
             EventKind::Empty
             | EventKind::BeaconLost
             | EventKind::PowerCutoff
@@ -306,15 +302,6 @@ impl TrialCodec for EventKind {
             19 => EventKind::BudgetExhausted,
             20 => EventKind::TrialStalled {
                 waited_ms: u32::decode(input)?,
-            },
-            21 => EventKind::WorkerRespawned {
-                worker: u16::decode(input)?,
-            },
-            22 => EventKind::BrownoutEntered {
-                ewma_us: u32::decode(input)?,
-            },
-            23 => EventKind::BrownoutExited {
-                ewma_us: u32::decode(input)?,
             },
             _ => return None,
         })
@@ -503,9 +490,6 @@ mod tests {
             EventKind::SweepResumed { restored: 40 },
             EventKind::BudgetExhausted,
             EventKind::TrialStalled { waited_ms: 9_000 },
-            EventKind::WorkerRespawned { worker: 1 },
-            EventKind::BrownoutEntered { ewma_us: 1_200 },
-            EventKind::BrownoutExited { ewma_us: 300 },
         ];
         assert_eq!(kinds.len(), KIND_COUNT, "new kinds need codec arms");
         for k in kinds {

@@ -824,6 +824,10 @@ where
         if spec.resume {
             if let Some((records, valid)) = load_checkpoint(&spec.path, cfg.base_seed, trials) {
                 let mut dup_warned = false;
+                // (first trial, count) of records that do not decode as
+                // `T`; a file another build wrote has only such records,
+                // so they are reported once per file, not once each.
+                let mut undecodable: Option<(u64, u64)> = None;
                 for rec in records {
                     let i = rec.trial as usize;
                     if slots[i].is_some() {
@@ -851,11 +855,8 @@ where
                         match T::decode(&mut input) {
                             Some(v) if input.is_empty() => Ok(v),
                             _ => {
-                                arachnet_obs::warn!(
-                                    "checkpoint '{}': undecodable record for trial {}, re-running it",
-                                    spec.path.display(),
-                                    rec.trial
-                                );
+                                let (_, n) = undecodable.get_or_insert((rec.trial, 0));
+                                *n += 1;
                                 continue;
                             }
                         }
@@ -869,6 +870,13 @@ where
                     restored += 1;
                     slots[i] = Some(slot);
                     attempts_of[i] = rec.attempts;
+                }
+                if let Some((first, n)) = undecodable {
+                    arachnet_obs::warn!(
+                        "checkpoint '{}': {n} undecodable record(s), the first for trial {first}; \
+                         re-running them",
+                        spec.path.display()
+                    );
                 }
                 if let Some(i) = replay_mismatch(&slots, &attempts_of, &seed_of, &f) {
                     arachnet_obs::warn!(
@@ -1609,6 +1617,41 @@ mod tests {
             .collect();
         assert_eq!(dup_warns.len(), 1, "warn once per file: {warnings:?}");
         assert!(dup_warns[0].contains("trial 0"), "{dup_warns:?}");
+        assert!(!path.exists(), "completed run cleans up");
+    }
+
+    #[test]
+    fn undecodable_checkpoint_records_are_rerun_with_one_warning() {
+        let path = temp_ckpt("undecodable");
+        // A file whose header matches but whose records hold another
+        // payload layout (as another build writes): three bytes never
+        // decode as `(u64, u64)`.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&CKPT_MAGIC);
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        for trial in 0..3u64 {
+            encode_record(trial, 0, 1, &[1, 2, 3], &mut bytes);
+        }
+        fs::write(&path, &bytes).unwrap();
+        let (run, warnings) = arachnet_obs::capture(|| {
+            let cfg = SweepConfig::new(5).with_threads(2).with_checkpoint(
+                CheckpointSpec::new(&path).with_every(1).with_resume(true),
+            );
+            run_sweep(&cfg, 4, |i, seed| (i, seed))
+        });
+        assert_eq!(run.stats.restored, 0);
+        assert_eq!(run.stats.completed, 4);
+        assert_eq!(run.results[2], Ok((2, trial_seed(5, 2))));
+        let undecodable: Vec<_> = warnings
+            .iter()
+            .filter(|w| w.contains("undecodable"))
+            .collect();
+        assert_eq!(undecodable.len(), 1, "warn once per file: {warnings:?}");
+        assert!(
+            undecodable[0].contains("3 undecodable") && undecodable[0].contains("trial 0"),
+            "{undecodable:?}"
+        );
         assert!(!path.exists(), "completed run cleans up");
     }
 

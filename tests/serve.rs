@@ -1,13 +1,19 @@
-//! Serve-tier edge cases over a real TCP socket (ISSUE 9): the wire
-//! protocol, oversized lines, mid-line disconnects, queue-full rejection
-//! under a burst, and drain-during-in-flight. Everything here runs against
-//! `arachnet_serve::start` on an ephemeral 127.0.0.1 port — no mocks.
+//! Serve-tier edge cases over a real TCP socket: the wire protocol,
+//! oversized lines, mid-line disconnects, queue-full rejection under a
+//! burst, drain-during-in-flight, request deadlines and panicking
+//! requests. Everything here runs against `arachnet_serve::start` on an
+//! ephemeral 127.0.0.1 port — no mocks. The last two properties feed
+//! generated and mutated lines to `Request::parse`.
 
 use arachnet::serve::proto::{MAX_UL_BPS, MIN_UL_BPS};
-use arachnet::serve::{error_code, is_ok, start, ServeClient, ServeConfig, MAX_LINE_BYTES};
+use arachnet::serve::{
+    error_code, is_ok, start, Request, ServeClient, ServeConfig, MAX_LINE_BYTES, MAX_PACKETS,
+    MAX_SLEEP_MS, MAX_TAG,
+};
+use arachnet_testkit::{check, check_with, gen, prop_assert, prop_assert_eq, Config};
 use std::io::Write;
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot(workers: usize, queue_depth: usize) -> (arachnet::serve::ServerHandle, SocketAddr) {
     let handle = start(ServeConfig {
@@ -227,4 +233,165 @@ fn micro_batching_amortizes_same_seed_decodes() {
     );
     let stats = handle.join();
     assert!(stats.batched_requests >= 2, "{stats:?}");
+}
+
+const DECODE: &str = r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":7}"#;
+
+/// Deadlines bound the client's wait even while the only worker is busy:
+/// the handler answers `deadline_exceeded` long before the request would
+/// have finished.
+#[test]
+fn slow_request_is_answered_with_deadline_exceeded_not_a_hang() {
+    let handle = start(ServeConfig {
+        workers: 1,
+        request_deadline: Duration::from_millis(100),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut c = client(handle.local_addr());
+    let t0 = Instant::now();
+    let v = c.query(r#"{"op":"sleep","ms":1500}"#).unwrap();
+    assert_eq!(error_code(&v), Some("deadline_exceeded"), "{v:?}");
+    // Handler-side enforcement: deadline (100 ms) + grace, far less than
+    // the 1.5 s sleep.
+    assert!(
+        t0.elapsed() < Duration::from_millis(900),
+        "client wait must be bounded by the deadline, not the work: {:?}",
+        t0.elapsed()
+    );
+    let stats = handle.join();
+    assert!(stats.deadlines >= 1, "{stats:?}");
+    assert_eq!(stats.requests, stats.completed, "{stats:?}");
+}
+
+/// A request that panics inside its worker is answered `internal`, and the
+/// same worker goes on serving: the decode after it (which runs on a
+/// channel cache the panic reset) matches the decode before it.
+#[test]
+fn panicking_request_is_answered_internal_and_the_worker_keeps_serving() {
+    let handle = start(ServeConfig {
+        workers: 1,
+        // `resume_unwind` skips the panic hook, so the test output stays
+        // quiet; the worker's `catch_unwind` sees an ordinary panic.
+        experiment_runner: Some(Box::new(|_, _, _| {
+            std::panic::resume_unwind(Box::new("experiment runner bug"))
+        })),
+        ..ServeConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut c = client(handle.local_addr());
+    let before = c.query(DECODE).unwrap();
+    assert!(is_ok(&before), "{before:?}");
+    let v = c.query(r#"{"op":"experiment","id":"table1"}"#).unwrap();
+    assert_eq!(error_code(&v), Some("internal"), "{v:?}");
+    let after = c.query(DECODE).unwrap();
+    assert!(is_ok(&after), "the worker must serve again: {after:?}");
+    for key in ["lost", "snr_db"] {
+        assert_eq!(before.get(key), after.get(key), "{key}");
+    }
+    let stats = handle.join();
+    assert_eq!(stats.requests, 3, "{stats:?}");
+    assert_eq!(stats.requests, stats.completed, "{stats:?}");
+    assert_eq!(stats.orphaned, 0, "{stats:?}");
+}
+
+/// Any valid request, over every op and each field's accepted range.
+/// Experiment ids mix characters that need JSON escapes with multi-byte
+/// UTF-8.
+fn request_gen() -> gen::Gen<Request> {
+    const ID_CHARS: [char; 9] = ['a', 'Z', '7', '-', '"', '\\', '\n', '\u{1}', 'é'];
+    gen::Gen::new(|rng| match rng.below(6) {
+        0 => Request::Ping,
+        1 => Request::Stats,
+        2 => Request::Shutdown,
+        3 => Request::Sleep {
+            ms: rng.below(MAX_SLEEP_MS + 1),
+        },
+        4 => Request::Decode {
+            tag: rng.below(MAX_TAG + 1) as u8,
+            ul_bps: MIN_UL_BPS + rng.unit_f64() * (MAX_UL_BPS - MIN_UL_BPS),
+            packets: 1 + rng.below(MAX_PACKETS),
+            seed: rng.below(1 << 53),
+        },
+        _ => Request::Experiment {
+            id: (0..rng.below(12))
+                .map(|_| ID_CHARS[rng.below(ID_CHARS.len() as u64) as usize])
+                .collect(),
+            quick: rng.chance(0.5),
+            seed: rng.below(1 << 53),
+        },
+    })
+}
+
+/// One wire line for `req`, every field spelled out.
+fn render(req: &Request) -> String {
+    match req {
+        Request::Ping => r#"{"op":"ping"}"#.to_string(),
+        Request::Stats => r#"{"op":"stats"}"#.to_string(),
+        Request::Shutdown => r#"{"op":"shutdown"}"#.to_string(),
+        Request::Sleep { ms } => format!(r#"{{"op":"sleep","ms":{ms}}}"#),
+        Request::Decode {
+            tag,
+            ul_bps,
+            packets,
+            seed,
+        } => format!(
+            r#"{{"op":"decode","tag":{tag},"ul_bps":{ul_bps},"packets":{packets},"seed":{seed}}}"#
+        ),
+        Request::Experiment { id, quick, seed } => format!(
+            r#"{{"op":"experiment","id":"{}","quick":{quick},"seed":{seed}}}"#,
+            arachnet_obs::json_escape(id)
+        ),
+    }
+}
+
+#[test]
+fn valid_requests_of_every_op_parse_back_to_equal_values() {
+    check("request_parse_roundtrip", &request_gen(), |req| {
+        prop_assert_eq!(Request::parse(&render(req)), Ok(req.clone()));
+        Ok(())
+    });
+}
+
+/// Line `a` truncated (`kind` 0), with one bit flipped (1), or with its
+/// head spliced onto the tail of line `b` (2); `at` picks the positions.
+fn mutate(a: &[u8], b: &[u8], kind: u8, at: u64) -> Vec<u8> {
+    let cut = (at % (a.len() as u64 + 1)) as usize;
+    match kind {
+        0 => a[..cut].to_vec(),
+        1 => {
+            let mut flipped = a.to_vec();
+            flipped[cut.min(a.len() - 1)] ^= 1 << ((at >> 32) % 8);
+            flipped
+        }
+        _ => {
+            let tail = ((at >> 16) % (b.len() as u64 + 1)) as usize;
+            [&a[..cut], &b[tail..]].concat()
+        }
+    }
+}
+
+/// Truncated, bit-flipped and spliced lines never panic the parser, and a
+/// rejection is always one of the two parse codes. The bytes pass through
+/// `from_utf8_lossy` exactly as a connection handler's do.
+#[test]
+fn truncated_flipped_and_spliced_request_lines_never_panic() {
+    let (a, b) = (request_gen(), request_gen());
+    let mutations = gen::zip4(a, b, gen::u8_range(0, 3), gen::u64_any());
+    let cfg = Config {
+        cases: 2000,
+        ..Config::default()
+    };
+    check_with(&cfg, "request_parse_mutated", &mutations, |case| {
+        let (a, b, kind, at) = case;
+        let bytes = mutate(render(a).as_bytes(), render(b).as_bytes(), *kind, *at);
+        let line = String::from_utf8_lossy(&bytes);
+        if let Err(rej) = Request::parse(&line) {
+            prop_assert!(
+                matches!(rej.code, "malformed" | "bad_request"),
+                "{line:?} rejected with {rej:?}"
+            );
+        }
+        Ok(())
+    });
 }
