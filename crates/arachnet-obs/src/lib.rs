@@ -5,10 +5,11 @@
 //! branch and the *enabled* path stays allocation-free per event once the
 //! bounded buffers are warm:
 //!
-//! * [`Counter`] / [`Histo`] — monotonic counters and fixed-bucket log2
-//!   histograms with p50/p95/p99 readout. Both merge associatively, so
-//!   per-thread instances folded in a deterministic order (trial index,
-//!   metric name) reproduce the single-threaded result bit for bit.
+//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95/p99 readout.
+//!   They merge associatively, so per-thread instances folded in a
+//!   deterministic order (trial index, metric name) reproduce the
+//!   single-threaded result bit for bit; [`MetricSet`] keeps its counters
+//!   as plain sums alongside them.
 //! * [`span`] — wall-clock timing of PHY/DSP stages with thread-local
 //!   aggregation. Span *names* merge deterministically (sorted); span
 //!   *durations* are wall-domain and are never part of the deterministic
@@ -38,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod chrometrace;
-mod counter;
 mod event;
 mod global;
 mod histo;
@@ -52,7 +52,6 @@ mod warnsink;
 mod watchdog;
 
 pub use chrometrace::{chrome_trace, TrialLane};
-pub use counter::Counter;
 pub use event::{DecodeFailReason, Event, EventKind, MigrateReason, KIND_COUNT, NO_TAG};
 pub use global::{global_counter_add, global_histo_record, take_global_stats, GlobalStats};
 pub use histo::Histo;

@@ -1,20 +1,15 @@
-//! The reader's slot loop: MAC + TX timing + processing-latency model.
+//! The reader's ping-pong timing (Fig. 14): the software processing-latency
+//! model and the two-stage latency sample.
 //!
-//! Binds the protocol brain (`arachnet_core::mac::ReaderMac`) to the
-//! physical timeline: each slot opens with a beacon (whose on-air time and
-//! software jitter come from [`crate::tx::BeaconTransmitter`]), the reader
-//! listens for the tag reply (tags wait the 20 ms guard of Fig. 14a), and
-//! the software pipeline adds a processing delay before the decoded packet
-//! reaches the MAC — the paper measures "about 58.9 ms" of software delay
-//! and a 99th-percentile stage-2 latency of 281.9 ms (Fig. 14b).
+//! Each slot opens with a beacon (whose on-air time and software jitter
+//! come from [`crate::tx::BeaconTransmitter`]), the reader listens for the
+//! tag reply (tags wait the 20 ms guard of Fig. 14a), and the software
+//! pipeline adds a processing delay before the decoded packet reaches the
+//! MAC — the paper measures "about 58.9 ms" of software delay and a
+//! 99th-percentile stage-2 latency of 281.9 ms (Fig. 14b). The waveform
+//! simulator's `ping_pong_sample` composes them.
 
-use arachnet_core::mac::{ProtocolConfig, ReaderMac, SlotObservation};
-use arachnet_core::packet::{DlBeacon, UL_PACKET_BITS};
-use arachnet_core::rates::TAG_REPLY_GUARD_S;
 use arachnet_core::rng::TagRng;
-use arachnet_core::slot::Period;
-
-use crate::tx::BeaconTransmitter;
 
 /// Latency model of the reader software (Fig. 14b).
 #[derive(Debug, Clone, Copy)]
@@ -63,160 +58,17 @@ impl PingPong {
     }
 }
 
-/// The slot-loop driver.
-#[derive(Debug, Clone)]
-pub struct ReaderDriver {
-    mac: ReaderMac,
-    tx: BeaconTransmitter,
-    latency: LatencyModel,
-    ul_bps: f64,
-    rng: TagRng,
-}
-
-impl ReaderDriver {
-    /// Driver over a registry of `(tid, period)` with default timing.
-    pub fn new(
-        protocol: ProtocolConfig,
-        registry: &[(u8, Period)],
-        dl_bps: f64,
-        ul_bps: f64,
-        seed: u64,
-    ) -> Self {
-        Self {
-            mac: ReaderMac::new(protocol, registry),
-            tx: BeaconTransmitter::new(dl_bps, seed ^ 0x7E57),
-            latency: LatencyModel::default(),
-            ul_bps,
-            rng: TagRng::new(seed ^ 0xD81E),
-        }
-    }
-
-    /// The protocol brain (read access).
-    pub fn mac(&self) -> &ReaderMac {
-        &self.mac
-    }
-
-    /// Mutable access to the MAC (e.g. to queue a RESET).
-    pub fn mac_mut(&mut self) -> &mut ReaderMac {
-        &mut self.mac
-    }
-
-    /// The transmitter.
-    pub fn tx_mut(&mut self) -> &mut BeaconTransmitter {
-        &mut self.tx
-    }
-
-    /// Sends the first beacon (opens slot 1).
-    pub fn start(&mut self) -> DlBeacon {
-        self.mac.start()
-    }
-
-    /// Closes a slot with its observation, returning the next beacon.
-    pub fn end_slot(&mut self, obs: SlotObservation) -> DlBeacon {
-        self.mac.end_slot(obs)
-    }
-
-    /// UL packet on-air duration at the driver's rate.
-    pub fn ul_packet_duration(&self) -> f64 {
-        2.0 * UL_PACKET_BITS as f64 / self.ul_bps
-    }
-
-    /// Samples a ping-pong latency for a beacon (Fig. 14's experiment).
-    pub fn sample_ping_pong(&mut self, beacon: &DlBeacon) -> PingPong {
-        let stage1 = self.tx.beacon_duration(beacon);
-        let stage2 =
-            TAG_REPLY_GUARD_S + self.ul_packet_duration() + self.latency.sample(&mut self.rng);
-        PingPong {
-            stage1_s: stage1,
-            stage2_s: stage2,
-        }
-    }
-
-    /// The latency model in use.
-    pub fn latency(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// Overrides the latency model.
-    pub fn set_latency(&mut self, latency: LatencyModel) {
-        self.latency = latency;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arachnet_core::packet::DlCmd;
-
-    fn driver() -> ReaderDriver {
-        let p = |v| Period::new(v).unwrap();
-        ReaderDriver::new(
-            ProtocolConfig::default(),
-            &[(1, p(4)), (2, p(4))],
-            250.0,
-            375.0,
-            42,
-        )
-    }
-
-    #[test]
-    fn slot_loop_delegates_to_mac() {
-        let mut d = driver();
-        let b0 = d.start();
-        assert!(!b0.cmd.ack);
-        let b1 = d.end_slot(SlotObservation::received(1));
-        assert!(b1.cmd.ack);
-        assert_eq!(d.mac().current_slot(), 2);
-    }
-
-    #[test]
-    fn ul_packet_duration_is_paper_value() {
-        let d = driver();
-        assert!((d.ul_packet_duration() - 64.0 / 375.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ping_pong_stages_are_plausible() {
-        // Fig. 14: stage 2 ≈ 20 ms guard + 171 ms UL + ~59 ms software, and
-        // its 99th percentile stays under 281.9 ms.
-        let mut d = driver();
-        let beacon = DlBeacon::new(DlCmd::ack());
-        let mut samples: Vec<f64> = (0..1_000)
-            .map(|_| d.sample_ping_pong(&beacon).stage2_s)
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        let p99 = samples[989];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!(p99 < 0.2819, "p99 {p99}");
-        assert!(mean > 0.22 && mean < 0.27, "mean {mean}");
-    }
 
     #[test]
     fn software_delay_mean_matches_paper() {
-        let d = driver();
+        let latency = LatencyModel::default();
         assert!(
-            (d.latency().mean() - 0.0589).abs() < 0.002,
+            (latency.mean() - 0.0589).abs() < 0.002,
             "{}",
-            d.latency().mean()
+            latency.mean()
         );
-    }
-
-    #[test]
-    fn stage1_is_beacon_duration() {
-        let mut d = driver();
-        let beacon = DlBeacon::new(DlCmd::nack());
-        let pp = d.sample_ping_pong(&beacon);
-        assert!((pp.stage1_s - 23.0 / 250.0).abs() < 1e-9);
-        assert!((pp.total() - pp.stage1_s - pp.stage2_s).abs() < 1e-15);
-    }
-
-    #[test]
-    fn total_fits_within_slot() {
-        // The whole ping-pong must complete inside the 1 s slot.
-        let mut d = driver();
-        let beacon = DlBeacon::new(DlCmd::ack());
-        for _ in 0..1_000 {
-            assert!(d.sample_ping_pong(&beacon).total() < 1.0);
-        }
     }
 }

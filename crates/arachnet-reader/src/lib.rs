@@ -12,8 +12,8 @@
 //!   projection with Schmitt slicing, edge-domain FM0 decoding (immune to
 //!   tag clock drift), CRC check, IQ-domain collision detection (Sec. 5.3)
 //!   and the PSD-based SNR metric of Fig. 12(a);
-//! * [`driver`] — the slot loop that binds the reader MAC
-//!   (`arachnet-core`) to TX and RX timing;
+//! * [`driver`] — the ping-pong timing of Fig. 14: the software
+//!   processing-latency model and the two-stage latency sample;
 //! * [`fleet`] — frequency-space division for reader fleets: the
 //!   validated per-reader FDMA sub-band [`fleet::FleetPlan`] plus the
 //!   inter-reader interference-rejecting [`fleet::FleetReceiver`].
@@ -27,7 +27,6 @@ pub mod fleet;
 pub mod rx;
 pub mod tx;
 
-pub use driver::ReaderDriver;
 pub use fleet::{FleetPlan, FleetPlanError, FleetReceiver, FleetRxScratch};
 pub use rx::{SlotRx, UplinkReceiver};
 pub use tx::BeaconTransmitter;

@@ -39,8 +39,9 @@ pub const MAX_PACKETS: u64 = 4096;
 /// from parking a worker forever).
 pub const MAX_SLEEP_MS: u64 = 10_000;
 
-/// Highest valid tag id in the paper deployment (12 tags, 0..=11).
-pub const MAX_TAG: u64 = 11;
+/// Highest valid tag id in the paper deployment: its 12 tags are ids
+/// 1..=12 (Fig. 10), so `decode` accepts exactly `1..=MAX_TAG`.
+pub const MAX_TAG: u64 = 12;
 
 /// Slowest `decode` uplink rate, the bottom of the paper's UL ladder
 /// (12 kHz / 128). The receiver is built for the ladder's span: a rate far
@@ -69,7 +70,7 @@ pub enum Request {
     /// `ul_bps` through the block-processed PHY path. Requests sharing
     /// `seed` are compatible and may be micro-batched onto one `WaveSim`.
     Decode {
-        /// Tag id (0..=[`MAX_TAG`]).
+        /// Tag id (1..=[`MAX_TAG`]).
         tag: u8,
         /// Uplink bit rate in bits/s ([`MIN_UL_BPS`]..=[`MAX_UL_BPS`]).
         ul_bps: f64,
@@ -171,10 +172,10 @@ impl Request {
             }
             "decode" => {
                 let tag = u64_field(&v, "tag")?;
-                if tag > MAX_TAG {
+                if !(1..=MAX_TAG).contains(&tag) {
                     return Err(Reject::new(
                         "bad_request",
-                        format!("tag must be in 0..={MAX_TAG}"),
+                        format!("tag must be in 1..={MAX_TAG}"),
                     ));
                 }
                 let ul_bps = v
@@ -345,7 +346,8 @@ mod tests {
             "bad_request"
         );
         for bad in [
-            r#"{"op":"decode","tag":12,"ul_bps":2000,"packets":4}"#,
+            r#"{"op":"decode","tag":0,"ul_bps":2000,"packets":4}"#,
+            r#"{"op":"decode","tag":13,"ul_bps":2000,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":-5,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":0.001,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":60000,"packets":4}"#,
@@ -358,10 +360,13 @@ mod tests {
         ] {
             assert_eq!(Request::parse(bad).unwrap_err().code, "bad_request", "{bad}");
         }
-        // The ends of the UL ladder are themselves valid rates.
+        // The ends of the UL ladder are themselves valid rates, and the
+        // deployment's first and last tag ids valid tags.
         for ok in [
             r#"{"op":"decode","tag":3,"ul_bps":93.75,"packets":4}"#,
             r#"{"op":"decode","tag":3,"ul_bps":3000,"packets":4}"#,
+            r#"{"op":"decode","tag":1,"ul_bps":2000,"packets":4}"#,
+            r#"{"op":"decode","tag":12,"ul_bps":2000,"packets":4}"#,
         ] {
             assert!(Request::parse(ok).is_ok(), "{ok}");
         }
@@ -373,8 +378,10 @@ mod tests {
 
     #[test]
     fn max_tag_matches_the_paper_deployment() {
+        // `decode` accepts 1..=MAX_TAG: exactly the deployment's tag ids.
         let deploy = biw_channel::geometry::Deployment::paper();
-        assert_eq!(MAX_TAG as usize, deploy.len() - 1);
+        let ids: Vec<u64> = deploy.sites.iter().map(|s| u64::from(s.id)).collect();
+        assert_eq!(ids, (1..=MAX_TAG).collect::<Vec<_>>());
     }
 
     #[test]

@@ -27,8 +27,10 @@ use arachnet_tag::modulator::Fm0Modulator;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
+use biw_channel::resonator::DriveScheme;
 
 use crate::scenario::{Scenario, ScenarioEvent};
+use crate::wavesim::{beacon_edges_at_tag, expand_states_into};
 
 /// Configuration of the co-simulation.
 #[derive(Debug, Clone)]
@@ -237,40 +239,6 @@ impl CoSim {
             .collect()
     }
 
-    /// Delay + envelope response for beacon edges at a tag (same physics as
-    /// the wavesim's downlink path). Writes into `out` (cleared first);
-    /// `false` means the tag's received amplitude is below the comparator
-    /// threshold and it hears nothing.
-    fn beacon_edges_at_tag(
-        channel: &BiwChannel,
-        tid: u8,
-        edges: &[(f64, bool)],
-        out: &mut Vec<(f64, bool)>,
-    ) -> bool {
-        out.clear();
-        let Some(site) = channel.deployment().site(tid) else {
-            return false;
-        };
-        let Some(v) = channel.tag_carrier_voltage(tid) else {
-            return false;
-        };
-        let a = (v - 0.15).max(0.0);
-        let vth = 0.12;
-        if a <= vth {
-            return false;
-        }
-        let tau = 9.0 / 90_000.0;
-        let rise = tau * (a / (a - vth)).ln();
-        let fall = (tau + 2.0 * 28.0 / (2.0 * std::f64::consts::PI * 90_000.0)) * (a / vth).ln();
-        let delay = site.path.delay_s();
-        out.extend(
-            edges
-                .iter()
-                .map(|&(t, r)| (t + delay + if r { rise } else { fall }, r)),
-        );
-        true
-    }
-
     /// Plays every scenario event due at `slot` (events are sorted by
     /// [`crate::scenario::ScenarioBuilder::build`]).
     fn apply_scenario_events(&mut self, slot: u64) {
@@ -373,8 +341,11 @@ impl CoSim {
         let dl_bps = self.config.dl_bps;
         let recorder = &mut self.recorder;
         for tag in self.tags.iter_mut().filter(|t| t.deployed) {
-            let heard = Self::beacon_edges_at_tag(
+            // The paper's FSK-in/OOK-out drive: the reader PZT's ring tail
+            // is the damped one.
+            let heard = beacon_edges_at_tag(
                 &self.channel,
+                DriveScheme::paper_default(),
                 tag.tid,
                 &edges,
                 &mut self.scratch.tag_edges,
@@ -423,19 +394,7 @@ impl CoSim {
             let modulator = Fm0Modulator::new(tag.clock, (12_000.0 / self.config.ul_bps) as u32);
             let (raw, _) = modulator.modulate_packet(&pkt, 0.0);
             let spb = (fs * modulator.actual_raw_interval()).round() as usize;
-            let states = &mut self.scratch.streams[k];
-            states.clear();
-            states.reserve(raw.len() * spb + 8 * spb);
-            states.extend(std::iter::repeat_n(PztState::Absorptive, 4 * spb));
-            for bit in raw.iter() {
-                let s = if bit {
-                    PztState::Reflective
-                } else {
-                    PztState::Absorptive
-                };
-                states.extend(std::iter::repeat_n(s, spb));
-            }
-            states.extend(std::iter::repeat_n(PztState::Absorptive, 4 * spb));
+            expand_states_into(&raw, spb, 4 * spb, &mut self.scratch.streams[k]);
         }
         // The channel's own seed keys slot noise, exactly as the eager
         // `uplink_waveform` did before buffers were made reusable.

@@ -22,12 +22,9 @@
 
 use std::cell::RefCell;
 
-use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::packet::UlPacket;
-use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, Event, EventKind, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetReceiver, FleetRxScratch};
-use arachnet_tag::mcu::McuClock;
 use biw_channel::channel::ChannelConfig;
 use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
 use biw_channel::noise::NoiseConfig;
@@ -37,9 +34,8 @@ use crate::config::ConfigError;
 use crate::patterns::Pattern;
 use crate::scenario::{ReconvergenceSample, Scenario};
 use crate::slotsim::run_scenario_trial;
-use crate::sweep::{
-    run_matrix_sweep, trial_seed, SweepConfig, SweepStats, TrialError, TrialResult,
-};
+use crate::sweep::{run_matrix_sweep, trial_seed, MatrixRun, SweepConfig, TrialError};
+use crate::wavesim::modulate_uplink;
 
 /// Reusable fleet PHY working set: one PZT state stream per reader cell,
 /// the superposed reader-side waveform, and the fleet receiver's scratch.
@@ -153,49 +149,6 @@ impl FleetWaveSim {
         )
     }
 
-    /// Expands raw FM0 bits into a padded per-sample PZT state stream —
-    /// the same expansion the single-reader `WaveSim` performs.
-    fn expand_states_into(raw: &arachnet_core::bits::BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
-        out.clear();
-        out.reserve(raw.len() * spb + 2 * pad);
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-        for bit in raw.iter() {
-            let s = if bit {
-                PztState::Reflective
-            } else {
-                PztState::Absorptive
-            };
-            out.extend(std::iter::repeat_n(s, spb));
-        }
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-    }
-
-    /// Synthesizes cell `c`'s seeded packet into `out` and returns the
-    /// packet that cell's tag sent (or the packet-field violation for an
-    /// out-of-range `tid`). The recipe (payload draw, supply sag, clock
-    /// stretch) matches the single-reader simulator exactly; each cell's
-    /// clock is salted by its reader index (cell 0 unsalted).
-    fn synth_cell_states(
-        &self,
-        c: usize,
-        tid: u8,
-        ul_bps: f64,
-        packet_seed: u64,
-        out: &mut Vec<PztState>,
-    ) -> Result<UlPacket, arachnet_core::packet::PacketError> {
-        let fs = self.channel.cell(c).config().sample_rate;
-        let mut rng = TagRng::new(packet_seed);
-        let payload = (rng.next_u64() & 0xFFF) as u16;
-        let pkt = UlPacket::new(tid, payload)?;
-        let mut enc = Fm0Encoder::new();
-        let raw = enc.encode(pkt.to_bits().iter());
-        let mut clock = McuClock::for_tag(self.seed ^ ((c as u64) << 40), tid);
-        clock.set_supply(1.95 + 0.35 * rng.unit_f64());
-        let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
-        Self::expand_states_into(&raw, spb, 6 * spb, out);
-        Ok(pkt)
-    }
-
     /// Sends packet `i` of every cell's sequence and decodes at `reader`.
     /// Returns `(own packet, decode)`, or a [`TrialError`] (trial = packet
     /// index) when `reader` is not in the fleet or `tid` overflows the
@@ -213,16 +166,17 @@ impl FleetWaveSim {
         s.states.resize_with(k, Vec::new);
         let mut own_pkt = None;
         for c in 0..k {
+            // Each cell's tag runs WaveSim's modulator with its clock
+            // salted by the reader index (cell 0 unsalted).
+            let fs = self.channel.cell(c).config().sample_rate;
             let seed_c = trial_seed(self.uplink_base_seed(c, tid, ul_bps), i);
-            let mut states = std::mem::take(&mut s.states[c]);
-            let pkt = self
-                .synth_cell_states(c, tid, ul_bps, seed_c, &mut states)
+            let clock_seed = self.seed ^ ((c as u64) << 40);
+            let pkt = modulate_uplink(clock_seed, tid, fs, ul_bps, seed_c, &mut s.states[c])
                 .map_err(|e| TrialError {
                     trial: i,
                     payload: format!("cell {c} packet synthesis: {e}"),
                     attempts: 1,
                 })?;
-            s.states[c] = states;
             if c == reader {
                 own_pkt = Some(pkt);
             }
@@ -344,26 +298,13 @@ pub struct CellOutcome {
     pub snapshot: RecorderSnapshot,
 }
 
-/// Result grid of a slot-level fleet run plus its sweep execution
-/// counters (quarantine / resume / budget, see [`SweepStats`]).
-#[derive(Debug, Clone)]
-pub struct FleetRun {
-    /// Per-cell rows of per-trial outcomes: `cells[cell][trial]`.
-    pub cells: Vec<Vec<TrialResult<CellOutcome>>>,
-    /// Resilience counters for the whole K×trials grid.
-    pub stats: SweepStats,
-    /// Wall-domain run telemetry (worker lanes, stall events) for the
-    /// grid; empty unless the sweep config requested telemetry.
-    pub telemetry: crate::sweep::RunTelemetry,
-}
-
 /// Runs a K-cell fleet as a sharded (cell × trial) matrix over the sweep
 /// worker pool. Cell `c`, trial `t` runs `run_scenario_trial` at seed
 /// `trial_seed(trial_seed(sweep.base_seed, c), t)` — the derivation
 /// [`run_matrix_sweep`] applies, since it runs the grid — so the result
 /// grid is byte-identical at any thread count. Retries and the sweep
 /// config's resilience policy (checkpoint/resume, budget) apply over the
-/// flattened job space; counters land in [`FleetRun::stats`].
+/// flattened job space; counters land in the run's `stats`.
 ///
 /// When `observe` is set, trial 0 of every cell records its flight; the
 /// snapshot is prefixed with [`EventKind::ReaderAssigned`] (tag = reader
@@ -380,7 +321,7 @@ pub fn run_fleet(
     sweep: &SweepConfig,
     cap: u64,
     observe: bool,
-) -> Result<FleetRun, ConfigError> {
+) -> Result<MatrixRun<CellOutcome>, ConfigError> {
     if plan.readers() != cells.len() {
         return Err(ConfigError::Inconsistent {
             reason: "fleet needs one FleetCell per planned reader",
@@ -432,18 +373,14 @@ pub fn run_fleet(
             snapshot,
         }
     });
-    Ok(FleetRun {
-        cells: run.cells,
-        stats: run.stats,
-        telemetry: run.telemetry,
-    })
+    Ok(run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
-    use crate::wavesim::WaveSim;
+    use crate::wavesim::{PhyScratch, WaveSim};
     use arachnet_core::slot::Period;
 
     const FS: f64 = 500_000.0;
@@ -456,11 +393,37 @@ mod tests {
         let fleet = FleetWaveSim::paper(plan, 42);
         let rx = fleet.fleet_rx(0, 375.0);
         let a = fleet.uplink_trial(&rx, 0, 8, 6).unwrap();
-        let b = WaveSim::paper(42).uplink_trial(8, 375.0, 6);
+        let sim = WaveSim::paper(42);
+        let b = sim.uplink_trial(8, 375.0, 6);
         assert_eq!(a.sent, b.sent);
         assert_eq!(a.lost, b.lost);
         assert_eq!(a.snr_db, b.snr_db);
         assert_eq!(a.cross_collisions, 0);
+        // Packet by packet: cell 0 runs WaveSim's modulator, so its state
+        // stream, the waveform bits and the decode all equal
+        // `WaveSim::uplink_packet`'s scratch.
+        let same_bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        let mut fs = FleetPhyScratch::default();
+        let mut ws = PhyScratch::default();
+        for bps in [375.0, 3_000.0] {
+            let frx = fleet.fleet_rx(0, bps);
+            let wrx = sim.uplink_rx(bps);
+            for tid in [8u8, 4, 11] {
+                let base = sim.uplink_base_seed(tid, bps);
+                for i in 0..4 {
+                    let at = format!("tag {tid} at {bps} bps, packet {i}");
+                    let (pkt, out) = fleet.uplink_packet_at(&frx, 0, tid, i, &mut fs).unwrap();
+                    let ok = sim.uplink_packet(&wrx, tid, trial_seed(base, i), &mut ws);
+                    assert_eq!(fs.states[0], ws.states, "state stream: {at}");
+                    assert!(same_bits(&fs.wave, &ws.wave), "waveform: {at}");
+                    let decode = wrx.process_slot_with(&ws.wave, &mut ws.rx);
+                    assert_eq!(out, decode, "decode: {at}");
+                    assert_eq!(out.packet == Some(pkt), ok, "verdict: {at}");
+                }
+            }
+        }
     }
 
     #[test]

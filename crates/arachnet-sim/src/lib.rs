@@ -43,7 +43,7 @@ pub mod wavesim;
 
 pub use codec::TrialCodec;
 pub use config::{AlohaConfigBuilder, ConfigError, CoSimConfigBuilder, SlotSimConfigBuilder};
-pub use fleet::{run_fleet, CellOutcome, FleetCell, FleetRun, FleetUplinkResult, FleetWaveSim};
+pub use fleet::{run_fleet, CellOutcome, FleetCell, FleetUplinkResult, FleetWaveSim};
 pub use patterns::Pattern;
 pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};
 pub use slotsim::{SlotSim, SlotSimConfig};

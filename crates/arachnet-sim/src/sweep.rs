@@ -248,17 +248,21 @@ pub struct ResiliencePolicy {
 /// File format (all integers little-endian):
 ///
 /// ```text
-/// header:  "ACP1" | base_seed u64 | total_trials u64          (20 bytes)
-/// record:  trial u64 | kind u8 | attempts u32 | len u32 | payload
+/// header:  "ACP2" | base_seed u64 | total_trials u64          (20 bytes)
+/// record:  trial u64 | kind u8 | attempts u32 | len u32 | crc u32 | payload
 /// ```
 ///
 /// `kind` 0 carries a [`TrialCodec`] encoding of the result; `kind` 1 a
-/// UTF-8 quarantine payload. A torn tail (the process died mid-write) is
-/// detected by the length prefix and truncated away on resume. A header
-/// that does not match the resuming sweep's `(base_seed, trials)` shape,
-/// or a restored trial that does not reproduce its record when replayed
-/// (the file came from other settings or another build), makes the whole
-/// file ignored — never silently misapplied.
+/// UTF-8 quarantine payload. `crc` is the CRC-32 of the record's other
+/// header fields and its payload. A torn tail (the process died
+/// mid-write, caught by the length prefix) or the first record that fails
+/// its checksum ends the valid prefix: a resume restores only that
+/// prefix, truncates the file there and re-runs the trials of every
+/// record past it. A header that does not match the resuming sweep's
+/// `(base_seed, trials)` shape, or a restored trial that does not
+/// reproduce its record when replayed (the file came from other settings
+/// or another build), makes the whole file ignored — never silently
+/// misapplied.
 #[derive(Debug, Clone)]
 pub struct CheckpointSpec {
     /// Checkpoint file path (conventionally `CHECKPOINT_<id>.bin`).
@@ -524,9 +528,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-const CKPT_MAGIC: [u8; 4] = *b"ACP1";
+const CKPT_MAGIC: [u8; 4] = *b"ACP2";
 const CKPT_HEADER_LEN: usize = 20;
-const CKPT_REC_HEADER_LEN: usize = 17;
+/// Record fields ahead of the checksum: trial, kind, attempts, length.
+const CKPT_REC_FIELDS_LEN: usize = 17;
+const CKPT_REC_HEADER_LEN: usize = CKPT_REC_FIELDS_LEN + 4;
 
 /// One parsed checkpoint record.
 struct CkptRecord {
@@ -536,18 +542,37 @@ struct CkptRecord {
     payload: Vec<u8>,
 }
 
+/// CRC-32 (IEEE 802.3: reflected polynomial `0xEDB8_8320`, all-ones
+/// initial value and final XOR) of `fields` followed by `payload`,
+/// computed bit-serially: records are small.
+fn record_crc(fields: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in fields.iter().chain(payload) {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
 fn encode_record(trial: u64, kind: u8, attempts: u32, payload: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
     out.extend_from_slice(&trial.to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&attempts.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = record_crc(&out[start..], payload);
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
 }
 
 /// Parses a checkpoint file. Returns the valid records and the byte
-/// length of the valid prefix (a torn tail is reported and dropped), or
-/// `None` when the file is absent or its header does not match this
-/// sweep's `(base_seed, trials)` shape.
+/// length of the valid prefix, or `None` when the file is absent or its
+/// header does not match this sweep's `(base_seed, trials)` shape. The
+/// prefix ends at a torn tail or at the first record that fails its
+/// checksum or names no trial of this sweep; one warning reports what
+/// was dropped.
 fn load_checkpoint(path: &Path, base_seed: u64, trials: u64) -> Option<(Vec<CkptRecord>, u64)> {
     let bytes = fs::read(path).ok()?;
     if bytes.len() < CKPT_HEADER_LEN || bytes[..4] != CKPT_MAGIC {
@@ -568,24 +593,39 @@ fn load_checkpoint(path: &Path, base_seed: u64, trials: u64) -> Option<(Vec<Ckpt
     }
     let mut records = Vec::new();
     let mut off = CKPT_HEADER_LEN;
+    let mut corrupt = false;
     while bytes.len() - off >= CKPT_REC_HEADER_LEN {
-        let trial = u64::from_le_bytes(bytes[off..off + 8].try_into().ok()?);
-        let kind = bytes[off + 8];
-        let attempts = u32::from_le_bytes(bytes[off + 9..off + 13].try_into().ok()?);
-        let len = u32::from_le_bytes(bytes[off + 13..off + 17].try_into().ok()?) as usize;
+        let fields = &bytes[off..off + CKPT_REC_FIELDS_LEN];
+        let trial = u64::from_le_bytes(fields[..8].try_into().ok()?);
+        let kind = fields[8];
+        let attempts = u32::from_le_bytes(fields[9..13].try_into().ok()?);
+        let len = u32::from_le_bytes(fields[13..17].try_into().ok()?) as usize;
         let body = off + CKPT_REC_HEADER_LEN;
-        if kind > 1 || trial >= trials || bytes.len() - body < len {
+        let crc = u32::from_le_bytes(bytes[off + CKPT_REC_FIELDS_LEN..body].try_into().ok()?);
+        if bytes.len() - body < len {
+            break;
+        }
+        let payload = &bytes[body..body + len];
+        if record_crc(fields, payload) != crc || kind > 1 || trial >= trials {
+            corrupt = true;
             break;
         }
         records.push(CkptRecord {
             trial,
             ok: kind == 0,
             attempts,
-            payload: bytes[body..body + len].to_vec(),
+            payload: payload.to_vec(),
         });
         off = body + len;
     }
-    if off < bytes.len() {
+    if corrupt {
+        arachnet_obs::warn!(
+            "checkpoint '{}': corrupt record at byte {off} (checksum or fields); \
+             dropping the last {} bytes and re-running their trials",
+            path.display(),
+            bytes.len() - off
+        );
+    } else if off < bytes.len() {
         arachnet_obs::warn!(
             "checkpoint '{}': dropping {} torn trailing bytes",
             path.display(),
@@ -1576,6 +1616,53 @@ mod tests {
     }
 
     #[test]
+    fn record_crc_is_crc32_ieee() {
+        // The standard check value of CRC-32/ISO-HDLC over "123456789".
+        assert_eq!(record_crc(b"1234", b"56789"), 0xCBF4_3926);
+        assert_eq!(record_crc(b"", b""), 0);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_record_ends_the_valid_prefix() {
+        let path = temp_ckpt("corrupt");
+        let halted = SweepConfig::new(41)
+            .with_threads(1)
+            .with_halt_after(4)
+            .with_checkpoint(CheckpointSpec::new(&path).with_every(1));
+        run_sweep(&halted, 6, |i, seed| (i, seed));
+        // Flip one payload bit of the third record (trial 2): before
+        // checksums it was restored as a wrong value.
+        let mut bytes = fs::read(&path).unwrap();
+        let record = CKPT_REC_HEADER_LEN + 16;
+        bytes[CKPT_HEADER_LEN + 2 * record + CKPT_REC_HEADER_LEN] ^= 0x04;
+        fs::write(&path, &bytes).unwrap();
+        let resume = |halt: Option<u64>| {
+            let mut cfg = SweepConfig::new(41).with_threads(2).with_checkpoint(
+                CheckpointSpec::new(&path).with_every(1).with_resume(true),
+            );
+            cfg.policy.halt_after = halt;
+            arachnet_obs::capture(|| run_sweep(&cfg, 6, |i, seed| (i, seed)))
+        };
+        // A resume that runs nothing truncates the file to its valid prefix.
+        let (idle, _) = resume(Some(0));
+        assert_eq!(idle.stats.restored, 2, "trials 0 and 1 only");
+        let valid = (CKPT_HEADER_LEN + 2 * record) as u64;
+        assert_eq!(fs::metadata(&path).unwrap().len(), valid);
+        fs::write(&path, &bytes).unwrap();
+        let (run, warnings) = resume(None);
+        assert_eq!(run.stats.restored, 2, "trials 0 and 1 only");
+        let fresh = run_sweep(&SweepConfig::new(41).with_threads(1), 6, |i, seed| (i, seed));
+        assert_eq!(run.results, fresh.results);
+        let corrupt = warnings.iter().filter(|w| w.contains("corrupt record")).count();
+        assert_eq!(corrupt, 1, "warn once: {warnings:?}");
+        assert!(
+            !warnings.iter().any(|w| w.contains("torn")),
+            "a checksum failure is not a torn tail: {warnings:?}"
+        );
+        assert!(!path.exists(), "completed run cleans up");
+    }
+
+    #[test]
     fn duplicate_checkpoint_records_keep_the_first_and_warn_once() {
         let path = temp_ckpt("dup");
         // Craft a checkpoint by hand: header for (seed 77, 4 trials), a
@@ -1752,12 +1839,12 @@ mod tests {
         }
     }
 
-    /// Property (testkit): resuming a matrix sweep from a mutated `ACP1`
-    /// file never panics and fills every slot with a value or a
-    /// quarantine; when the only mutation is truncation, the resumed run
-    /// equals an uninterrupted one. (A flipped payload bit in a record
-    /// other than the one replayed is restored as written: records carry
-    /// no checksum.)
+    /// Property (testkit): resuming a matrix sweep from a mutated `ACP2`
+    /// file never panics, and whatever the mutation — truncation, a
+    /// flipped bit, a splice or an inserted byte — the resumed run equals
+    /// an uninterrupted one. A record's checksum catches the flipped bit
+    /// anywhere in it, so the damaged record and every later one are
+    /// re-run instead of restored as written.
     #[test]
     fn mutated_checkpoints_resume_without_panicking() {
         use arachnet_testkit::{check_with, gen, prop_assert, prop_assert_eq, Config};
@@ -1811,9 +1898,7 @@ mod tests {
                 prop_assert!(run.cells.iter().all(|row| row.len() == trials as usize));
                 prop_assert_eq!(run.stats.skipped, 0);
                 prop_assert_eq!(run.stats.completed + run.stats.quarantined, total);
-                if kind == 0 {
-                    prop_assert_eq!(&run.cells, &full.cells);
-                }
+                prop_assert_eq!(&run.cells, &full.cells);
                 Ok(())
             },
         );

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::Fm0Encoder;
-use arachnet_core::packet::{DlBeacon, DlCmd, UlPacket};
+use arachnet_core::packet::{DlBeacon, DlCmd, PacketError, UlPacket};
 use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, NO_TAG};
 use arachnet_reader::driver::{LatencyModel, PingPong};
@@ -60,6 +60,104 @@ thread_local! {
 /// same buffers. Do not nest calls (the inner one would re-borrow).
 pub fn with_phy_scratch<R>(f: impl FnOnce(&mut PhyScratch) -> R) -> R {
     PHY_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Expands raw FM0 bits into a per-sample PZT state stream: `pad`
+/// absorptive samples, `spb` samples per raw bit (`1` reflects), then
+/// `pad` absorptive samples again.
+pub(crate) fn expand_states_into(raw: &BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
+    out.clear();
+    out.reserve(raw.len() * spb + 2 * pad);
+    out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
+    for bit in raw.iter() {
+        let s = if bit {
+            PztState::Reflective
+        } else {
+            PztState::Absorptive
+        };
+        out.extend(std::iter::repeat_n(s, spb));
+    }
+    out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
+}
+
+/// The tag side of one seeded uplink packet, shared by every waveform
+/// engine that replays packet sequences: payload draw, FM0 encoding, the
+/// tag's 12 kHz timer stretching raw bits as its supply sags across the
+/// cutoff band, and six bits of padding on each side, written to
+/// `states`. The clock comes from `McuClock::for_tag(clock_seed, tid)`.
+/// Returns the packet sent, or the field violation when `tid` does not
+/// fit the 4-bit TID field.
+pub(crate) fn modulate_uplink(
+    clock_seed: u64,
+    tid: u8,
+    fs: f64,
+    ul_bps: f64,
+    packet_seed: u64,
+    states: &mut Vec<PztState>,
+) -> Result<UlPacket, PacketError> {
+    let mut rng = TagRng::new(packet_seed);
+    let payload = (rng.next_u64() & 0xFFF) as u16;
+    let pkt = UlPacket::new(tid, payload)?;
+    let raw = Fm0Encoder::new().encode(pkt.to_bits().iter());
+    let mut clock = McuClock::for_tag(clock_seed, tid);
+    clock.set_supply(1.95 + 0.35 * rng.unit_f64());
+    let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
+    expand_states_into(&raw, spb, 6 * spb, states);
+    Ok(pkt)
+}
+
+/// The envelope-detector diode drop (V).
+const DIODE_DROP_V: f64 = 0.15;
+/// The envelope-detector threshold the tag comparator switches at (V).
+const COMPARATOR_THRESHOLD_V: f64 = 0.12;
+/// Envelope-detector RC time constant (s) — ~9 carrier cycles; fast
+/// enough that pulse-width distortion stays below half a raw bit at
+/// 500 bps even for the strongest tag.
+const ENVELOPE_TAU_S: f64 = 9.0 / 90_000.0;
+
+/// Transforms reader TX edges into the edges at tag `tid`'s comparator
+/// output, written to `out` (cleared first): path delay plus the envelope
+/// detector's threshold-crossing delays for the tag's received amplitude
+/// (carrier voltage minus the diode drop). A rising edge waits for the
+/// envelope to charge to the threshold. A falling edge waits for it to
+/// decay, and on top of the detector's own RC the *reader PZT's ring
+/// tail* keeps pumping the channel after the drive stops: with plain OOK
+/// the transducer rings freely (τ = 2Q_free/ω ≈ 0.5 ms), while the
+/// FSK-in/OOK-out drive keeps it amplifier-loaded (τ ≈ 0.1 ms) — Sec.
+/// 4.1's mitigation. `false` means the tag is not in the deployment or
+/// its amplitude is below the threshold: it hears nothing.
+pub(crate) fn beacon_edges_at_tag(
+    channel: &BiwChannel,
+    scheme: DriveScheme,
+    tid: u8,
+    edges: &[(f64, bool)],
+    out: &mut Vec<(f64, bool)>,
+) -> bool {
+    out.clear();
+    let Some(site) = channel.deployment().site(tid) else {
+        return false;
+    };
+    let Some(v) = channel.tag_carrier_voltage(tid) else {
+        return false;
+    };
+    let a = (v - DIODE_DROP_V).max(0.0);
+    let vth = COMPARATOR_THRESHOLD_V;
+    if a <= vth {
+        return false;
+    }
+    let rise = ENVELOPE_TAU_S * (a / (a - vth)).ln();
+    let ring_tau = match scheme {
+        DriveScheme::PlainOok => 2.0 * 141.0 / (2.0 * std::f64::consts::PI * 90_000.0),
+        DriveScheme::FskInOokOut { .. } => 2.0 * 28.0 / (2.0 * std::f64::consts::PI * 90_000.0),
+    };
+    let fall = (ENVELOPE_TAU_S + ring_tau) * (a / vth).ln();
+    let delay = site.path.delay_s();
+    out.extend(
+        edges
+            .iter()
+            .map(|&(t, rising)| (t + delay + if rising { rise } else { fall }, rising)),
+    );
+    true
 }
 
 /// The co-simulation environment.
@@ -147,39 +245,11 @@ impl WaveSim {
         trial_seed(self.seed ^ (u64::from(tid) << 32), ul_bps.to_bits())
     }
 
-    /// Expands raw FM0 bits into a padded per-sample PZT state stream.
-    fn expand_states_into(raw: &BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
-        out.clear();
-        out.reserve(raw.len() * spb + 2 * pad);
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-        for bit in raw.iter() {
-            let s = if bit {
-                PztState::Reflective
-            } else {
-                PztState::Absorptive
-            };
-            out.extend(std::iter::repeat_n(s, spb));
-        }
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-    }
-
-    /// Synthesizes one seeded uplink packet into `s.wave` and returns the
-    /// packet that was sent. Everything — payload, supply sag, noise — is
-    /// a pure function of `packet_seed`.
+    /// Synthesizes one seeded uplink packet through `channel` into
+    /// `s.wave` and returns the packet that was sent. Everything —
+    /// payload, supply sag, noise — is a pure function of `packet_seed`.
+    /// Panics when `tid` overflows the packet's 4-bit TID field.
     fn synth_uplink_packet(
-        &self,
-        rx: &UplinkReceiver,
-        tid: u8,
-        packet_seed: u64,
-        s: &mut PhyScratch,
-    ) -> UlPacket {
-        self.synth_uplink_packet_via(&self.channel, rx, tid, packet_seed, s)
-    }
-
-    /// [`Self::synth_uplink_packet`] through an explicit channel — the
-    /// drift path hands in the current epoch's prebuilt channel; the hot
-    /// loop itself is unchanged and allocation-free.
-    fn synth_uplink_packet_via(
         &self,
         channel: &BiwChannel,
         rx: &UplinkReceiver,
@@ -187,19 +257,9 @@ impl WaveSim {
         packet_seed: u64,
         s: &mut PhyScratch,
     ) -> UlPacket {
-        let fs = channel.config().sample_rate;
-        let ul_bps = rx.config().ul_bps;
-        let mut rng = TagRng::new(packet_seed);
-        let payload = (rng.next_u64() & 0xFFF) as u16;
-        let pkt = UlPacket::new(tid % 16, payload).expect("12-bit payload");
-        let mut enc = Fm0Encoder::new();
-        let raw = enc.encode(pkt.to_bits().iter());
-        // The tag's timer stretches/compresses raw bits; the supply sags
-        // across the cutoff band packet to packet.
-        let mut clock = McuClock::for_tag(self.seed, tid);
-        clock.set_supply(1.95 + 0.35 * rng.unit_f64());
-        let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
-        Self::expand_states_into(&raw, spb, 6 * spb, &mut s.states);
+        let (fs, ul_bps) = (channel.config().sample_rate, rx.config().ul_bps);
+        let pkt = modulate_uplink(self.seed, tid, fs, ul_bps, packet_seed, &mut s.states)
+            .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
         let len = s.states.len();
         channel.uplink_waveform_seeded_into(&[(tid, &s.states)], len, packet_seed, &mut s.wave);
         pkt
@@ -215,7 +275,7 @@ impl WaveSim {
         packet_seed: u64,
         s: &mut PhyScratch,
     ) -> bool {
-        let pkt = self.synth_uplink_packet(rx, tid, packet_seed, s);
+        let pkt = self.synth_uplink_packet(&self.channel, rx, tid, packet_seed, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.process_slot_with(wave, rxs).packet == Some(pkt)
     }
@@ -225,7 +285,7 @@ impl WaveSim {
     /// how many packets a trial sends.
     pub fn uplink_snr(&self, rx: &UplinkReceiver, tid: u8, s: &mut PhyScratch) -> f64 {
         let seed0 = trial_seed(self.uplink_base_seed(tid, rx.config().ul_bps), 0);
-        self.synth_uplink_packet(rx, tid, seed0, s);
+        self.synth_uplink_packet(&self.channel, rx, tid, seed0, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.uplink_snr_db_with(wave, rxs)
     }
@@ -252,47 +312,16 @@ impl WaveSim {
         recorder: &mut Recorder,
     ) -> UplinkResult {
         let rx = self.uplink_rx(ul_bps);
-        let base = self.uplink_base_seed(tid, ul_bps);
-        with_phy_scratch(|s| {
-            let mut snr_db = f64::NAN;
-            let mut lost = 0;
-            for i in 0..n.max(1) {
-                let pkt = self.synth_uplink_packet(&rx, tid, trial_seed(base, i), s);
-                let PhyScratch { wave, rx: rxs, .. } = s;
-                if i == 0 {
-                    snr_db = rx.uplink_snr_db_with(wave, rxs);
-                }
-                if i < n {
-                    let out = rx.process_slot_with(wave, rxs);
-                    if out.packet == Some(pkt) {
-                        recorder.note(EventKind::Decoded);
-                    } else {
-                        lost += 1;
-                        // A decode to the *wrong* packet passed CRC on a
-                        // corrupted waveform — report it as a CRC-level
-                        // failure rather than inventing a new taxon.
-                        let reason = out
-                            .fail
-                            .unwrap_or(DecodeFailReason::BadCrc);
-                        recorder.record(i, tid, EventKind::DecodeFail { reason });
-                    }
-                }
-            }
-            UplinkResult {
-                sent: n,
-                lost,
-                snr_db,
-            }
-        })
+        self.uplink_packets(&self.channel, &rx, tid, 0, n, recorder)
     }
 
     /// Drifting-channel uplink trial: sends `n_per_epoch` packets from
     /// `tid` through *each* epoch of the drift schedule in order, switching
-    /// the prebuilt epoch channel at the boundaries (one slice index — the
-    /// per-packet hot path is the same loop as
-    /// [`Self::uplink_trial`]). Packet seeds are a pure function of the
-    /// global packet index, so an identity drift schedule reproduces
-    /// [`Self::uplink_trial`] exactly and results are thread-invariant.
+    /// the prebuilt epoch channel at the boundaries — the per-packet loop
+    /// is the one [`Self::uplink_trial`] runs. Packet seeds are a pure
+    /// function of the global packet index, so an identity drift schedule
+    /// reproduces [`Self::uplink_trial`] exactly and results are
+    /// thread-invariant.
     ///
     /// Each epoch boundary is stamped into the recorder as
     /// [`EventKind::ChannelEpoch`] (slot = global packet index); per-epoch
@@ -307,11 +336,8 @@ impl WaveSim {
         recorder: &mut Recorder,
     ) -> Vec<UplinkResult> {
         let rx = self.uplink_rx(ul_bps);
-        let base = self.uplink_base_seed(tid, ul_bps);
-        with_phy_scratch(|s| {
-            let mut out = Vec::with_capacity(tvc.epoch_count());
-            for epoch in 0..tvc.epoch_count() {
-                let channel = tvc.channel_at(epoch);
+        (0..tvc.epoch_count())
+            .map(|epoch| {
                 let first = epoch as u64 * n_per_epoch;
                 recorder.record(
                     first,
@@ -320,94 +346,58 @@ impl WaveSim {
                         epoch: epoch.min(u16::MAX as usize) as u16,
                     },
                 );
-                let mut snr_db = f64::NAN;
-                let mut lost = 0;
-                for i in 0..n_per_epoch.max(1) {
-                    let global = first + i;
-                    let pkt =
-                        self.synth_uplink_packet_via(channel, &rx, tid, trial_seed(base, global), s);
-                    let PhyScratch { wave, rx: rxs, .. } = s;
-                    if i == 0 {
-                        snr_db = rx.uplink_snr_db_with(wave, rxs);
-                    }
-                    if i < n_per_epoch {
-                        let res = rx.process_slot_with(wave, rxs);
-                        if res.packet == Some(pkt) {
-                            recorder.note(EventKind::Decoded);
-                        } else {
-                            lost += 1;
-                            let reason = res.fail.unwrap_or(DecodeFailReason::BadCrc);
-                            recorder.record(global, tid, EventKind::DecodeFail { reason });
-                        }
+                let channel = tvc.channel_at(epoch);
+                self.uplink_packets(channel, &rx, tid, first, n_per_epoch, recorder)
+            })
+            .collect()
+    }
+
+    /// The per-packet loop behind every uplink trial: sends packets
+    /// `first..first + n` of `tid`'s sequence at `rx`'s rate through
+    /// `channel` and decodes each. SNR is measured on packet `first`,
+    /// which is synthesized (once, shared with its decode) even when
+    /// `n == 0`. Decodes are counted as [`EventKind::Decoded`]; losses are
+    /// recorded as [`EventKind::DecodeFail`] with slot = packet index.
+    fn uplink_packets(
+        &self,
+        channel: &BiwChannel,
+        rx: &UplinkReceiver,
+        tid: u8,
+        first: u64,
+        n: u64,
+        recorder: &mut Recorder,
+    ) -> UplinkResult {
+        let base = self.uplink_base_seed(tid, rx.config().ul_bps);
+        with_phy_scratch(|s| {
+            let mut snr_db = f64::NAN;
+            let mut lost = 0;
+            for i in 0..n.max(1) {
+                let packet = first + i;
+                let pkt = self.synth_uplink_packet(channel, rx, tid, trial_seed(base, packet), s);
+                let PhyScratch { wave, rx: rxs, .. } = s;
+                if i == 0 {
+                    snr_db = rx.uplink_snr_db_with(wave, rxs);
+                }
+                if i < n {
+                    let out = rx.process_slot_with(wave, rxs);
+                    if out.packet == Some(pkt) {
+                        recorder.note(EventKind::Decoded);
+                    } else {
+                        lost += 1;
+                        // A decode to the *wrong* packet passed CRC on a
+                        // corrupted waveform — report it as a CRC-level
+                        // failure rather than inventing a new taxon.
+                        let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
+                        recorder.record(packet, tid, EventKind::DecodeFail { reason });
                     }
                 }
-                out.push(UplinkResult {
-                    sent: n_per_epoch,
-                    lost,
-                    snr_db,
-                });
             }
-            out
+            UplinkResult {
+                sent: n,
+                lost,
+                snr_db,
+            }
         })
-    }
-
-    /// The envelope-detector threshold the tag comparator switches at (V).
-    const COMPARATOR_THRESHOLD_V: f64 = 0.12;
-    /// Envelope-detector RC time constant (s) — ~9 carrier cycles; fast
-    /// enough that pulse-width distortion stays below half a raw bit at
-    /// 500 bps even for the strongest tag.
-    const ENVELOPE_TAU_S: f64 = 9.0 / 90_000.0;
-
-    /// Rising-edge delay at a tag: time for the envelope to charge from 0
-    /// to the comparator threshold given a received amplitude `a`.
-    fn rise_delay(a: f64) -> f64 {
-        let vth = Self::COMPARATOR_THRESHOLD_V;
-        if a <= vth {
-            return f64::INFINITY;
-        }
-        Self::ENVELOPE_TAU_S * (a / (a - vth)).ln()
-    }
-
-    /// Falling-edge delay: time for the envelope to decay from `a` to the
-    /// threshold. On top of the detector's own RC, the *reader PZT's ring
-    /// tail* keeps pumping the channel after the drive stops: with plain
-    /// OOK the transducer rings freely (τ = 2Q_free/ω ≈ 0.5 ms), while the
-    /// FSK-in/OOK-out drive keeps it amplifier-loaded (τ ≈ 0.1 ms) —
-    /// Sec. 4.1's mitigation.
-    fn fall_delay(&self, a: f64) -> f64 {
-        let vth = Self::COMPARATOR_THRESHOLD_V;
-        if a <= vth {
-            return 0.0;
-        }
-        let ring_tau = match self.drive_scheme {
-            DriveScheme::PlainOok => 2.0 * 141.0 / (2.0 * std::f64::consts::PI * 90_000.0),
-            DriveScheme::FskInOokOut { .. } => 2.0 * 28.0 / (2.0 * std::f64::consts::PI * 90_000.0),
-        };
-        (Self::ENVELOPE_TAU_S + ring_tau) * (a / vth).ln()
-    }
-
-    /// Envelope amplitude at a tag: carrier voltage minus the detector
-    /// diode drop.
-    fn tag_envelope_amplitude(&self, tid: u8) -> Option<f64> {
-        Some((self.channel.tag_carrier_voltage(tid)? - 0.15).max(0.0))
-    }
-
-    /// Transforms reader TX edges into the edges seen at a tag's
-    /// comparator output.
-    fn edges_at_tag(&self, tid: u8, edges: &[(f64, bool)]) -> Option<Vec<(f64, bool)>> {
-        let site = self.channel.deployment().site(tid)?;
-        let delay = site.path.delay_s();
-        let a = self.tag_envelope_amplitude(tid)?;
-        let (rise, fall) = (Self::rise_delay(a), self.fall_delay(a));
-        if !rise.is_finite() {
-            return None; // amplitude below comparator threshold
-        }
-        Some(
-            edges
-                .iter()
-                .map(|&(t, rising)| (t + delay + if rising { rise } else { fall }, rising))
-                .collect(),
-        )
     }
 
     /// Base seed for a (tag, rate) downlink beacon sequence.
@@ -428,9 +418,11 @@ impl WaveSim {
         let cmd = DlCmd::from_nibble((rng.next_u64() & 0xF) as u8);
         let beacon = DlBeacon::new(cmd);
         let edges = tx.edges(&beacon, rng.unit_f64());
-        let Some(tag_edges) = self.edges_at_tag(tid, &edges) else {
+        let mut tag_edges = Vec::new();
+        let scheme = self.drive_scheme;
+        if !beacon_edges_at_tag(&self.channel, scheme, tid, &edges, &mut tag_edges) {
             return false;
-        };
+        }
         let mut demod = PieDemodulator::new(McuClock::for_tag(self.seed, tid), dl_bps);
         demod.set_supply(1.95 + 0.35 * rng.unit_f64());
         let decoded = demod.feed_edges(&tag_edges);
@@ -457,11 +449,13 @@ impl WaveSim {
         let beacon = DlBeacon::new(DlCmd::nack().with_empty(true));
         let edges = tx.edges(&beacon, 0.0);
         let mut completions: Vec<(u8, f64)> = Vec::new();
+        let mut tag_edges = Vec::new();
         for site in &Deployment::paper().sites {
             let tid = site.id;
-            let Some(tag_edges) = self.edges_at_tag(tid, &edges) else {
+            let scheme = self.drive_scheme;
+            if !beacon_edges_at_tag(&self.channel, scheme, tid, &edges, &mut tag_edges) {
                 continue;
-            };
+            }
             let mut demod = PieDemodulator::new(McuClock::for_tag(self.seed, tid), 250.0);
             let decoded = demod.feed_edges(&tag_edges);
             if let Some(d) = decoded.first() {
@@ -563,6 +557,13 @@ mod tests {
         let snr_a = sim.uplink_snr(&rx, 8, &mut fresh);
         let snr_b = sim.uplink_snr(&rx, 8, &mut warm);
         assert_eq!(snr_a, snr_b);
+    }
+
+    #[test]
+    #[should_panic(expected = "TID 31")]
+    fn out_of_range_tid_panics_instead_of_sending_another_tags_id() {
+        // TID is a 4-bit packet field: tag 31 used to go out as tag 15.
+        WaveSim::paper(1).uplink_trial(31, 375.0, 1);
     }
 
     #[test]
@@ -762,8 +763,27 @@ mod tests {
         stage2.sort_by(f64::total_cmp);
         let p99 = stage2[989];
         assert!(p99 < 0.2819, "p99 {p99}");
+        // Stage 2 ≈ 20 ms guard + 171 ms UL + ~59 ms software.
+        let mean = stage2.iter().sum::<f64>() / stage2.len() as f64;
+        assert!(mean > 0.22 && mean < 0.27, "mean {mean}");
         let total_max = samples.iter().map(|p| p.total()).fold(0.0f64, f64::max);
         assert!(total_max < 0.5, "total {total_max}");
+    }
+
+    #[test]
+    fn ping_pong_stage1_is_the_beacon_on_air_time() {
+        // Stage 1 is the ACK beacon's on-air time at 250 bps (24 raw
+        // levels), whatever the round's seed; the software jitter lands in
+        // stage 2 only.
+        let sim = WaveSim::paper(9);
+        let beacon = DlBeacon::new(DlCmd::ack());
+        let on_air = BeaconTransmitter::new(250.0, 0).beacon_duration(&beacon);
+        assert!((on_air - 24.0 / 250.0).abs() < 1e-9, "{on_air}");
+        for seed in 0..16 {
+            let pp = sim.ping_pong_sample(seed);
+            assert_eq!(pp.stage1_s, on_air, "round seed {seed}");
+            assert_eq!(pp.total(), pp.stage1_s + pp.stage2_s);
+        }
     }
 
     #[test]

@@ -308,7 +308,7 @@ fn request_gen() -> gen::Gen<Request> {
             ms: rng.below(MAX_SLEEP_MS + 1),
         },
         4 => Request::Decode {
-            tag: rng.below(MAX_TAG + 1) as u8,
+            tag: 1 + rng.below(MAX_TAG) as u8,
             ul_bps: MIN_UL_BPS + rng.unit_f64() * (MAX_UL_BPS - MIN_UL_BPS),
             packets: 1 + rng.below(MAX_PACKETS),
             seed: rng.below(1 << 53),
