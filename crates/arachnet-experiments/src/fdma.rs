@@ -90,7 +90,8 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         let mut packets = Vec::new();
         let mut max_len = 0;
         for &(tid, sub) in subset {
-            let pkt = UlPacket::new(tid % 16, (rng.next_u64() & 0xFFF) as u16).unwrap();
+            let pkt = UlPacket::new(tid, (rng.next_u64() & 0xFFF) as u16)
+                .unwrap_or_else(|e| panic!("FDMA uplink from tag {tid}: {e}"));
             let chips = sub.modulate(&pkt.to_bits());
             let spc = cfg.sample_rate / (cfg.bit_rate * f64::from(sub.chips_per_bit()));
             let states = chips_to_states(&chips, spc, spc as usize);

@@ -6,7 +6,9 @@
 //!
 //! * **pid 1 — sweep workers (wall µs)**: one thread row per worker, one
 //!   complete (`ph:"X"`) event per trial lane captured by the sweep
-//!   scheduler. Timestamps are wall microseconds since the sweep started.
+//!   scheduler, and one (`help trial N`) per stretch a worker that ran out
+//!   of trials spent running items of trial N. Timestamps are wall
+//!   microseconds since the sweep started.
 //! * **pid 2 — sim events (slot clock)**: the flight recorder's retained
 //!   ring as instant (`ph:"i"`) events at `ts = slot × slot_us`. This is
 //!   the *sim-slot* clock mapped one-slot-per-microsecond by default — it
@@ -25,7 +27,8 @@ use crate::event::{Event, NO_TAG};
 use crate::span::SpanStat;
 use crate::{json_escape, json_f64};
 
-/// One trial's occupancy of one worker, in wall µs since sweep start.
+/// One trial's occupancy of one worker, in wall µs since sweep start: the
+/// worker ran the trial, or (`help`) ran items of it for the worker that did.
 ///
 /// Collected by the sweep engine when lane capture is on; strictly
 /// wall-domain (never part of the deterministic export).
@@ -41,6 +44,9 @@ pub struct TrialLane {
     pub dur_us: u64,
     /// Whether the trial completed (false = quarantined / budget-skipped).
     pub ok: bool,
+    /// A help lane: this worker had run out of trials and ran items of
+    /// `trial` for the worker running it.
+    pub help: bool,
 }
 
 fn push_event(out: &mut String, first: &mut bool, body: String) {
@@ -92,18 +98,21 @@ pub fn chrome_trace(
 
     // pid 1: one X event per trial lane.
     for l in lanes {
-        let outcome = if l.ok { "ok" } else { "failed" };
+        let (name, cat, outcome) = match (l.help, l.ok) {
+            (true, _) => ("help trial", "help", "help"),
+            (false, true) => ("trial", "trial", "ok"),
+            (false, false) => ("trial", "trial", "failed"),
+        };
         push_event(
             &mut out,
             &mut first,
             format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"trial {}\",\"cat\":\"trial\",\"args\":{{\"trial\":{},\"outcome\":\"{}\"}}}}",
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{name} {}\",\"cat\":\"{cat}\",\"args\":{{\"trial\":{},\"outcome\":\"{outcome}\"}}}}",
                 l.worker,
                 l.start_us,
                 l.dur_us.max(1),
                 l.trial,
                 l.trial,
-                outcome
             ),
         );
     }
@@ -170,8 +179,22 @@ mod tests {
     #[test]
     fn export_is_valid_trace_event_json_with_all_three_lanes() {
         let lanes = [
-            TrialLane { trial: 0, worker: 0, start_us: 0, dur_us: 120, ok: true },
-            TrialLane { trial: 1, worker: 1, start_us: 5, dur_us: 0, ok: false },
+            TrialLane {
+                trial: 0,
+                worker: 0,
+                start_us: 0,
+                dur_us: 120,
+                ok: true,
+                help: false,
+            },
+            TrialLane {
+                trial: 1,
+                worker: 1,
+                start_us: 5,
+                dur_us: 0,
+                ok: false,
+                help: false,
+            },
         ];
         let spans = [("phy.decode", SpanStat { total_ns: 42_000, calls: 7 })];
         let events = [Event {

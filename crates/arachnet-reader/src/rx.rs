@@ -807,7 +807,7 @@ mod tests {
         });
         let rx = UplinkReceiver::new(RxConfig::default());
         let snr = |tid: u8| {
-            let pkt = UlPacket::new(tid % 16, 0x3C3).unwrap();
+            let pkt = UlPacket::new(tid, 0x3C3).unwrap();
             let wave = tag_waveform(&ch, tid, &pkt, 375.0);
             rx.uplink_snr_db(&wave)
         };

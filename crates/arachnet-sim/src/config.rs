@@ -8,6 +8,7 @@
 //! instead of a panic (or a silently nonsensical simulation) later.
 
 use arachnet_core::slot::Period;
+use biw_channel::geometry::Deployment;
 
 use crate::aloha::AlohaConfig;
 use crate::cosim::CoSimConfig;
@@ -46,6 +47,11 @@ pub enum ConfigError {
         /// The duplicated tag ID.
         tid: u8,
     },
+    /// A tag ID names no site of the deployment.
+    UnknownTag {
+        /// The unknown tag ID.
+        tid: u8,
+    },
     /// Two fields are individually valid but mutually inconsistent.
     Inconsistent {
         /// Human-readable description of the violated relation.
@@ -65,6 +71,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NotFinite { field } => write!(f, "{field} must be finite"),
             ConfigError::Empty { field } => write!(f, "{field} must not be empty"),
             ConfigError::DuplicateTag { tid } => write!(f, "tag {tid} listed more than once"),
+            ConfigError::UnknownTag { tid } => write!(f, "tag {tid} is not in the deployment"),
             ConfigError::Inconsistent { reason } => write!(f, "inconsistent config: {reason}"),
         }
     }
@@ -260,10 +267,14 @@ impl CoSimConfigBuilder {
         if self.inner.tags.is_empty() {
             return Err(ConfigError::Empty { field: "tags" });
         }
+        let deployment = Deployment::paper();
         let mut seen = [false; 256];
         for &(tid, _) in &self.inner.tags {
             if seen[tid as usize] {
                 return Err(ConfigError::DuplicateTag { tid });
+            }
+            if deployment.site(tid).is_none() {
+                return Err(ConfigError::UnknownTag { tid });
             }
             seen[tid as usize] = true;
         }
@@ -357,6 +368,25 @@ mod tests {
         assert!(CoSimConfig::builder(vec![(8, p(2)), (7, p(4))], 1)
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn cosim_builder_rejects_a_tag_outside_the_deployment() {
+        // The paper deployment has tags 1–12; a 13th would have gone on
+        // air under a TID no site owns.
+        let p = |v| Period::new(v).unwrap();
+        assert_eq!(
+            CoSimConfig::builder(vec![(8, p(2)), (13, p(4))], 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::UnknownTag { tid: 13 }
+        );
+        assert_eq!(
+            CoSimConfig::builder(vec![(0, p(2))], 1)
+                .build()
+                .unwrap_err(),
+            ConfigError::UnknownTag { tid: 0 }
+        );
     }
 
     #[test]

@@ -35,7 +35,8 @@ use crate::wavesim::{beacon_edges_at_tag, expand_states_into};
 /// Configuration of the co-simulation.
 #[derive(Debug, Clone)]
 pub struct CoSimConfig {
-    /// `(tid, period)` for each tag (tids must exist in the deployment).
+    /// `(tid, period)` for each tag. Every tid must be a site of the paper
+    /// deployment; [`CoSimConfig::builder`] rejects any other.
     pub tags: Vec<(u8, Period)>,
     /// Protocol parameters.
     pub protocol: ProtocolConfig,
@@ -390,7 +391,8 @@ impl CoSim {
                 .find(|t| t.tid == tid)
                 .expect("known tid");
             let payload = (tag.rng.next_u64() & 0xFFF) as u16;
-            let pkt = UlPacket::new(tid % 16, payload).expect("12-bit payload");
+            let pkt = UlPacket::new(tid, payload)
+                .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
             let modulator = Fm0Modulator::new(tag.clock, (12_000.0 / self.config.ul_bps) as u32);
             let (raw, _) = modulator.modulate_packet(&pkt, 0.0);
             let spb = (fs * modulator.actual_raw_interval()).round() as usize;
@@ -418,14 +420,7 @@ impl CoSim {
 
         // --- Reader MAC closes the loop. ----------------------------------
         let obs = SlotObservation {
-            decoded: rx_out.packet.map(|p| {
-                // Map the 4-bit on-air TID back to the deployment TID.
-                self.tags
-                    .iter()
-                    .map(|t| t.tid)
-                    .find(|&t| t % 16 == p.tid())
-                    .unwrap_or(p.tid())
-            }),
+            decoded: rx_out.packet.map(|p| p.tid()),
             collision: rx_out.collision,
         };
         if self.recorder.is_enabled() {

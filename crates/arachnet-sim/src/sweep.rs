@@ -20,7 +20,12 @@
 //!   up as a [`TrialError`] in its slot instead of poisoning the sweep —
 //!   and even a worker thread dying outside the isolated-panic window
 //!   surfaces as structured errors for its unreported trials, never as a
-//!   harness panic.
+//!   harness panic;
+//! * a worker that runs out of trials does not exit while others are
+//!   mid-trial: it parks and helps finish them. A trial splits its work
+//!   with the crate-private `fan_out`, whose items are pure in their
+//!   index and folded in index order by the trial that owns them, so
+//!   helping changes wall time only (DESIGN.md §14).
 //!
 //! On top of that baseline, [`ResiliencePolicy`] adds the machinery long
 //! sweeps need to survive real hosts:
@@ -55,12 +60,13 @@
 //! assert_eq!(squares[3], Ok(9));
 //! ```
 
+use std::cell::Cell;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write as _};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use arachnet_obs::{
@@ -841,6 +847,228 @@ impl TeleRt {
     }
 }
 
+// --- helping: idle workers finish the trials still running ---------------
+
+/// Locks `m`, recovering the guard if a panicking thread poisoned it: every
+/// update below leaves the state valid between statements.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One sweep's open fan-outs and the count of its trials in flight.
+#[derive(Default)]
+struct HelpPool {
+    state: Mutex<PoolState>,
+    /// Wakes parked workers: a fan-out opened, or no trial is in flight.
+    wake: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    open: Vec<Arc<dyn Helpable>>,
+    /// Workers between claiming a dispatch index and finishing its trial.
+    in_flight: usize,
+}
+
+/// A published fan-out, as a helper sees it (without its item type).
+trait Helpable: Send + Sync {
+    /// The trial that owns this fan-out (for help lanes).
+    fn trial(&self) -> u64;
+    /// Whether an item is left to claim.
+    fn has_work(&self) -> bool;
+    /// Claims and runs one item; `false` when none was left.
+    fn run_one(&self) -> bool;
+}
+
+/// Decrements [`PoolState::in_flight`] on drop — also when the worker
+/// unwinds outside the per-trial catch, so no helper stays parked.
+struct InFlight<'a>(&'a HelpPool);
+
+impl HelpPool {
+    fn enter(&self) -> InFlight<'_> {
+        lock(&self.state).in_flight += 1;
+        InFlight(self)
+    }
+
+    fn publish(&self, job: Arc<dyn Helpable>) {
+        lock(&self.state).open.push(job);
+        self.wake.notify_all();
+    }
+
+    fn retire(&self, job: &Arc<dyn Helpable>) {
+        lock(&self.state).open.retain(|j| !Arc::ptr_eq(j, job));
+    }
+
+    /// Runs items of open fan-outs, parking while none has work, until no
+    /// trial is in flight. Called only by a worker whose dispatch is over,
+    /// so no trial can start once the count reads zero. Each contiguous
+    /// stretch of help on one fan-out is reported to `helped` as
+    /// `(trial, start, end)`.
+    fn help(&self, mut helped: impl FnMut(u64, Instant, Instant)) {
+        loop {
+            let job = {
+                let mut st = lock(&self.state);
+                loop {
+                    if let Some(job) = st.open.iter().find(|j| j.has_work()) {
+                        break Arc::clone(job);
+                    }
+                    if st.in_flight == 0 {
+                        return;
+                    }
+                    st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            let _help = span("sweep.help");
+            let start = Instant::now();
+            // The owner may have claimed the last item since the check.
+            if job.run_one() {
+                while job.run_one() {}
+                helped(job.trial(), start, Instant::now());
+            }
+        }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.0.state);
+        st.in_flight -= 1;
+        if st.in_flight == 0 {
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+thread_local! {
+    /// The pool of the sweep whose trial this thread is running, and the
+    /// trial's index. `None` off a sweep worker, between trials, and while
+    /// the thread runs a fan-out item (so nested fan-outs run inline).
+    static ON_TRIAL: Cell<Option<(Arc<HelpPool>, u64)>> = const { Cell::new(None) };
+}
+
+/// Sets this thread's [`ON_TRIAL`] until dropped, then restores the
+/// previous value (also when unwinding).
+struct OnTrial(Option<(Arc<HelpPool>, u64)>);
+
+impl OnTrial {
+    fn set(ctx: Option<(Arc<HelpPool>, u64)>) -> Self {
+        Self(ON_TRIAL.replace(ctx))
+    }
+}
+
+impl Drop for OnTrial {
+    fn drop(&mut self) {
+        ON_TRIAL.set(self.0.take());
+    }
+}
+
+/// One fan-out's items and their result slots.
+struct FanOut<T, F> {
+    f: F,
+    n: usize,
+    trial: u64,
+    items: Mutex<Items<T>>,
+    /// Wakes the owner when the last running item finishes.
+    idle: Condvar,
+}
+
+struct Items<T> {
+    /// The next index to hand out.
+    next: usize,
+    /// Items handed out and not finished yet.
+    running: usize,
+    /// An item panicked: no further item is handed out. Every index below
+    /// `next` was already handed out, so the lowest panicking one ran.
+    halted: bool,
+    slots: Vec<Option<std::thread::Result<T>>>,
+}
+
+impl<T, F> Helpable for FanOut<T, F>
+where
+    T: Send,
+    F: Fn(usize) -> T + Send + Sync,
+{
+    fn trial(&self) -> u64 {
+        self.trial
+    }
+
+    fn has_work(&self) -> bool {
+        let items = lock(&self.items);
+        !items.halted && items.next < self.n
+    }
+
+    fn run_one(&self) -> bool {
+        let i = {
+            let mut items = lock(&self.items);
+            if items.halted || items.next == self.n {
+                return false;
+            }
+            items.next += 1;
+            items.running += 1;
+            items.next - 1
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| (self.f)(i)));
+        let mut items = lock(&self.items);
+        items.halted |= out.is_err();
+        items.slots[i] = Some(out);
+        items.running -= 1;
+        if items.running == 0 {
+            self.idle.notify_all();
+        }
+        true
+    }
+}
+
+/// Returns `[f(0), …, f(n - 1)]`. Inside a sweep trial this forks: the
+/// items are published to the sweep's pool, this worker runs them, and
+/// workers that have run out of trials claim items too. Off a sweep
+/// worker, inside another item, or for `n ≤ 1` it is a plain loop.
+///
+/// Results are those of the plain loop whoever runs an item, as long as
+/// `f` is pure in its index. A panic is caught where its item ran; once
+/// every item handed out has finished, the lowest-index payload is
+/// re-raised, which is the panic the plain loop would have raised.
+pub(crate) fn fan_out<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(usize) -> T + Send + Sync + 'static,
+{
+    let owner = OnTrial::set(None);
+    let Some((pool, trial)) = owner.0.as_ref().filter(|_| n > 1) else {
+        return (0..n).map(f).collect();
+    };
+    let job = Arc::new(FanOut {
+        f,
+        n,
+        trial: *trial,
+        items: Mutex::new(Items {
+            next: 0,
+            running: 0,
+            halted: false,
+            slots: (0..n).map(|_| None).collect(),
+        }),
+        idle: Condvar::new(),
+    });
+    let open: Arc<dyn Helpable> = job.clone();
+    pool.publish(Arc::clone(&open));
+    while job.run_one() {}
+    pool.retire(&open);
+    let mut items = lock(&job.items);
+    while items.running > 0 {
+        items = job.idle.wait(items).unwrap_or_else(PoisonError::into_inner);
+    }
+    let slots = std::mem::take(&mut items.slots);
+    drop(items);
+    let mut out = Vec::with_capacity(n);
+    for slot in slots {
+        match slot.expect("every item below the lowest panic ran") {
+            Ok(v) => out.push(v),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    out
+}
+
 /// The runner core behind both entry points: seed derivation via
 /// `seed_of`, retry/quarantine around `f`, checkpoint restore + append
 /// when the policy has a [`CheckpointSpec`], budget/halt dispatch gating,
@@ -953,6 +1181,7 @@ where
 
     let deadline = pol.budget.map(|b| Instant::now() + b);
     let next_job = AtomicU64::new(0);
+    let pool = Arc::new(HelpPool::default());
     let starved = AtomicBool::new(false);
     let sink: Mutex<Option<CkptWriter>> = Mutex::new(writer);
     let tele: Option<TeleRt> = cfg
@@ -1016,7 +1245,15 @@ where
     let work = |widx: usize| {
         let mut local: Vec<JobOutput<T>> = Vec::new();
         let mut lanes: Vec<TrialLane> = Vec::new();
+        let lane_us = |t: &TeleRt, at: Instant| {
+            let d = at.saturating_duration_since(t.start);
+            d.as_micros().min(u64::MAX as u128) as u64
+        };
         loop {
+            // Counted before the index is claimed: a worker that finds the
+            // counter spent and then reads zero in flight knows no trial
+            // can start any more.
+            let _flight = pool.enter();
             let k = next_job.fetch_add(1, Ordering::Relaxed);
             if k >= pending.len() as u64 {
                 break;
@@ -1028,6 +1265,7 @@ where
                 break;
             }
             let i = pending[k as usize];
+            let _on_trial = OnTrial::set(Some((Arc::clone(&pool), i)));
             let _t = span("sweep.trial");
             let lane_start = tele.as_ref().map(|t| {
                 t.begin(widx, i);
@@ -1047,6 +1285,7 @@ where
                         start_us,
                         dur_us: end_us.saturating_sub(start_us),
                         ok: out.2.is_ok(),
+                        help: false,
                     });
                 }
             }
@@ -1056,6 +1295,19 @@ where
         // How evenly the shared counter spread jobs across workers (a
         // proxy for steal balance).
         global_histo_record("sweep.jobs_per_worker", local.len() as u64);
+        pool.help(|trial, start, end| {
+            if let Some(t) = tele.as_ref().filter(|t| t.spec.lanes) {
+                let start_us = lane_us(t, start);
+                lanes.push(TrialLane {
+                    trial,
+                    worker: widx as u32,
+                    start_us,
+                    dur_us: lane_us(t, end).saturating_sub(start_us),
+                    ok: true,
+                    help: true,
+                });
+            }
+        });
         (local, lanes)
     };
 
@@ -2025,6 +2277,193 @@ mod tests {
         assert_ne!(r1, a);
         assert!((r1 ^ a).count_ones() > 8);
         assert_ne!(retry_seed(a, 1), retry_seed(a, 2));
+    }
+
+    /// A fan-out item with `index`-dependent work: up to ~4k splitmix
+    /// rounds, pure in `(salt, index)`.
+    fn busy_item(salt: u64, index: usize) -> u64 {
+        let mut z = trial_seed(salt, index as u64);
+        for _ in 0..z % 4096 {
+            z = trial_seed(z, 1);
+        }
+        z
+    }
+
+    /// Runs `f` on another thread and fails the test if it has not
+    /// returned within a minute (a helper left parked hangs the sweep).
+    fn within_a_minute<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the sweep returned (no worker left parked)")
+    }
+
+    /// Property (testkit): whatever the thread count, trial count and
+    /// per-trial fan-out sizes, every trial's `fan_out` returns exactly
+    /// the serial map — whichever workers ran its items.
+    #[test]
+    fn fan_out_equals_the_serial_map_at_any_thread_count() {
+        use arachnet_testkit::{check, gen, prop_assert_eq};
+        let g = gen::zip3(
+            gen::usize_range(1, 5),
+            gen::vec(gen::usize_range(0, 65), 1, 5),
+            gen::u64_any(),
+        );
+        check("fan_out_serial_map", &g, |(threads, sizes, salt)| {
+            let sizes = Arc::new(sizes.clone());
+            let salt = *salt;
+            let cfg = SweepConfig::new(salt).with_threads(*threads);
+            let run = {
+                let sizes = Arc::clone(&sizes);
+                run_sweep(&cfg, sizes.len() as u64, move |i, seed| {
+                    fan_out(sizes[i as usize], move |k| busy_item(seed, k))
+                })
+            };
+            for (i, r) in run.results.iter().enumerate() {
+                let seed = trial_seed(salt, i as u64);
+                let serial: Vec<u64> = (0..sizes[i]).map(|k| busy_item(seed, k)).collect();
+                prop_assert_eq!(r, &Ok(serial));
+            }
+            Ok(())
+        });
+    }
+
+    /// Property (testkit): a trial whose items panic at random indices is
+    /// retried and quarantined exactly as at one thread, and its payload
+    /// is the lowest panicking item's, as in the serial loop.
+    #[test]
+    fn fan_out_panics_surface_as_the_serial_loops_trial_error() {
+        use arachnet_testkit::{check_with, gen, prop_assert, prop_assert_eq, Config};
+        let g = gen::zip(
+            gen::usize_range(2, 5),
+            gen::vec(gen::usize_range(0, 64), 1, 4),
+        );
+        let cfg = Config {
+            cases: 32,
+            ..Config::default()
+        };
+        check_with(&cfg, "fan_out_panics", &g, |(threads, bad)| {
+            let bad = Arc::new(bad.clone());
+            let run_at = |threads: usize| {
+                let bad = Arc::clone(&bad);
+                let cfg = SweepConfig::new(3).with_threads(threads);
+                run_sweep(&cfg, 3, move |i, seed| {
+                    let bad = Arc::clone(&bad);
+                    let n = if i == 1 { 64 } else { 8 };
+                    fan_out(n, move |k| {
+                        assert!(!(i == 1 && bad.contains(&k)), "item {k} failed");
+                        busy_item(seed, k)
+                    })
+                })
+            };
+            let (serial, helped) = (run_at(1), run_at(*threads));
+            prop_assert_eq!(&serial.results, &helped.results);
+            prop_assert_eq!(serial.stats, helped.stats);
+            let e = helped.results[1]
+                .as_ref()
+                .err()
+                .ok_or("trial 1 must fail")?;
+            let lowest = bad.iter().min().expect("one bad index at least");
+            prop_assert_eq!(&e.payload, &format!("item {lowest} failed"));
+            prop_assert_eq!(e.attempts, 2);
+            prop_assert!(helped.results[0].is_ok() && helped.results[2].is_ok());
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn fan_out_is_inline_off_a_worker_and_when_nested() {
+        let here = std::thread::current().id();
+        let ids = fan_out(16, |_| std::thread::current().id());
+        assert!(
+            ids.iter().all(|&id| id == here),
+            "off a worker: a plain loop"
+        );
+        let off = std::panic::catch_unwind(|| fan_out(4, |k| assert!(k != 2, "item {k}")));
+        assert_eq!(panic_text(off.unwrap_err()), "item 2");
+        // Four workers; trials 0–2 return at once and their workers help
+        // trial 3's two items. The worker left idle stays parked while an
+        // item's own slow fan-out runs on the item's thread.
+        let cfg = SweepConfig::new(5).with_threads(4);
+        let run = run_sweep(&cfg, 4, |i, _| {
+            if i < 3 {
+                return Vec::new();
+            }
+            fan_out(2, |_| {
+                let outer = std::thread::current().id();
+                let inner = fan_out(16, |_| {
+                    std::thread::sleep(Duration::from_millis(2));
+                    std::thread::current().id()
+                });
+                inner.iter().all(|&id| id == outer)
+            })
+        });
+        assert_eq!(
+            run.results[3],
+            Ok(vec![true, true]),
+            "a nested item left its thread"
+        );
+    }
+
+    /// Encodes as its value, but panics encoding 0: with a checkpoint
+    /// attached, that kills a worker outside the per-trial catch.
+    #[derive(Debug, PartialEq)]
+    struct Bomb(u64);
+
+    impl TrialCodec for Bomb {
+        fn encode(&self, out: &mut Vec<u8>) {
+            assert!(self.0 != 0, "checkpoint encoder failed");
+            self.0.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Option<Self> {
+            u64::decode(input).map(Bomb)
+        }
+    }
+
+    #[test]
+    fn helpers_never_stay_parked_when_dispatch_stops_or_a_worker_dies() {
+        let items = |seed: u64| fan_out(48, move |k| busy_item(seed, k));
+        let halted = within_a_minute(move || {
+            let cfg = SweepConfig::new(8).with_threads(3).with_halt_after(1);
+            run_sweep(&cfg, 4, move |_, seed| items(seed))
+        });
+        let serial: Vec<u64> = (0..48).map(|k| busy_item(trial_seed(8, 0), k)).collect();
+        assert_eq!(halted.results[0], Ok(serial));
+        assert_eq!((halted.stats.completed, halted.stats.skipped), (1, 3));
+        let starved = within_a_minute(move || {
+            let cfg = SweepConfig::new(8)
+                .with_threads(3)
+                .with_budget(Duration::ZERO);
+            run_sweep(&cfg, 4, move |_, seed| items(seed))
+        });
+        assert_eq!(starved.stats.skipped, 4);
+        // Trial 0 runs long (its items are helped), trial 1 returns at
+        // once; then trial 0's worker dies writing its checkpoint record.
+        let path = temp_ckpt("death");
+        let ckpt = path.clone();
+        let died = within_a_minute(move || {
+            let cfg = SweepConfig::new(8)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&ckpt).with_every(1));
+            run_sweep(&cfg, 2, |i, seed| match i {
+                0 => {
+                    fan_out(32, move |k| busy_item(seed, k));
+                    Bomb(0)
+                }
+                _ => Bomb(i),
+            })
+        });
+        let _ = fs::remove_file(&path);
+        let e = died.results[0].as_ref().expect_err("trial 0's worker died");
+        assert!(
+            e.payload
+                .starts_with("sweep worker died before reporting this trial")
+                && e.payload.contains("checkpoint encoder failed"),
+            "{}",
+            e.payload
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   and the raw reader waveform for the Fig. 14(a) illustration.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::Fm0Encoder;
@@ -32,7 +33,7 @@ use biw_channel::pzt::PztState;
 use biw_channel::resonator::DriveScheme;
 use biw_channel::timevarying::TimeVaryingChannel;
 
-use crate::sweep::trial_seed;
+use crate::sweep::{fan_out, trial_seed};
 
 /// Reusable PHY working storage: the PZT state stream, the synthesized
 /// waveform and the receiver's DSP scratch. One per worker thread means a
@@ -57,7 +58,9 @@ thread_local! {
 
 /// Runs `f` with this thread's persistent [`PhyScratch`]. Sweep workers
 /// call this from trial closures so every trial on a thread reuses the
-/// same buffers. Do not nest calls (the inner one would re-borrow).
+/// same buffers. Do not nest calls (the inner one would re-borrow). A
+/// `WaveSim` trial takes the scratch once per packet, on whichever worker
+/// runs that packet, so call trials outside `f`, never inside.
 pub fn with_phy_scratch<R>(f: impl FnOnce(&mut PhyScratch) -> R) -> R {
     PHY_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
@@ -160,9 +163,56 @@ pub(crate) fn beacon_edges_at_tag(
     true
 }
 
+/// Synthesizes one seeded uplink packet of `tid`, whose clock is keyed by
+/// `clock_seed`, through `channel` into `s.wave` and returns the packet
+/// that was sent. Everything — payload, supply sag, noise — is a pure
+/// function of `packet_seed`. Panics when `tid` overflows the packet's
+/// 4-bit TID field.
+fn synth_uplink_packet(
+    clock_seed: u64,
+    channel: &BiwChannel,
+    rx: &UplinkReceiver,
+    tid: u8,
+    packet_seed: u64,
+    s: &mut PhyScratch,
+) -> UlPacket {
+    let (fs, ul_bps) = (channel.config().sample_rate, rx.config().ul_bps);
+    let pkt = modulate_uplink(clock_seed, tid, fs, ul_bps, packet_seed, &mut s.states)
+        .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
+    let len = s.states.len();
+    channel.uplink_waveform_seeded_into(&[(tid, &s.states)], len, packet_seed, &mut s.wave);
+    pkt
+}
+
+/// The channel each epoch of an uplink trial's packets crosses, shared
+/// with the packets by refcount.
+enum Epochs {
+    /// One static channel; no epoch is stamped into the recorder.
+    Static(Arc<BiwChannel>),
+    /// A drift schedule; each epoch's start is stamped.
+    Drifting(TimeVaryingChannel),
+}
+
+impl Epochs {
+    fn count(&self) -> usize {
+        match self {
+            Epochs::Static(_) => 1,
+            Epochs::Drifting(tvc) => tvc.epoch_count(),
+        }
+    }
+
+    fn at(&self, epoch: usize) -> &BiwChannel {
+        match self {
+            Epochs::Static(channel) => channel,
+            Epochs::Drifting(tvc) => tvc.channel_at(epoch),
+        }
+    }
+}
+
 /// The co-simulation environment.
 pub struct WaveSim {
-    channel: BiwChannel,
+    /// Shared by refcount with the packets a trial fans out.
+    channel: Arc<BiwChannel>,
     seed: u64,
     /// TX drive scheme: governs the reader-PZT ring tail seen by tags.
     drive_scheme: DriveScheme,
@@ -197,7 +247,7 @@ impl WaveSim {
             ..ChannelConfig::default()
         });
         Self {
-            channel,
+            channel: Arc::new(channel),
             seed,
             drive_scheme: DriveScheme::paper_default(),
         }
@@ -245,26 +295,6 @@ impl WaveSim {
         trial_seed(self.seed ^ (u64::from(tid) << 32), ul_bps.to_bits())
     }
 
-    /// Synthesizes one seeded uplink packet through `channel` into
-    /// `s.wave` and returns the packet that was sent. Everything —
-    /// payload, supply sag, noise — is a pure function of `packet_seed`.
-    /// Panics when `tid` overflows the packet's 4-bit TID field.
-    fn synth_uplink_packet(
-        &self,
-        channel: &BiwChannel,
-        rx: &UplinkReceiver,
-        tid: u8,
-        packet_seed: u64,
-        s: &mut PhyScratch,
-    ) -> UlPacket {
-        let (fs, ul_bps) = (channel.config().sample_rate, rx.config().ul_bps);
-        let pkt = modulate_uplink(self.seed, tid, fs, ul_bps, packet_seed, &mut s.states)
-            .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
-        let len = s.states.len();
-        channel.uplink_waveform_seeded_into(&[(tid, &s.states)], len, packet_seed, &mut s.wave);
-        pkt
-    }
-
     /// Sends one seeded packet from `tid` through the channel and the
     /// receiver; `true` when it decodes exactly. Pure in `packet_seed`,
     /// so any thread may run any packet of a trial sequence.
@@ -275,7 +305,7 @@ impl WaveSim {
         packet_seed: u64,
         s: &mut PhyScratch,
     ) -> bool {
-        let pkt = self.synth_uplink_packet(&self.channel, rx, tid, packet_seed, s);
+        let pkt = synth_uplink_packet(self.seed, &self.channel, rx, tid, packet_seed, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.process_slot_with(wave, rxs).packet == Some(pkt)
     }
@@ -285,7 +315,7 @@ impl WaveSim {
     /// how many packets a trial sends.
     pub fn uplink_snr(&self, rx: &UplinkReceiver, tid: u8, s: &mut PhyScratch) -> f64 {
         let seed0 = trial_seed(self.uplink_base_seed(tid, rx.config().ul_bps), 0);
-        self.synth_uplink_packet(&self.channel, rx, tid, seed0, s);
+        synth_uplink_packet(self.seed, &self.channel, rx, tid, seed0, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.uplink_snr_db_with(wave, rxs)
     }
@@ -311,8 +341,10 @@ impl WaveSim {
         n: u64,
         recorder: &mut Recorder,
     ) -> UplinkResult {
-        let rx = self.uplink_rx(ul_bps);
-        self.uplink_packets(&self.channel, &rx, tid, 0, n, recorder)
+        let epochs = Epochs::Static(Arc::clone(&self.channel));
+        self.uplink_packets(epochs, self.uplink_rx(ul_bps), tid, n, recorder)
+            .pop()
+            .expect("a static trial has one epoch")
     }
 
     /// Drifting-channel uplink trial: sends `n_per_epoch` packets from
@@ -335,69 +367,89 @@ impl WaveSim {
         n_per_epoch: u64,
         recorder: &mut Recorder,
     ) -> Vec<UplinkResult> {
-        let rx = self.uplink_rx(ul_bps);
-        (0..tvc.epoch_count())
-            .map(|epoch| {
-                let first = epoch as u64 * n_per_epoch;
-                recorder.record(
-                    first,
-                    NO_TAG,
-                    EventKind::ChannelEpoch {
-                        epoch: epoch.min(u16::MAX as usize) as u16,
-                    },
-                );
-                let channel = tvc.channel_at(epoch);
-                self.uplink_packets(channel, &rx, tid, first, n_per_epoch, recorder)
-            })
-            .collect()
+        let epochs = Epochs::Drifting(tvc.clone());
+        self.uplink_packets(epochs, self.uplink_rx(ul_bps), tid, n_per_epoch, recorder)
     }
 
-    /// The per-packet loop behind every uplink trial: sends packets
-    /// `first..first + n` of `tid`'s sequence at `rx`'s rate through
-    /// `channel` and decodes each. SNR is measured on packet `first`,
-    /// which is synthesized (once, shared with its decode) even when
-    /// `n == 0`. Decodes are counted as [`EventKind::Decoded`]; losses are
-    /// recorded as [`EventKind::DecodeFail`] with slot = packet index.
+    /// The per-packet loop behind every uplink trial: sends `n` packets of
+    /// `tid`'s sequence at `rx`'s rate through each epoch's channel (packet
+    /// `epoch·n + i`) and decodes each. SNR is measured on each epoch's
+    /// first packet, which is synthesized (once, shared with its decode)
+    /// even when `n == 0`.
+    ///
+    /// Every packet of every epoch is one item of a single [`fan_out`],
+    /// pure in its index and taking the scratch of the thread it runs on,
+    /// so workers that have run out of trials can finish this one. The
+    /// fold then rebuilds the serial loop's results and recorder stream in
+    /// index order: a drifting epoch's first packet index is stamped as
+    /// [`EventKind::ChannelEpoch`], decodes are counted as
+    /// [`EventKind::Decoded`], and losses are recorded as
+    /// [`EventKind::DecodeFail`] with slot = packet index.
     fn uplink_packets(
         &self,
-        channel: &BiwChannel,
-        rx: &UplinkReceiver,
+        epochs: Epochs,
+        rx: UplinkReceiver,
         tid: u8,
-        first: u64,
         n: u64,
         recorder: &mut Recorder,
-    ) -> UplinkResult {
+    ) -> Vec<UplinkResult> {
         let base = self.uplink_base_seed(tid, rx.config().ul_bps);
-        with_phy_scratch(|s| {
-            let mut snr_db = f64::NAN;
-            let mut lost = 0;
-            for i in 0..n.max(1) {
-                let packet = first + i;
-                let pkt = self.synth_uplink_packet(channel, rx, tid, trial_seed(base, packet), s);
+        let clock_seed = self.seed;
+        let (count, per) = (epochs.count(), n.max(1));
+        let drifting = matches!(epochs, Epochs::Drifting(_));
+        let outcomes = fan_out(count * per as usize, move |k| {
+            let (epoch, i) = (k as u64 / per, k as u64 % per);
+            let channel = epochs.at(epoch as usize);
+            let packet_seed = trial_seed(base, epoch * n + i);
+            with_phy_scratch(|s| {
+                let pkt = synth_uplink_packet(clock_seed, channel, &rx, tid, packet_seed, s);
                 let PhyScratch { wave, rx: rxs, .. } = s;
-                if i == 0 {
-                    snr_db = rx.uplink_snr_db_with(wave, rxs);
-                }
-                if i < n {
+                let snr_db = (i == 0).then(|| rx.uplink_snr_db_with(wave, rxs));
+                let decode = (i < n).then(|| {
                     let out = rx.process_slot_with(wave, rxs);
+                    // A decode to the *wrong* packet passed CRC on a
+                    // corrupted waveform — report it as a CRC-level
+                    // failure rather than inventing a new taxon.
                     if out.packet == Some(pkt) {
-                        recorder.note(EventKind::Decoded);
+                        Ok(())
                     } else {
-                        lost += 1;
-                        // A decode to the *wrong* packet passed CRC on a
-                        // corrupted waveform — report it as a CRC-level
-                        // failure rather than inventing a new taxon.
-                        let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
-                        recorder.record(packet, tid, EventKind::DecodeFail { reason });
+                        Err(out.fail.unwrap_or(DecodeFailReason::BadCrc))
+                    }
+                });
+                (snr_db, decode)
+            })
+        });
+        let mut outcomes = outcomes.into_iter();
+        (0..count)
+            .map(|epoch| {
+                let first = epoch as u64 * n;
+                if drifting {
+                    let epoch = epoch.min(u16::MAX as usize) as u16;
+                    recorder.record(first, NO_TAG, EventKind::ChannelEpoch { epoch });
+                }
+                let mut result = UplinkResult {
+                    sent: n,
+                    lost: 0,
+                    snr_db: f64::NAN,
+                };
+                for (packet, (snr_db, decode)) in
+                    (first..).zip(outcomes.by_ref().take(per as usize))
+                {
+                    if let Some(snr_db) = snr_db {
+                        result.snr_db = snr_db;
+                    }
+                    match decode {
+                        Some(Ok(())) => recorder.note(EventKind::Decoded),
+                        Some(Err(reason)) => {
+                            result.lost += 1;
+                            recorder.record(packet, tid, EventKind::DecodeFail { reason });
+                        }
+                        None => {}
                     }
                 }
-            }
-            UplinkResult {
-                sent: n,
-                lost,
-                snr_db,
-            }
-        })
+                result
+            })
+            .collect()
     }
 
     /// Base seed for a (tag, rate) downlink beacon sequence.
@@ -518,7 +570,8 @@ impl WaveSim {
             }
         }
         // Guard + UL segment via the uplink synthesizer.
-        let pkt = UlPacket::new(tid % 16, 0x3A5).unwrap();
+        let pkt = UlPacket::new(tid, 0x3A5)
+            .unwrap_or_else(|e| panic!("ping-pong uplink from tag {tid}: {e}"));
         let mut enc = Fm0Encoder::new();
         let raw = enc.encode(pkt.to_bits().iter()).to_bools();
         let spb = (fs / 375.0).round() as usize;
@@ -564,6 +617,13 @@ mod tests {
     fn out_of_range_tid_panics_instead_of_sending_another_tags_id() {
         // TID is a 4-bit packet field: tag 31 used to go out as tag 15.
         WaveSim::paper(1).uplink_trial(31, 375.0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "TID 31")]
+    fn ping_pong_waveform_rejects_an_out_of_range_tid() {
+        // It used to send tag 31's uplink as tag 15's.
+        WaveSim::new(10, NoiseConfig::silent()).ping_pong_waveform(31);
     }
 
     #[test]
@@ -752,6 +812,61 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.lost, y.lost);
             assert_eq!(x.snr_db, y.snr_db);
+        }
+    }
+
+    #[test]
+    fn helped_trials_equal_the_bare_calls() {
+        // On a sweep worker a trial's packets fan out over the pool; the
+        // results and every recorded event must be the bare call's.
+        use crate::sweep::{run_matrix_sweep, SweepConfig};
+        use biw_channel::timevarying::ChannelDrift;
+        let sim = WaveSim::paper(17);
+        let tvc = TimeVaryingChannel::paper(
+            sim.channel().config().clone(),
+            &[ChannelDrift::identity(), ChannelDrift::fade(0.3)],
+        );
+        let drifting = |tid| {
+            let mut rec = Recorder::enabled(17);
+            let r = sim.uplink_trial_drifting(&tvc, tid, 3_000.0, 6, &mut rec);
+            (r, rec.into_snapshot())
+        };
+        let observed = |tid| {
+            let mut rec = Recorder::enabled(17);
+            let r = sim.uplink_trial_observed(tid, 3_000.0, 8, &mut rec);
+            (vec![r], rec.into_snapshot())
+        };
+        let tags = [8u8, 4, 11];
+        let bare_drifting: Vec<_> = tags.iter().map(|&t| drifting(t)).collect();
+        let bare_observed: Vec<_> = tags.iter().map(|&t| observed(t)).collect();
+        let losses: u64 = bare_drifting
+            .iter()
+            .flat_map(|(r, _)| r)
+            .map(|r| r.lost)
+            .sum();
+        assert!(
+            losses > 0,
+            "the fade must lose packets, so DecodeFail events are compared too"
+        );
+        for threads in [1, 2, 3] {
+            let cfg = SweepConfig::new(17).with_threads(threads);
+            for (name, trial, bare) in [
+                (
+                    "drifting",
+                    &drifting as &(dyn Fn(u8) -> _ + Sync),
+                    &bare_drifting,
+                ),
+                ("observed", &observed, &bare_observed),
+            ] {
+                let run = run_matrix_sweep(&cfg, &tags, 1, |&tid, _, _| trial(tid));
+                for (cell, want) in run.cells.iter().zip(bare) {
+                    assert_eq!(
+                        cell[0].as_ref().ok(),
+                        Some(want),
+                        "{name} at {threads} threads"
+                    );
+                }
+            }
         }
     }
 

@@ -12,7 +12,11 @@
 //! prebuilt at construction, so switching epochs is one slice index —
 //! callers grab `channel_at(epoch)` once per waveform and synthesize
 //! through the usual fast path. Deriving link tables happens only at
-//! construction (or never again), never inside a synthesis loop.
+//! construction (or never again), never inside a synthesis loop. The
+//! epochs are shared: cloning a `TimeVaryingChannel` bumps a refcount and
+//! copies no channel.
+
+use std::sync::Arc;
 
 use crate::channel::{BiwChannel, ChannelConfig};
 use crate::geometry::Deployment;
@@ -82,7 +86,7 @@ impl ChannelDrift {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimeVaryingChannel {
-    epochs: Vec<BiwChannel>,
+    epochs: Arc<[BiwChannel]>,
 }
 
 impl TimeVaryingChannel {

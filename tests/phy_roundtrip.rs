@@ -37,7 +37,7 @@ fn every_tag_uplink_decodes_at_default_rate() {
     let ch = channel(NoiseConfig::default(), 21);
     let rx = UplinkReceiver::new(RxConfig::default());
     for tid in 1..=12u8 {
-        let pkt = UlPacket::new(tid % 16, 0x700 | u16::from(tid)).unwrap();
+        let pkt = UlPacket::new(tid, 0x700 | u16::from(tid)).unwrap();
         let wave = uplink_wave(&ch, tid, &pkt, 375.0);
         let out = rx.process_slot(&wave);
         assert_eq!(out.packet, Some(pkt), "tag {tid} failed");
@@ -52,7 +52,7 @@ fn evaluation_tags_decode_at_all_rates() {
     let ch = channel(NoiseConfig::silent(), 22);
     for tid in [8u8, 4, 11] {
         for bps in [93.75, 187.5, 375.0, 750.0, 1_500.0, 3_000.0] {
-            let pkt = UlPacket::new(tid % 16, 0xABC).unwrap();
+            let pkt = UlPacket::new(tid, 0xABC).unwrap();
             let rx = UplinkReceiver::new(RxConfig {
                 ul_bps: bps,
                 ..RxConfig::default()
@@ -105,7 +105,7 @@ fn collisions_flagged_for_tag_pairs() {
     let rx = UplinkReceiver::new(RxConfig::default());
     let spb = (500_000.0f64 / 375.0).round() as usize;
     let mk = |tid: u8, payload: u16| {
-        let pkt = UlPacket::new(tid % 16, payload).unwrap();
+        let pkt = UlPacket::new(tid, payload).unwrap();
         let mut enc = Fm0Encoder::new();
         let raw = enc.encode(pkt.to_bits().iter()).to_bools();
         let mut s = vec![PztState::Absorptive; 8 * spb];

@@ -10,7 +10,8 @@ use std::path::PathBuf;
 use arachnet_experiments::dyn_scenarios::DynChurn;
 use arachnet_experiments::report::{metrics_json, Experiment, ExperimentCtx};
 use arachnet_obs::{chrome_trace, parse_json, read_journal, JsonValue};
-use arachnet_sim::sweep::run_sweep;
+use arachnet_sim::sweep::{run_sweep, SweepConfig, TelemetrySpec};
+use arachnet_sim::wavesim::{UplinkResult, WaveSim};
 
 const SEED: u64 = 11;
 
@@ -94,6 +95,56 @@ fn chrome_trace_export_is_well_formed_for_dyn_churn() {
         "sim events present"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn chrome_trace_shows_a_worker_helping_the_last_trial() {
+    // Trial 0 returns at once; trial 1 sends 64 packets, which fan out as
+    // 64 items over the pool, so the worker that ran out of trials helps.
+    let sim = WaveSim::paper(SEED);
+    let cfg = SweepConfig::new(SEED)
+        .with_threads(2)
+        .with_telemetry(TelemetrySpec::new().with_lanes(true));
+    let run = run_sweep(&cfg, 2, |i, _seed| match i {
+        0 => None,
+        _ => Some(sim.uplink_trial(8, 3_000.0, 64)),
+    });
+    let bare = sim.uplink_trial(8, 3_000.0, 64);
+    assert_eq!(
+        run.results[1],
+        Ok(Some::<UplinkResult>(bare)),
+        "helping moved a result"
+    );
+
+    let doc = chrome_trace(&run.telemetry.lanes, &[], &[], SEED, 1);
+    let parsed = parse_json(&doc).expect("chrome trace is valid JSON");
+    let events = parsed
+        .get("traceEvents")
+        .and_then(JsonValue::as_arr)
+        .expect("traceEvents array");
+    let lane = |name: &str| {
+        events.iter().find(|e| {
+            e.get("ph").and_then(JsonValue::as_str) == Some("X")
+                && e.get("name").and_then(JsonValue::as_str) == Some(name)
+        })
+    };
+    let worker = |e: &JsonValue| e.get("tid").and_then(JsonValue::as_f64);
+    let owner = worker(lane("trial 1").expect("trial 1 has a lane"));
+    let help = lane("help trial 1").expect("the idle worker helped trial 1");
+    assert_ne!(worker(help), owner, "help is drawn on the helper's row");
+    assert_eq!(help.get("cat").and_then(JsonValue::as_str), Some("help"));
+
+    // A worker's lanes (its trials, then its help) never overlap.
+    let mut lanes = run.telemetry.lanes.clone();
+    lanes.sort_by_key(|l| (l.worker, l.start_us));
+    for w in lanes.windows(2).filter(|w| w[0].worker == w[1].worker) {
+        assert!(
+            w[0].start_us + w[0].dur_us <= w[1].start_us,
+            "overlapping lanes on worker {}: {:?}",
+            w[0].worker,
+            w
+        );
+    }
 }
 
 #[test]

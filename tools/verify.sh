@@ -4,7 +4,7 @@
 # registered experiment, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
-# gate (dyn-churn and fig12a12b at 1/2/8 threads) and the rejection of
+# gate (dyn-churn, fig12a12b and dyn-drift at 1/2/8 threads) and the rejection of
 # sweep-only flags on a sweep-less experiment, the run-telemetry smoke
 # (journal heartbeats parse, chrome trace loads), the serve smoke
 # (admission control, structured errors, graceful drain over a real
@@ -105,15 +105,19 @@ done
 
 echo "== checkpoint/resume determinism (seed $seed) =="
 # An interrupted-then-resumed sweep must export byte-identical metrics to
-# an uninterrupted run, at every thread count. `--halt-after 3` plays the
+# an uninterrupted run, at every thread count. `--halt-after N` plays the
 # interruption deterministically; `--resume` picks the checkpoint up.
-for artifact in dyn-churn fig12a12b; do
+# dyn-drift has 3 trials, so it halts after 1: the resume then replays
+# that trial off the worker pool (its packet fan-out runs inline) and
+# runs the other 2, whose packets idle workers help finish.
+for job in dyn-churn:3 fig12a12b:3 dyn-drift:1; do
+  artifact="${job%%:*}" halt="${job##*:}"
   base="$(mktemp -d)"
   (cd "$base" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads 2 > stdout.txt)
   for threads in 1 2 8; do
     rdir="$(mktemp -d)"
     (cd "$rdir" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads "$threads" \
-       --checkpoint-every 1 --halt-after 3 > run1.txt)
+       --checkpoint-every 1 --halt-after "$halt" > run1.txt)
     if ! grep -q '"partial":true' "$rdir/METRICS_$artifact.json"; then
       echo "FAIL: halted $artifact run at --threads $threads is not flagged partial" >&2
       exit 1
