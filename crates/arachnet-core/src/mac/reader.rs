@@ -739,8 +739,8 @@ mod tests {
         r.start();
         r.end_slot(SlotObservation::empty()); // slot 1
         r.end_slot(SlotObservation::received(1)); // slot 2 → offset 2
-        // Collisions in every expected slot are ambiguous: the tag may be
-        // among the colliders, so its schedule must survive indefinitely.
+                                                  // Collisions in every expected slot are ambiguous: the tag may be
+                                                  // among the colliders, so its schedule must survive indefinitely.
         for s in 3..=30u64 {
             let obs = if s % 4 == 2 {
                 SlotObservation::collision(None)

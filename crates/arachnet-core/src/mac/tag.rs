@@ -154,7 +154,11 @@ impl TagMac {
     fn migrate_to(&mut self, reason: MigrateReason) {
         let from = self.offset as u16;
         self.offset = self.random_offset();
-        self.events.push(EventKind::TagMigrated { from, to: self.offset as u16, reason });
+        self.events.push(EventKind::TagMigrated {
+            from,
+            to: self.offset as u16,
+            reason,
+        });
     }
 
     /// Handles a decoded beacon. The beacon closes the previous slot
@@ -172,7 +176,9 @@ impl TagMac {
             self.events.push(EventKind::AckNack { ack: cmd.ack });
             if cmd.ack {
                 if self.state == MacState::Migrate {
-                    self.events.push(EventKind::Settled { offset: self.offset as u16 });
+                    self.events.push(EventKind::Settled {
+                        offset: self.offset as u16,
+                    });
                 }
                 self.state = MacState::Settle;
                 self.nack_run = 0;
@@ -588,19 +594,28 @@ mod tests {
         }
         assert!(tag.events().iter().any(|e| matches!(
             e,
-            EventKind::TagMigrated { reason: MigrateReason::NackRun, .. }
+            EventKind::TagMigrated {
+                reason: MigrateReason::NackRun,
+                ..
+            }
         )));
         // Beacon timeout migrates with its own reason.
         tag.on_beacon_timeout();
         assert!(tag.events().iter().any(|e| matches!(
             e,
-            EventKind::TagMigrated { reason: MigrateReason::BeaconTimeout, .. }
+            EventKind::TagMigrated {
+                reason: MigrateReason::BeaconTimeout,
+                ..
+            }
         )));
         // Events are cleared by the next callback.
         tag.on_beacon(beacon_nack());
         assert!(!tag.events().iter().any(|e| matches!(
             e,
-            EventKind::TagMigrated { reason: MigrateReason::BeaconTimeout, .. }
+            EventKind::TagMigrated {
+                reason: MigrateReason::BeaconTimeout,
+                ..
+            }
         )));
     }
 

@@ -157,9 +157,10 @@ fn kmeans(samples: &[Cplx], seeds: &[Cplx], iterations: usize) -> KmeansRun {
                 }
             }
         }
-        let fixed = centers.iter().zip(&prev).all(|(a, b)| {
-            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-        });
+        let fixed = centers
+            .iter()
+            .zip(&prev)
+            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
         if fixed {
             break;
         }

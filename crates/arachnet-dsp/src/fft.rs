@@ -155,7 +155,13 @@ impl RealFft {
     /// `out` (cleared and refilled; capacity reused). Matches `fft_real`'s
     /// first `n/2 + 1` bins; the rest follow by conjugate symmetry.
     pub fn process(&mut self, input: &[f64], out: &mut Vec<Cplx>) {
-        assert_eq!(input.len(), self.n, "input length {} != plan size {}", input.len(), self.n);
+        assert_eq!(
+            input.len(),
+            self.n,
+            "input length {} != plan size {}",
+            input.len(),
+            self.n
+        );
         for (k, z) in self.packed.iter_mut().enumerate() {
             *z = Cplx::new(input[2 * k], input[2 * k + 1]);
         }
@@ -166,8 +172,20 @@ impl RealFft {
     /// multiplying during the pack so callers (the Welch estimator) don't
     /// need a separate windowed copy of each segment.
     pub fn process_windowed(&mut self, input: &[f64], window: &[f64], out: &mut Vec<Cplx>) {
-        assert_eq!(input.len(), self.n, "input length {} != plan size {}", input.len(), self.n);
-        assert_eq!(window.len(), self.n, "window length {} != plan size {}", window.len(), self.n);
+        assert_eq!(
+            input.len(),
+            self.n,
+            "input length {} != plan size {}",
+            input.len(),
+            self.n
+        );
+        assert_eq!(
+            window.len(),
+            self.n,
+            "window length {} != plan size {}",
+            window.len(),
+            self.n
+        );
         for (k, z) in self.packed.iter_mut().enumerate() {
             *z = Cplx::new(
                 input[2 * k] * window[2 * k],

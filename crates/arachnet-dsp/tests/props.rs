@@ -15,7 +15,11 @@ fn fft_ifft_roundtrip() {
         gen::vec(gen::f64_range(-100.0, 100.0), 64, 64),
     );
     check("fft_ifft_roundtrip", &g, |(res, ims)| {
-        let orig: Vec<Cplx> = res.iter().zip(ims).map(|(&r, &i)| Cplx::new(r, i)).collect();
+        let orig: Vec<Cplx> = res
+            .iter()
+            .zip(ims)
+            .map(|(&r, &i)| Cplx::new(r, i))
+            .collect();
         let mut data = orig.clone();
         fft_in_place(&mut data);
         ifft_in_place(&mut data);

@@ -162,7 +162,10 @@ mod tests {
     #[test]
     fn quiescent_current_below_appendix_bound() {
         let quiescent = CUTOFF_QUIESCENT_A;
-        assert!(quiescent < 1.0e-6, "cutoff quiescent draw {quiescent} A exceeds 1 uA");
+        assert!(
+            quiescent < 1.0e-6,
+            "cutoff quiescent draw {quiescent} A exceeds 1 uA"
+        );
     }
 
     #[test]

@@ -97,7 +97,11 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
     });
     let mut rows = Vec::new();
     for ((name, protocol), cell) in variants.iter().zip(&matrix.cells) {
-        let conv: Vec<f64> = cell.iter().filter_map(|r| r.as_ref().ok()).copied().collect();
+        let conv: Vec<f64> = cell
+            .iter()
+            .filter_map(|r| r.as_ref().ok())
+            .copied()
+            .collect();
         // Long-run health under losses (one run per variant, base seed).
         let mut sim = SlotSim::new(SlotSimConfig {
             protocol: *protocol,
@@ -207,9 +211,7 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
     }
     Report::single(
         Section::new(
-            format!(
-                "Ablation — late arrivals (cold start, c3, {horizon} slots, {trials} trials)"
-            ),
+            format!("Ablation — late arrivals (cold start, c3, {horizon} slots, {trials} trials)"),
             &["variant", "settled tags (of 12)", "collision ratio"],
             rows,
         )

@@ -269,10 +269,10 @@ fn main() {
                 );
             }
             "--checkpoint-dir" => {
-                checkpoint_dir = Some(std::path::PathBuf::from(
-                    it.next()
-                        .unwrap_or_else(|| usage("--checkpoint-dir needs a directory")),
-                ));
+                checkpoint_dir =
+                    Some(std::path::PathBuf::from(it.next().unwrap_or_else(|| {
+                        usage("--checkpoint-dir needs a directory")
+                    })));
             }
             "--chrome" => obs.chrome = true,
             "--trace-window" => {
@@ -281,9 +281,7 @@ fn main() {
                     .and_then(|s| s.parse::<usize>().ok())
                     .unwrap_or_else(|| usage("--trace-window needs a number"));
                 if obs.trace_window == 0 || obs.trace_window > MAX_TRACE_WINDOW {
-                    usage(&format!(
-                        "--trace-window must be in 1..={MAX_TRACE_WINDOW}"
-                    ));
+                    usage(&format!("--trace-window must be in 1..={MAX_TRACE_WINDOW}"));
                 }
             }
             "--metrics" => obs.metrics = true,
@@ -793,7 +791,10 @@ fn usage(err: &str) -> ! {
     eprintln!("       repro <artifact|all>   (alias for `repro run`)");
     eprintln!(
         "artifacts: {}",
-        registry::all().map(|e| e.id()).collect::<Vec<_>>().join(" ")
+        registry::all()
+            .map(|e| e.id())
+            .collect::<Vec<_>>()
+            .join(" ")
     );
     std::process::exit(EXIT_USAGE);
 }

@@ -230,7 +230,8 @@ pub fn diff_metrics(left: &str, right: &str, tolerance: f64) -> Result<DiffRepor
 mod tests {
     use super::*;
 
-    const A: &str = r#"{"experiment":"x","partial":false,"metrics":{"snr":12.5,"loss":0.01,"label":"ok"}}"#;
+    const A: &str =
+        r#"{"experiment":"x","partial":false,"metrics":{"snr":12.5,"loss":0.01,"label":"ok"}}"#;
 
     #[test]
     fn identical_documents_pass_at_zero_tolerance() {

@@ -42,7 +42,14 @@ struct Case {
 }
 
 /// Replays every case `trials` times and tabulates re-convergence times.
-fn measure(cases: &[Case], trials: u64, sweep: &SweepConfig, observe: bool, title: &str, note: &str) -> Report {
+fn measure(
+    cases: &[Case],
+    trials: u64,
+    sweep: &SweepConfig,
+    observe: bool,
+    title: &str,
+    note: &str,
+) -> Report {
     // Trial 0 of each case carries a flight recorder when observation is
     // on; recording never draws from the sim's random streams, so the
     // measured times are identical either way.
@@ -438,7 +445,10 @@ mod tests {
             .get_histo("reconvergence.c2-storm.slots")
             .expect("per-case histogram");
         assert!(h.count() >= 1, "no finite re-convergence samples");
-        assert_eq!(r.metrics.get_count("reconvergence.c2-storm.unresolved"), Some(0));
+        assert_eq!(
+            r.metrics.get_count("reconvergence.c2-storm.unresolved"),
+            Some(0)
+        );
         assert!(!r.snapshot.events.is_empty(), "no representative trace");
     }
 
@@ -459,7 +469,10 @@ mod tests {
     #[test]
     fn soak_closes_every_disruption() {
         let r = report_soak(1, &SweepConfig::new(3).with_threads(1), true);
-        assert_eq!(r.metrics.get_count("reconvergence.c3-soak.unresolved"), Some(0));
+        assert_eq!(
+            r.metrics.get_count("reconvergence.c3-soak.unresolved"),
+            Some(0)
+        );
         let h = r.metrics.get_histo("reconvergence.c3-soak.slots").unwrap();
         assert_eq!(h.count(), 5, "all five disruptions must be measured");
     }

@@ -55,9 +55,7 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
     let rates = ul_rates();
     let cells: Vec<Cell> = TAGS
         .iter()
-        .flat_map(|&tid| {
-            rates.iter().map(move |r| (tid, r.bps))
-        })
+        .flat_map(|&tid| rates.iter().map(move |r| (tid, r.bps)))
         .map(|(tid, bps)| Cell {
             tid,
             rx: sim.uplink_rx(bps),

@@ -188,7 +188,11 @@ mod tests {
         let sweep = SweepConfig::new(3).with_threads(2);
         let plain = report_a(2, &sweep, false);
         let observed = report_a(2, &sweep, true);
-        assert_eq!(plain.render(), observed.render(), "observation perturbed results");
+        assert_eq!(
+            plain.render(),
+            observed.render(),
+            "observation perturbed results"
+        );
         assert!(plain.metrics.is_empty());
         assert_eq!(observed.metrics.get_count("convergence.trials"), Some(10));
         let h = observed
@@ -196,6 +200,9 @@ mod tests {
             .get_histo("convergence.c1.slots")
             .expect("per-pattern histogram");
         assert_eq!(h.count(), 2);
-        assert!(!observed.snapshot.events.is_empty(), "no representative trace");
+        assert!(
+            !observed.snapshot.events.is_empty(),
+            "no representative trace"
+        );
     }
 }

@@ -73,8 +73,7 @@ pub fn report(sim_trials: u64) -> Report {
                 let settled = sim.settled_schedules();
                 let all = settled.len() == periods.len();
                 let clean = (0..settled.len()).all(|i| {
-                    ((i + 1)..settled.len())
-                        .all(|j| !settled[i].1.conflicts_with(&settled[j].1))
+                    ((i + 1)..settled.len()).all(|j| !settled[i].1.conflicts_with(&settled[j].1))
                 });
                 if all && clean {
                     break;

@@ -14,13 +14,13 @@
 //!   a churn scenario over the sweep pool, with sub-band reuse marked by
 //!   `xreader_collision` events.
 
+use arachnet_core::slot::Period;
 use arachnet_obs::{EventKind, MetricSet, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetPlanError};
 use arachnet_sim::fleet::{run_fleet, FleetCell, FleetWaveSim};
 use arachnet_sim::scenario::Scenario;
 use arachnet_sim::sweep::{run_matrix_sweep, RunTelemetry, SweepConfig, SweepStats};
 use arachnet_sim::Pattern;
-use arachnet_core::slot::Period;
 
 use crate::report::{Experiment, ExperimentCtx, Report, Section};
 
@@ -268,9 +268,7 @@ impl Experiment for MrInterference {
         }
         let mut report = Report::single(
             Section::new(
-                format!(
-                    "Cross-reader interference — {k}-reader fleet, rejection A/B (375 bps)"
-                ),
+                format!("Cross-reader interference — {k}-reader fleet, rejection A/B (375 bps)"),
                 &[
                     "plan", "reader", "fc (kHz)", "band", "sent", "lost", "xflags", "SNR (dB)",
                 ],
@@ -354,8 +352,7 @@ pub fn report_fleet_soak(
             scenario: soak_scenario(c),
         })
         .collect();
-    let run =
-        run_fleet(&plan, &cells, trials, sweep, CAP, observe).expect("validated fleet shape");
+    let run = run_fleet(&plan, &cells, trials, sweep, CAP, observe).expect("validated fleet shape");
     let mut rows = Vec::new();
     let mut metrics = MetricSet::new();
     let mut snapshot = None;
@@ -412,9 +409,7 @@ pub fn report_fleet_soak(
     }
     let mut report = Report::single(
         Section::new(
-            format!(
-                "Fleet soak — {readers} cells over {bands} sub-bands, churn scenario per cell"
-            ),
+            format!("Fleet soak — {readers} cells over {bands} sub-bands, churn scenario per cell"),
             &[
                 "cell",
                 "band",

@@ -123,10 +123,12 @@ fn suggestions_for(id: &str) -> Vec<&'static str> {
 
 /// Looks an experiment up by its `repro` subcommand id.
 pub fn find(id: &str) -> Result<&'static dyn Experiment, UnknownExperiment> {
-    all().find(|e| e.id() == id).ok_or_else(|| UnknownExperiment {
-        id: id.to_string(),
-        suggestions: suggestions_for(id),
-    })
+    all()
+        .find(|e| e.id() == id)
+        .ok_or_else(|| UnknownExperiment {
+            id: id.to_string(),
+            suggestions: suggestions_for(id),
+        })
 }
 
 #[cfg(test)]

@@ -712,7 +712,11 @@ mod tests {
             ExperimentCtx::builder(1).readers(2).bands(3).build(),
             Err(ConfigError::Inconsistent { .. })
         ));
-        let ok = ExperimentCtx::builder(1).readers(4).bands(2).build().unwrap();
+        let ok = ExperimentCtx::builder(1)
+            .readers(4)
+            .bands(2)
+            .build()
+            .unwrap();
         assert_eq!(ok.fleet_readers(6), 4);
         assert_eq!(ok.fleet_bands(4), 2);
     }
@@ -866,7 +870,9 @@ mod tests {
             Err(ConfigError::NotPositive { .. })
         ));
         assert!(matches!(
-            ExperimentCtx::builder(1).ring_capacity((1 << 20) + 1).build(),
+            ExperimentCtx::builder(1)
+                .ring_capacity((1 << 20) + 1)
+                .build(),
             Err(ConfigError::Inconsistent { .. })
         ));
         let cap = ExperimentCtx::builder(1).ring_capacity(64).build().unwrap();

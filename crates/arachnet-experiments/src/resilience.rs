@@ -81,7 +81,13 @@ impl Experiment for Resilience {
         Report::single(
             Section::new(
                 "Resilience self-test — injected panic quarantined, sweep completes",
-                &["pattern", "trials", "completed", "quarantined", "median slots"],
+                &[
+                    "pattern",
+                    "trials",
+                    "completed",
+                    "quarantined",
+                    "median slots",
+                ],
                 rows,
             )
             .with_note(

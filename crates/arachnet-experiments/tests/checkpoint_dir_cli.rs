@@ -132,6 +132,9 @@ fn uncreatable_checkpoint_dir_is_a_clean_exit_3_not_a_panic() {
         stderr.contains("cannot create --checkpoint-dir"),
         "{stderr}"
     );
-    assert!(!stderr.contains("panicked"), "must be an error, not a panic: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "must be an error, not a panic: {stderr}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

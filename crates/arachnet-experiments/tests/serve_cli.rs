@@ -57,7 +57,10 @@ fn serve_lifecycle_good_query_malformed_overload_drain_exit_zero() {
     let addr = serve.addr;
 
     // Good query through the real PHY path.
-    let reply = query(addr, r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":3}"#);
+    let reply = query(
+        addr,
+        r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":3}"#,
+    );
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert!(reply.contains("\"snr_db\""), "{reply}");
 
@@ -82,7 +85,9 @@ fn serve_lifecycle_good_query_malformed_overload_drain_exit_zero() {
     for s in [park, fill] {
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut reply = String::new();
-        BufReader::new(s).read_line(&mut reply).expect("drain reply");
+        BufReader::new(s)
+            .read_line(&mut reply)
+            .expect("drain reply");
         assert!(reply.contains("\"ok\":true"), "in-flight answered: {reply}");
     }
     let status = serve.child.wait().expect("child exit");
@@ -93,7 +98,10 @@ fn serve_lifecycle_good_query_malformed_overload_drain_exit_zero() {
 fn serve_experiment_op_returns_the_deterministic_metrics_document() {
     let mut serve = spawn_serve(&["--port", "0", "--workers", "1", "--queue-depth", "4"]);
     let addr = serve.addr;
-    let reply = query(addr, r#"{"op":"experiment","id":"table1","quick":true,"seed":9}"#);
+    let reply = query(
+        addr,
+        r#"{"op":"experiment","id":"table1","quick":true,"seed":9}"#,
+    );
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert!(reply.contains("\"metrics\":{"), "{reply}");
     assert!(reply.contains("\"experiment\":\"table1\""), "{reply}");

@@ -12,10 +12,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "arachnet_stale_{label}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("arachnet_stale_{label}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir

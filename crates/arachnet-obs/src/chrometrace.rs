@@ -86,14 +86,30 @@ pub fn chrome_trace(
     let mut first = true;
 
     // Process/thread naming so the viewer labels the lanes.
-    push_event(&mut out, &mut first, meta(1, None, "process_name", "sweep workers (wall us)"));
-    push_event(&mut out, &mut first, meta(2, None, "process_name", "sim events (slot clock)"));
-    push_event(&mut out, &mut first, meta(3, None, "process_name", "span aggregates (wall us)"));
+    push_event(
+        &mut out,
+        &mut first,
+        meta(1, None, "process_name", "sweep workers (wall us)"),
+    );
+    push_event(
+        &mut out,
+        &mut first,
+        meta(2, None, "process_name", "sim events (slot clock)"),
+    );
+    push_event(
+        &mut out,
+        &mut first,
+        meta(3, None, "process_name", "span aggregates (wall us)"),
+    );
     let mut workers: Vec<u32> = lanes.iter().map(|l| l.worker).collect();
     workers.sort_unstable();
     workers.dedup();
     for w in &workers {
-        push_event(&mut out, &mut first, meta(1, Some(*w), "thread_name", &format!("worker {w}")));
+        push_event(
+            &mut out,
+            &mut first,
+            meta(1, Some(*w), "thread_name", &format!("worker {w}")),
+        );
     }
 
     // pid 1: one X event per trial lane.
@@ -196,7 +212,13 @@ mod tests {
                 help: false,
             },
         ];
-        let spans = [("phy.decode", SpanStat { total_ns: 42_000, calls: 7 })];
+        let spans = [(
+            "phy.decode",
+            SpanStat {
+                total_ns: 42_000,
+                calls: 7,
+            },
+        )];
         let events = [Event {
             slot: 10,
             tag: 3,
@@ -207,8 +229,10 @@ mod tests {
         let te = v.get("traceEvents").unwrap().as_arr().unwrap();
         // 3 process metas + 2 thread metas + 2 lanes + 1 sim + 1 span.
         assert_eq!(te.len(), 9, "{doc}");
-        let phases: Vec<&str> =
-            te.iter().map(|e| e.get("ph").unwrap().as_str().unwrap()).collect();
+        let phases: Vec<&str> = te
+            .iter()
+            .map(|e| e.get("ph").unwrap().as_str().unwrap())
+            .collect();
         assert_eq!(phases.iter().filter(|p| **p == "M").count(), 5);
         assert_eq!(phases.iter().filter(|p| **p == "X").count(), 3);
         assert_eq!(phases.iter().filter(|p| **p == "i").count(), 1);
@@ -223,9 +247,19 @@ mod tests {
             Some("failed")
         );
         // Sim events land at slot × slot_us on the pid-2 clock.
-        let sim = te.iter().find(|e| e.get("pid").unwrap().as_f64() == Some(2.0) && e.get("ph").unwrap().as_str() == Some("i")).unwrap();
+        let sim = te
+            .iter()
+            .find(|e| {
+                e.get("pid").unwrap().as_f64() == Some(2.0)
+                    && e.get("ph").unwrap().as_str() == Some("i")
+            })
+            .unwrap();
         assert_eq!(sim.get("ts").unwrap().as_f64(), Some(10.0));
-        assert_eq!(sim.get("s").unwrap().as_str(), Some("p"), "anomaly → process scope");
+        assert_eq!(
+            sim.get("s").unwrap().as_str(),
+            Some("p"),
+            "anomaly → process scope"
+        );
     }
 
     #[test]
@@ -233,11 +267,25 @@ mod tests {
         let doc = chrome_trace(&[], &[], &[], 0, 50);
         let v = parse_json(&doc).unwrap();
         assert_eq!(v.get("traceEvents").unwrap().as_arr().unwrap().len(), 3);
-        let e = Event { slot: 4, tag: NO_TAG, kind: EventKind::Decoded };
+        let e = Event {
+            slot: 4,
+            tag: NO_TAG,
+            kind: EventKind::Decoded,
+        };
         let doc = chrome_trace(&[], &[], &[e], 1, 50);
         let v = parse_json(&doc).unwrap();
-        let sim = v.get("traceEvents").unwrap().as_arr().unwrap().last().unwrap().clone();
+        let sim = v
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .last()
+            .unwrap()
+            .clone();
         assert_eq!(sim.get("ts").unwrap().as_f64(), Some(200.0));
-        assert_eq!(sim.get("args").unwrap().get("tag"), Some(&crate::jsonval::JsonValue::Null));
+        assert_eq!(
+            sim.get("args").unwrap().get("tag"),
+            Some(&crate::jsonval::JsonValue::Null)
+        );
     }
 }

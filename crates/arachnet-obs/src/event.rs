@@ -299,7 +299,10 @@ impl EventKind {
                 format!(",\"offset\":{offset}")
             }
             EventKind::TagMigrated { from, to, reason } => {
-                format!(",\"from\":{from},\"to\":{to},\"reason\":\"{}\"", reason.label())
+                format!(
+                    ",\"from\":{from},\"to\":{to},\"reason\":\"{}\"",
+                    reason.label()
+                )
             }
             EventKind::AckNack { ack } => format!(",\"ack\":{ack}"),
             EventKind::Collision { transmitters } => format!(",\"transmitters\":{transmitters}"),
@@ -356,7 +359,11 @@ impl Event {
             format!("tag {:>2}", self.tag)
         };
         let mark = if self.kind.is_anomaly() { "!" } else { " " };
-        format!("{mark} slot {:>7}  {who}  {}", self.slot, self.kind.describe())
+        format!(
+            "{mark} slot {:>7}  {who}  {}",
+            self.slot,
+            self.kind.describe()
+        )
     }
 }
 
@@ -369,7 +376,11 @@ mod tests {
         let kinds = [
             EventKind::SlotClaimed { offset: 0 },
             EventKind::Settled { offset: 0 },
-            EventKind::TagMigrated { from: 0, to: 1, reason: MigrateReason::NackRun },
+            EventKind::TagMigrated {
+                from: 0,
+                to: 1,
+                reason: MigrateReason::NackRun,
+            },
             EventKind::AckNack { ack: true },
             EventKind::Collision { transmitters: 2 },
             EventKind::Empty,
@@ -377,7 +388,9 @@ mod tests {
             EventKind::PowerCutoff,
             EventKind::PowerOn,
             EventKind::Decoded,
-            EventKind::DecodeFail { reason: DecodeFailReason::BadCrc },
+            EventKind::DecodeFail {
+                reason: DecodeFailReason::BadCrc,
+            },
             EventKind::TagJoined,
             EventKind::TagDeparted,
             EventKind::ChannelEpoch { epoch: 2 },
@@ -401,13 +414,21 @@ mod tests {
         let e = Event {
             slot: 42,
             tag: 3,
-            kind: EventKind::TagMigrated { from: 1, to: 5, reason: MigrateReason::BeaconTimeout },
+            kind: EventKind::TagMigrated {
+                from: 1,
+                to: 5,
+                reason: MigrateReason::BeaconTimeout,
+            },
         };
         let j = e.to_json(7);
         assert!(!j.contains('\n'));
         assert!(j.contains("\"event\":\"tag_migrated\""));
         assert!(j.contains("\"reason\":\"beacon-timeout\""));
-        let none = Event { slot: 1, tag: NO_TAG, kind: EventKind::Empty };
+        let none = Event {
+            slot: 1,
+            tag: NO_TAG,
+            kind: EventKind::Empty,
+        };
         assert!(none.to_json(7).contains("\"tag\":null"));
     }
 }

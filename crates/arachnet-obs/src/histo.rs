@@ -32,7 +32,13 @@ impl Default for Histo {
 impl Histo {
     /// A fresh empty histogram.
     pub const fn new() -> Self {
-        Histo { counts: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Histo {
+            counts: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
     }
 
     /// Bucket index for a sample.

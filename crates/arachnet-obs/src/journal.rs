@@ -312,7 +312,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_but_midfile_corruption_is_an_error() {
-        let dir = std::env::temp_dir().join(format!("arachnet-journal-torn-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("arachnet-journal-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("JOURNAL_torn.jsonl");
 
@@ -432,8 +433,7 @@ mod tests {
 
     #[test]
     fn append_line_matches_append_on_disk() {
-        let dir =
-            std::env::temp_dir().join(format!("arachnet-journal-raw-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("arachnet-journal-raw-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("JOURNAL_raw.jsonl");
         let _ = std::fs::remove_file(&path);

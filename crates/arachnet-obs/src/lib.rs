@@ -59,8 +59,7 @@ pub use journal::{progress_rates, read_journal, Heartbeat, Journal};
 pub use jsonval::{parse_json, JsonError, JsonValue};
 pub use metrics::{MetricSet, MetricValue};
 pub use recorder::{
-    default_ring_capacity, set_default_ring_capacity, Recorder, RecorderSnapshot,
-    DEFAULT_CAPACITY,
+    default_ring_capacity, set_default_ring_capacity, Recorder, RecorderSnapshot, DEFAULT_CAPACITY,
 };
 pub use span::{flush_thread_spans, span, take_spans, SpanStat, SpanTimer};
 pub use timeline::render_timeline;

@@ -118,7 +118,9 @@ impl Recorder {
 
     /// Events currently retained in the ring, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.0.as_deref().map_or_else(Vec::new, |a| a.ring.iter().copied().collect())
+        self.0
+            .as_deref()
+            .map_or_else(Vec::new, |a| a.ring.iter().copied().collect())
     }
 
     /// Consume the recorder into an immutable snapshot (disabled → empty
@@ -153,7 +155,12 @@ pub struct RecorderSnapshot {
 impl RecorderSnapshot {
     /// A snapshot with nothing in it.
     pub fn empty() -> Self {
-        RecorderSnapshot { seed: 0, dropped: 0, counts: [0; KIND_COUNT], events: Vec::new() }
+        RecorderSnapshot {
+            seed: 0,
+            dropped: 0,
+            counts: [0; KIND_COUNT],
+            events: Vec::new(),
+        }
     }
 
     /// Total recorded events across all kinds.
@@ -199,7 +206,13 @@ mod tests {
         for slot in 0..10u64 {
             r.record(slot, 1, EventKind::BeaconLost);
         }
-        r.record(10, 2, EventKind::DecodeFail { reason: DecodeFailReason::BadCrc });
+        r.record(
+            10,
+            2,
+            EventKind::DecodeFail {
+                reason: DecodeFailReason::BadCrc,
+            },
+        );
         let s = r.into_snapshot();
         assert_eq!(s.seed, 9);
         assert_eq!(s.total(), 11);
@@ -237,7 +250,11 @@ mod tests {
         r.record(
             1,
             4,
-            EventKind::TagMigrated { from: 0, to: 2, reason: MigrateReason::FeedbackNack },
+            EventKind::TagMigrated {
+                from: 0,
+                to: 2,
+                reason: MigrateReason::FeedbackNack,
+            },
         );
         let mut m = MetricSet::new();
         r.into_snapshot().add_counts_to(&mut m, "sim");

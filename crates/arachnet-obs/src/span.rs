@@ -37,7 +37,10 @@ static GLOBAL: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::ne
 /// Start timing a named stage; the span ends (and is aggregated) on drop.
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
 pub fn span(name: &'static str) -> SpanTimer {
-    SpanTimer { name, start: Instant::now() }
+    SpanTimer {
+        name,
+        start: Instant::now(),
+    }
 }
 
 /// An in-flight span returned by [`span`].
@@ -51,10 +54,10 @@ impl Drop for SpanTimer {
     fn drop(&mut self) {
         let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         LOCAL.with(|l| {
-            l.borrow_mut()
-                .entry(self.name)
-                .or_default()
-                .fold(SpanStat { total_ns: ns, calls: 1 });
+            l.borrow_mut().entry(self.name).or_default().fold(SpanStat {
+                total_ns: ns,
+                calls: 1,
+            });
         });
     }
 }
@@ -109,8 +112,14 @@ mod tests {
         .join()
         .unwrap();
         let spans = take_spans();
-        let a = spans.iter().find(|(n, _)| *n == "obs-test.stage_a").unwrap();
-        let b = spans.iter().find(|(n, _)| *n == "obs-test.stage_b").unwrap();
+        let a = spans
+            .iter()
+            .find(|(n, _)| *n == "obs-test.stage_a")
+            .unwrap();
+        let b = spans
+            .iter()
+            .find(|(n, _)| *n == "obs-test.stage_b")
+            .unwrap();
         assert_eq!(a.1.calls, 2);
         assert_eq!(b.1.calls, 1);
         // Sorted by name.
@@ -119,6 +128,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(names, sorted);
         // Drained.
-        assert!(take_spans().iter().all(|(n, _)| !n.starts_with("obs-test.")));
+        assert!(take_spans()
+            .iter()
+            .all(|(n, _)| !n.starts_with("obs-test.")));
     }
 }

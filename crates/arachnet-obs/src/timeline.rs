@@ -35,7 +35,10 @@ pub fn render_timeline(events: &[Event], tag: Option<u8>, last_n: usize) -> Stri
         out.push('\n');
     }
     if end < kept.len() {
-        out.push_str(&format!("  ... {} later event(s) after first anomaly ...\n", kept.len() - end));
+        out.push_str(&format!(
+            "  ... {} later event(s) after first anomaly ...\n",
+            kept.len() - end
+        ));
     }
     out
 }
@@ -52,7 +55,15 @@ mod tests {
     #[test]
     fn windows_end_at_first_anomaly() {
         let events = vec![
-            ev(1, 3, EventKind::TagMigrated { from: 0, to: 2, reason: MigrateReason::FeedbackNack }),
+            ev(
+                1,
+                3,
+                EventKind::TagMigrated {
+                    from: 0,
+                    to: 2,
+                    reason: MigrateReason::FeedbackNack,
+                },
+            ),
             ev(2, 3, EventKind::AckNack { ack: true }),
             ev(3, 3, EventKind::Settled { offset: 2 }),
             ev(4, NO_TAG, EventKind::Collision { transmitters: 2 }),
@@ -79,8 +90,13 @@ mod tests {
 
     #[test]
     fn decode_fail_is_anomalous() {
-        let events =
-            vec![ev(9, 1, EventKind::DecodeFail { reason: DecodeFailReason::NoPreamble })];
+        let events = vec![ev(
+            9,
+            1,
+            EventKind::DecodeFail {
+                reason: DecodeFailReason::NoPreamble,
+            },
+        )];
         let t = render_timeline(&events, Some(1), 5);
         assert!(t.starts_with("! slot"));
     }

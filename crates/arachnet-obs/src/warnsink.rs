@@ -86,8 +86,11 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
     *CAPTURED.lock().unwrap_or_else(|e| e.into_inner()) = Some(Vec::new());
     let restore = Restore;
     let out = f();
-    let warnings =
-        CAPTURED.lock().unwrap_or_else(|e| e.into_inner()).take().unwrap_or_default();
+    let warnings = CAPTURED
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .unwrap_or_default();
     drop(restore);
     (out, warnings)
 }
@@ -106,7 +109,9 @@ mod tests {
     fn stderr_path_deduplicates_and_flush_summarizes() {
         // Hold the capture gate so no concurrent `capture` redirects these
         // warnings into its buffer (the stderr/dedup path must be active).
-        let _gate = super::CAPTURE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let _gate = super::CAPTURE_GATE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         super::flush_warnings(); // start from a clean table
         let msg = format!("dedup probe {}", std::process::id());
         crate::warn_str(&msg); // prints
@@ -114,10 +119,17 @@ mod tests {
         crate::warn_str(&msg); // suppressed
         crate::warn_str("dedup lone message"); // prints, never repeats
         let summaries = super::flush_warnings();
-        assert_eq!(summaries.len(), 1, "only repeated messages summarize: {summaries:?}");
+        assert_eq!(
+            summaries.len(),
+            1,
+            "only repeated messages summarize: {summaries:?}"
+        );
         assert!(summaries[0].contains(&msg), "{summaries:?}");
         assert!(summaries[0].contains("×3"), "{summaries:?}");
-        assert!(summaries[0].contains("2 repeats suppressed"), "{summaries:?}");
+        assert!(
+            summaries[0].contains("2 repeats suppressed"),
+            "{summaries:?}"
+        );
         assert!(super::flush_warnings().is_empty(), "flush resets the table");
     }
 

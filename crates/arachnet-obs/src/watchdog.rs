@@ -81,7 +81,9 @@ impl Watchdog {
     /// Worker `worker` finished its current trial (however it ended —
     /// quarantined attempts still teach the duration histogram).
     pub fn end(&self, worker: usize) {
-        let Some(slot) = self.slots.get(worker) else { return };
+        let Some(slot) = self.slots.get(worker) else {
+            return;
+        };
         if let Some(fly) = slot.lock().unwrap().take() {
             let ms = fly.started.elapsed().as_millis().min(u64::MAX as u128) as u64;
             self.durations.lock().unwrap().record(ms);
@@ -105,7 +107,9 @@ impl Watchdog {
     /// record a [`EventKind::TrialStalled`] for each newly flagged one.
     /// Returns how many trials were newly flagged by this poll.
     pub fn poll(&self) -> usize {
-        let Some(deadline_ms) = self.deadline_ms() else { return 0 };
+        let Some(deadline_ms) = self.deadline_ms() else {
+            return 0;
+        };
         let mut newly = 0;
         for (worker, slot) in self.slots.iter().enumerate() {
             let mut guard = slot.lock().unwrap();

@@ -65,7 +65,10 @@ impl fmt::Display for FleetPlanError {
         match self {
             FleetPlanError::NoReaders => write!(f, "fleet plan needs at least one reader"),
             FleetPlanError::TooManyReaders { readers } => {
-                write!(f, "{readers} readers exceeds the supported fleet size ({MAX_READERS})")
+                write!(
+                    f,
+                    "{readers} readers exceeds the supported fleet size ({MAX_READERS})"
+                )
             }
             FleetPlanError::OutOfBand { carrier_hz } => write!(
                 f,
@@ -372,7 +375,8 @@ impl FleetReceiver {
         scratch.cleaned.clear();
         scratch.cleaned.extend_from_slice(wave);
         self.reject_into(&mut scratch.cleaned, &mut scratch.corr);
-        self.rx.uplink_snr_db_with(&scratch.cleaned, &mut scratch.rx)
+        self.rx
+            .uplink_snr_db_with(&scratch.cleaned, &mut scratch.rx)
     }
 }
 

@@ -21,13 +21,13 @@
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::{self, Fm0Encoder};
 use arachnet_core::packet::{UlPacket, UL_PREAMBLE};
-use arachnet_obs::DecodeFailReason;
 use arachnet_dsp::cluster::{cluster_iq, ClusterConfig};
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::{CarrierTable, DownConverter};
 use arachnet_dsp::psd::{welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
+use arachnet_obs::DecodeFailReason;
 
 /// Shortest Welch segment of the SNR estimate, in samples.
 const MIN_WELCH_SEG: usize = 256;
@@ -210,7 +210,10 @@ impl UplinkReceiver {
         let (ring1, ring2) = tmp.split_at_mut(d);
         let mut mixer = match &self.carrier_tab {
             Some(_) => None,
-            None => Some(DownConverter::new(self.cfg.sample_rate, self.cfg.carrier_hz)),
+            None => Some(DownConverter::new(
+                self.cfg.sample_rate,
+                self.cfg.carrier_hz,
+            )),
         };
         let phasors = self.carrier_tab.as_ref().map(|t| t.phasors());
         let mut ph = 0usize;

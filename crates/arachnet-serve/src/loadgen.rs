@@ -84,8 +84,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
                     let t0 = Instant::now();
                     match client.query(line) {
                         Ok(v) => {
-                            let us =
-                                t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                            let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
                             rep.latency_us.record(us);
                             if is_ok(&v) {
                                 rep.ok += 1;

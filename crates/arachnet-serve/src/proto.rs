@@ -150,8 +150,7 @@ fn u64_field_or(v: &JsonValue, key: &str, default: u64) -> Result<u64, Reject> {
 impl Request {
     /// Parses and validates one request line.
     pub fn parse(line: &str) -> Result<Request, Reject> {
-        let v = parse_json(line.trim())
-            .map_err(|e| Reject::new("malformed", e.to_string()))?;
+        let v = parse_json(line.trim()).map_err(|e| Reject::new("malformed", e.to_string()))?;
         let op = v
             .get("op")
             .and_then(JsonValue::as_str)
@@ -223,10 +222,7 @@ impl Request {
                     seed,
                 })
             }
-            other => Err(Reject::new(
-                "bad_request",
-                format!("unknown op `{other}`"),
-            )),
+            other => Err(Reject::new("bad_request", format!("unknown op `{other}`"))),
         }
     }
 
@@ -242,7 +238,14 @@ impl Request {
 
 /// The successful `decode` reply line (no trailing newline). `batched` is
 /// how many requests shared this request's micro-batch (1 = unbatched).
-pub fn decode_line(tag: u8, ul_bps: f64, sent: u64, lost: u64, snr_db: f64, batched: usize) -> String {
+pub fn decode_line(
+    tag: u8,
+    ul_bps: f64,
+    sent: u64,
+    lost: u64,
+    snr_db: f64,
+    batched: usize,
+) -> String {
     format!(
         "{{\"ok\":true,\"op\":\"decode\",\"tag\":{tag},\"ul_bps\":{},\"sent\":{sent},\"lost\":{lost},\"snr_db\":{},\"batched\":{batched}}}",
         json_f64(ul_bps),
@@ -313,7 +316,10 @@ mod tests {
     fn parses_every_op_with_defaults() {
         assert_eq!(Request::parse(r#"{"op":"ping"}"#), Ok(Request::Ping));
         assert_eq!(Request::parse(r#"{"op":"stats"}"#), Ok(Request::Stats));
-        assert_eq!(Request::parse(r#"{"op":"shutdown"}"#), Ok(Request::Shutdown));
+        assert_eq!(
+            Request::parse(r#"{"op":"shutdown"}"#),
+            Ok(Request::Shutdown)
+        );
         assert_eq!(
             Request::parse(r#"{"op":"sleep","ms":50}"#),
             Ok(Request::Sleep { ms: 50 })
@@ -358,7 +364,11 @@ mod tests {
             r#"{"op":"sleep","ms":99999}"#,
             r#"{"op":"experiment"}"#,
         ] {
-            assert_eq!(Request::parse(bad).unwrap_err().code, "bad_request", "{bad}");
+            assert_eq!(
+                Request::parse(bad).unwrap_err().code,
+                "bad_request",
+                "{bad}"
+            );
         }
         // The ends of the UL ladder are themselves valid rates, and the
         // deployment's first and last tag ids valid tags.
@@ -388,8 +398,8 @@ mod tests {
     fn batch_key_groups_decodes_by_seed() {
         let a = Request::parse(r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":4,"seed":9}"#)
             .unwrap();
-        let b = Request::parse(r#"{"op":"decode","tag":4,"ul_bps":500,"packets":2,"seed":9}"#)
-            .unwrap();
+        let b =
+            Request::parse(r#"{"op":"decode","tag":4,"ul_bps":500,"packets":2,"seed":9}"#).unwrap();
         assert_eq!(a.batch_key(), Some(9));
         assert_eq!(a.batch_key(), b.batch_key());
         assert_eq!(Request::Ping.batch_key(), None);

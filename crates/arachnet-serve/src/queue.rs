@@ -85,10 +85,7 @@ impl<T> Bounded<T> {
             if st.closed {
                 return None;
             }
-            st = self
-                .takeable
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
+            st = self.takeable.wait(st).unwrap_or_else(|p| p.into_inner());
         }
     }
 

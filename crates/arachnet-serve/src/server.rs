@@ -410,7 +410,10 @@ fn handle_conn(mut stream: TcpStream, sh: &Shared) {
             sh.malformed.fetch_add(1, Ordering::Relaxed);
             let _ = write_line(
                 &mut stream,
-                &error_line("oversized", &format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+                &error_line(
+                    "oversized",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                ),
             );
             return;
         }
@@ -471,17 +474,17 @@ fn serve_line(line: &str, sh: &Shared, stream: &mut TcpStream) -> LineOutcome {
             Err(()) => LineOutcome::Close,
         },
         Request::Shutdown => {
-            let _ = write_line(stream, "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}");
+            let _ = write_line(
+                stream,
+                "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}",
+            );
             sh.draining.store(true, Ordering::SeqCst);
             LineOutcome::Close
         }
         work => {
             if sh.draining.load(Ordering::SeqCst) {
                 sh.rejected.fetch_add(1, Ordering::Relaxed);
-                let _ = write_line(
-                    stream,
-                    &error_line("draining", "server is shutting down"),
-                );
+                let _ = write_line(stream, &error_line("draining", "server is shutting down"));
                 return LineOutcome::Close;
             }
             let deadline = Instant::now() + sh.request_deadline;
@@ -534,10 +537,7 @@ fn serve_line(line: &str, sh: &Shared, stream: &mut TcpStream) -> LineOutcome {
                 }
                 Err(PushError::Closed(_)) => {
                     sh.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = write_line(
-                        stream,
-                        &error_line("draining", "server is shutting down"),
-                    );
+                    let _ = write_line(stream, &error_line("draining", "server is shutting down"));
                     LineOutcome::Close
                 }
             }

@@ -223,9 +223,7 @@ impl TrialCodec for EventKind {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.index() as u8);
         match *self {
-            EventKind::SlotClaimed { offset } | EventKind::Settled { offset } => {
-                offset.encode(out)
-            }
+            EventKind::SlotClaimed { offset } | EventKind::Settled { offset } => offset.encode(out),
             EventKind::TagMigrated { from, to, reason } => {
                 from.encode(out);
                 to.encode(out);
@@ -590,8 +588,7 @@ mod tests {
                 if *opt == 0 { None } else { Some(*opt) },
             );
             let bytes = encode_to_vec(&value);
-            let back: (Vec<u64>, f64, Option<u64>) =
-                decode_exact(&bytes).ok_or("decode failed")?;
+            let back: (Vec<u64>, f64, Option<u64>) = decode_exact(&bytes).ok_or("decode failed")?;
             prop_assert_eq!(&back.0, &value.0);
             prop_assert_eq!(back.1.to_bits(), value.1.to_bits());
             prop_assert_eq!(back.2, value.2);

@@ -394,7 +394,10 @@ mod tests {
         let p = |v| Period::new(v).unwrap();
         assert!(matches!(
             CoSimConfig::builder(vec![(8, p(2))], 1).dl_bps(0.0).build(),
-            Err(ConfigError::NotPositive { field: "dl_bps", .. })
+            Err(ConfigError::NotPositive {
+                field: "dl_bps",
+                ..
+            })
         ));
     }
 }

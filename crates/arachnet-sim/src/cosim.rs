@@ -287,7 +287,10 @@ impl CoSim {
                         .record(slot, NO_TAG, EventKind::ChannelEpoch { epoch });
                 }
             }
-            self.scenario.as_mut().expect("scenario playback state").next_event += 1;
+            self.scenario
+                .as_mut()
+                .expect("scenario playback state")
+                .next_event += 1;
         }
     }
 
@@ -326,7 +329,11 @@ impl CoSim {
         let slot = self.slots_run;
         if self.scenario.is_some() {
             self.apply_scenario_events(slot);
-            if self.scenario.as_ref().is_some_and(|st| slot < st.outage_until) {
+            if self
+                .scenario
+                .as_ref()
+                .is_some_and(|st| slot < st.outage_until)
+            {
                 return self.dark_step(slot);
             }
         }
@@ -443,7 +450,11 @@ impl CoSim {
                 // Real transmissions the DSP chain could not recover: the
                 // receiver's own stage-of-failure diagnosis is the reason.
                 let reason = rx_out.fail.unwrap_or(DecodeFailReason::NoPreamble);
-                let tag = if transmitters.len() == 1 { transmitters[0] } else { NO_TAG };
+                let tag = if transmitters.len() == 1 {
+                    transmitters[0]
+                } else {
+                    NO_TAG
+                };
                 self.recorder
                     .record(slot, tag, EventKind::DecodeFail { reason });
             }
@@ -598,7 +609,10 @@ mod tests {
         }
         for _ in 0..6 {
             let s = sim.step();
-            assert!(s.transmitters.is_empty(), "tag transmitted into a dark slot");
+            assert!(
+                s.transmitters.is_empty(),
+                "tag transmitted into a dark slot"
+            );
             assert!(s.rx.packet.is_none() && !s.rx.collision);
             assert_eq!(s.beacon_losses.len(), 2, "both tags must time out");
         }
@@ -636,7 +650,10 @@ mod tests {
             assert!(!s.transmitters.contains(&8), "departed tag transmitted");
             saw_joined_tx |= s.transmitters.contains(&7);
         }
-        assert!(saw_joined_tx, "joined tag never transmitted after the churn");
+        assert!(
+            saw_joined_tx,
+            "joined tag never transmitted after the churn"
+        );
         let snap = sim.take_recorder_snapshot();
         assert!(snap.count_at(EventKind::TagJoined.index()) >= 1);
         assert!(snap.count_at(EventKind::TagDeparted.index()) >= 1);

@@ -188,8 +188,7 @@ impl FleetWaveSim {
         })?;
         let tags: Vec<[(u8, &[PztState]); 1]> =
             s.states.iter().map(|st| [(tid, st.as_slice())]).collect();
-        let cell_tags: Vec<&[(u8, &[PztState])]> =
-            tags.iter().map(|t| t.as_slice()).collect();
+        let cell_tags: Vec<&[(u8, &[PztState])]> = tags.iter().map(|t| t.as_slice()).collect();
         let len = s.states[reader].len();
         let seed_own = trial_seed(self.uplink_base_seed(reader, tid, ul_bps), i);
         self.channel
@@ -458,7 +457,11 @@ mod tests {
             let rx = fleet.fleet_rx(0, 375.0);
             fleet.uplink_trial(&rx, 0, 8, 6).unwrap()
         };
-        assert_eq!(fdma.cross_collisions, 0, "FDMA flagged {}", fdma.cross_collisions);
+        assert_eq!(
+            fdma.cross_collisions, 0,
+            "FDMA flagged {}",
+            fdma.cross_collisions
+        );
         assert_eq!(fdma.lost, 0, "FDMA lost {}/{}", fdma.lost, fdma.sent);
         assert!(
             co.cross_collisions > fdma.cross_collisions,
@@ -474,7 +477,9 @@ mod tests {
         let fleet = FleetWaveSim::paper(plan, 21);
         let rx = fleet.fleet_rx(0, 1_500.0);
         let mut rec = Recorder::enabled(21);
-        let r = fleet.uplink_trial_observed(&rx, 0, 11, 8, &mut rec).unwrap();
+        let r = fleet
+            .uplink_trial_observed(&rx, 0, 11, 8, &mut rec)
+            .unwrap();
         let snap = rec.into_snapshot();
         let xidx = EventKind::CrossReaderCollision { readers: 0 }.index();
         assert_eq!(snap.count_at(xidx), r.cross_collisions);

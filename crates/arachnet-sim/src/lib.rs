@@ -42,7 +42,7 @@ pub mod vanilla;
 pub mod wavesim;
 
 pub use codec::TrialCodec;
-pub use config::{AlohaConfigBuilder, ConfigError, CoSimConfigBuilder, SlotSimConfigBuilder};
+pub use config::{AlohaConfigBuilder, CoSimConfigBuilder, ConfigError, SlotSimConfigBuilder};
 pub use fleet::{run_fleet, CellOutcome, FleetCell, FleetUplinkResult, FleetWaveSim};
 pub use patterns::Pattern;
 pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};

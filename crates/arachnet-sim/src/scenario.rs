@@ -348,15 +348,24 @@ mod tests {
     fn builder_rejects_zero_windows_and_bad_probabilities() {
         assert!(matches!(
             Scenario::builder().outage(10, 0).build(),
-            Err(ConfigError::NotPositive { field: "outage.slots", .. })
+            Err(ConfigError::NotPositive {
+                field: "outage.slots",
+                ..
+            })
         ));
         assert!(matches!(
             Scenario::builder().noise_burst(10, 5, 1.5, 0.0).build(),
-            Err(ConfigError::ProbabilityOutOfRange { field: "noise_burst.dl_loss", .. })
+            Err(ConfigError::ProbabilityOutOfRange {
+                field: "noise_burst.dl_loss",
+                ..
+            })
         ));
         assert!(matches!(
             Scenario::builder().noise_burst(10, 5, 0.5, -0.1).build(),
-            Err(ConfigError::ProbabilityOutOfRange { field: "noise_burst.ul_loss", .. })
+            Err(ConfigError::ProbabilityOutOfRange {
+                field: "noise_burst.ul_loss",
+                ..
+            })
         ));
     }
 
@@ -394,9 +403,18 @@ mod tests {
             .join(100, 13, p(8))
             .build()
             .unwrap();
-        assert!(matches!(s.events()[0].event, ScenarioEvent::TagLeave { tid: 1 }));
-        assert!(matches!(s.events()[1].event, ScenarioEvent::TagLeave { tid: 2 }));
-        assert!(matches!(s.events()[2].event, ScenarioEvent::TagJoin { tid: 13, .. }));
+        assert!(matches!(
+            s.events()[0].event,
+            ScenarioEvent::TagLeave { tid: 1 }
+        ));
+        assert!(matches!(
+            s.events()[1].event,
+            ScenarioEvent::TagLeave { tid: 2 }
+        ));
+        assert!(matches!(
+            s.events()[2].event,
+            ScenarioEvent::TagJoin { tid: 13, .. }
+        ));
         // One shared disruption origin for the whole storm.
         assert_eq!(s.disruption_slots(), vec![100]);
     }

@@ -328,7 +328,10 @@ impl SlotSim {
                     _ => break,
                 }
             };
-            self.scenario.as_mut().expect("scenario attached").next_event += 1;
+            self.scenario
+                .as_mut()
+                .expect("scenario attached")
+                .next_event += 1;
             match event {
                 ScenarioEvent::TagJoin { tid, period } => {
                     // A join of a still-present tid is a no-op (the builder
@@ -459,7 +462,11 @@ impl SlotSim {
         let slot = self.slots_run;
         if self.scenario.is_some() {
             self.apply_scenario_events(slot);
-            if self.scenario.as_ref().is_some_and(|st| slot < st.outage_until) {
+            if self
+                .scenario
+                .as_ref()
+                .is_some_and(|st| slot < st.outage_until)
+            {
                 return self.dark_step(slot);
             }
         }
@@ -523,7 +530,9 @@ impl SlotSim {
                     self.recorder.record(
                         slot,
                         tid,
-                        EventKind::DecodeFail { reason: DecodeFailReason::NoPreamble },
+                        EventKind::DecodeFail {
+                            reason: DecodeFailReason::NoPreamble,
+                        },
                     );
                     (SlotObservation::empty(), TruthOutcome::Single(tid))
                 } else {
@@ -534,7 +543,8 @@ impl SlotSim {
                             .iter()
                             .find(|t| t.tid() == tid)
                             .map_or(0, |t| t.mac().offset() as u16);
-                        self.recorder.record(slot, tid, EventKind::SlotClaimed { offset });
+                        self.recorder
+                            .record(slot, tid, EventKind::SlotClaimed { offset });
                     }
                     (SlotObservation::received(tid), TruthOutcome::Single(tid))
                 }
@@ -751,8 +761,7 @@ pub fn run_scenario_trial(
         sim.attach_recorder(Recorder::enabled(seed));
     }
     let horizon = scenario.horizon();
-    while sim.slots_run() < cap && (sim.slots_run() <= horizon || sim.open_disruption().is_some())
-    {
+    while sim.slots_run() < cap && (sim.slots_run() <= horizon || sim.open_disruption().is_some()) {
         sim.step();
     }
     let mut samples = sim.reconvergence_samples().to_vec();
@@ -985,7 +994,8 @@ mod tests {
     #[test]
     fn empty_scenario_is_byte_identical_to_no_scenario() {
         let mut bare = SlotSim::new(SlotSimConfig::new(small_pattern(), 23));
-        let mut with = SlotSim::with_scenario(SlotSimConfig::new(small_pattern(), 23), Scenario::empty());
+        let mut with =
+            SlotSim::with_scenario(SlotSimConfig::new(small_pattern(), 23), Scenario::empty());
         bare.record_outcomes(true);
         with.record_outcomes(true);
         let a = bare.run(500);
@@ -1017,10 +1027,8 @@ mod tests {
     #[test]
     fn reader_outage_goes_dark_and_recovers() {
         let scenario = Scenario::builder().outage(200, 40).build().unwrap();
-        let mut sim = SlotSim::with_scenario(
-            SlotSimConfig::ideal(small_pattern(), 37),
-            scenario.clone(),
-        );
+        let mut sim =
+            SlotSim::with_scenario(SlotSimConfig::ideal(small_pattern(), 37), scenario.clone());
         sim.attach_recorder(Recorder::enabled(37));
         sim.record_outcomes(true);
         sim.run(200);
@@ -1074,7 +1082,9 @@ mod tests {
         let run = sim.run(1_000);
         let stormy = &run.outcomes[300..364];
         assert!(
-            stormy.iter().any(|o| matches!(o, TruthOutcome::Collision(_))),
+            stormy
+                .iter()
+                .any(|o| matches!(o, TruthOutcome::Collision(_))),
             "storm caused no disruption"
         );
         // After re-convergence the tail is collision-free again (ideal

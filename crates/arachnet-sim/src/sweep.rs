@@ -840,7 +840,12 @@ impl TeleRt {
             budget_secs_left,
             done,
         };
-        if let Some(j) = self.journal.lock().unwrap_or_else(|p| p.into_inner()).as_mut() {
+        if let Some(j) = self
+            .journal
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .as_mut()
+        {
             j.append(&beat);
         }
         eprintln!("{}", beat.progress_line());
@@ -1494,12 +1499,7 @@ where
 /// bit-identical at any thread count. Retries, checkpoint/resume and the
 /// budget apply over the flattened `cells × trials` job space, with
 /// counters in [`MatrixRun::stats`].
-pub fn run_matrix_sweep<P, T, F>(
-    cfg: &SweepConfig,
-    cells: &[P],
-    trials: u64,
-    f: F,
-) -> MatrixRun<T>
+pub fn run_matrix_sweep<P, T, F>(cfg: &SweepConfig, cells: &[P], trials: u64, f: F) -> MatrixRun<T>
 where
     P: Sync,
     T: Send + TrialCodec,
@@ -1627,10 +1627,7 @@ mod tests {
         // The quarantined slot surfaces as a deterministic recorder event.
         let events = quarantine_events(grid.iter().flatten());
         assert_eq!(events.len(), 1);
-        assert_eq!(
-            events[0].kind,
-            EventKind::TrialQuarantined { attempts: 2 }
-        );
+        assert_eq!(events[0].kind, EventKind::TrialQuarantined { attempts: 2 });
     }
 
     #[test]
@@ -1751,7 +1748,9 @@ mod tests {
     #[test]
     fn halt_after_is_deterministic_across_thread_counts() {
         let run_at = |threads| {
-            let cfg = SweepConfig::new(21).with_threads(threads).with_halt_after(3);
+            let cfg = SweepConfig::new(21)
+                .with_threads(threads)
+                .with_halt_after(3);
             run_sweep(&cfg, 8, |i, seed| (i, seed))
         };
         let single = run_at(1);
@@ -1785,9 +1784,9 @@ mod tests {
         assert!(path.exists(), "partial run must keep its checkpoint");
         // Resume at a different thread count: byte-identical results.
         let resumed = {
-            let cfg = SweepConfig::new(99).with_threads(8).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(99)
+                .with_threads(8)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_sweep(&cfg, 10, |i, seed| (i, seed))
         };
         assert_eq!(resumed.results, uninterrupted.results);
@@ -1853,9 +1852,9 @@ mod tests {
             f.write_all(&[9, 9, 9, 9, 9]).unwrap();
         }
         let resumed = {
-            let cfg = SweepConfig::new(31).with_threads(2).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(31)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_sweep(&cfg, 6, |i, seed| (i, seed))
         };
         assert_eq!(resumed.stats.restored, 3, "valid prefix only");
@@ -1889,9 +1888,9 @@ mod tests {
         bytes[CKPT_HEADER_LEN + 2 * record + CKPT_REC_HEADER_LEN] ^= 0x04;
         fs::write(&path, &bytes).unwrap();
         let resume = |halt: Option<u64>| {
-            let mut cfg = SweepConfig::new(41).with_threads(2).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let mut cfg = SweepConfig::new(41)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             cfg.policy.halt_after = halt;
             arachnet_obs::capture(|| run_sweep(&cfg, 6, |i, seed| (i, seed)))
         };
@@ -1903,9 +1902,14 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let (run, warnings) = resume(None);
         assert_eq!(run.stats.restored, 2, "trials 0 and 1 only");
-        let fresh = run_sweep(&SweepConfig::new(41).with_threads(1), 6, |i, seed| (i, seed));
+        let fresh = run_sweep(&SweepConfig::new(41).with_threads(1), 6, |i, seed| {
+            (i, seed)
+        });
         assert_eq!(run.results, fresh.results);
-        let corrupt = warnings.iter().filter(|w| w.contains("corrupt record")).count();
+        let corrupt = warnings
+            .iter()
+            .filter(|w| w.contains("corrupt record"))
+            .count();
         assert_eq!(corrupt, 1, "warn once: {warnings:?}");
         assert!(
             !warnings.iter().any(|w| w.contains("torn")),
@@ -1938,9 +1942,9 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
 
         let (run, warnings) = arachnet_obs::capture(|| {
-            let cfg = SweepConfig::new(77).with_threads(2).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(77)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_sweep(&cfg, 4, |i, seed| (i, seed))
         });
         // First-wins: trial 0 keeps the earliest record's payload, and the
@@ -1974,9 +1978,9 @@ mod tests {
         }
         fs::write(&path, &bytes).unwrap();
         let (run, warnings) = arachnet_obs::capture(|| {
-            let cfg = SweepConfig::new(5).with_threads(2).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(5)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_sweep(&cfg, 4, |i, seed| (i, seed))
         });
         assert_eq!(run.stats.restored, 0);
@@ -2006,9 +2010,9 @@ mod tests {
         }
         // Different base seed: the file must be ignored, not misapplied.
         let (_, warnings) = arachnet_obs::capture(|| {
-            let cfg = SweepConfig::new(2).with_threads(1).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(2)
+                .with_threads(1)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             let run = run_sweep(&cfg, 4, |i, seed| (i, seed));
             assert_eq!(run.stats.restored, 0);
             assert_eq!(run.stats.completed, 4);
@@ -2027,9 +2031,9 @@ mod tests {
             .with_checkpoint(CheckpointSpec::new(&path).with_every(1));
         run_sweep(&halted, 4, |i, seed| (i, seed));
         let (run, warnings) = arachnet_obs::capture(|| {
-            let cfg = SweepConfig::new(1).with_threads(2).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(1)
+                .with_threads(2)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_sweep(&cfg, 4, |i, seed| (i + 100, seed))
         });
         assert_eq!(run.stats.restored, 0);
@@ -2060,9 +2064,9 @@ mod tests {
         };
         assert!(partial.stats.partial);
         let resumed = {
-            let cfg = SweepConfig::new(55).with_threads(7).with_checkpoint(
-                CheckpointSpec::new(&path).with_every(1).with_resume(true),
-            );
+            let cfg = SweepConfig::new(55)
+                .with_threads(7)
+                .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
             run_matrix_sweep(&cfg, &cells, 4, |&c, t, seed| (c + t, seed))
         };
         assert_eq!(resumed.cells, full.cells);
@@ -2212,9 +2216,9 @@ mod tests {
     fn telemetry_journals_heartbeats_and_captures_lanes() {
         let path = temp_ckpt("journal").with_extension("jsonl");
         let _ = fs::remove_file(&path);
-        let cfg = SweepConfig::new(5).with_threads(2).with_telemetry(
-            TelemetrySpec::new().with_journal(&path).with_lanes(true),
-        );
+        let cfg = SweepConfig::new(5)
+            .with_threads(2)
+            .with_telemetry(TelemetrySpec::new().with_journal(&path).with_lanes(true));
         let run = run_sweep(&cfg, 6, |i, seed| (i, seed));
         assert_eq!(run.stats.completed, 6);
         // At least the final heartbeat is journaled, marked done, and
@@ -2261,7 +2265,9 @@ mod tests {
             "{e:?}"
         );
         assert!(
-            warnings.iter().any(|w| w.contains("stalled") && w.contains("trial 1")),
+            warnings
+                .iter()
+                .any(|w| w.contains("stalled") && w.contains("trial 1")),
             "{warnings:?}"
         );
     }

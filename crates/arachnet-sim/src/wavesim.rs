@@ -454,7 +454,10 @@ impl WaveSim {
 
     /// Base seed for a (tag, rate) downlink beacon sequence.
     pub fn downlink_base_seed(&self, tid: u8, dl_bps: f64) -> u64 {
-        trial_seed(self.seed ^ 0xD1D1 ^ (u64::from(tid) << 24), dl_bps.to_bits())
+        trial_seed(
+            self.seed ^ 0xD1D1 ^ (u64::from(tid) << 24),
+            dl_bps.to_bits(),
+        )
     }
 
     /// Sends one seeded beacon to `tid` at `dl_bps`; `true` when the
@@ -659,10 +662,16 @@ mod tests {
         assert_eq!(bare.lost, observed.lost);
         assert_eq!(bare.snr_db, observed.snr_db);
         let snap = rec.clone().into_snapshot();
-        assert_eq!(snap.count_at(EventKind::Decoded.index()), observed.sent - observed.lost);
+        assert_eq!(
+            snap.count_at(EventKind::Decoded.index()),
+            observed.sent - observed.lost
+        );
         let fails: u64 = (0..arachnet_obs::KIND_COUNT)
             .filter(|&i| {
-                i == EventKind::DecodeFail { reason: DecodeFailReason::BadCrc }.index()
+                i == EventKind::DecodeFail {
+                    reason: DecodeFailReason::BadCrc,
+                }
+                .index()
             })
             .map(|i| snap.count_at(i))
             .sum();
@@ -760,10 +769,8 @@ mod tests {
     fn identity_drift_reproduces_the_static_trial() {
         use biw_channel::timevarying::ChannelDrift;
         let sim = WaveSim::paper(14);
-        let tvc = TimeVaryingChannel::paper(
-            sim.channel().config().clone(),
-            &[ChannelDrift::identity()],
-        );
+        let tvc =
+            TimeVaryingChannel::paper(sim.channel().config().clone(), &[ChannelDrift::identity()]);
         let r = sim.uplink_trial_drifting(&tvc, 8, 1_500.0, 20, &mut Recorder::disabled());
         let bare = sim.uplink_trial(8, 1_500.0, 20);
         assert_eq!(r.len(), 1);
@@ -915,5 +922,4 @@ mod tests {
         assert!(guard > 0.5, "guard leak missing: {guard}");
         assert!(wave.len() as f64 / fs > 0.2, "waveform too short");
     }
-
 }

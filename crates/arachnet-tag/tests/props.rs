@@ -29,15 +29,19 @@ fn demod_survives_garbage() {
 #[test]
 fn demod_decodes_all_beacons_under_tolerance() {
     let g = gen::zip(gen::u8_range(0, 16), gen::f64_range(-0.03, 0.03));
-    check("demod_decodes_all_beacons_under_tolerance", &g, |&(nibble, tol)| {
-        let beacon = DlBeacon::new(DlCmd::from_nibble(nibble));
-        let edges = ideal_beacon_edges(&beacon, 250.0, 0.0);
-        let mut d = PieDemodulator::new(McuClock::with_tolerance(tol), 250.0);
-        let out = d.feed_edges(&edges);
-        prop_assert_eq!(out.len(), 1);
-        prop_assert_eq!(out[0].beacon, beacon);
-        Ok(())
-    });
+    check(
+        "demod_decodes_all_beacons_under_tolerance",
+        &g,
+        |&(nibble, tol)| {
+            let beacon = DlBeacon::new(DlCmd::from_nibble(nibble));
+            let edges = ideal_beacon_edges(&beacon, 250.0, 0.0);
+            let mut d = PieDemodulator::new(McuClock::with_tolerance(tol), 250.0);
+            let out = d.feed_edges(&edges);
+            prop_assert_eq!(out.len(), 1);
+            prop_assert_eq!(out[0].beacon, beacon);
+            Ok(())
+        },
+    );
 }
 
 /// The modulator timeline is contiguous, uniform, and scales inversely
@@ -50,20 +54,24 @@ fn modulator_timeline_invariants() {
         gen::select(vec![4u32, 8, 16, 32, 64, 128]),
         gen::f64_range(-0.03, 0.03),
     );
-    check("modulator_timeline_invariants", &g, |&(value, width, divider, tol)| {
-        let data =
-            arachnet_core::bits::BitBuf::from_u32(value & ((1u64 << width) - 1) as u32, width);
-        let m = Fm0Modulator::new(McuClock::with_tolerance(tol), divider);
-        let (raw, tl) = m.modulate_bits(&data, 1.0);
-        prop_assert_eq!(tl.len(), 2 * width);
-        prop_assert_eq!(raw.len(), 2 * width);
-        for w in tl.windows(2) {
-            prop_assert!((w[1].start - (w[0].start + w[0].duration)).abs() < 1e-9);
-        }
-        let expect = f64::from(divider) / (12_000.0 * (1.0 + tol));
-        prop_assert!((tl[0].duration - expect).abs() < 1e-9);
-        Ok(())
-    });
+    check(
+        "modulator_timeline_invariants",
+        &g,
+        |&(value, width, divider, tol)| {
+            let data =
+                arachnet_core::bits::BitBuf::from_u32(value & ((1u64 << width) - 1) as u32, width);
+            let m = Fm0Modulator::new(McuClock::with_tolerance(tol), divider);
+            let (raw, tl) = m.modulate_bits(&data, 1.0);
+            prop_assert_eq!(tl.len(), 2 * width);
+            prop_assert_eq!(raw.len(), 2 * width);
+            for w in tl.windows(2) {
+                prop_assert!((w[1].start - (w[0].start + w[0].duration)).abs() < 1e-9);
+            }
+            let expect = f64::from(divider) / (12_000.0 * (1.0 + tol));
+            prop_assert!((tl[0].duration - expect).abs() < 1e-9);
+            Ok(())
+        },
+    );
 }
 
 /// Tick measurement is monotone in duration for any clock.

@@ -170,14 +170,12 @@ pub fn boolean() -> Gen<bool> {
 pub fn select<T: Clone + PartialEq + 'static>(options: Vec<T>) -> Gen<T> {
     assert!(!options.is_empty(), "select() needs at least one option");
     let pick = options.clone();
-    Gen::new(move |rng| pick[rng.below(pick.len() as u64) as usize].clone()).with_shrink(
-        move |v| {
-            match options.iter().position(|o| o == v) {
-                Some(pos) => options[..pos].to_vec(),
-                None => Vec::new(),
-            }
-        },
-    )
+    Gen::new(move |rng| pick[rng.below(pick.len() as u64) as usize].clone()).with_shrink(move |v| {
+        match options.iter().position(|o| o == v) {
+            Some(pos) => options[..pos].to_vec(),
+            None => Vec::new(),
+        }
+    })
 }
 
 /// Vector of `elem` draws with length uniform in `min_len..=max_len`.

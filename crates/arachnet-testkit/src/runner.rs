@@ -185,7 +185,11 @@ pub fn run<T: Debug + 'static>(
 
 /// Checks a property over [`Config::default`] cases, panicking with a full
 /// shrink-and-replay report on the first failure.
-pub fn check<T: Debug + 'static>(name: &str, gen: &Gen<T>, prop: impl Fn(&T) -> Result<(), String>) {
+pub fn check<T: Debug + 'static>(
+    name: &str,
+    gen: &Gen<T>,
+    prop: impl Fn(&T) -> Result<(), String>,
+) {
     check_with(&Config::default(), name, gen, prop);
 }
 

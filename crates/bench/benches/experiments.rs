@@ -13,7 +13,10 @@ fn main() {
     let mut cfg = SuiteConfig::default();
     cfg.samples = cfg.samples.min(10);
     let mut s = Suite::with_config("experiments", cfg);
-    let ctx = ExperimentCtx::builder(1).quick().build().expect("valid ctx");
+    let ctx = ExperimentCtx::builder(1)
+        .quick()
+        .build()
+        .expect("valid ctx");
     for exp in registry::all() {
         s.bench(&format!("repro/{}", exp.id()), || exp.run(&ctx));
     }

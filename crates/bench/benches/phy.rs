@@ -54,8 +54,14 @@ fn bench_channel(s: &mut Suite) {
         ch.uplink_waveform(&[], 25_000)
     });
     s.bench("channel/downlink_waveform_10b", || {
-        ch.downlink_waveform(8, &[true, false, true, true, false, true, false, false, true, false], 2_000)
-            .unwrap()
+        ch.downlink_waveform(
+            8,
+            &[
+                true, false, true, true, false, true, false, false, true, false,
+            ],
+            2_000,
+        )
+        .unwrap()
     });
 }
 
@@ -101,7 +107,9 @@ fn bench_trials(s: &mut Suite) {
     let fleet = arachnet_sim::fleet::FleetWaveSim::paper(plan, 1);
     let fleet_rx = fleet.fleet_rx(0, 375.0);
     s.bench("phy/full_uplink_trial_two_readers", || {
-        let r = fleet.uplink_trial(&fleet_rx, 0, 8, 1).expect("in-range bench trial");
+        let r = fleet
+            .uplink_trial(&fleet_rx, 0, 8, 1)
+            .expect("in-range bench trial");
         black_box(r.lost)
     });
     // The drifting trial over a single identity epoch must cost the same
@@ -113,7 +121,8 @@ fn bench_trials(s: &mut Suite) {
         &[biw_channel::timevarying::ChannelDrift::identity()],
     );
     s.bench("phy/full_uplink_trial_timevarying", || {
-        let r = sim.uplink_trial_drifting(&tvc, 8, 375.0, 1, &mut arachnet_obs::Recorder::disabled());
+        let r =
+            sim.uplink_trial_drifting(&tvc, 8, 375.0, 1, &mut arachnet_obs::Recorder::disabled());
         black_box(r[0].lost)
     });
     s.bench("phy/downlink_trial_10_beacons", || {

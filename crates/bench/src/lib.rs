@@ -36,11 +36,7 @@ use arachnet_sim::metrics::{mean, percentile};
 fn parse_env_u64(value: Option<&str>) -> Result<Option<u64>, String> {
     match value {
         None => Ok(None),
-        Some(s) => s
-            .trim()
-            .parse()
-            .map(Some)
-            .map_err(|_| s.trim().to_string()),
+        Some(s) => s.trim().parse().map(Some).map_err(|_| s.trim().to_string()),
     }
 }
 
@@ -50,9 +46,7 @@ fn env_u64(key: &str, default: u64) -> u64 {
         Ok(Some(v)) => v,
         Ok(None) => default,
         Err(bad) => {
-            arachnet_obs::warn!(
-                "{key}={bad:?} is not a valid integer; using default {default}"
-            );
+            arachnet_obs::warn!("{key}={bad:?} is not a valid integer; using default {default}");
             default
         }
     }
@@ -250,7 +244,11 @@ impl Suite {
                 r.stats.ns_p95,
                 r.stats.ns_mean,
                 r.stats.ns_max,
-                if i + 1 == self.results.len() { "\n" } else { ",\n" }
+                if i + 1 == self.results.len() {
+                    "\n"
+                } else {
+                    ",\n"
+                }
             ));
         }
         out.push_str("  ]\n}\n");

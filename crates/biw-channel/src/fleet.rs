@@ -302,11 +302,7 @@ mod tests {
         let mut with_tag = Vec::new();
         fleet.rx_waveform_into(0, &[&none, &none], 3_000, 1, &mut idle);
         fleet.rx_waveform_into(0, &[&none, &busy], 3_000, 1, &mut with_tag);
-        let diff: f64 = idle
-            .iter()
-            .zip(&with_tag)
-            .map(|(a, b)| (a - b).abs())
-            .sum();
+        let diff: f64 = idle.iter().zip(&with_tag).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 0.1, "cell-1 tag invisible at reader 0: diff {diff}");
     }
 

@@ -117,7 +117,10 @@ mod tests {
     #[test]
     fn perpendicular_junction_costs_more_than_seam() {
         let (perp, seam) = (PERP_TRANSMISSION, SEAM_TRANSMISSION);
-        assert!(perp < seam, "perpendicular path {perp} should lose more than seam path {seam}");
+        assert!(
+            perp < seam,
+            "perpendicular path {perp} should lose more than seam path {seam}"
+        );
     }
 
     #[test]

@@ -153,10 +153,8 @@ mod tests {
 
     #[test]
     fn fade_scales_uplink_amplitude_and_harvest() {
-        let tvc = TimeVaryingChannel::paper(
-            base(),
-            &[ChannelDrift::identity(), ChannelDrift::fade(0.5)],
-        );
+        let tvc =
+            TimeVaryingChannel::paper(base(), &[ChannelDrift::identity(), ChannelDrift::fade(0.5)]);
         for id in 1..=12u8 {
             let v0 = tvc.channel_at(0).tag_carrier_voltage(id).unwrap();
             let v1 = tvc.channel_at(1).tag_carrier_voltage(id).unwrap();

@@ -68,16 +68,23 @@ fn delay_linearity() {
 /// the absorptive one.
 #[test]
 fn pzt_reflection_properties() {
-    check("pzt_reflection_properties", &gen::f64_range(0.0, 10.0), |&amp| {
-        let p = Pzt::arachnet_tag();
-        prop_assert!(p.reflect(amp, PztState::Reflective) >= p.reflect(amp, PztState::Absorptive));
-        prop_assert!(
-            (p.reflect(2.0 * amp, PztState::Reflective) - 2.0 * p.reflect(amp, PztState::Reflective))
+    check(
+        "pzt_reflection_properties",
+        &gen::f64_range(0.0, 10.0),
+        |&amp| {
+            let p = Pzt::arachnet_tag();
+            prop_assert!(
+                p.reflect(amp, PztState::Reflective) >= p.reflect(amp, PztState::Absorptive)
+            );
+            prop_assert!(
+                (p.reflect(2.0 * amp, PztState::Reflective)
+                    - 2.0 * p.reflect(amp, PztState::Reflective))
                 .abs()
-                < 1e-12
-        );
-        Ok(())
-    });
+                    < 1e-12
+            );
+            Ok(())
+        },
+    );
 }
 
 /// Synthesized drive waveforms have the right length and bounded amplitude

@@ -63,7 +63,7 @@ pub mod prelude {
     };
     pub use arachnet_sim::aloha::AlohaConfig;
     pub use arachnet_sim::config::{
-        AlohaConfigBuilder, ConfigError, CoSimConfigBuilder, SlotSimConfigBuilder,
+        AlohaConfigBuilder, CoSimConfigBuilder, ConfigError, SlotSimConfigBuilder,
     };
     pub use arachnet_sim::cosim::CoSimConfig;
     pub use arachnet_sim::slotsim::SlotSimConfig;

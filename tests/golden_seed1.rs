@@ -13,7 +13,9 @@ use arachnet_experiments::registry;
 use arachnet_experiments::report::ExperimentCtx;
 
 fn run_full(id: &str) -> String {
-    let ctx = ExperimentCtx::builder(1).build().expect("valid golden context");
+    let ctx = ExperimentCtx::builder(1)
+        .build()
+        .expect("valid golden context");
     registry::find(id)
         .unwrap_or_else(|err| panic!("registry is missing {id}: {err}"))
         .run(&ctx)
@@ -29,7 +31,10 @@ fn table2_duty_cycle_currents_match_experiments_md() {
         "TX     4.7      4.7      25.5     25.5      51.0     51.0",
         "IDLE     0.6      0.6       3.7      3.8       7.5      7.6",
     ] {
-        assert!(out.contains(marker), "table2 drifted; missing {marker:?} in:\n{out}");
+        assert!(
+            out.contains(marker),
+            "table2 drifted; missing {marker:?} in:\n{out}"
+        );
     }
     assert!(
         out.contains("saves 86 %"),

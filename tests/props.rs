@@ -117,14 +117,18 @@ fn conflict_rule_matches_brute_force() {
         gen::u32_range(0, 16),
         gen::u32_range(0, 16),
     );
-    check("conflict_rule_matches_brute_force", &g, |&(pa, pb, aa, ab)| {
-        let (aa, ab) = (aa % pa, ab % pb);
-        let sa = Schedule::new(Period::new(pa).unwrap(), aa).unwrap();
-        let sb = Schedule::new(Period::new(pb).unwrap(), ab).unwrap();
-        let brute = (0..128u64).any(|s| sa.fires_at(s) && sb.fires_at(s));
-        prop_assert_eq!(sa.conflicts_with(&sb), brute);
-        Ok(())
-    });
+    check(
+        "conflict_rule_matches_brute_force",
+        &g,
+        |&(pa, pb, aa, ab)| {
+            let (aa, ab) = (aa % pa, ab % pb);
+            let sa = Schedule::new(Period::new(pa).unwrap(), aa).unwrap();
+            let sb = Schedule::new(Period::new(pb).unwrap(), ab).unwrap();
+            let brute = (0..128u64).any(|s| sa.fires_at(s) && sb.fires_at(s));
+            prop_assert_eq!(sa.conflicts_with(&sb), brute);
+            Ok(())
+        },
+    );
 }
 
 /// The vanilla allocator always succeeds within capacity and yields a
@@ -166,21 +170,25 @@ fn tag_mac_offset_stays_in_range() {
         gen::select(vec![2u32, 4, 8, 16, 32]),
         gen::vec(gen::u8_range(0, 16), 1, 99),
     );
-    check("tag_mac_offset_stays_in_range", &g, |(seed, period, beacons)| {
-        let mut tag = TagMac::new(
-            1,
-            Period::new(*period).unwrap(),
-            ProtocolConfig::default(),
-            TagRng::new(*seed),
-        );
-        for &nib in beacons {
-            let cmd = DlCmd::from_nibble(nib);
-            let _ = tag.on_beacon(cmd);
-            prop_assert!(tag.offset() < *period);
-            prop_assert!(tag.nack_run() < 3);
-        }
-        Ok(())
-    });
+    check(
+        "tag_mac_offset_stays_in_range",
+        &g,
+        |(seed, period, beacons)| {
+            let mut tag = TagMac::new(
+                1,
+                Period::new(*period).unwrap(),
+                ProtocolConfig::default(),
+                TagRng::new(*seed),
+            );
+            for &nib in beacons {
+                let cmd = DlCmd::from_nibble(nib);
+                let _ = tag.on_beacon(cmd);
+                prop_assert!(tag.offset() < *period);
+                prop_assert!(tag.nack_run() < 3);
+            }
+            Ok(())
+        },
+    );
 }
 
 /// A tag only ever reaches SETTLE through an ACK for a slot it transmitted
@@ -188,29 +196,33 @@ fn tag_mac_offset_stays_in_range() {
 #[test]
 fn settle_requires_acked_transmission() {
     let g = gen::zip(gen::u64_any(), gen::vec(gen::boolean(), 1, 199));
-    check("settle_requires_acked_transmission", &g, |(seed, beacons)| {
-        let mut tag = TagMac::new(
-            2,
-            Period::new(4).unwrap(),
-            ProtocolConfig {
-                empty_gating: false,
-                ..ProtocolConfig::default()
-            },
-            TagRng::new(*seed),
-        );
-        let mut transmitted_last = false;
-        for &ack in beacons {
-            let was_settled = tag.state() == arachnet_core::mac::MacState::Settle;
-            let cmd = if ack { DlCmd::ack() } else { DlCmd::nack() };
-            let act = tag.on_beacon(cmd);
-            let now_settled = tag.state() == arachnet_core::mac::MacState::Settle;
-            if !was_settled && now_settled {
-                prop_assert!(transmitted_last && ack, "settled without ACKed TX");
+    check(
+        "settle_requires_acked_transmission",
+        &g,
+        |(seed, beacons)| {
+            let mut tag = TagMac::new(
+                2,
+                Period::new(4).unwrap(),
+                ProtocolConfig {
+                    empty_gating: false,
+                    ..ProtocolConfig::default()
+                },
+                TagRng::new(*seed),
+            );
+            let mut transmitted_last = false;
+            for &ack in beacons {
+                let was_settled = tag.state() == arachnet_core::mac::MacState::Settle;
+                let cmd = if ack { DlCmd::ack() } else { DlCmd::nack() };
+                let act = tag.on_beacon(cmd);
+                let now_settled = tag.state() == arachnet_core::mac::MacState::Settle;
+                if !was_settled && now_settled {
+                    prop_assert!(transmitted_last && ack, "settled without ACKed TX");
+                }
+                transmitted_last = act.transmit;
             }
-            transmitted_last = act.transmit;
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// Beacon serialization roundtrips for every command nibble.

@@ -150,12 +150,14 @@ fn every_registered_experiment_exports_thread_invariant_metrics() {
             })
             .collect();
         assert_eq!(
-            docs[0], docs[1],
+            docs[0],
+            docs[1],
             "{}: metrics differ between --threads 1 and --threads 2",
             e.id()
         );
         assert_eq!(
-            docs[0], docs[2],
+            docs[0],
+            docs[2],
             "{}: metrics differ between --threads 1 and --threads 8",
             e.id()
         );

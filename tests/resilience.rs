@@ -24,10 +24,7 @@ const HALT_AFTER: u64 = 3;
 
 /// A fresh scratch directory for this test's checkpoint files.
 fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "arachnet_resume_{}_{label}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("arachnet_resume_{}_{label}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -79,7 +76,10 @@ fn interrupted_then_resumed_run_is_byte_identical_at_every_thread_count() {
         // Leg 1: halt after three dispatches. The report must be partial
         // and the checkpoint must survive on disk.
         let halted = Resilience.run(&ctx_halted(threads, &dir));
-        assert!(halted.is_partial(), "threads {threads}: halted run not partial");
+        assert!(
+            halted.is_partial(),
+            "threads {threads}: halted run not partial"
+        );
         assert!(
             halted.sweep.skipped > 0,
             "threads {threads}: nothing was skipped at the halt point"
@@ -101,7 +101,10 @@ fn interrupted_then_resumed_run_is_byte_identical_at_every_thread_count() {
             "threads {threads}: wrong restore count"
         );
         assert_eq!(resumed.sweep.quarantined, 1, "threads {threads}");
-        assert!(!resumed.is_partial(), "threads {threads}: resumed run partial");
+        assert!(
+            !resumed.is_partial(),
+            "threads {threads}: resumed run partial"
+        );
         assert!(
             !ckpt.exists(),
             "threads {threads}: completed resume left its checkpoint behind"
@@ -124,8 +127,8 @@ fn quarantined_trials_survive_a_checkpoint_round_trip() {
     let baseline = metrics_json("resilience", &Resilience.run(&ctx(2)));
     let dir = scratch("quarantine_roundtrip");
 
-    let halted = Resilience
-        .run(&ExperimentCtx::builder(SEED)
+    let halted = Resilience.run(
+        &ExperimentCtx::builder(SEED)
             .quick()
             .threads(1)
             .observe(true)
@@ -133,7 +136,8 @@ fn quarantined_trials_survive_a_checkpoint_round_trip() {
             .halt_after(5)
             .checkpoint_dir(&dir)
             .build()
-            .unwrap());
+            .unwrap(),
+    );
     assert_eq!(halted.sweep.quarantined, 1, "poison ran before the halt");
     assert!(halted.is_partial());
 

@@ -150,7 +150,9 @@ fn queue_full_burst_gets_structured_overload_rejections() {
     let t0 = std::time::Instant::now();
     for _ in 0..burst {
         let mut c = client(addr);
-        let v = c.query(r#"{"op":"decode","tag":3,"ul_bps":2000,"packets":1}"#).unwrap();
+        let v = c
+            .query(r#"{"op":"decode","tag":3,"ul_bps":2000,"packets":1}"#)
+            .unwrap();
         if error_code(&v) == Some("overloaded") {
             rejected += 1;
         }
@@ -158,7 +160,11 @@ fn queue_full_burst_gets_structured_overload_rejections() {
     // Rejections are immediate (admission control), far faster than the
     // 1.2 s the parked worker needs — the burst must not serialize
     // behind it.
-    assert!(t0.elapsed() < Duration::from_millis(900), "{:?}", t0.elapsed());
+    assert!(
+        t0.elapsed() < Duration::from_millis(900),
+        "{:?}",
+        t0.elapsed()
+    );
     assert_eq!(rejected, burst, "every burst request must be shed");
 
     // Health checks bypass the queue and still answer under overload.

@@ -17,10 +17,8 @@ const SEED: u64 = 11;
 
 /// A fresh scratch directory for this test's journal files.
 fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "arachnet_telemetry_{}_{label}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("arachnet_telemetry_{}_{label}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -85,7 +83,12 @@ fn chrome_trace_export_is_well_formed_for_dyn_churn() {
     // Worker trial lanes live in pid 1, sim events in pid 2 — both present
     // for an observed churn run with lanes on.
     let pid_of = |e: &JsonValue| e.get("pid").and_then(JsonValue::as_f64).unwrap_or(-1.0);
-    let ph_of = |e: &JsonValue| e.get("ph").and_then(JsonValue::as_str).unwrap_or("").to_string();
+    let ph_of = |e: &JsonValue| {
+        e.get("ph")
+            .and_then(JsonValue::as_str)
+            .unwrap_or("")
+            .to_string()
+    };
     assert!(
         events.iter().any(|e| pid_of(e) == 1.0 && ph_of(e) == "X"),
         "worker lanes present"
@@ -163,12 +166,14 @@ fn watchdog_flags_slow_trials_through_the_experiment_ctx() {
             }
             i as f64
         });
-        assert!(run.telemetry.stalled >= 1, "watchdog flagged the slow trial");
-        assert!(run
-            .telemetry
-            .stall_events
-            .iter()
-            .any(|e| e.slot == 1), "stall event names trial 1");
+        assert!(
+            run.telemetry.stalled >= 1,
+            "watchdog flagged the slow trial"
+        );
+        assert!(
+            run.telemetry.stall_events.iter().any(|e| e.slot == 1),
+            "stall event names trial 1"
+        );
     });
     assert!(
         warned.iter().any(|w| w.contains("stalled")),
