@@ -130,11 +130,6 @@ impl TagMac {
         self.integrated
     }
 
-    /// Whether the tag is still a gated "new arrival" (Sec. 5.5).
-    pub fn is_new_arrival(&self) -> bool {
-        self.new_arrival
-    }
-
     /// Whether the tag transmitted in the most recently opened slot.
     pub fn transmitted_last_slot(&self) -> bool {
         self.tx_last_slot

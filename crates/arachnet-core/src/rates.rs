@@ -87,11 +87,6 @@ pub fn ul_rates() -> Vec<BitRate> {
     v
 }
 
-/// The five DL rates of Fig. 13 in ascending order.
-pub fn dl_rates() -> Vec<BitRate> {
-    DL_RATES_BPS.iter().map(|&b| BitRate::from_bps(b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,14 +69,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The members, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Parse failure: byte offset plus a short reason.

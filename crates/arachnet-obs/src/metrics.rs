@@ -95,11 +95,6 @@ impl MetricSet {
         }
     }
 
-    /// Insert a pre-built histogram under `name`.
-    pub fn set_histo(&mut self, name: &str, h: Histo) {
-        self.entries.insert(name.to_string(), MetricValue::Histo(h));
-    }
-
     /// Read a counter, if present.
     pub fn get_count(&self, name: &str) -> Option<u64> {
         match self.entries.get(name) {

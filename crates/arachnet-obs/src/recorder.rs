@@ -110,12 +110,6 @@ impl Recorder {
         self.0.as_deref().map_or(0, |a| a.seed)
     }
 
-    /// Total number of events of `kind`'s class recorded (including any
-    /// evicted from the ring).
-    pub fn count_of(&self, kind: &EventKind) -> u64 {
-        self.0.as_deref().map_or(0, |a| a.counts[kind.index()])
-    }
-
     /// Events currently retained in the ring, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.0

@@ -34,13 +34,15 @@ const MIN_WELCH_SEG: usize = 256;
 
 /// Reusable per-worker working set for the RX chain. Every buffer that
 /// scales with the waveform — mix → decimate, the projection, its
-/// percentile and step copies, the clustering sub-sample, the edge list
-/// and the SNR path's cleaned signal and PSD — lives here, so a warm
-/// receiver allocates none of them again. A slot still allocates a small,
-/// bounded working set: `cluster_iq` builds its seeds, assignment and
-/// per-k centers on every call (at most ~1500 sub-sampled points), and the
-/// edge decoder builds its transition and bit-clock lists and up to two
-/// `BitBuf`s (sized by the edge count). Scratch contents never influence
+/// percentile and step copies, the clustering sub-sample and the edge
+/// list — lives here, so a warm receiver allocates none of them again.
+/// The SNR path holds no waveform-length buffer: one carrier period of
+/// corrections, the Welch scratch (one segment of at most 8192 samples,
+/// cleaned as Welch asks for it) and the PSD. A slot still allocates a
+/// small, bounded working set: `cluster_iq` builds its seeds, assignment
+/// and per-k centers on every call (at most ~1500 sub-sampled points), and
+/// the edge decoder builds its transition and bit-clock lists and up to
+/// two `BitBuf`s (sized by the edge count). Scratch contents never influence
 /// results — only capacities persist between calls — so sharing one
 /// scratch per worker thread keeps sweep results bit-identical at any
 /// thread count.
@@ -55,7 +57,6 @@ pub struct RxScratch {
     settled: Vec<Cplx>,
     sub: Vec<Cplx>,
     edges: Vec<Edge>,
-    cleaned: Vec<f64>,
     corr: Vec<f64>,
     welch: WelchScratch,
     psd: Psd,
@@ -570,40 +571,45 @@ impl UplinkReceiver {
         }
         let a = acc * (2.0 / wave.len() as f64);
         let RxScratch {
-            cleaned,
-            corr,
-            welch,
-            psd,
-            ..
+            corr, welch, psd, ..
         } = scratch;
-        cleaned.clear();
-        match &self.carrier_tab {
-            Some(tab) => {
-                // `(phasor.conj() * a).re` only takes one value per table
-                // phase — compute each once, then subtraction is a lookup.
-                corr.clear();
-                corr.extend(tab.phasors().iter().map(|z| (z.conj() * a).re));
-                let p = corr.len();
-                let mut ph = 0usize;
-                cleaned.extend(wave.iter().map(|&x| {
-                    let y = x - corr[ph];
-                    ph += 1;
-                    if ph == p {
-                        ph = 0;
-                    }
-                    y
-                }));
-            }
-            None => cleaned.extend(
-                wave.iter()
-                    .enumerate()
-                    .map(|(n, &x)| x - (Cplx::cis(w * n as f64) * a).re),
-            ),
-        }
+        let fs = self.cfg.sample_rate;
         let seg = 8_192
-            .min(cleaned.len().next_power_of_two() / 2)
+            .min(wave.len().next_power_of_two() / 2)
             .max(MIN_WELCH_SEG);
-        welch_psd_into(cleaned, self.cfg.sample_rate, seg, Window::Hann, welch, psd);
+        // `(phasor.conj() * a).re` only takes one value per table phase —
+        // compute each once, then subtraction is a lookup.
+        corr.clear();
+        if let Some(tab) = &self.carrier_tab {
+            corr.extend(tab.phasors().iter().map(|z| (z.conj() * a).re));
+        }
+        let corr = &*corr;
+        // Welch asks for the packet piece by piece; each piece is written
+        // as `wave − carrier` straight from the waveform, so the cleaned
+        // packet never exists whole.
+        let clean = |start: usize, out: &mut [f64]| {
+            let samples = out.iter_mut().zip(&wave[start..]);
+            match &self.carrier_tab {
+                Some(_) => {
+                    // One `%` per piece; a wrapping counter after that.
+                    let p = corr.len();
+                    let mut ph = start % p;
+                    for (y, &x) in samples {
+                        *y = x - corr[ph];
+                        ph += 1;
+                        if ph == p {
+                            ph = 0;
+                        }
+                    }
+                }
+                None => {
+                    for (n, (y, &x)) in (start..).zip(samples) {
+                        *y = x - (Cplx::cis(w * n as f64) * a).re;
+                    }
+                }
+            }
+        };
+        welch_psd_into(wave.len(), clean, fs, seg, Window::Hann, welch, psd);
         let psd = &*psd;
         let band = |lo: f64, hi: f64| psd.band_power(lo, hi);
         // Modulation sidebands of FM0 OOK at raw rate R.
@@ -854,6 +860,148 @@ mod tests {
             assert!(rx.uplink_snr_db(&vec![0.0; len]).is_nan(), "len {len}");
         }
         assert!(rx.uplink_snr_db(&[0.0; 256]).is_finite());
+    }
+
+    /// The SNR with the whole carrier-cleaned packet materialized, the
+    /// slice Welch and a test of every bin for each band.
+    /// `uplink_snr_db_with` must equal it bit for bit.
+    fn materialized_snr(rx: &UplinkReceiver, wave: &[f64]) -> f64 {
+        use arachnet_dsp::psd::welch_psd;
+        if wave.len() < MIN_WELCH_SEG {
+            return f64::NAN;
+        }
+        let (fs, fc, r) = (rx.cfg.sample_rate, rx.cfg.carrier_hz, rx.cfg.ul_bps);
+        let w = 2.0 * std::f64::consts::PI * fc / fs;
+        let carrier = |n: usize| match &rx.carrier_tab {
+            Some(tab) => tab.phasor(n),
+            None => Cplx::cis(-w * n as f64),
+        };
+        let mut acc = Cplx::ZERO;
+        for (n, &x) in wave.iter().enumerate() {
+            acc += carrier(n) * x;
+        }
+        let a = acc * (2.0 / wave.len() as f64);
+        let cleaned: Vec<f64> = wave
+            .iter()
+            .enumerate()
+            .map(|(n, &x)| match &rx.carrier_tab {
+                Some(tab) => x - (tab.phasor(n).conj() * a).re,
+                None => x - (Cplx::cis(w * n as f64) * a).re,
+            })
+            .collect();
+        let seg = 8_192
+            .min(cleaned.len().next_power_of_two() / 2)
+            .max(MIN_WELCH_SEG);
+        let psd = welch_psd(&cleaned, fs, seg, Window::Hann);
+        let band = |lo: f64, hi: f64| {
+            let mut total = 0.0;
+            for (i, &d) in psd.density.iter().enumerate() {
+                let f = psd.freq(i);
+                if f >= lo && f < hi {
+                    total += d * psd.bin_hz;
+                }
+            }
+            total
+        };
+        let sig = band(fc + 0.1 * r, fc + 2.0 * r) + band(fc - 2.0 * r, fc - 0.1 * r);
+        let noise = band(fc + 4.0 * r, fc + 12.0 * r) + band(fc - 12.0 * r, fc - 4.0 * r);
+        let sig_d = (sig / (2.0 * 1.9 * r)).max(f64::MIN_POSITIVE);
+        let noise_d = (noise / (2.0 * 8.0 * r)).max(f64::MIN_POSITIVE);
+        10.0 * (sig_d / noise_d).log10()
+    }
+
+    #[test]
+    fn snr_equals_the_materialized_reference_bit_for_bit() {
+        let ch = channel(NoiseConfig::default());
+        // No exact carrier period within 4096 samples: the trig fallback.
+        let fallback = UplinkReceiver::new(RxConfig {
+            carrier_hz: 90_000.7,
+            ..RxConfig::default()
+        });
+        assert!(fallback.carrier_tab.is_none());
+        let mut scratch = RxScratch::default();
+        let mut same = |rx: &UplinkReceiver, wave: &[f64], what: &str| {
+            let got = rx.uplink_snr_db_with(wave, &mut scratch);
+            let want = materialized_snr(rx, wave);
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want} dB");
+        };
+        let mut longest = 0;
+        for bps in [93.75, 187.5, 375.0, 750.0, 1_500.0, 3_000.0] {
+            let rx = UplinkReceiver::new(RxConfig {
+                ul_bps: bps,
+                ..RxConfig::default()
+            });
+            for tid in [8, 4, 11] {
+                let pkt = UlPacket::new(tid, 0x3C3).unwrap();
+                let wave = tag_waveform(&ch, tid, &pkt, bps);
+                longest = longest.max(wave.len());
+                // The whole packet, and a prefix that ends mid-segment.
+                same(&rx, &wave, &format!("tag {tid} at {bps} bps"));
+                let cut = wave.len() * 2 / 3 + 17;
+                same(
+                    &rx,
+                    &wave[..cut],
+                    &format!("tag {tid} at {bps} bps, {cut} samples"),
+                );
+            }
+        }
+        assert!(longest >= 400_000, "longest packet {longest} samples");
+        // Short and odd lengths, around each Welch segment size, with the
+        // table receiver and with the trig fallback.
+        let rx = UplinkReceiver::new(RxConfig::default());
+        let pkt = UlPacket::new(8, 0x3C3).unwrap();
+        let wave = tag_waveform(&ch, 8, &pkt, 375.0);
+        for len in [
+            256, 257, 300, 511, 512, 1_000, 8_191, 8_192, 8_193, 20_000, 70_001,
+        ] {
+            same(&rx, &wave[..len], &format!("{len} samples"));
+            same(&fallback, &wave[..len], &format!("fallback, {len} samples"));
+        }
+        same(&fallback, &wave, "fallback, whole packet");
+    }
+
+    #[test]
+    fn snr_path_holds_no_waveform_length_buffer() {
+        let ch = channel(NoiseConfig::default());
+        let pkt = UlPacket::new(8, 0x3C3).unwrap();
+        let wave = tag_waveform(&ch, 8, &pkt, 93.75);
+        assert!(wave.len() >= 400_000, "{} samples", wave.len());
+        let rx = UplinkReceiver::new(RxConfig {
+            ul_bps: 93.75,
+            ..RxConfig::default()
+        });
+        let mut scratch = RxScratch::default();
+        assert!(rx.uplink_snr_db_with(&wave, &mut scratch).is_finite());
+        // Every field by name, so a new buffer has to be listed here. The
+        // Welch scratch's own bound is `arachnet-dsp`'s to test.
+        let RxScratch {
+            iq,
+            tmp,
+            proj,
+            proj_sel,
+            steps,
+            steps_sel,
+            settled,
+            sub,
+            edges,
+            corr,
+            welch: _,
+            psd,
+        } = &scratch;
+        let capacities = [
+            iq.capacity(),
+            tmp.capacity(),
+            proj.capacity(),
+            proj_sel.capacity(),
+            steps.capacity(),
+            steps_sel.capacity(),
+            settled.capacity(),
+            sub.capacity(),
+            edges.capacity(),
+            corr.capacity(),
+            psd.density.capacity(),
+        ];
+        assert!(capacities.iter().all(|&c| c <= 8_192), "{capacities:?}");
     }
 
     #[test]

@@ -102,28 +102,6 @@ int_range_gen!(
     usize_range, usize
 );
 
-/// Uniform `i64` in a half-open range. Shrinks toward zero when the range
-/// contains it, otherwise toward `lo`.
-pub fn i64_range(lo: i64, hi: i64) -> Gen<i64> {
-    assert!(lo < hi, "empty range {}..{}", lo, hi);
-    let anchor = if lo <= 0 && 0 < hi { 0 } else { lo };
-    Gen::new(move |rng| lo + rng.below((hi - lo) as u64) as i64).with_shrink(move |&v| {
-        let mut out = Vec::new();
-        if v != anchor {
-            out.push(anchor);
-            let half = anchor + (v - anchor) / 2;
-            if half != anchor && half != v {
-                out.push(half);
-            }
-            let step = if v > anchor { v - 1 } else { v + 1 };
-            if step != anchor {
-                out.push(step);
-            }
-        }
-        out
-    })
-}
-
 /// Any `u64` (full range). Shrinks toward zero.
 pub fn u64_any() -> Gen<u64> {
     Gen::new(|rng| rng.next_u64()).with_shrink(|&v| {

@@ -89,10 +89,11 @@ fn bench_trials(s: &mut Suite) {
     // this entry regressing against the committed BENCH_phy.json median
     // would mean recorder-off instrumentation is NOT free (verify.sh gates
     // it at < 2%). The `_recorded` twin measures the enabled-recorder cost.
-    s.bench("phy/full_uplink_trial", || {
+    let static_trial = || {
         let r = sim.uplink_trial(8, 375.0, 1);
         black_box(r.lost)
-    });
+    };
+    s.bench("phy/full_uplink_trial", static_trial);
     s.bench("phy/full_uplink_trial_recorded", || {
         let mut rec = arachnet_obs::Recorder::enabled(1);
         let r = sim.uplink_trial_observed(8, 375.0, 1, &mut rec);
@@ -114,17 +115,20 @@ fn bench_trials(s: &mut Suite) {
     });
     // The drifting trial over a single identity epoch must cost the same
     // as the static trial: epoch selection is one slice index, and every
-    // per-epoch channel is prebuilt at construction. verify.sh gates this
-    // entry against `phy/full_uplink_trial` at < 2%.
+    // per-epoch channel is prebuilt at construction.
     let tvc = biw_channel::timevarying::TimeVaryingChannel::paper(
         sim.channel().config().clone(),
         &[biw_channel::timevarying::ChannelDrift::identity()],
     );
-    s.bench("phy/full_uplink_trial_timevarying", || {
+    let drifting = || {
         let r =
             sim.uplink_trial_drifting(&tvc, 8, 375.0, 1, &mut arachnet_obs::Recorder::disabled());
         black_box(r[0].lost)
-    });
+    };
+    s.bench("phy/full_uplink_trial_timevarying", drifting);
+    // The same two trials sampled in interleaved pairs, so host drift
+    // cancels out of each ratio: verify.sh gates the median at <= 1.02.
+    s.bench_paired("phy/timevarying_over_static", static_trial, drifting);
     s.bench("phy/downlink_trial_10_beacons", || {
         let r = sim.downlink_trial(8, 250.0, 10);
         black_box(r.lost)

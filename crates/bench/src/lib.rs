@@ -4,7 +4,9 @@
 //! offline, so this crate carries its own minimal harness: warmup, batch
 //! calibration, a fixed number of wall-clock samples, median/p95 summary,
 //! and a hand-rolled JSON emit to `BENCH_<suite>.json` at the workspace
-//! root so CI (or a human) can diff runs.
+//! root so CI (or a human) can diff runs. [`Suite::bench_paired`] compares
+//! two closures sample by sample and reports the median of the per-pair
+//! cost ratios under the JSON's `pairs` key.
 //!
 //! Two suites live under `benches/`:
 //!
@@ -104,12 +106,28 @@ pub struct BenchResult {
     pub stats: Stats,
 }
 
+/// One [`Suite::bench_paired`] result: the cost of `other` over the cost
+/// of `base`, as ratios of samples taken back to back.
+#[derive(Debug, Clone)]
+struct PairResult {
+    name: String,
+    /// Calibrated iterations per sample, the same for both closures.
+    iters_per_sample: u64,
+    /// Number of sample pairs.
+    pairs: u64,
+    /// Median per-pair ratio — the headline number.
+    ratio_median: f64,
+    /// 95th-percentile per-pair ratio.
+    ratio_p95: f64,
+}
+
 /// A named collection of benchmarks; accumulates results and emits a text
 /// table plus `BENCH_<suite>.json` on [`Suite::finish`].
 pub struct Suite {
     name: String,
     cfg: SuiteConfig,
     results: Vec<BenchResult>,
+    pairs: Vec<PairResult>,
 }
 
 impl Suite {
@@ -119,6 +137,7 @@ impl Suite {
             name: name.to_string(),
             cfg: SuiteConfig::default(),
             results: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -128,6 +147,7 @@ impl Suite {
             name: name.to_string(),
             cfg,
             results: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -135,26 +155,14 @@ impl Suite {
     /// `cfg.samples` timed batches. The closure's return value is passed
     /// through [`black_box`] so the work is not optimized away.
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) {
-        // Warmup: run until the warmup budget is spent (at least once).
-        let warm_start = Instant::now();
-        let mut warm_iters = 0u64;
-        while warm_start.elapsed() < self.cfg.warmup || warm_iters == 0 {
-            black_box(f());
-            warm_iters += 1;
-        }
-        // Calibrate: estimate per-iteration cost from the warmup and pick a
-        // batch size that makes one sample last ~sample_time.
-        let per_iter = warm_start.elapsed().as_nanos() as f64 / warm_iters as f64;
-        let target_ns = self.cfg.sample_time.as_nanos() as f64;
-        let iters = (target_ns / per_iter.max(1.0)).ceil().max(1.0) as u64;
+        // Warmup, then calibrate: estimate per-iteration cost from the
+        // warmup and pick a batch size that makes one sample last
+        // ~sample_time.
+        let iters = self.batch_size(self.warm_up(&mut f));
 
         let mut per_iter_ns = Vec::with_capacity(self.cfg.samples as usize);
         for _ in 0..self.cfg.samples {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_iter_ns.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+            per_iter_ns.push(time_batch(iters, &mut f) / iters as f64);
         }
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
 
@@ -180,6 +188,66 @@ impl Suite {
             self.cfg.samples
         );
         self.results.push(result);
+    }
+
+    /// Compares two closures that should cost the same. Both are warmed
+    /// up and share one calibrated batch size; then `cfg.samples` pairs of
+    /// batches run back to back, `base` first in even pairs and `other`
+    /// first in odd ones, and each pair gives the ratio `other / base`.
+    /// A slow phase of the host stretches both halves of a pair alike, so
+    /// the median ratio sees a difference of a few percent that two
+    /// separately sampled medians, drifting apart by more than that
+    /// within one run, cannot.
+    pub fn bench_paired<T, U, A, B>(&mut self, name: &str, mut base: A, mut other: B)
+    where
+        A: FnMut() -> T,
+        B: FnMut() -> U,
+    {
+        let per_iter_base = self.warm_up(&mut base);
+        let per_iter_other = self.warm_up(&mut other);
+        let iters = self.batch_size(per_iter_base.max(per_iter_other));
+        let mut ratios = Vec::with_capacity(self.cfg.samples as usize);
+        for pair in 0..self.cfg.samples {
+            let (b, o) = if pair % 2 == 0 {
+                let b = time_batch(iters, &mut base);
+                (b, time_batch(iters, &mut other))
+            } else {
+                let o = time_batch(iters, &mut other);
+                (time_batch(iters, &mut base), o)
+            };
+            ratios.push(o / b.max(1.0));
+        }
+        ratios.sort_by(|a, b| a.total_cmp(b));
+        let result = PairResult {
+            name: name.to_string(),
+            iters_per_sample: iters,
+            pairs: self.cfg.samples,
+            ratio_median: percentile(&ratios, 50.0),
+            ratio_p95: percentile(&ratios, 95.0),
+        };
+        println!(
+            "{:<44} ratio {:>8.4}  p95 {:>8.4}  ({} iters x {} pairs)",
+            result.name, result.ratio_median, result.ratio_p95, iters, self.cfg.samples
+        );
+        self.pairs.push(result);
+    }
+
+    /// Runs `f` for the warmup budget (at least once) and returns its mean
+    /// cost per iteration in nanoseconds.
+    fn warm_up<T>(&self, f: &mut impl FnMut() -> T) -> f64 {
+        let warm_start = Instant::now();
+        let mut warm_iters = 0u64;
+        while warm_start.elapsed() < self.cfg.warmup || warm_iters == 0 {
+            black_box(f());
+            warm_iters += 1;
+        }
+        warm_start.elapsed().as_nanos() as f64 / warm_iters as f64
+    }
+
+    /// Iterations per sample that make one sample last ~`sample_time`.
+    fn batch_size(&self, per_iter_ns: f64) -> u64 {
+        let target_ns = self.cfg.sample_time.as_nanos() as f64;
+        (target_ns / per_iter_ns.max(1.0)).ceil().max(1.0) as u64
     }
 
     /// Records an externally measured result next to the `bench` entries —
@@ -251,9 +319,33 @@ impl Suite {
                 }
             ));
         }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ]");
+        if !self.pairs.is_empty() {
+            let rows: Vec<String> = self
+                .pairs
+                .iter()
+                .map(|p| {
+                    format!(
+                        "    {{\"name\": \"{}\", \"iters_per_sample\": {}, \"pairs\": {}, \
+                         \"ratio_median\": {:.4}, \"ratio_p95\": {:.4}}}",
+                        p.name, p.iters_per_sample, p.pairs, p.ratio_median, p.ratio_p95
+                    )
+                })
+                .collect();
+            out.push_str(&format!(",\n  \"pairs\": [\n{}\n  ]", rows.join(",\n")));
+        }
+        out.push_str("\n}\n");
         out
     }
+}
+
+/// Wall-clock nanoseconds of `iters` back-to-back calls of `f`.
+fn time_batch<T>(iters: u64, f: &mut impl FnMut() -> T) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    t0.elapsed().as_nanos() as f64
 }
 
 /// Formats a nanosecond figure with a human-friendly unit.
@@ -303,6 +395,22 @@ mod tests {
         assert!(json.contains("\"name\": \"a\""));
         assert!(json.contains("\"ns_median\""));
         assert_eq!(json.matches("{\"name\"").count(), 2);
+        assert!(json.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn paired_bench_reports_the_ratio_of_the_two_closures() {
+        let spin = |n: u64| (0..n).fold(0u64, |a, x| black_box(a ^ x.wrapping_mul(31)));
+        let mut s = Suite::with_config("unit", tiny());
+        s.bench_paired("unit/4x", || spin(2_000), || spin(8_000));
+        let p = &s.pairs[0];
+        assert_eq!(p.pairs, 5);
+        assert!(p.ratio_median <= p.ratio_p95);
+        // Four times the work reads well above 1 however noisy the host.
+        assert!(p.ratio_median > 1.5, "ratio {}", p.ratio_median);
+        let json = s.to_json();
+        assert!(json.contains("\"pairs\": [\n    {\"name\": \"unit/4x\""));
+        assert!(json.contains("\"ratio_median\""));
         assert!(json.trim_end().ends_with('}'));
     }
 
