@@ -1,4 +1,4 @@
-//! Iterative radix-2 FFT.
+//! Planned real-input radix-2 FFT.
 //!
 //! Used by the Welch PSD estimator ([`crate::psd`]) that computes the
 //! uplink SNR of Fig. 12(a). Power-of-two sizes only — the evaluation uses
@@ -7,71 +7,12 @@
 use crate::cplx::Cplx;
 use std::f64::consts::PI;
 
-/// In-place forward FFT. `data.len()` must be a power of two.
-pub fn fft_in_place(data: &mut [Cplx]) {
-    transform(data, false);
-}
-
-/// In-place inverse FFT (includes the 1/N normalization).
-pub fn ifft_in_place(data: &mut [Cplx]) {
-    transform(data, true);
-    let n = data.len() as f64;
-    for z in data.iter_mut() {
-        *z = *z / n;
-    }
-}
-
-fn transform(data: &mut [Cplx], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT size {n} must be a power of two");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Danielson–Lanczos butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Cplx::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Cplx::ONE;
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
-}
-
-/// Forward FFT of a real signal, returning the complex spectrum.
-pub fn fft_real(signal: &[f64]) -> Vec<Cplx> {
-    let mut data: Vec<Cplx> = signal.iter().map(|&x| Cplx::new(x, 0.0)).collect();
-    fft_in_place(&mut data);
-    data
-}
-
 /// Reusable real-input FFT plan: an `n`-point real transform computed as
 /// one `n/2`-point complex FFT (even samples packed into the real part,
 /// odd into the imaginary) plus an untangling pass. Roughly halves the
-/// work of [`fft_real`] and, because the plan owns its buffers, repeated
-/// transforms of the same size allocate nothing.
+/// work of an `n`-point complex transform of the same signal and, because
+/// the plan owns its buffers, repeated transforms of the same size
+/// allocate nothing.
 ///
 /// The pack writes each sample pair straight into its bit-reversed slot,
 /// so the inner transform starts at its butterflies, and every stage reads
@@ -90,8 +31,8 @@ pub struct RealFft {
     /// Butterfly twiddles of the inner m-point complex FFT, stage by
     /// stage: the stage with block length `len` (4, 8, …, m) owns
     /// `stage_tw[len/2 - 2..len - 2]`, whose entry `k` is a copy of
-    /// `cis(-2π·j/m)` at `j = k·(m/len)`. Precomputing them replaces the
-    /// per-butterfly rotation update of [`fft_in_place`].
+    /// `cis(-2π·j/m)` at `j = k·(m/len)`. Precomputing them spares each
+    /// butterfly a twiddle rotation.
     stage_tw: Vec<Cplx>,
 }
 
@@ -138,8 +79,8 @@ impl RealFft {
     }
 
     /// Butterflies of the inner complex FFT over `data`, which the pack
-    /// left in bit-reversed order (the transform of [`fft_in_place`] with
-    /// precomputed twiddles).
+    /// left in bit-reversed order: iterative radix-2 (Danielson–Lanczos)
+    /// stages over the precomputed twiddles.
     fn butterflies(data: &mut [Cplx], stage_tw: &[Cplx]) {
         // First stage's only twiddle is 1: pure add/sub, no multiply.
         for pair in data.chunks_exact_mut(2) {
@@ -170,8 +111,9 @@ impl RealFft {
     }
 
     /// One-sided spectrum of `input` over bins `0..=n/2`, written into
-    /// `out` (cleared and refilled; capacity reused). Matches `fft_real`'s
-    /// first `n/2 + 1` bins; the rest follow by conjugate symmetry.
+    /// `out` (cleared and refilled; capacity reused): bin `k` is the DFT
+    /// `X[k] = Σᵢ input[i]·e^(−2πj·ik/n)`, and the bins above `n/2` follow
+    /// by conjugate symmetry.
     pub fn process(&mut self, input: &[f64], out: &mut Vec<Cplx>) {
         assert_eq!(
             input.len(),
@@ -245,9 +187,29 @@ mod tests {
         (a - b).abs() < tol
     }
 
+    /// One-sided spectrum of `signal` from a fresh plan.
+    fn spectrum(signal: &[f64]) -> Vec<Cplx> {
+        let mut out = Vec::new();
+        RealFft::new(signal.len()).process(signal, &mut out);
+        out
+    }
+
+    /// Bins `0..=n/2` of the DFT of `signal`, straight from the definition.
+    fn dft(signal: &[f64]) -> Vec<Cplx> {
+        let n = signal.len();
+        (0..=n / 2)
+            .map(|k| {
+                signal.iter().enumerate().fold(Cplx::ZERO, |acc, (i, &x)| {
+                    let turn = ((i * k) % n) as f64 / n as f64;
+                    acc + Cplx::cis(-2.0 * PI * turn) * x
+                })
+            })
+            .collect()
+    }
+
     #[test]
     fn dc_signal_concentrates_in_bin_zero() {
-        let spec = fft_real(&[1.0; 16]);
+        let spec = spectrum(&[1.0; 16]);
         assert!(close(spec[0].re, 16.0, 1e-9));
         for bin in &spec[1..] {
             assert!(bin.abs() < 1e-9);
@@ -261,36 +223,27 @@ mod tests {
         let signal: Vec<f64> = (0..n)
             .map(|i| (2.0 * PI * k as f64 * i as f64 / n as f64).cos())
             .collect();
-        let spec = fft_real(&signal);
-        // cos splits into bins k and n-k with magnitude n/2 each.
+        let spec = spectrum(&signal);
+        // cos splits into bins k and n-k with magnitude n/2 each; the
+        // one-sided spectrum holds bin k.
         assert!(close(spec[k].abs(), n as f64 / 2.0, 1e-6));
-        assert!(close(spec[n - k].abs(), n as f64 / 2.0, 1e-6));
         for (i, bin) in spec.iter().enumerate() {
-            if i != k && i != n - k {
+            if i != k {
                 assert!(bin.abs() < 1e-6, "leakage in bin {i}");
             }
         }
     }
 
     #[test]
-    fn fft_ifft_roundtrip() {
-        let mut data: Vec<Cplx> = (0..128)
-            .map(|i| Cplx::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
-            .collect();
-        let orig = data.clone();
-        fft_in_place(&mut data);
-        ifft_in_place(&mut data);
-        for (a, b) in data.iter().zip(&orig) {
-            assert!(close(a.re, b.re, 1e-9) && close(a.im, b.im, 1e-9));
-        }
-    }
-
-    #[test]
     fn parseval_energy_conserved() {
-        let signal: Vec<f64> = (0..256).map(|i| ((i * i) as f64 * 0.01).sin()).collect();
+        let n = 256;
+        let signal: Vec<f64> = (0..n).map(|i| ((i * i) as f64 * 0.01).sin()).collect();
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
-        let spec = fft_real(&signal);
-        let freq_energy: f64 = spec.iter().map(|z| z.norm_sq()).sum::<f64>() / 256.0;
+        let spec = spectrum(&signal);
+        // Bins 1..n/2 stand for themselves and their mirrors.
+        let interior: f64 = spec[1..n / 2].iter().map(|z| z.norm_sq()).sum();
+        let edges = spec[0].norm_sq() + spec[n / 2].norm_sq();
+        let freq_energy = (edges + 2.0 * interior) / n as f64;
         assert!(close(time_energy, freq_energy, 1e-6));
     }
 
@@ -299,10 +252,10 @@ mod tests {
         let a: Vec<f64> = (0..32).map(|i| (i as f64 * 0.3).sin()).collect();
         let b: Vec<f64> = (0..32).map(|i| (i as f64 * 0.7).cos()).collect();
         let sum: Vec<f64> = a.iter().zip(&b).map(|(x, y)| 2.0 * x + 3.0 * y).collect();
-        let sa = fft_real(&a);
-        let sb = fft_real(&b);
-        let ss = fft_real(&sum);
-        for i in 0..32 {
+        let sa = spectrum(&a);
+        let sb = spectrum(&b);
+        let ss = spectrum(&sum);
+        for i in 0..=16 {
             let expect = sa[i] * 2.0 + sb[i] * 3.0;
             assert!(close(ss[i].re, expect.re, 1e-9));
             assert!(close(ss[i].im, expect.im, 1e-9));
@@ -310,28 +263,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_power_of_two_panics() {
-        let mut data = vec![Cplx::ZERO; 12];
-        fft_in_place(&mut data);
-    }
-
-    #[test]
-    fn real_fft_matches_complex_fft() {
-        for n in [2usize, 4, 8, 64, 512, 4096] {
+    fn real_fft_matches_the_dft_definition() {
+        for n in [2usize, 4, 8, 64, 512, 1024] {
             let signal: Vec<f64> = (0..n)
                 .map(|i| (i as f64 * 0.37).sin() + 0.5 * ((i * i) as f64 * 0.013).cos())
                 .collect();
-            let full = fft_real(&signal);
+            let want = dft(&signal);
             let mut plan = RealFft::new(n);
-            let mut half = Vec::new();
-            plan.process(&signal, &mut half);
-            assert_eq!(half.len(), n / 2 + 1);
-            for (k, z) in half.iter().enumerate() {
+            let mut got = Vec::new();
+            plan.process(&signal, &mut got);
+            assert_eq!(got.len(), n / 2 + 1);
+            for (k, (z, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
-                    close(z.re, full[k].re, 1e-8) && close(z.im, full[k].im, 1e-8),
-                    "n={n} bin {k}: {z:?} vs {:?}",
-                    full[k]
+                    close(z.re, w.re, 1e-8) && close(z.im, w.im, 1e-8),
+                    "n={n} bin {k}: {z:?} vs {w:?}"
                 );
             }
         }
@@ -468,13 +413,6 @@ mod tests {
             &g,
             |&(log2n, seed)| agree(log2n, seed),
         );
-    }
-
-    #[test]
-    fn size_one_is_identity() {
-        let mut data = vec![Cplx::new(3.0, 4.0)];
-        fft_in_place(&mut data);
-        assert_eq!(data[0], Cplx::new(3.0, 4.0));
     }
 
     use std::f64::consts::PI;

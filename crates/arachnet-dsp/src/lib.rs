@@ -12,7 +12,7 @@
 //! Module map:
 //!
 //! * [`cplx`] — a minimal complex number type;
-//! * [`fft`] — iterative radix-2 FFT;
+//! * [`fft`] — planned real-input radix-2 FFT;
 //! * [`window`] — Hann / rectangular windows;
 //! * [`psd`] — Welch power-spectral-density estimation and band power;
 //! * [`nco`] — numerically controlled oscillator and complex down-mixing;

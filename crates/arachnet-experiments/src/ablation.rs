@@ -251,7 +251,7 @@ impl Experiment for AblationDrive {
 /// (scheme × rate × beacon) trials fan out over the sweep worker pool.
 pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
     let schemes = [
-        ("FSK in / OOK out (paper)", DriveScheme::paper_default()),
+        ("FSK in / OOK out (paper)", DriveScheme::FskInOokOut),
         ("plain OOK (ring tail)", DriveScheme::PlainOok),
     ];
     let rates = [250.0, 500.0, 1_000.0];

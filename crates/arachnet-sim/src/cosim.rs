@@ -35,8 +35,9 @@ use crate::wavesim::{beacon_edges_at_tag, expand_states_into};
 /// Configuration of the co-simulation.
 #[derive(Debug, Clone)]
 pub struct CoSimConfig {
-    /// `(tid, period)` for each tag. Every tid must be a site of the paper
-    /// deployment; [`CoSimConfig::builder`] rejects any other.
+    /// `(tid, period)` for each tag. A tid with no site in the paper
+    /// deployment never hears a beacon, so it never transmits: every slot
+    /// counts as a beacon loss for it.
     pub tags: Vec<(u8, Period)>,
     /// Protocol parameters.
     pub protocol: ProtocolConfig,
@@ -353,7 +354,7 @@ impl CoSim {
             // is the damped one.
             let heard = beacon_edges_at_tag(
                 &self.channel,
-                DriveScheme::paper_default(),
+                DriveScheme::FskInOokOut,
                 tag.tid,
                 &edges,
                 &mut self.scratch.tag_edges,

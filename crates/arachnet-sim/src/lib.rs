@@ -18,7 +18,7 @@
 //!
 //! Plus the workload definitions ([`patterns`]: Table 3's nine
 //! configurations), the contention baseline ([`aloha`]: Appendix B),
-//! statistics helpers ([`metrics`]), validating configuration builders
+//! statistics helpers ([`metrics`]), the typed configuration error
 //! ([`config`]), dynamic-network scenario descriptions ([`scenario`]: tag
 //! churn, reader duty-cycling, channel weather, with the re-convergence
 //! metric), and the deterministic parallel trial runner ([`sweep`]) that
@@ -42,7 +42,7 @@ pub mod vanilla;
 pub mod wavesim;
 
 pub use codec::TrialCodec;
-pub use config::{AlohaConfigBuilder, CoSimConfigBuilder, ConfigError, SlotSimConfigBuilder};
+pub use config::ConfigError;
 pub use fleet::{run_fleet, CellOutcome, FleetCell, FleetUplinkResult, FleetWaveSim};
 pub use patterns::Pattern;
 pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};

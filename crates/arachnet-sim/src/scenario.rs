@@ -194,8 +194,8 @@ impl Scenario {
     }
 }
 
-/// Validating builder for [`Scenario`] (mirrors `arachnet-sim::config`:
-/// typed [`ConfigError`]s instead of panics-later).
+/// Validating builder for [`Scenario`]: typed [`ConfigError`]s instead of
+/// panics-later.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     events: Vec<TimedEvent>,

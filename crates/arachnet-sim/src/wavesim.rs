@@ -127,8 +127,9 @@ const ENVELOPE_TAU_S: f64 = 9.0 / 90_000.0;
 /// tail* keeps pumping the channel after the drive stops: with plain OOK
 /// the transducer rings freely (τ = 2Q_free/ω ≈ 0.5 ms), while the
 /// FSK-in/OOK-out drive keeps it amplifier-loaded (τ ≈ 0.1 ms) — Sec.
-/// 4.1's mitigation. `false` means the tag is not in the deployment or
-/// its amplitude is below the threshold: it hears nothing.
+/// 4.1's mitigation. The channel's `q_scale` scales either tail
+/// ([`DriveScheme::ring_tau_s`]). `false` means the tag is not in the
+/// deployment or its amplitude is below the threshold: it hears nothing.
 pub(crate) fn beacon_edges_at_tag(
     channel: &BiwChannel,
     scheme: DriveScheme,
@@ -149,10 +150,8 @@ pub(crate) fn beacon_edges_at_tag(
         return false;
     }
     let rise = ENVELOPE_TAU_S * (a / (a - vth)).ln();
-    let ring_tau = match scheme {
-        DriveScheme::PlainOok => 2.0 * 141.0 / (2.0 * std::f64::consts::PI * 90_000.0),
-        DriveScheme::FskInOokOut { .. } => 2.0 * 28.0 / (2.0 * std::f64::consts::PI * 90_000.0),
-    };
+    let config = channel.config();
+    let ring_tau = scheme.ring_tau_s(config.carrier_hz, config.q_scale);
     let fall = (ENVELOPE_TAU_S + ring_tau) * (a / vth).ln();
     let delay = site.path.delay_s();
     out.extend(
@@ -249,7 +248,7 @@ impl WaveSim {
         Self {
             channel: Arc::new(channel),
             seed,
-            drive_scheme: DriveScheme::paper_default(),
+            drive_scheme: DriveScheme::FskInOokOut,
         }
     }
 
@@ -755,6 +754,80 @@ mod tests {
         // The reference itself is zero.
         let t6 = offsets.iter().find(|&&(t, _)| t == 6).unwrap();
         assert_eq!(t6.1, 0.0);
+    }
+
+    /// Two reader TX pulses: (time in s, rising).
+    const PULSES: [(f64, bool); 4] = [(0.0, true), (1e-3, false), (2.5e-3, true), (4e-3, false)];
+
+    /// [`PULSES`] as tag `tid`'s comparator sees them through `channel`.
+    fn edges_at(channel: &BiwChannel, scheme: DriveScheme, tid: u8) -> Vec<(f64, bool)> {
+        let mut out = Vec::new();
+        assert!(beacon_edges_at_tag(channel, scheme, tid, &PULSES, &mut out));
+        out
+    }
+
+    /// `ln(a/vth)`: how many ring time constants tag `tid`'s envelope
+    /// takes to fall to the comparator threshold.
+    fn fall_decades(channel: &BiwChannel, tid: u8) -> f64 {
+        let a = (channel.tag_carrier_voltage(tid).unwrap() - DIODE_DROP_V).max(0.0);
+        (a / COMPARATOR_THRESHOLD_V).ln()
+    }
+
+    #[test]
+    fn ring_drift_delays_only_falling_edges() {
+        // At q_scale 2 every falling edge waits one more nominal ring tail
+        // τ·ln(a/vth); rising edges do not move.
+        let nominal = BiwChannel::paper(ChannelConfig::default());
+        let long = BiwChannel::paper(ChannelConfig {
+            q_scale: 2.0,
+            ..ChannelConfig::default()
+        });
+        for scheme in [DriveScheme::PlainOok, DriveScheme::FskInOokOut] {
+            let tau = scheme.ring_tau_s(90_000.0, 1.0);
+            for tid in 1..=12 {
+                let extra = tau * fall_decades(&nominal, tid);
+                let pairs = edges_at(&nominal, scheme, tid)
+                    .into_iter()
+                    .zip(edges_at(&long, scheme, tid));
+                for ((t0, rising), (t1, rising1)) in pairs {
+                    assert_eq!(rising, rising1);
+                    if rising {
+                        assert_eq!(t0.to_bits(), t1.to_bits(), "tag {tid} {scheme:?}");
+                    } else {
+                        let shift = t1 - t0;
+                        assert!(
+                            (shift - extra).abs() < 1e-12,
+                            "tag {tid} {scheme:?}: fall moved {shift} s, want {extra} s"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nominal_fall_delays_keep_the_former_literals() {
+        // At q_scale 1 the falling edges are, bit for bit, those of the
+        // ring tails the edge model once hard-coded.
+        use std::f64::consts::PI;
+        let channel = BiwChannel::paper(ChannelConfig::default());
+        let schemes = [
+            (DriveScheme::PlainOok, 2.0 * 141.0 / (2.0 * PI * 90_000.0)),
+            (DriveScheme::FskInOokOut, 2.0 * 28.0 / (2.0 * PI * 90_000.0)),
+        ];
+        for (scheme, ring_tau) in schemes {
+            for tid in 1..=12 {
+                let delay = channel.deployment().site(tid).unwrap().path.delay_s();
+                let fall = (ENVELOPE_TAU_S + ring_tau) * fall_decades(&channel, tid);
+                for ((t, _), (at_tag, rising)) in
+                    PULSES.into_iter().zip(edges_at(&channel, scheme, tid))
+                {
+                    if !rising {
+                        assert_eq!(at_tag.to_bits(), (t + delay + fall).to_bits(), "tag {tid}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use arachnet_core::packet::UlPacket;
 use arachnet_core::pie;
 use arachnet_dsp::cluster::{cluster_iq, ClusterConfig};
 use arachnet_dsp::cplx::Cplx;
-use arachnet_dsp::fft::fft_real;
+use arachnet_dsp::fft::RealFft;
 use arachnet_dsp::psd::welch_psd;
 use arachnet_dsp::window::Window;
 use arachnet_sim::patterns::Pattern;
@@ -33,7 +33,9 @@ fn bench_codecs(s: &mut Suite) {
     });
     let mut enc = Fm0Encoder::new();
     let raw = enc.encode(bits.iter());
-    s.bench("codecs/fm0_decode_64b", || fm0::decode(&raw, true).unwrap());
+    s.bench("codecs/fm0_decode_64b", || {
+        fm0::decode_lenient(&raw).unwrap()
+    });
     let beacon_bits = BitBuf::from_u32(0b1101001010, 10);
     s.bench("codecs/pie_encode_10b", || pie::encode(beacon_bits.iter()));
     let msg = BitBuf::from_u32(0xABCDE5, 24);
@@ -42,7 +44,12 @@ fn bench_codecs(s: &mut Suite) {
 
 fn bench_dsp(s: &mut Suite) {
     let signal: Vec<f64> = (0..8192).map(|i| (i as f64 * 0.71).sin()).collect();
-    s.bench("dsp/fft_8192", || fft_real(&signal));
+    let mut plan = RealFft::new(signal.len());
+    let mut spectrum = Vec::new();
+    s.bench("dsp/real_fft_8192", || {
+        plan.process(&signal, &mut spectrum);
+        spectrum[1]
+    });
     s.bench("dsp/welch_psd_8192", || {
         welch_psd(&signal, 500e3, 1024, Window::Hann)
     });

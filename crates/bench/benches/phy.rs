@@ -3,7 +3,7 @@
 //! cosim integration tests). Three layers are pinned so a regression in
 //! any of them is visible in isolation:
 //!
-//! * **channel propagation** — uplink/downlink waveform synthesis through
+//! * **channel propagation** — uplink waveform synthesis through
 //!   `biw-channel` (carrier synthesis, per-tag path delay/gain, noise);
 //! * **RX decode chain** — mix → decimate → PCA-slice → FM0 decode over
 //!   one slot waveform, plus the PSD-based SNR metric;
@@ -52,16 +52,6 @@ fn bench_channel(s: &mut Suite) {
     });
     s.bench("channel/uplink_waveform_idle_25k", || {
         ch.uplink_waveform(&[], 25_000)
-    });
-    s.bench("channel/downlink_waveform_10b", || {
-        ch.downlink_waveform(
-            8,
-            &[
-                true, false, true, true, false, true, false, false, true, false,
-            ],
-            2_000,
-        )
-        .unwrap()
     });
 }
 

@@ -1,10 +1,12 @@
 //! The assembled waveform-level channel.
 //!
-//! [`BiwChannel`] binds the deployment geometry, the resonant drive, the
-//! PZT models and the noise sources into two synthesis directions:
+//! [`BiwChannel`] binds the deployment geometry, the PZT models and the
+//! noise sources into the two directions of the link:
 //!
-//! * **downlink** — what a tag's PZT sees while the reader keys the
-//!   carrier: drive → TX resonator → path gain & delay → tag voltage;
+//! * **downlink** — the steady-state carrier voltage at each tag's PZT,
+//!   which sets the tag's harvest and its envelope detector's edge
+//!   timing (`arachnet-sim`'s downlink edge model adds the path delay and
+//!   the reader's ring tail, [`crate::resonator::DriveScheme::ring_tau_s`]);
 //! * **uplink** — what the reader's RX PZT sees while the reader holds a CW
 //!   carrier and one or more tags toggle their reflection state: a strong
 //!   direct-leakage carrier plus, per tag, a round-trip-attenuated copy
@@ -17,7 +19,6 @@
 use crate::geometry::Deployment;
 use crate::noise::{ChannelNoise, NoiseConfig};
 use crate::pzt::{Pzt, PztState};
-use crate::resonator::{synthesize_drive_flagged, DriveScheme, Resonator};
 
 /// Channel configuration.
 #[derive(Debug, Clone)]
@@ -30,16 +31,15 @@ pub struct ChannelConfig {
     /// calibrated value reproduces the paper's harvested voltages under the
     /// 18 W / 72 Vpp electrical-safety-limited drive.
     pub drive_amplitude: f64,
-    /// TX drive scheme (plain OOK vs FSK-in/OOK-out).
-    pub drive_scheme: DriveScheme,
     /// Noise configuration.
     pub noise: NoiseConfig,
     /// Direct TX→RX leakage amplitude at the reader (the two PZTs share the
     /// same panel).
     pub carrier_leakage: f64,
-    /// Resonator quality-factor scale: 1.0 is the paper's calibrated ring
-    /// (τ ≈ 0.5 ms). Channel drift (temperature, clamping) stretches or
-    /// shrinks the ring-down tail through this knob.
+    /// Quality-factor scale of the reader PZT's ring-down tail
+    /// ([`crate::resonator::DriveScheme::ring_tau_s`]): 1.0 is the paper's
+    /// calibrated ring (τ ≈ 0.5 ms free). Channel drift (temperature,
+    /// clamping) stretches or shrinks the tail through this knob.
     pub q_scale: f64,
     /// Random seed for the noise processes.
     pub seed: u64,
@@ -51,7 +51,6 @@ impl Default for ChannelConfig {
             sample_rate: 500_000.0,
             carrier_hz: 90_000.0,
             drive_amplitude: 3.35,
-            drive_scheme: DriveScheme::paper_default(),
             noise: NoiseConfig::default(),
             carrier_leakage: 2.0,
             q_scale: 1.0,
@@ -95,10 +94,6 @@ pub struct TagLink {
     pub up_gain: f64,
     /// Uplink delay in samples (round trip).
     pub up_delay: usize,
-    /// Downlink path gain (one way).
-    pub dl_gain: f64,
-    /// Downlink delay in samples (one way).
-    pub dl_delay: usize,
     /// Steady-state open-circuit carrier voltage at the tag (volts).
     pub carrier_voltage: f64,
     refl_tab: Vec<f64>,
@@ -135,8 +130,6 @@ impl ChannelCache {
                     id: site.id,
                     up_gain,
                     up_delay: 2 * site.path.delay_samples(fs),
-                    dl_gain: site.path.gain(),
-                    dl_delay: site.path.delay_samples(fs),
                     carrier_voltage: tag_pzt
                         .open_circuit_voltage(config.drive_amplitude * site.path.gain()),
                     refl_tab: sin_tab.iter().map(|s| up_gain * rho_refl * s).collect(),
@@ -229,45 +222,6 @@ impl BiwChannel {
     /// feeds the voltage multiplier in Fig. 11's experiment.
     pub fn tag_carrier_voltage(&self, tag_id: u8) -> Option<f64> {
         Some(self.cache.link(tag_id)?.carrier_voltage)
-    }
-
-    /// Downlink synthesis: the voltage waveform at a tag's PZT while the
-    /// reader keys the given raw OOK levels at `samples_per_level`.
-    ///
-    /// The chain is drive synthesis → TX resonator (ring effect!) → path
-    /// gain + delay → additive noise.
-    pub fn downlink_waveform(
-        &self,
-        tag_id: u8,
-        levels: &[bool],
-        samples_per_level: usize,
-    ) -> Option<Vec<f64>> {
-        let link = self.cache.link(tag_id)?;
-        let fs = self.config.sample_rate;
-        let (drive, driven) = synthesize_drive_flagged(
-            self.config.drive_scheme,
-            levels,
-            samples_per_level,
-            fs,
-            self.config.carrier_hz,
-            self.config.drive_amplitude,
-        );
-        let mut resonator = Resonator::arachnet_scaled(fs, self.config.q_scale);
-        let vibration = resonator.process_block_driven(&drive, &driven);
-        let gain = link.dl_gain;
-        let delay = link.dl_delay;
-        let mut noise =
-            ChannelNoise::new(self.config.noise, fs, self.config.seed ^ u64::from(tag_id));
-        let mut out = Vec::with_capacity(vibration.len());
-        for i in 0..vibration.len() {
-            let sig = if i >= delay {
-                vibration[i - delay] * gain
-            } else {
-                0.0
-            };
-            out.push(sig + noise.next());
-        }
-        Some(out)
     }
 
     /// Uplink synthesis: the reader RX waveform over `len` samples while
@@ -518,50 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn downlink_waveform_has_keyed_envelope() {
-        let ch = quiet_channel();
-        // 4 ms per level at 500 kHz.
-        let wave = ch
-            .downlink_waveform(8, &[true, false, true], 2_000)
-            .unwrap();
-        assert_eq!(wave.len(), 6_000);
-        let rms = |s: &[f64]| (s.iter().map(|x| x * x).sum::<f64>() / s.len() as f64).sqrt();
-        let on1 = rms(&wave[1_000..2_000]);
-        let off = rms(&wave[3_200..3_900]);
-        let on2 = rms(&wave[5_000..6_000]);
-        assert!(on1 > 5.0 * off, "OOK contrast too low: {on1} vs {off}");
-        assert!(on2 > 5.0 * off);
-    }
-
-    #[test]
-    fn downlink_amplitude_scales_with_path_gain() {
-        let ch = quiet_channel();
-        let rms = |s: &[f64]| (s.iter().map(|x| x * x).sum::<f64>() / s.len() as f64).sqrt();
-        let near = ch.downlink_waveform(8, &[true], 4_000).unwrap();
-        let far = ch.downlink_waveform(11, &[true], 4_000).unwrap();
-        let ratio = rms(&near[2_000..]) / rms(&far[2_000..]);
-        let d = Deployment::paper();
-        let expect = d.site(8).unwrap().path.gain() / d.site(11).unwrap().path.gain();
-        assert!(
-            (ratio - expect).abs() / expect < 0.1,
-            "ratio {ratio} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn downlink_is_delayed_by_path() {
-        let ch = quiet_channel();
-        let wave = ch.downlink_waveform(11, &[true], 4_000).unwrap();
-        let d = Deployment::paper();
-        let delay = d.site(11).unwrap().path.delay_samples(500_000.0);
-        // Nothing before the wavefront arrives.
-        assert!(wave[..delay].iter().all(|&x| x.abs() < 1e-12));
-        assert!(wave[delay + 500..delay + 1_500]
-            .iter()
-            .any(|&x| x.abs() > 0.01));
-    }
-
-    #[test]
     fn uplink_reflects_tag_state_changes() {
         let ch = quiet_channel();
         let fs = 500_000.0;
@@ -667,8 +577,9 @@ mod tests {
         };
         let a = BiwChannel::paper(cfg.clone());
         let b = BiwChannel::paper(cfg);
-        let wa = a.downlink_waveform(5, &[true, false], 500).unwrap();
-        let wb = b.downlink_waveform(5, &[true, false], 500).unwrap();
+        let states = BiwChannel::states_from_raw_bits(&[true, false], 500);
+        let wa = a.uplink_waveform(&[(5, &states)], 1_000);
+        let wb = b.uplink_waveform(&[(5, &states)], 1_000);
         assert_eq!(wa, wb);
     }
 }

@@ -25,10 +25,11 @@
 //! * [`propagation`] — path gain & delay from the descriptor;
 //! * [`pzt`] — the transducer two-port: harvest conversion and the
 //!   reflective/absorptive backscatter states;
-//! * [`resonator`] — second-order 90 kHz resonance with ring-down, plus the
-//!   FSK-in/OOK-out drive;
+//! * [`resonator`] — the 90 kHz resonance's ring-down tail: free under
+//!   plain OOK, amplifier-loaded under the FSK-in/OOK-out drive;
 //! * [`noise`] — deterministic noise generator (AWGN + engine vibration);
-//! * [`channel`] — waveform-level synthesis of downlink and uplink signals;
+//! * [`channel`] — per-tag carrier voltages and waveform-level uplink
+//!   synthesis;
 //! * [`timevarying`] — epoch-wise drift: prebuilt per-epoch channels for
 //!   dynamic-network experiments (gain fades, leakage shifts, noise-floor
 //!   wander, ring-down/Q drift);

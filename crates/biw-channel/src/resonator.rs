@@ -15,353 +15,64 @@
 //! mechanical energy. A silent drive (plain OOK LOW) leaves the element
 //! open and free to ring. The model captures this with two quality
 //! factors: a high *free* Q when undriven and a lower *loaded* Q when the
-//! amplifier is active.
+//! amplifier is active. The downlink edge model (`arachnet-sim`'s
+//! `wavesim`) adds the resulting ring tail to every falling edge a tag sees.
 
 use std::f64::consts::PI;
 
-#[derive(Debug, Clone, Copy)]
-struct BiquadCoeffs {
-    b0: f64,
-    b2: f64,
-    a1: f64,
-    a2: f64,
-}
-
-fn bandpass_coeffs(fs: f64, f0: f64, q: f64) -> BiquadCoeffs {
-    let w0 = 2.0 * PI * f0 / fs;
-    let alpha = w0.sin() / (2.0 * q);
-    let a0 = 1.0 + alpha;
-    BiquadCoeffs {
-        b0: alpha / a0,
-        b2: -alpha / a0,
-        a1: -2.0 * w0.cos() / a0,
-        a2: (1.0 - alpha) / a0,
-    }
-}
-
-/// The resonant drive model with amplifier-loaded damping.
-#[derive(Debug, Clone)]
-pub struct Resonator {
-    /// Sample rate (Hz).
-    fs: f64,
-    /// Resonant frequency (Hz).
-    f0: f64,
-    /// Free (undriven) quality factor.
-    q_free: f64,
-    free: BiquadCoeffs,
-    loaded: BiquadCoeffs,
-    x1: f64,
-    x2: f64,
-    y1: f64,
-    y2: f64,
-}
-
-impl Resonator {
-    /// Resonator at `f0` Hz with free quality `q_free` and amplifier-loaded
-    /// quality `q_loaded`, sampled at `fs`.
-    pub fn with_loading(fs: f64, f0: f64, q_free: f64, q_loaded: f64) -> Self {
-        assert!(f0 > 0.0 && f0 < fs / 2.0);
-        assert!(q_free > 0.0 && q_loaded > 0.0);
-        Self {
-            fs,
-            f0,
-            q_free,
-            free: bandpass_coeffs(fs, f0, q_free),
-            loaded: bandpass_coeffs(fs, f0, q_loaded),
-            x1: 0.0,
-            x2: 0.0,
-            y1: 0.0,
-            y2: 0.0,
-        }
-    }
-
-    /// Resonator with a single quality factor (loading ignored).
-    pub fn new(fs: f64, f0: f64, q: f64) -> Self {
-        Self::with_loading(fs, f0, q, q)
-    }
-
-    /// The ARACHNET system resonator: 90 kHz; free Q gives a ring-down tail
-    /// of ≈ 0.5 ms (visible at 1–2 kbps DL, negligible at 250 bps), the
-    /// amplifier-loaded Q is ~5× lower.
-    pub fn arachnet(fs: f64) -> Self {
-        Self::arachnet_scaled(fs, 1.0)
-    }
-
-    /// [`Resonator::arachnet`] with both quality factors scaled by
-    /// `q_scale` — channel drift (temperature, panel clamping) shifts the
-    /// damping, stretching (`q_scale > 1`) or shrinking (`< 1`) the
-    /// ring-down tail.
-    pub fn arachnet_scaled(fs: f64, q_scale: f64) -> Self {
-        assert!(q_scale > 0.0, "q_scale must be positive");
-        // τ = 2Q/ω0 → Q = τ·ω0/2; τ = 0.5 ms, ω0 = 2π·90 kHz → Q ≈ 141.
-        Self::with_loading(fs, 90_000.0, 141.0 * q_scale, 28.0 * q_scale)
-    }
-
-    /// Resonant frequency.
-    pub fn f0(&self) -> f64 {
-        self.f0
-    }
-
-    /// Free ring-down time constant τ = 2Q/ω₀ in seconds.
-    pub fn ring_tau_s(&self) -> f64 {
-        2.0 * self.q_free / (2.0 * PI * self.f0)
-    }
-
-    /// Processes one drive sample into a vibration sample; `driven` says
-    /// whether the amplifier is actively holding the transducer (loads and
-    /// damps it) or the element is free to ring.
-    pub fn process_driven(&mut self, x: f64, driven: bool) -> f64 {
-        let c = if driven { self.loaded } else { self.free };
-        let y = c.b0 * x + c.b2 * self.x2 - c.a1 * self.y1 - c.a2 * self.y2;
-        self.x2 = self.x1;
-        self.x1 = x;
-        self.y2 = self.y1;
-        self.y1 = y;
-        y
-    }
-
-    /// Processes one drive sample with free-Q dynamics.
-    pub fn process(&mut self, x: f64) -> f64 {
-        self.process_driven(x, false)
-    }
-
-    /// Processes a drive waveform with free-Q dynamics.
-    pub fn process_block(&mut self, drive: &[f64]) -> Vec<f64> {
-        drive.iter().map(|&x| self.process(x)).collect()
-    }
-
-    /// Processes a drive waveform with a per-sample driven flag.
-    pub fn process_block_driven(&mut self, drive: &[f64], driven: &[bool]) -> Vec<f64> {
-        assert_eq!(drive.len(), driven.len());
-        drive
-            .iter()
-            .zip(driven)
-            .map(|(&x, &d)| self.process_driven(x, d))
-            .collect()
-    }
-
-    /// Clears stored energy.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-
-    /// Sample rate this resonator was built for.
-    pub fn sample_rate(&self) -> f64 {
-        self.fs
-    }
-}
+/// Free (undriven) quality factor: τ = 2Q/ω₀ with τ = 0.5 ms and
+/// ω₀ = 2π·90 kHz gives Q ≈ 141.
+const Q_FREE: f64 = 141.0;
+/// Amplifier-loaded quality factor, ~5× below the free one.
+const Q_LOADED: f64 = 28.0;
 
 /// How the reader drives its TX PZT for OOK symbols.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DriveScheme {
     /// Plain OOK: full drive for HIGH, silence for LOW. Suffers the ring
-    /// effect — the resonator coasts through short LOWs.
+    /// effect — the transducer rings freely through short LOWs.
     PlainOok,
-    /// "FSK in, OOK out" (Sec. 4.1): resonant drive for HIGH, off-resonant
-    /// drive for LOW. The resonator rejects the off-resonant tone, and the
-    /// continued pumping damps the ring tail.
-    FskInOokOut {
-        /// Off-resonant LOW frequency in Hz.
-        low_freq: f64,
-    },
+    /// "FSK in, OOK out" (Sec. 4.1), the paper's scheme: resonant drive
+    /// for HIGH, off-resonant drive for LOW. The resonator rejects the
+    /// off-resonant tone, and the continued pumping damps the ring tail.
+    FskInOokOut,
 }
 
 impl DriveScheme {
-    /// The paper's scheme with the LOW tone parked 10 kHz below resonance.
-    pub fn paper_default() -> Self {
-        DriveScheme::FskInOokOut { low_freq: 80_000.0 }
+    /// Ring-down time constant τ = 2Q/ω₀ in seconds of the reader PZT
+    /// resonating at `f0_hz` once a HIGH ends: the free Q under plain OOK,
+    /// the amplifier-loaded Q under FSK-in/OOK-out, scaled by `q_scale`.
+    /// Channel drift (temperature, panel clamping) shifts the damping,
+    /// stretching (`q_scale > 1`) or shrinking (`< 1`) the tail.
+    pub fn ring_tau_s(self, f0_hz: f64, q_scale: f64) -> f64 {
+        let q = match self {
+            DriveScheme::PlainOok => Q_FREE,
+            DriveScheme::FskInOokOut => Q_LOADED,
+        };
+        2.0 * (q * q_scale) / (2.0 * PI * f0_hz)
     }
-}
-
-/// Synthesizes the reader's TX drive voltage for a sequence of raw OOK
-/// levels (`samples_per_level` samples each, amplitude `amp`), together
-/// with the per-sample amplifier-active flag that drives the resonator's
-/// loaded/free damping selection.
-pub fn synthesize_drive_flagged(
-    scheme: DriveScheme,
-    levels: &[bool],
-    samples_per_level: usize,
-    fs: f64,
-    f0: f64,
-    amp: f64,
-) -> (Vec<f64>, Vec<bool>) {
-    let n = levels.len() * samples_per_level;
-    let mut out = Vec::with_capacity(n);
-    let mut flags = Vec::with_capacity(n);
-    let mut phase_hi = 0.0f64;
-    let mut phase_lo = 0.0f64;
-    let w_hi = 2.0 * PI * f0 / fs;
-    let w_lo = match scheme {
-        DriveScheme::PlainOok => 0.0,
-        DriveScheme::FskInOokOut { low_freq } => 2.0 * PI * low_freq / fs,
-    };
-    for &level in levels {
-        for _ in 0..samples_per_level {
-            let (s, driven) = if level {
-                (amp * phase_hi.sin(), true)
-            } else {
-                match scheme {
-                    DriveScheme::PlainOok => (0.0, false),
-                    DriveScheme::FskInOokOut { .. } => (amp * phase_lo.sin(), true),
-                }
-            };
-            out.push(s);
-            flags.push(driven);
-            phase_hi += w_hi;
-            phase_lo += w_lo;
-            if phase_hi > PI {
-                phase_hi -= 2.0 * PI;
-            }
-            if phase_lo > PI {
-                phase_lo -= 2.0 * PI;
-            }
-        }
-    }
-    (out, flags)
-}
-
-/// Drive voltage only — see [`synthesize_drive_flagged`].
-pub fn synthesize_drive(
-    scheme: DriveScheme,
-    levels: &[bool],
-    samples_per_level: usize,
-    fs: f64,
-    f0: f64,
-    amp: f64,
-) -> Vec<f64> {
-    synthesize_drive_flagged(scheme, levels, samples_per_level, fs, f0, amp).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const FS: f64 = 500_000.0;
-
-    fn envelope_rms(x: &[f64]) -> f64 {
-        (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
-    }
-
-    #[test]
-    fn resonant_drive_passes() {
-        let mut r = Resonator::arachnet(FS);
-        let drive = synthesize_drive(DriveScheme::PlainOok, &[true], 20_000, FS, 90_000.0, 1.0);
-        let out = r.process_block(&drive);
-        // After the build-up, the resonator output tracks the drive.
-        let steady = envelope_rms(&out[10_000..]);
-        assert!(steady > 0.5, "resonant drive attenuated: {steady}");
-    }
-
-    #[test]
-    fn off_resonant_drive_is_rejected() {
-        let mut r = Resonator::arachnet(FS);
-        let drive: Vec<f64> = (0..20_000)
-            .map(|i| (2.0 * PI * 80_000.0 * i as f64 / FS).sin())
-            .collect();
-        let out = r.process_block(&drive);
-        let steady = envelope_rms(&out[10_000..]);
-        assert!(steady < 0.05, "off-resonant leak: {steady}");
-    }
-
     #[test]
     fn ring_tau_matches_formula() {
-        let r = Resonator::arachnet(FS);
-        assert!((r.ring_tau_s() - 2.0 * 141.0 / (2.0 * PI * 90_000.0)).abs() < 1e-12);
-        assert!((r.ring_tau_s() - 0.5e-3).abs() < 0.05e-3);
-    }
-
-    #[test]
-    fn plain_ook_rings_after_cutoff() {
-        let mut r = Resonator::arachnet(FS);
-        // 10 ms ON then silence.
-        let mut drive = synthesize_drive(DriveScheme::PlainOok, &[true], 5_000, FS, 90_000.0, 1.0);
-        drive.extend(std::iter::repeat_n(0.0, 2_000));
-        let out = r.process_block(&drive);
-        // Just after cutoff (0.2 ms = 100 samples), the ring is still strong.
-        let ring = envelope_rms(&out[5_000 + 50..5_000 + 150]);
-        let steady = envelope_rms(&out[4_000..5_000]);
-        assert!(
-            ring > steady * 0.5,
-            "expected ring: {ring} vs steady {steady}"
+        let free = DriveScheme::PlainOok.ring_tau_s(90_000.0, 1.0);
+        let loaded = DriveScheme::FskInOokOut.ring_tau_s(90_000.0, 1.0);
+        // The free ring lasts ≈ 0.5 ms; amplifier loading cuts it ~5×.
+        assert!((free - 0.5e-3).abs() < 0.05e-3, "free τ {free}");
+        let ratio = free / loaded;
+        assert!((4.5..5.5).contains(&ratio), "free/loaded {ratio}");
+        // Bit for bit the literals the downlink edge model used before.
+        assert_eq!(
+            free.to_bits(),
+            (2.0 * 141.0 / (2.0 * PI * 90_000.0)).to_bits()
         );
-    }
-
-    #[test]
-    fn fsk_in_ook_out_suppresses_ring_faster() {
-        let levels = [true, false];
-        let spl = 5_000; // 10 ms per level
-        let window = 100..400; // 0.2–0.8 ms into the LOW — where the ring lives
-        let mut plain = Resonator::arachnet(FS);
-        let (d_plain, f_plain) =
-            synthesize_drive_flagged(DriveScheme::PlainOok, &levels, spl, FS, 90_000.0, 1.0);
-        let o_plain = plain.process_block_driven(&d_plain, &f_plain);
-        let mut fsk = Resonator::arachnet(FS);
-        let (d_fsk, f_fsk) = synthesize_drive_flagged(
-            DriveScheme::paper_default(),
-            &levels,
-            spl,
-            FS,
-            90_000.0,
-            1.0,
+        assert_eq!(
+            loaded.to_bits(),
+            (2.0 * 28.0 / (2.0 * PI * 90_000.0)).to_bits()
         );
-        let o_fsk = fsk.process_block_driven(&d_fsk, &f_fsk);
-        let tail_plain = envelope_rms(&o_plain[spl + window.start..spl + window.end]);
-        let tail_fsk = envelope_rms(&o_fsk[spl + window.start..spl + window.end]);
-        let steady = envelope_rms(&o_plain[spl - 1_000..spl]);
-        // The plain-OOK ring is substantial right after cutoff…
-        assert!(
-            tail_plain > steady * 0.2,
-            "expected a ring: {tail_plain} vs {steady}"
-        );
-        // …and the FSK drive damps it.
-        assert!(
-            tail_fsk < tail_plain * 0.7,
-            "fsk {tail_fsk} vs plain {tail_plain}"
-        );
-    }
-
-    #[test]
-    fn reset_clears_ring() {
-        let mut r = Resonator::arachnet(FS);
-        let drive = synthesize_drive(DriveScheme::PlainOok, &[true], 5_000, FS, 90_000.0, 1.0);
-        r.process_block(&drive);
-        r.reset();
-        let silent = r.process_block(&vec![0.0; 100]);
-        assert!(envelope_rms(&silent) < 1e-12);
-    }
-
-    #[test]
-    fn drive_length_is_levels_times_spl() {
-        let d = synthesize_drive(
-            DriveScheme::PlainOok,
-            &[true, false, true],
-            100,
-            FS,
-            90_000.0,
-            1.0,
-        );
-        assert_eq!(d.len(), 300);
-    }
-
-    #[test]
-    fn plain_ook_low_is_silent_drive() {
-        let d = synthesize_drive(DriveScheme::PlainOok, &[false], 100, FS, 90_000.0, 1.0);
-        assert!(d.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn fsk_low_is_active_drive() {
-        let d = synthesize_drive(
-            DriveScheme::paper_default(),
-            &[false],
-            1_000,
-            FS,
-            90_000.0,
-            1.0,
-        );
-        assert!(envelope_rms(&d) > 0.5);
     }
 }

@@ -31,7 +31,8 @@ pub struct ChannelDrift {
     pub leakage_scale: f64,
     /// Scales the white-noise floor.
     pub noise_scale: f64,
-    /// Scales the resonator quality factors (ring-down tail length).
+    /// Scales the reader PZT's quality factors (the ring-down tail that
+    /// delays falling downlink edges).
     pub q_scale: f64,
 }
 
@@ -133,6 +134,7 @@ mod tests {
     use super::*;
     use crate::noise::NoiseConfig;
     use crate::pzt::PztState;
+    use crate::resonator::DriveScheme;
 
     fn base() -> ChannelConfig {
         ChannelConfig {
@@ -188,8 +190,8 @@ mod tests {
 
     #[test]
     fn q_drift_stretches_the_ring_down() {
-        // Longer ring (q_scale > 1) leaves more energy in the gap after an
-        // OOK "on" level than the nominal channel does.
+        // A longer ring (q_scale > 1) stretches the tail the downlink edge
+        // model adds to falling edges, under either drive scheme.
         let drifts = [
             ChannelDrift::identity(),
             ChannelDrift {
@@ -198,17 +200,17 @@ mod tests {
             },
         ];
         let tvc = TimeVaryingChannel::paper(base(), &drifts);
-        let energy_in_gap = |ch: &BiwChannel| {
-            let wave = ch.downlink_waveform(8, &[true, false], 2_000).unwrap();
-            // Just after the on→off edge, where only the ring remains.
-            wave[2_200..2_700].iter().map(|x| x * x).sum::<f64>()
-        };
-        let nominal = energy_in_gap(tvc.channel_at(0));
-        let ringing = energy_in_gap(tvc.channel_at(1));
-        assert!(
-            ringing > 2.0 * nominal,
-            "ring energy {ringing} vs nominal {nominal}"
-        );
+        for scheme in [DriveScheme::PlainOok, DriveScheme::FskInOokOut] {
+            let tau = |ch: &BiwChannel| {
+                let c = ch.config();
+                scheme.ring_tau_s(c.carrier_hz, c.q_scale)
+            };
+            let (nominal, ringing) = (tau(tvc.channel_at(0)), tau(tvc.channel_at(1)));
+            assert!(
+                (ringing / nominal - 3.0).abs() < 1e-12,
+                "{scheme:?}: ring τ {ringing} vs nominal {nominal}"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Property-based tests over the acoustic channel (arachnet-testkit).
 
 use arachnet_testkit::gen;
-use arachnet_testkit::{check, prop_assert, prop_assert_eq};
+use arachnet_testkit::{check, prop_assert};
 use biw_channel::propagation::PathSpec;
 use biw_channel::pzt::{Pzt, PztState};
-use biw_channel::resonator::{synthesize_drive, DriveScheme};
 
 /// Path gain decreases monotonically with distance and with every kind of
 /// junction, and always lies in (0, 1] beyond the reference.
@@ -85,19 +84,4 @@ fn pzt_reflection_properties() {
             Ok(())
         },
     );
-}
-
-/// Synthesized drive waveforms have the right length and bounded amplitude
-/// for any level pattern.
-#[test]
-fn drive_synthesis_bounds() {
-    let g = gen::zip(gen::vec(gen::boolean(), 1, 19), gen::f64_range(0.1, 5.0));
-    check("drive_synthesis_bounds", &g, |(levels, amp)| {
-        for scheme in [DriveScheme::PlainOok, DriveScheme::paper_default()] {
-            let d = synthesize_drive(scheme, levels, 50, 500_000.0, 90_000.0, *amp);
-            prop_assert_eq!(d.len(), levels.len() * 50);
-            prop_assert!(d.iter().all(|x| x.abs() <= amp + 1e-12));
-        }
-        Ok(())
-    });
 }

@@ -22,8 +22,8 @@
 //! `EXPERIMENTS.md`.
 //!
 //! The [`prelude`] re-exports the high-level API most downstream code
-//! wants: the validating config builders and the [`prelude::Experiment`]
-//! registry types.
+//! wants: the simulator configs and the [`prelude::Experiment`] registry
+//! types.
 
 #![forbid(unsafe_code)]
 
@@ -38,16 +38,16 @@ pub use arachnet_sim as sim;
 pub use arachnet_tag as tag;
 pub use biw_channel as channel;
 
-/// The high-level API in one import: validating simulator config
-/// builders, the parallel sweep engine, and the experiment registry.
+/// The high-level API in one import: the simulator configs, the parallel
+/// sweep engine, and the experiment registry.
 ///
 /// ```
 /// use arachnet::prelude::*;
 ///
-/// let cfg = SlotSimConfig::builder(sim::patterns::Pattern::c3(), 1)
-///     .dl_loss_prob(0.005)
-///     .build()
-///     .unwrap();
+/// let cfg = SlotSimConfig {
+///     dl_loss_prob: 0.005,
+///     ..SlotSimConfig::new(sim::patterns::Pattern::c3(), 1)
+/// };
 /// # let _ = cfg;
 /// let ctx = ExperimentCtx::builder(1).quick().build().unwrap();
 /// let report = experiments::registry::find("table3")
@@ -62,9 +62,7 @@ pub mod prelude {
         Experiment, ExperimentCtx, ExperimentCtxBuilder, Report, Section,
     };
     pub use arachnet_sim::aloha::AlohaConfig;
-    pub use arachnet_sim::config::{
-        AlohaConfigBuilder, CoSimConfigBuilder, ConfigError, SlotSimConfigBuilder,
-    };
+    pub use arachnet_sim::config::ConfigError;
     pub use arachnet_sim::cosim::CoSimConfig;
     pub use arachnet_sim::slotsim::SlotSimConfig;
     pub use arachnet_sim::sweep::{run_matrix_sweep, run_sweep, SweepConfig};
