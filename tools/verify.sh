@@ -8,9 +8,9 @@
 # sweep-only flags on a sweep-less experiment, the run-telemetry smoke
 # (journal heartbeats parse, chrome trace loads), the serve smoke
 # (admission control, structured errors, graceful drain over a real
-# socket), hygiene (no tracked target/ artifacts, rustfmt-clean sources),
-# and the epoch-selection, recorder-overhead and serve decode round-trip
-# bench gates.
+# socket), hygiene (no tracked target/ artifacts, rustfmt-clean sources,
+# rustdoc-clean docs), and the epoch-selection, recorder-overhead and
+# serve decode round-trip bench gates.
 #
 # Usage: tools/verify.sh [seed]     (default seed 7)
 #
@@ -42,6 +42,9 @@ cargo build --release --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings: broken or redundant intra-doc links) =="
+cargo doc --workspace --no-deps --offline
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
