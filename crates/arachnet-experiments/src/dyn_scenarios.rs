@@ -401,8 +401,9 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
             rows,
         )
         .with_note(
-            "fades cut SNR link-wide; the long-ring epoch smears FM0 transitions (ISI) and the \
-             noisy epoch lifts the floor — Tag 11's weak link degrades first.",
+            "fades cut SNR link-wide and the noisy epoch lifts the floor — Tag 11's weak link \
+             degrades first; the uplink synthesis has no ring term, so the long-ring epoch is the \
+             nominal channel on its own packet seeds.",
         ),
     )
     .with_metrics(metrics)
