@@ -65,14 +65,5 @@ mod tests {
         assert!((free - 0.5e-3).abs() < 0.05e-3, "free τ {free}");
         let ratio = free / loaded;
         assert!((4.5..5.5).contains(&ratio), "free/loaded {ratio}");
-        // Bit for bit the literals the downlink edge model used before.
-        assert_eq!(
-            free.to_bits(),
-            (2.0 * 141.0 / (2.0 * PI * 90_000.0)).to_bits()
-        );
-        assert_eq!(
-            loaded.to_bits(),
-            (2.0 * 28.0 / (2.0 * PI * 90_000.0)).to_bits()
-        );
     }
 }
