@@ -766,9 +766,9 @@ mod tests {
         out
     }
 
-    /// `ln(a/vth)`: how many ring time constants tag `tid`'s envelope
-    /// takes to fall to the comparator threshold.
-    fn fall_decades(channel: &BiwChannel, tid: u8) -> f64 {
+    /// `ln(a/vth)`: how many time constants tag `tid`'s envelope takes to
+    /// decay from its amplitude to the comparator threshold.
+    fn e_folds_to_threshold(channel: &BiwChannel, tid: u8) -> f64 {
         let a = (channel.tag_carrier_voltage(tid).unwrap() - DIODE_DROP_V).max(0.0);
         (a / COMPARATOR_THRESHOLD_V).ln()
     }
@@ -785,7 +785,7 @@ mod tests {
         for scheme in [DriveScheme::PlainOok, DriveScheme::FskInOokOut] {
             let tau = scheme.ring_tau_s(90_000.0, 1.0);
             for tid in 1..=12 {
-                let extra = tau * fall_decades(&nominal, tid);
+                let extra = tau * e_folds_to_threshold(&nominal, tid);
                 let pairs = edges_at(&nominal, scheme, tid)
                     .into_iter()
                     .zip(edges_at(&long, scheme, tid));
@@ -818,7 +818,7 @@ mod tests {
         for (scheme, ring_tau) in schemes {
             for tid in 1..=12 {
                 let delay = channel.deployment().site(tid).unwrap().path.delay_s();
-                let fall = (ENVELOPE_TAU_S + ring_tau) * fall_decades(&channel, tid);
+                let fall = (ENVELOPE_TAU_S + ring_tau) * e_folds_to_threshold(&channel, tid);
                 for ((t, _), (at_tag, rising)) in
                     PULSES.into_iter().zip(edges_at(&channel, scheme, tid))
                 {
