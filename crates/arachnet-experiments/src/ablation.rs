@@ -13,8 +13,8 @@ use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::resonator::DriveScheme;
 
-use crate::render::{f, five_num_cells};
-use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
+use crate::render::five_num_cells;
+use crate::report::{sent_lost, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Protocol-refinement ablation experiment.
 pub struct Ablation;
@@ -111,15 +111,16 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
         let run = sim.run(5_000);
         let [_, _, median, _, max] = five_num_cells(&conv, 0);
         rows.push(vec![
-            name.to_string(),
-            median,
-            max,
-            f(run.non_empty_ratio, 3),
-            f(run.collision_ratio, 3),
+            Cell::label(*name),
+            median.into(),
+            max.into(),
+            Num::Real(run.non_empty_ratio, 3).into(),
+            Num::Real(run.collision_ratio, 3).into(),
         ]);
     }
     Report::single(
         Section::new(
+            "protocol",
             format!(
                 "Ablation — protocol refinements (c3, {trials} trials; long run at 0.5 % DL loss)"
             ),
@@ -204,13 +205,14 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
         let settled: Vec<f64> = ok.iter().map(|&&(s, _)| s).collect();
         let disruption: Vec<f64> = ok.iter().map(|&&(_, c)| c).collect();
         rows.push(vec![
-            name.to_string(),
-            f(mean(&settled), 1),
-            f(mean(&disruption), 4),
+            Cell::label(*name),
+            Num::Real(mean(&settled), 1).into(),
+            Num::Real(mean(&disruption), 4).into(),
         ]);
     }
     Report::single(
         Section::new(
+            "late-arrival",
             format!("Ablation — late arrivals (cold start, c3, {horizon} slots, {trials} trials)"),
             &["variant", "settled tags (of 12)", "collision ratio"],
             rows,
@@ -267,15 +269,19 @@ pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
     });
     let mut rows = Vec::new();
     for (si, (name, _)) in schemes.iter().enumerate() {
-        let mut row = vec![name.to_string()];
+        let mut row = vec![Cell::label(*name)];
         for ri in 0..rates.len() {
             let (sent, lost) = sent_lost(&matrix.cells[si * rates.len() + ri], |&ok| ok);
-            row.push(format!("{lost}/{sent}"));
+            row.push(Cell::fill(
+                "{lost}/{sent}",
+                &[("lost", Num::Int(lost)), ("sent", Num::Int(sent))],
+            ));
         }
         rows.push(row);
     }
     Report::single(
         Section::new(
+            "drive",
             "Ablation — TX drive scheme vs DL loss (Tag 8)",
             &["scheme", "250 bps", "500 bps", "1000 bps"],
             rows,
@@ -340,17 +346,14 @@ pub fn report_stages() -> Report {
             }
         }
         rows.push(vec![
-            format!("{stages}"),
-            format!("{activated}/12"),
-            if fastest.is_finite() {
-                f(fastest, 1)
-            } else {
-                "-".into()
-            },
+            Cell::label(format!("{stages}")),
+            Cell::fill("{activated}/12", &[("activated", Num::Int(activated))]),
+            Num::finite(fastest, 1).into(),
         ]);
     }
     Report::single(
         Section::new(
+            "stages",
             "Ablation — multiplier stage count",
             &["stages", "tags activating", "fastest charge (s)"],
             rows,

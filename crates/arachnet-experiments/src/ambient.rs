@@ -4,8 +4,7 @@ use arachnet_energy::ambient::{DrivingState, HybridChain};
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Ambient vibration-harvesting extension experiment.
 pub struct Ambient;
@@ -37,28 +36,23 @@ impl Experiment for Ambient {
         let mut rows = Vec::new();
         for tid in [8u8, 4, 11] {
             let vp = ch.tag_carrier_voltage(tid).unwrap();
-            let mut row = vec![format!("Tag {tid}")];
+            let mut row = vec![Cell::label(format!("Tag {tid}"))];
             for (_, s) in &states {
-                let chain = HybridChain::new(*s);
-                match chain.charge_time(vp, 0.0, 2.3, 1_000.0) {
-                    Some(t) => row.push(f(t, 1)),
-                    None => row.push("-".into()),
-                }
+                let t = HybridChain::new(*s).charge_time(vp, 0.0, 2.3, 1_000.0);
+                row.push(t.map_or(Num::Absent, |t| Num::Real(t, 1)).into());
             }
             rows.push(row);
         }
         // Reader-off row: can ambient alone keep a tag listening?
-        let mut rx_row = vec!["RX sustained w/o reader".to_string()];
+        let mut rx_row = vec![Cell::label("RX sustained w/o reader")];
         for (_, s) in &states {
-            rx_row.push(if HybridChain::new(*s).sustains_rx_without_reader() {
-                "yes".into()
-            } else {
-                "no".into()
-            });
+            let sustained = HybridChain::new(*s).sustains_rx_without_reader();
+            rx_row.push(Cell::label(if sustained { "yes" } else { "no" }));
         }
         rows.push(rx_row);
         Report::single(
             Section::new(
+                "charge-s",
                 "Extension — ambient vibration harvesting: full-charge time (s) by driving state",
                 &["", "parked", "idle", "city", "highway"],
                 rows,

@@ -687,8 +687,6 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
     // export share the same snapshot.
     let spans = take_spans();
     if obs.metrics {
-        // `metrics_json` adds the generic report-shape counters, so every
-        // artifact exports a non-empty deterministic document.
         let path = format!("METRICS_{}.json", e.id());
         write_file(&path, &metrics_json(e.id(), &report));
         println!("-- metrics (sim-domain, exported to {path}) --");

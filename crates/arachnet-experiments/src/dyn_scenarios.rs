@@ -13,7 +13,7 @@
 //! with per-trial seeds derived from the trial index alone, so every table
 //! and metric document is bit-identical at any `--threads` count.
 
-use arachnet_obs::{MetricSet, Recorder};
+use arachnet_obs::Recorder;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::scenario::Scenario;
 use arachnet_sim::slotsim::run_scenario_trial;
@@ -21,8 +21,8 @@ use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::timevarying::{ChannelDrift, TimeVaryingChannel};
 
-use crate::render::{f, five_num_cells};
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::render::five_num_cells;
+use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 use arachnet_core::slot::Period;
 
@@ -66,15 +66,11 @@ fn measure(
         (samples, t.snapshot)
     });
     let mut rows = Vec::new();
-    let mut metrics = MetricSet::new();
-    let mut snapshot = None;
     for (c, cell) in cases.iter().zip(&matrix.cells) {
         let mut finite: Vec<f64> = Vec::new();
         let mut unresolved = 0u64;
-        let mut samples = 0u64;
         for r in cell.iter().filter_map(|r| r.as_ref().ok()) {
             for s in &r.0 {
-                samples += 1;
                 match s {
                     Some(d) => finite.push(*d as f64),
                     None => unresolved += 1,
@@ -82,35 +78,20 @@ fn measure(
             }
         }
         let [lo, _, mid, _, hi] = five_num_cells(&finite, 0);
-        if observe {
-            let prefix = format!("reconvergence.{}", c.name);
-            for &d in &finite {
-                metrics.record(&format!("{prefix}.slots"), d as u64);
-            }
-            metrics.add_count(&format!("{prefix}.unresolved"), unresolved);
-            metrics.add_count("reconvergence.samples", samples);
-            metrics.add_count("reconvergence.trials", cell.len() as u64);
-            if let Some(Ok((_, snap))) = cell.first() {
-                let mut m = MetricSet::new();
-                snap.add_counts_to(&mut m, &prefix);
-                metrics.merge(&m);
-                if snapshot.is_none() && !snap.events.is_empty() {
-                    snapshot = Some(snap.clone());
-                }
-            }
-        }
         rows.push(vec![
-            c.name.to_string(),
-            f(c.pattern.utilization(), 3),
-            format!("{}", c.scenario.disruption_slots().len()),
-            lo,
-            mid,
-            hi,
-            format!("{unresolved}"),
+            Cell::label(c.name),
+            Num::Real(c.pattern.utilization(), 3).into(),
+            Num::Int(c.scenario.disruption_slots().len() as u64).into(),
+            lo.into(),
+            mid.into(),
+            hi.into(),
+            Num::Int(unresolved).into(),
         ]);
     }
-    let mut report = Report::single(
+    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
+    Report::single(
         Section::new(
+            "reconvergence",
             title,
             &[
                 "case",
@@ -125,13 +106,9 @@ fn measure(
         )
         .with_note(note),
     )
-    .with_metrics(metrics)
+    .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry);
-    if let Some(snap) = snapshot {
-        report = report.with_snapshot(snap);
-    }
-    report
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Storm timeline over a 12-tag pattern: 6 tags rip out at once, then the
@@ -363,39 +340,24 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
         (results, recorder.into_snapshot())
     });
     let mut rows = Vec::new();
-    let mut metrics = MetricSet::new();
-    let mut snapshot = None;
     for (&tid, cell) in tags.iter().zip(&matrix.cells) {
-        let Some(Ok((results, snap))) = cell.first() else {
+        let Some(Ok((results, _))) = cell.first() else {
             continue;
         };
         for ((name, _), r) in ladder.iter().zip(results) {
-            if observe {
-                metrics.add_count(&format!("drift.tag{tid}.{name}.lost"), r.lost);
-                metrics.add_count(&format!("drift.tag{tid}.{name}.sent"), r.sent);
-            }
             rows.push(vec![
-                format!("Tag {tid}"),
-                (*name).to_string(),
-                format!("{}", r.sent),
-                format!("{}", r.lost),
-                f(r.snr_db, 1),
+                Cell::label(format!("Tag {tid}")),
+                Cell::label(*name),
+                Num::Int(r.sent).into(),
+                Num::Int(r.lost).into(),
+                Num::Real(r.snr_db, 1).into(),
             ]);
         }
-        if observe {
-            let mut m = MetricSet::new();
-            snap.add_counts_to(&mut m, &format!("drift.tag{tid}"));
-            metrics.merge(&m);
-            if snapshot.is_none() && !snap.events.is_empty() {
-                snapshot = Some(snap.clone());
-            }
-        }
     }
-    if observe {
-        metrics.set_count("drift.epochs", ladder.len() as u64);
-    }
-    let mut report = Report::single(
+    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
+    Report::single(
         Section::new(
+            "drift",
             format!("Channel drift — uplink loss of {n_per_epoch} sent per epoch, per tag"),
             &["Tag", "epoch", "sent", "lost", "SNR (dB)"],
             rows,
@@ -406,19 +368,15 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
              nominal channel on its own packet seeds.",
         ),
     )
-    .with_metrics(metrics)
+    .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry);
-    if let Some(snap) = snapshot {
-        report = report.with_snapshot(snap);
-    }
-    report
+    .with_telemetry(matrix.telemetry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::metrics_json;
+    use crate::report::{export_metrics, metrics_json};
 
     #[test]
     fn churn_quick_run_produces_a_table_with_all_cases() {
@@ -441,53 +399,58 @@ mod tests {
     #[test]
     fn churn_reconvergence_is_finite_and_observed() {
         let r = report_churn(2, &SweepConfig::new(9).with_threads(2), true);
-        let h = r
-            .metrics
-            .get_histo("reconvergence.c2-storm.slots")
-            .expect("per-case histogram");
-        assert!(h.count() >= 1, "no finite re-convergence samples");
-        assert_eq!(
-            r.metrics.get_count("reconvergence.c2-storm.unresolved"),
-            Some(0)
-        );
+        let m = export_metrics(&r);
+        // A finite re-convergence sample exists, so the minimum is measured.
+        assert!(m
+            .get_gauge("reconvergence.c2-storm.min")
+            .unwrap()
+            .is_finite());
+        assert_eq!(m.get_count("reconvergence.c2-storm.unresolved"), Some(0));
         assert!(!r.snapshot.events.is_empty(), "no representative trace");
     }
 
     #[test]
     fn outage_recovery_cost_grows_with_window_length() {
         let r = report_outage(2, &SweepConfig::new(5).with_threads(2), true);
-        let short = r
-            .metrics
-            .get_histo("reconvergence.c2-dark64.slots")
-            .expect("short-outage histogram");
-        let long = r
-            .metrics
-            .get_histo("reconvergence.c2-dark512.slots")
-            .expect("long-outage histogram");
-        assert!(short.count() >= 1 && long.count() >= 1);
+        let m = export_metrics(&r);
+        for case in ["c2-dark64", "c2-dark512"] {
+            let median = m.get_gauge(&format!("reconvergence.{case}.median"));
+            assert!(median.unwrap().is_finite(), "{case}: no finite sample");
+        }
     }
 
     #[test]
     fn soak_closes_every_disruption() {
         let r = report_soak(1, &SweepConfig::new(3).with_threads(1), true);
+        let m = export_metrics(&r);
+        let unresolved = m.get_count("reconvergence.c3-soak.unresolved").unwrap();
+        assert_eq!(unresolved, 0);
+        // Finite samples = trials x disruptions - unresolved.
+        let disruptions = m.get_count("reconvergence.c3-soak.disruptions").unwrap();
+        let trials = m.get_count("sweep.completed").unwrap();
         assert_eq!(
-            r.metrics.get_count("reconvergence.c3-soak.unresolved"),
-            Some(0)
+            trials * disruptions - unresolved,
+            5,
+            "all five disruptions must be measured"
         );
-        let h = r.metrics.get_histo("reconvergence.c3-soak.slots").unwrap();
-        assert_eq!(h.count(), 5, "all five disruptions must be measured");
     }
 
     #[test]
     fn drift_ladder_degrades_the_weak_link() {
         let r = report_drift(12, &SweepConfig::new(2).with_threads(2), true);
-        let nominal = r.metrics.get_count("drift.tag11.nominal.lost").unwrap();
-        let faded = r.metrics.get_count("drift.tag11.fade-50.lost").unwrap();
+        let m = export_metrics(&r);
+        let nominal = m.get_count("drift.tag-11.nominal.lost").unwrap();
+        let faded = m.get_count("drift.tag-11.fade-50.lost").unwrap();
         assert!(
             faded >= nominal,
             "deep fade lost {faded} < nominal {nominal}"
         );
-        assert_eq!(r.metrics.get_count("drift.epochs"), Some(5));
+        let epochs = r
+            .measured()
+            .iter()
+            .filter(|(k, _)| k.starts_with("drift.tag-11.") && k.ends_with(".sent"))
+            .count();
+        assert_eq!(epochs, 5);
         let out = r.render();
         assert!(out.contains("ring-2x") && out.contains("Tag 4"));
     }

@@ -10,8 +10,7 @@ use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// FDMA parallel-decoding extension experiment.
 pub struct Fdma;
@@ -125,14 +124,18 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         // normalized to the single-FM0-packet baseline.
         let success = ok as f64 / total.max(1) as f64;
         rows.push(vec![
-            format!("{concurrent}"),
-            format!("{ok}/{total}"),
-            f(success * 100.0, 1),
-            f(concurrent as f64 * success, 2),
+            Cell::label(format!("{concurrent}")),
+            Cell::fill(
+                "{ok}/{total}",
+                &[("ok", Num::Int(ok)), ("total", Num::Int(total))],
+            ),
+            Num::Real(success * 100.0, 1).into(),
+            Num::Real(concurrent as f64 * success, 2).into(),
         ]);
     }
     Report::single(
         Section::new(
+            "fdma",
             format!("Extension — FDMA parallel decoding ({trials} slots per point)"),
             &[
                 "concurrent tags",

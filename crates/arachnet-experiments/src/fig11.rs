@@ -5,8 +5,7 @@ use arachnet_energy::multiplier::Multiplier;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 fn channel() -> BiwChannel {
     BiwChannel::paper(ChannelConfig {
@@ -33,22 +32,25 @@ impl Experiment for Fig11a {
 
     fn run(&self, _ctx: &ExperimentCtx) -> Report {
         let ch = channel();
+        let v16 = |tid| {
+            let vp = ch.tag_carrier_voltage(tid).expect("deployment tag");
+            Num::Real(Multiplier::new(8).open_circuit_voltage(vp), 2)
+        };
         let mut rows = Vec::new();
         for tid in 1..=12u8 {
             let vp = ch.tag_carrier_voltage(tid).expect("deployment tag");
-            let mut row = vec![format!("{tid}")];
+            let mut row = vec![Cell::label(format!("{tid}"))];
             for stages in [2u32, 4, 6, 8] {
-                row.push(f(Multiplier::new(stages).open_circuit_voltage(vp), 2));
+                let v = Multiplier::new(stages).open_circuit_voltage(vp);
+                row.push(Num::Real(v, 2).into());
             }
-            row.push(if Multiplier::new(8).open_circuit_voltage(vp) > 2.3 {
-                "yes".into()
-            } else {
-                "NO".into()
-            });
+            let active = Multiplier::new(8).open_circuit_voltage(vp) > 2.3;
+            row.push(Cell::label(if active { "yes" } else { "NO" }));
             rows.push(row);
         }
         Report::single(
             Section::new(
+                "voltage",
                 "Fig. 11(a) — Amplified voltage per tag (V) vs stage count",
                 &[
                     "Tag",
@@ -60,12 +62,11 @@ impl Experiment for Fig11a {
                 ],
                 rows,
             )
-            .with_note(format!(
-                "paper anchors: Tag 4 = 4.74 V at 16x (measured {:.2}); Tag 11 = 2.70 V \
-                 (measured {:.2});\nall 12 tags exceed the 2.3 V activation threshold at 8 \
-                 stages (as in the paper).",
-                Multiplier::new(8).open_circuit_voltage(ch.tag_carrier_voltage(4).unwrap()),
-                Multiplier::new(8).open_circuit_voltage(ch.tag_carrier_voltage(11).unwrap()),
+            .with_note(Cell::fill(
+                "paper anchors: Tag 4 = 4.74 V at 16x (measured {tag4-16x}); Tag 11 = 2.70 V \
+                 (measured {tag11-16x});\nall 12 tags exceed the 2.3 V activation threshold at \
+                 8 stages (as in the paper).",
+                &[("tag4-16x", v16(4)), ("tag11-16x", v16(11))],
             )),
         )
     }
@@ -102,16 +103,19 @@ impl Experiment for Fig11b {
             })
             .collect();
         entries.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let rows: Vec<Vec<String>> = entries
+        let rows: Vec<Vec<Cell>> = entries
             .iter()
             .map(|&(tid, v16, t, p, resume)| {
-                vec![format!("{tid}"), f(v16, 2), f(t, 1), f(p, 1), f(resume, 1)]
+                let mut row = vec![Cell::label(format!("{tid}")), Num::Real(v16, 2).into()];
+                row.extend([t, p, resume].map(|v| Cell::from(Num::Real(v, 1))));
+                row
             })
             .collect();
         let min_t = entries.iter().map(|e| e.2).fold(f64::MAX, f64::min);
         let max_t = entries.iter().map(|e| e.2).fold(0.0f64, f64::max);
         Report::single(
             Section::new(
+                "charging",
                 "Fig. 11(b) — Charging time vs amplified voltage",
                 &[
                     "Tag",
@@ -122,10 +126,14 @@ impl Experiment for Fig11b {
                 ],
                 rows,
             )
-            .with_note(format!(
-                "paper: charging spans 4.5 s – 56.2 s (measured {min_t:.1} – {max_t:.1}); net \
-                 charging power 587.8 – 47.1 uW;\nresume-from-LTH ~15.2 % of a full charge for \
-                 strong tags."
+            .with_note(Cell::fill(
+                "paper: charging spans 4.5 s – 56.2 s (measured {min-full-charge-s} – \
+                 {max-full-charge-s}); net charging power 587.8 – 47.1 uW;\nresume-from-LTH \
+                 ~15.2 % of a full charge for strong tags.",
+                &[
+                    ("min-full-charge-s", Num::Real(min_t, 1)),
+                    ("max-full-charge-s", Num::Real(max_t, 1)),
+                ],
             )),
         )
     }

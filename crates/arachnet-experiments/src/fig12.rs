@@ -5,12 +5,12 @@
 //! bit-identical at any `--threads` count.
 
 use arachnet_core::rates::ul_rates;
+use arachnet_obs::{EventKind, Recorder};
 use arachnet_reader::rx::UplinkReceiver;
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::{with_phy_scratch, WaveSim};
 
-use crate::render::f;
-use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
+use crate::report::{sent_lost, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Tags the paper evaluates (near / junction / far).
 pub const TAGS: [u8; 3] = [8, 4, 11];
@@ -39,58 +39,66 @@ impl Experiment for Fig12 {
 }
 
 /// One point of the Fig. 12 matrix: a tag, a rate, and the receiver tuned
-/// for that rate (built once per cell, not per packet).
-struct Cell {
+/// for that rate (built once per point, not per packet).
+struct Point {
     tid: u8,
     rx: UplinkReceiver,
 }
 
 /// Both panels at an explicit packet count (the trait impl picks 20/200).
-/// Packets fan out over the sweep worker pool. With `observe`, per-tag
-/// sent/lost counters ride along and the far tag (11) reruns its hardest
-/// rate under a flight recorder so the trace carries the receiver's
-/// stage-of-failure reasons.
+/// Packets fan out over the sweep worker pool, and each returns its
+/// decode outcome. With `observe`, the report's flight recorder gets the
+/// table's own packets in trial order: decodes are counted, and losses
+/// land in the ring with the receiver's stage-of-failure reason (slot =
+/// packet index).
 pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
     let sim = WaveSim::paper(sweep.base_seed);
     let rates = ul_rates();
-    let cells: Vec<Cell> = TAGS
+    let points: Vec<Point> = TAGS
         .iter()
         .flat_map(|&tid| rates.iter().map(move |r| (tid, r.bps)))
-        .map(|(tid, bps)| Cell {
+        .map(|(tid, bps)| Point {
             tid,
             rx: sim.uplink_rx(bps),
         })
         .collect();
-    // Trial 0 of each cell also measures the representative-waveform SNR.
-    let matrix = run_matrix_sweep(sweep, &cells, n, |cell, trial, seed| {
+    // Trial 0 of each point also measures the representative-waveform SNR.
+    let matrix = run_matrix_sweep(sweep, &points, n, |p, trial, seed| {
         with_phy_scratch(|s| {
-            let ok = sim.uplink_packet(&cell.rx, cell.tid, seed, s);
-            let snr = (trial == 0).then(|| sim.uplink_snr(&cell.rx, cell.tid, s));
-            (ok, snr)
+            let outcome = match sim.uplink_decode(&p.rx, p.tid, seed, s) {
+                Ok(()) => EventKind::Decoded,
+                Err(reason) => EventKind::DecodeFail { reason },
+            };
+            let snr = (trial == 0).then(|| sim.uplink_snr(&p.rx, p.tid, s));
+            (outcome, snr)
         })
     });
+    let mut recorder = if observe {
+        Recorder::enabled(sweep.base_seed)
+    } else {
+        Recorder::disabled()
+    };
     let mut snr_rows = Vec::new();
     let mut loss_rows = Vec::new();
-    let mut metrics = arachnet_obs::MetricSet::new();
     for (ti, &tid) in TAGS.iter().enumerate() {
-        let mut snr_row = vec![format!("Tag {tid}")];
-        let mut loss_row = vec![format!("Tag {tid}")];
-        for (ri, _) in rates.iter().enumerate() {
+        let mut snr_row = vec![Cell::label(format!("Tag {tid}"))];
+        let mut loss_row = snr_row.clone();
+        for ri in 0..rates.len() {
             let cell = &matrix.cells[ti * rates.len() + ri];
-            let (sent, lost) = sent_lost(cell, |&(ok, _)| ok);
-            if observe {
-                metrics.add_count(&format!("uplink.tag{tid}.sent"), sent);
-                metrics.add_count(&format!("uplink.tag{tid}.lost"), lost);
-                metrics.add_count("uplink.sent", sent);
-                metrics.add_count("uplink.lost", lost);
+            for (trial, r) in cell.iter().enumerate() {
+                match r {
+                    Ok((EventKind::Decoded, _)) => recorder.note(EventKind::Decoded),
+                    Ok((outcome, _)) => recorder.record(trial as u64, tid, *outcome),
+                    Err(_) => {}
+                }
             }
+            let (_, lost) = sent_lost(cell, |&(outcome, _)| outcome == EventKind::Decoded);
             let snr_db = cell
                 .iter()
-                .filter_map(|r| r.as_ref().ok().and_then(|(_, snr)| *snr))
-                .next()
+                .find_map(|r| r.as_ref().ok().and_then(|(_, snr)| *snr))
                 .unwrap_or(f64::NAN);
-            snr_row.push(f(snr_db, 1));
-            loss_row.push(format!("{lost}"));
+            snr_row.push(Num::Real(snr_db, 1).into());
+            loss_row.push(Num::Int(lost).into());
         }
         snr_rows.push(snr_row);
         loss_rows.push(loss_row);
@@ -104,18 +112,9 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
         }))
         .collect();
     let h: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut snapshot = arachnet_obs::RecorderSnapshot::empty();
-    if observe {
-        // Representative trace: the far tag at the fastest rate is where
-        // losses concentrate, so its recorder ring shows *why* packets die
-        // (stage-of-failure reasons from the receiver).
-        let mut rec = arachnet_obs::Recorder::enabled(sweep.base_seed);
-        let hardest = rates.last().map_or(3_000.0, |r| r.bps);
-        sim.uplink_trial_observed(11, hardest, n, &mut rec);
-        snapshot = rec.into_snapshot();
-    }
     Report::sections(vec![
         Section::new(
+            "snr",
             "Fig. 12(a) — Uplink SNR (dB) vs raw bit rate (bps)",
             &h,
             snr_rows,
@@ -124,14 +123,14 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
             "paper: SNR falls with rate; Tag 8 > Tag 4 > Tag 11; Tag 8 > 11.7 dB at 3 kbps.",
         ),
         Section::new(
+            "lost",
             format!("Fig. 12(b) — Uplink packets lost of {n} sent"),
             &h,
             loss_rows,
         )
         .with_note("paper: loss below 0.5 % at every rate, rising slightly with rate."),
     ])
-    .with_metrics(metrics)
-    .with_snapshot(snapshot)
+    .with_snapshot(recorder.into_snapshot())
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
 }
@@ -160,14 +159,22 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_counts_reconcile_with_the_loss_table() {
-        let r = report(3, &SweepConfig::new(5), true);
-        // 3 tags x 6 rates x 3 packets each.
-        assert_eq!(r.metrics.get_count("uplink.sent"), Some(54));
-        let per_tag: u64 = TAGS
-            .iter()
-            .filter_map(|t| r.metrics.get_count(&format!("uplink.tag{t}.lost")))
-            .sum();
-        assert_eq!(r.metrics.get_count("uplink.lost"), Some(per_tag));
+    fn event_counts_are_the_loss_tables_own_packets() {
+        for threads in [1, 4] {
+            let r = report(3, &SweepConfig::new(5).with_threads(threads), true);
+            let m = crate::report::export_metrics(&r);
+            // 3 tags x 6 rates x 3 packets each.
+            let sent = m.get_count("sweep.completed").unwrap();
+            assert_eq!(sent, 54);
+            let lost: u64 = r
+                .measured()
+                .iter()
+                .filter(|(key, _)| key.starts_with("lost."))
+                .map(|(key, _)| m.get_count(key).unwrap())
+                .sum();
+            let count = |kind: &str| m.get_count(&format!("sim.events.{kind}")).unwrap_or(0);
+            assert_eq!(count("decode_fail"), lost, "threads {threads}");
+            assert_eq!(count("decoded"), sent - lost, "threads {threads}");
+        }
     }
 }

@@ -4,8 +4,7 @@ use arachnet_core::rates::DL_RATES_BPS;
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
 
-use crate::render::f;
-use crate::report::{sent_lost, Experiment, ExperimentCtx, Report, Section};
+use crate::report::{sent_lost, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Fig. 13(a): beacons lost of `n` sent, per tag and DL rate.
 pub struct Fig13a;
@@ -44,10 +43,10 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
     });
     let mut rows = Vec::new();
     for (ti, &tid) in tags.iter().enumerate() {
-        let mut row = vec![format!("Tag {tid}")];
+        let mut row = vec![Cell::label(format!("Tag {tid}"))];
         for ri in 0..DL_RATES_BPS.len() {
             let (_, lost) = sent_lost(&matrix.cells[ti * DL_RATES_BPS.len() + ri], |&ok| ok);
-            row.push(format!("{lost}"));
+            row.push(Num::Int(lost).into());
         }
         rows.push(row);
     }
@@ -57,6 +56,7 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
     let h: Vec<&str> = headers.iter().map(String::as_str).collect();
     Report::single(
         Section::new(
+            "lost",
             format!("Fig. 13(a) — Downlink beacons lost of {n} sent, vs raw rate (bps)"),
             &h,
             rows,
@@ -90,20 +90,21 @@ impl Experiment for Fig13b {
     fn run(&self, ctx: &ExperimentCtx) -> Report {
         let sim = WaveSim::paper(ctx.seed());
         let offsets = sim.sync_offsets();
-        let rows: Vec<Vec<String>> = offsets
+        let rows: Vec<Vec<Cell>> = offsets
             .iter()
-            .map(|&(tid, off)| vec![format!("{tid}"), f(off * 1e3, 3)])
+            .map(|&(tid, off)| vec![tid.to_string().into(), Num::Real(off * 1e3, 3).into()])
             .collect();
         let max = offsets.iter().map(|&(_, o)| o.abs()).fold(0.0f64, f64::max);
         Report::single(
             Section::new(
+                "offset",
                 "Fig. 13(b) — Beacon synchronization offset vs Tag 6 (ms)",
                 &["Tag", "offset (ms)"],
                 rows,
             )
-            .with_note(format!(
-                "max |offset| = {:.3} ms (paper: all tags within 5.0 ms).",
-                max * 1e3
+            .with_note(Cell::fill(
+                "max |offset| = {max-abs-ms} ms (paper: all tags within 5.0 ms).",
+                &[("max-abs-ms", Num::Real(max * 1e3, 3))],
             )),
         )
     }

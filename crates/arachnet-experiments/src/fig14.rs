@@ -6,7 +6,7 @@ use arachnet_sim::wavesim::WaveSim;
 use biw_channel::noise::NoiseConfig;
 
 use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Fig. 14(a): synthesizes one ping-pong waveform and prints its envelope
 /// profile — DL burst, 20 ms guard, UL backscatter.
@@ -35,11 +35,16 @@ impl Experiment for Fig14a {
         for chunk in wave.chunks(bin) {
             let rms = (chunk.iter().map(|x| x * x).sum::<f64>() / chunk.len() as f64).sqrt();
             let bar = "#".repeat(((rms / 3.0) * 40.0).min(60.0) as usize);
-            rows.push(vec![f(t * 1e3, 0), f(rms, 3), bar]);
+            rows.push(vec![
+                Cell::label(f(t * 1e3, 0)),
+                Num::Real(rms, 3).into(),
+                Cell::label(bar),
+            ]);
             t += 0.005;
         }
         Report::single(
             Section::new(
+                "envelope",
                 "Fig. 14(a) — Ping-pong raw waveform (reader RX), 5 ms RMS envelope",
                 &["t (ms)", "RMS", ""],
                 rows,
@@ -93,7 +98,7 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
     let stage2: Vec<f64> = samples.iter().map(|p| p.1).collect();
     // `PingPong::total`: the two stages summed.
     let total: Vec<f64> = samples.iter().map(|(s1, s2)| s1 + s2).collect();
-    let rows: Vec<Vec<String>> = [
+    let rows: Vec<Vec<Cell>> = [
         ("Stage 1 (DL)", &stage1),
         ("Stage 2 (DL end→UL decoded)", &stage2),
         ("Total", &total),
@@ -101,12 +106,9 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
     .iter()
     .map(|(name, v)| {
         let e = Ecdf::new(v);
-        vec![
-            name.to_string(),
-            quantile_ms(&e, 0.5),
-            quantile_ms(&e, 0.9),
-            quantile_ms(&e, 0.99),
-        ]
+        let mut row = vec![Cell::label(*name)];
+        row.extend([0.5, 0.9, 0.99].map(|q| Cell::from(quantile_ms(&e, q))));
+        row
     })
     .collect();
     let e2 = Ecdf::new(&stage2);
@@ -114,29 +116,33 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
     let software = arachnet_sim::metrics::mean(&stage2) - guard_ul;
     Report::single(
         Section::new(
+            "delay",
             format!("Fig. 14(b) — Ping-pong delay CDF over {n} rounds (ms)"),
             &["stage", "p50", "p90", "p99"],
             rows,
         )
-        .with_note(format!(
-            "stage-2 p99 = {} ms (paper: 99 % under 281.9 ms); mean software delay = {:.1} \
-             ms (paper: ~58.9 ms),\nwhich is {:.0} % of the ~200 ms UL slot cost (paper: <30 %).",
-            quantile_ms(&e2, 0.99),
-            software * 1e3,
-            software / guard_ul * 100.0
+        .with_note(Cell::fill(
+            "stage-2 p99 = {stage2-p99-ms} ms (paper: 99 % under 281.9 ms); mean software delay \
+             = {software-ms} ms (paper: ~58.9 ms),\nwhich is {software-pct} % of the ~200 ms UL \
+             slot cost (paper: <30 %).",
+            &[
+                ("stage2-p99-ms", quantile_ms(&e2, 0.99)),
+                ("software-ms", Num::Real(software * 1e3, 1)),
+                ("software-pct", Num::Real(software / guard_ul * 100.0, 0)),
+            ],
         )),
     )
     .with_sweep(run.stats)
     .with_telemetry(run.telemetry)
 }
 
-/// Quantile `q` of a latency CDF in ms, or `-` when a partial run left it
-/// without samples.
-fn quantile_ms(e: &Ecdf, q: f64) -> String {
+/// Quantile `q` of a latency CDF in ms, or absent when a partial run left
+/// it without samples.
+fn quantile_ms(e: &Ecdf, q: f64) -> Num {
     if e.is_empty() {
-        return "-".to_string();
+        return Num::Absent;
     }
-    f(e.quantile(q) * 1e3, 1)
+    Num::Real(e.quantile(q) * 1e3, 1)
 }
 
 #[cfg(test)]

@@ -6,13 +6,12 @@
 //! per-trial seeds derive from the trial index alone, making the table
 //! bit-identical at any thread count.
 
-use arachnet_obs::MetricSet;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::first_convergence_trial;
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 
-use crate::render::{f, five_num_cells};
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::render::five_num_cells;
+use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Convergence-slot cap (trials that never converge count as the cap).
 const CAP: u64 = 500_000;
@@ -34,45 +33,24 @@ fn measure(
         (t.converged_at.unwrap_or(CAP) as f64, t.snapshot)
     });
     let mut rows = Vec::new();
-    let mut metrics = MetricSet::new();
-    let mut snapshot = None;
     for (p, cell) in patterns.iter().zip(&matrix.cells) {
         let times: Vec<f64> = cell
             .iter()
             .filter_map(|r| r.as_ref().ok())
             .map(|(t, _)| *t)
             .collect();
-        let [min, q1, median, q3, max] = five_num_cells(&times, 0);
-        if observe {
-            let prefix = format!("convergence.{}", p.name);
-            for &t in &times {
-                metrics.record(&format!("{prefix}.slots"), t as u64);
-            }
-            let unconverged = times.iter().filter(|&&t| t >= CAP as f64).count() as u64;
-            metrics.add_count(&format!("{prefix}.unconverged"), unconverged);
-            metrics.add_count("convergence.trials", times.len() as u64);
-            if let Some(Ok((_, snap))) = cell.first() {
-                let mut m = MetricSet::new();
-                snap.add_counts_to(&mut m, &prefix);
-                metrics.merge(&m);
-                if snapshot.is_none() && !snap.events.is_empty() {
-                    snapshot = Some(snap.clone());
-                }
-            }
-        }
-        rows.push(vec![
-            p.name.to_string(),
-            f(p.utilization(), 3),
-            format!("{}", p.len()),
-            min,
-            q1,
-            median,
-            q3,
-            max,
-        ]);
+        let mut row = vec![
+            Cell::label(p.name),
+            Num::Real(p.utilization(), 3).into(),
+            Num::Int(p.len() as u64).into(),
+        ];
+        row.extend(five_num_cells(&times, 0).map(Cell::from));
+        rows.push(row);
     }
-    let mut report = Report::single(
+    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
+    Report::single(
         Section::new(
+            "convergence",
             title,
             &[
                 "pattern", "util", "tags", "min", "q1", "median", "q3", "max",
@@ -81,13 +59,9 @@ fn measure(
         )
         .with_note(note),
     )
-    .with_metrics(metrics)
+    .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry);
-    if let Some(snap) = snapshot {
-        report = report.with_snapshot(snap);
-    }
-    report
+    .with_telemetry(matrix.telemetry)
 }
 
 /// Fig. 15(a): fixed tag count (c1–c5), utilization sweep.
@@ -193,13 +167,19 @@ mod tests {
             observed.render(),
             "observation perturbed results"
         );
-        assert!(plain.metrics.is_empty());
-        assert_eq!(observed.metrics.get_count("convergence.trials"), Some(10));
-        let h = observed
-            .metrics
-            .get_histo("convergence.c1.slots")
-            .expect("per-pattern histogram");
-        assert_eq!(h.count(), 2);
+        let events = |r: &Report| {
+            let m = crate::report::export_metrics(r);
+            m.iter()
+                .filter(|(k, _)| k.starts_with("sim.events."))
+                .count()
+        };
+        assert_eq!(events(&plain), 0);
+        assert!(events(&observed) > 0);
+        let m = crate::report::export_metrics(&observed);
+        // 5 patterns x 2 trials, and each pattern's sample is non-empty.
+        assert_eq!(m.get_count("sweep.completed"), Some(10));
+        let stat = |q: &str| m.get_gauge(&format!("convergence.c1.{q}")).unwrap();
+        assert!(stat("min") <= stat("median") && stat("median") <= stat("max"));
         assert!(
             !observed.snapshot.events.is_empty(),
             "no representative trace"

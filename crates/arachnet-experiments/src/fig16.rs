@@ -4,8 +4,7 @@ use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
 use arachnet_sim::sweep::{run_sweep, SweepConfig};
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Fig. 16 experiment: one recorded trajectory plus a multi-seed sweep of
 /// the whole-run averages.
@@ -37,7 +36,7 @@ impl Experiment for Fig16 {
 /// Runs c3 for `slots` slots (trajectory from the sweep's base seed) and
 /// sweeps `extra_seeds` further runs in parallel for the whole-run
 /// averages the paper reports. With `observe`, the trajectory run carries
-/// a flight recorder and the report exports slot-outcome metrics.
+/// a flight recorder.
 pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) -> Report {
     let mut sim = SlotSim::new(SlotSimConfig::new(Pattern::c3(), sweep.base_seed));
     sim.record_trajectory(true);
@@ -47,14 +46,19 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
     let run = sim.run(slots);
     let snapshot = sim.take_recorder_snapshot();
     let stride = (slots / 20).max(1) as usize;
-    let rows: Vec<Vec<String>> = run
+    let rows: Vec<Vec<Cell>> = run
         .trajectory
         .iter()
         .enumerate()
         .filter(|(i, _)| i % stride == 0 || *i == run.trajectory.len() - 1)
         .map(|(i, &(ne, col))| {
             let bar = "#".repeat((ne * 40.0) as usize);
-            vec![format!("{i}"), f(ne, 3), f(col, 3), bar]
+            vec![
+                Cell::label(format!("{i}")),
+                Num::Real(ne, 3).into(),
+                Num::Real(col, 3).into(),
+                Cell::label(bar),
+            ]
         })
         .collect();
     // Whole-run averages across an independent seed sweep (parallel).
@@ -67,17 +71,9 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
     let ne: Vec<f64> = ok().map(|&(a, _)| a).collect();
     let col: Vec<f64> = ok().map(|&(_, b)| b).collect();
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let mut metrics = arachnet_obs::MetricSet::new();
-    if observe {
-        metrics.set_count("fig16.slots", slots);
-        metrics.set_count("fig16.seeds", ne.len() as u64 + 1);
-        metrics.set_gauge("fig16.non_empty_ratio", run.non_empty_ratio);
-        metrics.set_gauge("fig16.collision_ratio", run.collision_ratio);
-        metrics.set_gauge("fig16.sweep_non_empty_mean", mean(&ne));
-        metrics.set_gauge("fig16.sweep_collision_mean", mean(&col));
-    }
     Report::single(
         Section::new(
+            "c3",
             format!(
                 "Fig. 16 — Non-empty / collision ratio over {slots} slots (32-slot window, \
                  pattern c3)"
@@ -85,19 +81,20 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
             &["slot", "non-empty", "collision", "non-empty bar"],
             rows,
         )
-        .with_note(format!(
-            "whole-run averages: non-empty = {:.3} (paper: 0.812; theoretical upper bound \
-             0.84375), collision = {:.3} (paper: 0.056).\nacross {} independent seeds: \
-             non-empty = {:.3}, collision = {:.3}.\nfluctuations stem from DL beacon loss \
-             (slot desynchronization) and UL decode failures.",
-            run.non_empty_ratio,
-            run.collision_ratio,
-            ne.len(),
-            mean(&ne),
-            mean(&col),
+        .with_note(Cell::fill(
+            "whole-run averages: non-empty = {non-empty} (paper: 0.812; theoretical upper bound \
+             0.84375), collision = {collision} (paper: 0.056).\nacross {seeds} independent seeds: \
+             non-empty = {seeds-non-empty}, collision = {seeds-collision}.\nfluctuations stem \
+             from DL beacon loss (slot desynchronization) and UL decode failures.",
+            &[
+                ("non-empty", Num::Real(run.non_empty_ratio, 3)),
+                ("collision", Num::Real(run.collision_ratio, 3)),
+                ("seeds", Num::Int(ne.len() as u64)),
+                ("seeds-non-empty", Num::Real(mean(&ne), 3)),
+                ("seeds-collision", Num::Real(mean(&col), 3)),
+            ],
         )),
     )
-    .with_metrics(metrics)
     .with_snapshot(snapshot)
     .with_sweep(sweep_runs.stats)
     .with_telemetry(sweep_runs.telemetry)
@@ -118,11 +115,12 @@ mod tests {
     #[test]
     fn observed_run_exports_outcome_metrics() {
         let r = report(400, 2, &SweepConfig::new(1).with_threads(2), true);
-        assert_eq!(r.metrics.get_count("fig16.slots"), Some(400));
-        assert!(r.metrics.get_gauge("fig16.non_empty_ratio").is_some());
+        let m = crate::report::export_metrics(&r);
+        // The trajectory's last row is slot 399 of the 400 run.
+        assert!(m.get_gauge("c3.399.non-empty").is_some());
+        assert!(m.get_gauge("c3.non-empty").is_some());
         // 400 slots of a busy pattern must leave events in the recorder.
         assert!(r.snapshot.total() >= 400, "total {}", r.snapshot.total());
-        let m = r.merged_metrics();
         assert!(m.get_count("sim.events.decoded").unwrap_or(0) > 0);
     }
 }

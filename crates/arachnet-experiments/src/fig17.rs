@@ -3,7 +3,7 @@
 use arachnet_sensors::StrainSensor;
 
 use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Fig. 17(b) experiment: displacement sweep −10…+10 cm for three gauges.
 pub struct Fig17b;
@@ -30,15 +30,16 @@ impl Experiment for Fig17b {
         let mut rows = Vec::new();
         for step in 0..=10 {
             let d = -0.10 + 0.02 * f64::from(step);
-            let mut row = vec![f(d * 100.0, 0)];
+            let mut row = vec![Cell::label(f(d * 100.0, 0))];
             for (_, g) in &gauges {
-                row.push(f(g.voltage(d), 3));
+                row.push(Num::Real(g.voltage(d), 3).into());
             }
-            row.push(format!("{}", gauges[0].1.sample(d)));
+            row.push(Num::Int(u64::from(gauges[0].1.sample(d))).into());
             rows.push(row);
         }
         Report::single(
             Section::new(
+                "strain",
                 "Fig. 17(b) — Sensor voltage vs displacement",
                 &[
                     "disp (cm)",

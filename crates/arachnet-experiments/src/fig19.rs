@@ -3,8 +3,8 @@
 use arachnet_sim::aloha::{run_aloha, AlohaConfig};
 use arachnet_sim::sweep::{run_sweep, SweepConfig};
 
-use crate::render::{f, five_num_cells};
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::render::five_num_cells;
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Fig. 19 experiment: the ALOHA simulation, per-tag table from the base
 /// seed plus a parallel seed sweep of the overall success rate.
@@ -41,16 +41,16 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
         seed: sweep.base_seed,
         ..AlohaConfig::default()
     });
-    let rows: Vec<Vec<String>> = run
+    let rows: Vec<Vec<Cell>> = run
         .tags
         .iter()
         .map(|t| {
             vec![
-                format!("{}", t.tid),
-                f(t.full_charge_s, 1),
-                format!("{}", t.total_tx),
-                format!("{}", t.collided_tx),
-                f(t.success_rate() * 100.0, 1),
+                Cell::label(format!("{}", t.tid)),
+                Num::Real(t.full_charge_s, 1).into(),
+                Num::Int(t.total_tx).into(),
+                Num::Int(t.collided_tx).into(),
+                Num::Real(t.success_rate() * 100.0, 1).into(),
             ]
         })
         .collect();
@@ -72,18 +72,28 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
     let [min, _, median, _, max] = five_num_cells(&rates, 1);
     Report::single(
         Section::new(
+            "aloha",
             format!("Fig. 19 — ALOHA baseline over {duration_s:.0} s"),
             &["Tag", "charge (s)", "total TX", "collided TX", "success %"],
             rows,
         )
-        .with_note(format!(
-            "overall collision-free: {:.1} % (paper: 34.0 %; our calibrated deployment charges \
-             faster overall, loading the channel harder).\nacross {} independent seeds: median \
-             {median} %, range {min}–{max} %.\npaper: fast chargers dominate the channel yet \
-             still collide in most attempts — ALOHA is both inefficient and unfair;\ncompare the \
-             protocol's long-run collision ratio of ~0.06 (Fig. 16).",
-            run.overall_success_rate() * 100.0,
-            rates.len(),
+        .with_note(Cell::fill(
+            "overall collision-free: {collision-free} % (paper: 34.0 %; our calibrated \
+             deployment charges faster overall, loading the channel harder).\nacross {seeds} \
+             independent seeds: median {seeds-median} %, range {seeds-min}–{seeds-max} %.\npaper: \
+             fast chargers dominate the channel yet still collide in most attempts — ALOHA is \
+             both inefficient and unfair;\ncompare the protocol's long-run collision ratio of \
+             ~0.06 (Fig. 16).",
+            &[
+                (
+                    "collision-free",
+                    Num::Real(run.overall_success_rate() * 100.0, 1),
+                ),
+                ("seeds", Num::Int(rates.len() as u64)),
+                ("seeds-median", median),
+                ("seeds-min", min),
+                ("seeds-max", max),
+            ],
         )),
     )
     .with_sweep(sweep_rates.stats)

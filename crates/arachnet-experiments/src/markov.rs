@@ -5,8 +5,7 @@ use arachnet_core::slot::Period;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Appendix C experiment: exact chain analysis cross-checked against
 /// simulation.
@@ -86,20 +85,17 @@ pub fn report(sim_trials: u64) -> Report {
         }
         let mean_sim = total as f64 / sim_trials as f64;
         rows.push(vec![
-            name.to_string(),
-            format!("{}", a.num_states),
-            format!("{}", a.num_absorbing),
-            if a.absorbing_chain {
-                "yes".into()
-            } else {
-                "NO".into()
-            },
-            f(a.expected_slots_to_absorb.unwrap_or(f64::NAN), 2),
-            f(mean_sim, 2),
+            Cell::label(*name),
+            Num::Int(a.num_states as u64).into(),
+            Num::Int(a.num_absorbing as u64).into(),
+            Cell::label(if a.absorbing_chain { "yes" } else { "NO" }),
+            Num::Real(a.expected_slots_to_absorb.unwrap_or(f64::NAN), 2).into(),
+            Num::Real(mean_sim, 2).into(),
         ]);
     }
     Report::single(
         Section::new(
+            "chain",
             "Appendix C — Absorbing Markov chain: exact analysis vs simulation",
             &[
                 "config",

@@ -15,14 +15,14 @@
 //!   `xreader_collision` events.
 
 use arachnet_core::slot::Period;
-use arachnet_obs::{EventKind, MetricSet, Recorder, RecorderSnapshot};
+use arachnet_obs::{EventKind, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetPlanError};
 use arachnet_sim::fleet::{run_fleet, FleetCell, FleetWaveSim};
 use arachnet_sim::scenario::Scenario;
 use arachnet_sim::sweep::{run_matrix_sweep, RunTelemetry, SweepConfig, SweepStats};
 use arachnet_sim::Pattern;
 
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// DAQ sample rate every fleet plan is validated against (Hz).
 const FS: f64 = 500_000.0;
@@ -30,14 +30,6 @@ const FS: f64 = 500_000.0;
 const UL_BPS: f64 = 375.0;
 /// Slot cap for the fleet soak's re-convergence measurements.
 const CAP: u64 = 100_000;
-
-fn fmt1(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "-".to_string()
-    }
-}
 
 /// Builds the FDMA plan for `readers` cells over `bands` sub-bands
 /// (band reuse when the budget is short).
@@ -50,13 +42,11 @@ fn plan_for(readers: usize, bands: usize) -> Result<FleetPlan, FleetPlanError> {
 }
 
 /// One waveform-level fleet pass: every reader decodes its own tag while
-/// the whole fleet transmits. Returns per-reader rows plus metrics.
+/// the whole fleet transmits. Returns per-reader rows plus its
+/// representative trace.
 struct FleetPass {
-    rows: Vec<Vec<String>>,
-    metrics: MetricSet,
-    snapshot: Option<RecorderSnapshot>,
-    delivered: u64,
-    sent: u64,
+    rows: Vec<Vec<Cell>>,
+    snapshot: RecorderSnapshot,
     stats: SweepStats,
     telemetry: RunTelemetry,
 }
@@ -97,41 +87,27 @@ fn fleet_pass(
             .unwrap_or_else(|e| panic!("fleet uplink: {e}"));
         (result, recorder.into_snapshot())
     });
+    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
     let mut out = FleetPass {
         rows: Vec::new(),
-        metrics: MetricSet::new(),
-        snapshot: None,
-        delivered: 0,
-        sent: 0,
+        snapshot: representative(trial0.map(|(_, snap)| snap)),
         stats: matrix.stats,
         telemetry: matrix.telemetry,
     };
     for (&r, cell) in readers.iter().zip(&matrix.cells) {
-        let Some(Ok((res, snap))) = cell.first() else {
+        let Some(Ok((res, _))) = cell.first() else {
             continue;
         };
-        out.delivered += res.sent - res.lost;
-        out.sent += res.sent;
         out.rows.push(vec![
-            label.to_string(),
-            format!("R{r}"),
-            format!("{:.0}", plan.carrier_hz(r) / 1_000.0),
-            format!("{}", plan.band(r)),
-            format!("{}", res.sent),
-            format!("{}", res.lost),
-            format!("{}", res.cross_collisions),
-            fmt1(res.snr_db),
+            Cell::label(label),
+            Cell::label(format!("R{r}")),
+            Num::Real(plan.carrier_hz(r) / 1_000.0, 0).into(),
+            Num::Int(plan.band(r) as u64).into(),
+            Num::Int(res.sent).into(),
+            Num::Int(res.lost).into(),
+            Num::Int(res.cross_collisions).into(),
+            Num::finite(res.snr_db, 1).into(),
         ]);
-        if observe {
-            let key = format!("fleet.{label}.r{r}");
-            out.metrics.set_count(&format!("{key}.sent"), res.sent);
-            out.metrics.set_count(&format!("{key}.lost"), res.lost);
-            out.metrics
-                .set_count(&format!("{key}.xcollisions"), res.cross_collisions);
-            if out.snapshot.is_none() && !snap.events.is_empty() {
-                out.snapshot = Some(snap.clone());
-            }
-        }
     }
     out
 }
@@ -163,8 +139,7 @@ impl Experiment for MrFdma {
             None => vec![1, 2, 4],
         };
         let mut rows = Vec::new();
-        let mut metrics = MetricSet::new();
-        let mut snapshot = None;
+        let mut snapshots = Vec::new();
         let mut stats = SweepStats::default();
         let mut telemetry = RunTelemetry::default();
         let sweep = ctx.sweep_for(self.id());
@@ -176,17 +151,11 @@ impl Experiment for MrFdma {
             rows.extend(pass.rows);
             stats.merge(&pass.stats);
             telemetry.merge(pass.telemetry);
-            if ctx.observe() {
-                metrics.merge(&pass.metrics);
-                metrics.set_count(&format!("fleet.fdma.{label}.delivered"), pass.delivered);
-                metrics.set_count(&format!("fleet.fdma.{label}.sent"), pass.sent);
-                if snapshot.is_none() {
-                    snapshot = pass.snapshot;
-                }
-            }
+            snapshots.push(pass.snapshot);
         }
-        let mut report = Report::single(
+        Report::single(
             Section::new(
+                "fleet",
                 "Fleet FDMA — per-reader uplink over shared sheet metal (Tag 8, 375 bps)",
                 &[
                     "fleet", "reader", "fc (kHz)", "band", "sent", "lost", "xflags", "SNR (dB)",
@@ -199,13 +168,9 @@ impl Experiment for MrFdma {
                  scale with fleet size.",
             ),
         )
-        .with_metrics(metrics)
+        .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
-        .with_telemetry(telemetry);
-        if let Some(snap) = snapshot {
-            report = report.with_snapshot(snap);
-        }
-        report
+        .with_telemetry(telemetry)
     }
 }
 
@@ -236,8 +201,7 @@ impl Experiment for MrInterference {
         let co = FleetPlan::co_channel(k, 90_000.0, FS).expect("validated fleet shape");
         let sweep = ctx.sweep_for(self.id());
         let mut rows = Vec::new();
-        let mut metrics = MetricSet::new();
-        let mut snapshot = None;
+        let mut snapshots = Vec::new();
         let mut stats = SweepStats::default();
         let mut telemetry = RunTelemetry::default();
         for (plan, label, reject) in [
@@ -258,16 +222,12 @@ impl Experiment for MrInterference {
                 rows.extend(pass.rows);
                 stats.merge(&pass.stats);
                 telemetry.merge(pass.telemetry);
-                if ctx.observe() {
-                    metrics.merge(&pass.metrics);
-                    if snapshot.is_none() {
-                        snapshot = pass.snapshot;
-                    }
-                }
+                snapshots.push(pass.snapshot);
             }
         }
-        let mut report = Report::single(
+        Report::single(
             Section::new(
+                "fleet",
                 format!("Cross-reader interference — {k}-reader fleet, rejection A/B (375 bps)"),
                 &[
                     "plan", "reader", "fc (kHz)", "band", "sent", "lost", "xflags", "SNR (dB)",
@@ -280,13 +240,9 @@ impl Experiment for MrInterference {
                  foreign CW leak that would otherwise bias the decimated baseband.",
             ),
         )
-        .with_metrics(metrics)
+        .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
-        .with_telemetry(telemetry);
-        if let Some(snap) = snapshot {
-            report = report.with_snapshot(snap);
-        }
-        report
+        .with_telemetry(telemetry)
     }
 }
 
@@ -354,9 +310,6 @@ pub fn report_fleet_soak(
         .collect();
     let run = run_fleet(&plan, &cells, trials, sweep, CAP, observe).expect("validated fleet shape");
     let mut rows = Vec::new();
-    let mut metrics = MetricSet::new();
-    let mut snapshot = None;
-    let mut shared_cells = 0u64;
     for (cell, row) in cells.iter().zip(&run.cells) {
         let mut finite: Vec<u64> = Vec::new();
         let mut unresolved = 0u64;
@@ -371,44 +324,25 @@ pub fn report_fleet_soak(
                     None => unresolved += 1,
                 }
             }
-            if observe && snapshot.is_none() && !trial.snapshot.events.is_empty() {
-                snapshot = Some(trial.snapshot.clone());
-            }
         }
         finite.sort_unstable();
         let median = finite
             .get(finite.len() / 2)
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_string());
-        if sharers > 0 {
-            shared_cells += 1;
-        }
+            .map_or(Num::Absent, |&v| Num::Int(v));
         rows.push(vec![
-            cell.name.clone(),
-            format!("{band}"),
-            format!("{sharers}"),
-            format!("{trials}"),
-            format!("{}", finite.len()),
-            median,
-            format!("{unresolved}"),
+            Cell::label(cell.name.clone()),
+            Num::Int(band as u64).into(),
+            Num::Int(u64::from(sharers)).into(),
+            Num::Int(trials).into(),
+            Num::Int(finite.len() as u64).into(),
+            median.into(),
+            Num::Int(unresolved).into(),
         ]);
-        if observe {
-            let key = format!("fleet.soak.{}", cell.name);
-            metrics.set_count(&format!("{key}.band"), band as u64);
-            metrics.set_count(&format!("{key}.sharers"), u64::from(sharers));
-            metrics.set_count(&format!("{key}.unresolved"), unresolved);
-            for v in &finite {
-                metrics.record(&format!("{key}.reconv.slots"), *v);
-            }
-        }
     }
-    if observe {
-        metrics.set_count("fleet.soak.cells", readers as u64);
-        metrics.set_count("fleet.soak.bands", plan.carriers().len() as u64);
-        metrics.set_count("fleet.soak.shared_cells", shared_cells);
-    }
-    let mut report = Report::single(
+    let trials_run = run.cells.iter().flatten().flatten();
+    Report::single(
         Section::new(
+            "fleet.soak",
             format!("Fleet soak — {readers} cells over {bands} sub-bands, churn scenario per cell"),
             &[
                 "cell",
@@ -427,19 +361,15 @@ pub fn report_fleet_soak(
              frequency plan, not the MAC, is what keeps them apart.",
         ),
     )
-    .with_metrics(metrics)
+    .with_snapshot(representative(trials_run.map(|t| &t.snapshot)))
     .with_sweep(run.stats)
-    .with_telemetry(run.telemetry);
-    if let Some(snap) = snapshot {
-        report = report.with_snapshot(snap);
-    }
-    report
+    .with_telemetry(run.telemetry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::metrics_json;
+    use crate::report::{export_metrics, metrics_json};
 
     fn ctx(seed: u64, threads: usize) -> ExperimentCtx {
         ExperimentCtx::builder(seed)
@@ -450,11 +380,24 @@ mod tests {
             .unwrap()
     }
 
+    /// Σ(sent − lost) over the rows whose keys start with `prefix`.
+    fn delivered(r: &Report, prefix: &str) -> u64 {
+        let m = export_metrics(r);
+        r.measured()
+            .iter()
+            .filter(|(k, _)| k.starts_with(prefix) && k.ends_with(".sent"))
+            .map(|(k, _)| {
+                let lost = k.strip_suffix(".sent").unwrap().to_string() + ".lost";
+                m.get_count(k).unwrap() - m.get_count(&lost).unwrap()
+            })
+            .sum()
+    }
+
     #[test]
     fn mr_fdma_scales_delivery_with_fleet_size() {
         let r = MrFdma.run(&ctx(9, 2));
-        let d1 = r.metrics.get_count("fleet.fdma.k1.delivered").unwrap();
-        let d4 = r.metrics.get_count("fleet.fdma.k4.delivered").unwrap();
+        let d1 = delivered(&r, "fleet.k1.");
+        let d4 = delivered(&r, "fleet.k4.");
         assert!(d4 > d1, "k4 delivered {d4} <= k1 delivered {d1}");
         let out = r.render();
         assert!(out.contains("R0") && out.contains("R3"));
@@ -477,14 +420,9 @@ mod tests {
     #[test]
     fn mr_interference_flags_co_channel_collisions() {
         let r = MrInterference.run(&ctx(9, 2));
-        let co = r
-            .metrics
-            .get_count("fleet.co-channel.tag8.r0.xcollisions")
-            .unwrap();
-        let fdma = r
-            .metrics
-            .get_count("fleet.fdma-reject.tag8.r0.xcollisions")
-            .unwrap();
+        let m = export_metrics(&r);
+        let co = m.get_count("fleet.co-channel.tag8.r0.xflags").unwrap();
+        let fdma = m.get_count("fleet.fdma-reject.tag8.r0.xflags").unwrap();
         assert!(
             co > fdma,
             "co-channel flags {co} not above fdma-reject {fdma}"
@@ -494,16 +432,16 @@ mod tests {
     #[test]
     fn mr_fleet_soak_reuses_bands_and_closes_disruptions() {
         let r = report_fleet_soak(5, 3, 1, &SweepConfig::new(7).with_threads(2), true);
-        assert_eq!(r.metrics.get_count("fleet.soak.cells"), Some(5));
+        let m = export_metrics(&r);
+        let sharers: Vec<u64> = (0..)
+            .map_while(|c| m.get_count(&format!("fleet.soak.cell{c}.sharers")))
+            .collect();
+        assert_eq!(sharers.len(), 5);
         assert!(
-            r.metrics.get_count("fleet.soak.shared_cells").unwrap() >= 2,
+            sharers.iter().filter(|&&s| s > 0).count() >= 2,
             "5 cells over 3 bands must share"
         );
-        let h = r
-            .metrics
-            .get_histo("fleet.soak.cell0.reconv.slots")
-            .expect("per-cell reconvergence histogram");
-        assert!(h.count() >= 1);
+        assert!(m.get_count("fleet.soak.cell0.measured").unwrap() >= 1);
         assert!(!r.snapshot.events.is_empty());
     }
 

@@ -2,6 +2,8 @@
 
 use arachnet_sim::metrics::five_num;
 
+use crate::report::Num;
+
 /// Renders a header row plus data rows as an aligned text table.
 pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -40,16 +42,15 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{:.*}", decimals, v)
 }
 
-/// The five-number summary of `values` as table cells — `[min, q1,
-/// median, q3, max]` with the given decimals — or five `-` cells when the
-/// sample is empty, as a partial run can leave a cell with no completed
-/// trial.
-pub fn five_num_cells(values: &[f64], decimals: usize) -> [String; 5] {
+/// The five-number summary of `values` — `[min, q1, median, q3, max]`
+/// with the given decimals — or five [`Num::Absent`] when the sample is
+/// empty, as a partial run can leave a cell with no completed trial.
+pub fn five_num_cells(values: &[f64], decimals: usize) -> [Num; 5] {
     if values.is_empty() {
-        return std::array::from_fn(|_| "-".to_string());
+        return [Num::Absent; 5];
     }
     let s = five_num(values);
-    [s.min, s.q1, s.median, s.q3, s.max].map(|v| f(v, decimals))
+    [s.min, s.q1, s.median, s.q3, s.max].map(|v| Num::Real(v, decimals))
 }
 
 #[cfg(test)]
@@ -81,8 +82,8 @@ mod tests {
 
     #[test]
     fn five_num_cells_dash_an_empty_sample() {
-        assert_eq!(five_num_cells(&[], 0), ["-", "-", "-", "-", "-"]);
-        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[0], "1.0");
-        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[4], "4.0");
+        assert_eq!(five_num_cells(&[], 0), [Num::Absent; 5]);
+        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[0].to_string(), "1.0");
+        assert_eq!(five_num_cells(&[4.0, 1.0], 1)[4], Num::Real(4.0, 1));
     }
 }

@@ -16,6 +16,8 @@
 //! shapes) and returns [`ConfigError`] instead of deferring the blow-up to
 //! the middle of a long run.
 
+use std::fmt;
+
 use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot};
 use arachnet_sim::sweep::{
     CheckpointSpec, RunTelemetry, SweepConfig, SweepStats, TelemetrySpec, TrialResult,
@@ -443,24 +445,171 @@ impl Default for ExperimentCtx {
     }
 }
 
+/// A measured number and the precision a table prints it at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Num {
+    /// A count.
+    Int(u64),
+    /// A reading and its decimals (`NaN` prints as `NaN`).
+    Real(f64, usize),
+    /// No sample to measure (an empty or skipped cell); prints `-`.
+    Absent,
+}
+
+impl Num {
+    /// `v` with `decimals`, or absent when `v` is not finite.
+    pub fn finite(v: f64, decimals: usize) -> Num {
+        Some(v)
+            .filter(|v| v.is_finite())
+            .map_or(Num::Absent, |v| Num::Real(v, decimals))
+    }
+}
+
+impl fmt::Display for Num {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Num::Int(n) => write!(out, "{n}"),
+            Num::Real(v, decimals) => write!(out, "{v:.decimals$}"),
+            Num::Absent => out.write_str("-"),
+        }
+    }
+}
+
+/// What a table cell or a note line prints: text with typed numbers
+/// spliced in. A cell without numbers is a label (a row name, a run
+/// parameter, a bar).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell(Vec<Part>);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Part {
+    Text(String),
+    /// A number, named when the cell or note holds several.
+    Num(&'static str, Num),
+}
+
+impl Cell {
+    /// Text that measures nothing.
+    pub fn label(text: impl Into<String>) -> Cell {
+        Cell(vec![Part::Text(text.into())])
+    }
+
+    /// `template` with each `{name}` replaced by the number `values` gives
+    /// that name, e.g. `"{lost}/{sent}"`. Panics on a name without a value.
+    pub fn fill(template: &str, values: &[(&'static str, Num)]) -> Cell {
+        let mut parts = Vec::new();
+        let mut rest = template;
+        while let Some((text, tail)) = rest.split_once('{') {
+            let (name, tail) = tail.split_once('}').expect("unclosed `{` in a cell");
+            let value = values.iter().find(|(n, _)| *n == name);
+            let &(name, num) = value.unwrap_or_else(|| panic!("no value for `{name}`"));
+            parts.extend([Part::Text(text.to_string()), Part::Num(name, num)]);
+            rest = tail;
+        }
+        parts.push(Part::Text(rest.to_string()));
+        Cell(parts)
+    }
+
+    /// The numbers this cell prints, with their names, in print order.
+    pub fn nums(&self) -> impl Iterator<Item = (&'static str, Num)> + '_ {
+        self.0.iter().filter_map(|p| match *p {
+            Part::Num(name, num) => Some((name, num)),
+            Part::Text(_) => None,
+        })
+    }
+
+    /// `true` when the cell prints no number.
+    pub fn is_label(&self) -> bool {
+        self.nums().next().is_none()
+    }
+}
+
+impl From<Num> for Cell {
+    fn from(num: Num) -> Cell {
+        Cell(vec![Part::Num("", num)])
+    }
+}
+
+impl<T: Into<String>> From<T> for Cell {
+    fn from(text: T) -> Cell {
+        Cell::label(text)
+    }
+}
+
+impl fmt::Display for Cell {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for part in &self.0 {
+            match part {
+                Part::Text(text) => out.write_str(text)?,
+                Part::Num(_, num) => write!(out, "{num}")?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A cell equals the text it prints.
+impl PartialEq<String> for Cell {
+    fn eq(&self, text: &String) -> bool {
+        let mut rest = text.as_str();
+        let all = self.0.iter().all(|part| {
+            let matched = match part {
+                Part::Text(t) => rest.strip_prefix(t.as_str()),
+                Part::Num(_, num) => rest.strip_prefix(num.to_string().as_str()),
+            };
+            matched.map(|r| rest = r).is_some()
+        });
+        all && rest.is_empty()
+    }
+}
+
+/// A METRICS key segment: the lowercased runs of ASCII letters, digits,
+/// `.` and `_`, joined by `-`, keeping a leading minus sign (`"SNR (dB)"`
+/// → `snr-db`, `"Tag 8"` → `tag-8`, `"-10"` → `-10`).
+fn slug(text: &str) -> String {
+    let kept = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_');
+    let words: Vec<&str> = text.split(|c| !kept(c)).filter(|w| !w.is_empty()).collect();
+    let sign = if text.starts_with('-') { "-" } else { "" };
+    let slug = format!("{sign}{}", words.join("-")).to_ascii_lowercase();
+    slug.trim_matches('.').to_string()
+}
+
+/// `key.segment`, or either one alone when the other is empty.
+fn join(key: &str, segment: &str) -> String {
+    match (key.is_empty(), segment.is_empty()) {
+        (_, true) => key.to_string(),
+        (true, false) => segment.to_string(),
+        (false, false) => format!("{key}.{segment}"),
+    }
+}
+
 /// One table of an experiment's output: a title, column headers, data
-/// rows, and free-form notes (the "paper says" anchors).
+/// rows, and notes (the "paper says" anchors), plus the key its numbers
+/// export under.
 #[derive(Debug, Clone, Default)]
 pub struct Section {
+    /// Prefix of the METRICS key of every number in this section.
+    pub key: String,
     /// Table title.
     pub title: String,
     /// Column headers.
     pub headers: Vec<String>,
-    /// Data rows (cells are pre-formatted strings).
-    pub rows: Vec<Vec<String>>,
+    /// Data rows.
+    pub rows: Vec<Vec<Cell>>,
     /// Notes printed after the table, one per line.
-    pub notes: Vec<String>,
+    pub notes: Vec<Cell>,
 }
 
 impl Section {
-    /// Builds a section from a title, headers, and rows.
-    pub fn new(title: impl Into<String>, headers: &[&str], rows: Vec<Vec<String>>) -> Self {
+    /// Builds a section from its key, a title, headers, and rows.
+    pub fn new(
+        key: &str,
+        title: impl Into<String>,
+        headers: &[&str],
+        rows: Vec<Vec<Cell>>,
+    ) -> Self {
         Self {
+            key: key.to_string(),
             title: title.into(),
             headers: headers.iter().map(|h| (*h).to_string()).collect(),
             rows,
@@ -469,7 +618,7 @@ impl Section {
     }
 
     /// Appends a note line (chainable).
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
+    pub fn with_note(mut self, note: impl Into<Cell>) -> Self {
         self.notes.push(note.into());
         self
     }
@@ -477,25 +626,48 @@ impl Section {
     /// Renders the section as an aligned text table plus its notes.
     pub fn render(&self) -> String {
         let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
-        let mut out = render::table(&self.title, &headers, &self.rows);
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Cell::to_string).collect())
+            .collect();
+        let mut out = render::table(&self.title, &headers, &rows);
         for note in &self.notes {
-            out.push_str(note);
+            out.push_str(&note.to_string());
             out.push('\n');
+        }
+        out
+    }
+
+    /// Every number this section prints, with its METRICS key, in print
+    /// order. A table cell's key is `<section key>.<row labels>.<column
+    /// header>`, where the row labels are the label cells the row starts
+    /// with; a named number adds `.<name>`. A note number's key is
+    /// `<section key>.<name>`. Labels and headers are slugged.
+    pub fn measured(&self) -> Vec<(String, Num)> {
+        let mut out = Vec::new();
+        for row in &self.rows {
+            let labels = row.iter().take_while(|c| c.is_label());
+            let row_key = labels.fold(self.key.clone(), |k, c| join(&k, &slug(&c.to_string())));
+            for (cell, header) in row.iter().zip(&self.headers) {
+                let cell_key = join(&row_key, &slug(header));
+                out.extend(cell.nums().map(|(name, num)| (join(&cell_key, name), num)));
+            }
+        }
+        for (name, num) in self.notes.iter().flat_map(Cell::nums) {
+            out.push((join(&self.key, name), num));
         }
         out
     }
 }
 
-/// A structured experiment result: one or more [`Section`]s, plus the
-/// observability payload collected when [`ExperimentCtx::observe`] was set —
-/// sim-domain metrics and a flight-recorder snapshot of a representative
-/// trial. Both stay empty on unobserved runs.
+/// A structured experiment result: one or more [`Section`]s, plus a
+/// flight-recorder snapshot of a representative trial (empty unless
+/// [`ExperimentCtx::observe`] was set) and the sweep's counters.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// The sections, in print order.
     pub sections: Vec<Section>,
-    /// Sim-domain metrics (deterministic at any thread count).
-    pub metrics: MetricSet,
     /// Flight-recorder snapshot of a representative trial (`--trace`).
     pub snapshot: RecorderSnapshot,
     /// Sweep resilience counters (quarantine / resume / budget), merged
@@ -525,12 +697,6 @@ impl Report {
         }
     }
 
-    /// Attaches sim-domain metrics (chainable).
-    pub fn with_metrics(mut self, metrics: MetricSet) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Attaches a representative flight-recorder snapshot (chainable).
     pub fn with_snapshot(mut self, snapshot: RecorderSnapshot) -> Self {
         self.snapshot = snapshot;
@@ -558,13 +724,10 @@ impl Report {
         self.sweep.partial
     }
 
-    /// The report's metrics plus the snapshot's per-kind event totals
-    /// (`sim.events.*`): the exact set `repro --metrics` prints and
-    /// exports.
-    pub fn merged_metrics(&self) -> MetricSet {
-        let mut m = self.metrics.clone();
-        self.snapshot.add_counts_to(&mut m, "sim");
-        m
+    /// Every number the report prints, with its METRICS key (see
+    /// [`Section::measured`]).
+    pub fn measured(&self) -> Vec<(String, Num)> {
+        self.sections.iter().flat_map(Section::measured).collect()
     }
 
     /// Renders every section, separated by blank lines.
@@ -592,16 +755,24 @@ pub fn metrics_json(id: &str, report: &Report) -> String {
     )
 }
 
-/// The exact metric set `METRICS_<id>.json` serializes: the report's merged
-/// sim-domain metrics plus generic report-shape counters, so even an
-/// experiment with no bespoke metrics exports a non-empty deterministic
-/// document. Sweep-backed reports also export their quarantine counters —
-/// those are sim-domain (a trial panics or not purely by `(trial, seed)`).
-/// The `restored` counter is deliberately NOT exported: it describes how
-/// *this invocation* got its results, and including it would break the
+/// The exact metric set `METRICS_<id>.json` serializes, and all of it:
+/// every number the report prints at its exact value under its
+/// [`Report::measured`] key (`null` when absent or NaN), the representative
+/// snapshot's `sim.events.*`, the report's shape (`report.*`), and a
+/// sweep's counters (`sweep.*`, sim-domain: a trial panics or not purely by
+/// `(trial, seed)`). `restored` is deliberately NOT exported: it describes
+/// how *this invocation* got its results, and would break the
 /// resumed-equals-uninterrupted byte identity.
 pub fn export_metrics(report: &Report) -> MetricSet {
-    let mut metrics = report.merged_metrics();
+    let mut metrics = MetricSet::new();
+    for (key, num) in report.measured() {
+        match num {
+            Num::Int(n) => metrics.set_count(&key, n),
+            Num::Real(v, _) => metrics.set_gauge(&key, v),
+            Num::Absent => metrics.set_gauge(&key, f64::NAN),
+        }
+    }
+    report.snapshot.add_counts_to(&mut metrics, "sim");
     let rows: usize = report.sections.iter().map(|s| s.rows.len()).sum();
     metrics.set_count("report.sections", report.sections.len() as u64);
     metrics.set_count("report.rows", rows as u64);
@@ -616,6 +787,17 @@ pub fn export_metrics(report: &Report) -> MetricSet {
         metrics.set_count("sweep.skipped", s.skipped);
     }
     metrics
+}
+
+/// The report's representative trace: the first of `snapshots` that
+/// recorded an event (an empty snapshot when none did).
+pub fn representative<'a>(
+    snapshots: impl IntoIterator<Item = &'a RecorderSnapshot>,
+) -> RecorderSnapshot {
+    let mut all = snapshots.into_iter();
+    all.find(|s| !s.events.is_empty())
+        .cloned()
+        .unwrap_or_default()
 }
 
 /// `(sent, lost)` over one cell of packet trials, where `delivered` says
@@ -909,10 +1091,82 @@ mod tests {
     }
 
     #[test]
+    fn cells_print_their_numbers_under_keys_from_the_row_labels() {
+        let lost_sent = |lost, sent| {
+            Cell::fill(
+                "{lost}/{sent}",
+                &[("lost", Num::Int(lost)), ("sent", Num::Int(sent))],
+            )
+        };
+        let s = Section::new(
+            "up",
+            "T",
+            &["Tag", "SNR (dB)", "lost / sent", "bar"],
+            vec![
+                vec![
+                    "Tag 8".into(),
+                    Num::Real(12.345, 1).into(),
+                    lost_sent(2, 20),
+                    "##".into(),
+                ],
+                vec![
+                    "-10".into(),
+                    Num::Absent.into(),
+                    lost_sent(0, 20),
+                    "".into(),
+                ],
+            ],
+        )
+        .with_note(Cell::fill(
+            "median {median} slots",
+            &[("median", Num::Real(179.0, 0))],
+        ));
+        // Rows compare equal to the text they print.
+        assert_eq!(
+            s.rows[0],
+            vec![
+                "Tag 8".to_string(),
+                "12.3".into(),
+                "2/20".into(),
+                "##".into()
+            ]
+        );
+        assert_eq!(s.rows[1][1], "-".to_string());
+        assert_eq!(s.notes[0].to_string(), "median 179 slots");
+        let keys: Vec<String> = s.measured().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "up.tag-8.snr-db",
+                "up.tag-8.lost-sent.lost",
+                "up.tag-8.lost-sent.sent",
+                "up.-10.snr-db",
+                "up.-10.lost-sent.lost",
+                "up.-10.lost-sent.sent",
+                "up.median",
+            ]
+        );
+        let doc = metrics_json("x", &Report::single(s));
+        assert!(doc.contains("\"up.tag-8.snr-db\":12.345}"), "{doc}");
+        assert!(doc.contains("\"up.-10.snr-db\":null,"), "{doc}");
+        assert!(doc.contains("\"up.median\":179,"), "{doc}");
+    }
+
+    #[test]
+    fn slugs_keep_signs_and_dots_and_drop_punctuation() {
+        assert_eq!(slug("SNR (dB)"), "snr-db");
+        assert_eq!(slug("93.75"), "93.75");
+        assert_eq!(slug("Slot Util."), "slot-util");
+        assert_eq!(slug("a - b"), "a-b");
+        assert_eq!(slug(">2.3V@16x"), "2.3v-16x");
+        assert_eq!(slug("fdma-reject.tag8"), "fdma-reject.tag8");
+    }
+
+    #[test]
     fn report_render_concatenates_sections_and_notes() {
         let r = Report::sections(vec![
-            Section::new("A", &["x"], vec![vec!["1".into()]]).with_note("note a"),
-            Section::new("B", &["y"], vec![vec!["2".into()]]),
+            Section::new("a", "A", &["x"], vec![vec!["1".into()]]).with_note("note a"),
+            Section::new("b", "B", &["y"], vec![vec!["2".into()]]),
         ]);
         let out = r.render();
         assert!(out.contains("A\n"));

@@ -9,13 +9,12 @@
 //! fails the build if the poisoned trial ever aborts the process again —
 //! the regression the old `unwrap` in the sweep aggregator allowed.
 
-use arachnet_obs::MetricSet;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::slotsim::first_convergence_time;
 use arachnet_sim::sweep::run_sweep;
 
 use crate::render::five_num_cells;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Convergence-slot cap for the healthy trials.
 const CAP: u64 = 100_000;
@@ -54,32 +53,30 @@ impl Experiment for Resilience {
             .copied()
             .collect();
         let [_, _, median, _, _] = five_num_cells(&times, 0);
-        let mut metrics = MetricSet::new();
-        if ctx.observe() {
-            for &t in &times {
-                metrics.record("resilience.convergence.slots", t as u64);
-            }
-        }
         let mut rows = vec![vec![
-            "c1".to_string(),
-            format!("{trials}"),
-            format!("{}", times.len()),
-            format!("{}", run.stats.quarantined),
-            median,
+            Cell::label("c1"),
+            Num::Int(trials).into(),
+            Num::Int(times.len() as u64).into(),
+            Num::Int(run.stats.quarantined).into(),
+            median.into(),
         ]];
         // Budget-skipped slots never ran: only quarantined ones get a row.
         let errors = run.results.iter().filter_map(|r| r.as_ref().err());
         for e in errors.filter(|e| !e.is_budget_skip()) {
             rows.push(vec![
-                format!("trial {}", e.trial),
-                "-".to_string(),
-                "-".to_string(),
-                format!("attempts {}", e.attempts),
-                "quarantined".to_string(),
+                Cell::label(format!("trial {}", e.trial)),
+                Num::Absent.into(),
+                Num::Absent.into(),
+                Cell::fill(
+                    "attempts {attempts}",
+                    &[("attempts", Num::Int(u64::from(e.attempts)))],
+                ),
+                Cell::label("quarantined"),
             ]);
         }
         Report::single(
             Section::new(
+                "resilience",
                 "Resilience self-test — injected panic quarantined, sweep completes",
                 &[
                     "pattern",
@@ -95,7 +92,6 @@ impl Experiment for Resilience {
                  up, and quarantines the slot while every other trial's result survives.",
             ),
         )
-        .with_metrics(metrics)
         .with_sweep(run.stats)
         .with_telemetry(run.telemetry)
     }

@@ -2,7 +2,7 @@
 
 use arachnet_core::slot::{occupancy_table, Period, Schedule};
 
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Report, Section};
 
 /// Table 1 experiment.
 pub struct Table1;
@@ -32,11 +32,11 @@ impl Experiment for Table1 {
         let occupancy = occupancy_table(&schedules, 8);
         let mut rows = Vec::new();
         for (i, (name, _, alloc)) in tags.iter().enumerate() {
-            let mut row = vec![name.to_string()];
+            let mut row = vec![Cell::label(*name)];
             for &occupied in occupancy[i].iter().take(8) {
-                row.push(if occupied { "T".into() } else { "".into() });
+                row.push(Cell::label(if occupied { "T" } else { "" }));
             }
-            row.push(alloc.to_string());
+            row.push(Cell::label(*alloc));
             rows.push(row);
         }
         // Verify the paper's property: each slot hosts exactly one
@@ -50,6 +50,7 @@ impl Experiment for Table1 {
         let ok = per_slot.iter().all(|&c| c == 1);
         Report::single(
             Section::new(
+                "table1",
                 "Table 1 — Illustrative Slot Allocation (periods 2/4/8/8)",
                 &[
                     "Tag/Slot",

@@ -3,7 +3,7 @@
 use arachnet_energy::ledger::PowerMode;
 
 use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Table 2 experiment.
 pub struct Table2;
@@ -27,17 +27,18 @@ impl Experiment for Table2 {
             ("TX", PowerMode::tx_default(), (4.7, 25.5, 51.0)),
             ("IDLE", PowerMode::Idle, (0.6, 3.8, 7.6)),
         ];
-        let rows: Vec<Vec<String>> = modes
+        // The "(paper)" columns are the paper's values: labels, not measurements.
+        let rows: Vec<Vec<Cell>> = modes
             .iter()
             .map(|(name, mode, (p_mcu, p_tot, p_pow))| {
                 vec![
-                    name.to_string(),
-                    f(mode.mcu_current() * 1e6, 1),
-                    f(*p_mcu, 1),
-                    f(mode.total_current() * 1e6, 1),
-                    f(*p_tot, 1),
-                    f(mode.power() * 1e6, 1),
-                    f(*p_pow, 1),
+                    Cell::label(*name),
+                    Num::Real(mode.mcu_current() * 1e6, 1).into(),
+                    Cell::label(f(*p_mcu, 1)),
+                    Num::Real(mode.total_current() * 1e6, 1).into(),
+                    Cell::label(f(*p_tot, 1)),
+                    Num::Real(mode.power() * 1e6, 1).into(),
+                    Cell::label(f(*p_pow, 1)),
                 ]
             })
             .collect();
@@ -45,16 +46,17 @@ impl Experiment for Table2 {
         let rx_saving = 1.0 - PowerMode::rx_default().mcu_current() / active;
         Report::single(
             Section::new(
+                "power",
                 "Table 2 — Tag power consumption (derived from ISR duty cycles, 2.0 V supply)",
                 &[
                     "Mode", "MCU uA", "(paper)", "total uA", "(paper)", "power uW", "(paper)",
                 ],
                 rows,
             )
-            .with_note(format!(
-                "interrupt-driven design saves {:.0} % of MCU current vs continuous active mode \
-                 (paper: \"over 80 %\").",
-                rx_saving * 100.0
+            .with_note(Cell::fill(
+                "interrupt-driven design saves {rx-mcu-saving-pct} % of MCU current vs \
+                 continuous active mode (paper: \"over 80 %\").",
+                &[("rx-mcu-saving-pct", Num::Real(rx_saving * 100.0, 0))],
             )),
         )
     }

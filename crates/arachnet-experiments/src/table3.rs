@@ -3,8 +3,7 @@
 use arachnet_core::slot::Period;
 use arachnet_sim::patterns::Pattern;
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Table 3 experiment.
 pub struct Table3;
@@ -32,22 +31,23 @@ impl Experiment for Table3 {
         };
         let mut rows = Vec::new();
         for period in [4u32, 8, 16, 32] {
-            let mut row = vec![format!("{period} slots")];
+            let mut row = vec![Cell::label(format!("{period} slots"))];
             for p in &patterns {
-                row.push(format!("{}", count(p, period)));
+                row.push(Num::Int(count(p, period) as u64).into());
             }
             rows.push(row);
         }
-        let mut tagrow = vec!["Tag #".to_string()];
-        let mut utilrow = vec!["Slot Util.".to_string()];
+        let mut tagrow = vec![Cell::label("Tag #")];
+        let mut utilrow = vec![Cell::label("Slot Util.")];
         for p in &patterns {
-            tagrow.push(format!("{}", p.len()));
-            utilrow.push(f(p.utilization(), 3));
+            tagrow.push(Num::Int(p.len() as u64).into());
+            utilrow.push(Num::Real(p.utilization(), 3).into());
         }
         rows.push(tagrow);
         rows.push(utilrow);
         Report::single(
             Section::new(
+                "patterns",
                 "Table 3 — Tag transmission patterns",
                 &[
                     "TX Period",

@@ -1,7 +1,7 @@
 //! Table 4 / Appendix D — qualitative comparison of BiW monitoring
 //! solutions.
 
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Report, Section};
 
 /// Table 4 experiment.
 pub struct Table4;
@@ -20,7 +20,7 @@ impl Experiment for Table4 {
     }
 
     fn run(&self, _ctx: &ExperimentCtx) -> Report {
-        let rows: Vec<Vec<String>> = [
+        let rows: Vec<Vec<Cell>> = [
             [
                 "Power Source",
                 "Wired power",
@@ -44,9 +44,10 @@ impl Experiment for Table4 {
             ["Data Throughput", "High", "Medium", "Low"],
         ]
         .iter()
-        .map(|r| r.iter().map(|s| s.to_string()).collect())
+        .map(|r| r.iter().map(|&s| Cell::label(s)).collect())
         .collect();
         Report::single(Section::new(
+            "table4",
             "Table 4 — Qualitative comparison of monitoring solutions for vehicle BiW",
             &["Aspect", "Wired Sensors", "RF-based Sensors", "ARACHNET"],
             rows,

@@ -5,8 +5,7 @@ use arachnet_sim::slotsim::{SlotSim, SlotSimConfig};
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::vanilla::{run_vanilla, VanillaConfig};
 
-use crate::render::f;
-use crate::report::{Experiment, ExperimentCtx, Report, Section};
+use crate::report::{Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
 /// Vanilla-vs-distributed experiment.
 pub struct Vanilla;
@@ -57,20 +56,12 @@ pub fn report(slots: u64, sweep: &SweepConfig) -> Report {
     for (&loss, cell) in losses.iter().zip(&matrix.cells) {
         // A quarantined cell renders as dashes instead of sinking the
         // whole report (the sweep counters flag it).
-        let row = match cell.first().and_then(|r| r.as_ref().ok()) {
-            Some(&(vc, vt, dc)) => vec![
-                format!("{:.1}%", loss * 100.0),
-                f(vc, 3),
-                f(vt, 3),
-                f(dc, 3),
-            ],
-            None => vec![
-                format!("{:.1}%", loss * 100.0),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ],
+        let ratios = match cell.first().and_then(|r| r.as_ref().ok()) {
+            Some(&(vc, vt, dc)) => [vc, vt, dc].map(|v| Num::Real(v, 3)),
+            None => [Num::Absent; 3],
         };
+        let mut row = vec![Cell::label(format!("{:.1}%", loss * 100.0))];
+        row.extend(ratios.map(Cell::from));
         rows.push(row);
     }
     // The staggered-start case: vanilla cannot even begin.
@@ -84,13 +75,14 @@ pub fn report(slots: u64, sweep: &SweepConfig) -> Report {
         slots,
     );
     rows.push(vec![
-        "staggered".into(),
-        f(v.collision_ratio, 3),
-        f(v.tail_collision_ratio, 3),
-        "converges".into(),
+        Cell::label("staggered"),
+        Num::Real(v.collision_ratio, 3).into(),
+        Num::Real(v.tail_collision_ratio, 3).into(),
+        Cell::label("converges"),
     ]);
     Report::single(
         Section::new(
+            "vanilla",
             format!(
                 "Sec. 5.2 — vanilla centralized allocation vs the distributed protocol (c3, \
                  {slots} slots)"

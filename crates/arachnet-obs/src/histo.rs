@@ -148,11 +148,6 @@ impl Histo {
     pub fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
-
-    /// 99th-percentile estimate (upper bucket bound).
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,10 @@
 //! branch and the *enabled* path stays allocation-free per event once the
 //! bounded buffers are warm:
 //!
-//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95/p99 readout.
-//!   They merge associatively, so per-thread instances folded in a
-//!   deterministic order (trial index, metric name) reproduce the
-//!   single-threaded result bit for bit; [`MetricSet`] keeps its counters
-//!   as plain sums alongside them.
+//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95/p99 readout for
+//!   wall-domain samples (global diagnostics, the stall watchdog). They
+//!   merge associatively, so per-thread instances folded in any order
+//!   reproduce the single-stream result bit for bit.
 //! * [`span`] — wall-clock timing of PHY/DSP stages with thread-local
 //!   aggregation. Span *names* merge deterministically (sorted); span
 //!   *durations* are wall-domain and are never part of the deterministic
@@ -17,9 +16,9 @@
 //! * [`Recorder`] — a bounded ring-buffer flight recorder of structured sim
 //!   events ([`EventKind`]) stamped with sim slot, tag id, and trial seed.
 //!   `Recorder::disabled()` is a `None` handle: recording is one branch.
-//! * [`MetricSet`] — an ordered (BTreeMap) bag of named metrics with a
-//!   stable JSON encoding used by `repro --metrics`; byte-identical output
-//!   at any `--threads` count is enforced by the repo smoke tests.
+//! * [`MetricSet`] — an ordered (BTreeMap) bag of named counts and gauges
+//!   with a stable JSON encoding used by `repro --metrics`; byte-identical
+//!   output at any `--threads` count is enforced by the repo smoke tests.
 //!
 //! The [`warn!`] macro (and [`capture`]) replace ad-hoc `eprintln!` warnings
 //! so tests can assert on what was emitted; the stderr path deduplicates

@@ -1,24 +1,16 @@
 //! Ordered metric sets with a stable JSON encoding.
 
-use crate::histo::Histo;
 use crate::{json_escape, json_f64};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A single named metric value.
-///
-/// `Histo` dwarfs the scalar variants (65 fixed buckets), but values live
-/// in a `BTreeMap` and are handled by reference — boxing would only add a
-/// pointer chase to every quantile readout.
-#[derive(Clone, Debug, PartialEq)]
-#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MetricValue {
     /// A monotonic count.
     Count(u64),
-    /// A point-in-time float reading.
+    /// A float reading; a non-finite one exports as `null`.
     Gauge(f64),
-    /// A log2 histogram of samples.
-    Histo(Histo),
 }
 
 /// An ordered bag of named metrics.
@@ -36,16 +28,6 @@ impl MetricSet {
     /// An empty metric set.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// `true` when no metrics have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of named metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Set a counter to an absolute value.
@@ -75,26 +57,6 @@ impl MetricSet {
         self.entries.insert(name.to_string(), MetricValue::Gauge(v));
     }
 
-    /// Record a sample into a histogram metric (created empty if absent).
-    pub fn record(&mut self, name: &str, sample: u64) {
-        match self.entries.entry(name.to_string()) {
-            Entry::Occupied(mut e) => {
-                if let MetricValue::Histo(h) = e.get_mut() {
-                    h.record(sample);
-                } else {
-                    let mut h = Histo::new();
-                    h.record(sample);
-                    e.insert(MetricValue::Histo(h));
-                }
-            }
-            Entry::Vacant(e) => {
-                let mut h = Histo::new();
-                h.record(sample);
-                e.insert(MetricValue::Histo(h));
-            }
-        }
-    }
-
     /// Read a counter, if present.
     pub fn get_count(&self, name: &str) -> Option<u64> {
         match self.entries.get(name) {
@@ -111,45 +73,24 @@ impl MetricSet {
         }
     }
 
-    /// Read a histogram, if present.
-    pub fn get_histo(&self, name: &str) -> Option<&Histo> {
-        match self.entries.get(name) {
-            Some(MetricValue::Histo(h)) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Iterate metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Fold `other` into `self`: counters add, histograms merge, gauges
-    /// take `other`'s value (last write wins).
+    /// Fold `other` into `self`: counters add, gauges take `other`'s value
+    /// (last write wins).
     pub fn merge(&mut self, other: &MetricSet) {
         for (name, v) in &other.entries {
-            match v {
-                MetricValue::Count(c) => self.add_count(name, *c),
-                MetricValue::Gauge(g) => self.set_gauge(name, *g),
-                MetricValue::Histo(h) => match self.entries.entry(name.clone()) {
-                    Entry::Occupied(mut e) => {
-                        if let MetricValue::Histo(mine) = e.get_mut() {
-                            mine.merge(h);
-                        } else {
-                            e.insert(MetricValue::Histo(h.clone()));
-                        }
-                    }
-                    Entry::Vacant(e) => {
-                        e.insert(MetricValue::Histo(h.clone()));
-                    }
-                },
+            match *v {
+                MetricValue::Count(c) => self.add_count(name, c),
+                MetricValue::Gauge(g) => self.set_gauge(name, g),
             }
         }
     }
 
-    /// Stable single-line JSON object: keys sorted (BTreeMap order),
-    /// histograms expanded to a fixed summary object. Byte-identical for
-    /// equal metric sets.
+    /// Stable single-line JSON object: keys sorted (BTreeMap order).
+    /// Byte-identical for equal metric sets.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, v)) in self.entries.iter().enumerate() {
@@ -162,16 +103,6 @@ impl MetricSet {
             match v {
                 MetricValue::Count(c) => out.push_str(&format!("{c}")),
                 MetricValue::Gauge(g) => out.push_str(&json_f64(*g)),
-                MetricValue::Histo(h) => out.push_str(&format!(
-                    "{{\"count\":{},\"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"mean\":{}}}",
-                    h.count(),
-                    h.min(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max(),
-                    json_f64(h.mean())
-                )),
             }
         }
         out.push('}');
@@ -186,16 +117,6 @@ impl MetricSet {
             let val = match v {
                 MetricValue::Count(c) => format!("{c}"),
                 MetricValue::Gauge(g) => format!("{g:.6}"),
-                MetricValue::Histo(h) => format!(
-                    "n={} min={} p50={} p95={} p99={} max={} mean={:.2}",
-                    h.count(),
-                    h.min(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max(),
-                    h.mean()
-                ),
             };
             out.push_str(&format!("  {name:<width$}  {val}\n"));
         }
@@ -212,25 +133,22 @@ mod tests {
         let mut m = MetricSet::new();
         m.set_gauge("b.gauge", 0.25);
         m.add_count("a.count", 3);
-        m.record("c.histo", 10);
-        m.record("c.histo", 20);
+        m.set_gauge("c.absent", f64::NAN);
         let j = m.to_json();
-        assert!(j.starts_with("{\"a.count\":3,\"b.gauge\":0.25,\"c.histo\":{"));
+        assert_eq!(j, "{\"a.count\":3,\"b.gauge\":0.25,\"c.absent\":null}");
         assert_eq!(j, m.clone().to_json());
     }
 
     #[test]
-    fn merge_adds_counts_and_histos() {
+    fn merge_adds_counts_and_takes_the_last_gauge() {
         let mut a = MetricSet::new();
         a.add_count("n", 1);
-        a.record("h", 4);
+        a.set_gauge("g", 0.5);
         let mut b = MetricSet::new();
         b.add_count("n", 2);
-        b.record("h", 8);
         b.set_gauge("g", 1.5);
         a.merge(&b);
         assert_eq!(a.get_count("n"), Some(3));
-        assert_eq!(a.get_histo("h").unwrap().count(), 2);
         assert_eq!(a.get_gauge("g"), Some(1.5));
     }
 

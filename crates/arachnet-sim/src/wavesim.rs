@@ -183,6 +183,23 @@ fn synth_uplink_packet(
     pkt
 }
 
+/// Decodes `wave`: `Ok` when the receiver returns exactly `pkt`, else its
+/// stage-of-failure reason. A decode to the *wrong* packet passed CRC on a
+/// corrupted waveform, so it reports as a CRC-level failure.
+fn decode_outcome(
+    rx: &UplinkReceiver,
+    wave: &[f64],
+    rxs: &mut RxScratch,
+    pkt: UlPacket,
+) -> Result<(), DecodeFailReason> {
+    let out = rx.process_slot_with(wave, rxs);
+    if out.packet == Some(pkt) {
+        Ok(())
+    } else {
+        Err(out.fail.unwrap_or(DecodeFailReason::BadCrc))
+    }
+}
+
 /// The channel each epoch of an uplink trial's packets crosses, shared
 /// with the packets by refcount.
 enum Epochs {
@@ -304,9 +321,21 @@ impl WaveSim {
         packet_seed: u64,
         s: &mut PhyScratch,
     ) -> bool {
+        self.uplink_decode(rx, tid, packet_seed, s).is_ok()
+    }
+
+    /// [`Self::uplink_packet`] with the receiver's stage-of-failure reason
+    /// when the packet is lost.
+    pub fn uplink_decode(
+        &self,
+        rx: &UplinkReceiver,
+        tid: u8,
+        packet_seed: u64,
+        s: &mut PhyScratch,
+    ) -> Result<(), DecodeFailReason> {
         let pkt = synth_uplink_packet(self.seed, &self.channel, rx, tid, packet_seed, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
-        rx.process_slot_with(wave, rxs).packet == Some(pkt)
+        decode_outcome(rx, wave, rxs, pkt)
     }
 
     /// PSD-band SNR of the representative (index-0) packet waveform for
@@ -404,17 +433,7 @@ impl WaveSim {
                 let pkt = synth_uplink_packet(clock_seed, channel, &rx, tid, packet_seed, s);
                 let PhyScratch { wave, rx: rxs, .. } = s;
                 let snr_db = (i == 0).then(|| rx.uplink_snr_db_with(wave, rxs));
-                let decode = (i < n).then(|| {
-                    let out = rx.process_slot_with(wave, rxs);
-                    // A decode to the *wrong* packet passed CRC on a
-                    // corrupted waveform — report it as a CRC-level
-                    // failure rather than inventing a new taxon.
-                    if out.packet == Some(pkt) {
-                        Ok(())
-                    } else {
-                        Err(out.fail.unwrap_or(DecodeFailReason::BadCrc))
-                    }
-                });
+                let decode = (i < n).then(|| decode_outcome(&rx, wave, rxs, pkt));
                 (snr_db, decode)
             })
         });

@@ -9,7 +9,8 @@
 use std::collections::BTreeSet;
 
 use arachnet_experiments::registry;
-use arachnet_experiments::report::{metrics_json, ExperimentCtx};
+use arachnet_experiments::report::{export_metrics, metrics_json, ExperimentCtx, Num};
+use arachnet_obs::MetricValue;
 
 /// Quick-mode run context shared by the smoke tests.
 fn ctx(seed: u64, threads: usize, observe: bool) -> ExperimentCtx {
@@ -167,5 +168,38 @@ fn every_registered_experiment_exports_thread_invariant_metrics() {
             e.id(),
             docs[0]
         );
+    }
+}
+
+#[test]
+fn every_printed_number_is_exported_at_its_exact_value() {
+    // METRICS holds every number the tables and notes print, each under
+    // its own key, at the value it was formatted from: a count as a
+    // count, a reading bit for bit, and an absent or NaN reading as null.
+    for e in registry::all() {
+        let report = e.run(&ctx(7, 2, true));
+        let exported = export_metrics(&report);
+        let measured = report.measured();
+        let printed: usize = report
+            .sections
+            .iter()
+            .flat_map(|s| s.rows.iter().flatten().chain(&s.notes))
+            .map(|cell| cell.nums().count())
+            .sum();
+        assert_eq!(measured.len(), printed, "{}: a number has no key", e.id());
+        let keys: BTreeSet<&str> = measured.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys.len(), measured.len(), "{}: duplicate keys", e.id());
+        for (key, num) in &measured {
+            let value = exported.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+            let exact = match (*num, value) {
+                (Num::Int(n), Some(MetricValue::Count(c))) => n == c,
+                (Num::Real(v, _), Some(MetricValue::Gauge(g))) => {
+                    v.to_bits() == g.to_bits() || (v.is_nan() && g.is_nan())
+                }
+                (Num::Absent, Some(MetricValue::Gauge(g))) => g.is_nan(),
+                _ => false,
+            };
+            assert!(exact, "{}: {key} prints {num:?}, exports {value:?}", e.id());
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use arachnet_experiments::registry;
-use arachnet_experiments::report::{metrics_json, Experiment, ExperimentCtx};
+use arachnet_experiments::report::{export_metrics, metrics_json, Experiment, ExperimentCtx};
 use arachnet_experiments::resilience::Resilience;
 
 const SEED: u64 = 9;
@@ -178,7 +178,19 @@ fn every_experiment_reports_a_run_halted_before_its_sweep_finished() {
             }
         }
     }
-    // Budget-skipped packets count as neither sent nor lost.
+    // Budget-skipped packets count as neither sent nor lost: the loss
+    // cells of a run halted after 3 packets hold exactly the losses among
+    // those 3, which the recorder saw as decode failures.
     let fig12 = registry::find("fig12a12b").unwrap().run(&ctx_halt(3));
-    assert_eq!(fig12.metrics.get_count("uplink.sent"), Some(3));
+    let m = export_metrics(&fig12);
+    assert_eq!(m.get_count("sweep.completed"), Some(3));
+    let lost: u64 = fig12
+        .measured()
+        .iter()
+        .filter(|(key, _)| key.starts_with("lost."))
+        .map(|(key, _)| m.get_count(key).unwrap())
+        .sum();
+    let count = |kind: &str| m.get_count(&format!("sim.events.{kind}")).unwrap_or(0);
+    assert_eq!(lost, count("decode_fail"));
+    assert_eq!(count("decoded") + count("decode_fail"), 3);
 }
