@@ -45,7 +45,9 @@
 //! additionally writes `TRACE_<id>.chrome.json`, a Chrome `trace_event`
 //! timeline of per-worker trial lanes, sim events, and span aggregates;
 //! `--trace-window N` sizes the text timeline (default 40);
-//! `--ring-capacity N` overrides the flight-recorder ring size.
+//! `--ring-capacity N` overrides the flight-recorder ring size. These
+//! three act only on a traced run, so without `trace` (or `--trace`) they
+//! are usage errors.
 //!
 //! `repro serve` (DESIGN.md §16) runs the backpressured TCP query
 //! service: `--port 0` binds an ephemeral port (announced as the first
@@ -364,8 +366,13 @@ fn main() {
     accept_only(&command, &flags, |f| {
         f != "--tolerance" && !SERVE_ONLY_FLAGS.contains(&f)
     });
-    if obs.chrome && obs.trace.is_none() {
-        usage("--chrome needs the `trace` subcommand (or --trace)");
+    // These act only on a traced run; anywhere else they would be ignored.
+    if obs.trace.is_none() {
+        for flag in ["--chrome", "--trace-window", "--ring-capacity"] {
+            if flags.contains(&flag) {
+                usage(&format!("{flag} needs the `trace` subcommand (or --trace)"));
+            }
+        }
     }
     let mut b = ExperimentCtx::builder(seed)
         .observe(obs.metrics || obs.trace.is_some())

@@ -134,11 +134,19 @@ fn list_run_and_diff_reject_flags_they_do_not_read() {
         ("run table1 --quick --port 5 --tolerance 0.5", "--port"),
         ("metrics table1 --quick --tolerance 0.5", "--tolerance"),
         ("diff a.json b.json --seed 3 --threads 8 --resume", "--seed"),
+        // The timeline and the ring exist only on a traced run.
+        ("run table1 --quick --trace-window 5", "--trace-window"),
+        ("run table1 --quick --ring-capacity 100", "--ring-capacity"),
+        (
+            "metrics fig12a12b --quick --ring-capacity 100",
+            "--ring-capacity",
+        ),
     ] {
         let args: Vec<&str> = cmd.split(' ').collect();
         assert_rejects(&repro_in(&dir, &args), &args, flag);
     }
     assert!(!dir.join("METRICS_table1.json").exists());
+    assert!(!dir.join("METRICS_fig12a12b.json").exists());
     let _ = fs::remove_dir_all(&dir);
 }
 
