@@ -363,9 +363,10 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
             rows,
         )
         .with_note(
-            "fades cut SNR link-wide and the noisy epoch lifts the floor — Tag 11's weak link \
-             degrades first; the uplink synthesis has no ring term, so the long-ring epoch is the \
-             nominal channel on its own packet seeds.",
+            "fades and the noisy floor cut the PSD-band SNR of Tags 4 and 11 — Tag 11's weak \
+             link degrades first — but not the strongest link's (Tag 8), which a data-aided link \
+             margin would test; the uplink synthesis has no ring term, so the long-ring epoch is \
+             the nominal channel on its own packet seeds.",
         ),
     )
     .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
