@@ -88,7 +88,10 @@ echo "   dyn-*, mr-*, and resilience experiments registered"
 echo "== thread-count determinism (seed $seed) =="
 tmp1="$(mktemp -d)" tmp8="$(mktemp -d)"
 trap 'rm -rf "$tmp1" "$tmp8"' EXIT
-for artifact in fig12a12b fig13a fig14b fig15a fig16 dyn-churn dyn-drift dyn-outage dyn-soak mr-fdma mr-interference mr-fleet-soak; do
+# Every sweep experiment: each exports the numbers its tables print.
+for artifact in fig12a12b fig13a fig14b fig15a fig15b fig16 fig19 fdma vanilla ablation \
+  ablation-latearrival ablation-drive resilience dyn-churn dyn-drift dyn-outage dyn-soak \
+  mr-fdma mr-interference mr-fleet-soak; do
   (cd "$tmp1" && "$OLDPWD/$repro" "$artifact" --quick --seed "$seed" --threads 1 --metrics > stdout.txt)
   (cd "$tmp8" && "$OLDPWD/$repro" "$artifact" --quick --seed "$seed" --threads 8 --metrics > stdout.txt)
   # `repro diff --tolerance 0` is the exact gate `cmp` used to be, but a
