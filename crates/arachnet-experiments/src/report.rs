@@ -87,9 +87,9 @@ impl ExperimentCtxBuilder {
         self
     }
 
-    /// Collect sim-domain metrics and flight-recorder events while running
-    /// (`repro --metrics` / `--trace`). Observation never perturbs random
-    /// streams, so observed and unobserved runs produce identical tables.
+    /// Record flight-recorder events while running (`repro --metrics` /
+    /// `--trace`). Observation never perturbs random streams, so observed
+    /// and unobserved runs produce identical tables.
     pub fn observe(mut self, observe: bool) -> Self {
         self.ctx.observe = observe;
         self
@@ -281,7 +281,7 @@ impl ExperimentCtx {
         self.seed
     }
 
-    /// Metric/event collection on?
+    /// Flight-recorder event collection on?
     pub fn observe(&self) -> bool {
         self.observe
     }
@@ -459,9 +459,11 @@ pub enum Num {
 impl Num {
     /// `v` with `decimals`, or absent when `v` is not finite.
     pub fn finite(v: f64, decimals: usize) -> Num {
-        Some(v)
-            .filter(|v| v.is_finite())
-            .map_or(Num::Absent, |v| Num::Real(v, decimals))
+        if v.is_finite() {
+            Num::Real(v, decimals)
+        } else {
+            Num::Absent
+        }
     }
 }
 
@@ -794,10 +796,8 @@ pub fn export_metrics(report: &Report) -> MetricSet {
 pub fn representative<'a>(
     snapshots: impl IntoIterator<Item = &'a RecorderSnapshot>,
 ) -> RecorderSnapshot {
-    let mut all = snapshots.into_iter();
-    all.find(|s| !s.events.is_empty())
-        .cloned()
-        .unwrap_or_default()
+    let first = snapshots.into_iter().find(|s| !s.events.is_empty());
+    first.cloned().unwrap_or_default()
 }
 
 /// `(sent, lost)` over one cell of packet trials, where `delivered` says
