@@ -133,11 +133,11 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
             ],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "expected: disabling the 5.4 timeout leaves desynchronized tags colliding longer; \
              larger N tolerates\nmore transient NACKs but reacts slower; the 5.5/5.6 refinements \
              matter most for late arrivals (see `repro ablation-latearrival`).",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
@@ -217,11 +217,11 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
             &["variant", "settled tags (of 12)", "collision ratio"],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "EMPTY gating lets newcomers probe only unused slots; admission control prevents \
              latent period conflicts.\nDisabling them trades integration for disruption of the \
              settled schedule.",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
@@ -286,11 +286,11 @@ pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
             &["scheme", "250 bps", "500 bps", "1000 bps"],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "plain OOK's free ring tail (~0.5 ms) stretches every falling edge, corrupting PIE \
              intervals at higher rates;\nthe FSK-in/OOK-out drive keeps the transducer \
              amplifier-loaded and the tail ~5x shorter (Sec. 4.1).",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
@@ -358,10 +358,10 @@ pub fn report_stages() -> Report {
             &["stages", "tags activating", "fastest charge (s)"],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "the paper picks 8 stages: the fewest that activate all 12 tags. More stages add \
              output impedance\n(slower charging) for no extra coverage.",
-        ),
+        )),
     )
 }
 

@@ -57,13 +57,13 @@ impl Experiment for Ambient {
                 &["", "parked", "idle", "city", "highway"],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "the paper's future-work idea quantified: sub-100 Hz vehicle vibration is a \
                  meaningful supplement for weak\nplacements (Tag 11 charges markedly faster on \
                  the highway) and can sustain RX-mode listening with the reader\nsilent — but \
                  cannot replace the reader for activation (idle-only input never reaches 2.3 V \
                  from 0 V alone).",
-            ),
+            )),
         )
     }
 }

@@ -145,12 +145,12 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
             ],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "tags on distinct subcarrier channels (k = 6/9/12/16 cycles per bit) transmit in \
              the SAME slot and are\nseparated by coherent despreading — the paper's named \
              future-work route to higher throughput (Sec. 6.3).\nThe MAC is untouched: a slot \
              simply carries several channels.",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)

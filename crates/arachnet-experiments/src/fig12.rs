@@ -50,7 +50,7 @@ struct Point {
 /// decode outcome. With `observe`, the report's flight recorder gets the
 /// table's own packets in trial order: decodes are counted, and losses
 /// land in the ring with the receiver's stage-of-failure reason (slot =
-/// packet index).
+/// sweep job index, `(tag × 6 + rate) × n + packet`: unique per packet).
 pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
     let sim = WaveSim::paper(sweep.base_seed);
     let rates = ul_rates();
@@ -84,11 +84,13 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
         let mut snr_row = vec![Cell::label(format!("Tag {tid}"))];
         let mut loss_row = snr_row.clone();
         for ri in 0..rates.len() {
-            let cell = &matrix.cells[ti * rates.len() + ri];
+            let point = ti * rates.len() + ri;
+            let cell = &matrix.cells[point];
             for (trial, r) in cell.iter().enumerate() {
+                let job = point as u64 * n + trial as u64;
                 match r {
                     Ok((EventKind::Decoded, _)) => recorder.note(EventKind::Decoded),
-                    Ok((outcome, _)) => recorder.record(trial as u64, tid, *outcome),
+                    Ok((outcome, _)) => recorder.record(job, tid, *outcome),
                     Err(_) => {}
                 }
             }
@@ -119,16 +121,18 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
             &h,
             snr_rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "paper: SNR falls with rate; Tag 8 > Tag 4 > Tag 11; Tag 8 > 11.7 dB at 3 kbps.",
-        ),
+        )),
         Section::new(
             "lost",
             format!("Fig. 12(b) — Uplink packets lost of {n} sent"),
             &h,
             loss_rows,
         )
-        .with_note("paper: loss below 0.5 % at every rate, rising slightly with rate."),
+        .with_note(Cell::label(
+            "paper: loss below 0.5 % at every rate, rising slightly with rate.",
+        )),
     ])
     .with_snapshot(recorder.into_snapshot())
     .with_sweep(matrix.stats)

@@ -61,11 +61,11 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
             &h,
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "paper: near-zero loss at 125–500 bps; surge at 1000/2000 bps caused by the 12 kHz \
              timer quantisation,\nsupply-dependent clock drift, and the reader's 0.1–0.3 ms \
              software PIE jitter.",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
@@ -92,7 +92,7 @@ impl Experiment for Fig13b {
         let offsets = sim.sync_offsets();
         let rows: Vec<Vec<Cell>> = offsets
             .iter()
-            .map(|&(tid, off)| vec![tid.to_string().into(), Num::Real(off * 1e3, 3).into()])
+            .map(|&(tid, off)| vec![Cell::label(tid.to_string()), Num::Real(off * 1e3, 3).into()])
             .collect();
         let max = offsets.iter().map(|&(_, o)| o.abs()).fold(0.0f64, f64::max);
         Report::single(

@@ -49,10 +49,10 @@ impl Experiment for Fig14a {
                 &["t (ms)", "RMS", ""],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "paper: a strong DL beacon, a polite 20 ms tag wait, then the UL packet riding \
                  on the carrier leak.",
-            ),
+            )),
         )
     }
 }

@@ -57,7 +57,7 @@ fn measure(
             ],
             rows,
         )
-        .with_note(note),
+        .with_note(Cell::label(note)),
     )
     .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)

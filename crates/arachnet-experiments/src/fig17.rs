@@ -50,11 +50,11 @@ impl Experiment for Fig17b {
                 ],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "paper: a clear correlation between voltage and displacement over ±10 cm, three \
                  gauges with distinct slopes,\nreadings carried as the 12-bit UL payload. \
                  Sampling costs ~1 mW, hence at most one sample per slot.",
-            ),
+            )),
         )
     }
 }

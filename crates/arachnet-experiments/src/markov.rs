@@ -107,12 +107,12 @@ pub fn report(sim_trials: u64) -> Report {
             ],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "\"absorbing chain = yes\" machine-checks Lemma 3: every reachable state reaches a \
              collision-free all-SETTLE state.\nExact expectations come from solving the \
              first-step equations; simulated means track them up to the one-slot feedback delay \
              (the simulator's ACK arrives with the next beacon).",
-        ),
+        )),
     )
 }
 

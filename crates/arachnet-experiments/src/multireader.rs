@@ -162,11 +162,11 @@ impl Experiment for MrFdma {
                 ],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "every cell's copy of the tag transmits concurrently; sub-band separation plus \
                  coherent carrier rejection keeps each reader's link clean, so delivered packets \
                  scale with fleet size.",
-            ),
+            )),
         )
         .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
@@ -234,11 +234,11 @@ impl Experiment for MrInterference {
                 ],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "co-channel neighbours backscatter in band, so the IQ clustering flags \
                  cross-reader collisions the FDMA plan never sees; rejection removes the \
                  foreign CW leak that would otherwise bias the decimated baseband.",
-            ),
+            )),
         )
         .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
@@ -355,11 +355,11 @@ pub fn report_fleet_soak(
             ],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "cells run the scenario engine independently, sharded over the sweep pool; cells \
              that share a sub-band carry an xreader_collision marker in their trace — the \
              frequency plan, not the MAC, is what keeps them apart.",
-        ),
+        )),
     )
     .with_snapshot(representative(trials_run.map(|t| &t.snapshot)))
     .with_sweep(run.stats)

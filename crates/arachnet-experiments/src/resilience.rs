@@ -87,10 +87,10 @@ impl Experiment for Resilience {
                 ],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "trial 3 panics unconditionally; the runtime retries it at a salted seed, gives \
                  up, and quarantines the slot while every other trial's result survives.",
-            ),
+            )),
         )
         .with_sweep(run.stats)
         .with_telemetry(run.telemetry)

@@ -66,10 +66,10 @@ impl Experiment for Table1 {
                 ],
                 rows,
             )
-            .with_note(format!(
+            .with_note(Cell::label(format!(
                 "each slot hosts exactly one transmitter: {} (paper: maximum slot utilization)",
                 if ok { "yes" } else { "NO" }
-            )),
+            ))),
         )
     }
 }

@@ -63,10 +63,10 @@ impl Experiment for Table3 {
                 ],
                 rows,
             )
-            .with_note(
+            .with_note(Cell::label(
                 "c1–c5: 12 tags, utilization sweep 0.375→1.0; c2,c6–c9: utilization 0.75 with \
                  11/10/8/6 tags\n(excluding the tags listed in the paper's footnotes).",
-            ),
+            )),
         )
     }
 }

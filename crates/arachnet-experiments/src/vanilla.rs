@@ -95,12 +95,12 @@ pub fn report(slots: u64, sweep: &SweepConfig) -> Report {
             ],
             rows,
         )
-        .with_note(
+        .with_note(Cell::label(
             "the vanilla scheme is perfect in a perfect world and decays monotonically under \
              beacon loss (Eq. 3's offset\nshifts accumulate; nothing ever migrates back). The \
              distributed protocol absorbs the same losses with a\nbounded, stationary collision \
              ratio — the paper's core argument for Secs. 5.3–5.6.",
-        ),
+        )),
     )
     .with_sweep(matrix.stats)
     .with_telemetry(matrix.telemetry)
