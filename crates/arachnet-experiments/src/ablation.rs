@@ -140,7 +140,7 @@ pub fn report_protocol(trials: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Late-arrival ablation experiment.
@@ -224,7 +224,7 @@ pub fn report_late_arrival(trials: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Drive-scheme ablation experiment.
@@ -293,7 +293,7 @@ pub fn report_drive(n: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Multiplier-stage ablation experiment.

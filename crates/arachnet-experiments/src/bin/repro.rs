@@ -7,12 +7,12 @@
 //! repro trace <artifact> <tag|all> [flags]  (run with --trace implied)
 //! repro diff <A.json> <B.json> [--tolerance F]
 //! repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N]
-//!             [--journal] [--deadline-ms N]
+//!             [--deadline-ms N]
 //! repro <artifact|all> [flags]              (legacy alias for `run`)
 //! ```
 //!
 //! Each subcommand accepts only the flags it reads: `list` takes none,
-//! `diff` only `--tolerance`, `serve` only its six flags above, and
+//! `diff` only `--tolerance`, `serve` only its five flags above, and
 //! `run`/`metrics`/`trace` everything except the serve-only flags and
 //! `--tolerance`. Any other flag is a usage error (exit 2) before anything
 //! is bound, printed or written.
@@ -31,19 +31,15 @@
 //! stops dispatching new trials at the deadline and marks the report
 //! `partial=true`; `--halt-after N` deterministically stops after N
 //! dispatches (testing/verify hook for interrupting a run mid-sweep);
-//! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` and
-//! `JOURNAL_<id>.jsonl` into `DIR`, creating it if needed (a directory
-//! that cannot be created is a clear exit-3 error, never a panic). Every
-//! sweep experiment honours these flags and `--journal` / `--stall-secs`;
-//! an experiment that runs no sweep rejects them with exit 2.
+//! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` into `DIR`,
+//! creating it if needed (a directory that cannot be created is a clear
+//! exit-3 error, never a panic). Every sweep experiment honours these
+//! flags; an experiment that runs no sweep rejects them with exit 2.
 //!
-//! Telemetry flags (DESIGN.md §15, all wall-domain — the deterministic
-//! exports never change): `--journal` streams progress heartbeats to
-//! `JOURNAL_<id>.jsonl` and a live stderr line; `--stall-secs S` pins the
-//! stall watchdog's soft deadline (without it the watchdog auto-calibrates
-//! from the running median trial duration); `--chrome` (with `trace`)
-//! additionally writes `TRACE_<id>.chrome.json`, a Chrome `trace_event`
-//! timeline of per-worker trial lanes, sim events, and span aggregates;
+//! Trace flags (DESIGN.md §15, all wall-domain — the deterministic exports
+//! never change): `--chrome` additionally writes
+//! `TRACE_<id>.chrome.json`, a Chrome `trace_event` timeline of
+//! per-worker trial lanes, sim events, and span aggregates;
 //! `--trace-window N` sizes the text timeline (default 40);
 //! `--ring-capacity N` overrides the flight-recorder ring size. These
 //! three act only on a traced run, so without `trace` (or `--trace`) they
@@ -53,8 +49,8 @@
 //! service: `--port 0` binds an ephemeral port (announced as the first
 //! stdout line), `--workers`/`--queue-depth` size the pool and the
 //! bounded admission queue, `--max-batch` caps same-seed micro-batches,
-//! `--journal` streams `JOURNAL_serve.jsonl` heartbeats, and
-//! `--deadline-ms N` (N ≥ 1, default 30000) is the per-request deadline.
+//! and `--deadline-ms N` (N ≥ 1, default 30000) is the per-request
+//! deadline.
 //! Drains gracefully on the wire `shutdown` op and exits 0.
 //!
 //! Exit codes: `0` success, `1` regression (`diff` found violations), `2`
@@ -102,7 +98,7 @@ const EXIT_USAGE: i32 = 2;
 /// Exit code for experiment failures (panics, unwritable outputs).
 const EXIT_FAILURE: i32 = 3;
 
-/// Flags only `repro serve` reads (it also reads the shared `--journal`).
+/// Flags only `repro serve` reads.
 const SERVE_ONLY_FLAGS: [&str; 5] = [
     "--port",
     "--workers",
@@ -137,8 +133,6 @@ fn main() {
     let mut budget_secs = None;
     let mut checkpoint_every = None;
     let mut halt_after = None;
-    let mut journal = false;
-    let mut stall_secs = None;
     let mut ring_capacity = None;
     let mut tolerance = 0.0f64;
     let mut port = 0u16;
@@ -209,14 +203,6 @@ fn main() {
                     it.next()
                         .and_then(|s| s.parse::<u64>().ok())
                         .unwrap_or_else(|| usage("--halt-after needs a number")),
-                );
-            }
-            "--journal" => journal = true,
-            "--stall-secs" => {
-                stall_secs = Some(
-                    it.next()
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .unwrap_or_else(|| usage("--stall-secs needs a number")),
                 );
             }
             "--ring-capacity" => {
@@ -320,9 +306,7 @@ fn main() {
             return;
         }
         Some("serve") => {
-            accept_only("serve", &flags, |f| {
-                f == "--journal" || SERVE_ONLY_FLAGS.contains(&f)
-            });
+            accept_only("serve", &flags, |f| SERVE_ONLY_FLAGS.contains(&f));
             if positionals.len() > 1 {
                 usage("`serve` takes no artifact");
             }
@@ -331,7 +315,6 @@ fn main() {
                 workers: serve_workers,
                 queue_depth,
                 max_batch,
-                journal,
                 deadline_ms,
             });
             return;
@@ -376,8 +359,7 @@ fn main() {
     }
     let mut b = ExperimentCtx::builder(seed)
         .observe(obs.metrics || obs.trace.is_some())
-        .journal(journal)
-        // The Chrome export's worker lanes come from sweep telemetry.
+        // The Chrome export's worker lanes come from the sweeps.
         .lanes(obs.chrome);
     if quick {
         b = b.quick();
@@ -402,9 +384,6 @@ fn main() {
     }
     if let Some(n) = halt_after {
         b = b.halt_after(n);
-    }
-    if let Some(s) = stall_secs {
-        b = b.stall_secs(s);
     }
     if let Some(n) = ring_capacity {
         b = b.ring_capacity(n);
@@ -454,7 +433,7 @@ fn main() {
         },
     }
     // Print the `×N` summaries for any stderr warnings that repeated
-    // (a stalled soak warns every watchdog poll; one line, not a flood).
+    // (one line per message, not a flood).
     flush_warnings();
 }
 
@@ -498,7 +477,6 @@ struct ServeOpts {
     workers: usize,
     queue_depth: usize,
     max_batch: usize,
-    journal: bool,
     /// `--deadline-ms N`: per-request deadline (N ≥ 1).
     deadline_ms: Option<u64>,
 }
@@ -515,7 +493,6 @@ fn run_serve(opts: ServeOpts) {
         workers,
         queue_depth,
         max_batch,
-        journal,
         deadline_ms,
     } = opts;
 
@@ -535,17 +512,11 @@ fn run_serve(opts: ServeOpts) {
         Ok(metrics_json(e.id(), &report))
     });
 
-    let journal_path = std::path::PathBuf::from("JOURNAL_serve.jsonl");
-    if journal {
-        // Same delete-before-run policy as run_one: the journal appends.
-        let _ = fs::remove_file(&journal_path);
-    }
     let mut cfg = arachnet_serve::ServeConfig {
         port,
         workers,
         queue_depth,
         max_batch,
-        journal: journal.then_some(journal_path),
         experiment_runner: Some(runner),
         ..arachnet_serve::ServeConfig::default()
     };
@@ -587,9 +558,6 @@ fn run_serve(opts: ServeOpts) {
         "serve: {} deadline_exceeded, {} orphaned",
         stats.deadlines, stats.orphaned,
     );
-    if journal {
-        println!("serve: heartbeats -> JOURNAL_serve.jsonl");
-    }
     flush_warnings();
 }
 
@@ -611,13 +579,8 @@ fn check_ctx(ctx: &ExperimentCtx, e: &'static dyn Experiment) {
 }
 
 fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
-    // The journal opens in append mode (several sweeps of one experiment
-    // share the file); a fresh invocation starts from a clean slate.
-    if let Some(path) = ctx.journal_path(e.id()) {
-        let _ = fs::remove_file(&path);
-    }
-    // Same delete-before-run policy for the other per-id artifacts: a
-    // stale trace or checkpoint left by an aborted run of this id would
+    // Delete-before-run policy for the per-id artifacts: a stale trace or
+    // checkpoint left by an aborted run of this id would
     // otherwise survive (and confuse verify.sh, which asserts on artifact
     // presence after a run). The checkpoint is kept when --resume asked
     // for it, and the trace files are only stale if this invocation is
@@ -681,15 +644,6 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
             stats.skipped
         );
     }
-    if report.telemetry.stalled > 0 {
-        println!(
-            "stalled: {} trial(s) exceeded the watchdog's soft deadline (still completed)",
-            report.telemetry.stalled
-        );
-    }
-    if let Some(path) = ctx.journal_path(e.id()) {
-        println!("journal: heartbeats -> {}", path.display());
-    }
     // Spans drain once per experiment; the metrics printout and the Chrome
     // export share the same snapshot.
     let spans = take_spans();
@@ -708,12 +662,8 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
             doc.push('\n');
         }
         // Provenance events (SweepResumed / BudgetExhausted) ride along in
-        // the trace export; empty for complete, non-resumed runs. The
-        // watchdog's stall events do too — wall-domain, trace-only.
-        for ev in provenance_events(&report.sweep)
-            .iter()
-            .chain(&report.telemetry.stall_events)
-        {
+        // the trace export; empty for complete, non-resumed runs.
+        for ev in provenance_events(&report.sweep) {
             doc.push_str(&ev.to_json(snap.seed));
             doc.push('\n');
         }
@@ -727,7 +677,7 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
         print!("{}", render_timeline(&snap.events, tag, obs.trace_window));
         if obs.chrome {
             let doc = chrome_trace(
-                &report.telemetry.lanes,
+                &report.lanes,
                 &spans,
                 &snap.events,
                 snap.seed,
@@ -737,7 +687,7 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
             write_file(&path, &doc);
             println!(
                 "-- chrome trace: {} worker lanes + {} sim events -> {path} (chrome://tracing) --",
-                report.telemetry.lanes.len(),
+                report.lanes.len(),
                 snap.events.len()
             );
         }
@@ -785,12 +735,11 @@ fn usage(err: &str) -> ! {
         "usage: repro <run|metrics|trace|list> <artifact|all> [--quick] [--seed N] \
          [--threads N] [--readers K] [--cells K] [--bands B] [--metrics] [--trace <tag|all>] \
          [--checkpoint-every N] [--resume] [--budget-secs S] [--halt-after N] \
-         [--checkpoint-dir DIR] [--journal] [--stall-secs S] [--chrome] [--trace-window N] \
-         [--ring-capacity N]"
+         [--checkpoint-dir DIR] [--chrome] [--trace-window N] [--ring-capacity N]"
     );
     eprintln!("       repro diff <A.json> <B.json> [--tolerance F]");
     eprintln!(
-        "       repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N] [--journal] \
+        "       repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N] \
          [--deadline-ms N>=1]"
     );
     eprintln!("       repro <artifact|all>   (alias for `repro run`)");

@@ -108,7 +108,7 @@ fn measure(
     )
     .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Storm timeline over a 12-tag pattern: 6 tags rip out at once, then the
@@ -376,7 +376,7 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
     )
     .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 #[cfg(test)]

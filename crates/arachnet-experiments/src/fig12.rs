@@ -136,7 +136,7 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
     ])
     .with_snapshot(recorder.into_snapshot())
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Fig. 13(b): per-tag beacon decode-completion offset vs Tag 6 (ms).

@@ -133,7 +133,7 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(run.stats)
-    .with_telemetry(run.telemetry)
+    .with_lanes(run.lanes)
 }
 
 /// Quantile `q` of a latency CDF in ms, or absent when a partial run left

@@ -61,7 +61,7 @@ fn measure(
     )
     .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 /// Fig. 15(a): fixed tag count (c1–c5), utilization sweep.

@@ -97,7 +97,7 @@ pub fn report(slots: u64, extra_seeds: u64, sweep: &SweepConfig, observe: bool) 
     )
     .with_snapshot(snapshot)
     .with_sweep(sweep_runs.stats)
-    .with_telemetry(sweep_runs.telemetry)
+    .with_lanes(sweep_runs.lanes)
 }
 
 #[cfg(test)]

@@ -97,7 +97,7 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
         )),
     )
     .with_sweep(sweep_rates.stats)
-    .with_telemetry(sweep_rates.telemetry)
+    .with_lanes(sweep_rates.lanes)
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 //!   `xreader_collision` events.
 
 use arachnet_core::slot::Period;
-use arachnet_obs::{EventKind, Recorder, RecorderSnapshot};
+use arachnet_obs::{EventKind, Recorder, RecorderSnapshot, TrialLane};
 use arachnet_reader::fleet::{FleetPlan, FleetPlanError};
 use arachnet_sim::fleet::{run_fleet, FleetCell, FleetWaveSim};
 use arachnet_sim::scenario::Scenario;
-use arachnet_sim::sweep::{run_matrix_sweep, RunTelemetry, SweepConfig, SweepStats};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig, SweepStats};
 use arachnet_sim::Pattern;
 
 use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
@@ -48,7 +48,7 @@ struct FleetPass {
     rows: Vec<Vec<Cell>>,
     snapshot: RecorderSnapshot,
     stats: SweepStats,
-    telemetry: RunTelemetry,
+    lanes: Vec<TrialLane>,
 }
 
 fn fleet_pass(
@@ -92,7 +92,7 @@ fn fleet_pass(
         rows: Vec::new(),
         snapshot: representative(trial0.map(|(_, snap)| snap)),
         stats: matrix.stats,
-        telemetry: matrix.telemetry,
+        lanes: matrix.lanes,
     };
     for (&r, cell) in readers.iter().zip(&matrix.cells) {
         let Some(Ok((res, _))) = cell.first() else {
@@ -141,7 +141,7 @@ impl Experiment for MrFdma {
         let mut rows = Vec::new();
         let mut snapshots = Vec::new();
         let mut stats = SweepStats::default();
-        let mut telemetry = RunTelemetry::default();
+        let mut lanes = Vec::new();
         let sweep = ctx.sweep_for(self.id());
         for &k in &fleets {
             let bands = ctx.fleet_bands(k).min(k).max(1);
@@ -150,7 +150,7 @@ impl Experiment for MrFdma {
             let pass = fleet_pass(&plan, &label, 8, n, true, &sweep, ctx.observe());
             rows.extend(pass.rows);
             stats.merge(&pass.stats);
-            telemetry.merge(pass.telemetry);
+            lanes.extend(pass.lanes);
             snapshots.push(pass.snapshot);
         }
         Report::single(
@@ -170,7 +170,7 @@ impl Experiment for MrFdma {
         )
         .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
-        .with_telemetry(telemetry)
+        .with_lanes(lanes)
     }
 }
 
@@ -203,7 +203,7 @@ impl Experiment for MrInterference {
         let mut rows = Vec::new();
         let mut snapshots = Vec::new();
         let mut stats = SweepStats::default();
-        let mut telemetry = RunTelemetry::default();
+        let mut lanes = Vec::new();
         for (plan, label, reject) in [
             (&fdma, "fdma-reject", true),
             (&fdma, "fdma-raw", false),
@@ -221,7 +221,7 @@ impl Experiment for MrInterference {
                 );
                 rows.extend(pass.rows);
                 stats.merge(&pass.stats);
-                telemetry.merge(pass.telemetry);
+                lanes.extend(pass.lanes);
                 snapshots.push(pass.snapshot);
             }
         }
@@ -242,7 +242,7 @@ impl Experiment for MrInterference {
         )
         .with_snapshot(representative(&snapshots))
         .with_sweep(stats)
-        .with_telemetry(telemetry)
+        .with_lanes(lanes)
     }
 }
 
@@ -363,7 +363,7 @@ pub fn report_fleet_soak(
     )
     .with_snapshot(representative(trials_run.map(|t| &t.snapshot)))
     .with_sweep(run.stats)
-    .with_telemetry(run.telemetry)
+    .with_lanes(run.lanes)
 }
 
 #[cfg(test)]

@@ -18,10 +18,8 @@
 
 use std::fmt;
 
-use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot};
-use arachnet_sim::sweep::{
-    CheckpointSpec, RunTelemetry, SweepConfig, SweepStats, TelemetrySpec, TrialResult,
-};
+use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot, TrialLane};
+use arachnet_sim::sweep::{CheckpointSpec, SweepConfig, SweepStats, TrialResult};
 use arachnet_sim::ConfigError;
 
 use crate::render;
@@ -54,8 +52,6 @@ pub struct ExperimentCtx {
     checkpoint_every: Option<u64>,
     halt_after: Option<u64>,
     checkpoint_dir: Option<std::path::PathBuf>,
-    journal: bool,
-    stall_secs: Option<f64>,
     lanes: bool,
     ring_capacity: Option<usize>,
 }
@@ -147,22 +143,6 @@ impl ExperimentCtxBuilder {
         self
     }
 
-    /// Stream wall-domain progress heartbeats to `JOURNAL_<id>.jsonl`
-    /// (`--journal`). Strictly diagnostic: the deterministic metrics export
-    /// is unaffected.
-    pub fn journal(mut self, journal: bool) -> Self {
-        self.ctx.journal = journal;
-        self
-    }
-
-    /// Stall-watchdog soft deadline in seconds (`--stall-secs`). Without
-    /// it the watchdog auto-calibrates from the running median trial
-    /// duration. Validated at [`Self::build`]: must be finite and positive.
-    pub fn stall_secs(mut self, secs: f64) -> Self {
-        self.ctx.stall_secs = Some(secs);
-        self
-    }
-
     /// Record per-worker trial lanes for the Chrome trace export
     /// (`repro trace --chrome`).
     pub fn lanes(mut self, lanes: bool) -> Self {
@@ -206,14 +186,6 @@ impl ExperimentCtxBuilder {
                 field: "bands",
                 value: 0.0,
             });
-        }
-        if let Some(secs) = c.stall_secs {
-            if !(secs.is_finite() && secs > 0.0) {
-                return Err(ConfigError::NotPositive {
-                    field: "stall_secs",
-                    value: secs,
-                });
-            }
         }
         if c.ring_capacity == Some(0) {
             return Err(ConfigError::NotPositive {
@@ -263,8 +235,6 @@ impl ExperimentCtx {
                 checkpoint_every: None,
                 halt_after: None,
                 checkpoint_dir: None,
-                journal: false,
-                stall_secs: None,
                 lanes: false,
                 ring_capacity: None,
             },
@@ -328,17 +298,10 @@ impl ExperimentCtx {
         self.ring_capacity
     }
 
-    /// Any run telemetry (journal / watchdog / lanes) requested? When
-    /// false, [`ExperimentCtx::sweep_for`] leaves the sweep's telemetry off
-    /// and the whole layer costs nothing.
-    pub fn wants_telemetry(&self) -> bool {
-        self.journal || self.stall_secs.is_some() || self.lanes
-    }
-
     /// The sweep configuration for experiment `id` — the only way an
     /// experiment gets one: base seed from [`ExperimentCtx::seed`], the
     /// `--threads` worker count, the context's budget / dispatch-cap
-    /// overrides, run telemetry when requested, and — when `--resume` or
+    /// overrides, trial-lane capture when requested, and — when `--resume` or
     /// `--checkpoint-every` was given — a checkpoint at
     /// [`ExperimentCtx::checkpoint_path`].
     pub fn sweep_for(&self, id: &str) -> SweepConfig {
@@ -358,33 +321,7 @@ impl ExperimentCtx {
                 .with_resume(self.resume);
             cfg = cfg.with_checkpoint(spec);
         }
-        if self.wants_telemetry() {
-            let mut tele = TelemetrySpec::new().with_lanes(self.lanes);
-            if let Some(path) = self.journal_path(id) {
-                tele = tele.with_journal(path);
-            }
-            if let Some(secs) = self.stall_secs {
-                tele = tele.with_stall_secs(secs);
-            }
-            cfg = cfg.with_telemetry(tele);
-        }
-        cfg
-    }
-
-    /// The journal file this context would write for experiment `id`
-    /// (`JOURNAL_<id>.jsonl`, in the checkpoint dir when one is set), or
-    /// `None` when journaling is off. The `repro` binary deletes any stale
-    /// file here before a fresh run, since the journal opens in append
-    /// mode.
-    pub fn journal_path(&self, id: &str) -> Option<std::path::PathBuf> {
-        if !self.journal {
-            return None;
-        }
-        let file = format!("JOURNAL_{id}.jsonl");
-        Some(match &self.checkpoint_dir {
-            Some(dir) => dir.join(file),
-            None => std::path::PathBuf::from(file),
-        })
+        cfg.with_lanes(self.lanes)
     }
 
     /// Where this context's sweeps would checkpoint experiment `id`
@@ -412,10 +349,9 @@ impl ExperimentCtx {
         Ok(())
     }
 
-    /// Checks this context against a finished report: the resilience and
-    /// journal options (`resume`, `checkpoint_every`, `budget_secs`,
-    /// `halt_after`, `journal`, `stall_secs`) act only on sweeps, so a
-    /// report with no sweep trials rejects them as
+    /// Checks this context against a finished report: the resilience
+    /// options (`resume`, `checkpoint_every`, `budget_secs`, `halt_after`)
+    /// act only on sweeps, so a report with no sweep trials rejects them as
     /// [`ConfigError::Inconsistent`] rather than silently ignoring them.
     /// Trial lanes stay allowed: a Chrome export without them still
     /// carries sim events and spans.
@@ -423,13 +359,11 @@ impl ExperimentCtx {
         let sweep_only = self.resume
             || self.checkpoint_every.is_some()
             || self.budget_secs.is_some()
-            || self.halt_after.is_some()
-            || self.journal
-            || self.stall_secs.is_some();
+            || self.halt_after.is_some();
         if sweep_only && report.sweep.trials == 0 {
             return Err(ConfigError::Inconsistent {
-                reason: "resume/checkpoint/budget/halt/journal/stall options on an experiment \
-                         that runs no sweep",
+                reason: "resume/checkpoint/budget/halt options on an experiment that runs no \
+                         sweep",
             });
         }
         Ok(())
@@ -672,10 +606,10 @@ pub struct Report {
     /// over every sweep the experiment ran. `Default` (all zero) for
     /// experiments that don't run sweeps.
     pub sweep: SweepStats,
-    /// Wall-domain run telemetry (worker lanes, stall events), merged over
-    /// every sweep the experiment ran. Empty unless the context requested
-    /// telemetry; never part of the deterministic metrics export.
-    pub telemetry: RunTelemetry,
+    /// Per-worker trial and help lanes of every sweep the experiment ran,
+    /// for the Chrome trace export. Empty unless the context asked for
+    /// lanes; wall-domain, so never part of the metrics export.
+    pub lanes: Vec<TrialLane>,
 }
 
 impl Report {
@@ -708,10 +642,10 @@ impl Report {
         self
     }
 
-    /// Attaches wall-domain run telemetry (chainable). Experiments that
-    /// run several sweeps [`merge`](RunTelemetry::merge) theirs first.
-    pub fn with_telemetry(mut self, telemetry: RunTelemetry) -> Self {
-        self.telemetry = telemetry;
+    /// Attaches trial lanes (chainable). Experiments that run several
+    /// sweeps concatenate theirs first.
+    pub fn with_lanes(mut self, lanes: Vec<TrialLane>) -> Self {
+        self.lanes = lanes;
         self
     }
 
@@ -1009,40 +943,14 @@ mod tests {
     }
 
     #[test]
-    fn ctx_wires_telemetry_and_validates_it() {
+    fn ctx_wires_lanes_and_validates_the_ring() {
         use arachnet_sim::ConfigError;
-        let ctx = ExperimentCtx::builder(5)
-            .quick()
-            .journal(true)
-            .stall_secs(2.5)
-            .lanes(true)
-            .checkpoint_dir("ckpts")
-            .build()
-            .unwrap();
-        assert!(ctx.wants_telemetry());
-        let cfg = ctx.sweep_for("dyn-churn");
-        let tele = cfg.telemetry.expect("telemetry wired");
-        assert_eq!(
-            tele.journal,
-            Some(std::path::PathBuf::from("ckpts/JOURNAL_dyn-churn.jsonl"))
-        );
-        assert_eq!(tele.stall_secs, Some(2.5));
-        assert!(tele.lanes);
-        assert_eq!(ctx.journal_path("dyn-churn"), tele.journal);
-        // Plain contexts leave the whole layer off.
+        let ctx = ExperimentCtx::builder(5).quick().lanes(true).build();
+        assert!(ctx.unwrap().sweep_for("dyn-churn").lanes);
+        // Plain contexts capture no lanes.
         let plain = ExperimentCtx::builder(5).build().unwrap();
-        assert!(!plain.wants_telemetry());
-        assert!(plain.sweep_for("x").telemetry.is_none());
-        assert_eq!(plain.journal_path("x"), None);
+        assert!(!plain.sweep_for("x").lanes);
         // Bad values are config errors at build time, not runtime surprises.
-        assert!(matches!(
-            ExperimentCtx::builder(1).stall_secs(0.0).build(),
-            Err(ConfigError::NotPositive { .. })
-        ));
-        assert!(matches!(
-            ExperimentCtx::builder(1).stall_secs(f64::NAN).build(),
-            Err(ConfigError::NotPositive { .. })
-        ));
         assert!(matches!(
             ExperimentCtx::builder(1).ring_capacity(0).build(),
             Err(ConfigError::NotPositive { .. })

@@ -93,7 +93,7 @@ impl Experiment for Resilience {
             )),
         )
         .with_sweep(run.stats)
-        .with_telemetry(run.telemetry)
+        .with_lanes(run.lanes)
     }
 }
 

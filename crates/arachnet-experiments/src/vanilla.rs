@@ -103,7 +103,7 @@ pub fn report(slots: u64, sweep: &SweepConfig) -> Report {
         )),
     )
     .with_sweep(matrix.stats)
-    .with_telemetry(matrix.telemetry)
+    .with_lanes(matrix.lanes)
 }
 
 #[cfg(test)]

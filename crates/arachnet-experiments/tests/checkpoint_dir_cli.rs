@@ -1,6 +1,6 @@
 //! `--checkpoint-dir` through the real binary (ISSUE 10 satellite): a
 //! not-yet-existing (nested) directory is created and receives the
-//! checkpoint + journal artifacts, `--resume` picks them up from there,
+//! checkpoint, `--resume` picks it up from there,
 //! and a directory that cannot be created is a clear exit-3 error — never
 //! a panic. A resume also ignores a checkpoint that a run with other
 //! settings wrote.
@@ -42,7 +42,6 @@ fn missing_checkpoint_dir_is_created_and_resume_works_from_it() {
             "1",
             "--halt-after",
             "3",
-            "--journal",
             "--checkpoint-dir",
             "state/ckpts",
         ],
@@ -50,10 +49,6 @@ fn missing_checkpoint_dir_is_created_and_resume_works_from_it() {
     assert_eq!(halted.status.code(), Some(0), "{halted:?}");
     let ckpt = dir.join("state/ckpts/CHECKPOINT_dyn-churn.bin");
     assert!(ckpt.exists(), "checkpoint must land in the created dir");
-    assert!(
-        dir.join("state/ckpts/JOURNAL_dyn-churn.jsonl").exists(),
-        "journal must follow the checkpoint dir"
-    );
     assert!(
         !dir.join("CHECKPOINT_dyn-churn.bin").exists(),
         "nothing may leak into the working directory"

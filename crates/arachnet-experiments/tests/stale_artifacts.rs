@@ -1,10 +1,9 @@
 //! Stale-artifact cleanup through the real `repro` binary (ISSUE 9): an
 //! aborted run can leave `TRACE_<id>.jsonl`, `TRACE_<id>.chrome.json`, and
 //! `CHECKPOINT_<id>.bin` behind; a fresh run of the same id must delete
-//! them (the policy the journal already followed), while `--resume` keeps
-//! the checkpoint it was asked to resume from. Sweep-only flags on an
-//! experiment that runs no sweep, and any flag a subcommand does not read,
-//! are usage errors that write nothing.
+//! them, while `--resume` keeps the checkpoint it was asked to resume
+//! from. Sweep-only flags on an experiment that runs no sweep, and any
+//! flag a subcommand does not read, are usage errors that write nothing.
 
 use std::fs;
 use std::path::PathBuf;
@@ -141,12 +140,17 @@ fn list_run_and_diff_reject_flags_they_do_not_read() {
             "metrics fig12a12b --quick --ring-capacity 100",
             "--ring-capacity",
         ),
+        // Flags of the deleted progress journal and stall watchdog.
+        ("metrics dyn-soak --quick --journal", "--journal"),
+        ("run dyn-soak --quick --stall-secs 5", "--stall-secs"),
+        ("trace dyn-churn --quick --journal", "--journal"),
     ] {
         let args: Vec<&str> = cmd.split(' ').collect();
         assert_rejects(&repro_in(&dir, &args), &args, flag);
     }
     assert!(!dir.join("METRICS_table1.json").exists());
     assert!(!dir.join("METRICS_fig12a12b.json").exists());
+    assert!(!dir.join("METRICS_dyn-soak.json").exists());
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -158,12 +162,13 @@ fn serve_rejects_flags_it_does_not_read_before_binding() {
     const FAULT_FLAG: &str = concat!("--fault", "-plan");
     let dir = scratch("serveflags");
     for (args, flag) in [
-        (["serve", "--seed", "7"], "--seed"),
-        (["serve", "--deadline-ms", "0"], "--deadline-ms"),
-        (["serve", FAULT_FLAG, "x"], FAULT_FLAG),
+        (&["serve", "--seed", "7"][..], "--seed"),
+        (&["serve", "--deadline-ms", "0"], "--deadline-ms"),
+        (&["serve", FAULT_FLAG, "x"], FAULT_FLAG),
+        (&["serve", "--port", "0", "--journal"], "--journal"),
     ] {
-        let out = repro_within(&dir, &args, Duration::from_secs(20));
-        assert_rejects(&out, &args, flag);
+        let out = repro_within(&dir, args, Duration::from_secs(20));
+        assert_rejects(&out, args, flag);
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -68,7 +68,7 @@ impl DecodeFailReason {
 }
 
 /// Number of distinct [`EventKind`] variants (size of per-kind count arrays).
-pub const KIND_COUNT: usize = 21;
+pub const KIND_COUNT: usize = 20;
 
 /// A structured sim event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,14 +160,6 @@ pub enum EventKind {
     /// A sweep's wall-clock (or dispatch) budget ran out before every
     /// trial was dispatched; the report is partial.
     BudgetExhausted,
-    /// The stall watchdog flagged an in-flight trial past its soft
-    /// deadline (the `slot` field carries the trial index). Wall-domain
-    /// diagnostics: never part of the deterministic metrics export.
-    TrialStalled {
-        /// How long the trial had been running when flagged, in ms
-        /// (saturating at `u32::MAX`).
-        waited_ms: u32,
-    },
 }
 
 impl EventKind {
@@ -194,7 +186,6 @@ impl EventKind {
             EventKind::TrialQuarantined { .. } => 17,
             EventKind::SweepResumed { .. } => 18,
             EventKind::BudgetExhausted => 19,
-            EventKind::TrialStalled { .. } => 20,
         }
     }
 
@@ -221,7 +212,6 @@ impl EventKind {
             "trial_quarantined",
             "sweep_resumed",
             "budget_exhausted",
-            "trial_stalled",
         ];
         LABELS[index]
     }
@@ -243,7 +233,6 @@ impl EventKind {
                 | EventKind::CrossReaderCollision { .. }
                 | EventKind::TrialQuarantined { .. }
                 | EventKind::BudgetExhausted
-                | EventKind::TrialStalled { .. }
         )
     }
 
@@ -286,9 +275,6 @@ impl EventKind {
                 format!("sweep resumed ({restored} trials restored from checkpoint)")
             }
             EventKind::BudgetExhausted => "sweep budget exhausted (partial report)".into(),
-            EventKind::TrialStalled { waited_ms } => {
-                format!("trial stalled ({waited_ms} ms past dispatch)")
-            }
         }
     }
 
@@ -313,7 +299,6 @@ impl EventKind {
             EventKind::CrossReaderCollision { readers } => format!(",\"readers\":{readers}"),
             EventKind::TrialQuarantined { attempts } => format!(",\"attempts\":{attempts}"),
             EventKind::SweepResumed { restored } => format!(",\"restored\":{restored}"),
-            EventKind::TrialStalled { waited_ms } => format!(",\"waited_ms\":{waited_ms}"),
             _ => String::new(),
         }
     }
@@ -400,7 +385,6 @@ mod tests {
             EventKind::TrialQuarantined { attempts: 2 },
             EventKind::SweepResumed { restored: 12 },
             EventKind::BudgetExhausted,
-            EventKind::TrialStalled { waited_ms: 5000 },
         ];
         assert_eq!(kinds.len(), KIND_COUNT);
         for (i, k) in kinds.iter().enumerate() {

@@ -2,8 +2,8 @@
 //!
 //! The repo is std-only (PR 1 rule), yet three features need to *read*
 //! JSON back: the `repro diff` regression sentinel (two `METRICS_*.json`
-//! documents), journal recovery ([`crate::read_journal`]), and the Chrome
-//! trace well-formedness tests. This parser covers exactly the JSON the
+//! documents), the serve tier's wire requests, and the Chrome trace
+//! well-formedness tests. This parser covers exactly the JSON the
 //! repo emits — objects, arrays, strings with the escapes
 //! [`crate::json_escape`] produces, `f64` numbers, booleans, `null` — and
 //! rejects trailing garbage, so a truncated document never half-parses.

@@ -6,7 +6,7 @@
 //! bounded buffers are warm:
 //!
 //! * [`Histo`] — fixed-bucket log2 histograms with p50/p95/p99 readout for
-//!   wall-domain samples (global diagnostics, the stall watchdog). They
+//!   wall-domain samples (global diagnostics, serve latencies). They
 //!   merge associatively, so per-thread instances folded in any order
 //!   reproduce the single-stream result bit for bit.
 //! * [`span`] — wall-clock timing of PHY/DSP stages with thread-local
@@ -24,15 +24,12 @@
 //! so tests can assert on what was emitted; the stderr path deduplicates
 //! repeats ([`flush_warnings`] prints the `×N` summaries).
 //!
-//! On top of these sits the **run-telemetry** layer (DESIGN.md §15), all
-//! strictly wall-domain so it can never perturb the deterministic metrics
-//! export: [`Journal`]/[`Heartbeat`]/[`read_journal`] (append-only,
-//! torn-tail-tolerant JSONL progress heartbeats), [`Watchdog`] (soft-
-//! deadline stall detection feeding [`EventKind::TrialStalled`]),
+//! Two offline readers sit on top (DESIGN.md §15):
 //! [`chrome_trace`]/[`TrialLane`] (Chrome `trace_event` export merging
 //! worker lanes, sim events, and span aggregates on a dual-clock
-//! timeline), and [`parse_json`] (the minimal JSON reader behind journal
-//! recovery and `repro diff`).
+//! timeline), strictly wall-domain so it can never perturb the
+//! deterministic metrics export, and [`parse_json`] (the minimal JSON
+//! reader behind `repro diff`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,20 +38,17 @@ mod chrometrace;
 mod event;
 mod global;
 mod histo;
-mod journal;
 mod jsonval;
 mod metrics;
 mod recorder;
 mod span;
 mod timeline;
 mod warnsink;
-mod watchdog;
 
 pub use chrometrace::{chrome_trace, TrialLane};
 pub use event::{DecodeFailReason, Event, EventKind, MigrateReason, KIND_COUNT, NO_TAG};
 pub use global::{global_counter_add, global_histo_record, take_global_stats, GlobalStats};
 pub use histo::Histo;
-pub use journal::{progress_rates, read_journal, Heartbeat, Journal};
 pub use jsonval::{parse_json, JsonError, JsonValue};
 pub use metrics::{MetricSet, MetricValue};
 pub use recorder::{
@@ -63,7 +57,6 @@ pub use recorder::{
 pub use span::{flush_thread_spans, span, take_spans, SpanStat, SpanTimer};
 pub use timeline::render_timeline;
 pub use warnsink::{capture, flush_warnings, warn_str};
-pub use watchdog::Watchdog;
 
 /// Format an `f64` for the deterministic JSON export.
 ///

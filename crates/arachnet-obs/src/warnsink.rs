@@ -25,8 +25,8 @@ const DEDUP_LIMIT: usize = 512;
 /// Prefer the [`warn!`](crate::warn!) macro, which accepts format args.
 ///
 /// On the stderr path, repeated identical messages print only once; the
-/// repeats are counted and summarized by [`flush_warnings`] (a stalled
-/// soak run warning every poll must not flood stderr). The [`capture`]
+/// repeats are counted and summarized by [`flush_warnings`] (a sweep
+/// that warns once per trial must not flood stderr). The [`capture`]
 /// path records every call verbatim — tests see the true sequence.
 pub fn warn_str(msg: &str) {
     let mut guard = CAPTURED.lock().unwrap_or_else(|e| e.into_inner());

@@ -14,7 +14,7 @@
 //! `WaveSim` to amortize channel synthesis, the serving analogue of the
 //! block-processed PHY path.
 //!
-//! Everything this crate measures (heartbeats, latency histograms, spans)
+//! Everything this crate measures (counters, latency histograms, spans)
 //! is wall-domain and never feeds the deterministic `METRICS_<id>.json`
 //! export.
 //!

@@ -125,7 +125,7 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> LoadReport {
         }
     }
     total.elapsed_secs = started.elapsed().as_secs_f64();
-    // Same clamp as `progress_rates`: never report a non-finite rate.
+    // A sub-millisecond window must not report a non-finite rate.
     total.throughput_rps = if total.elapsed_secs > 1e-3 {
         total.ok as f64 / total.elapsed_secs
     } else {

@@ -253,9 +253,8 @@ pub fn decode_line(
     )
 }
 
-/// One wall-domain heartbeat of a running server, journaled as JSONL
-/// (`JOURNAL_serve.jsonl`) exactly like the sweep engine's
-/// [`arachnet_obs::Heartbeat`] — and like it, strictly diagnostic.
+/// A wall-domain snapshot of a running server's counters: the body of
+/// the `stats` op's reply. Strictly diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeBeat {
     /// Milliseconds since the server started.
@@ -282,7 +281,8 @@ pub struct ServeBeat {
     pub p95_us: u64,
     /// Requests answered with `deadline_exceeded`.
     pub deadlines: u64,
-    /// True on the final beat written when the drain completes.
+    /// True once the drain has completed; a server that still answers
+    /// `stats` reports `false`.
     pub done: bool,
 }
 
@@ -422,7 +422,7 @@ mod tests {
             deadlines: 4,
             done: false,
         };
-        // The journal line is one JSON object carrying every field.
+        // The stats body is one JSON object carrying every field.
         let v = parse_json(&beat.to_json()).unwrap();
         let num = |k: &str| v.get(k).and_then(JsonValue::as_f64);
         for (k, want) in [

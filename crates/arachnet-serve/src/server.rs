@@ -1,5 +1,4 @@
-//! The serving runtime: acceptor, connection handlers, worker pool,
-//! monitor.
+//! The serving runtime: acceptor, connection handlers, worker pool.
 //!
 //! Thread layout (all plain `std::thread`, std-only rule):
 //!
@@ -12,8 +11,6 @@
 //!                        │
 //!                        ▼
 //!            worker × N  (micro-batch compatible decodes, reply via mpsc)
-//!
-//! monitor: journals a ServeBeat every heartbeat interval
 //! ```
 //!
 //! Invariants the tests pin down:
@@ -29,10 +26,10 @@
 //!   `internal` line, counted as `orphaned`.
 //! * **Drain order.** `shutdown` sets the drain flag; the acceptor stops
 //!   accepting and joins handlers (which finish their in-flight request,
-//!   reply, and close); only then is the queue closed, the workers joined,
-//!   and the final `done:true` heartbeat flushed.
+//!   reply, and close); only then is the queue closed and the workers
+//!   joined.
 //! * **Wall-domain only.** Nothing here touches `METRICS_<id>.json`; the
-//!   journal, spans, and stats are diagnostics (DESIGN.md §11/§15/§16).
+//!   spans and stats are diagnostics (DESIGN.md §11/§16).
 
 use crate::proto::{decode_line, error_line, Request, ServeBeat, MAX_LINE_BYTES};
 use crate::queue::{Bounded, PushError};
@@ -41,7 +38,6 @@ use arachnet_sim::wavesim::WaveSim;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -66,8 +62,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Most decode requests one worker folds into a micro-batch (≥ 1).
     pub max_batch: usize,
-    /// Where to journal [`ServeBeat`] heartbeats (`None` = no journal).
-    pub journal: Option<PathBuf>,
     /// Optional `experiment` op capability.
     pub experiment_runner: Option<ExperimentRunner>,
     /// Per-request deadline: an admitted request not answered within this
@@ -83,7 +77,6 @@ impl Default for ServeConfig {
             workers: 2,
             queue_depth: 64,
             max_batch: 8,
-            journal: None,
             experiment_runner: None,
             request_deadline: Duration::from_secs(30),
         }
@@ -153,7 +146,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn beat(&self, done: bool) -> ServeBeat {
+    fn beat(&self) -> ServeBeat {
         let completed = self.completed.load(Ordering::Relaxed);
         let elapsed = self.started.elapsed().as_secs_f64();
         let (p50_us, p95_us) = {
@@ -169,8 +162,8 @@ impl Shared {
             queue_depth: self.queue.len() as u64,
             inflight: self.inflight.load(Ordering::Relaxed),
             workers: self.workers,
-            // Same clamp as `progress_rates`: a sub-millisecond window
-            // must not serialize an `inf`/`NaN` rate.
+            // A sub-millisecond window must not serialize an `inf`/`NaN`
+            // rate.
             rps: if elapsed > 1e-3 {
                 completed as f64 / elapsed
             } else {
@@ -179,16 +172,17 @@ impl Shared {
             p50_us,
             p95_us,
             deadlines: self.deadlines.load(Ordering::Relaxed),
-            done,
+            // A server still answering has not finished its drain.
+            done: false,
         }
     }
 
     fn stats_line(&self) -> String {
-        let b = self.beat(false);
+        let b = self.beat();
         format!(
             "{{\"ok\":true,\"op\":\"stats\",\"draining\":{},{}}}",
             self.draining.load(Ordering::Relaxed),
-            // Reuse the heartbeat encoding minus its own braces.
+            // Reuse the snapshot encoding minus its own braces.
             b.to_json().trim_start_matches('{').trim_end_matches('}'),
         )
     }
@@ -201,7 +195,6 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     workers: Vec<JoinHandle<()>>,
-    monitor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -210,9 +203,8 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// Begin graceful drain: stop accepting, finish in-flight, flush
-    /// telemetry. Idempotent; returns immediately (pair with
-    /// [`ServerHandle::join`]).
+    /// Begin graceful drain: stop accepting, finish in-flight.
+    /// Idempotent; returns immediately (pair with [`ServerHandle::join`]).
     pub fn shutdown(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
@@ -247,10 +239,6 @@ impl ServerHandle {
             if w.join().is_err() {
                 warn_str("serve: a worker died to a panic outside its per-request catch");
             }
-        }
-        // 4. Final telemetry: the monitor writes the `done:true` beat.
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
         }
         let s = &self.shared;
         let (p50_us, p95_us) = {
@@ -318,11 +306,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         })
         .collect();
 
-    let monitor = config.journal.map(|path| {
-        let sh = Arc::clone(&shared);
-        std::thread::spawn(move || monitor_loop(&sh, &path))
-    });
-
     let sh = Arc::clone(&shared);
     let acceptor = std::thread::spawn(move || {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
@@ -346,7 +329,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         shared,
         acceptor: Some(acceptor),
         workers: worker_handles,
-        monitor,
     })
 }
 
@@ -360,9 +342,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Per-connection write deadline (slow reader back-pressure bound).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Heartbeat interval for the monitor thread.
-const HEARTBEAT: Duration = Duration::from_millis(500);
 
 /// Extra slack the handler grants past the request deadline before it
 /// answers `deadline_exceeded` itself, so a worker-side deadline reply
@@ -667,33 +646,4 @@ fn execute(req: &Request, batched: usize, cache: &mut ChannelCache, sh: &Shared)
             error_line("internal", "inline op routed to the worker pool")
         }
     }
-}
-
-/// Monitor: append a [`ServeBeat`] heartbeat line every interval, plus the
-/// final `done:true` beat once the drain completes.
-fn monitor_loop(sh: &Shared, path: &std::path::Path) {
-    let mut journal = arachnet_obs::Journal::open(path);
-    loop {
-        // Sleep in short slices so shutdown is prompt.
-        let wake = Instant::now() + HEARTBEAT;
-        while Instant::now() < wake {
-            if sh.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if sh.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        journal.append_line(&sh.beat(false).to_json());
-    }
-    // Wait for the drain to finish (queue empty, nothing in flight) before
-    // stamping the final beat, so `done:true` really means drained.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while (!sh.queue.is_empty() || sh.inflight.load(Ordering::Relaxed) > 0)
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    journal.append_line(&sh.beat(true).to_json());
 }

@@ -236,7 +236,6 @@ impl TrialCodec for EventKind {
             EventKind::CrossReaderCollision { readers } => readers.encode(out),
             EventKind::TrialQuarantined { attempts } => attempts.encode(out),
             EventKind::SweepResumed { restored } => restored.encode(out),
-            EventKind::TrialStalled { waited_ms } => waited_ms.encode(out),
             EventKind::Empty
             | EventKind::BeaconLost
             | EventKind::PowerCutoff
@@ -296,9 +295,6 @@ impl TrialCodec for EventKind {
                 restored: u16::decode(input)?,
             },
             19 => EventKind::BudgetExhausted,
-            20 => EventKind::TrialStalled {
-                waited_ms: u32::decode(input)?,
-            },
             _ => return None,
         })
     }
@@ -485,7 +481,6 @@ mod tests {
             EventKind::TrialQuarantined { attempts: 2 },
             EventKind::SweepResumed { restored: 40 },
             EventKind::BudgetExhausted,
-            EventKind::TrialStalled { waited_ms: 9_000 },
         ];
         assert_eq!(kinds.len(), KIND_COUNT, "new kinds need codec arms");
         for k in kinds {
