@@ -94,13 +94,19 @@ pub fn report(n: u64, sweep: &SweepConfig, observe: bool) -> Report {
                     Err(_) => {}
                 }
             }
-            let (_, lost) = sent_lost(cell, |&(outcome, _)| outcome == EventKind::Decoded);
+            let (sent, lost) = sent_lost(cell, |&(outcome, _)| outcome == EventKind::Decoded);
             let snr_db = cell
                 .iter()
                 .find_map(|r| r.as_ref().ok().and_then(|(_, snr)| *snr))
                 .unwrap_or(f64::NAN);
-            snr_row.push(Num::Real(snr_db, 1).into());
-            loss_row.push(Num::Int(lost).into());
+            // A point whose trial 0 or every packet never ran prints `-`.
+            let lost = if sent == 0 {
+                Num::Absent
+            } else {
+                Num::Int(lost)
+            };
+            snr_row.push(Num::finite(snr_db, 1).into());
+            loss_row.push(lost.into());
         }
         snr_rows.push(snr_row);
         loss_rows.push(loss_row);
@@ -180,5 +186,23 @@ mod tests {
             assert_eq!(count("decode_fail"), lost, "threads {threads}");
             assert_eq!(count("decoded"), sent - lost, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn a_halted_run_prints_dashes_and_exports_null_for_what_never_ran() {
+        // Only the first point's (Tag 8, 93.75 bps) 3 packets run.
+        let r = report(
+            3,
+            &SweepConfig::new(7).with_threads(2).with_halt_after(3),
+            false,
+        );
+        assert!(r.is_partial());
+        let out = r.render();
+        assert!(!out.contains("NaN"), "{out}");
+        let doc = crate::report::metrics_json("fig12a12b", &r);
+        assert!(doc.contains("\"lost.tag-11.3000\":null"), "{doc}");
+        assert!(doc.contains("\"snr.tag-11.3000\":null"), "{doc}");
+        let m = crate::report::export_metrics(&r);
+        assert!(m.get_count("lost.tag-8.93.75").is_some(), "{doc}");
     }
 }

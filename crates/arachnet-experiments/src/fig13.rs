@@ -45,8 +45,14 @@ pub fn report_a(n: u64, sweep: &SweepConfig) -> Report {
     for (ti, &tid) in tags.iter().enumerate() {
         let mut row = vec![Cell::label(format!("Tag {tid}"))];
         for ri in 0..DL_RATES_BPS.len() {
-            let (_, lost) = sent_lost(&matrix.cells[ti * DL_RATES_BPS.len() + ri], |&ok| ok);
-            row.push(Num::Int(lost).into());
+            let (sent, lost) = sent_lost(&matrix.cells[ti * DL_RATES_BPS.len() + ri], |&ok| ok);
+            // A cell whose beacons never ran prints `-`.
+            let lost = if sent == 0 {
+                Num::Absent
+            } else {
+                Num::Int(lost)
+            };
+            row.push(lost.into());
         }
         rows.push(row);
     }
@@ -126,6 +132,13 @@ mod tests {
         let one = report_a(6, &SweepConfig::new(4).with_threads(1)).render();
         let four = report_a(6, &SweepConfig::new(4).with_threads(4)).render();
         assert_eq!(one, four);
+    }
+
+    #[test]
+    fn fig13a_halted_before_any_beacon_prints_dashes() {
+        let r = report_a(4, &SweepConfig::new(1).with_halt_after(0));
+        assert!(r.is_partial());
+        assert!(r.measured().iter().all(|(_, num)| *num == Num::Absent));
     }
 
     #[test]

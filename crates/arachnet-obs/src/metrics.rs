@@ -109,14 +109,16 @@ impl MetricSet {
         out
     }
 
-    /// Aligned human-readable table, one metric per line, name order.
+    /// Aligned human-readable table, one metric per line, name order. A
+    /// non-finite gauge reads `null`, as the JSON encoding writes it.
     pub fn render(&self) -> String {
         let width = self.entries.keys().map(|k| k.len()).max().unwrap_or(0);
         let mut out = String::new();
         for (name, v) in &self.entries {
             let val = match v {
                 MetricValue::Count(c) => format!("{c}"),
-                MetricValue::Gauge(g) => format!("{g:.6}"),
+                MetricValue::Gauge(g) if g.is_finite() => format!("{g:.6}"),
+                MetricValue::Gauge(_) => "null".to_string(),
             };
             out.push_str(&format!("  {name:<width$}  {val}\n"));
         }
@@ -157,8 +159,10 @@ mod tests {
         let mut m = MetricSet::new();
         m.add_count("x", 1);
         m.set_gauge("y", 2.0);
+        m.set_gauge("z", f64::NAN);
         let r = m.render();
         assert!(r.contains("x"));
         assert!(r.contains("2.000000"));
+        assert!(r.contains("z  null") && !r.contains("NaN"), "{r}");
     }
 }

@@ -178,18 +178,24 @@ fn every_experiment_reports_a_run_halted_before_its_sweep_finished() {
             }
         }
     }
-    // Budget-skipped packets count as neither sent nor lost: the loss
-    // cells of a run halted after 3 packets hold exactly the losses among
-    // those 3, which the recorder saw as decode failures.
+    // Budget-skipped packets count as neither sent nor lost. A run halted
+    // after 3 packets sent them all at its first point (Tag 8, 93.75 bps):
+    // that loss cell holds exactly the losses among those 3, which the
+    // recorder saw as decode failures, and the 17 cells that sent nothing
+    // export null.
     let fig12 = registry::find("fig12a12b").unwrap().run(&ctx_halt(3));
     let m = export_metrics(&fig12);
     assert_eq!(m.get_count("sweep.completed"), Some(3));
-    let lost: u64 = fig12
+    let (sent, unsent): (Vec<String>, Vec<String>) = fig12
         .measured()
-        .iter()
-        .filter(|(key, _)| key.starts_with("lost."))
-        .map(|(key, _)| m.get_count(key).unwrap())
-        .sum();
+        .into_iter()
+        .map(|(key, _)| key)
+        .filter(|key| key.starts_with("lost."))
+        .partition(|key| m.get_count(key).is_some());
+    assert_eq!(sent, ["lost.tag-8.93.75"]);
+    assert_eq!(unsent.len(), 17);
+    assert!(unsent.iter().all(|key| m.get_gauge(key).unwrap().is_nan()));
+    let lost = m.get_count(&sent[0]).unwrap();
     let count = |kind: &str| m.get_count(&format!("sim.events.{kind}")).unwrap_or(0);
     assert_eq!(lost, count("decode_fail"));
     assert_eq!(count("decoded") + count("decode_fail"), 3);
