@@ -34,7 +34,9 @@
 //! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` into `DIR`,
 //! creating it if needed (a directory that cannot be created is a clear
 //! exit-3 error, never a panic). Every sweep experiment honours these
-//! flags; an experiment that runs no sweep rejects them with exit 2.
+//! flags; an experiment that runs no sweep rejects them with exit 2 when
+//! it is named on its own, and `all` applies them to its sweep
+//! experiments only.
 //!
 //! Trace flags (DESIGN.md §15, all wall-domain — the deterministic exports
 //! never change): `--chrome` additionally writes
@@ -415,19 +417,19 @@ fn main() {
             }
             for e in registry::all() {
                 println!("==================================================================");
-                run_one(e, &ctx, obs);
+                run_one(e, &ctx, obs, false);
             }
         }
         // Historical alias from before Fig. 12(a)/(b) shared one table.
         "fig12" => {
             let e = registry::find("fig12a12b").expect("fig12a12b registered");
             check_ctx(&ctx, e);
-            run_one(e, &ctx, obs);
+            run_one(e, &ctx, obs, true);
         }
         id => match registry::find(id) {
             Ok(e) => {
                 check_ctx(&ctx, e);
-                run_one(e, &ctx, obs);
+                run_one(e, &ctx, obs, true);
             }
             Err(err) => usage(&err.to_string()),
         },
@@ -578,7 +580,11 @@ fn check_ctx(ctx: &ExperimentCtx, e: &'static dyn Experiment) {
     }
 }
 
-fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
+/// Runs one experiment and prints or writes what `obs` asks for. `named`:
+/// the artifact was named on its own, so sweep-only flags on a report
+/// without a sweep are a usage error; under `all` they act on the sweep
+/// experiments only.
+fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts, named: bool) {
     // Delete-before-run policy for the per-id artifacts: a stale trace or
     // checkpoint left by an aborted run of this id would
     // otherwise survive (and confuse verify.sh, which asserts on artifact
@@ -616,9 +622,9 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts) {
             std::process::exit(EXIT_FAILURE);
         }
     };
-    // Sweep-only flags on an experiment that ran no sweep are a usage
-    // error, reported before anything is printed or written.
-    if let Err(err) = ctx.validate_report(&report) {
+    // Sweep-only flags on a named experiment that ran no sweep are a
+    // usage error, reported before anything is printed or written.
+    if let (true, Err(err)) = (named, ctx.validate_report(&report)) {
         usage(&format!("{}: {err}", e.id()));
     }
     println!("{}", report.render());

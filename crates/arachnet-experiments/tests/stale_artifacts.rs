@@ -2,8 +2,9 @@
 //! aborted run can leave `TRACE_<id>.jsonl`, `TRACE_<id>.chrome.json`, and
 //! `CHECKPOINT_<id>.bin` behind; a fresh run of the same id must delete
 //! them, while `--resume` keeps the checkpoint it was asked to resume
-//! from. Sweep-only flags on an experiment that runs no sweep, and any
-//! flag a subcommand does not read, are usage errors that write nothing.
+//! from. Sweep-only flags on a named experiment that runs no sweep, and
+//! any flag a subcommand does not read, are usage errors that write
+//! nothing; under `all` the sweep-only flags act on the sweep experiments.
 
 use std::fs;
 use std::path::PathBuf;
@@ -87,6 +88,17 @@ fn sweep_only_flag_on_an_experiment_without_a_sweep_exits_2_and_writes_nothing()
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("runs no sweep"), "{stderr}");
     assert!(!dir.join("METRICS_table1.json").exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn all_applies_sweep_only_flags_to_its_sweep_experiments() {
+    let dir = scratch("allhalt");
+    let out = repro_in(&dir, &["all", "--quick", "--halt-after", "0", "--metrics"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let read = |id: &str| fs::read_to_string(dir.join(format!("METRICS_{id}.json"))).unwrap();
+    assert!(read("fig12a12b").contains("\"partial\":true"));
+    assert!(read("table1").contains("\"partial\":false"));
     let _ = fs::remove_dir_all(&dir);
 }
 
