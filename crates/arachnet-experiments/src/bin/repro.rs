@@ -62,7 +62,7 @@
 //! failure counted in `sweep.quarantined`.
 //!
 //! `--metrics` prints each experiment's sim-domain metric table (plus
-//! wall-domain diagnostics, which are never exported) and writes the
+//! wall-domain span totals, which are never exported) and writes the
 //! deterministic `METRICS_<id>.json` document — byte-identical at any
 //! `--threads` count. `--trace <tag|all>` dumps the flight-recorder events
 //! of a representative trial to `TRACE_<id>.jsonl` and prints a text
@@ -79,8 +79,7 @@ use arachnet_experiments::diff::diff_metrics;
 use arachnet_experiments::registry;
 use arachnet_experiments::report::{export_metrics, metrics_json, Experiment, ExperimentCtx};
 use arachnet_obs::{
-    chrome_trace, flush_warnings, render_timeline, set_default_ring_capacity, take_global_stats,
-    take_spans, SpanStat,
+    chrome_trace, flush_warnings, render_timeline, set_default_ring_capacity, take_spans, SpanStat,
 };
 use arachnet_sim::sweep::provenance_events;
 
@@ -700,11 +699,10 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts, named:
     }
 }
 
-/// Wall-clock diagnostics (spans, sweep utilization): printed for humans,
-/// never exported — they differ run to run and across thread counts.
+/// Wall-clock span totals: printed for humans, never exported — they
+/// differ run to run and across thread counts.
 fn print_wall_domain(spans: &[(&'static str, SpanStat)]) {
-    let globals = take_global_stats();
-    if spans.is_empty() && globals.counters.is_empty() && globals.histos.is_empty() {
+    if spans.is_empty() {
         return;
     }
     println!("-- wall-domain diagnostics (not exported) --");
@@ -713,17 +711,6 @@ fn print_wall_domain(spans: &[(&'static str, SpanStat)]) {
             "  {name:<28} {} calls, {:.3} ms total",
             s.calls,
             s.total_ns as f64 / 1e6
-        );
-    }
-    for (name, v) in &globals.counters {
-        println!("  {name:<28} {v}");
-    }
-    for (name, h) in &globals.histos {
-        println!(
-            "  {name:<28} n={} p50={} max={}",
-            h.count(),
-            h.p50(),
-            h.max()
         );
     }
 }

@@ -5,8 +5,8 @@
 //! branch and the *enabled* path stays allocation-free per event once the
 //! bounded buffers are warm:
 //!
-//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95/p99 readout for
-//!   wall-domain samples (global diagnostics, serve latencies). They
+//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95 readout for
+//!   wall-domain samples (the serve tier's request latencies). They
 //!   merge associatively, so per-thread instances folded in any order
 //!   reproduce the single-stream result bit for bit.
 //! * [`span`] — wall-clock timing of PHY/DSP stages with thread-local
@@ -36,7 +36,6 @@
 
 mod chrometrace;
 mod event;
-mod global;
 mod histo;
 mod jsonval;
 mod metrics;
@@ -47,7 +46,6 @@ mod warnsink;
 
 pub use chrometrace::{chrome_trace, TrialLane};
 pub use event::{DecodeFailReason, Event, EventKind, MigrateReason, KIND_COUNT, NO_TAG};
-pub use global::{global_counter_add, global_histo_record, take_global_stats, GlobalStats};
 pub use histo::Histo;
 pub use jsonval::{parse_json, JsonError, JsonValue};
 pub use metrics::{MetricSet, MetricValue};

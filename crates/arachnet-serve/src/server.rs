@@ -33,7 +33,7 @@
 
 use crate::proto::{decode_line, error_line, Request, ServeBeat, MAX_LINE_BYTES};
 use crate::queue::{Bounded, PushError};
-use arachnet_obs::{flush_thread_spans, global_counter_add, span, warn_str, Histo};
+use arachnet_obs::{flush_thread_spans, span, warn_str, Histo};
 use arachnet_sim::wavesim::WaveSim;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -245,7 +245,7 @@ impl ServerHandle {
             let h = s.latency_us.lock().unwrap_or_else(|e| e.into_inner());
             (h.p50(), h.p95())
         };
-        let stats = ServeStats {
+        ServeStats {
             requests: s.requests.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
@@ -257,16 +257,7 @@ impl ServerHandle {
             p95_us,
             deadlines: s.deadlines.load(Ordering::Relaxed),
             orphaned: s.orphaned.load(Ordering::Relaxed),
-        };
-        // Mirror the tallies into the process-wide obs counters so
-        // `repro serve` reports them alongside everything else.
-        global_counter_add("serve.requests", stats.requests);
-        global_counter_add("serve.completed", stats.completed);
-        global_counter_add("serve.rejected", stats.rejected);
-        global_counter_add("serve.malformed", stats.malformed);
-        global_counter_add("serve.batches", stats.batches);
-        global_counter_add("serve.deadlines", stats.deadlines);
-        stats
+        }
     }
 }
 

@@ -69,10 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use arachnet_obs::{
-    flush_thread_spans, global_counter_add, global_histo_record, span, Event, EventKind, TrialLane,
-    NO_TAG,
-};
+use arachnet_obs::{flush_thread_spans, span, Event, EventKind, TrialLane, NO_TAG};
 
 use crate::codec::TrialCodec;
 
@@ -986,16 +983,7 @@ where
         .collect();
     let workers = cfg.threads.clamp(1, pending.len().max(1));
 
-    // Wall-domain utilization stats land in the obs globals; `take_global_stats`
-    // reads them out. They are diagnostics about this host's scheduling, so
-    // they are never part of the deterministic metrics export (DESIGN.md §11).
     let _sweep_span = span("sweep.run");
-    global_counter_add("sweep.sweeps", 1);
-    global_counter_add("sweep.trials", trials);
-    global_counter_add("sweep.workers", workers as u64);
-    if restored > 0 {
-        global_counter_add("sweep.resumed_trials", restored);
-    }
 
     let deadline = pol.budget.map(|b| Instant::now() + b);
     let next_job = AtomicU64::new(0);
@@ -1029,7 +1017,6 @@ where
                             }),
                         );
                     }
-                    global_counter_add("sweep.retries", 1);
                 }
             }
         }
@@ -1103,9 +1090,6 @@ where
             checkpoint_one(out.0, out.1, &out.2);
             local.push(out);
         }
-        // How evenly the shared counter spread jobs across workers (a
-        // proxy for steal balance).
-        global_histo_record("sweep.jobs_per_worker", local.len() as u64);
         pool.help(|trial, start| {
             if cfg.lanes {
                 lane(trial, start, true, true);
@@ -1117,9 +1101,7 @@ where
     let mut worker_deaths: Vec<String> = Vec::new();
     let mut outputs: Vec<JobOutput<T>> = Vec::new();
     let mut all_lanes: Vec<TrialLane> = Vec::new();
-    // A fully restored (or zero-trial) sweep dispatches nothing — and
-    // records no jobs_per_worker sample, so readers of that histogram must
-    // tolerate its absence.
+    // A fully restored (or zero-trial) sweep dispatches nothing.
     if !pending.is_empty() {
         std::thread::scope(|scope| {
             let work = &work;
@@ -1194,12 +1176,6 @@ where
         stats.retried += u64::from(attempts_of[i].saturating_sub(1));
     }
     stats.partial = stats.skipped > 0;
-    if stats.quarantined > 0 {
-        global_counter_add("sweep.quarantined", stats.quarantined);
-    }
-    if stats.skipped > 0 {
-        global_counter_add("sweep.budget_skipped", stats.skipped);
-    }
 
     // --- finalize the checkpoint ----------------------------------------
     {
@@ -1445,37 +1421,11 @@ mod tests {
 
     #[test]
     fn more_threads_than_trials_is_fine() {
-        // Regression: 8 requested workers with 2 trials must neither
-        // spawn idle workers nor panic any utilization bookkeeping.
+        // Regression: 8 requested workers with 2 trials must not spawn
+        // idle workers.
         let cfg = SweepConfig::new(3).with_threads(8);
         let out = run_sweep(&cfg, 2, |i, _| i * 10).results;
         assert_eq!(out, vec![Ok(0), Ok(10)]);
-        // The jobs_per_worker histogram may have been drained by a
-        // concurrent test (the global sinks are process-wide), so its
-        // absence is tolerated — the old `.expect()` here was the bug.
-        let stats = arachnet_obs::take_global_stats();
-        if let Some(jobs) = stats.histos.get("sweep.jobs_per_worker") {
-            assert!(jobs.count() >= 1);
-        }
-    }
-
-    #[test]
-    fn sweeps_publish_worker_utilization_stats() {
-        // Utilization diagnostics land in the process-global obs sinks.
-        // Other tests in this binary also run sweeps concurrently, so the
-        // assertions are lower bounds, never exact counts — and a
-        // concurrent `take_global_stats` can have drained a sink entirely,
-        // so presence is checked gracefully instead of `.expect()`ed.
-        let cfg = SweepConfig::new(77).with_threads(3);
-        let out = run_sweep(&cfg, 12, |i, _| i + 1).results;
-        assert_eq!(out.len(), 12);
-        let stats = arachnet_obs::take_global_stats();
-        if let Some(jobs) = stats.histos.get("sweep.jobs_per_worker") {
-            assert!(jobs.count() >= 1, "at least this sweep's workers sampled");
-        }
-        if let Some(&trials) = stats.counters.get("sweep.trials") {
-            assert!(trials >= 12, "sweep.trials: {trials}");
-        }
     }
 
     #[test]
