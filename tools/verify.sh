@@ -5,8 +5,8 @@
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
 # gate (dyn-churn, fig12a12b and dyn-drift at 1/2/8 threads) and the rejection of
-# sweep-only flags on a sweep-less experiment, the run-telemetry smoke
-# (journal heartbeats parse, chrome trace loads), the serve smoke
+# sweep-only flags on a sweep-less experiment, the Chrome trace smoke
+# (worker lanes and sim events load), the serve smoke
 # (admission control, structured errors, graceful drain over a real
 # socket), hygiene (no tracked target/ artifacts, rustfmt-clean sources,
 # rustdoc-clean docs), and the epoch-selection, recorder-overhead and
@@ -170,32 +170,8 @@ fi
 echo "   table1 --halt-after 1: exit 2, nothing written"
 rm -rf "$ndir"
 
-echo "== run telemetry: journal heartbeats + chrome trace (seed $seed) =="
+echo "== chrome trace: worker lanes + sim events (seed $seed) =="
 tdir="$(mktemp -d)"
-(cd "$tdir" && "$OLDPWD/$repro" metrics dyn-soak --quick --seed "$seed" --threads 2 \
-   --journal > stdout.txt 2> stderr.txt)
-if [ ! -s "$tdir/JOURNAL_dyn-soak.jsonl" ]; then
-  echo "FAIL: --journal produced no JOURNAL_dyn-soak.jsonl" >&2
-  exit 1
-fi
-if ! grep -q '\[journal\]' "$tdir/stderr.txt"; then
-  echo "FAIL: --journal did not stream a progress line to stderr" >&2
-  exit 1
-fi
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tdir/JOURNAL_dyn-soak.jsonl" <<'PYEOF'
-import json, sys
-lines = open(sys.argv[1]).read().splitlines()
-assert lines, "empty journal"
-for line in lines:
-    beat = json.loads(line)
-assert beat["done"] is True, beat
-assert beat["completed"] == beat["trials"], beat
-PYEOF
-  echo "   dyn-soak: journal heartbeats parse line by line, final beat done"
-else
-  echo "   dyn-soak: journal written (python3 unavailable, line check skipped)"
-fi
 (cd "$tdir" && "$OLDPWD/$repro" trace dyn-churn --quick --seed "$seed" --threads 2 \
    --chrome > /dev/null)
 if [ ! -s "$tdir/TRACE_dyn-churn.chrome.json" ]; then
@@ -348,9 +324,8 @@ else
   echo "== recorder-overhead bench gate =="
   # The committed BENCH_phy.json median is the pre-observability baseline;
   # `uplink_trial` now runs through the instrumented path with a disabled
-  # recorder — and the run-telemetry layer (journal/watchdog/lanes) is
-  # compiled in but off — so a regression here means observability is not
-  # free when unused. The serve tier rides the same gate: arachnet-serve
+  # recorder — and trial-lane capture is compiled in but off — so a
+  # regression here means observability is not free when unused. The serve tier rides the same gate: arachnet-serve
   # is linked into the workspace but must stay off the PHY hot path, so
   # the fresh-run median moving past the committed baseline also catches
   # the serving work leaking cost into the trial loop.
