@@ -585,9 +585,9 @@ fn check_ctx(ctx: &ExperimentCtx, e: &'static dyn Experiment) {
 /// experiments only.
 fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts, named: bool) {
     // Delete-before-run policy for the per-id artifacts: a stale trace or
-    // checkpoint left by an aborted run of this id would
-    // otherwise survive (and confuse verify.sh, which asserts on artifact
-    // presence after a run). The checkpoint is kept when --resume asked
+    // checkpoint left by an aborted run of this id would otherwise survive
+    // (and confuse verify.sh, which asserts on artifact presence after a
+    // run). The checkpoint is kept when --resume asked
     // for it, and the trace files are only stale if this invocation is
     // not about to rewrite them anyway.
     if !ctx.is_resume() {

@@ -990,7 +990,6 @@ where
     let pool = Arc::new(HelpPool::default());
     let starved = AtomicBool::new(false);
     let sink: Mutex<Option<CkptWriter>> = Mutex::new(writer);
-    let started = Instant::now();
 
     let one_job = |i: u64| -> JobOutput<T> {
         let first = seed_of(i);
@@ -1045,6 +1044,7 @@ where
     };
 
     // Wall µs since the sweep started, the clock of the trial lanes.
+    let started = Instant::now();
     let lane_us = |at: Instant| {
         let d = at.saturating_duration_since(started);
         d.as_micros().min(u64::MAX as u128) as u64
