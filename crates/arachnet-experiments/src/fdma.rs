@@ -120,18 +120,24 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
             .iter()
             .filter_map(|r| r.as_ref().ok())
             .fold((0u64, 0u64), |(a, b), &(o, t)| (a + o, b + t));
-        // Aggregate throughput: concurrent packets per slot × success rate,
-        // normalized to the single-FM0-packet baseline.
-        let success = ok as f64 / total.max(1) as f64;
-        rows.push(vec![
-            Cell::label(format!("{concurrent}")),
-            Cell::fill(
-                "{ok}/{total}",
-                &[("ok", Num::Int(ok)), ("total", Num::Int(total))],
-            ),
-            Num::Real(success * 100.0, 1).into(),
-            Num::Real(concurrent as f64 * success, 2).into(),
-        ]);
+        let mut row = vec![Cell::label(format!("{concurrent}"))];
+        if total == 0 {
+            // A point whose slots never ran prints `-`.
+            row.extend([Num::Absent.into(), Num::Absent.into(), Num::Absent.into()]);
+        } else {
+            // Aggregate throughput: concurrent packets per slot × success
+            // rate, normalized to the single-FM0-packet baseline.
+            let success = ok as f64 / total as f64;
+            row.extend([
+                Cell::fill(
+                    "{ok}/{total}",
+                    &[("ok", Num::Int(ok)), ("total", Num::Int(total))],
+                ),
+                Num::Real(success * 100.0, 1).into(),
+                Num::Real(concurrent as f64 * success, 2).into(),
+            ]);
+        }
+        rows.push(row);
     }
     Report::single(
         Section::new(

@@ -16,7 +16,10 @@
 //!   fixed-grid sampler over a 64-raw-bit packet;
 //! * collision detection (Sec. 5.3) clusters the decimated IQ samples: one
 //!   backscatterer makes ≤2 clusters, two make up to 4 — "if more than two
-//!   clusters are identified, we infer that a collision has occurred".
+//!   clusters are identified, we infer that a collision has occurred". Only
+//!   the MAC reads that verdict, so it is a call of its own,
+//!   [`UplinkReceiver::iq_clusters`], over the IQ the slot's decode left in
+//!   the scratch: a caller that only wants the packet never clusters.
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::{self, Fm0Encoder};
@@ -34,18 +37,20 @@ const MIN_WELCH_SEG: usize = 256;
 
 /// Reusable per-worker working set for the RX chain. Every buffer that
 /// scales with the waveform — mix → decimate, the projection, its
-/// percentile and step copies, the clustering sub-sample and the edge
-/// list — lives here, so a warm receiver allocates none of them again.
-/// The SNR path holds no waveform-length buffer: one carrier period of
-/// corrections, the Welch scratch (one segment of at most 8192 samples,
-/// cleaned as Welch asks for it) and the PSD. A slot still allocates a
-/// small, bounded working set: `cluster_iq` builds its seeds, assignment
-/// and per-k centers on every call (at most ~1500 sub-sampled points), and
-/// the edge decoder builds its transition and bit-clock lists and up to
-/// two `BitBuf`s (sized by the edge count). Scratch contents never influence
-/// results — only capacities persist between calls — so sharing one
-/// scratch per worker thread keeps sweep results bit-identical at any
-/// thread count.
+/// percentile copy and the edge list for the decode; the step copies and
+/// the clustering sub-sample for the collision verdict — lives here, so a
+/// warm receiver allocates none of them again. The SNR path holds no
+/// waveform-length buffer: one carrier period of corrections, the Welch
+/// scratch (one segment of at most 8192 samples, cleaned as Welch asks for
+/// it) and the PSD. A decode still allocates a small, bounded working set:
+/// the edge decoder builds its transition and bit-clock lists and up to two
+/// `BitBuf`s (sized by the edge count). The verdict call adds
+/// `cluster_iq`'s seeds, assignment and per-k centers (at most ~1500
+/// sub-sampled points). Scratch contents never influence results — only
+/// capacities persist between calls — with one exception:
+/// [`UplinkReceiver::iq_clusters`] reads the IQ that the last
+/// [`UplinkReceiver::process_slot_with`] left. So sharing one scratch per
+/// worker thread keeps sweep results bit-identical at any thread count.
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
     iq: Vec<Cplx>,
@@ -92,10 +97,6 @@ impl Default for RxConfig {
 pub struct SlotRx {
     /// CRC-valid decoded packet, if any.
     pub packet: Option<UlPacket>,
-    /// Collision verdict from IQ clustering.
-    pub collision: bool,
-    /// Number of significant IQ clusters observed.
-    pub clusters: usize,
     /// Envelope edges detected (diagnostics).
     pub edges: usize,
     /// Why no packet was decoded (`None` when `packet` is `Some`).
@@ -113,8 +114,6 @@ impl SlotRx {
     pub fn empty() -> Self {
         Self {
             packet: None,
-            collision: false,
-            clusters: 1,
             edges: 0,
             fail: Some(DecodeFailReason::NoModulation),
         }
@@ -271,26 +270,26 @@ impl UplinkReceiver {
 
     /// [`UplinkReceiver::process_slot`] over a caller-owned scratch: bit-
     /// identical results, but a warm scratch keeps every waveform-sized
-    /// buffer (see [`RxScratch`]). Keep one scratch per worker thread.
+    /// buffer (see [`RxScratch`]). Keep one scratch per worker thread. The
+    /// slot's decimated IQ stays in the scratch for
+    /// [`UplinkReceiver::iq_clusters`].
     pub fn process_slot_with(&self, wave: &[f64], scratch: &mut RxScratch) -> SlotRx {
-        if wave.len() < 64 {
-            return SlotRx {
-                fail: Some(DecodeFailReason::TooShort),
-                ..SlotRx::empty()
-            };
-        }
         let RxScratch {
             iq,
             tmp,
             proj,
             proj_sel,
-            steps,
-            steps_sel,
-            settled,
-            sub,
             edges,
             ..
         } = scratch;
+        if wave.len() < 64 {
+            // No IQ either, so the verdict reads one cluster.
+            iq.clear();
+            return SlotRx {
+                fail: Some(DecodeFailReason::TooShort),
+                ..SlotRx::empty()
+            };
+        }
         self.to_baseband_into(wave, iq, tmp);
         let n = iq.len() as f64;
         let mean = iq.iter().fold(Cplx::ZERO, |a, &z| a + z) / n;
@@ -318,23 +317,15 @@ impl UplinkReceiver {
         let (lo, hi) = order_stats(proj_sel, p(0.05), p(0.95));
         let mid = 0.5 * (lo + hi);
         let range = hi - lo;
-        let clusters = Self::count_clusters(iq, steps, steps_sel, settled, sub);
-        let collision = clusters > 2;
         let leak_scale = mean.abs().max(1e-12);
         if !range.is_finite() || range < self.cfg.min_contrast * leak_scale {
             // A non-finite range means NaN/Inf samples poisoned the
             // percentiles (degenerate channel config); there is no usable
             // modulation contrast either way, and building a Schmitt slicer
             // from non-finite thresholds would panic.
-            // No modulation: empty slot (but clustering may still have seen
-            // something odd; keep its verdict).
-            return SlotRx {
-                packet: None,
-                collision,
-                clusters,
-                edges: 0,
-                fail: Some(DecodeFailReason::NoModulation),
-            };
+            // No modulation: empty slot (clustering may still see something
+            // odd in the IQ it leaves).
+            return SlotRx::empty();
         }
 
         let mut slicer = Schmitt::new(mid + 0.2 * range * 0.5, mid - 0.2 * range * 0.5);
@@ -347,26 +338,30 @@ impl UplinkReceiver {
         };
         SlotRx {
             packet,
-            collision,
-            clusters,
             edges: edges.len(),
             fail,
         }
     }
 
-    /// Counts significant IQ clusters (sub-sampled for speed).
+    /// Counts the significant IQ clusters of the slot that the last
+    /// [`UplinkReceiver::process_slot_with`] over `scratch` decoded (the
+    /// Sec. 5.3 collision verdict: more than two means a collision). The
+    /// IQ is sub-sampled for speed; a slot too short to decode reads one
+    /// cluster.
     ///
     /// Samples in the middle of a symbol transition (the anti-alias ramp)
     /// sit between constellation points and inflate the within-cluster
     /// spread, hiding weak tags' states; they are removed by a local
     /// derivative test before clustering.
-    fn count_clusters(
-        iq: &[Cplx],
-        steps: &mut Vec<f64>,
-        steps_sel: &mut Vec<f64>,
-        settled: &mut Vec<Cplx>,
-        sub: &mut Vec<Cplx>,
-    ) -> usize {
+    pub fn iq_clusters(&self, scratch: &mut RxScratch) -> usize {
+        let RxScratch {
+            iq,
+            steps,
+            steps_sel,
+            settled,
+            sub,
+            ..
+        } = scratch;
         if iq.len() < 3 {
             return 1;
         }
@@ -671,6 +666,14 @@ mod tests {
         ch.uplink_waveform(&[(tid, &states)], len)
     }
 
+    /// Decodes `wave` and reads the slot's collision verdict over one
+    /// fresh scratch.
+    fn decode_and_cluster(rx: &UplinkReceiver, wave: &[f64]) -> (SlotRx, usize) {
+        let mut scratch = RxScratch::default();
+        let out = rx.process_slot_with(wave, &mut scratch);
+        (out, rx.iq_clusters(&mut scratch))
+    }
+
     #[test]
     fn nan_bearing_waveform_does_not_panic_the_rx_chain() {
         // Regression: the adaptive-slicing percentile sort used
@@ -698,9 +701,12 @@ mod tests {
         let pkt = UlPacket::new(8, 0xABC).unwrap();
         let wave = tag_waveform(&ch, 8, &pkt, 375.0);
         let rx = UplinkReceiver::new(RxConfig::default());
-        let out = rx.process_slot(&wave);
+        let (out, clusters) = decode_and_cluster(&rx, &wave);
         assert_eq!(out.packet, Some(pkt));
-        assert!(!out.collision, "single tag flagged as collision: {out:?}");
+        assert!(
+            clusters <= 2,
+            "single tag flagged as collision: {clusters} clusters"
+        );
     }
 
     #[test]
@@ -710,13 +716,7 @@ mod tests {
         let wave = tag_waveform(&ch, 11, &pkt, 375.0);
         let rx = UplinkReceiver::new(RxConfig::default());
         let out = rx.process_slot(&wave);
-        assert_eq!(
-            out.packet,
-            Some(pkt),
-            "edges={} clusters={}",
-            out.edges,
-            out.clusters
-        );
+        assert_eq!(out.packet, Some(pkt), "edges={}", out.edges);
     }
 
     #[test]
@@ -739,9 +739,9 @@ mod tests {
         let ch = channel(NoiseConfig::default());
         let wave = ch.uplink_waveform(&[], 100_000);
         let rx = UplinkReceiver::new(RxConfig::default());
-        let out = rx.process_slot(&wave);
+        let (out, clusters) = decode_and_cluster(&rx, &wave);
         assert_eq!(out.packet, None);
-        assert!(!out.collision);
+        assert!(clusters <= 2, "{clusters} clusters");
     }
 
     #[test]
@@ -765,8 +765,8 @@ mod tests {
         let len = s1.len();
         let wave = ch.uplink_waveform(&[(8, &s1), (7, &s2)], len);
         let rx = UplinkReceiver::new(RxConfig::default());
-        let out = rx.process_slot(&wave);
-        assert!(out.collision, "clusters={}", out.clusters);
+        let (_, clusters) = decode_and_cluster(&rx, &wave);
+        assert!(clusters > 2, "clusters={clusters}");
     }
 
     #[test]
@@ -850,9 +850,9 @@ mod tests {
     fn short_waveform_is_empty() {
         let rx = UplinkReceiver::new(RxConfig::default());
         for len in [0, 10] {
-            let out = rx.process_slot(&vec![0.0; len]);
+            let (out, clusters) = decode_and_cluster(&rx, &vec![0.0; len]);
             assert_eq!(out.packet, None);
-            assert!(!out.collision);
+            assert_eq!(clusters, 1);
             assert_eq!(out.fail, Some(DecodeFailReason::TooShort));
         }
         // Shorter than one Welch segment: no SNR, and no panic.
@@ -1101,11 +1101,81 @@ mod tests {
         let rx = UplinkReceiver::new(RxConfig::default());
         let fresh_slot = rx.process_slot(&wave);
         let fresh_snr = rx.uplink_snr_db(&wave);
+        let (_, fresh_clusters) = decode_and_cluster(&rx, &wave);
         let mut scratch = RxScratch::default();
         rx.process_slot_with(&idle, &mut scratch);
+        rx.iq_clusters(&mut scratch);
         rx.uplink_snr_db_with(&idle, &mut scratch);
         assert_eq!(rx.process_slot_with(&wave, &mut scratch), fresh_slot);
+        // The SNR leaves the decode's IQ in place for the verdict.
         assert_eq!(rx.uplink_snr_db_with(&wave, &mut scratch), fresh_snr);
+        assert_eq!(rx.iq_clusters(&mut scratch), fresh_clusters);
         assert_eq!(fresh_slot.packet, Some(pkt));
+        assert_eq!(fresh_clusters, 2);
+        // A slot too short to decode leaves no IQ behind, so it reads one
+        // cluster, not the long slot's two.
+        let short = rx.process_slot_with(&wave[..63], &mut scratch);
+        assert_eq!(short.fail, Some(DecodeFailReason::TooShort));
+        assert_eq!(rx.iq_clusters(&mut scratch), 1);
+    }
+
+    #[test]
+    fn decode_leaves_the_verdict_buffers_unallocated() {
+        let ch = channel(NoiseConfig::default());
+        let pkt = UlPacket::new(8, 0x3C3).unwrap();
+        let wave = tag_waveform(&ch, 8, &pkt, 375.0);
+        let rx = UplinkReceiver::new(RxConfig::default());
+        let mut scratch = RxScratch::default();
+        assert_eq!(rx.process_slot_with(&wave, &mut scratch).packet, Some(pkt));
+        // Every field by name, so a new buffer has to be listed here. The
+        // decode fills its own buffers and never touches the verdict's or
+        // the SNR's.
+        let RxScratch {
+            iq,
+            tmp,
+            proj,
+            proj_sel,
+            steps,
+            steps_sel,
+            settled,
+            sub,
+            edges,
+            corr,
+            welch: _,
+            psd,
+        } = &scratch;
+        let decode = [
+            iq.capacity(),
+            tmp.capacity(),
+            proj.capacity(),
+            proj_sel.capacity(),
+            edges.capacity(),
+        ];
+        assert!(decode.iter().all(|&c| c > 0), "{decode:?}");
+        let idle = [
+            steps.capacity(),
+            steps_sel.capacity(),
+            settled.capacity(),
+            sub.capacity(),
+            corr.capacity(),
+            psd.density.capacity(),
+        ];
+        assert_eq!(idle, [0; 6]);
+        // The verdict call is what allocates the clustering buffers.
+        rx.iq_clusters(&mut scratch);
+        let RxScratch {
+            steps,
+            steps_sel,
+            settled,
+            sub,
+            ..
+        } = &scratch;
+        let verdict = [
+            steps.capacity(),
+            steps_sel.capacity(),
+            settled.capacity(),
+            sub.capacity(),
+        ];
+        assert!(verdict.iter().all(|&c| c > 0), "{verdict:?}");
     }
 }

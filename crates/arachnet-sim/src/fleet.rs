@@ -246,7 +246,9 @@ impl FleetWaveSim {
                     let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
                     recorder.record(i, tid, EventKind::DecodeFail { reason });
                 }
-                if k > 1 && (!ok || out.collision) {
+                // The SNR above leaves the decode's IQ in place, and only a
+                // packet that arrived needs the verdict.
+                if k > 1 && (!ok || rx.iq_clusters(&mut s.rx) > 2) {
                     cross += 1;
                     recorder.record(
                         i,

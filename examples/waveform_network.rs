@@ -26,8 +26,8 @@ fn main() {
     let mut clean = 0u32;
     for slot in 1..=120u64 {
         let s = sim.step();
-        let saw = if s.rx.collision {
-            format!("COLLISION ({} IQ clusters)", s.rx.clusters)
+        let saw = if s.collision {
+            format!("COLLISION ({} IQ clusters)", s.clusters)
         } else if let Some(pkt) = s.rx.packet {
             format!("packet tid={} ok", pkt.tid())
         } else {
@@ -40,7 +40,7 @@ fn main() {
                 sim.settled()
             );
         }
-        if s.rx.collision {
+        if s.collision {
             clean = 0;
         } else {
             clean += 1;

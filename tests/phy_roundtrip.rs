@@ -2,7 +2,7 @@
 
 use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::packet::{DlBeacon, DlCmd, UlPacket};
-use arachnet_reader::rx::{RxConfig, UplinkReceiver};
+use arachnet_reader::rx::{RxConfig, RxScratch, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_sim::wavesim::WaveSim;
 use arachnet_tag::demod::PieDemodulator;
@@ -36,12 +36,17 @@ fn uplink_wave(ch: &BiwChannel, tid: u8, pkt: &UlPacket, bps: f64) -> Vec<f64> {
 fn every_tag_uplink_decodes_at_default_rate() {
     let ch = channel(NoiseConfig::default(), 21);
     let rx = UplinkReceiver::new(RxConfig::default());
+    let mut scratch = RxScratch::default();
     for tid in 1..=12u8 {
         let pkt = UlPacket::new(tid, 0x700 | u16::from(tid)).unwrap();
         let wave = uplink_wave(&ch, tid, &pkt, 375.0);
-        let out = rx.process_slot(&wave);
+        let out = rx.process_slot_with(&wave, &mut scratch);
         assert_eq!(out.packet, Some(pkt), "tag {tid} failed");
-        assert!(!out.collision, "tag {tid} falsely flagged");
+        let clusters = rx.iq_clusters(&mut scratch);
+        assert!(
+            clusters <= 2,
+            "tag {tid} falsely flagged: {clusters} clusters"
+        );
     }
 }
 
@@ -103,6 +108,7 @@ fn all_dl_commands_roundtrip_through_edges() {
 fn collisions_flagged_for_tag_pairs() {
     let ch = channel(NoiseConfig::silent(), 24);
     let rx = UplinkReceiver::new(RxConfig::default());
+    let mut scratch = RxScratch::default();
     let spb = (500_000.0f64 / 375.0).round() as usize;
     let mk = |tid: u8, payload: u16| {
         let pkt = UlPacket::new(tid, payload).unwrap();
@@ -118,11 +124,11 @@ fn collisions_flagged_for_tag_pairs() {
         let sb = mk(b, 0xEAA);
         let len = sa.len();
         let wave = ch.uplink_waveform(&[(a, &sa), (b, &sb)], len);
-        let out = rx.process_slot(&wave);
+        rx.process_slot_with(&wave, &mut scratch);
+        let clusters = rx.iq_clusters(&mut scratch);
         assert!(
-            out.collision,
-            "pair ({a},{b}) not flagged: {} clusters",
-            out.clusters
+            clusters > 2,
+            "pair ({a},{b}) not flagged: {clusters} clusters"
         );
     }
 }

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use arachnet_experiments::registry;
-use arachnet_experiments::report::{export_metrics, metrics_json, Experiment, ExperimentCtx};
+use arachnet_experiments::report::{export_metrics, metrics_json, Experiment, ExperimentCtx, Num};
 use arachnet_experiments::resilience::Resilience;
 
 const SEED: u64 = 9;
@@ -199,4 +199,16 @@ fn every_experiment_reports_a_run_halted_before_its_sweep_finished() {
     let count = |kind: &str| m.get_count(&format!("sim.events.{kind}")).unwrap_or(0);
     assert_eq!(lost, count("decode_fail"));
     assert_eq!(count("decoded") + count("decode_fail"), 3);
+    // An FDMA point whose slots never ran measures nothing either: its
+    // packets-ok, success and throughput cells print `-` and export null.
+    let fdma = registry::find("fdma").unwrap().run(&ctx_halt(0));
+    let cells = fdma.measured();
+    assert_eq!(cells.len(), 4 * 3, "{cells:?}");
+    assert!(
+        cells.iter().all(|(_, num)| *num == Num::Absent),
+        "{cells:?}"
+    );
+    let doc = metrics_json("fdma", &fdma);
+    assert!(doc.contains("\"fdma.2.success\":null"), "{doc}");
+    assert!(!fdma.render().contains("0/0"));
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: build, lint, full test suite, the benchmark's
 # self-tests plus one short checked benchmark run, a quick pass over every
-# registered experiment, the parallel-sweep determinism check
+# registered experiment, a full seed-1 run byte-identical to
+# repro_output.txt, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
 # gate (dyn-churn, fig12a12b and dyn-drift at 1/2/8 threads) and the rejection of
@@ -69,6 +70,22 @@ echo "   perfbench: self-tests pass, uplink-sweep seed 7 correct (re-checked aga
 
 echo "== quick pass over every artifact =="
 "$repro" all --quick --seed "$seed" > /dev/null
+
+echo "== full seed-1 run equals repro_output.txt =="
+# repro_output.txt is the recorded full run (seed 1, the default) that
+# EXPERIMENTS.md quotes. A change that moves no number must reproduce it
+# byte for byte; one that does must regenerate it on purpose. Pinned to
+# seed 1, whatever seed this script was given.
+full_out="$(mktemp)"
+"$repro" all --threads 2 > "$full_out"
+if ! cmp -s repro_output.txt "$full_out"; then
+  echo "FAIL: a full seed-1 repro all --threads 2 differs from repro_output.txt:" >&2
+  diff repro_output.txt "$full_out" >&2 || true
+  rm -f "$full_out"
+  exit 1
+fi
+rm -f "$full_out"
+echo "   repro all --threads 2: byte-identical to repro_output.txt"
 
 echo "== registry coverage: dynamic-scenario + multi-reader experiments =="
 # Capture once and grep the file: `repro list | grep -q` can close the
