@@ -366,13 +366,6 @@ impl FleetReceiver {
         self.rx.process_slot_with(&scratch.cleaned, &mut scratch.rx)
     }
 
-    /// The collision verdict's cluster count for the slot the last
-    /// [`FleetReceiver::process_slot_with`] over `scratch` decoded, after
-    /// its interference rejection (see [`UplinkReceiver::iq_clusters`]).
-    pub fn iq_clusters(&self, scratch: &mut FleetRxScratch) -> usize {
-        self.rx.iq_clusters(&mut scratch.rx)
-    }
-
     /// SNR of the slot after interference rejection (the fleet analogue of
     /// [`UplinkReceiver::uplink_snr_db_with`]).
     pub fn uplink_snr_db_with(&self, wave: &[f64], scratch: &mut FleetRxScratch) -> f64 {

@@ -246,9 +246,10 @@ impl FleetWaveSim {
                     let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
                     recorder.record(i, tid, EventKind::DecodeFail { reason });
                 }
-                // The SNR above leaves the decode's IQ in place, and only a
-                // packet that arrived needs the verdict.
-                if k > 1 && (!ok || rx.iq_clusters(&mut s.rx) > 2) {
+                // Only a packet that arrived needs the verdict, which reads
+                // the IQ the decode left after rejection (the SNR above
+                // leaves it in place).
+                if k > 1 && (!ok || rx.inner().iq_clusters(&mut s.rx.rx) > 2) {
                     cross += 1;
                     recorder.record(
                         i,
