@@ -123,7 +123,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         let mut row = vec![Cell::label(format!("{concurrent}"))];
         if total == 0 {
             // A point whose slots never ran prints `-`.
-            row.extend([Num::Absent.into(), Num::Absent.into(), Num::Absent.into()]);
+            row.extend([Num::Absent; 3].map(Cell::from));
         } else {
             // Aggregate throughput: concurrent packets per slot × success
             // rate, normalized to the single-FM0-packet baseline.

@@ -16,10 +16,10 @@
 //!   fixed-grid sampler over a 64-raw-bit packet;
 //! * collision detection (Sec. 5.3) clusters the decimated IQ samples: one
 //!   backscatterer makes ≤2 clusters, two make up to 4 — "if more than two
-//!   clusters are identified, we infer that a collision has occurred". Only
-//!   the MAC reads that verdict, so it is a call of its own,
-//!   [`UplinkReceiver::iq_clusters`], over the IQ the slot's decode left in
-//!   the scratch: a caller that only wants the packet never clusters.
+//!   clusters are identified, we infer that a collision has occurred". The
+//!   verdict is MAC feedback that a packet-loss count does not need, so it
+//!   is a call of its own, [`UplinkReceiver::iq_clusters`], over the IQ the
+//!   slot's decode left in the scratch: a decode alone never clusters.
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::{self, Fm0Encoder};
@@ -323,8 +323,8 @@ impl UplinkReceiver {
             // percentiles (degenerate channel config); there is no usable
             // modulation contrast either way, and building a Schmitt slicer
             // from non-finite thresholds would panic.
-            // No modulation: empty slot (clustering may still see something
-            // odd in the IQ it leaves).
+            // No modulation: empty slot. The IQ stays for the verdict, which
+            // may still see something odd in it.
             return SlotRx::empty();
         }
 
