@@ -257,17 +257,6 @@ impl TagMac {
         // that just charged up really is new.)
         self.new_arrival = false;
     }
-
-    /// Test/analysis hook: force a specific offset (e.g. to replay the
-    /// Table 1 layout). Not reachable from the protocol itself.
-    pub fn force_schedule(&mut self, state: MacState, offset: u32) {
-        assert!(offset < self.period.get());
-        self.state = state;
-        self.offset = offset;
-        if state == MacState::Settle {
-            self.integrated = true;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -612,14 +601,5 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn force_schedule_sets_state() {
-        let mut tag = mk(8, 41);
-        tag.force_schedule(MacState::Settle, 5);
-        assert_eq!(tag.state(), MacState::Settle);
-        assert_eq!(tag.offset(), 5);
-        assert!(tag.is_integrated());
     }
 }

@@ -134,23 +134,6 @@ impl PulseDecoder {
         }
         Some(ticks > self.threshold())
     }
-
-    /// Decodes a sequence of measured pulse durations into bits; `None` if
-    /// any pulse is unclassifiable.
-    pub fn decode_pulses(&self, pulses: &[f64]) -> Option<BitBuf> {
-        let mut out = BitBuf::with_capacity(pulses.len());
-        for &p in pulses {
-            out.push(self.classify(p)?);
-        }
-        Some(out)
-    }
-}
-
-/// Converts a data bit sequence into the nominal high-pulse durations (in
-/// raw intervals) the reader transmits — the reader-side dual of
-/// [`PulseDecoder`].
-pub fn nominal_pulses<I: Iterator<Item = bool>>(data: I) -> Vec<f64> {
-    data.map(|b| if b { 2.0 } else { 1.0 }).collect()
 }
 
 #[cfg(test)]
@@ -255,23 +238,5 @@ mod tests {
         // ±20% timing error must not flip a symbol.
         assert_eq!(d.classify(48.0 * 1.2), Some(false));
         assert_eq!(d.classify(96.0 * 0.8), Some(true));
-    }
-
-    #[test]
-    fn decode_pulses_roundtrip() {
-        let data = [true, false, true, true, false];
-        let d = PulseDecoder::new(48.0);
-        let pulses: Vec<f64> = nominal_pulses(data.into_iter())
-            .into_iter()
-            .map(|p| p * 48.0)
-            .collect();
-        let dec = d.decode_pulses(&pulses).unwrap();
-        assert_eq!(dec.to_bools(), data);
-    }
-
-    #[test]
-    fn decode_pulses_fails_on_any_glitch() {
-        let d = PulseDecoder::new(48.0);
-        assert!(d.decode_pulses(&[48.0, 5.0, 96.0]).is_none());
     }
 }

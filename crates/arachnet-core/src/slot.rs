@@ -84,19 +84,6 @@ pub fn viable_offset(p: Period, fixed: &[Schedule]) -> Option<u32> {
     })
 }
 
-/// All viable offsets for a tag with period `p` given fixed schedules.
-pub fn viable_offsets(p: Period, fixed: &[Schedule]) -> Vec<u32> {
-    (0..p.get())
-        .filter(|&a| {
-            let cand = Schedule {
-                period: p,
-                offset: a,
-            };
-            fixed.iter().all(|s| !cand.conflicts_with(s))
-        })
-        .collect()
-}
-
 /// Error from the vanilla allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
@@ -332,13 +319,6 @@ mod tests {
         assert_eq!(viable_offset(p(2), &fixed), None);
         // But after evicting A (offset 2), offset 0 works.
         assert_eq!(viable_offset(p(2), &fixed[1..]), Some(0));
-    }
-
-    #[test]
-    fn viable_offsets_lists_all() {
-        let fixed = [Schedule::new(p(2), 0).unwrap()];
-        // A period-8 tag can use any odd offset.
-        assert_eq!(viable_offsets(p(8), &fixed), vec![1, 3, 5, 7]);
     }
 
     #[test]

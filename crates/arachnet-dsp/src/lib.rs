@@ -15,7 +15,7 @@
 //! * [`fft`] — planned real-input radix-2 FFT;
 //! * [`window`] — Hann / rectangular windows;
 //! * [`psd`] — Welch power-spectral-density estimation and band power;
-//! * [`nco`] — numerically controlled oscillator and complex down-mixing;
+//! * [`nco`] — one period of carrier phasors for complex down-mixing;
 //! * [`schmitt`] — hysteresis comparator;
 //! * [`cluster`] — IQ-domain cluster counting for collision detection.
 

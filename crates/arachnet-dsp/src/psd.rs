@@ -49,11 +49,6 @@ impl Psd {
         }
         total
     }
-
-    /// Index of the bin nearest to `hz`.
-    pub fn bin_of(&self, hz: f64) -> usize {
-        ((hz / self.bin_hz).round() as usize).min(self.density.len().saturating_sub(1))
-    }
 }
 
 /// Reusable scratch for [`welch_psd_into`]: window coefficients, the
@@ -211,7 +206,7 @@ mod tests {
         let strong = tone(1_000.0, fs, 8192, 1.0);
         let pw = welch_psd(&weak, fs, 1024, Window::Hann);
         let ps = welch_psd(&strong, fs, 1024, Window::Hann);
-        let bin = pw.bin_of(1_000.0);
+        let bin = (1_000.0 / pw.bin_hz).round() as usize;
         let ratio = ps.density[bin] / pw.density[bin];
         assert!(
             (ratio - 100.0).abs() < 5.0,

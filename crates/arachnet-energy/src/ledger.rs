@@ -119,7 +119,6 @@ pub struct PowerLedger {
     time_s: f64,
     rx_s: f64,
     tx_s: f64,
-    idle_s: f64,
 }
 
 impl PowerLedger {
@@ -136,7 +135,7 @@ impl PowerLedger {
         match mode {
             PowerMode::Rx { .. } => self.rx_s += dt,
             PowerMode::Tx { .. } => self.tx_s += dt,
-            PowerMode::Idle => self.idle_s += dt,
+            PowerMode::Idle => {}
         }
     }
 
@@ -148,21 +147,6 @@ impl PowerLedger {
     /// Total time accounted (s).
     pub fn time(&self) -> f64 {
         self.time_s
-    }
-
-    /// Time spent receiving (s).
-    pub fn rx_time(&self) -> f64 {
-        self.rx_s
-    }
-
-    /// Time spent transmitting (s).
-    pub fn tx_time(&self) -> f64 {
-        self.tx_s
-    }
-
-    /// Time spent idle (s).
-    pub fn idle_time(&self) -> f64 {
-        self.idle_s
     }
 
     /// Fraction of accounted time spent in RX or TX — the harvester duty
@@ -317,9 +301,6 @@ mod tests {
         l.spend(PowerMode::rx_default(), 0.1);
         l.spend(PowerMode::tx_default(), 0.2);
         l.spend(PowerMode::Idle, 0.7);
-        assert!((l.rx_time() - 0.1).abs() < 1e-12);
-        assert!((l.tx_time() - 0.2).abs() < 1e-12);
-        assert!((l.idle_time() - 0.7).abs() < 1e-12);
         assert!((l.active_duty() - 0.3).abs() < 1e-12);
         assert_eq!(PowerLedger::new().active_duty(), 0.0);
     }

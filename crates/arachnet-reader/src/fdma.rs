@@ -2,7 +2,8 @@
 //!
 //! Several tags transmit in the same slot on distinct subcarrier channels
 //! (see `arachnet_tag::subcarrier`). The receiver mixes the slot to
-//! baseband IQ and, per tag, coherently despreads with that tag's ±1 chip
+//! baseband IQ once, through the same one-period carrier table as the FM0
+//! receiver, and, per tag, coherently despreads with that tag's ±1 chip
 //! template: integer-cycle windows make different channels orthogonal, so
 //! each despread output sees only its own tag. Carrier phase is recovered
 //! from the known packet preamble, and frame timing by maximizing the
@@ -11,8 +12,10 @@
 use arachnet_core::bits::BitBuf;
 use arachnet_core::packet::{UlPacket, UL_PACKET_BITS, UL_PREAMBLE};
 use arachnet_dsp::cplx::Cplx;
-use arachnet_dsp::nco::DownConverter;
+use arachnet_dsp::nco::CarrierTable;
 use arachnet_tag::subcarrier::SubcarrierChannel;
+
+use crate::rx::carrier_table;
 
 /// Configuration of the FDMA receiver.
 #[derive(Debug, Clone, Copy)]
@@ -53,12 +56,22 @@ pub struct FdmaDecode {
 #[derive(Debug, Clone)]
 pub struct FdmaReceiver {
     cfg: FdmaConfig,
+    /// Exact-period conjugate-carrier table.
+    carrier_tab: CarrierTable,
 }
 
 impl FdmaReceiver {
     /// Receiver with the given configuration.
+    ///
+    /// # Panics
+    /// When `cfg.carrier_hz` has no exact sample period at
+    /// `cfg.sample_rate`
+    /// ([`exact_carrier_period`](biw_channel::channel::exact_carrier_period)).
     pub fn new(cfg: FdmaConfig) -> Self {
-        Self { cfg }
+        Self {
+            cfg,
+            carrier_tab: carrier_table(cfg.sample_rate, cfg.carrier_hz),
+        }
     }
 
     /// Configuration.
@@ -74,8 +87,8 @@ impl FdmaReceiver {
     /// Mixes a slot waveform to (undecimated) baseband IQ with the carrier
     /// mean removed.
     fn to_iq(&self, wave: &[f64]) -> Vec<Cplx> {
-        let mut mixer = DownConverter::new(self.cfg.sample_rate, self.cfg.carrier_hz);
-        let mut iq: Vec<Cplx> = wave.iter().map(|&x| mixer.mix(x)).collect();
+        let phasors = self.carrier_tab.phasors().iter().cycle();
+        let mut iq: Vec<Cplx> = wave.iter().zip(phasors).map(|(&x, &c)| c * x).collect();
         // Light smoothing to suppress the 2fc image: boxcar over ~2 carrier
         // cycles.
         let d = (2.0 * self.cfg.sample_rate / self.cfg.carrier_hz) as usize;
@@ -138,7 +151,11 @@ impl FdmaReceiver {
 
     /// Decodes one channel from a slot waveform.
     pub fn decode_channel(&self, wave: &[f64], ch: SubcarrierChannel) -> FdmaDecode {
-        let iq = self.to_iq(wave);
+        self.decode_iq(&self.to_iq(wave), ch)
+    }
+
+    /// Decodes one channel from the slot's baseband IQ.
+    fn decode_iq(&self, iq: &[Cplx], ch: SubcarrierChannel) -> FdmaDecode {
         let spc = self.samples_per_chip(&ch);
         let bit_samples = spc * f64::from(ch.chips_per_bit());
         // Lag search over one bit duration in quarter-chip steps.
@@ -147,7 +164,7 @@ impl FdmaReceiver {
         let mut best: Option<(usize, f64, f64)> = None; // (lag, score, phase)
         let mut lag = 0;
         while lag < max_lag {
-            let bits = self.despread(&iq, &ch, lag);
+            let bits = self.despread(iq, &ch, lag);
             let (score, phase) = Self::preamble_metric(&bits);
             if best.is_none_or(|(_, s, _)| score > s) {
                 best = Some((lag, score, phase));
@@ -168,7 +185,7 @@ impl FdmaReceiver {
                 sync_score: score,
             };
         }
-        let soft = self.despread(&iq, &ch, lag);
+        let soft = self.despread(iq, &ch, lag);
         let rot = Cplx::cis(-phase);
         let mut hard = BitBuf::with_capacity(soft.len());
         for z in &soft {
@@ -187,12 +204,10 @@ impl FdmaReceiver {
     }
 
     /// Decodes every configured channel from one slot — the parallel-
-    /// decoding throughput win.
+    /// decoding throughput win. The slot is mixed once for all channels.
     pub fn decode_all(&self, wave: &[f64], channels: &[SubcarrierChannel]) -> Vec<FdmaDecode> {
-        channels
-            .iter()
-            .map(|&ch| self.decode_channel(wave, ch))
-            .collect()
+        let iq = self.to_iq(wave);
+        channels.iter().map(|&ch| self.decode_iq(&iq, ch)).collect()
     }
 }
 
@@ -301,6 +316,10 @@ mod tests {
         let outs = rx.decode_all(&wave, &[sub_a, sub_b]);
         assert_eq!(outs[0].packet, Some(pkt_a));
         assert_eq!(outs[1].packet, Some(pkt_b));
+        // One mix for the whole slot decodes each channel exactly as a
+        // decode of that channel alone.
+        assert_eq!(outs[0], rx.decode_channel(&wave, sub_a));
+        assert_eq!(outs[1], rx.decode_channel(&wave, sub_b));
     }
 
     #[test]
@@ -316,6 +335,15 @@ mod tests {
         let wave = make_slot(&ch, &cfg, &[(8, sub_a, pkt)]);
         let out = rx.decode_channel(&wave, sub_idle);
         assert_eq!(out.packet, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "carrier 90000.7 Hz has no exact sample period")]
+    fn carrier_without_an_exact_period_is_refused() {
+        FdmaReceiver::new(FdmaConfig {
+            carrier_hz: 90_000.7,
+            ..FdmaConfig::default()
+        });
     }
 
     #[test]

@@ -10,17 +10,19 @@
 //! (`a = (2/N) Σ x[n] e^{-jωn}`, the same estimate the SNR metric uses for
 //! the own carrier) and subtracted before the single-reader chain runs.
 //!
-//! Sub-bands are chosen so that every carrier has an *exact* sample period
-//! at the DAQ rate: the synthesis and mixing hot paths then stay on the
-//! prebuilt block tables ([`CarrierTable`]) with no per-sample trig.
+//! Every sub-band carrier has an *exact* sample period at the DAQ rate, as
+//! every carrier must: synthesis, mixing and the rejection itself index
+//! one-period tables ([`CarrierTable`]) with no per-sample trig, and a plan
+//! with any other carrier fails validation.
 
 use std::fmt;
 
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
+use biw_channel::channel::exact_carrier_period;
 use biw_channel::fleet::{MAX_BAND_HZ, MIN_BAND_HZ};
 
-use crate::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
+use crate::rx::{carrier_table, RxConfig, RxScratch, SlotRx, UplinkReceiver};
 
 /// Minimum sub-band separation (Hz) a valid FDMA plan must keep: wide
 /// enough that the decimation filter puts a foreign carrier well outside
@@ -52,8 +54,9 @@ pub enum FleetPlanError {
         /// The other carrier (Hz).
         b: f64,
     },
-    /// A carrier has no exact sample period at the DAQ rate, which would
-    /// knock synthesis and mixing off the block-table fast path.
+    /// A carrier has no exact sample period at the DAQ rate
+    /// ([`exact_carrier_period`]), so neither its channel nor its receiver
+    /// can be built.
     NoExactPeriod {
         /// The offending carrier (Hz).
         carrier_hz: f64,
@@ -184,7 +187,7 @@ impl FleetPlan {
             if !(MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f) {
                 return Err(FleetPlanError::OutOfBand { carrier_hz: f });
             }
-            if CarrierTable::exact(self.sample_rate, f, 4096).is_none() {
+            if exact_carrier_period(self.sample_rate, f).is_none() {
                 return Err(FleetPlanError::NoExactPeriod { carrier_hz: f });
             }
         }
@@ -244,21 +247,13 @@ pub struct FleetRxScratch {
     pub rx: RxScratch,
 }
 
-/// One interferer the receiver must reject.
-#[derive(Debug, Clone)]
-struct Interferer {
-    /// Angular frequency per sample (trig fallback).
-    w: f64,
-    /// Exact-period conjugate-phasor table, when one exists.
-    tab: Option<CarrierTable>,
-}
-
 /// The multi-reader receiver front-end: inter-reader interference
 /// rejection wrapped around the single-reader [`UplinkReceiver`].
 #[derive(Debug, Clone)]
 pub struct FleetReceiver {
     rx: UplinkReceiver,
-    interferers: Vec<Interferer>,
+    /// Conjugate-carrier table of each foreign carrier to reject.
+    interferers: Vec<CarrierTable>,
     reject: bool,
 }
 
@@ -281,10 +276,7 @@ impl FleetReceiver {
             .iter()
             .enumerate()
             .filter(|&(r, &f)| r != reader && (f - own).abs() > 1.0)
-            .map(|(_, &f)| Interferer {
-                w: 2.0 * std::f64::consts::PI * f / plan.sample_rate(),
-                tab: CarrierTable::exact(plan.sample_rate(), f, 4096),
-            })
+            .map(|(_, &f)| carrier_table(plan.sample_rate(), f))
             .collect();
         Self {
             rx: UplinkReceiver::new(cfg),
@@ -313,41 +305,28 @@ impl FleetReceiver {
     /// Coherently estimates and subtracts every foreign carrier from
     /// `wave` in place (see the module docs for the estimator).
     fn reject_into(&self, wave: &mut [f64], corr: &mut Vec<f64>) {
-        for it in &self.interferers {
+        for tab in &self.interferers {
+            let phasors = tab.phasors();
+            let p = phasors.len();
             let mut acc = Cplx::ZERO;
-            match &it.tab {
-                Some(tab) => {
-                    let phasors = tab.phasors();
-                    let p = phasors.len();
-                    let mut ph = 0usize;
-                    for &x in wave.iter() {
-                        acc += phasors[ph] * x;
-                        ph += 1;
-                        if ph == p {
-                            ph = 0;
-                        }
-                    }
-                    let a = acc * (2.0 / wave.len() as f64);
-                    // One correction value per table phase, computed once.
-                    corr.clear();
-                    corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
-                    let mut ph = 0usize;
-                    for x in wave.iter_mut() {
-                        *x -= corr[ph];
-                        ph += 1;
-                        if ph == p {
-                            ph = 0;
-                        }
-                    }
+            let mut ph = 0usize;
+            for &x in wave.iter() {
+                acc += phasors[ph] * x;
+                ph += 1;
+                if ph == p {
+                    ph = 0;
                 }
-                None => {
-                    for (n, &x) in wave.iter().enumerate() {
-                        acc += Cplx::cis(-it.w * n as f64) * x;
-                    }
-                    let a = acc * (2.0 / wave.len() as f64);
-                    for (n, x) in wave.iter_mut().enumerate() {
-                        *x -= (Cplx::cis(it.w * n as f64) * a).re;
-                    }
+            }
+            let a = acc * (2.0 / wave.len() as f64);
+            // One correction value per table phase, computed once.
+            corr.clear();
+            corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
+            let mut ph = 0usize;
+            for x in wave.iter_mut() {
+                *x -= corr[ph];
+                ph += 1;
+                if ph == p {
+                    ph = 0;
                 }
             }
         }
@@ -400,7 +379,7 @@ mod tests {
             assert!((MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f), "reader {r}: {f}");
             assert!(seen.insert(f as i64), "duplicate carrier {f}");
             assert!(
-                CarrierTable::exact(500_000.0, f, 4096).is_some(),
+                exact_carrier_period(500_000.0, f).is_some(),
                 "reader {r}: carrier {f} has no exact period"
             );
         }

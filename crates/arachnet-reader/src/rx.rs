@@ -1,6 +1,8 @@
 //! The uplink receiver (Sec. 6.1's processing blocks, batch form).
 //!
-//! Chain: **down conversion** (mix the 500 kHz real stream to baseband) →
+//! Chain: **down conversion** (mix the 500 kHz real stream to baseband
+//! through one period of carrier phasors; a carrier without an exact sample
+//! period is refused at construction, so no stage runs trig per sample) →
 //! **filtering + decimation** (boxcar anti-alias, rate matched to ~16
 //! samples per raw bit) → **PCA projection + adaptive slicing** (Schmitt
 //! around the percentile midpoint — the backscatter rides on a large
@@ -26,14 +28,28 @@ use arachnet_core::fm0::{self, Fm0Encoder};
 use arachnet_core::packet::{UlPacket, UL_PREAMBLE};
 use arachnet_dsp::cluster::{cluster_iq, ClusterConfig};
 use arachnet_dsp::cplx::Cplx;
-use arachnet_dsp::nco::{CarrierTable, DownConverter};
+use arachnet_dsp::nco::CarrierTable;
 use arachnet_dsp::psd::{welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
 use arachnet_obs::DecodeFailReason;
+use biw_channel::channel::exact_carrier_period;
 
 /// Shortest Welch segment of the SNR estimate, in samples.
 const MIN_WELCH_SEG: usize = 256;
+
+/// The conjugate-carrier table of `carrier_hz` at `fs`, over its exact
+/// sample period: every carrier path of the reader (mixing, the SNR's
+/// carrier canceller, fleet interference rejection) indexes one.
+///
+/// # Panics
+/// When `carrier_hz` has no exact sample period at `fs`
+/// ([`exact_carrier_period`]).
+pub(crate) fn carrier_table(fs: f64, carrier_hz: f64) -> CarrierTable {
+    let period = exact_carrier_period(fs, carrier_hz)
+        .unwrap_or_else(|| panic!("carrier {carrier_hz} Hz has no exact sample period at {fs} Hz"));
+    CarrierTable::new(fs, carrier_hz, period)
+}
 
 /// Reusable per-worker working set for the RX chain. Every buffer that
 /// scales with the waveform — mix → decimate, the projection, its
@@ -135,16 +151,20 @@ pub struct UplinkReceiver {
     cfg: RxConfig,
     /// FM0 raw-bit expansion of the UL preamble (16 raw bits).
     preamble_raw: Vec<bool>,
-    /// Exact-period conjugate-carrier table (None → trig fallback).
-    carrier_tab: Option<CarrierTable>,
+    /// Exact-period conjugate-carrier table.
+    carrier_tab: CarrierTable,
 }
 
 impl UplinkReceiver {
     /// Receiver with the given configuration.
+    ///
+    /// # Panics
+    /// When `cfg.carrier_hz` has no exact sample period at
+    /// `cfg.sample_rate` ([`exact_carrier_period`]).
     pub fn new(cfg: RxConfig) -> Self {
         let mut enc = Fm0Encoder::new();
         let preamble_raw = enc.encode(UL_PREAMBLE.iter().copied()).to_bools();
-        let carrier_tab = CarrierTable::exact(cfg.sample_rate, cfg.carrier_hz, 4096);
+        let carrier_tab = carrier_table(cfg.sample_rate, cfg.carrier_hz);
         Self {
             cfg,
             preamble_raw,
@@ -208,30 +228,17 @@ impl UplinkReceiver {
         tmp.clear();
         tmp.resize(2 * d, Cplx::ZERO);
         let (ring1, ring2) = tmp.split_at_mut(d);
-        let mut mixer = match &self.carrier_tab {
-            Some(_) => None,
-            None => Some(DownConverter::new(
-                self.cfg.sample_rate,
-                self.cfg.carrier_hz,
-            )),
-        };
-        let phasors = self.carrier_tab.as_ref().map(|t| t.phasors());
+        let phasors = self.carrier_tab.phasors();
+        let p = phasors.len();
         let mut ph = 0usize;
-        let p = phasors.map_or(1, <[Cplx]>::len);
         let (mut acc1, mut acc2) = (Cplx::ZERO, Cplx::ZERO);
         let mut idx = 0usize; // i mod d, wrapping — ring slot and keep mark
         for (i, &x) in wave.iter().enumerate() {
-            let z = match phasors {
-                Some(tab) => {
-                    let z = tab[ph] * x;
-                    ph += 1;
-                    if ph == p {
-                        ph = 0;
-                    }
-                    z
-                }
-                None => mixer.as_mut().expect("fallback mixer").mix(x),
-            };
+            let z = phasors[ph] * x;
+            ph += 1;
+            if ph == p {
+                ph = 0;
+            }
             acc1 += z;
             let o1 = if i >= d {
                 acc1 -= ring1[idx];
@@ -541,27 +548,17 @@ impl UplinkReceiver {
         }
         let fc = self.cfg.carrier_hz;
         let r = self.cfg.ul_bps;
-        // Coherent carrier estimate a = (2/N) Σ x[n] e^{-jωn}.
-        let w = 2.0 * std::f64::consts::PI * fc / self.cfg.sample_rate;
+        // Coherent carrier estimate a = (2/N) Σ x[n] e^{-jωn}, over the
+        // table with a wrapping phase counter.
+        let phasors = self.carrier_tab.phasors();
+        let p = phasors.len();
         let mut acc = Cplx::ZERO;
-        match &self.carrier_tab {
-            Some(tab) => {
-                // Wrapping phase counter: same phasors, no `%` per sample.
-                let phasors = tab.phasors();
-                let p = phasors.len();
-                let mut ph = 0usize;
-                for &x in wave {
-                    acc += phasors[ph] * x;
-                    ph += 1;
-                    if ph == p {
-                        ph = 0;
-                    }
-                }
-            }
-            None => {
-                for (n, &x) in wave.iter().enumerate() {
-                    acc += Cplx::cis(-w * n as f64) * x;
-                }
+        let mut ph = 0usize;
+        for &x in wave {
+            acc += phasors[ph] * x;
+            ph += 1;
+            if ph == p {
+                ph = 0;
             }
         }
         let a = acc * (2.0 / wave.len() as f64);
@@ -575,32 +572,19 @@ impl UplinkReceiver {
         // `(phasor.conj() * a).re` only takes one value per table phase —
         // compute each once, then subtraction is a lookup.
         corr.clear();
-        if let Some(tab) = &self.carrier_tab {
-            corr.extend(tab.phasors().iter().map(|z| (z.conj() * a).re));
-        }
+        corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
         let corr = &*corr;
         // Welch asks for the packet piece by piece; each piece is written
         // as `wave − carrier` straight from the waveform, so the cleaned
-        // packet never exists whole.
+        // packet never exists whole. One `%` per piece; a wrapping counter
+        // after that.
         let clean = |start: usize, out: &mut [f64]| {
-            let samples = out.iter_mut().zip(&wave[start..]);
-            match &self.carrier_tab {
-                Some(_) => {
-                    // One `%` per piece; a wrapping counter after that.
-                    let p = corr.len();
-                    let mut ph = start % p;
-                    for (y, &x) in samples {
-                        *y = x - corr[ph];
-                        ph += 1;
-                        if ph == p {
-                            ph = 0;
-                        }
-                    }
-                }
-                None => {
-                    for (n, (y, &x)) in (start..).zip(samples) {
-                        *y = x - (Cplx::cis(w * n as f64) * a).re;
-                    }
+            let mut ph = start % p;
+            for (y, &x) in out.iter_mut().zip(&wave[start..]) {
+                *y = x - corr[ph];
+                ph += 1;
+                if ph == p {
+                    ph = 0;
                 }
             }
         };
@@ -871,11 +855,8 @@ mod tests {
             return f64::NAN;
         }
         let (fs, fc, r) = (rx.cfg.sample_rate, rx.cfg.carrier_hz, rx.cfg.ul_bps);
-        let w = 2.0 * std::f64::consts::PI * fc / fs;
-        let carrier = |n: usize| match &rx.carrier_tab {
-            Some(tab) => tab.phasor(n),
-            None => Cplx::cis(-w * n as f64),
-        };
+        let tab = rx.carrier_tab.phasors();
+        let carrier = |n: usize| tab[n % tab.len()];
         let mut acc = Cplx::ZERO;
         for (n, &x) in wave.iter().enumerate() {
             acc += carrier(n) * x;
@@ -884,10 +865,7 @@ mod tests {
         let cleaned: Vec<f64> = wave
             .iter()
             .enumerate()
-            .map(|(n, &x)| match &rx.carrier_tab {
-                Some(tab) => x - (tab.phasor(n).conj() * a).re,
-                None => x - (Cplx::cis(w * n as f64) * a).re,
-            })
+            .map(|(n, &x)| x - (carrier(n).conj() * a).re)
             .collect();
         let seg = 8_192
             .min(cleaned.len().next_power_of_two() / 2)
@@ -913,12 +891,6 @@ mod tests {
     #[test]
     fn snr_equals_the_materialized_reference_bit_for_bit() {
         let ch = channel(NoiseConfig::default());
-        // No exact carrier period within 4096 samples: the trig fallback.
-        let fallback = UplinkReceiver::new(RxConfig {
-            carrier_hz: 90_000.7,
-            ..RxConfig::default()
-        });
-        assert!(fallback.carrier_tab.is_none());
         let mut scratch = RxScratch::default();
         let mut same = |rx: &UplinkReceiver, wave: &[f64], what: &str| {
             let got = rx.uplink_snr_db_with(wave, &mut scratch);
@@ -946,8 +918,7 @@ mod tests {
             }
         }
         assert!(longest >= 400_000, "longest packet {longest} samples");
-        // Short and odd lengths, around each Welch segment size, with the
-        // table receiver and with the trig fallback.
+        // Short and odd lengths, around each Welch segment size.
         let rx = UplinkReceiver::new(RxConfig::default());
         let pkt = UlPacket::new(8, 0x3C3).unwrap();
         let wave = tag_waveform(&ch, 8, &pkt, 375.0);
@@ -955,9 +926,16 @@ mod tests {
             256, 257, 300, 511, 512, 1_000, 8_191, 8_192, 8_193, 20_000, 70_001,
         ] {
             same(&rx, &wave[..len], &format!("{len} samples"));
-            same(&fallback, &wave[..len], &format!("fallback, {len} samples"));
         }
-        same(&fallback, &wave, "fallback, whole packet");
+    }
+
+    #[test]
+    #[should_panic(expected = "carrier 90000.7 Hz has no exact sample period")]
+    fn carrier_without_an_exact_period_is_refused() {
+        UplinkReceiver::new(RxConfig {
+            carrier_hz: 90_000.7,
+            ..RxConfig::default()
+        });
     }
 
     #[test]

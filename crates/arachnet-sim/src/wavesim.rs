@@ -563,13 +563,6 @@ impl WaveSim {
         }
     }
 
-    /// Fig. 14(b): samples `n` ping-pong latencies.
-    pub fn ping_pong_samples(&self, n: usize) -> Vec<PingPong> {
-        (0..n)
-            .map(|i| self.ping_pong_sample(trial_seed(self.seed ^ 0x1414, i as u64)))
-            .collect()
-    }
-
     /// Fig. 14(a): the raw reader-side waveform of one ping-pong — beacon
     /// (strong, keyed carrier), 20 ms tag guard (CW leak), UL packet
     /// (backscatter on leak). Returns `(waveform, sample_rate)`.
@@ -972,7 +965,9 @@ mod tests {
     #[test]
     fn ping_pong_distribution_matches_fig14b() {
         let sim = WaveSim::paper(9);
-        let samples = sim.ping_pong_samples(1_000);
+        let samples: Vec<PingPong> = (0..1_000)
+            .map(|i| sim.ping_pong_sample(trial_seed(sim.seed ^ 0x1414, i)))
+            .collect();
         let mut stage2: Vec<f64> = samples.iter().map(|p| p.stage2_s).collect();
         stage2.sort_by(f64::total_cmp);
         let p99 = stage2[989];

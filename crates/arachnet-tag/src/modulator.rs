@@ -77,11 +77,6 @@ impl Fm0Modulator {
     pub fn modulate_packet(&self, packet: &UlPacket, t0: f64) -> (BitBuf, Vec<PinInterval>) {
         self.modulate_bits(&packet.to_bits(), t0)
     }
-
-    /// On-air duration (s) of a `data_bits`-bit message at this setting.
-    pub fn on_air_duration(&self, data_bits: usize) -> f64 {
-        2.0 * data_bits as f64 * self.actual_raw_interval()
-    }
 }
 
 #[cfg(test)]
@@ -139,7 +134,7 @@ mod tests {
     fn packet_duration_matches_paper_estimate() {
         // 32-bit packet at 375 bps ≈ 171 ms ("~200 ms" with guard).
         let m = Fm0Modulator::new(McuClock::ideal(), 32);
-        let d = m.on_air_duration(UL_PACKET_BITS);
+        let d = 2.0 * UL_PACKET_BITS as f64 * m.actual_raw_interval();
         assert!((d - 64.0 / 375.0).abs() < 1e-9);
     }
 

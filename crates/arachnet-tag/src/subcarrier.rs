@@ -32,11 +32,6 @@ impl SubcarrierChannel {
         2 * self.cycles_per_bit
     }
 
-    /// Subcarrier frequency for a given data bit rate.
-    pub fn subcarrier_hz(&self, bit_rate: f64) -> f64 {
-        f64::from(self.cycles_per_bit) * bit_rate
-    }
-
     /// The ±1 chip template of one data-bit window (a square wave).
     pub fn chip_template(&self) -> Vec<f64> {
         (0..self.chips_per_bit())
@@ -92,7 +87,6 @@ mod tests {
         let ch = SubcarrierChannel::new(6);
         assert_eq!(ch.chips_per_bit(), 12);
         assert_eq!(ch.chip_template().len(), 12);
-        assert!((ch.subcarrier_hz(93.75) - 562.5).abs() < 1e-12);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! two closures sample by sample and reports the median of the per-pair
 //! cost ratios under the JSON's `pairs` key.
 //!
-//! Two suites live under `benches/`:
+//! Two suites live under `benches/`, and `tools/verify.sh` gates both:
 //!
-//! * `hot_paths` — throughput of the building blocks a real reader would
-//!   care about: codecs, CRC, FFT/PSD, the RX chain over one slot, IQ
-//!   clustering, and slot-simulator stepping;
-//! * `experiments` — one benchmark per evaluation table/figure, invoking
-//!   the same runners as the `repro` binary with reduced trial counts.
+//! * `phy` — the waveform PHY: channel synthesis, the RX decode chain and
+//!   SNR over one slot, and one full Fig. 12 uplink trial, plus the paired
+//!   time-varying-over-static ratio (`BENCH_phy.json`);
+//! * `serve` — the serve tier over a real TCP socket: a `ping` round trip,
+//!   one decode request and closed-loop load (`BENCH_serve.json`).
 //!
 //! Run: `cargo bench -p bench`. Environment knobs:
 //!

@@ -59,15 +59,18 @@ impl Default for ChannelConfig {
     }
 }
 
-/// Largest carrier period (in samples) [`ChannelCache`] will tabulate.
+/// Largest carrier period (in samples) [`exact_carrier_period`] searches.
 const MAX_CARRIER_PERIOD: usize = 4096;
 
-/// Smallest `p ≤ MAX_CARRIER_PERIOD` such that `carrier_hz · p / fs` is an
-/// integer number of cycles, i.e. the carrier repeats exactly every `p`
-/// samples (the paper's 90 kHz @ 500 kHz repeats every 50). `None` when the
-/// ratio is irrational (or rational with a huge denominator) — synthesis
-/// then falls back to direct trig.
-fn exact_carrier_period(fs: f64, carrier_hz: f64) -> Option<usize> {
+/// Smallest `p ≤ 4096` such that `carrier_hz · p / fs` is an integer
+/// number of cycles, i.e. the carrier repeats exactly every `p` samples
+/// (the paper's 90 kHz @ 500 kHz repeats every 50). `None` when the ratio
+/// is irrational (or rational with a huge denominator).
+///
+/// Every carrier path indexes a table of this period (the channel's
+/// synthesis here, the reader's mixing, SNR and interference rejection),
+/// so a carrier without one cannot be built.
+pub fn exact_carrier_period(fs: f64, carrier_hz: f64) -> Option<usize> {
     if fs <= 0.0 || carrier_hz <= 0.0 || fs.is_nan() || carrier_hz.is_nan() {
         return None;
     }
@@ -106,7 +109,7 @@ pub struct TagLink {
 /// inside the per-sample synthesis loops.
 #[derive(Debug, Clone)]
 pub struct ChannelCache {
-    period: Option<usize>,
+    period: usize,
     leak_tab: Vec<f64>,
     links: Vec<TagLink>,
 }
@@ -115,9 +118,13 @@ impl ChannelCache {
     fn build(config: &ChannelConfig, deployment: &Deployment, tag_pzt: &Pzt) -> Self {
         let fs = config.sample_rate;
         let w = 2.0 * std::f64::consts::PI * config.carrier_hz / fs;
-        let period = exact_carrier_period(fs, config.carrier_hz);
-        let p = period.unwrap_or(0);
-        let sin_tab: Vec<f64> = (0..p).map(|n| (w * n as f64).sin()).collect();
+        let period = exact_carrier_period(fs, config.carrier_hz).unwrap_or_else(|| {
+            panic!(
+                "carrier {} Hz has no exact sample period at {fs} Hz",
+                config.carrier_hz
+            )
+        });
+        let sin_tab: Vec<f64> = (0..period).map(|n| (w * n as f64).sin()).collect();
         let leak_tab = sin_tab.iter().map(|s| config.carrier_leakage * s).collect();
         let rho_refl = tag_pzt.reflect(1.0, PztState::Reflective);
         let rho_abso = tag_pzt.reflect(1.0, PztState::Absorptive);
@@ -144,8 +151,8 @@ impl ChannelCache {
         }
     }
 
-    /// Exact carrier period in samples, when one exists.
-    pub fn period(&self) -> Option<usize> {
+    /// Exact carrier period in samples.
+    pub fn period(&self) -> usize {
         self.period
     }
 
@@ -181,11 +188,19 @@ pub struct BiwChannel {
 
 impl BiwChannel {
     /// Channel over the paper's 12-tag deployment.
+    ///
+    /// # Panics
+    /// As [`BiwChannel::new`].
     pub fn paper(config: ChannelConfig) -> Self {
         Self::new(config, Deployment::paper())
     }
 
     /// Channel over a custom deployment.
+    ///
+    /// # Panics
+    /// When `config.carrier_hz` has no exact sample period at
+    /// `config.sample_rate` ([`exact_carrier_period`]): synthesis runs
+    /// from period-length tables only.
     pub fn new(config: ChannelConfig, deployment: Deployment) -> Self {
         let tag_pzt = Pzt::arachnet_tag();
         let cache = ChannelCache::build(&config, &deployment, &tag_pzt);
@@ -254,8 +269,7 @@ impl BiwChannel {
     /// return. This is the block-processing fast path: noise is streamed
     /// into the buffer first, then the leakage carrier and each tag's
     /// contribution are added from the per-deployment [`ChannelCache`]
-    /// tables — no allocation and no trig inside the per-sample loop when
-    /// the carrier has an exact period.
+    /// tables — no allocation and no trig inside the per-sample loop.
     pub fn uplink_waveform_seeded_into(
         &self,
         tags: &[(u8, &[PztState])],
@@ -277,27 +291,7 @@ impl BiwChannel {
     /// synthesis uses to stack several readers' carriers into a single RX
     /// buffer (see the `fleet` module). Phase 0 lands on `out[0]`.
     pub fn uplink_add_carrier_into(&self, out: &mut [f64]) {
-        match self.cache.period {
-            Some(p) => self.add_carrier_tabulated(out, p),
-            None => self.add_carrier_direct(out),
-        }
-    }
-
-    /// Adds each listed tag's backscatter contribution into `out` *without*
-    /// clearing it (no noise, no carrier term) — the other half of the
-    /// multi-reader superposition primitive. Streams shorter than `out`
-    /// stay absorptive afterwards, exactly as in
-    /// [`BiwChannel::uplink_waveform_seeded_into`].
-    pub fn uplink_add_tags_into(&self, tags: &[(u8, &[PztState])], out: &mut [f64]) {
-        match self.cache.period {
-            Some(p) => self.add_tags_tabulated(tags, out, p),
-            None => self.add_tags_direct(tags, out),
-        }
-    }
-
-    /// Adds the leakage carrier via the period-length table.
-    fn add_carrier_tabulated(&self, out: &mut [f64], p: usize) {
-        let leak = &self.cache.leak_tab;
+        let (leak, p) = (&self.cache.leak_tab, self.cache.period);
         let mut phase = 0;
         for x in out.iter_mut() {
             *x += leak[phase];
@@ -308,8 +302,13 @@ impl BiwChannel {
         }
     }
 
-    /// Adds tag contributions via the period-length tables.
-    fn add_tags_tabulated(&self, tags: &[(u8, &[PztState])], out: &mut [f64], p: usize) {
+    /// Adds each listed tag's backscatter contribution into `out` *without*
+    /// clearing it (no noise, no carrier term) — the other half of the
+    /// multi-reader superposition primitive. Streams shorter than `out`
+    /// stay absorptive afterwards, exactly as in
+    /// [`BiwChannel::uplink_waveform_seeded_into`].
+    pub fn uplink_add_tags_into(&self, tags: &[(u8, &[PztState])], out: &mut [f64]) {
+        let p = self.cache.period;
         for &(id, states) in tags {
             let Some(link) = self.cache.link(id) else {
                 continue;
@@ -339,41 +338,6 @@ impl BiwChannel {
                 if phase == p {
                     phase = 0;
                 }
-            }
-        }
-    }
-
-    /// Leakage-carrier fallback when the carrier has no exact period.
-    fn add_carrier_direct(&self, out: &mut [f64]) {
-        let fs = self.config.sample_rate;
-        let w = 2.0 * std::f64::consts::PI * self.config.carrier_hz / fs;
-        for (i, x) in out.iter_mut().enumerate() {
-            *x += self.config.carrier_leakage * (w * i as f64).sin();
-        }
-    }
-
-    /// Tag-contribution fallback when the carrier has no exact period.
-    fn add_tags_direct(&self, tags: &[(u8, &[PztState])], out: &mut [f64]) {
-        let fs = self.config.sample_rate;
-        let w = 2.0 * std::f64::consts::PI * self.config.carrier_hz / fs;
-        let rho_refl = self.tag_pzt.reflect(1.0, PztState::Reflective);
-        let rho_abso = self.tag_pzt.reflect(1.0, PztState::Absorptive);
-        for &(id, states) in tags {
-            let Some(link) = self.cache.link(id) else {
-                continue;
-            };
-            let d = link.up_delay;
-            if d >= out.len() {
-                continue;
-            }
-            for (j, x) in out[d..].iter_mut().enumerate() {
-                let state = states.get(j).copied().unwrap_or(PztState::Absorptive);
-                let rho = if state == PztState::Reflective {
-                    rho_refl
-                } else {
-                    rho_abso
-                };
-                *x += link.up_gain * rho * (w * j as f64).sin();
             }
         }
     }
@@ -516,15 +480,25 @@ mod tests {
     fn paper_carrier_has_exact_50_sample_period() {
         // 90 kHz @ 500 kHz repeats every 50 samples (9 full cycles).
         let ch = quiet_channel();
-        assert_eq!(ch.cache().period(), Some(50));
+        assert_eq!(ch.cache().period(), 50);
         assert_eq!(exact_carrier_period(44_100.0, 12_345.678), None);
     }
 
     #[test]
+    #[should_panic(expected = "carrier 90000.7 Hz has no exact sample period")]
+    fn carrier_without_an_exact_period_cannot_be_built() {
+        BiwChannel::paper(ChannelConfig {
+            carrier_hz: 90_000.7,
+            ..ChannelConfig::default()
+        });
+    }
+
+    #[test]
     fn tabulated_synthesis_matches_direct_trig() {
-        // The table fast path and the trig fallback must agree to within
-        // carrier-phase rounding (the tables are exact; direct sin(w*j)
-        // accumulates ~j*eps of phase error).
+        // The tables must agree with per-sample trig to within carrier-
+        // phase rounding (the tables are exact; direct sin(w*j) accumulates
+        // ~j*eps of phase error). Each tag's carrier starts at phase zero
+        // at its round-trip delay and stays absorptive after its stream.
         let ch = quiet_channel();
         let spb = 1_333;
         let states = BiwChannel::states_from_raw_bits(&[true, false, true, false], spb);
@@ -532,9 +506,18 @@ mod tests {
         let len = states.len() + 2_000;
         let mut fast = Vec::new();
         ch.uplink_waveform_seeded_into(&tags, len, 1, &mut fast);
-        let mut direct = vec![0.0; len];
-        ch.add_carrier_direct(&mut direct);
-        ch.add_tags_direct(&tags, &mut direct);
+        let cfg = ch.config();
+        let w = 2.0 * std::f64::consts::PI * cfg.carrier_hz / cfg.sample_rate;
+        let mut direct: Vec<f64> = (0..len)
+            .map(|i| cfg.carrier_leakage * (w * i as f64).sin())
+            .collect();
+        for &(id, states) in &tags {
+            let link = ch.cache().link(id).unwrap();
+            for (j, x) in direct[link.up_delay..].iter_mut().enumerate() {
+                let state = states.get(j).copied().unwrap_or(PztState::Absorptive);
+                *x += link.up_gain * ch.tag_pzt().reflect(1.0, state) * (w * j as f64).sin();
+            }
+        }
         for (i, (a, b)) in fast.iter().zip(&direct).enumerate() {
             assert!((a - b).abs() < 1e-6, "sample {i}: {a} vs {b}");
         }

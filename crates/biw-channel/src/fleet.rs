@@ -48,9 +48,10 @@ pub struct FleetChannelConfig {
     /// Template configuration shared by every cell; `carrier_hz` is
     /// overridden per reader from `carriers`.
     pub base: ChannelConfig,
-    /// Per-reader carrier assignment (Hz), one entry per cell. Pick
-    /// carriers with exact sample periods (see `FleetPlan` in the reader
-    /// crate) to keep the tabulated fast path.
+    /// Per-reader carrier assignment (Hz), one entry per cell. Each needs
+    /// an exact sample period at the base sample rate
+    /// ([`exact_carrier_period`](crate::channel::exact_carrier_period));
+    /// `FleetPlan` in the reader crate hands out only such carriers.
     pub carriers: Vec<f64>,
     /// Adjacent-cell cross-coupling gain in `[0, 1)`; cells `|i−j|` apart
     /// couple at `cross_gain^(|i−j|)`.
@@ -86,9 +87,10 @@ impl FleetChannel {
     ///
     /// # Panics
     /// When `carriers` is empty, a carrier is outside
-    /// [`MIN_BAND_HZ`]..=[`MAX_BAND_HZ`], or `cross_gain` is not in
-    /// `[0, 1)` — plan-level validation (`FleetPlan` in the reader crate)
-    /// is expected to run first.
+    /// [`MIN_BAND_HZ`]..=[`MAX_BAND_HZ`] or has no exact sample period
+    /// ([`BiwChannel::new`]), or `cross_gain` is not in `[0, 1)` —
+    /// plan-level validation (`FleetPlan` in the reader crate) is expected
+    /// to run first.
     pub fn new(cfg: FleetChannelConfig) -> Self {
         assert!(!cfg.carriers.is_empty(), "fleet needs at least one reader");
         assert!(
@@ -175,17 +177,6 @@ impl FleetChannel {
         } else {
             self.cross_gain.powi((i as i32 - j as i32).abs())
         }
-    }
-
-    /// Carriers of the other readers that measurably reach reader `rx`
-    /// (the interferer list its receiver must reject).
-    pub fn interferer_carriers(&self, rx: usize) -> Vec<f64> {
-        self.cross[rx]
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_some())
-            .map(|(tx, _)| self.carrier_hz(tx))
-            .collect()
     }
 
     /// Synthesizes the RX waveform at reader `rx` over `len` samples.
@@ -285,7 +276,6 @@ mod tests {
         assert!((fleet.cross_gain(0, 1) - 0.25).abs() < 1e-12);
         assert!((fleet.cross_gain(0, 2) - 0.0625).abs() < 1e-12);
         assert_eq!(fleet.cross_gain(0, 1), fleet.cross_gain(1, 0));
-        assert_eq!(fleet.interferer_carriers(1), vec![86_000.0, 94_000.0]);
     }
 
     #[test]
@@ -320,15 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn sub_band_carriers_keep_the_tabulated_fast_path() {
-        // Every carrier the default FDMA plan hands out must have an exact
-        // sample period, or the hot path falls back to per-sample trig.
+    fn sub_band_carriers_have_exact_periods() {
+        // Every carrier the default FDMA plan hands out builds a cell, and
+        // its table period holds a whole number of carrier cycles.
         for f in [82_000.0, 86_000.0, 90_000.0, 94_000.0, 98_000.0, 102_000.0] {
             let fleet = FleetChannel::new(FleetChannelConfig::paper(vec![f]));
-            assert!(
-                fleet.cell(0).cache().period().is_some(),
-                "carrier {f} Hz has no exact period at 500 kHz"
-            );
+            let p = fleet.cell(0).cache().period();
+            let cycles = f * p as f64 / 500_000.0;
+            assert_eq!(cycles, cycles.round(), "carrier {f} Hz over {p} samples");
         }
     }
 

@@ -115,15 +115,6 @@ impl Deployment {
     pub fn site(&self, id: u8) -> Option<&TagSite> {
         self.sites.iter().find(|s| s.id == id)
     }
-
-    /// Euclidean distance from the reader to a site (sanity metric; the
-    /// propagation model uses the structural path length instead).
-    pub fn line_of_sight_m(&self, id: u8) -> Option<f64> {
-        let s = self.site(id)?;
-        let dx = s.position.0 - self.reader_position.0;
-        let dy = s.position.1 - self.reader_position.1;
-        Some((dx * dx + dy * dy).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +166,9 @@ mod tests {
     fn structural_paths_are_at_least_line_of_sight() {
         let d = Deployment::paper();
         for s in &d.sites {
-            let los = d.line_of_sight_m(s.id).unwrap();
+            let dx = s.position.0 - d.reader_position.0;
+            let dy = s.position.1 - d.reader_position.1;
+            let los = (dx * dx + dy * dy).sqrt();
             assert!(
                 s.path.length_m >= los * 0.95,
                 "tag {}: structural path {} shorter than LoS {los}",

@@ -63,18 +63,6 @@ impl Pzt {
             PztState::Absorptive => self.rho_absorptive * amplitude,
         }
     }
-
-    /// OOK modulation depth `(ρ_r − ρ_a) / ρ_r` — the fractional amplitude
-    /// swing the reader can detect.
-    pub fn modulation_depth(&self) -> f64 {
-        (self.rho_reflective - self.rho_absorptive) / self.rho_reflective
-    }
-
-    /// Fraction of incident *power* available to the harvester in the
-    /// absorptive state (what isn't reflected is absorbed).
-    pub fn harvest_fraction(&self) -> f64 {
-        1.0 - self.rho_absorptive * self.rho_absorptive
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +86,10 @@ mod tests {
 
     #[test]
     fn modulation_depth_is_meaningful() {
+        // OOK modulation depth `(ρ_r − ρ_a) / ρ_r`: the fractional
+        // amplitude swing the reader can detect.
         let p = Pzt::arachnet_tag();
-        let depth = p.modulation_depth();
+        let depth = (p.rho_reflective - p.rho_absorptive) / p.rho_reflective;
         // Less than full (the absorptive state still reflects a little),
         // but deep enough for robust OOK slicing.
         assert!(depth > 0.5 && depth < 1.0, "depth {depth}");
@@ -107,8 +97,10 @@ mod tests {
 
     #[test]
     fn harvest_fraction_bounds() {
+        // Fraction of incident power left to the harvester in the
+        // absorptive state: what isn't reflected is absorbed.
         let p = Pzt::arachnet_tag();
-        let h = p.harvest_fraction();
+        let h = 1.0 - p.rho_absorptive * p.rho_absorptive;
         assert!(h > 0.9 && h <= 1.0, "harvest fraction {h}");
     }
 

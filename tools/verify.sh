@@ -303,7 +303,9 @@ if [ "${ARACHNET_SKIP_BENCH_GATE:-0}" = "1" ]; then
   echo "== bench gates: SKIPPED (ARACHNET_SKIP_BENCH_GATE=1) =="
 else
   gate_pct="${ARACHNET_BENCH_GATE_PCT:-2}"
-  cargo build --release -p bench --benches >/dev/null 2>&1
+  # Quiet, but cargo's errors reach stderr: a bench that stops building
+  # ends the script (set -e) with its compiler message, not silently.
+  cargo build --release --quiet -p bench --benches
   phy_bin="$(ls -t target/release/deps/phy-* 2>/dev/null | grep -v '\.d$' | head -1)"
   phy_run() {
     ARACHNET_BENCH_DIR="$tmp1" ARACHNET_BENCH_SAMPLES="${ARACHNET_BENCH_SAMPLES:-15}" "$phy_bin" > "$tmp1/bench.txt"
