@@ -10,9 +10,9 @@
 //! `{"error":"overloaded"}` line — there is no unbounded backlog anywhere,
 //! and an admitted request is always answered, even across graceful
 //! drain, deadlines and panicking requests. Compatible uplink-decode
-//! requests (same channel seed) are micro-batched onto one synthesized
-//! `WaveSim` to amortize channel synthesis, the serving analogue of the
-//! block-processed PHY path.
+//! requests (same channel seed) are micro-batched onto one `WaveSim`;
+//! what they share is its construction, a few µs against about 1 ms for
+//! each decode (DESIGN.md §16).
 //!
 //! Everything this crate measures (counters, latency histograms, spans)
 //! is wall-domain and never feeds the deterministic `METRICS_<id>.json`

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! acceptor ──spawns──▶ handler (one per connection)
-//!                        │  inline: ping / stats / shutdown
+//! (blocks in accept)     │  inline: ping / stats / shutdown
 //!                        │  queued: decode / sleep / experiment
 //!                        ▼
 //!                 Bounded<Job> queue  (try_push = admission control)
@@ -24,10 +24,11 @@
 //!   deadlines (a structured `deadline_exceeded`, never a hung client). A
 //!   reply channel that drops without an answer becomes the handler's own
 //!   `internal` line, counted as `orphaned`.
-//! * **Drain order.** `shutdown` sets the drain flag; the acceptor stops
-//!   accepting and joins handlers (which finish their in-flight request,
-//!   reply, and close); only then is the queue closed and the workers
-//!   joined.
+//! * **Drain order.** `shutdown` sets the drain flag and wakes the
+//!   acceptor, which blocks in `accept`, with one loopback connection; the
+//!   acceptor drops that connection unserved and exits, and its handlers
+//!   are joined (each finishes its in-flight request, replies, and
+//!   closes); only then is the queue closed and the workers joined.
 //! * **Wall-domain only.** Nothing here touches `METRICS_<id>.json`; the
 //!   spans and stats are diagnostics (DESIGN.md §11/§16).
 
@@ -120,14 +121,16 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
-/// A worker's cached channel: compatible decode requests reuse the
-/// expensive `WaveSim::paper(seed)` synthesis.
+/// A worker's cached channel: compatible decode requests reuse one
+/// `WaveSim::paper(seed)` (a few µs; the decode itself is about 1 ms).
 type ChannelCache = Option<(u64, WaveSim)>;
 
 /// State shared by every thread of one server.
 struct Shared {
     queue: Bounded<Job>,
     draining: AtomicBool,
+    /// The listener's own address, which the drain connects to.
+    local_addr: SocketAddr,
     requests: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -146,6 +149,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Begin the drain, once: set the flag, then wake the acceptor out of
+    /// its blocking `accept` with one loopback connection, which it drops
+    /// unserved. A second call does nothing.
+    fn drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Err(e) = TcpStream::connect(self.local_addr) {
+            warn_str(&format!(
+                "serve: the drain could not wake the acceptor ({e}); it stops at its next connection"
+            ));
+        }
+    }
+
     fn beat(&self) -> ServeBeat {
         let completed = self.completed.load(Ordering::Relaxed);
         let elapsed = self.started.elapsed().as_secs_f64();
@@ -204,9 +221,10 @@ impl ServerHandle {
     }
 
     /// Begin graceful drain: stop accepting, finish in-flight.
-    /// Idempotent; returns immediately (pair with [`ServerHandle::join`]).
+    /// Idempotent; returns once the acceptor has been woken (pair with
+    /// [`ServerHandle::join`]).
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        self.shared.drain();
     }
 
     /// Has a drain been requested (via [`ServerHandle::shutdown`] or a
@@ -220,8 +238,8 @@ impl ServerHandle {
     /// Implies [`ServerHandle::shutdown`].
     pub fn join(mut self) -> ServeStats {
         self.shutdown();
-        // 1. Acceptor notices the flag, stops accepting, hands back the
-        //    handler threads it spawned.
+        // 1. Acceptor, woken by the drain, sees the flag, stops accepting
+        //    and hands back the handler threads it spawned.
         let handlers = self
             .acceptor
             .take()
@@ -266,12 +284,12 @@ impl ServerHandle {
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let workers = config.workers.max(1);
     let shared = Arc::new(Shared {
         queue: Bounded::new(config.queue_depth),
         draining: AtomicBool::new(false),
+        local_addr,
         requests: AtomicU64::new(0),
         completed: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
@@ -300,19 +318,23 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let sh = Arc::clone(&shared);
     let acceptor = std::thread::spawn(move || {
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        while !sh.draining.load(Ordering::SeqCst) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            // The drain's wake connection, and any that races it, is
+            // dropped here unserved.
+            if sh.draining.load(Ordering::SeqCst) {
+                return handlers;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let sh2 = Arc::clone(&sh);
                     handlers.push(std::thread::spawn(move || handle_conn(stream, &sh2)));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                // A real accept error (EMFILE, ECONNABORTED): back off so
+                // a lasting one cannot spin.
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
-        handlers
     });
 
     Ok(ServerHandle {
@@ -322,6 +344,10 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         workers: worker_handles,
     })
 }
+
+/// How long the acceptor waits after a failed `accept` before it tries
+/// again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// How long a handler blocks in one `read` call before re-checking the
 /// drain flag; also the granularity of the idle deadline.
@@ -444,11 +470,13 @@ fn serve_line(line: &str, sh: &Shared, stream: &mut TcpStream) -> LineOutcome {
             Err(()) => LineOutcome::Close,
         },
         Request::Shutdown => {
+            // Drain first, so a client that reads the reply finds the
+            // server draining.
+            sh.drain();
             let _ = write_line(
                 stream,
                 "{\"ok\":true,\"op\":\"shutdown\",\"draining\":true}",
             );
-            sh.draining.store(true, Ordering::SeqCst);
             LineOutcome::Close
         }
         work => {

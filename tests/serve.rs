@@ -7,15 +7,16 @@
 
 use arachnet::serve::proto::{MAX_UL_BPS, MIN_UL_BPS};
 use arachnet::serve::{
-    error_code, is_ok, start, Request, ServeClient, ServeConfig, MAX_LINE_BYTES, MAX_PACKETS,
-    MAX_SLEEP_MS, MAX_TAG,
+    error_code, is_ok, start, Request, ServeClient, ServeConfig, ServeStats, ServerHandle,
+    MAX_LINE_BYTES, MAX_PACKETS, MAX_SLEEP_MS, MAX_TAG,
 };
 use arachnet_testkit::{check, check_with, gen, prop_assert, prop_assert_eq, Config};
 use std::io::Write;
 use std::net::SocketAddr;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-fn boot(workers: usize, queue_depth: usize) -> (arachnet::serve::ServerHandle, SocketAddr) {
+fn boot(workers: usize, queue_depth: usize) -> (ServerHandle, SocketAddr) {
     let handle = start(ServeConfig {
         workers,
         queue_depth,
@@ -28,6 +29,15 @@ fn boot(workers: usize, queue_depth: usize) -> (arachnet::serve::ServerHandle, S
 
 fn client(addr: SocketAddr) -> ServeClient {
     ServeClient::connect(addr, Duration::from_secs(10)).expect("connect")
+}
+
+/// `handle.join()`, failing the test instead of hanging it when the drain
+/// does not finish within 10 s.
+fn join_bounded(handle: ServerHandle) -> ServeStats {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(handle.join()));
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("join returns: the drain wakes the blocked acceptor")
 }
 
 #[test]
@@ -209,6 +219,64 @@ fn drain_finishes_in_flight_requests_then_refuses_new_work() {
         ServeClient::connect(addr, Duration::from_millis(500)).is_err(),
         "drained server must stop accepting"
     );
+}
+
+/// The acceptor blocks in `accept`, so a new connection is read at once,
+/// not at a poll: connect + first ping 2 ms after boot (as perfbench's
+/// set-up connects), and over one-shot connections to one server (as an
+/// `nc` client uses it). Behind a 10 ms poll these read 8.6 and 10.3 ms.
+#[test]
+fn fresh_connections_are_served_without_waiting_for_a_poll() {
+    fn connect_and_ping_ms(addr: SocketAddr) -> f64 {
+        let t = Instant::now();
+        let v = client(addr).query(r#"{"op":"ping"}"#).unwrap();
+        assert!(is_ok(&v), "{v:?}");
+        t.elapsed().as_secs_f64() * 1e3
+    }
+    fn median(mut ms: Vec<f64>) -> f64 {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    }
+    let after_boot = median(
+        (0..7)
+            .map(|_| {
+                let (handle, addr) = boot(1, 4);
+                std::thread::sleep(Duration::from_millis(2));
+                let ms = connect_and_ping_ms(addr);
+                join_bounded(handle);
+                ms
+            })
+            .collect(),
+    );
+    let (handle, addr) = boot(1, 4);
+    let one_shot = median((0..21).map(|_| connect_and_ping_ms(addr)).collect());
+    let stats = join_bounded(handle);
+    assert_eq!(stats.torn, 0, "{stats:?}");
+    assert!(
+        after_boot < 3.0 && one_shot < 3.0,
+        "median connect + ping: {after_boot:.2} ms after boot, {one_shot:.2} ms one-shot"
+    );
+}
+
+/// Drain wakes an acceptor that never accepted anything, and its wake
+/// connection is not served or counted.
+#[test]
+fn drain_wakes_an_acceptor_that_never_accepted_a_connection() {
+    let (handle, _) = boot(1, 4);
+    assert_eq!(join_bounded(handle), ServeStats::default());
+}
+
+/// A client's `shutdown` op, then `ServerHandle::shutdown`, then `join`
+/// (itself a shutdown) start the drain once: the later calls wake nothing
+/// and count nothing.
+#[test]
+fn repeated_shutdowns_drain_once_and_count_nothing_extra() {
+    let (handle, addr) = boot(1, 4);
+    let v = client(addr).query(r#"{"op":"shutdown"}"#).unwrap();
+    assert_eq!(v.get("draining").and_then(|x| x.as_bool()), Some(true));
+    assert!(handle.is_draining());
+    handle.shutdown();
+    assert_eq!(join_bounded(handle), ServeStats::default());
 }
 
 #[test]
