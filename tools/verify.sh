@@ -291,6 +291,18 @@ serve_expect 7 '"draining":true' "shutdown"
 serve_expect 4 '"ok":true' "parked sleep across drain"
 serve_expect 5 '"ok":true' "queued sleep across drain"
 exec 4<&- 4>&- 5<&- 5>&- 7<&- 7>&-
+# A drain that never woke the acceptor would leave the process running and
+# a bare `wait` hanging: allow it as long as a reply (30 s), then fail.
+for _ in $(seq 1 300); do
+  kill -0 "$serve_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+  echo "FAIL: repro serve still running 30 s after its drain began" >&2
+  kill "$serve_pid" 2>/dev/null || true
+  cat "$sdir/serve.txt" >&2
+  exit 1
+fi
 if ! wait "$serve_pid"; then
   echo "FAIL: repro serve exited non-zero after a clean drain" >&2
   cat "$sdir/serve.txt" >&2
