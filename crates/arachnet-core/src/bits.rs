@@ -156,20 +156,6 @@ impl BitBuf {
     pub fn to_bools(&self) -> Vec<bool> {
         self.iter().collect()
     }
-
-    /// Counts the positions where `self` and `other` differ; positions beyond
-    /// the shorter buffer count as differing. Useful for preamble matching
-    /// and test assertions.
-    pub fn hamming_distance(&self, other: &BitBuf) -> usize {
-        let common = self.len.min(other.len);
-        let mut d = self.len.max(other.len) - common;
-        for i in 0..common {
-            if self.get(i) != other.get(i) {
-                d += 1;
-            }
-        }
-        d
-    }
 }
 
 impl fmt::Debug for BitBuf {
@@ -312,16 +298,6 @@ mod tests {
         let b = BitBuf::from_bools(&bits);
         assert_eq!(b.to_bools(), bits);
         assert_eq!(b.len(), 9);
-    }
-
-    #[test]
-    fn hamming_distance_counts_diffs_and_length_mismatch() {
-        let a = BitBuf::from_u32(0b1010, 4);
-        let b = BitBuf::from_u32(0b1001, 4);
-        assert_eq!(a.hamming_distance(&b), 2);
-        let c = BitBuf::from_u32(0b10, 2);
-        assert_eq!(a.hamming_distance(&c), 2); // 2 missing bits
-        assert_eq!(a.hamming_distance(&a), 0);
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl TagMac {
         self.integrated
     }
 
-    /// Whether the tag transmitted in the most recently opened slot.
-    pub fn transmitted_last_slot(&self) -> bool {
-        self.tx_last_slot
-    }
-
     fn random_offset(&mut self) -> u32 {
         self.rng.below(u64::from(self.period.get())) as u32
     }
@@ -324,7 +319,7 @@ mod tests {
     fn ack_after_transmit_settles() {
         let mut tag = mk(4, 3);
         drive_to_tx(&mut tag, 8);
-        assert!(tag.transmitted_last_slot());
+        assert!(tag.tx_last_slot);
         tag.on_beacon(beacon_ack());
         assert_eq!(tag.state(), MacState::Settle);
         assert!(tag.is_integrated());
@@ -439,7 +434,7 @@ mod tests {
             slot_before,
             "missed beacon must not advance s_i"
         );
-        assert!(!tag.transmitted_last_slot());
+        assert!(!tag.tx_last_slot);
     }
 
     #[test]

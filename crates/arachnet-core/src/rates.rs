@@ -49,12 +49,6 @@ impl BitRate {
         }
     }
 
-    /// Rate from bps directly.
-    pub fn from_bps(bps: f64) -> Self {
-        assert!(bps > 0.0);
-        Self { bps }
-    }
-
     /// Raw-bit interval in seconds.
     pub fn raw_interval_s(&self) -> f64 {
         1.0 / self.bps
@@ -63,17 +57,6 @@ impl BitRate {
     /// MCU timer ticks per raw interval at the 12 kHz clock.
     pub fn ticks_per_raw(&self) -> f64 {
         MCU_CLOCK_HZ / self.bps
-    }
-
-    /// On-air duration of an FM0-coded message of `data_bits` bits
-    /// (2 raw bits per data bit).
-    pub fn fm0_duration_s(&self, data_bits: usize) -> f64 {
-        2.0 * data_bits as f64 * self.raw_interval_s()
-    }
-
-    /// On-air duration of a PIE-coded message with the given bit counts.
-    pub fn pie_duration_s(&self, zeros: usize, ones: usize) -> f64 {
-        crate::pie::raw_len(zeros, ones) as f64 * self.raw_interval_s()
     }
 }
 
@@ -91,6 +74,17 @@ pub fn ul_rates() -> Vec<BitRate> {
 mod tests {
     use super::*;
     use crate::packet::UL_PACKET_BITS;
+    use crate::pie;
+
+    /// On-air duration of `data_bits` FM0-coded bits (2 raw bits each).
+    fn fm0_duration_s(bps: f64, data_bits: usize) -> f64 {
+        2.0 * data_bits as f64 * BitRate { bps }.raw_interval_s()
+    }
+
+    /// On-air duration of a PIE-coded message with the given bit counts.
+    fn pie_duration_s(bps: f64, zeros: usize, ones: usize) -> f64 {
+        pie::raw_len(zeros, ones) as f64 * BitRate { bps }.raw_interval_s()
+    }
 
     #[test]
     fn dividers_produce_paper_rates() {
@@ -111,8 +105,7 @@ mod tests {
     fn ul_packet_duration_matches_paper_estimate() {
         // 32-bit packet, FM0 → 64 raw bits at 375 bps ≈ 171 ms; the paper
         // rounds the full slot cost to "~200 ms" including guard time.
-        let r = BitRate::from_bps(DEFAULT_UL_BPS);
-        let d = r.fm0_duration_s(UL_PACKET_BITS);
+        let d = fm0_duration_s(DEFAULT_UL_BPS, UL_PACKET_BITS);
         assert!((d - 64.0 / 375.0).abs() < 1e-12);
         assert!(d > 0.15 && d < 0.2, "{d}");
         assert!(d + TAG_REPLY_GUARD_S < 0.2 + 1e-9);
@@ -122,27 +115,27 @@ mod tests {
     fn dl_beacon_duration_at_default_rate() {
         // 10-bit beacon, PIE: 20 + ones raw bits; at 250 bps that is
         // 80–120 ms depending on content.
-        let r = BitRate::from_bps(DEFAULT_DL_BPS);
-        let min = r.pie_duration_s(10, 0);
-        let max = r.pie_duration_s(0, 10);
+        let min = pie_duration_s(DEFAULT_DL_BPS, 10, 0);
+        let max = pie_duration_s(DEFAULT_DL_BPS, 0, 10);
         assert!((min - 0.080).abs() < 1e-12);
         assert!((max - 0.120).abs() < 1e-12);
     }
 
     #[test]
     fn ticks_per_raw_at_default_rates() {
-        assert!((BitRate::from_bps(375.0).ticks_per_raw() - 32.0).abs() < 1e-12);
-        assert!((BitRate::from_bps(250.0).ticks_per_raw() - 48.0).abs() < 1e-12);
+        let ticks = |bps| BitRate { bps }.ticks_per_raw();
+        assert!((ticks(375.0) - 32.0).abs() < 1e-12);
+        assert!((ticks(250.0) - 48.0).abs() < 1e-12);
         // At 2000 bps DL only 6 ticks remain per raw bit — the root cause of
         // the Fig. 13(a) packet-loss surge.
-        assert!((BitRate::from_bps(2000.0).ticks_per_raw() - 6.0).abs() < 1e-12);
+        assert!((ticks(2000.0) - 6.0).abs() < 1e-12);
     }
 
     #[test]
     fn slot_fits_beacon_guard_and_packet() {
-        let dl = BitRate::from_bps(DEFAULT_DL_BPS);
-        let ul = BitRate::from_bps(DEFAULT_UL_BPS);
-        let busy = dl.pie_duration_s(0, 10) + TAG_REPLY_GUARD_S + ul.fm0_duration_s(UL_PACKET_BITS);
+        let busy = pie_duration_s(DEFAULT_DL_BPS, 0, 10)
+            + TAG_REPLY_GUARD_S
+            + fm0_duration_s(DEFAULT_UL_BPS, UL_PACKET_BITS);
         assert!(busy < SLOT_DURATION_S, "slot too small: {busy}");
     }
 }

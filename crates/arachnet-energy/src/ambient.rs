@@ -72,11 +72,6 @@ impl AmbientHarvester {
     pub fn output_current(&self, state: DrivingState, v_cap: f64) -> f64 {
         ((self.open_circuit_voltage(state) - v_cap) / self.source_ohm).max(0.0)
     }
-
-    /// Average auxiliary power into a store held near `v_cap` (W).
-    pub fn power_at(&self, state: DrivingState, v_cap: f64) -> f64 {
-        self.output_current(state, v_cap) * v_cap
-    }
 }
 
 /// A harvesting chain with the auxiliary ambient source attached.
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn excitation_orders_by_driving_intensity() {
         let a = AmbientHarvester::default();
-        let p = |s| a.power_at(s, 2.0);
+        let p = |s| a.output_current(s, 2.0) * 2.0;
         assert!(p(DrivingState::Highway) > p(DrivingState::City));
         assert!(p(DrivingState::City) > p(DrivingState::Idle));
         assert!(p(DrivingState::Idle) >= p(DrivingState::Parked));
@@ -162,7 +157,7 @@ mod tests {
         // charging power (47 µW), i.e. a meaningful supplement, not a
         // replacement for the strong tags.
         let a = AmbientHarvester::default();
-        let p = a.power_at(DrivingState::Highway, 2.0) * 1e6;
+        let p = a.output_current(DrivingState::Highway, 2.0) * 2.0 * 1e6;
         assert!((5.0..60.0).contains(&p), "ambient power {p:.1} µW");
     }
 

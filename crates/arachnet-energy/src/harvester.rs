@@ -18,7 +18,6 @@
 
 use crate::cutoff::LowVoltageCutoff;
 use crate::multiplier::Multiplier;
-use crate::storage::SuperCap;
 
 /// The chain of one tag.
 ///
@@ -62,12 +61,6 @@ impl HarvestChain {
         self.multiplier.open_circuit_voltage(vp)
     }
 
-    /// Whether a tag at this input can ever activate (V_oc must exceed
-    /// V_HTH).
-    pub fn can_activate(&self, vp: f64) -> bool {
-        self.open_circuit_voltage(vp) > self.cutoff.v_hth()
-    }
-
     /// Exact (leakage-free) time to charge the store from `v0` to `v1`
     /// volts: `t = R·C · ln((V_oc − v0)/(V_oc − v1))`. `None` when the pump
     /// cannot reach `v1`.
@@ -99,19 +92,30 @@ impl HarvestChain {
         let v = self.cutoff.v_hth();
         Some(0.5 * self.capacitance * v * v / t)
     }
+}
 
-    /// Step-simulates charging with leakage and an optional constant load,
-    /// returning the time to reach `v_target` from `v0` (or `None` if not
-    /// reached within `max_s`).
-    pub fn simulate_charge(
-        &self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::SuperCap;
+
+    /// V_P of the best-placed tag (Tag 8's calibrated carrier voltage).
+    const VP_STRONG: f64 = 1.385;
+    /// V_P of the weakest tag (Tag 11).
+    const VP_WEAK: f64 = 0.329;
+
+    /// Step-simulates charging with the store's leakage and a constant
+    /// load: the time to reach `v_target` from `v0`, or `None` if not
+    /// reached within `max_s`.
+    fn simulate_charge(
+        h: &HarvestChain,
         vp: f64,
         v0: f64,
         v_target: f64,
         load_current: f64,
         max_s: f64,
     ) -> Option<f64> {
-        let mut cap = SuperCap::new(self.capacitance);
+        let mut cap = SuperCap::new(h.capacitance);
         cap.set_voltage(v0);
         let dt = 1e-3;
         let mut t = 0.0;
@@ -119,22 +123,12 @@ impl HarvestChain {
             if cap.voltage() >= v_target {
                 return Some(t);
             }
-            let i = self.multiplier.output_current(vp, cap.voltage()) - load_current;
+            let i = h.multiplier.output_current(vp, cap.voltage()) - load_current;
             cap.step(i, dt);
             t += dt;
         }
         None
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// V_P of the best-placed tag (Tag 8's calibrated carrier voltage).
-    const VP_STRONG: f64 = 1.385;
-    /// V_P of the weakest tag (Tag 11).
-    const VP_WEAK: f64 = 0.329;
 
     #[test]
     fn strong_tag_charges_in_seconds() {
@@ -202,15 +196,14 @@ mod tests {
         let h = HarvestChain::paper();
         // V_oc must exceed 2.3 V: V_P ≤ 0.29 V cannot activate.
         assert!(h.full_charge_time(0.29).is_none());
-        assert!(!h.can_activate(0.29));
-        assert!(h.can_activate(0.30));
+        assert!(h.full_charge_time(0.30).is_some());
     }
 
     #[test]
     fn simulated_charge_matches_closed_form() {
         let h = HarvestChain::paper();
         let analytic = h.full_charge_time(1.0).unwrap();
-        let simulated = h.simulate_charge(1.0, 0.0, 2.3, 0.0, 100.0).unwrap();
+        let simulated = simulate_charge(&h, 1.0, 0.0, 2.3, 0.0, 100.0).unwrap();
         // Leakage in the simulation makes it slightly slower.
         assert!(simulated >= analytic * 0.98, "{simulated} vs {analytic}");
         assert!(simulated <= analytic * 1.10, "{simulated} vs {analytic}");
@@ -219,12 +212,12 @@ mod tests {
     #[test]
     fn load_slows_or_prevents_charging() {
         let h = HarvestChain::paper();
-        let free = h.simulate_charge(0.5, 1.95, 2.3, 0.0, 200.0).unwrap();
+        let free = simulate_charge(&h, 0.5, 1.95, 2.3, 0.0, 200.0).unwrap();
         // A 25 µW load (RX mode at 2 V ≈ 12.4 µA) slows the weak tag down.
-        let loaded = h.simulate_charge(0.5, 1.95, 2.3, 12.4e-6, 200.0).unwrap();
+        let loaded = simulate_charge(&h, 0.5, 1.95, 2.3, 12.4e-6, 200.0).unwrap();
         assert!(loaded > free);
         // A load exceeding the charge current stalls charging entirely.
-        assert!(h.simulate_charge(0.33, 1.95, 2.3, 50e-6, 30.0).is_none());
+        assert!(simulate_charge(&h, 0.33, 1.95, 2.3, 50e-6, 30.0).is_none());
     }
 
     #[test]

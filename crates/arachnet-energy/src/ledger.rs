@@ -158,15 +158,6 @@ impl PowerLedger {
             (self.rx_s + self.tx_s) / self.time_s
         }
     }
-
-    /// Average power over the accounted time (W).
-    pub fn average_power(&self) -> f64 {
-        if self.time_s == 0.0 {
-            0.0
-        } else {
-            self.energy_j / self.time_s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,7 +283,6 @@ mod tests {
             + PowerMode::tx_default().power() * 0.2
             + PowerMode::Idle.power() * 0.7;
         assert!((l.energy() - expect).abs() < 1e-15);
-        assert!((l.average_power() - expect).abs() < 1e-15);
     }
 
     #[test]
@@ -315,7 +305,7 @@ mod tests {
         l.spend(PowerMode::rx_default(), 0.12);
         l.spend(PowerMode::Tx { ul_bps: 375.0 }, 0.19);
         l.spend(PowerMode::Idle, 0.69);
-        let avg = l.average_power() / UW;
+        let avg = l.energy() / l.time() / UW;
         assert!(avg < 47.1, "per-slot average {avg:.1} µW");
     }
 }

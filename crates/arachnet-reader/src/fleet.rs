@@ -297,11 +297,6 @@ impl FleetReceiver {
         &self.rx
     }
 
-    /// Number of foreign carriers this receiver rejects.
-    pub fn interferer_count(&self) -> usize {
-        self.interferers.len()
-    }
-
     /// Coherently estimates and subtracts every foreign carrier from
     /// `wave` in place (see the module docs for the estimator).
     fn reject_into(&self, wave: &mut [f64], corr: &mut Vec<f64>) {
@@ -425,7 +420,7 @@ mod tests {
         }
         // A co-channel receiver has nothing it can coherently reject.
         let rx = FleetReceiver::new(&plan, 0, 375.0);
-        assert_eq!(rx.interferer_count(), 0);
+        assert_eq!(rx.interferers.len(), 0);
     }
 
     fn packet_states(pkt: &UlPacket, spb: usize) -> Vec<PztState> {
@@ -460,7 +455,7 @@ mod tests {
         fleet.rx_waveform_into(0, &[&own, &idle], states.len(), 3, &mut wave);
 
         let rx = FleetReceiver::new(&plan, 0, 375.0);
-        assert_eq!(rx.interferer_count(), 1);
+        assert_eq!(rx.interferers.len(), 1);
         let mut scratch = FleetRxScratch::default();
         let out = rx.process_slot_with(&wave, &mut scratch);
         assert_eq!(out.packet, Some(pkt), "rejection failed: {out:?}");

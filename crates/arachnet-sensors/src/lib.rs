@@ -162,11 +162,6 @@ impl Adc {
         let code = (v.clamp(0.0, self.vref) / self.vref * max as f64).round() as u32;
         code.min(max) as u16
     }
-
-    /// LSB size in volts.
-    pub fn lsb(&self) -> f64 {
-        self.vref / ((1u32 << self.bits) - 1) as f64
-    }
 }
 
 /// The full sensing chain of one tag.
@@ -206,6 +201,11 @@ impl StrainSensor {
 mod tests {
     use super::*;
 
+    /// One ADC code step in volts.
+    fn adc_lsb(adc: &Adc) -> f64 {
+        adc.vref / f64::from((1u32 << adc.bits) - 1)
+    }
+
     #[test]
     fn gauge_resistance_follows_strain() {
         let g = StrainGauge::default();
@@ -242,11 +242,8 @@ mod tests {
         // (1.76 mV), which is exactly why the pre-amplifier exists.
         let b = WheatstoneBridge::default();
         let v = b.output(625e-6);
-        assert!(
-            v < Adc::default().lsb(),
-            "bridge {v} vs LSB {}",
-            Adc::default().lsb()
-        );
+        let lsb = adc_lsb(&Adc::default());
+        assert!(v < lsb, "bridge {v} vs LSB {lsb}");
     }
 
     #[test]
@@ -263,7 +260,7 @@ mod tests {
         let max = f64::from((1u32 << adc.bits) - 1);
         for v in [0.0, 0.45, 0.9, 1.35, 1.8] {
             let back = f64::from(adc.sample(v)) / max * adc.vref;
-            assert!((back - v).abs() <= adc.lsb() / 2.0 + 1e-12);
+            assert!((back - v).abs() <= adc_lsb(&adc) / 2.0 + 1e-12);
         }
     }
 

@@ -404,24 +404,24 @@ impl TrialCodec for CellOutcome {
     }
 }
 
-/// Encodes `value` into a fresh byte vector.
-pub fn encode_to_vec<T: TrialCodec>(value: &T) -> Vec<u8> {
-    let mut out = Vec::new();
-    value.encode(&mut out);
-    out
-}
-
-/// Decodes a value that must consume `bytes` exactly; `None` on trailing
-/// garbage or truncation.
-pub fn decode_exact<T: TrialCodec>(bytes: &[u8]) -> Option<T> {
-    let mut input = bytes;
-    let v = T::decode(&mut input)?;
-    input.is_empty().then_some(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes `value` into a fresh byte vector.
+    fn encode_to_vec<T: TrialCodec>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.encode(&mut out);
+        out
+    }
+
+    /// Decodes a value that must consume `bytes` exactly; `None` on
+    /// trailing garbage or truncation.
+    fn decode_exact<T: TrialCodec>(bytes: &[u8]) -> Option<T> {
+        let mut input = bytes;
+        let v = T::decode(&mut input)?;
+        input.is_empty().then_some(v)
+    }
 
     fn roundtrip<T: TrialCodec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);

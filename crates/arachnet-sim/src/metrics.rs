@@ -89,21 +89,6 @@ impl Ecdf {
         let idx = ((q * self.sorted.len() as f64).ceil() as usize).max(1) - 1;
         self.sorted[idx.min(self.sorted.len() - 1)]
     }
-
-    /// Evenly spaced `(x, F(x))` points for plotting.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = self.sorted[self.sorted.len() - 1];
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1).max(1) as f64;
-                (x, self.at(x))
-            })
-            .collect()
-    }
 }
 
 /// Mean of a sample.
@@ -112,15 +97,6 @@ pub fn mean(values: &[f64]) -> f64 {
         return 0.0;
     }
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Sample standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -174,27 +150,26 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_curve_is_monotone() {
+    fn ecdf_is_monotone() {
         let e = Ecdf::new(&[3.0, 1.0, 2.0, 8.0, 5.0]);
-        let curve = e.curve(20);
-        assert_eq!(curve.len(), 20);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1);
+        let f: Vec<f64> = (0..20)
+            .map(|i| e.at(1.0 + 7.0 * f64::from(i) / 19.0))
+            .collect();
+        for w in f.windows(2) {
+            assert!(w[1] >= w[0]);
         }
-        assert_eq!(curve.last().unwrap().1, 1.0);
+        assert_eq!(f[19], 1.0);
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_a_sample() {
         let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&v) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_safe_where_documented() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
         assert!(Ecdf::new(&[]).is_empty());
         assert_eq!(Ecdf::new(&[]).at(1.0), 0.0);
     }

@@ -268,11 +268,6 @@ impl SlotSim {
         self.keep_trajectory = on;
     }
 
-    /// Enables ground-truth outcome recording.
-    pub fn record_outcomes(&mut self, on: bool) {
-        self.keep_outcomes = on;
-    }
-
     /// Immutable access to the tag devices.
     pub fn tags(&self) -> &[TagDevice] {
         &self.tags
@@ -986,7 +981,7 @@ mod tests {
     #[test]
     fn outcomes_recording_works() {
         let mut sim = SlotSim::new(SlotSimConfig::ideal(small_pattern(), 17));
-        sim.record_outcomes(true);
+        sim.keep_outcomes = true;
         sim.run(50);
         assert_eq!(sim.summary().outcomes.len(), 50);
     }
@@ -996,8 +991,8 @@ mod tests {
         let mut bare = SlotSim::new(SlotSimConfig::new(small_pattern(), 23));
         let mut with =
             SlotSim::with_scenario(SlotSimConfig::new(small_pattern(), 23), Scenario::empty());
-        bare.record_outcomes(true);
-        with.record_outcomes(true);
+        bare.keep_outcomes = true;
+        with.keep_outcomes = true;
         let a = bare.run(500);
         let b = with.run(500);
         assert_eq!(a.outcomes, b.outcomes);
@@ -1030,7 +1025,7 @@ mod tests {
         let mut sim =
             SlotSim::with_scenario(SlotSimConfig::ideal(small_pattern(), 37), scenario.clone());
         sim.attach_recorder(Recorder::enabled(37));
-        sim.record_outcomes(true);
+        sim.keep_outcomes = true;
         sim.run(200);
         // The reader's slot counter freezes for the whole dark window.
         let frozen = sim.reader().current_slot();
@@ -1075,7 +1070,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sim = SlotSim::with_scenario(SlotSimConfig::ideal(small_pattern(), 43), scenario);
-        sim.record_outcomes(true);
+        sim.keep_outcomes = true;
         sim.run(300);
         let before = sim.summary().outcomes.len();
         assert_eq!(before, 300);

@@ -45,11 +45,6 @@ impl Fm0Modulator {
         self.clock.set_supply(v);
     }
 
-    /// Nominal raw bit rate this divider programs.
-    pub fn nominal_bps(&self) -> f64 {
-        crate::mcu::NOMINAL_CLOCK_HZ / f64::from(self.divider)
-    }
-
     /// Actual on-air raw-bit duration (s) under the current clock.
     pub fn actual_raw_interval(&self) -> f64 {
         self.clock.ticks_to_seconds(self.divider)
@@ -87,10 +82,10 @@ mod tests {
 
     #[test]
     fn divider_sets_nominal_rate() {
-        let m = Fm0Modulator::new(McuClock::ideal(), 32);
-        assert!((m.nominal_bps() - 375.0).abs() < 1e-12);
-        let m = Fm0Modulator::new(McuClock::ideal(), 4);
-        assert!((m.nominal_bps() - 3_000.0).abs() < 1e-12);
+        let bps =
+            |divider| 1.0 / Fm0Modulator::new(McuClock::ideal(), divider).actual_raw_interval();
+        assert!((bps(32) - 375.0).abs() < 1e-9);
+        assert!((bps(4) - 3_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -141,16 +141,6 @@ impl Suite {
         }
     }
 
-    /// Starts a suite with an explicit configuration.
-    pub fn with_config(name: &str, cfg: SuiteConfig) -> Self {
-        Suite {
-            name: name.to_string(),
-            cfg,
-            results: Vec::new(),
-            pairs: Vec::new(),
-        }
-    }
-
     /// Measures `f`: warmup, batch-size calibration, then
     /// `cfg.samples` timed batches. The closure's return value is passed
     /// through [`black_box`] so the work is not optimized away.
@@ -365,17 +355,21 @@ pub fn fmt_ns(ns: f64) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> SuiteConfig {
-        SuiteConfig {
-            samples: 5,
-            sample_time: Duration::from_micros(200),
-            warmup: Duration::from_micros(100),
+    /// A suite with a tiny budget, whatever the environment asks for.
+    fn tiny() -> Suite {
+        Suite {
+            cfg: SuiteConfig {
+                samples: 5,
+                sample_time: Duration::from_micros(200),
+                warmup: Duration::from_micros(100),
+            },
+            ..Suite::new("unit")
         }
     }
 
     #[test]
     fn bench_produces_ordered_stats() {
-        let mut s = Suite::with_config("unit", tiny());
+        let mut s = tiny();
         s.bench("noop_sum", || (0..100u64).sum::<u64>());
         let r = &s.results[0];
         assert!(r.stats.ns_min <= r.stats.ns_median);
@@ -386,7 +380,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let mut s = Suite::with_config("unit", tiny());
+        let mut s = tiny();
         s.bench("a", || 1 + 1);
         s.bench("b", || 2 + 2);
         let json = s.to_json();
@@ -401,7 +395,7 @@ mod tests {
     #[test]
     fn paired_bench_reports_the_ratio_of_the_two_closures() {
         let spin = |n: u64| (0..n).fold(0u64, |a, x| black_box(a ^ x.wrapping_mul(31)));
-        let mut s = Suite::with_config("unit", tiny());
+        let mut s = tiny();
         s.bench_paired("unit/4x", || spin(2_000), || spin(8_000));
         let p = &s.pairs[0];
         assert_eq!(p.pairs, 5);

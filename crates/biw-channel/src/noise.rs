@@ -80,16 +80,6 @@ impl Default for NoiseConfig {
 }
 
 impl NoiseConfig {
-    /// Noise while the vehicle idles with systems running: a strong
-    /// sub-100 Hz component on top of the floor.
-    pub fn vehicle_running() -> Self {
-        Self {
-            floor_sigma: 0.01,
-            vibration_amp: 0.5,
-            vibration_hz: 30.0,
-        }
-    }
-
     /// No noise at all (unit tests of other components).
     pub fn silent() -> Self {
         Self {
@@ -173,6 +163,15 @@ impl ChannelNoise {
 mod tests {
     use super::*;
 
+    /// Noise while the vehicle idles with systems running: a strong
+    /// sub-100 Hz component on top of the floor.
+    fn vehicle_running() -> NoiseConfig {
+        NoiseConfig {
+            vibration_amp: 0.5,
+            ..NoiseConfig::default()
+        }
+    }
+
     #[test]
     fn gaussian_moments() {
         let mut s = NoiseSource::new(42);
@@ -205,7 +204,7 @@ mod tests {
     fn fill_matches_streaming_next() {
         // The fast path must emit the exact stream `next` would, including
         // across fill boundaries (the vibration clock keeps advancing).
-        for cfg in [NoiseConfig::default(), NoiseConfig::vehicle_running()] {
+        for cfg in [NoiseConfig::default(), vehicle_running()] {
             let mut a = ChannelNoise::new(cfg, 500e3, 21);
             let mut b = ChannelNoise::new(cfg, 500e3, 21);
             let mut buf = [0.0; 257];
@@ -231,7 +230,7 @@ mod tests {
         let fs = 50_000.0;
         let cfg = NoiseConfig {
             floor_sigma: 0.0,
-            ..NoiseConfig::vehicle_running()
+            ..vehicle_running()
         };
         let mut n = ChannelNoise::new(cfg, fs, 3);
         let block = n.block(1 << 15);
