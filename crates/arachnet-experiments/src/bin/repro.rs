@@ -6,13 +6,12 @@
 //! repro metrics <artifact|all> [flags]      (run with --metrics implied)
 //! repro trace <artifact> <tag|all> [flags]  (run with --trace implied)
 //! repro diff <A.json> <B.json> [--tolerance F]
-//! repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N]
-//!             [--deadline-ms N]
+//! repro serve [--port P] [--workers N] [--queue-depth N] [--deadline-ms N]
 //! repro <artifact|all> [flags]              (legacy alias for `run`)
 //! ```
 //!
 //! Each subcommand accepts only the flags it reads: `list` takes none,
-//! `diff` only `--tolerance`, `serve` only its five flags above, and
+//! `diff` only `--tolerance`, `serve` only its four flags above, and
 //! `run`/`metrics`/`trace` everything except the serve-only flags and
 //! `--tolerance`. Any other flag is a usage error (exit 2) before anything
 //! is bound, printed or written.
@@ -50,9 +49,8 @@
 //! `repro serve` (DESIGN.md §16) runs the backpressured TCP query
 //! service: `--port 0` binds an ephemeral port (announced as the first
 //! stdout line), `--workers`/`--queue-depth` size the pool and the
-//! bounded admission queue, `--max-batch` caps same-seed micro-batches,
-//! and `--deadline-ms N` (N ≥ 1, default 30000) is the per-request
-//! deadline.
+//! bounded admission queue, and `--deadline-ms N` (N ≥ 1, default 30000)
+//! is the per-request deadline.
 //! Drains gracefully on the wire `shutdown` op and exits 0.
 //!
 //! Exit codes: `0` success, `1` regression (`diff` found violations), `2`
@@ -100,13 +98,7 @@ const EXIT_USAGE: i32 = 2;
 const EXIT_FAILURE: i32 = 3;
 
 /// Flags only `repro serve` reads.
-const SERVE_ONLY_FLAGS: [&str; 5] = [
-    "--port",
-    "--workers",
-    "--queue-depth",
-    "--max-batch",
-    "--deadline-ms",
-];
+const SERVE_ONLY_FLAGS: [&str; 4] = ["--port", "--workers", "--queue-depth", "--deadline-ms"];
 
 /// Observability output options parsed from the command line.
 #[derive(Clone, Copy)]
@@ -139,7 +131,6 @@ fn main() {
     let mut port = 0u16;
     let mut serve_workers = 2usize;
     let mut queue_depth = 64usize;
-    let mut max_batch = 8usize;
     let mut deadline_ms: Option<u64> = None;
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
     let mut obs = ObsOpts {
@@ -242,13 +233,6 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage("--queue-depth needs a number >= 1"));
             }
-            "--max-batch" => {
-                max_batch = it
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--max-batch needs a number >= 1"));
-            }
             "--deadline-ms" => {
                 deadline_ms = Some(
                     it.next()
@@ -315,7 +299,6 @@ fn main() {
                 port,
                 workers: serve_workers,
                 queue_depth,
-                max_batch,
                 deadline_ms,
             });
             return;
@@ -477,7 +460,6 @@ struct ServeOpts {
     port: u16,
     workers: usize,
     queue_depth: usize,
-    max_batch: usize,
     /// `--deadline-ms N`: per-request deadline (N ≥ 1).
     deadline_ms: Option<u64>,
 }
@@ -493,7 +475,6 @@ fn run_serve(opts: ServeOpts) {
         port,
         workers,
         queue_depth,
-        max_batch,
         deadline_ms,
     } = opts;
 
@@ -517,7 +498,6 @@ fn run_serve(opts: ServeOpts) {
         port,
         workers,
         queue_depth,
-        max_batch,
         experiment_runner: Some(runner),
         ..arachnet_serve::ServeConfig::default()
     };
@@ -535,7 +515,7 @@ fn run_serve(opts: ServeOpts) {
     // parent piping stdout sees it before the first query.
     println!("serve: listening on {}", handle.local_addr());
     println!(
-        "serve: {workers} worker(s), queue depth {queue_depth}, max batch {max_batch} \
+        "serve: {workers} worker(s), queue depth {queue_depth} \
          — send {{\"op\":\"shutdown\"}} to drain"
     );
     let _ = std::io::stdout().flush();
@@ -545,13 +525,12 @@ fn run_serve(opts: ServeOpts) {
     let stats = handle.join();
     println!(
         "serve: drained — {} admitted, {} completed, {} rejected, {} malformed, {} torn; \
-         {} batch(es); latency p50 {} us, p95 {} us",
+         latency p50 {} us, p95 {} us",
         stats.requests,
         stats.completed,
         stats.rejected,
         stats.malformed,
         stats.torn,
-        stats.batches,
         stats.p50_us,
         stats.p95_us,
     );
@@ -731,10 +710,7 @@ fn usage(err: &str) -> ! {
          [--checkpoint-dir DIR] [--chrome] [--trace-window N] [--ring-capacity N]"
     );
     eprintln!("       repro diff <A.json> <B.json> [--tolerance F]");
-    eprintln!(
-        "       repro serve [--port P] [--workers N] [--queue-depth N] [--max-batch N] \
-         [--deadline-ms N>=1]"
-    );
+    eprintln!("       repro serve [--port P] [--workers N] [--queue-depth N] [--deadline-ms N>=1]");
     eprintln!("       repro <artifact|all>   (alias for `repro run`)");
     eprintln!(
         "artifacts: {}",

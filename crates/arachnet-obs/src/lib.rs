@@ -1,14 +1,10 @@
 //! Zero-dependency observability for the ARACHNET reproduction.
 //!
-//! This crate is std-only (PR 1 no-external-deps rule) and provides four
+//! This crate is std-only (PR 1 no-external-deps rule) and provides three
 //! building blocks, all designed so that the *disabled* path costs a single
 //! branch and the *enabled* path stays allocation-free per event once the
 //! bounded buffers are warm:
 //!
-//! * [`Histo`] — fixed-bucket log2 histograms with p50/p95 readout for
-//!   wall-domain samples (the serve tier's request latencies). They
-//!   merge associatively, so per-thread instances folded in any order
-//!   reproduce the single-stream result bit for bit.
 //! * [`span`] — wall-clock timing of PHY/DSP stages with thread-local
 //!   aggregation. Span *names* merge deterministically (sorted); span
 //!   *durations* are wall-domain and are never part of the deterministic
@@ -36,7 +32,6 @@
 
 mod chrometrace;
 mod event;
-mod histo;
 mod jsonval;
 mod metrics;
 mod recorder;
@@ -46,7 +41,6 @@ mod warnsink;
 
 pub use chrometrace::{chrome_trace, TrialLane};
 pub use event::{DecodeFailReason, Event, EventKind, MigrateReason, KIND_COUNT, NO_TAG};
-pub use histo::Histo;
 pub use jsonval::{parse_json, JsonError, JsonValue};
 pub use metrics::{MetricSet, MetricValue};
 pub use recorder::{

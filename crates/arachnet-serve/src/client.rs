@@ -1,7 +1,7 @@
 //! A minimal blocking client for the serve wire protocol.
 //!
 //! One connection, one request in flight (the protocol is closed-loop per
-//! connection); used by the load generator, the bench serve suite, and the
+//! connection); used by the bench serve suite, perfbench and the
 //! integration tests.
 
 use arachnet_obs::{parse_json, JsonValue};

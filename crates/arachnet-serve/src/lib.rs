@@ -1,5 +1,5 @@
-//! `arachnet-serve`: a backpressured, micro-batching TCP query service
-//! over the ARACHNET PHY/fleet engines (DESIGN.md §16).
+//! `arachnet-serve`: a backpressured TCP query service over the ARACHNET
+//! PHY/fleet engines (DESIGN.md §16).
 //!
 //! It is std-only: plain `std::net` sockets, line-delimited JSON parsed
 //! with [`arachnet_obs::parse_json`], `std::thread` workers.
@@ -9,12 +9,10 @@
 //! job queue, or rejected **immediately** with a structured
 //! `{"error":"overloaded"}` line — there is no unbounded backlog anywhere,
 //! and an admitted request is always answered, even across graceful
-//! drain, deadlines and panicking requests. Compatible uplink-decode
-//! requests (same channel seed) are micro-batched onto one `WaveSim`;
-//! what they share is its construction, a few µs against about 1 ms for
-//! each decode (DESIGN.md §16).
+//! drain, deadlines and panicking requests. A worker runs one job at a
+//! time, and each decode builds its own `WaveSim` (DESIGN.md §16).
 //!
-//! Everything this crate measures (counters, latency histograms, spans)
+//! Everything this crate measures (counters, latency percentiles, spans)
 //! is wall-domain and never feeds the deterministic `METRICS_<id>.json`
 //! export.
 //!
@@ -31,14 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod proto;
 pub mod queue;
 pub mod server;
 
 pub use arachnet_obs::{parse_json, JsonValue};
 pub use client::{error_code, is_ok, ServeClient};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use proto::{Reject, Request, ServeBeat, MAX_LINE_BYTES, MAX_PACKETS, MAX_SLEEP_MS, MAX_TAG};
 pub use queue::{Bounded, PushError};
 pub use server::{start, ExperimentRunner, ServeConfig, ServeStats, ServerHandle};

@@ -20,7 +20,7 @@
 //!
 //! Ops: `ping`, `stats`, `shutdown` (answered inline by the connection
 //! handler — health and control must work even when the queue is full),
-//! and the queued work ops `decode` (micro-batchable uplink-decode trial),
+//! and the queued work ops `decode` (one uplink-decode trial),
 //! `experiment` (registry artifact, when the embedder installed a runner)
 //! and `sleep` (a diagnostic that holds a worker; used by the overload and
 //! drain tests, capped at [`MAX_SLEEP_MS`]).
@@ -67,8 +67,7 @@ pub enum Request {
         ms: u64,
     },
     /// Uplink-decode trial: `packets` seeded packets from `tag` at
-    /// `ul_bps` through the block-processed PHY path. Requests sharing
-    /// `seed` are compatible and may be micro-batched onto one `WaveSim`.
+    /// `ul_bps` through the block-processed PHY path.
     Decode {
         /// Tag id (1..=[`MAX_TAG`]).
         tag: u8,
@@ -76,7 +75,7 @@ pub enum Request {
         ul_bps: f64,
         /// Packets to send (1..=[`MAX_PACKETS`]).
         packets: u64,
-        /// Channel/trial seed; the batching compatibility key.
+        /// Channel/trial seed.
         seed: u64,
     },
     /// Run a registry experiment and return its deterministic metrics
@@ -225,29 +224,12 @@ impl Request {
             other => Err(Reject::new("bad_request", format!("unknown op `{other}`"))),
         }
     }
-
-    /// The micro-batching compatibility key: `Some(seed)` for decode
-    /// requests (they share a `WaveSim`), `None` for everything else.
-    pub fn batch_key(&self) -> Option<u64> {
-        match self {
-            Request::Decode { seed, .. } => Some(*seed),
-            _ => None,
-        }
-    }
 }
 
-/// The successful `decode` reply line (no trailing newline). `batched` is
-/// how many requests shared this request's micro-batch (1 = unbatched).
-pub fn decode_line(
-    tag: u8,
-    ul_bps: f64,
-    sent: u64,
-    lost: u64,
-    snr_db: f64,
-    batched: usize,
-) -> String {
+/// The successful `decode` reply line (no trailing newline).
+pub fn decode_line(tag: u8, ul_bps: f64, sent: u64, lost: u64, snr_db: f64) -> String {
     format!(
-        "{{\"ok\":true,\"op\":\"decode\",\"tag\":{tag},\"ul_bps\":{},\"sent\":{sent},\"lost\":{lost},\"snr_db\":{},\"batched\":{batched}}}",
+        "{{\"ok\":true,\"op\":\"decode\",\"tag\":{tag},\"ul_bps\":{},\"sent\":{sent},\"lost\":{lost},\"snr_db\":{}}}",
         json_f64(ul_bps),
         json_f64(snr_db),
     )
@@ -395,17 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_key_groups_decodes_by_seed() {
-        let a = Request::parse(r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":4,"seed":9}"#)
-            .unwrap();
-        let b =
-            Request::parse(r#"{"op":"decode","tag":4,"ul_bps":500,"packets":2,"seed":9}"#).unwrap();
-        assert_eq!(a.batch_key(), Some(9));
-        assert_eq!(a.batch_key(), b.batch_key());
-        assert_eq!(Request::Ping.batch_key(), None);
-    }
-
-    #[test]
     fn serve_beat_roundtrips_and_decode_line_is_json() {
         let beat = ServeBeat {
             t_ms: 1234,
@@ -442,9 +413,8 @@ mod tests {
             assert_eq!(num(k), Some(want), "{k}");
         }
         assert_eq!(v.get("done").and_then(JsonValue::as_bool), Some(false));
-        let line = decode_line(8, 2000.0, 20, 1, 12.25, 3);
+        let line = decode_line(8, 2000.0, 20, 1, 12.25);
         let v = parse_json(&line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("batched").unwrap().as_f64(), Some(3.0));
     }
 }

@@ -6,14 +6,6 @@
 //! `{"error":"overloaded"}` rejection. Workers block in [`Bounded::pop`]
 //! until a job arrives or the queue is closed and empty (graceful drain:
 //! everything admitted before [`Bounded::close`] is still served).
-//!
-//! [`Bounded::pop_matching`] is the micro-batching hook: a worker that just
-//! popped a job can opportunistically take more *compatible* jobs (same
-//! channel seed, so they share one synthesized [`WaveSim`]) without
-//! disturbing the rest of the queue. It never blocks — batching only ever
-//! amortizes work that is already waiting.
-//!
-//! [`WaveSim`]: arachnet_sim::wavesim::WaveSim
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -89,28 +81,6 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Removes up to `max` queued jobs matching `pred` (front to back),
-    /// leaving the rest in their original order. Never blocks — this is
-    /// the micro-batching hook, and batching only amortizes work that is
-    /// already waiting.
-    pub fn pop_matching(&self, pred: impl Fn(&T) -> bool, max: usize) -> Vec<T> {
-        let mut out = Vec::new();
-        if max == 0 {
-            return out;
-        }
-        let mut st = self.lock();
-        let mut keep = VecDeque::with_capacity(st.q.len());
-        while let Some(item) = st.q.pop_front() {
-            if out.len() < max && pred(&item) {
-                out.push(item);
-            } else {
-                keep.push_back(item);
-            }
-        }
-        st.q = keep;
-        out
-    }
-
     /// Closes the queue: future pushes fail with [`PushError::Closed`],
     /// and workers drain the remaining jobs then observe `None`.
     pub fn close(&self) {
@@ -152,22 +122,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_matching_takes_only_compatible_jobs_in_order() {
-        let q = Bounded::new(8);
-        for v in [10, 21, 11, 22, 12, 23] {
-            q.try_push(v).unwrap();
-        }
-        let evens = q.pop_matching(|v| v % 2 == 0, 2);
-        assert_eq!(evens, vec![10, 22]);
-        // Remaining jobs keep their relative order.
-        assert_eq!(q.pop(), Some(21));
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), Some(12));
-        assert_eq!(q.pop(), Some(23));
-        assert!(q.is_empty());
     }
 
     #[test]

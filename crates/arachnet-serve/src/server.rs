@@ -10,7 +10,7 @@
 //!                 Bounded<Job> queue  (try_push = admission control)
 //!                        │
 //!                        ▼
-//!            worker × N  (micro-batch compatible decodes, reply via mpsc)
+//!            worker × N  (one job at a time, reply via mpsc)
 //! ```
 //!
 //! Invariants the tests pin down:
@@ -20,8 +20,7 @@
 //! * **Admitted means answered.** Every job that passes admission control
 //!   gets exactly one reply line, even across drain (workers run until the
 //!   closed queue is empty), a panicking request (`catch_unwind` → a
-//!   structured `internal` error, the worker's channel cache reset), and
-//!   deadlines (a structured `deadline_exceeded`, never a hung client). A
+//!   structured `internal` error), and deadlines (a structured `deadline_exceeded`, never a hung client). A
 //!   reply channel that drops without an answer becomes the handler's own
 //!   `internal` line, counted as `orphaned`.
 //! * **Drain order.** `shutdown` sets the drain flag and wakes the
@@ -34,7 +33,7 @@
 
 use crate::proto::{decode_line, error_line, Request, ServeBeat, MAX_LINE_BYTES};
 use crate::queue::{Bounded, PushError};
-use arachnet_obs::{flush_thread_spans, span, warn_str, Histo};
+use arachnet_obs::{flush_thread_spans, span, warn_str};
 use arachnet_sim::wavesim::WaveSim;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -61,8 +60,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Bounded queue capacity (clamped to ≥ 1): the admission-control knob.
     pub queue_depth: usize,
-    /// Most decode requests one worker folds into a micro-batch (≥ 1).
-    pub max_batch: usize,
     /// Optional `experiment` op capability.
     pub experiment_runner: Option<ExperimentRunner>,
     /// Per-request deadline: an admitted request not answered within this
@@ -77,7 +74,6 @@ impl Default for ServeConfig {
             port: 0,
             workers: 2,
             queue_depth: 64,
-            max_batch: 8,
             experiment_runner: None,
             request_deadline: Duration::from_secs(30),
         }
@@ -98,13 +94,14 @@ pub struct ServeStats {
     pub malformed: u64,
     /// Connections that vanished mid-line (EOF with a partial request).
     pub torn: u64,
-    /// Micro-batches executed (a lone decode counts as a batch of 1).
-    pub batches: u64,
-    /// Decode requests served through a batch of size ≥ 2.
+    /// Always 0: a worker runs one job at a time and never batches.
+    /// perfbench reads it for `serve.batched_frac`; it goes when that
+    /// stops.
     pub batched_requests: u64,
-    /// Request latency p50 (enqueue → reply), microseconds.
+    /// Request latency p50 (enqueue → reply) over the last
+    /// [`LATENCY_WINDOW`] requests, microseconds; 0 before the first.
     pub p50_us: u64,
-    /// Request latency p95, microseconds.
+    /// Request latency p95, over the same window, microseconds.
     pub p95_us: u64,
     /// `deadline_exceeded` replies generated (handler- and worker-side).
     pub deadlines: u64,
@@ -121,9 +118,40 @@ struct Job {
     reply: mpsc::Sender<String>,
 }
 
-/// A worker's cached channel: compatible decode requests reuse one
-/// `WaveSim::paper(seed)` (a few µs; the decode itself is about 1 ms).
-type ChannelCache = Option<(u64, WaveSim)>;
+/// How many of the most recent request latencies the `stats` op and
+/// [`ServeStats`] take their p50/p95 over.
+pub const LATENCY_WINDOW: usize = 4096;
+
+/// The raw latencies of the last [`LATENCY_WINDOW`] requests; the oldest
+/// is overwritten first.
+#[derive(Default)]
+struct LatencyRing {
+    us: Vec<u64>,
+    next: usize,
+}
+
+impl LatencyRing {
+    fn record(&mut self, us: u64) {
+        if self.us.len() < LATENCY_WINDOW {
+            self.us.push(us);
+        } else {
+            self.us[self.next] = us;
+        }
+        self.next = (self.next + 1) % LATENCY_WINDOW;
+    }
+}
+
+/// Exact `(p50, p95)` of `us`: the order statistic of rank ⌈q·n⌉, clamped
+/// to [1, n]; `(0, 0)` when `us` is empty.
+fn p50_p95(mut us: Vec<u64>) -> (u64, u64) {
+    if us.is_empty() {
+        return (0, 0);
+    }
+    us.sort_unstable();
+    let n = us.len();
+    let at = |pct: usize| us[(n * pct).div_ceil(100).clamp(1, n) - 1];
+    (at(50), at(95))
+}
 
 /// State shared by every thread of one server.
 struct Shared {
@@ -136,13 +164,11 @@ struct Shared {
     rejected: AtomicU64,
     malformed: AtomicU64,
     torn: AtomicU64,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
     inflight: AtomicU64,
     deadlines: AtomicU64,
     orphaned: AtomicU64,
     request_deadline: Duration,
-    latency_us: Mutex<Histo>,
+    latency_us: Mutex<LatencyRing>,
     started: Instant,
     workers: u32,
     experiment_runner: Option<ExperimentRunner>,
@@ -163,13 +189,22 @@ impl Shared {
         }
     }
 
+    /// Latency p50 and p95 over the ring: copied under the lock, sorted
+    /// outside it.
+    fn latency_p50_p95(&self) -> (u64, u64) {
+        let us = self
+            .latency_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .us
+            .clone();
+        p50_p95(us)
+    }
+
     fn beat(&self) -> ServeBeat {
         let completed = self.completed.load(Ordering::Relaxed);
         let elapsed = self.started.elapsed().as_secs_f64();
-        let (p50_us, p95_us) = {
-            let h = self.latency_us.lock().unwrap_or_else(|e| e.into_inner());
-            (h.p50(), h.p95())
-        };
+        let (p50_us, p95_us) = self.latency_p50_p95();
         ServeBeat {
             t_ms: self.started.elapsed().as_millis().min(u64::MAX as u128) as u64,
             requests: self.requests.load(Ordering::Relaxed),
@@ -259,18 +294,14 @@ impl ServerHandle {
             }
         }
         let s = &self.shared;
-        let (p50_us, p95_us) = {
-            let h = s.latency_us.lock().unwrap_or_else(|e| e.into_inner());
-            (h.p50(), h.p95())
-        };
+        let (p50_us, p95_us) = s.latency_p50_p95();
         ServeStats {
             requests: s.requests.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
             malformed: s.malformed.load(Ordering::Relaxed),
             torn: s.torn.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            batched_requests: s.batched_requests.load(Ordering::Relaxed),
+            batched_requests: 0,
             p50_us,
             p95_us,
             deadlines: s.deadlines.load(Ordering::Relaxed),
@@ -295,23 +326,20 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         rejected: AtomicU64::new(0),
         malformed: AtomicU64::new(0),
         torn: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        batched_requests: AtomicU64::new(0),
         inflight: AtomicU64::new(0),
         deadlines: AtomicU64::new(0),
         orphaned: AtomicU64::new(0),
         request_deadline: config.request_deadline,
-        latency_us: Mutex::new(Histo::new()),
+        latency_us: Mutex::new(LatencyRing::default()),
         started: Instant::now(),
         workers: workers as u32,
         experiment_runner: config.experiment_runner,
     });
 
-    let max_batch = config.max_batch.max(1);
     let worker_handles = (0..workers)
         .map(|_| {
             let sh = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&sh, max_batch))
+            std::thread::spawn(move || worker_loop(&sh))
         })
         .collect();
 
@@ -553,75 +581,46 @@ fn write_line(stream: &mut TcpStream, line: &str) -> Result<(), ()> {
         .map_err(|_| ())
 }
 
-/// Worker: pop → (maybe micro-batch) → execute → reply, until the queue
-/// is closed and empty.
-fn worker_loop(sh: &Shared, max_batch: usize) {
-    let mut cache: ChannelCache = None;
+/// Worker: pop one job → execute → reply, until the queue is closed and
+/// empty.
+fn worker_loop(sh: &Shared) {
     while let Some(job) = sh.queue.pop() {
-        let mut batch = vec![job];
-        if let Some(key) = batch[0].req.batch_key() {
-            // Micro-batch: grab compatible (same-seed) decodes that are
-            // already waiting. Never blocks, so batching only amortizes.
-            batch.extend(
-                sh.queue
-                    .pop_matching(|j| j.req.batch_key() == Some(key), max_batch - 1),
-            );
-        }
-        let n = batch.len() as u64;
-        sh.inflight.fetch_add(n, Ordering::Relaxed);
-        sh.batches.fetch_add(1, Ordering::Relaxed);
-        if batch.len() >= 2 {
-            sh.batched_requests.fetch_add(n, Ordering::Relaxed);
-        }
-        for job in batch.drain(..) {
-            if Instant::now() > job.deadline {
-                // Expired while queued: skip the work, answer structurally.
-                // The handler may have answered already (after the grace)
-                // — this send then lands in a dropped receiver, which is
-                // fine.
-                sh.deadlines.fetch_add(1, Ordering::Relaxed);
-                sh.completed.fetch_add(1, Ordering::Relaxed);
-                sh.inflight.fetch_sub(1, Ordering::Relaxed);
-                let _ = job.reply.send(error_line(
-                    "deadline_exceeded",
-                    "request expired before a worker could serve it",
-                ));
-                continue;
-            }
-            let _t = span("serve.request");
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                execute(&job.req, n as usize, &mut cache, sh)
-            }));
-            let reply = match result {
-                Ok(r) => r,
-                Err(_) => {
-                    // A panicking request must not take the worker (or the
-                    // whole pool) down — quarantine it behind a structured
-                    // error, like the sweep engine quarantines trials. The
-                    // cache is rebuilt from scratch: the panic may have
-                    // left a half-written entry.
-                    cache = None;
-                    error_line("internal", "request panicked; worker recovered")
-                }
-            };
-            let us = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            sh.latency_us
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(us);
+        if Instant::now() > job.deadline {
+            // Expired while queued: skip the work, answer structurally.
+            // The handler may have answered already (after the grace) —
+            // this send then lands in a dropped receiver, which is fine.
+            sh.deadlines.fetch_add(1, Ordering::Relaxed);
             sh.completed.fetch_add(1, Ordering::Relaxed);
-            sh.inflight.fetch_sub(1, Ordering::Relaxed);
-            // A dead reply receiver (handler gone) is fine — the work is
-            // done and accounted; there is just nobody left to tell.
-            let _ = job.reply.send(reply);
+            let _ = job.reply.send(error_line(
+                "deadline_exceeded",
+                "request expired before a worker could serve it",
+            ));
+            continue;
         }
+        sh.inflight.fetch_add(1, Ordering::Relaxed);
+        let _t = span("serve.request");
+        // A panicking request must not take the worker (or the whole
+        // pool) down — quarantine it behind a structured error, like the
+        // sweep engine quarantines trials.
+        let reply = catch_unwind(AssertUnwindSafe(|| execute(&job.req, sh)))
+            .unwrap_or_else(|_| error_line("internal", "request panicked; worker recovered"));
+        let us = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        sh.latency_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(us);
+        sh.completed.fetch_add(1, Ordering::Relaxed);
+        sh.inflight.fetch_sub(1, Ordering::Relaxed);
+        // A dead reply receiver (handler gone) is fine — the work is done
+        // and accounted; there is just nobody left to tell.
+        let _ = job.reply.send(reply);
     }
     flush_thread_spans();
 }
 
-/// Run one queued request to its reply line. `batched` is the size of the
-/// micro-batch this request rode in (1 = alone).
-fn execute(req: &Request, batched: usize, cache: &mut ChannelCache, sh: &Shared) -> String {
+/// Run one queued request to its reply line. A decode builds its own
+/// `WaveSim::paper(seed)`: a few µs against about 1 ms for the trial.
+fn execute(req: &Request, sh: &Shared) -> String {
     match req {
         Request::Sleep { ms } => {
             std::thread::sleep(Duration::from_millis(*ms));
@@ -633,15 +632,9 @@ fn execute(req: &Request, batched: usize, cache: &mut ChannelCache, sh: &Shared)
             packets,
             seed,
         } => {
-            let hit = matches!(cache, Some((s, _)) if *s == *seed);
-            if !hit {
-                let _t = span("serve.channel_synth");
-                *cache = Some((*seed, WaveSim::paper(*seed)));
-            }
-            let sim = &cache.as_ref().expect("just cached").1;
             let _t = span("serve.decode");
-            let r = sim.uplink_trial(*tag, *ul_bps, *packets);
-            decode_line(*tag, *ul_bps, r.sent, r.lost, r.snr_db, batched)
+            let r = WaveSim::paper(*seed).uplink_trial(*tag, *ul_bps, *packets);
+            decode_line(*tag, *ul_bps, r.sent, r.lost, r.snr_db)
         }
         Request::Experiment { id, quick, seed } => match sh.experiment_runner.as_ref() {
             None => error_line(
@@ -664,5 +657,34 @@ fn execute(req: &Request, batched: usize, cache: &mut ChannelCache, sh: &Shared)
         Request::Ping | Request::Stats | Request::Shutdown => {
             error_line("internal", "inline op routed to the worker pool")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ring_p50_p95(values: impl IntoIterator<Item = u64>) -> (u64, u64) {
+        let mut ring = LatencyRing::default();
+        for v in values {
+            ring.record(v);
+        }
+        p50_p95(ring.us)
+    }
+
+    #[test]
+    fn latency_percentiles_are_exact_order_statistics() {
+        assert_eq!(ring_p50_p95(1..=1000), (500, 950));
+        assert_eq!(ring_p50_p95([7]), (7, 7));
+        assert_eq!(ring_p50_p95([]), (0, 0));
+    }
+
+    #[test]
+    fn latency_ring_keeps_only_the_last_window() {
+        // A full window of huge values, then 1..=LATENCY_WINDOW: the ring
+        // holds only the second run, so none of the first counts.
+        let w = LATENCY_WINDOW as u64;
+        let values = std::iter::repeat_n(u64::MAX, LATENCY_WINDOW).chain(1..=w);
+        assert_eq!(ring_p50_p95(values), (w / 2, (w * 95).div_ceil(100)));
     }
 }

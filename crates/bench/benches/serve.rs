@@ -1,40 +1,22 @@
 //! Serve-tier benchmarks: end-to-end request cost through a real TCP
-//! socket against an in-process `arachnet-serve` instance. Three layers:
+//! socket against an in-process `arachnet-serve` instance. Two layers:
 //!
 //! * **protocol floor** — a `ping` round-trip: parse + dispatch + reply
 //!   with no PHY work, the fixed per-request overhead of the wire tier;
 //! * **single decode** — one uplink-decode request end to end (connect
 //!   once, then request/reply per iteration), the latency a lone client
-//!   sees with an idle server;
-//! * **closed-loop load** — `run_load` with several concurrent clients;
-//!   recorded (not closure-timed) entries carry the client-observed p50/p95
-//!   latency and the sustained time-per-completed-request (the inverse of
-//!   throughput, so it lives in the harness's nanosecond schema).
+//!   sees with an idle server.
 //!
-//! Emits `BENCH_serve.json`. verify.sh gates `phy/full_uplink_trial`
-//! against the serve tier only indirectly: the serve crate must not make
-//! the PHY bench regress (it is not linked into the PHY hot path at all),
-//! while this suite records the serving overhead explicitly.
+//! Emits `BENCH_serve.json`; verify.sh gates `serve/roundtrip_decode_1pkt`
+//! against its committed median. The server under load is perfbench's
+//! `serve-decode` workload (open loop, exact order statistics).
 //!
 //! Everything here is wall-domain: nothing feeds `METRICS_<id>.json`.
 
 use std::time::Duration;
 
-use arachnet_serve::{run_load, start, LoadConfig, ServeClient, ServeConfig};
-use bench::{black_box, Stats, Suite};
-
-/// Converts a microsecond latency histogram into the harness's
-/// nanosecond [`Stats`].
-fn stats_from_histo_us(h: &arachnet_obs::Histo) -> Stats {
-    let us = |v: u64| v as f64 * 1e3;
-    Stats {
-        ns_min: us(h.min()),
-        ns_median: us(h.p50()),
-        ns_p95: us(h.p95()),
-        ns_mean: h.mean() * 1e3,
-        ns_max: us(h.max()),
-    }
-}
+use arachnet_serve::{start, ServeClient, ServeConfig};
+use bench::{black_box, Suite};
 
 fn bench_roundtrips(s: &mut Suite, addr: std::net::SocketAddr) {
     let mut c = ServeClient::connect(addr, Duration::from_secs(5)).expect("connect");
@@ -51,49 +33,6 @@ fn bench_roundtrips(s: &mut Suite, addr: std::net::SocketAddr) {
     });
 }
 
-fn bench_load(s: &mut Suite, addr: std::net::SocketAddr) {
-    // Closed-loop: offered load self-limits to capacity, so `ok/elapsed`
-    // is the sustained service rate, not a guess.
-    let cfg = LoadConfig {
-        concurrency: 4,
-        duration: Duration::from_millis(1500),
-        requests: vec![
-            r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":7}"#.to_string(),
-            r#"{"op":"decode","tag":3,"ul_bps":2000,"packets":1,"seed":7}"#.to_string(),
-        ],
-        backoff: Duration::from_millis(2),
-    };
-    let rep = run_load(addr, &cfg);
-    assert!(rep.ok > 0, "load run completed no requests: {rep:?}");
-    s.record(
-        "serve/load_latency_4clients",
-        rep.latency_us.count(),
-        stats_from_histo_us(&rep.latency_us),
-    );
-    // Time per completed request at the server: 1e9 / throughput. A single
-    // figure, so min == median == max.
-    let ns_per_req = if rep.throughput_rps > 0.0 {
-        1e9 / rep.throughput_rps
-    } else {
-        f64::INFINITY
-    };
-    s.record(
-        "serve/load_ns_per_completed_request",
-        rep.ok,
-        Stats {
-            ns_min: ns_per_req,
-            ns_median: ns_per_req,
-            ns_p95: ns_per_req,
-            ns_mean: ns_per_req,
-            ns_max: ns_per_req,
-        },
-    );
-    println!(
-        "serve/load: ok={} rejected={} errored={} io_errors={} throughput={:.0} rps",
-        rep.ok, rep.rejected, rep.errored, rep.io_errors, rep.throughput_rps
-    );
-}
-
 fn main() {
     let handle = start(ServeConfig {
         workers: 4,
@@ -105,7 +44,6 @@ fn main() {
 
     let mut s = Suite::new("serve");
     bench_roundtrips(&mut s, addr);
-    bench_load(&mut s, addr);
     s.finish();
 
     handle.shutdown();

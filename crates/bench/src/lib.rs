@@ -13,8 +13,8 @@
 //! * `phy` — the waveform PHY: channel synthesis, the RX decode chain and
 //!   SNR over one slot, and one full Fig. 12 uplink trial, plus the paired
 //!   time-varying-over-static ratio (`BENCH_phy.json`);
-//! * `serve` — the serve tier over a real TCP socket: a `ping` round trip,
-//!   one decode request and closed-loop load (`BENCH_serve.json`).
+//! * `serve` — the serve tier over a real TCP socket: a `ping` round trip
+//!   and one decode request (`BENCH_serve.json`).
 //!
 //! Run: `cargo bench -p bench`. Environment knobs:
 //!
@@ -238,28 +238,6 @@ impl Suite {
     fn batch_size(&self, per_iter_ns: f64) -> u64 {
         let target_ns = self.cfg.sample_time.as_nanos() as f64;
         (target_ns / per_iter_ns.max(1.0)).ceil().max(1.0) as u64
-    }
-
-    /// Records an externally measured result next to the `bench` entries —
-    /// for workloads the closure harness cannot time from outside, like a
-    /// closed-loop load run whose per-request latency lives in a server-side
-    /// histogram. The caller supplies the per-event [`Stats`] (nanoseconds)
-    /// and how many events backed them.
-    pub fn record(&mut self, name: &str, samples: u64, stats: Stats) {
-        let result = BenchResult {
-            name: name.to_string(),
-            iters_per_sample: 1,
-            samples,
-            stats,
-        };
-        println!(
-            "{:<44} median {:>12}  p95 {:>12}  ({} events, recorded)",
-            result.name,
-            fmt_ns(stats.ns_median),
-            fmt_ns(stats.ns_p95),
-            samples
-        );
-        self.results.push(result);
     }
 
     /// Prints the summary and writes `BENCH_<suite>.json`. Returns the path

@@ -1,14 +1,14 @@
 //! Serve-tier edge cases over a real TCP socket: the wire protocol,
 //! oversized lines, mid-line disconnects, queue-full rejection under a
-//! burst, drain-during-in-flight, request deadlines and panicking
-//! requests. Everything here runs against `arachnet_serve::start` on an
+//! burst, drain-during-in-flight, latency percentiles, request deadlines
+//! and panicking requests. Everything here runs against `arachnet_serve::start` on an
 //! ephemeral 127.0.0.1 port — no mocks. The last two properties feed
 //! generated and mutated lines to `Request::parse`.
 
 use arachnet::serve::proto::{MAX_UL_BPS, MIN_UL_BPS};
 use arachnet::serve::{
-    error_code, is_ok, start, Request, ServeClient, ServeConfig, ServeStats, ServerHandle,
-    MAX_LINE_BYTES, MAX_PACKETS, MAX_SLEEP_MS, MAX_TAG,
+    error_code, is_ok, parse_json, start, Request, ServeClient, ServeConfig, ServeStats,
+    ServerHandle, MAX_LINE_BYTES, MAX_PACKETS, MAX_SLEEP_MS, MAX_TAG,
 };
 use arachnet_testkit::{check, check_with, gen, prop_assert, prop_assert_eq, Config};
 use std::io::Write;
@@ -49,26 +49,16 @@ fn protocol_roundtrip_ping_decode_stats_and_errors() {
     assert!(is_ok(&v), "{v:?}");
 
     // A decode runs the real block-processed PHY path end to end.
-    let v = c
-        .query(r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":2,"seed":7}"#)
-        .unwrap();
+    let decode = r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":2,"seed":7}"#;
+    let line = c.roundtrip(decode).unwrap();
+    let v = parse_json(&line).unwrap();
     assert!(is_ok(&v), "{v:?}");
     assert_eq!(v.get("sent").and_then(|x| x.as_f64()), Some(2.0));
     assert!(v.get("snr_db").is_some());
 
     // Same request, same seed: the PHY path is deterministic, so the
-    // reply fields (minus batching happenstance) must match.
-    let v2 = c
-        .query(r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":2,"seed":7}"#)
-        .unwrap();
-    assert_eq!(
-        v.get("lost").and_then(|x| x.as_f64()),
-        v2.get("lost").and_then(|x| x.as_f64())
-    );
-    assert_eq!(
-        v.get("snr_db").and_then(|x| x.as_f64()),
-        v2.get("snr_db").and_then(|x| x.as_f64())
-    );
+    // reply is the same line.
+    assert_eq!(c.roundtrip(decode).unwrap(), line);
 
     // Malformed JSON and bad requests are structured errors on a live
     // connection — not disconnects.
@@ -279,34 +269,28 @@ fn repeated_shutdowns_drain_once_and_count_nothing_extra() {
     assert_eq!(join_bounded(handle), ServeStats::default());
 }
 
+/// The `stats` op and `ServeStats` report p50/p95 as exact order
+/// statistics of the recent latencies: three 20 ms sleeps and two 60 ms
+/// sleeps have a median of about 20 ms, where a log2 histogram reads the
+/// 32 767 µs ceiling of its [16 384, 32 767] bucket.
 #[test]
-fn micro_batching_amortizes_same_seed_decodes() {
-    // One worker parked behind a sleep while four same-seed decodes queue
-    // up: when the worker frees, it should take them as one batch.
-    let (handle, addr) = boot(1, 16);
-    let mut park = client(addr);
-    park.send(r#"{"op":"sleep","ms":500}"#).unwrap();
-    std::thread::sleep(Duration::from_millis(150));
-    let mut clients: Vec<ServeClient> = (0..4).map(|_| client(addr)).collect();
-    for c in &mut clients {
-        c.send(r#"{"op":"decode","tag":5,"ul_bps":2000,"packets":1,"seed":11}"#)
-            .unwrap();
-    }
-    std::thread::sleep(Duration::from_millis(150)); // all four queued
-    assert!(park.read_line().unwrap().contains("\"ok\":true"));
-    let mut batched_max = 0u64;
-    for c in &mut clients {
-        let v = arachnet::serve::parse_json(&c.read_line().unwrap()).unwrap();
+fn latency_percentiles_are_order_statistics_not_bucket_ceilings() {
+    let (handle, addr) = boot(1, 4);
+    let mut c = client(addr);
+    for ms in [20, 20, 20, 60, 60] {
+        let v = c.query(&format!(r#"{{"op":"sleep","ms":{ms}}}"#)).unwrap();
         assert!(is_ok(&v), "{v:?}");
-        let b = v.get("batched").and_then(|x| x.as_f64()).unwrap() as u64;
-        batched_max = batched_max.max(b);
     }
-    assert!(
-        batched_max >= 2,
-        "same-seed decodes queued together should share a batch (got {batched_max})"
-    );
-    let stats = handle.join();
-    assert!(stats.batched_requests >= 2, "{stats:?}");
+    let v = c.query(r#"{"op":"stats"}"#).unwrap();
+    let us = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap() as u64;
+    let beat = (us("p50_us"), us("p95_us"));
+    let stats = join_bounded(handle);
+    for (p50, p95) in [beat, (stats.p50_us, stats.p95_us)] {
+        assert!(
+            (20_000..30_000).contains(&p50) && p95 >= 60_000,
+            "p50 {p50} us, p95 {p95} us"
+        );
+    }
 }
 
 const DECODE: &str = r#"{"op":"decode","tag":8,"ul_bps":2000,"packets":1,"seed":7}"#;
@@ -339,8 +323,8 @@ fn slow_request_is_answered_with_deadline_exceeded_not_a_hang() {
 }
 
 /// A request that panics inside its worker is answered `internal`, and the
-/// same worker goes on serving: the decode after it (which runs on a
-/// channel cache the panic reset) matches the decode before it.
+/// same worker goes on serving: the decode after it returns the same line
+/// as the decode before it.
 #[test]
 fn panicking_request_is_answered_internal_and_the_worker_keeps_serving() {
     let handle = start(ServeConfig {
@@ -354,15 +338,12 @@ fn panicking_request_is_answered_internal_and_the_worker_keeps_serving() {
     })
     .expect("bind ephemeral port");
     let mut c = client(handle.local_addr());
-    let before = c.query(DECODE).unwrap();
-    assert!(is_ok(&before), "{before:?}");
+    let before = c.roundtrip(DECODE).unwrap();
+    assert!(is_ok(&parse_json(&before).unwrap()), "{before}");
     let v = c.query(r#"{"op":"experiment","id":"table1"}"#).unwrap();
     assert_eq!(error_code(&v), Some("internal"), "{v:?}");
-    let after = c.query(DECODE).unwrap();
-    assert!(is_ok(&after), "the worker must serve again: {after:?}");
-    for key in ["lost", "snr_db"] {
-        assert_eq!(before.get(key), after.get(key), "{key}");
-    }
+    let after = c.roundtrip(DECODE).unwrap();
+    assert_eq!(after, before, "the worker must serve again");
     let stats = handle.join();
     assert_eq!(stats.requests, 3, "{stats:?}");
     assert_eq!(stats.requests, stats.completed, "{stats:?}");
