@@ -1,6 +1,6 @@
 //! Zero-dependency observability for the ARACHNET reproduction.
 //!
-//! This crate is std-only (PR 1 no-external-deps rule) and provides three
+//! This crate is std-only (the no-external-deps rule) and provides three
 //! building blocks, all designed so that the *disabled* path costs a single
 //! branch and the *enabled* path stays allocation-free per event once the
 //! bounded buffers are warm:

@@ -5,7 +5,8 @@
 //! is full the *caller* gets the job back and turns it into a structured
 //! `{"error":"overloaded"}` rejection. Workers block in [`Bounded::pop`]
 //! until a job arrives or the queue is closed and empty (graceful drain:
-//! everything admitted before [`Bounded::close`] is still served).
+//! everything admitted before [`Bounded::close`] is still served). A
+//! worker pops one job and runs it before it pops the next.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

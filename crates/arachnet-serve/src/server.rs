@@ -20,9 +20,10 @@
 //! * **Admitted means answered.** Every job that passes admission control
 //!   gets exactly one reply line, even across drain (workers run until the
 //!   closed queue is empty), a panicking request (`catch_unwind` → a
-//!   structured `internal` error), and deadlines (a structured `deadline_exceeded`, never a hung client). A
-//!   reply channel that drops without an answer becomes the handler's own
-//!   `internal` line, counted as `orphaned`.
+//!   structured `internal` error), and deadlines (a structured
+//!   `deadline_exceeded`, never a hung client). A reply channel that
+//!   drops without an answer becomes the handler's own `internal` line,
+//!   counted as `orphaned`.
 //! * **Drain order.** `shutdown` sets the drain flag and wakes the
 //!   acceptor, which blocks in `accept`, with one loopback connection; the
 //!   acceptor drops that connection unserved and exits, and its handlers

@@ -1,9 +1,10 @@
 //! Serve-tier edge cases over a real TCP socket: the wire protocol,
 //! oversized lines, mid-line disconnects, queue-full rejection under a
 //! burst, drain-during-in-flight, latency percentiles, request deadlines
-//! and panicking requests. Everything here runs against `arachnet_serve::start` on an
-//! ephemeral 127.0.0.1 port — no mocks. The last two properties feed
-//! generated and mutated lines to `Request::parse`.
+//! and panicking requests. Everything here runs against
+//! `arachnet_serve::start` on an ephemeral 127.0.0.1 port — no mocks. The
+//! last two properties feed generated and mutated lines to
+//! `Request::parse`.
 
 use arachnet::serve::proto::{MAX_UL_BPS, MIN_UL_BPS};
 use arachnet::serve::{
