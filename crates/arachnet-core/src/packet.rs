@@ -164,78 +164,6 @@ impl UlPacket {
     }
 }
 
-/// Extended TID width (Sec. 4.2: the 4-bit field "can be extended to
-/// support more if needed") — 8 bits addresses 256 tags for dense
-/// deployments.
-pub const EXT_TID_BITS: usize = 8;
-/// Total extended-UL packet length in data bits.
-pub const EXT_UL_PACKET_BITS: usize = 8 + EXT_TID_BITS + PAYLOAD_BITS + 8;
-
-/// The extended uplink packet: `Preamble(8) | TID(8) | Payload(12) |
-/// CRC(8)` — 36 bits. Four extra bits of TID cost ~21 ms of air time per
-/// packet at the default 375 bps; deployments of ≤16 tags should keep the
-/// compact [`UlPacket`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExtUlPacket {
-    tid: u8,
-    payload: u16,
-}
-
-impl ExtUlPacket {
-    /// Builds a packet, validating the payload width (any `u8` TID is
-    /// legal).
-    pub fn new(tid: u8, payload: u16) -> Result<Self, PacketError> {
-        if payload >= 1 << PAYLOAD_BITS {
-            return Err(PacketError::PayloadOutOfRange { payload });
-        }
-        Ok(Self { tid, payload })
-    }
-
-    /// Tag ID (0–255).
-    pub fn tid(&self) -> u8 {
-        self.tid
-    }
-
-    /// Sensor payload (12 bits).
-    pub fn payload(&self) -> u16 {
-        self.payload
-    }
-
-    /// Serializes to the 36-bit on-air representation.
-    pub fn to_bits(&self) -> BitBuf {
-        let mut b = BitBuf::with_capacity(EXT_UL_PACKET_BITS);
-        for bit in UL_PREAMBLE {
-            b.push(bit);
-        }
-        b.push_u8(self.tid, EXT_TID_BITS);
-        b.push_u32(u32::from(self.payload), PAYLOAD_BITS);
-        let crc = crc8_bits(b.iter());
-        b.push_u8(crc, 8);
-        b
-    }
-
-    /// Parses a 36-bit buffer, checking preamble and CRC.
-    pub fn from_bits(bits: &BitBuf) -> Result<Self, PacketError> {
-        if bits.len() != EXT_UL_PACKET_BITS {
-            return Err(PacketError::WrongLength {
-                expected: EXT_UL_PACKET_BITS,
-                actual: bits.len(),
-            });
-        }
-        for (i, &p) in UL_PREAMBLE.iter().enumerate() {
-            if bits.get(i) != Some(p) {
-                return Err(PacketError::BadPreamble);
-            }
-        }
-        if crc8_bits(bits.iter()) != 0 {
-            return Err(PacketError::BadCrc);
-        }
-        let tid = bits.extract_u16(8, EXT_TID_BITS).unwrap() as u8;
-        let payload = bits.extract_u16(8 + EXT_TID_BITS, PAYLOAD_BITS).unwrap();
-        Ok(Self { tid, payload })
-    }
-}
-
 /// The 4-bit downlink command nibble.
 ///
 /// Bit layout (MSB-first on air): `ACK | EMPTY | RESET | RESERVED`.
@@ -528,44 +456,6 @@ mod tests {
                 .count();
             assert!(matches < overlap, "shift {shift} fully self-matches");
         }
-    }
-
-    #[test]
-    fn ext_packet_roundtrip_full_tid_space() {
-        for tid in [0u8, 1, 15, 16, 127, 255] {
-            let p = ExtUlPacket::new(tid, 0xABC).unwrap();
-            let bits = p.to_bits();
-            assert_eq!(bits.len(), 36);
-            assert_eq!(ExtUlPacket::from_bits(&bits).unwrap(), p);
-        }
-    }
-
-    #[test]
-    fn ext_packet_detects_corruption() {
-        let p = ExtUlPacket::new(200, 0x123).unwrap();
-        let mut bits = p.to_bits();
-        bits.set(12, !bits.get(12).unwrap());
-        assert_eq!(ExtUlPacket::from_bits(&bits), Err(PacketError::BadCrc));
-    }
-
-    #[test]
-    fn ext_packet_rejects_compact_length() {
-        let compact = UlPacket::new(3, 0x123).unwrap().to_bits();
-        assert!(matches!(
-            ExtUlPacket::from_bits(&compact),
-            Err(PacketError::WrongLength {
-                expected: 36,
-                actual: 32
-            })
-        ));
-    }
-
-    #[test]
-    fn ext_packet_air_time_cost() {
-        // The documented trade-off: +4 bits = +8 raw bits ≈ +21 ms at 375 bps.
-        let extra_raw = 2.0 * (EXT_UL_PACKET_BITS - UL_PACKET_BITS) as f64;
-        let cost_ms = extra_raw / 375.0 * 1e3;
-        assert!((cost_ms - 21.3).abs() < 0.1, "{cost_ms}");
     }
 
     #[test]

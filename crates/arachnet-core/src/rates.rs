@@ -1,18 +1,17 @@
-//! Bit-rate and timing constants (Secs. 4.1, 6.1, 6.3).
+//! Bit-rate and timing constants (Secs. 3.2, 4.1, 6.3, Fig. 14a).
 //!
 //! Every raw-bit interval on the tag is derived from the 12 kHz low-frequency
 //! MCU clock through a divider, so the legal bit rates form the geometric
 //! ladder 93.75 → 3000 bps (UL) and 125 → 2000 bps (DL). The defaults are the
 //! paper's conservative choices: 375 bps up, 250 bps down.
+//!
+//! This module is the one home of the protocol and timing values; the
+//! carrier and DAQ rate live with the medium, in `biw_channel::channel`.
+
+use crate::packet::UL_PACKET_BITS;
 
 /// Tag MCU low-frequency clock (Hz) — Sec. 3.2.
 pub const MCU_CLOCK_HZ: f64 = 12_000.0;
-
-/// Carrier / system resonant frequency (Hz) — Sec. 2.2.
-pub const CARRIER_HZ: f64 = 90_000.0;
-
-/// Reader DAQ sampling rate (Hz) — Sec. 6.1.
-pub const READER_SAMPLE_RATE_HZ: f64 = 500_000.0;
 
 /// Default UL raw bit rate (bps).
 pub const DEFAULT_UL_BPS: f64 = 375.0;
@@ -26,6 +25,13 @@ pub const SLOT_DURATION_S: f64 = 1.0;
 /// Tag reply guard time after a decoded beacon (seconds) — Fig. 14a
 /// ("politely waits for 20 ms").
 pub const TAG_REPLY_GUARD_S: f64 = 0.020;
+
+/// Time from a decoded beacon to the end of the tag's reply (seconds):
+/// the reply guard, then one uplink packet's FM0 air time (two raw bits
+/// per data bit) at `ul_bps`. About 190.7 ms at the default 375 bps.
+pub fn ul_reply_s(ul_bps: f64) -> f64 {
+    TAG_REPLY_GUARD_S + 2.0 * UL_PACKET_BITS as f64 / ul_bps
+}
 
 /// UL clock dividers evaluated in Fig. 12 (12 kHz / divider = raw bps).
 pub const UL_DIVIDERS: [u32; 6] = [128, 64, 32, 16, 8, 4];
@@ -73,7 +79,6 @@ pub fn ul_rates() -> Vec<BitRate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::UL_PACKET_BITS;
     use crate::pie;
 
     /// On-air duration of `data_bits` FM0-coded bits (2 raw bits each).
@@ -129,6 +134,13 @@ mod tests {
         // At 2000 bps DL only 6 ticks remain per raw bit — the root cause of
         // the Fig. 13(a) packet-loss surge.
         assert!((ticks(2000.0) - 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ul_reply_is_guard_plus_packet_air_time() {
+        // Exact, not within a tolerance: Fig. 14(b)'s stage 2 and the slot
+        // timing read this sum, and a regrouping would move their digits.
+        assert_eq!(ul_reply_s(DEFAULT_UL_BPS), 0.020 + 2.0 * 32.0 / 375.0);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 pub const MCU_ACTIVE_A: f64 = 45.0e-6;
 /// MCU LPM3 sleep current (A).
 pub const MCU_SLEEP_A: f64 = 0.55e-6;
-/// MCU clock (Hz).
+/// MCU clock (Hz). Equal to `arachnet_core::rates::MCU_CLOCK_HZ`: this
+/// crate depends on no other, so it keeps a copy, and a unit test in
+/// `arachnet-tag`, which sees both, asserts the two agree.
 pub const MCU_CLOCK_HZ: f64 = 12_000.0;
 /// Nominal supply voltage for the power figures (V).
 pub const SUPPLY_V: f64 = 2.0;
@@ -58,12 +60,14 @@ pub enum PowerMode {
 }
 
 impl PowerMode {
-    /// The paper's default RX mode (250 bps DL).
+    /// The paper's default RX mode (250 bps DL, a copy of
+    /// `arachnet_core::rates::DEFAULT_DL_BPS`; see [`MCU_CLOCK_HZ`]).
     pub fn rx_default() -> Self {
         PowerMode::Rx { dl_bps: 250.0 }
     }
 
-    /// The paper's default TX mode (375 bps UL).
+    /// The paper's default TX mode (375 bps UL, a copy of
+    /// `arachnet_core::rates::DEFAULT_UL_BPS`; see [`MCU_CLOCK_HZ`]).
     pub fn tx_default() -> Self {
         PowerMode::Tx { ul_bps: 375.0 }
     }

@@ -13,6 +13,7 @@
 //! with per-trial seeds derived from the trial index alone, so every table
 //! and metric document is bit-identical at any `--threads` count.
 
+use arachnet_core::rates::DEFAULT_UL_BPS;
 use arachnet_obs::Recorder;
 use arachnet_sim::patterns::Pattern;
 use arachnet_sim::scenario::Scenario;
@@ -341,7 +342,8 @@ pub fn report_drift(n_per_epoch: u64, sweep: &SweepConfig, observe: bool) -> Rep
         } else {
             Recorder::disabled()
         };
-        let results = sim.uplink_trial_drifting(&tvc, tid, 375.0, n_per_epoch, &mut recorder);
+        let results =
+            sim.uplink_trial_drifting(&tvc, tid, DEFAULT_UL_BPS, n_per_epoch, &mut recorder);
         (results, recorder.into_snapshot())
     });
     let mut rows = Vec::new();

@@ -74,10 +74,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
         }
     }
     let ch = BiwChannel::paper(ChannelConfig {
-        noise: NoiseConfig {
-            floor_sigma: 0.013,
-            ..NoiseConfig::default()
-        },
+        noise: NoiseConfig::paper(),
         seed: sweep.base_seed,
         ..ChannelConfig::default()
     });

@@ -1,5 +1,6 @@
 //! Fig. 14 — the ping-pong test: raw waveform (a) and latency CDF (b).
 
+use arachnet_core::rates::{ul_reply_s, DEFAULT_UL_BPS};
 use arachnet_sim::metrics::Ecdf;
 use arachnet_sim::sweep::{run_sweep, SweepConfig};
 use arachnet_sim::wavesim::WaveSim;
@@ -112,7 +113,7 @@ pub fn report_b(n: usize, sweep: &SweepConfig) -> Report {
     })
     .collect();
     let e2 = Ecdf::new(&stage2);
-    let guard_ul = 0.020 + 2.0 * 32.0 / 375.0;
+    let guard_ul = ul_reply_s(DEFAULT_UL_BPS);
     let software = arachnet_sim::metrics::mean(&stage2) - guard_ul;
     Report::single(
         Section::new(

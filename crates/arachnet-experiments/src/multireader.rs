@@ -14,6 +14,7 @@
 //!   a churn scenario over the sweep pool, with sub-band reuse marked by
 //!   `xreader_collision` events.
 
+use arachnet_core::rates::DEFAULT_UL_BPS;
 use arachnet_core::slot::Period;
 use arachnet_obs::{EventKind, Recorder, RecorderSnapshot, TrialLane};
 use arachnet_reader::fleet::{FleetPlan, FleetPlanError};
@@ -21,13 +22,10 @@ use arachnet_sim::fleet::{run_fleet, FleetCell, FleetWaveSim};
 use arachnet_sim::scenario::Scenario;
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig, SweepStats};
 use arachnet_sim::Pattern;
+use biw_channel::channel::{CARRIER_HZ, SAMPLE_RATE_HZ};
 
 use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
-/// DAQ sample rate every fleet plan is validated against (Hz).
-const FS: f64 = 500_000.0;
-/// Uplink rate the waveform-level fleet trials run at (bps).
-const UL_BPS: f64 = 375.0;
 /// Slot cap for the fleet soak's re-convergence measurements.
 const CAP: u64 = 100_000;
 
@@ -35,9 +33,9 @@ const CAP: u64 = 100_000;
 /// (band reuse when the budget is short).
 fn plan_for(readers: usize, bands: usize) -> Result<FleetPlan, FleetPlanError> {
     if bands >= readers {
-        FleetPlan::fdma(readers, FS)
+        FleetPlan::fdma(readers, SAMPLE_RATE_HZ)
     } else {
-        FleetPlan::fdma_reuse(readers, bands, FS)
+        FleetPlan::fdma_reuse(readers, bands, SAMPLE_RATE_HZ)
     }
 }
 
@@ -66,7 +64,7 @@ fn fleet_pass(
     // file (when the context wired one in) keyed by the pass label.
     let sweep = sweep.checkpoint_tagged(label);
     let matrix = run_matrix_sweep(&sweep, &readers, 1, |&r, _trial, seed| {
-        let mut rx = sim.fleet_rx(r, UL_BPS);
+        let mut rx = sim.fleet_rx(r, DEFAULT_UL_BPS);
         rx.set_rejection(reject);
         let mut recorder = if observe {
             Recorder::enabled(seed)
@@ -198,7 +196,8 @@ impl Experiment for MrInterference {
         let n = ctx.scale(3, 16);
         let k = ctx.fleet_readers(2);
         let fdma = plan_for(k, k).expect("validated fleet shape");
-        let co = FleetPlan::co_channel(k, 90_000.0, FS).expect("validated fleet shape");
+        let co =
+            FleetPlan::co_channel(k, CARRIER_HZ, SAMPLE_RATE_HZ).expect("validated fleet shape");
         let sweep = ctx.sweep_for(self.id());
         let mut rows = Vec::new();
         let mut snapshots = Vec::new();

@@ -14,6 +14,7 @@ use arachnet_core::packet::{UlPacket, UL_PACKET_BITS, UL_PREAMBLE};
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
 use arachnet_tag::subcarrier::SubcarrierChannel;
+use biw_channel::channel::{CARRIER_HZ, SAMPLE_RATE_HZ};
 
 use crate::rx::carrier_table;
 
@@ -33,8 +34,8 @@ pub struct FdmaConfig {
 impl Default for FdmaConfig {
     fn default() -> Self {
         Self {
-            sample_rate: 500_000.0,
-            carrier_hz: 90_000.0,
+            sample_rate: SAMPLE_RATE_HZ,
+            carrier_hz: CARRIER_HZ,
             bit_rate: 93.75,
             sync_threshold: 0.6,
         }

@@ -19,7 +19,7 @@ use std::fmt;
 
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
-use biw_channel::channel::exact_carrier_period;
+use biw_channel::channel::{exact_carrier_period, CARRIER_HZ};
 use biw_channel::fleet::{MAX_BAND_HZ, MIN_BAND_HZ};
 
 use crate::rx::{carrier_table, RxConfig, RxScratch, SlotRx, UplinkReceiver};
@@ -104,7 +104,7 @@ impl FleetPlan {
     /// 90 kHz resonance at 4 kHz spacing (offsets 0, +4, −4, +8, … kHz),
     /// validated end to end.
     pub fn fdma(readers: usize, sample_rate: f64) -> Result<Self, FleetPlanError> {
-        Self::with_spacing(readers, 90_000.0, 4_000.0, sample_rate)
+        Self::with_spacing(readers, CARRIER_HZ, 4_000.0, sample_rate)
     }
 
     /// A plan on a centred grid with explicit base carrier and spacing.

@@ -26,6 +26,7 @@
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::{self, Fm0Encoder};
 use arachnet_core::packet::{UlPacket, UL_PREAMBLE};
+use arachnet_core::rates::DEFAULT_UL_BPS;
 use arachnet_dsp::cluster::{cluster_iq, ClusterConfig};
 use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
@@ -33,7 +34,7 @@ use arachnet_dsp::psd::{welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
 use arachnet_obs::DecodeFailReason;
-use biw_channel::channel::exact_carrier_period;
+use biw_channel::channel::{exact_carrier_period, CARRIER_HZ, SAMPLE_RATE_HZ};
 
 /// Shortest Welch segment of the SNR estimate, in samples.
 const MIN_WELCH_SEG: usize = 256;
@@ -100,9 +101,9 @@ pub struct RxConfig {
 impl Default for RxConfig {
     fn default() -> Self {
         Self {
-            sample_rate: 500_000.0,
-            carrier_hz: 90_000.0,
-            ul_bps: 375.0,
+            sample_rate: SAMPLE_RATE_HZ,
+            carrier_hz: CARRIER_HZ,
+            ul_bps: DEFAULT_UL_BPS,
             min_contrast: 0.002,
         }
     }
@@ -794,10 +795,7 @@ mod tests {
     #[test]
     fn snr_orders_tags_by_path_strength() {
         // Fig. 12(a): Tag 8 (nearest) > Tag 4 (junction) > Tag 11 (far).
-        let ch = channel(NoiseConfig {
-            floor_sigma: 0.02,
-            ..NoiseConfig::default()
-        });
+        let ch = channel(NoiseConfig { floor_sigma: 0.02 });
         let rx = UplinkReceiver::new(RxConfig::default());
         let snr = |tid: u8| {
             let pkt = UlPacket::new(tid, 0x3C3).unwrap();
@@ -812,10 +810,7 @@ mod tests {
     #[test]
     fn snr_decreases_with_bit_rate() {
         // Fig. 12(a): power spreads over wider bandwidth at higher rates.
-        let ch = channel(NoiseConfig {
-            floor_sigma: 0.02,
-            ..NoiseConfig::default()
-        });
+        let ch = channel(NoiseConfig { floor_sigma: 0.02 });
         let pkt = UlPacket::new(8, 0x3C3).unwrap();
         let snr_at = |bps: f64| {
             let rx = UplinkReceiver::new(RxConfig {

@@ -12,8 +12,8 @@
 //! drain, deadlines and panicking requests. A worker runs one job at a
 //! time, and each decode builds its own `WaveSim` (DESIGN.md §16).
 //!
-//! Everything this crate measures (counters, latency percentiles, spans)
-//! is wall-domain and never feeds the deterministic `METRICS_<id>.json`
+//! Everything this crate measures (counters, latency percentiles) is
+//! wall-domain and never feeds the deterministic `METRICS_<id>.json`
 //! export.
 //!
 //! ```no_run

@@ -263,16 +263,13 @@ pub struct ServeBeat {
     pub p95_us: u64,
     /// Requests answered with `deadline_exceeded`.
     pub deadlines: u64,
-    /// True once the drain has completed; a server that still answers
-    /// `stats` reports `false`.
-    pub done: bool,
 }
 
 impl ServeBeat {
     /// One JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"t_ms\":{},\"requests\":{},\"completed\":{},\"rejected\":{},\"malformed\":{},\"queue_depth\":{},\"inflight\":{},\"workers\":{},\"rps\":{},\"p50_us\":{},\"p95_us\":{},\"deadlines\":{},\"done\":{}}}",
+            "{{\"t_ms\":{},\"requests\":{},\"completed\":{},\"rejected\":{},\"malformed\":{},\"queue_depth\":{},\"inflight\":{},\"workers\":{},\"rps\":{},\"p50_us\":{},\"p95_us\":{},\"deadlines\":{}}}",
             self.t_ms,
             self.requests,
             self.completed,
@@ -285,7 +282,6 @@ impl ServeBeat {
             self.p50_us,
             self.p95_us,
             self.deadlines,
-            self.done,
         )
     }
 }
@@ -391,7 +387,6 @@ mod tests {
             p50_us: 800,
             p95_us: 2100,
             deadlines: 4,
-            done: false,
         };
         // The stats body is one JSON object carrying every field.
         let v = parse_json(&beat.to_json()).unwrap();
@@ -412,7 +407,6 @@ mod tests {
         ] {
             assert_eq!(num(k), Some(want), "{k}");
         }
-        assert_eq!(v.get("done").and_then(JsonValue::as_bool), Some(false));
         let line = decode_line(8, 2000.0, 20, 1, 12.25);
         let v = parse_json(&line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));

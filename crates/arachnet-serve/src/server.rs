@@ -30,11 +30,11 @@
 //!   are joined (each finishes its in-flight request, replies, and
 //!   closes); only then is the queue closed and the workers joined.
 //! * **Wall-domain only.** Nothing here touches `METRICS_<id>.json`; the
-//!   spans and stats are diagnostics (DESIGN.md §11/§16).
+//!   stats are diagnostics (DESIGN.md §16).
 
 use crate::proto::{decode_line, error_line, Request, ServeBeat, MAX_LINE_BYTES};
 use crate::queue::{Bounded, PushError};
-use arachnet_obs::{flush_thread_spans, span, warn_str};
+use arachnet_obs::warn_str;
 use arachnet_sim::wavesim::WaveSim;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -225,8 +225,6 @@ impl Shared {
             p50_us,
             p95_us,
             deadlines: self.deadlines.load(Ordering::Relaxed),
-            // A server still answering has not finished its drain.
-            done: false,
         }
     }
 
@@ -599,7 +597,6 @@ fn worker_loop(sh: &Shared) {
             continue;
         }
         sh.inflight.fetch_add(1, Ordering::Relaxed);
-        let _t = span("serve.request");
         // A panicking request must not take the worker (or the whole
         // pool) down — quarantine it behind a structured error, like the
         // sweep engine quarantines trials.
@@ -616,7 +613,6 @@ fn worker_loop(sh: &Shared) {
         // and accounted; there is just nobody left to tell.
         let _ = job.reply.send(reply);
     }
-    flush_thread_spans();
 }
 
 /// Run one queued request to its reply line. A decode builds its own
@@ -633,7 +629,6 @@ fn execute(req: &Request, sh: &Shared) -> String {
             packets,
             seed,
         } => {
-            let _t = span("serve.decode");
             let r = WaveSim::paper(*seed).uplink_trial(*tag, *ul_bps, *packets);
             decode_line(*tag, *ul_bps, r.sent, r.lost, r.snr_db)
         }
@@ -642,17 +637,14 @@ fn execute(req: &Request, sh: &Shared) -> String {
                 "unsupported",
                 "this server was started without an experiment runner",
             ),
-            Some(run) => {
-                let _t = span("serve.experiment");
-                match run(id, *quick, *seed) {
-                    Ok(metrics_json) => format!(
-                        "{{\"ok\":true,\"op\":\"experiment\",\"id\":\"{}\",\"metrics\":{}}}",
-                        arachnet_obs::json_escape(id),
-                        metrics_json,
-                    ),
-                    Err(msg) => error_line("bad_request", &msg),
-                }
-            }
+            Some(run) => match run(id, *quick, *seed) {
+                Ok(metrics_json) => format!(
+                    "{{\"ok\":true,\"op\":\"experiment\",\"id\":\"{}\",\"metrics\":{}}}",
+                    arachnet_obs::json_escape(id),
+                    metrics_json,
+                ),
+                Err(msg) => error_line("bad_request", &msg),
+            },
         },
         // Inline ops never reach the queue.
         Request::Ping | Request::Stats | Request::Shutdown => {

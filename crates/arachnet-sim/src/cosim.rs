@@ -14,8 +14,10 @@
 //! runs tens of slots, not tens of thousands — enough to watch a small
 //! network converge with zero modeling shortcuts.
 
+use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::mac::{ProtocolConfig, ReaderMac, SlotObservation};
 use arachnet_core::packet::UlPacket;
+use arachnet_core::rates::{DEFAULT_DL_BPS, DEFAULT_UL_BPS, MCU_CLOCK_HZ};
 use arachnet_core::rng::TagRng;
 use arachnet_core::slot::Period;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, RecorderSnapshot, NO_TAG};
@@ -23,14 +25,13 @@ use arachnet_reader::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
 use arachnet_tag::mcu::McuClock;
-use arachnet_tag::modulator::Fm0Modulator;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
 use biw_channel::resonator::DriveScheme;
 
 use crate::scenario::{Scenario, ScenarioEvent};
-use crate::wavesim::{beacon_edges_at_tag, expand_states_into};
+use crate::wavesim::{beacon_edges_at_tag, draw_supply_v, expand_states_into};
 
 /// Configuration of the co-simulation.
 #[derive(Debug, Clone)]
@@ -57,12 +58,9 @@ impl CoSimConfig {
         Self {
             tags,
             protocol: ProtocolConfig::default(),
-            dl_bps: 250.0,
-            ul_bps: 375.0,
-            noise: NoiseConfig {
-                floor_sigma: 0.013,
-                ..NoiseConfig::default()
-            },
+            dl_bps: DEFAULT_DL_BPS,
+            ul_bps: DEFAULT_UL_BPS,
+            noise: NoiseConfig::paper(),
             seed,
         }
     }
@@ -365,7 +363,7 @@ impl CoSim {
             );
             let decoded = if heard {
                 let mut demod = PieDemodulator::new(tag.clock, dl_bps);
-                demod.set_supply(1.95 + 0.35 * tag.rng.unit_f64());
+                demod.set_supply(draw_supply_v(&mut tag.rng));
                 demod.feed_edges(&self.scratch.tag_edges)
             } else {
                 Vec::new()
@@ -405,9 +403,12 @@ impl CoSim {
             let payload = (tag.rng.next_u64() & 0xFFF) as u16;
             let pkt = UlPacket::new(tid, payload)
                 .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
-            let modulator = Fm0Modulator::new(tag.clock, (12_000.0 / self.config.ul_bps) as u32);
-            let (raw, _) = modulator.modulate_packet(&pkt, 0.0);
-            let spb = (fs * modulator.actual_raw_interval()).round() as usize;
+            // The tag's timer fires every `divider` ticks of its own
+            // drifting clock (Fig. 6b).
+            let divider = (MCU_CLOCK_HZ / self.config.ul_bps) as u32;
+            assert!(divider >= 1);
+            let raw = Fm0Encoder::new().encode(pkt.to_bits().iter());
+            let spb = (fs * tag.clock.ticks_to_seconds(divider)).round() as usize;
             expand_states_into(&raw, spb, 4 * spb, &mut self.scratch.streams[k]);
         }
         // The channel's own seed keys slot noise, exactly as the eager

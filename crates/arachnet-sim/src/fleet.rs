@@ -111,14 +111,7 @@ impl FleetWaveSim {
     /// [`WaveSim::paper`](crate::wavesim::WaveSim::paper), so a one-reader
     /// fleet is the single-reader simulator exactly.
     pub fn paper(plan: FleetPlan, seed: u64) -> Self {
-        Self::new(
-            plan,
-            seed,
-            NoiseConfig {
-                floor_sigma: 0.013,
-                ..NoiseConfig::default()
-            },
-        )
+        Self::new(plan, seed, NoiseConfig::paper())
     }
 
     /// The underlying channel matrix.

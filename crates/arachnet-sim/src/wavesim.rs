@@ -19,6 +19,9 @@ use std::sync::Arc;
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::packet::{DlBeacon, DlCmd, PacketError, UlPacket};
+use arachnet_core::rates::{
+    ul_reply_s, DEFAULT_DL_BPS, DEFAULT_UL_BPS, MCU_CLOCK_HZ, TAG_REPLY_GUARD_S,
+};
 use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, NO_TAG};
 use arachnet_reader::driver::{LatencyModel, PingPong};
@@ -26,7 +29,7 @@ use arachnet_reader::rx::{RxConfig, RxScratch, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
 use arachnet_tag::mcu::McuClock;
-use biw_channel::channel::{BiwChannel, ChannelConfig};
+use biw_channel::channel::{BiwChannel, ChannelConfig, CARRIER_HZ};
 use biw_channel::geometry::Deployment;
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
@@ -83,6 +86,14 @@ pub(crate) fn expand_states_into(raw: &BitBuf, spb: usize, pad: usize, out: &mut
     out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
 }
 
+/// A tag's supply voltage (V) for one packet or beacon: uniform over
+/// [1.95, 2.3), the cutoff band the supercap sags across while the tag
+/// runs. The span is written as 0.35, not derived as `2.3 - 1.95`, which
+/// is 0.34999999999999987 in f64 and would move every draw.
+pub(crate) fn draw_supply_v(rng: &mut TagRng) -> f64 {
+    1.95 + 0.35 * rng.unit_f64()
+}
+
 /// The tag side of one seeded uplink packet, shared by every waveform
 /// engine that replays packet sequences: payload draw, FM0 encoding, the
 /// tag's 12 kHz timer stretching raw bits as its supply sags across the
@@ -103,8 +114,8 @@ pub(crate) fn modulate_uplink(
     let pkt = UlPacket::new(tid, payload)?;
     let raw = Fm0Encoder::new().encode(pkt.to_bits().iter());
     let mut clock = McuClock::for_tag(clock_seed, tid);
-    clock.set_supply(1.95 + 0.35 * rng.unit_f64());
-    let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
+    clock.set_supply(draw_supply_v(&mut rng));
+    let spb = (fs * (1.0 / ul_bps) * (MCU_CLOCK_HZ / clock.actual_hz())).round() as usize;
     expand_states_into(&raw, spb, 6 * spb, states);
     Ok(pkt)
 }
@@ -116,7 +127,7 @@ const COMPARATOR_THRESHOLD_V: f64 = 0.12;
 /// Envelope-detector RC time constant (s) — ~9 carrier cycles; fast
 /// enough that pulse-width distortion stays below half a raw bit at
 /// 500 bps even for the strongest tag.
-const ENVELOPE_TAU_S: f64 = 9.0 / 90_000.0;
+const ENVELOPE_TAU_S: f64 = 9.0 / CARRIER_HZ;
 
 /// Transforms reader TX edges into the edges at tag `tid`'s comparator
 /// output, written to `out` (cleared first): path delay plus the envelope
@@ -277,17 +288,11 @@ impl WaveSim {
         self
     }
 
-    /// Default environment: the noise floor calibrated so uplink losses
-    /// match Fig. 12(b)'s regime (sub-percent at low rates, growing with
-    /// rate).
+    /// Default environment: the paper noise floor
+    /// ([`NoiseConfig::paper`]), fitted so uplink losses match Fig. 12(b)'s
+    /// regime (sub-percent at low rates, growing with rate).
     pub fn paper(seed: u64) -> Self {
-        Self::new(
-            seed,
-            NoiseConfig {
-                floor_sigma: 0.013,
-                ..NoiseConfig::default()
-            },
-        )
+        Self::new(seed, NoiseConfig::paper())
     }
 
     /// The underlying channel.
@@ -497,7 +502,7 @@ impl WaveSim {
             return false;
         }
         let mut demod = PieDemodulator::new(McuClock::for_tag(self.seed, tid), dl_bps);
-        demod.set_supply(1.95 + 0.35 * rng.unit_f64());
+        demod.set_supply(draw_supply_v(&mut rng));
         let decoded = demod.feed_edges(&tag_edges);
         decoded.len() == 1 && decoded[0].beacon == beacon
     }
@@ -518,7 +523,7 @@ impl WaveSim {
     /// Fig. 13(b): one beacon broadcast; per-tag decode-completion offsets
     /// relative to Tag 6, in seconds. Tags that fail to decode are omitted.
     pub fn sync_offsets(&self) -> Vec<(u8, f64)> {
-        let mut tx = BeaconTransmitter::new(250.0, self.seed ^ 0x5F0C);
+        let mut tx = BeaconTransmitter::new(DEFAULT_DL_BPS, self.seed ^ 0x5F0C);
         let beacon = DlBeacon::new(DlCmd::nack().with_empty(true));
         let edges = tx.edges(&beacon, 0.0);
         let mut completions: Vec<(u8, f64)> = Vec::new();
@@ -529,7 +534,7 @@ impl WaveSim {
             if !beacon_edges_at_tag(&self.channel, scheme, tid, &edges, &mut tag_edges) {
                 continue;
             }
-            let mut demod = PieDemodulator::new(McuClock::for_tag(self.seed, tid), 250.0);
+            let mut demod = PieDemodulator::new(McuClock::for_tag(self.seed, tid), DEFAULT_DL_BPS);
             let decoded = demod.feed_edges(&tag_edges);
             if let Some(d) = decoded.first() {
                 completions.push((tid, d.completed_at));
@@ -549,14 +554,12 @@ impl WaveSim {
     /// Fig. 14(b): one seeded ping-pong round — beacon duration plus the
     /// guard + UL + software-latency reply stage. Pure in `round_seed`.
     pub fn ping_pong_sample(&self, round_seed: u64) -> PingPong {
-        let tx = BeaconTransmitter::new(250.0, round_seed);
+        let tx = BeaconTransmitter::new(DEFAULT_DL_BPS, round_seed);
         let latency = LatencyModel::default();
         let mut rng = TagRng::new(round_seed ^ 0xB0B0);
         let beacon = DlBeacon::new(DlCmd::ack());
         let stage1 = tx.beacon_duration(&beacon);
-        let stage2 = arachnet_core::rates::TAG_REPLY_GUARD_S
-            + 2.0 * arachnet_core::packet::UL_PACKET_BITS as f64 / 375.0
-            + latency.sample(&mut rng);
+        let stage2 = ul_reply_s(DEFAULT_UL_BPS) + latency.sample(&mut rng);
         PingPong {
             stage1_s: stage1,
             stage2_s: stage2,
@@ -568,13 +571,13 @@ impl WaveSim {
     /// (backscatter on leak). Returns `(waveform, sample_rate)`.
     pub fn ping_pong_waveform(&self, tid: u8) -> (Vec<f64>, f64) {
         let fs = self.channel.config().sample_rate;
-        let tx = BeaconTransmitter::new(250.0, self.seed);
+        let tx = BeaconTransmitter::new(DEFAULT_DL_BPS, self.seed);
         let beacon = DlBeacon::new(DlCmd::ack());
         let levels = tx.raw_levels(&beacon);
-        let spl = (fs / 250.0).round() as usize;
+        let spl = (fs / DEFAULT_DL_BPS).round() as usize;
         // Beacon segment: keyed carrier at TX amplitude (what the RX PZT
         // sees from the neighbouring TX PZT is essentially the drive).
-        let w = 2.0 * std::f64::consts::PI * 90_000.0 / fs;
+        let w = 2.0 * std::f64::consts::PI * CARRIER_HZ / fs;
         let mut wave: Vec<f64> = Vec::new();
         let amp = self.channel.config().carrier_leakage * 2.0;
         for (li, &lvl) in levels.iter().enumerate() {
@@ -588,8 +591,8 @@ impl WaveSim {
             .unwrap_or_else(|e| panic!("ping-pong uplink from tag {tid}: {e}"));
         let mut enc = Fm0Encoder::new();
         let raw = enc.encode(pkt.to_bits().iter()).to_bools();
-        let spb = (fs / 375.0).round() as usize;
-        let guard = (0.020 * fs) as usize;
+        let spb = (fs / DEFAULT_UL_BPS).round() as usize;
+        let guard = (TAG_REPLY_GUARD_S * fs) as usize;
         let mut states = vec![PztState::Absorptive; guard];
         states.extend(BiwChannel::states_from_raw_bits(&raw, spb));
         states.extend(vec![PztState::Absorptive; spb * 4]);

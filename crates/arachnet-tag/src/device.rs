@@ -15,7 +15,8 @@
 //! 4. idles the rest of the slot, harvesting throughout.
 
 use arachnet_core::mac::{ProtocolConfig, TagAction, TagMac};
-use arachnet_core::packet::{DlCmd, UL_PACKET_BITS};
+use arachnet_core::packet::DlCmd;
+use arachnet_core::rates::{ul_reply_s, DEFAULT_DL_BPS, DEFAULT_UL_BPS, SLOT_DURATION_S};
 use arachnet_core::rng::TagRng;
 use arachnet_core::slot::Period;
 use arachnet_energy::cutoff::LowVoltageCutoff;
@@ -43,11 +44,11 @@ impl Default for SlotTiming {
         // Beacon: 10 bits PIE at 250 bps ≈ 0.1 s; packet: 64 raw bits at
         // 375 bps ≈ 0.171 s + 20 ms guard.
         Self {
-            slot_s: 1.0,
+            slot_s: SLOT_DURATION_S,
             beacon_s: 0.1,
-            packet_s: 2.0 * UL_PACKET_BITS as f64 / 375.0 + 0.02,
-            dl_bps: 250.0,
-            ul_bps: 375.0,
+            packet_s: ul_reply_s(DEFAULT_UL_BPS),
+            dl_bps: DEFAULT_DL_BPS,
+            ul_bps: DEFAULT_UL_BPS,
         }
     }
 }
@@ -315,6 +316,26 @@ mod tests {
 
     fn period(p: u32) -> Period {
         Period::new(p).unwrap()
+    }
+
+    #[test]
+    fn energy_copies_equal_the_core_constants() {
+        // arachnet-energy depends on no crate, so it keeps its own copies
+        // of the clock and the default rates; this crate sees both.
+        use arachnet_core::rates::MCU_CLOCK_HZ;
+        assert_eq!(arachnet_energy::ledger::MCU_CLOCK_HZ, MCU_CLOCK_HZ);
+        assert_eq!(
+            PowerMode::rx_default(),
+            PowerMode::Rx {
+                dl_bps: DEFAULT_DL_BPS
+            }
+        );
+        assert_eq!(
+            PowerMode::tx_default(),
+            PowerMode::Tx {
+                ul_bps: DEFAULT_UL_BPS
+            }
+        );
     }
 
     fn protocol() -> ProtocolConfig {

@@ -7,8 +7,9 @@
 //! * **waveform level** — [`mcu`] models the 12 kHz low-frequency clock
 //!   with its supply-dependent drift and integer-tick quantisation (the
 //!   stated cause of the Fig. 13a downlink-loss surge at 1–2 kbps);
-//!   [`demod`] is the edge-interrupt PIE demodulator of Fig. 6(a);
-//!   [`modulator`] is the timer-interrupt FM0 modulator of Fig. 6(b);
+//!   [`demod`] is the edge-interrupt PIE demodulator of Fig. 6(a); the
+//!   timer-interrupt FM0 modulator of Fig. 6(b) is FM0 encoding plus
+//!   [`mcu::McuClock::ticks_to_seconds`] for the raw-bit interval;
 //! * **slot level** — [`device`] wraps the MAC state machine from
 //!   `arachnet-core` together with the harvesting chain from
 //!   `arachnet-energy` into a [`device::TagDevice`] whose energy lifecycle
@@ -21,10 +22,8 @@
 pub mod demod;
 pub mod device;
 pub mod mcu;
-pub mod modulator;
 pub mod subcarrier;
 
 pub use demod::PieDemodulator;
 pub use device::TagDevice;
 pub use mcu::McuClock;
-pub use modulator::Fm0Modulator;

@@ -13,8 +13,7 @@
 //!   supply-voltage coefficient: the actual frequency is
 //!   `f = 12 kHz · (1 + tol + k·(V − 2.0))`.
 
-/// Nominal clock frequency (Hz).
-pub const NOMINAL_CLOCK_HZ: f64 = 12_000.0;
+use arachnet_core::rates::MCU_CLOCK_HZ;
 
 /// Supply-voltage sensitivity of the VLO-class oscillator (fractional
 /// frequency change per volt). MSP430 datasheets quote a few %/V.
@@ -77,7 +76,7 @@ impl McuClock {
 
     /// Actual oscillator frequency under the current supply (Hz).
     pub fn actual_hz(&self) -> f64 {
-        NOMINAL_CLOCK_HZ * (1.0 + self.tolerance + SUPPLY_COEFF_PER_V * (self.supply_v - 2.0))
+        MCU_CLOCK_HZ * (1.0 + self.tolerance + SUPPLY_COEFF_PER_V * (self.supply_v - 2.0))
     }
 
     /// Converts a real duration (seconds) into the integer tick count the
@@ -88,7 +87,15 @@ impl McuClock {
     }
 
     /// Converts a desired tick count into the real duration it produces —
-    /// the dual direction, used by the timer-driven modulator.
+    /// the dual direction, and the timing of the timer-interrupt FM0
+    /// modulator (Fig. 6b, Sec. 4.3). That timer fires once per raw-bit
+    /// interval, and its ISR sets the MOSFET gate pin from the pre-encoded
+    /// packet buffer, toggling the PZT between its reflective and
+    /// absorptive states. The interval is programmed as a divider in ticks
+    /// of this drifting clock, so the on-air raw bit lasts
+    /// `divider / f_actual`: the reader's decoder must absorb that
+    /// time-scaling, which is why the paper pairs higher UL rates with
+    /// lower SNR and occasional losses (Fig. 12).
     pub fn ticks_to_seconds(&self, ticks: u32) -> f64 {
         f64::from(ticks) / self.actual_hz()
     }
@@ -96,7 +103,7 @@ impl McuClock {
     /// Nominal ticks per raw-bit interval at a bit rate (what the firmware
     /// *assumes* when comparing against thresholds).
     pub fn nominal_ticks_per_raw(bps: f64) -> f64 {
-        NOMINAL_CLOCK_HZ / bps
+        MCU_CLOCK_HZ / bps
     }
 }
 
@@ -107,7 +114,7 @@ mod tests {
     #[test]
     fn ideal_clock_is_nominal() {
         let c = McuClock::ideal();
-        assert_eq!(c.actual_hz(), NOMINAL_CLOCK_HZ);
+        assert_eq!(c.actual_hz(), MCU_CLOCK_HZ);
     }
 
     #[test]
@@ -117,10 +124,10 @@ mod tests {
         let sagged = c.actual_hz();
         c.set_supply(2.3);
         let topped = c.actual_hz();
-        assert!(sagged < NOMINAL_CLOCK_HZ);
-        assert!(topped > NOMINAL_CLOCK_HZ);
+        assert!(sagged < MCU_CLOCK_HZ);
+        assert!(topped > MCU_CLOCK_HZ);
         // Across the full cutoff band the swing stays modest (±1.4%).
-        assert!((topped - sagged) / NOMINAL_CLOCK_HZ < 0.02);
+        assert!((topped - sagged) / MCU_CLOCK_HZ < 0.02);
     }
 
     #[test]
@@ -128,7 +135,7 @@ mod tests {
         let fast = McuClock::with_tolerance(0.03);
         let slow = McuClock::with_tolerance(-0.03);
         assert!(fast.actual_hz() > slow.actual_hz());
-        assert!((fast.actual_hz() / NOMINAL_CLOCK_HZ - 1.03).abs() < 1e-12);
+        assert!((fast.actual_hz() / MCU_CLOCK_HZ - 1.03).abs() < 1e-12);
     }
 
     #[test]
@@ -161,6 +168,26 @@ mod tests {
             let back = c.ticks_to_seconds(ticks);
             assert!((back - d).abs() <= 0.5 / c.actual_hz() + 1e-12);
         }
+    }
+
+    #[test]
+    fn ticks_to_seconds_scales_inversely_with_the_clock() {
+        // An ideal clock turns the UL dividers into the nominal rates.
+        let ideal = McuClock::ideal();
+        assert!((1.0 / ideal.ticks_to_seconds(32) - 375.0).abs() < 1e-9);
+        assert!((1.0 / ideal.ticks_to_seconds(4) - 3_000.0).abs() < 1e-9);
+        for divider in [4u32, 8, 16, 32, 64, 128] {
+            for tol in [-0.03, -0.012, 0.0, 0.007, 0.03] {
+                let c = McuClock::with_tolerance(tol);
+                let expect = f64::from(divider) / (12_000.0 * (1.0 + tol));
+                assert!((c.ticks_to_seconds(divider) - expect).abs() < 1e-12);
+            }
+        }
+        // A fast clock finishes each tick sooner → shorter raw bits.
+        let fast = McuClock::with_tolerance(0.03).ticks_to_seconds(32);
+        let slow = McuClock::with_tolerance(-0.03).ticks_to_seconds(32);
+        assert!(fast < slow);
+        assert!((fast - 32.0 / 12_000.0 / 1.03).abs() < 1e-9);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use arachnet_core::packet::{DlBeacon, DlCmd};
 use arachnet_tag::demod::{ideal_beacon_edges, PieDemodulator};
 use arachnet_tag::mcu::McuClock;
-use arachnet_tag::modulator::Fm0Modulator;
 use arachnet_testkit::gen;
 use arachnet_testkit::{check, prop_assert, prop_assert_eq};
 
@@ -39,36 +38,6 @@ fn demod_decodes_all_beacons_under_tolerance() {
             let out = d.feed_edges(&edges);
             prop_assert_eq!(out.len(), 1);
             prop_assert_eq!(out[0].beacon, beacon);
-            Ok(())
-        },
-    );
-}
-
-/// The modulator timeline is contiguous, uniform, and scales inversely
-/// with the actual clock frequency.
-#[test]
-fn modulator_timeline_invariants() {
-    let g = gen::zip4(
-        gen::u64_any().map(|v| v as u32),
-        gen::usize_range(1, 32),
-        gen::select(vec![4u32, 8, 16, 32, 64, 128]),
-        gen::f64_range(-0.03, 0.03),
-    );
-    check(
-        "modulator_timeline_invariants",
-        &g,
-        |&(value, width, divider, tol)| {
-            let data =
-                arachnet_core::bits::BitBuf::from_u32(value & ((1u64 << width) - 1) as u32, width);
-            let m = Fm0Modulator::new(McuClock::with_tolerance(tol), divider);
-            let (raw, tl) = m.modulate_bits(&data, 1.0);
-            prop_assert_eq!(tl.len(), 2 * width);
-            prop_assert_eq!(raw.len(), 2 * width);
-            for w in tl.windows(2) {
-                prop_assert!((w[1].start - (w[0].start + w[0].duration)).abs() < 1e-9);
-            }
-            let expect = f64::from(divider) / (12_000.0 * (1.0 + tol));
-            prop_assert!((tl[0].duration - expect).abs() < 1e-9);
             Ok(())
         },
     );

@@ -20,12 +20,18 @@ use crate::geometry::Deployment;
 use crate::noise::{ChannelNoise, NoiseConfig};
 use crate::pzt::{Pzt, PztState};
 
+/// Carrier / system resonant frequency (Hz) — Sec. 2.2.
+pub const CARRIER_HZ: f64 = 90_000.0;
+
+/// Reader DAQ sample rate (Hz) — Sec. 6.1.
+pub const SAMPLE_RATE_HZ: f64 = 500_000.0;
+
 /// Channel configuration.
 #[derive(Debug, Clone)]
 pub struct ChannelConfig {
-    /// DAQ sample rate (Hz) — the paper uses 500 kHz.
+    /// DAQ sample rate (Hz) — [`SAMPLE_RATE_HZ`] by default.
     pub sample_rate: f64,
-    /// Carrier / resonant frequency (Hz).
+    /// Carrier / resonant frequency (Hz) — [`CARRIER_HZ`] by default.
     pub carrier_hz: f64,
     /// Source amplitude at the reference distance, normalized units. The
     /// calibrated value reproduces the paper's harvested voltages under the
@@ -48,8 +54,8 @@ pub struct ChannelConfig {
 impl Default for ChannelConfig {
     fn default() -> Self {
         Self {
-            sample_rate: 500_000.0,
-            carrier_hz: 90_000.0,
+            sample_rate: SAMPLE_RATE_HZ,
+            carrier_hz: CARRIER_HZ,
             drive_amplitude: 3.35,
             noise: NoiseConfig::default(),
             carrier_leakage: 2.0,

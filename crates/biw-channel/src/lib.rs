@@ -15,8 +15,9 @@
 //! * the 90 kHz system resonance and the *ring effect* — the reader PZT
 //!   keeps vibrating after voltage cutoff (Sec. 4.1), which the paper
 //!   suppresses with the 'FSK in, OOK out' trick;
-//! * noise: an electronic noise floor plus the sub-100 Hz vehicle vibration
-//!   the paper argues is frequency-separated from the 90 kHz channel.
+//! * noise: a white electronic noise floor alone. The sub-100 Hz vehicle
+//!   vibration that Sec. 2.2 argues is frequency-separated from the 90 kHz
+//!   channel is not modelled, so that claim is not checked.
 //!
 //! Module map:
 //!
@@ -27,9 +28,11 @@
 //!   reflective/absorptive backscatter states;
 //! * [`resonator`] — the 90 kHz resonance's ring-down tail: free under
 //!   plain OOK, amplifier-loaded under the FSK-in/OOK-out drive;
-//! * [`noise`] — deterministic noise generator (AWGN + engine vibration);
-//! * [`channel`] — per-tag carrier voltages and waveform-level uplink
-//!   synthesis;
+//! * [`noise`] — deterministic white-noise floor (AWGN), with the fitted
+//!   paper level [`noise::NoiseConfig::paper`];
+//! * [`channel`] — the paper's carrier and DAQ rate
+//!   ([`channel::CARRIER_HZ`], [`channel::SAMPLE_RATE_HZ`]), per-tag
+//!   carrier voltages and waveform-level uplink synthesis;
 //! * [`timevarying`] — epoch-wise drift: prebuilt per-epoch channels for
 //!   dynamic-network experiments (gain fades, leakage shifts, noise-floor
 //!   wander, ring-down/Q drift);

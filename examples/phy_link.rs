@@ -22,10 +22,7 @@ use biw_channel::pzt::PztState;
 
 fn main() {
     let channel = BiwChannel::paper(ChannelConfig {
-        noise: NoiseConfig {
-            floor_sigma: 0.02,
-            ..NoiseConfig::default()
-        },
+        noise: NoiseConfig { floor_sigma: 0.02 },
         ..ChannelConfig::default()
     });
 

@@ -55,8 +55,10 @@ echo "== benchmark (perfbench/): self-tests + one short checked run =="
 # never compiles it. Building it here makes removing or renaming a public
 # item the benchmark uses fail verification instead of the benchmark. The
 # run is pinned to seed 7, whatever seed this script was given, so its
-# paper-shape checks see a seed whose outcome is on record.
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+# paper-shape checks see a seed whose outcome is on record. `--locked`
+# fails, naming perfbench/Cargo.lock, when a crate's dependency list no
+# longer matches that lock file, instead of silently rewriting it.
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 bench_out="$(mktemp)"
 bash perfbench/run.sh --workload uplink-sweep --seed 7 --seconds 1 --trace 0 > "$bench_out"
 if ! tail -1 "$bench_out" | grep -q '"correct": true'; then
