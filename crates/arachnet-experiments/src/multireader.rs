@@ -195,7 +195,7 @@ impl Experiment for MrInterference {
     fn run(&self, ctx: &ExperimentCtx) -> Report {
         let n = ctx.scale(3, 16);
         let k = ctx.fleet_readers(2);
-        let fdma = plan_for(k, k).expect("validated fleet shape");
+        let fdma = plan_for(k, ctx.fleet_bands(k)).expect("validated fleet shape");
         let co =
             FleetPlan::co_channel(k, CARRIER_HZ, SAMPLE_RATE_HZ).expect("validated fleet shape");
         let sweep = ctx.sweep_for(self.id());
@@ -426,6 +426,23 @@ mod tests {
             co > fdma,
             "co-channel flags {co} not above fdma-reject {fdma}"
         );
+    }
+
+    #[test]
+    fn mr_interference_honours_band_override() {
+        let c = ExperimentCtx::builder(9)
+            .quick()
+            .threads(2)
+            .bands(1)
+            .build()
+            .unwrap();
+        let m = export_metrics(&MrInterference.run(&c));
+        for plan in ["fdma-reject", "fdma-raw"] {
+            for r in 0..2 {
+                let key = format!("fleet.{plan}.tag8.r{r}.band");
+                assert_eq!(m.get_count(&key), Some(0), "{key}");
+            }
+        }
     }
 
     #[test]

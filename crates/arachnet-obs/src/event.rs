@@ -68,7 +68,7 @@ impl DecodeFailReason {
 }
 
 /// Number of distinct [`EventKind`] variants (size of per-kind count arrays).
-pub const KIND_COUNT: usize = 20;
+pub const KIND_COUNT: usize = 19;
 
 /// A structured sim event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,13 +143,6 @@ pub enum EventKind {
         /// Number of interfering readers active at the time.
         readers: u8,
     },
-    /// A sweep trial failed every attempt and was quarantined into the
-    /// report instead of aborting the sweep (the `slot` field carries the
-    /// trial index). Deterministic: panics are pure in `(trial, seed)`.
-    TrialQuarantined {
-        /// Total attempts made (first run plus retries).
-        attempts: u8,
-    },
     /// A sweep restored completed trials from a checkpoint instead of
     /// recomputing them. Wall-domain provenance: never part of the
     /// deterministic metrics export.
@@ -183,9 +176,8 @@ impl EventKind {
             EventKind::ReaderOutage { .. } => 14,
             EventKind::ReaderAssigned { .. } => 15,
             EventKind::CrossReaderCollision { .. } => 16,
-            EventKind::TrialQuarantined { .. } => 17,
-            EventKind::SweepResumed { .. } => 18,
-            EventKind::BudgetExhausted => 19,
+            EventKind::SweepResumed { .. } => 17,
+            EventKind::BudgetExhausted => 18,
         }
     }
 
@@ -209,7 +201,6 @@ impl EventKind {
             "reader_outage",
             "reader_assigned",
             "xreader_collision",
-            "trial_quarantined",
             "sweep_resumed",
             "budget_exhausted",
         ];
@@ -231,7 +222,6 @@ impl EventKind {
                 | EventKind::TagDeparted
                 | EventKind::ReaderOutage { .. }
                 | EventKind::CrossReaderCollision { .. }
-                | EventKind::TrialQuarantined { .. }
                 | EventKind::BudgetExhausted
         )
     }
@@ -268,9 +258,6 @@ impl EventKind {
             EventKind::CrossReaderCollision { readers } => {
                 format!("cross-reader collision ({readers} interfering readers)")
             }
-            EventKind::TrialQuarantined { attempts } => {
-                format!("trial quarantined after {attempts} attempts")
-            }
             EventKind::SweepResumed { restored } => {
                 format!("sweep resumed ({restored} trials restored from checkpoint)")
             }
@@ -297,7 +284,6 @@ impl EventKind {
             EventKind::ReaderOutage { slots } => format!(",\"slots\":{slots}"),
             EventKind::ReaderAssigned { band } => format!(",\"band\":{band}"),
             EventKind::CrossReaderCollision { readers } => format!(",\"readers\":{readers}"),
-            EventKind::TrialQuarantined { attempts } => format!(",\"attempts\":{attempts}"),
             EventKind::SweepResumed { restored } => format!(",\"restored\":{restored}"),
             _ => String::new(),
         }
@@ -382,7 +368,6 @@ mod tests {
             EventKind::ReaderOutage { slots: 40 },
             EventKind::ReaderAssigned { band: 1 },
             EventKind::CrossReaderCollision { readers: 2 },
-            EventKind::TrialQuarantined { attempts: 2 },
             EventKind::SweepResumed { restored: 12 },
             EventKind::BudgetExhausted,
         ];

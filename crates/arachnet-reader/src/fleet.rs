@@ -17,12 +17,11 @@
 
 use std::fmt;
 
-use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
 use biw_channel::channel::{exact_carrier_period, CARRIER_HZ};
 use biw_channel::fleet::{MAX_BAND_HZ, MIN_BAND_HZ};
 
-use crate::rx::{carrier_table, RxConfig, RxScratch, SlotRx, UplinkReceiver};
+use crate::rx::{carrier_corrections, carrier_table, RxConfig, RxScratch, SlotRx, UplinkReceiver};
 
 /// Minimum sub-band separation (Hz) a valid FDMA plan must keep: wide
 /// enough that the decimation filter puts a foreign carrier well outside
@@ -301,21 +300,8 @@ impl FleetReceiver {
     /// `wave` in place (see the module docs for the estimator).
     fn reject_into(&self, wave: &mut [f64], corr: &mut Vec<f64>) {
         for tab in &self.interferers {
-            let phasors = tab.phasors();
-            let p = phasors.len();
-            let mut acc = Cplx::ZERO;
-            let mut ph = 0usize;
-            for &x in wave.iter() {
-                acc += phasors[ph] * x;
-                ph += 1;
-                if ph == p {
-                    ph = 0;
-                }
-            }
-            let a = acc * (2.0 / wave.len() as f64);
-            // One correction value per table phase, computed once.
-            corr.clear();
-            corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
+            carrier_corrections(tab, wave, corr);
+            let p = corr.len();
             let mut ph = 0usize;
             for x in wave.iter_mut() {
                 *x -= corr[ph];
@@ -359,6 +345,7 @@ mod tests {
     use super::*;
     use arachnet_core::fm0::Fm0Encoder;
     use arachnet_core::packet::UlPacket;
+    use arachnet_dsp::cplx::Cplx;
     use biw_channel::channel::{BiwChannel, ChannelConfig};
     use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
     use biw_channel::noise::NoiseConfig;

@@ -52,6 +52,29 @@ pub(crate) fn carrier_table(fs: f64, carrier_hz: f64) -> CarrierTable {
     CarrierTable::new(fs, carrier_hz, period)
 }
 
+/// The coherent estimate `a = (2/N) Σ x[n] e^{-jωn}` of `tab`'s carrier
+/// in `wave` (a wrapping phase counter over the table), and its
+/// correction per table phase, `corr[k] = (phasor[k].conj() · a).re`:
+/// `wave[n] − corr[n mod p]` removes the carrier. The SNR's carrier
+/// canceller and the fleet's interference rejection both run it.
+pub(crate) fn carrier_corrections(tab: &CarrierTable, wave: &[f64], corr: &mut Vec<f64>) -> Cplx {
+    let phasors = tab.phasors();
+    let p = phasors.len();
+    let mut acc = Cplx::ZERO;
+    let mut ph = 0usize;
+    for &x in wave {
+        acc += phasors[ph] * x;
+        ph += 1;
+        if ph == p {
+            ph = 0;
+        }
+    }
+    let a = acc * (2.0 / wave.len() as f64);
+    corr.clear();
+    corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
+    a
+}
+
 /// Reusable per-worker working set for the RX chain. Every buffer that
 /// scales with the waveform — mix → decimate, the projection, its
 /// percentile copy and the edge list for the decode; the step copies and
@@ -549,32 +572,18 @@ impl UplinkReceiver {
         }
         let fc = self.cfg.carrier_hz;
         let r = self.cfg.ul_bps;
-        // Coherent carrier estimate a = (2/N) Σ x[n] e^{-jωn}, over the
-        // table with a wrapping phase counter.
-        let phasors = self.carrier_tab.phasors();
-        let p = phasors.len();
-        let mut acc = Cplx::ZERO;
-        let mut ph = 0usize;
-        for &x in wave {
-            acc += phasors[ph] * x;
-            ph += 1;
-            if ph == p {
-                ph = 0;
-            }
-        }
-        let a = acc * (2.0 / wave.len() as f64);
         let RxScratch {
             corr, welch, psd, ..
         } = scratch;
+        // The carrier's correction only takes one value per table phase,
+        // so subtraction is a lookup.
+        carrier_corrections(&self.carrier_tab, wave, corr);
+        let corr = &*corr;
+        let p = corr.len();
         let fs = self.cfg.sample_rate;
         let seg = 8_192
             .min(wave.len().next_power_of_two() / 2)
             .max(MIN_WELCH_SEG);
-        // `(phasor.conj() * a).re` only takes one value per table phase —
-        // compute each once, then subtraction is a lookup.
-        corr.clear();
-        corr.extend(phasors.iter().map(|z| (z.conj() * a).re));
-        let corr = &*corr;
         // Welch asks for the packet piece by piece; each piece is written
         // as `wave − carrier` straight from the waveform, so the cleaned
         // packet never exists whole. One `%` per piece; a wrapping counter
@@ -649,6 +658,29 @@ mod tests {
         states.extend(vec![PztState::Absorptive; 8 * spb]);
         let len = states.len();
         ch.uplink_waveform(&[(tid, &states)], len)
+    }
+
+    #[test]
+    fn carrier_corrections_recover_and_cancel_a_tone() {
+        // 90 kHz at 500 kHz: the 50-sample table. Over whole periods the
+        // 2ω image sums to zero, so the estimate is the tone's phasor and
+        // the corrections are the tone itself.
+        let tab = carrier_table(SAMPLE_RATE_HZ, CARRIER_HZ);
+        assert_eq!(tab.period(), 50);
+        let (amp, phase) = (0.37, 1.1);
+        let w = 2.0 * std::f64::consts::PI * CARRIER_HZ / SAMPLE_RATE_HZ;
+        let tone: Vec<f64> = (0..5_000)
+            .map(|n| amp * (w * n as f64 + phase).cos())
+            .collect();
+        let mut corr = Vec::new();
+        let a = carrier_corrections(&tab, &tone, &mut corr);
+        assert!((a.abs() - amp).abs() < 1e-9 * amp, "amplitude {}", a.abs());
+        assert!((a.arg() - phase).abs() < 1e-9, "phase {}", a.arg());
+        assert_eq!(corr.len(), 50);
+        for (n, &x) in tone.iter().enumerate() {
+            let left = x - corr[n % 50];
+            assert!(left.abs() < 1e-9 * amp, "sample {n}: {left}");
+        }
     }
 
     /// Decodes `wave` and reads the slot's collision verdict over one

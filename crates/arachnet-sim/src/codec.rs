@@ -234,7 +234,6 @@ impl TrialCodec for EventKind {
             EventKind::ReaderOutage { slots } => slots.encode(out),
             EventKind::ReaderAssigned { band } => band.encode(out),
             EventKind::CrossReaderCollision { readers } => readers.encode(out),
-            EventKind::TrialQuarantined { attempts } => attempts.encode(out),
             EventKind::SweepResumed { restored } => restored.encode(out),
             EventKind::Empty
             | EventKind::BeaconLost
@@ -288,13 +287,10 @@ impl TrialCodec for EventKind {
             16 => EventKind::CrossReaderCollision {
                 readers: u8::decode(input)?,
             },
-            17 => EventKind::TrialQuarantined {
-                attempts: u8::decode(input)?,
-            },
-            18 => EventKind::SweepResumed {
+            17 => EventKind::SweepResumed {
                 restored: u16::decode(input)?,
             },
-            19 => EventKind::BudgetExhausted,
+            18 => EventKind::BudgetExhausted,
             _ => return None,
         })
     }
@@ -478,7 +474,6 @@ mod tests {
             EventKind::ReaderOutage { slots: 64 },
             EventKind::ReaderAssigned { band: 2 },
             EventKind::CrossReaderCollision { readers: 2 },
-            EventKind::TrialQuarantined { attempts: 2 },
             EventKind::SweepResumed { restored: 40 },
             EventKind::BudgetExhausted,
         ];

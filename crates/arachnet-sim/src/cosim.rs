@@ -13,6 +13,10 @@
 //! It is ~10⁵× more expensive per slot than the slot-level engine, so it
 //! runs tens of slots, not tens of thousands — enough to watch a small
 //! network converge with zero modeling shortcuts.
+//!
+//! Its tag set is fixed and the reader never goes dark: joins, leaves,
+//! brownouts, outages and the flight recorder belong to
+//! [`crate::slotsim`], the one scenario engine.
 
 use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::mac::{ProtocolConfig, ReaderMac, SlotObservation};
@@ -20,7 +24,6 @@ use arachnet_core::packet::UlPacket;
 use arachnet_core::rates::{DEFAULT_DL_BPS, DEFAULT_UL_BPS, MCU_CLOCK_HZ};
 use arachnet_core::rng::TagRng;
 use arachnet_core::slot::Period;
-use arachnet_obs::{DecodeFailReason, EventKind, Recorder, RecorderSnapshot, NO_TAG};
 use arachnet_reader::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
@@ -30,7 +33,6 @@ use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
 use biw_channel::resonator::DriveScheme;
 
-use crate::scenario::{Scenario, ScenarioEvent};
 use crate::wavesim::{beacon_edges_at_tag, draw_supply_v, expand_states_into};
 
 /// Configuration of the co-simulation.
@@ -75,7 +77,7 @@ pub struct CoSimSlot {
     pub beacon_losses: Vec<u8>,
     /// What the reader's RX chain decoded.
     pub rx: SlotRx,
-    /// Significant IQ clusters in the slot (0 while the reader is dark).
+    /// Significant IQ clusters in the slot.
     pub clusters: usize,
     /// The reader's collision verdict: more than two clusters.
     pub collision: bool,
@@ -86,9 +88,6 @@ struct CoSimTag {
     mac: arachnet_core::mac::TagMac,
     clock: McuClock,
     rng: TagRng,
-    /// Physically present (scenario churn toggles this; absent tags hear
-    /// nothing and never transmit).
-    deployed: bool,
 }
 
 /// Persistent per-engine working storage: slots reuse these buffers
@@ -103,13 +102,6 @@ struct CoSimScratch {
     rx: RxScratch,
 }
 
-/// Scenario playback state for a co-simulation (see [`crate::scenario`]).
-struct CoSimScenario {
-    scenario: Scenario,
-    next_event: usize,
-    outage_until: u64,
-}
-
 /// The engine.
 pub struct CoSim {
     config: CoSimConfig,
@@ -121,54 +113,26 @@ pub struct CoSim {
     beacon: Option<arachnet_core::packet::DlBeacon>,
     slots_run: u64,
     scratch: CoSimScratch,
-    recorder: Recorder,
-    scenario: Option<CoSimScenario>,
 }
 
 impl CoSim {
     /// Builds the engine over the paper deployment.
     pub fn new(config: CoSimConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    /// Builds the engine with a dynamic-network scenario: churn events
-    /// toggle tags in and out of the deployment, reader outages silence the
-    /// beacon. Tags that only ever appear through
-    /// [`ScenarioEvent::TagJoin`] are pre-registered with the reader but
-    /// start undeployed. [`ScenarioEvent::NoiseBurst`] is a slot-domain
-    /// abstraction and is ignored at the waveform level (the noise floor is
-    /// baked into the channel); use [`crate::slotsim`] to study bursts.
-    pub fn with_scenario(config: CoSimConfig, scenario: Scenario) -> Self {
-        Self::build(config, Some(scenario))
-    }
-
-    fn build(config: CoSimConfig, scenario: Option<Scenario>) -> Self {
-        // The reader registry covers the configured tags plus every tag the
-        // scenario will ever join; join-only tags start undeployed.
-        let mut roster = config.tags.clone();
-        if let Some(sc) = &scenario {
-            for (tid, period) in sc.join_registry() {
-                if !roster.iter().any(|&(t, _)| t == tid) {
-                    roster.push((tid, period));
-                }
-            }
-        }
         let channel = BiwChannel::paper(ChannelConfig {
             noise: config.noise,
             seed: config.seed,
             ..ChannelConfig::default()
         });
-        let reader_mac = ReaderMac::new(config.protocol, &roster);
+        let reader_mac = ReaderMac::new(config.protocol, &config.tags);
         let tx = BeaconTransmitter::new(config.dl_bps, config.seed ^ 0xBEAC);
         let rx = UplinkReceiver::new(RxConfig {
             ul_bps: config.ul_bps,
             ..RxConfig::default()
         });
-        let preset = config.tags.len();
-        let tags = roster
+        let tags = config
+            .tags
             .iter()
-            .enumerate()
-            .map(|(i, &(tid, period))| CoSimTag {
+            .map(|&(tid, period)| CoSimTag {
                 tid,
                 mac: arachnet_core::mac::TagMac::new(
                     tid,
@@ -178,7 +142,6 @@ impl CoSim {
                 ),
                 clock: McuClock::for_tag(config.seed, tid),
                 rng: TagRng::for_tag(config.seed ^ 0x51de, tid),
-                deployed: i < preset,
             })
             .collect();
         Self {
@@ -191,48 +154,15 @@ impl CoSim {
             beacon: None,
             slots_run: 0,
             scratch: CoSimScratch::default(),
-            recorder: Recorder::disabled(),
-            scenario: scenario.map(|scenario| CoSimScenario {
-                scenario,
-                next_event: 0,
-                outage_until: 0,
-            }),
         }
     }
 
-    /// Attach a flight recorder; subsequent [`CoSim::step`] calls will log
-    /// structured events into it. Has no effect on sim outcomes.
-    pub fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// The currently attached recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Detach the recorder and consume it into an immutable snapshot
-    /// (subsequent slots run unobserved).
-    pub fn take_recorder_snapshot(&mut self) -> RecorderSnapshot {
-        std::mem::replace(&mut self.recorder, Recorder::disabled()).into_snapshot()
-    }
-
-    /// Slots executed.
-    pub fn slots_run(&self) -> u64 {
-        self.slots_run
-    }
-
-    /// Settled-tag count among deployed tags (for convergence checks).
+    /// Settled-tag count (for convergence checks).
     pub fn settled(&self) -> usize {
         self.tags
             .iter()
-            .filter(|t| t.deployed && t.mac.state() == arachnet_core::mac::MacState::Settle)
+            .filter(|t| t.mac.state() == arachnet_core::mac::MacState::Settle)
             .count()
-    }
-
-    /// Tags currently deployed (physically present).
-    pub fn deployed(&self) -> usize {
-        self.tags.iter().filter(|t| t.deployed).count()
     }
 
     /// Per-tag `(tid, state, offset)` snapshot.
@@ -243,103 +173,8 @@ impl CoSim {
             .collect()
     }
 
-    /// Plays every scenario event due at `slot` (events are sorted by
-    /// [`crate::scenario::ScenarioBuilder::build`]).
-    fn apply_scenario_events(&mut self, slot: u64) {
-        loop {
-            let ev = {
-                let st = self.scenario.as_ref().expect("scenario playback state");
-                match st.scenario.events().get(st.next_event) {
-                    Some(ev) if ev.at <= slot => ev.event,
-                    _ => break,
-                }
-            };
-            match ev {
-                ScenarioEvent::TagJoin { tid, .. } => {
-                    if let Some(tag) = self.tags.iter_mut().find(|t| t.tid == tid && !t.deployed) {
-                        tag.deployed = true;
-                        tag.mac.power_on_reset();
-                        self.recorder.record(slot, tid, EventKind::TagJoined);
-                    }
-                }
-                ScenarioEvent::TagLeave { tid } => {
-                    if let Some(tag) = self.tags.iter_mut().find(|t| t.tid == tid && t.deployed) {
-                        tag.deployed = false;
-                        self.recorder.record(slot, tid, EventKind::TagDeparted);
-                    }
-                }
-                ScenarioEvent::Brownout { tid } => {
-                    // No energy model here — a brownout is a bare MAC reset.
-                    if let Some(tag) = self.tags.iter_mut().find(|t| t.tid == tid && t.deployed) {
-                        tag.mac.power_on_reset();
-                        self.recorder.record(slot, tid, EventKind::PowerCutoff);
-                    }
-                }
-                ScenarioEvent::ReaderOutage { slots } => {
-                    let st = self.scenario.as_mut().expect("scenario playback state");
-                    st.outage_until = st.outage_until.max(slot + slots);
-                    let clamped = slots.min(u64::from(u16::MAX)) as u16;
-                    self.recorder
-                        .record(slot, NO_TAG, EventKind::ReaderOutage { slots: clamped });
-                }
-                // Slot-domain loss probabilities do not exist at the
-                // waveform level; see `with_scenario` docs.
-                ScenarioEvent::NoiseBurst { .. } => {}
-                ScenarioEvent::ChannelEpoch { epoch } => {
-                    self.recorder
-                        .record(slot, NO_TAG, EventKind::ChannelEpoch { epoch });
-                }
-            }
-            self.scenario
-                .as_mut()
-                .expect("scenario playback state")
-                .next_event += 1;
-        }
-    }
-
-    /// One slot with the reader dark: no beacon goes out, every deployed
-    /// tag times out, and the reader's pending beacon (and MAC slot
-    /// counter) stays frozen until the outage ends.
-    fn dark_step(&mut self, slot: u64) -> CoSimSlot {
-        let mut beacon_losses: Vec<u8> = Vec::new();
-        let recorder = &mut self.recorder;
-        for tag in self.tags.iter_mut().filter(|t| t.deployed) {
-            tag.mac.on_beacon_timeout();
-            beacon_losses.push(tag.tid);
-            if recorder.is_enabled() {
-                recorder.record(slot, tag.tid, EventKind::BeaconLost);
-                for &ev in tag.mac.events() {
-                    recorder.record(slot, tag.tid, ev);
-                }
-            }
-        }
-        self.slots_run += 1;
-        CoSimSlot {
-            transmitters: Vec::new(),
-            beacon_losses,
-            rx: SlotRx {
-                packet: None,
-                edges: 0,
-                fail: None,
-            },
-            clusters: 0,
-            collision: false,
-        }
-    }
-
     /// Runs one slot end to end; returns what happened.
     pub fn step(&mut self) -> CoSimSlot {
-        let slot = self.slots_run;
-        if self.scenario.is_some() {
-            self.apply_scenario_events(slot);
-            if self
-                .scenario
-                .as_ref()
-                .is_some_and(|st| slot < st.outage_until)
-            {
-                return self.dark_step(slot);
-            }
-        }
         let beacon = match self.beacon.take() {
             Some(b) => b,
             None => self.reader_mac.start(),
@@ -350,8 +185,7 @@ impl CoSim {
         let mut transmitters: Vec<u8> = Vec::new();
         let mut beacon_losses: Vec<u8> = Vec::new();
         let dl_bps = self.config.dl_bps;
-        let recorder = &mut self.recorder;
-        for tag in self.tags.iter_mut().filter(|t| t.deployed) {
+        for tag in &mut self.tags {
             // The paper's FSK-in/OOK-out drive: the reader PZT's ring tail
             // is the damped one.
             let heard = beacon_edges_at_tag(
@@ -368,24 +202,16 @@ impl CoSim {
             } else {
                 Vec::new()
             };
-            let action = match decoded.first() {
-                Some(d) => Some(tag.mac.on_beacon(d.beacon.cmd)),
+            match decoded.first() {
+                Some(d) => {
+                    if tag.mac.on_beacon(d.beacon.cmd).transmit {
+                        transmitters.push(tag.tid);
+                    }
+                }
                 None => {
                     beacon_losses.push(tag.tid);
                     tag.mac.on_beacon_timeout();
-                    None
                 }
-            };
-            if recorder.is_enabled() {
-                if action.is_none() {
-                    recorder.record(slot, tag.tid, EventKind::BeaconLost);
-                }
-                for &ev in tag.mac.events() {
-                    recorder.record(slot, tag.tid, ev);
-                }
-            }
-            if action.is_some_and(|a| a.transmit) {
-                transmitters.push(tag.tid);
             }
         }
 
@@ -438,35 +264,6 @@ impl CoSim {
             decoded: rx_out.packet.map(|p| p.tid()),
             collision,
         };
-        if self.recorder.is_enabled() {
-            if collision {
-                let n = transmitters.len().min(255) as u8;
-                self.recorder
-                    .record(slot, NO_TAG, EventKind::Collision { transmitters: n });
-            } else if let Some(tid) = obs.decoded {
-                self.recorder.note(EventKind::Decoded);
-                let offset = self
-                    .tags
-                    .iter()
-                    .find(|t| t.tid == tid)
-                    .map_or(0, |t| t.mac.offset() as u16);
-                self.recorder
-                    .record(slot, tid, EventKind::SlotClaimed { offset });
-            } else if transmitters.is_empty() {
-                self.recorder.note(EventKind::Empty);
-            } else {
-                // Real transmissions the DSP chain could not recover: the
-                // receiver's own stage-of-failure diagnosis is the reason.
-                let reason = rx_out.fail.unwrap_or(DecodeFailReason::NoPreamble);
-                let tag = if transmitters.len() == 1 {
-                    transmitters[0]
-                } else {
-                    NO_TAG
-                };
-                self.recorder
-                    .record(slot, tag, EventKind::DecodeFail { reason });
-            }
-        }
         self.beacon = Some(self.reader_mac.end_slot(obs));
         self.slots_run += 1;
         CoSimSlot {
@@ -478,9 +275,9 @@ impl CoSim {
         }
     }
 
-    /// Runs until every deployed tag is settled and the last
-    /// `clean_streak` slots were collision-free, or `cap` slots. Returns
-    /// the slot count on success.
+    /// Runs until every tag is settled and the last `clean_streak` slots
+    /// were collision-free, or `cap` slots. Returns the slot count on
+    /// success.
     pub fn run_until_converged(&mut self, clean_streak: u32, cap: u64) -> Option<u64> {
         let mut streak = 0;
         while self.slots_run < cap {
@@ -490,7 +287,7 @@ impl CoSim {
             } else {
                 streak += 1;
             }
-            if streak >= clean_streak && self.settled() == self.deployed() {
+            if streak >= clean_streak && self.settled() == self.tags.len() {
                 return Some(self.slots_run);
             }
         }
@@ -551,122 +348,6 @@ mod tests {
             }
         }
         assert!(saw_decode, "no clean decode in 40 slots");
-    }
-
-    #[test]
-    fn recorder_sees_real_phy_collisions_and_decodes() {
-        // Same scenario as `collisions_are_really_detected_from_waveforms`,
-        // but observed through the flight recorder: it must log at least one
-        // IQ-clustered collision and one clean decode, and attaching it must
-        // not perturb the simulated outcomes.
-        let tags = vec![(8, p(2)), (5, p(2))];
-        let mut bare = CoSim::new(CoSimConfig::new(tags.clone(), 11));
-        let mut observed = CoSim::new(CoSimConfig::new(tags, 11));
-        observed.attach_recorder(Recorder::enabled(11));
-        for _ in 0..25 {
-            let a = bare.step();
-            let b = observed.step();
-            assert_eq!(a.transmitters, b.transmitters, "recorder perturbed the sim");
-            assert_eq!(a.collision, b.collision);
-        }
-        let snap = observed.take_recorder_snapshot();
-        assert_eq!(snap.seed, 11);
-        assert!(
-            snap.count_at(EventKind::Collision { transmitters: 0 }.index()) >= 1,
-            "no collision events: {:?}",
-            snap.counts
-        );
-        assert!(
-            snap.count_at(EventKind::Decoded.index()) >= 1,
-            "no decode events: {:?}",
-            snap.counts
-        );
-        // Both period-1 tags start on the same schedule, so at least one
-        // must have migrated to break the tie.
-        assert!(
-            snap.events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::TagMigrated { .. })),
-            "no migration in the event ring"
-        );
-    }
-
-    #[test]
-    fn scenario_playback_matches_plain_cosim_until_disturbed() {
-        // A scenario whose only event lies far past the slots we run must
-        // not perturb a single waveform outcome.
-        let tags = vec![(8, p(2)), (7, p(2))];
-        let scenario = Scenario::builder().channel_epoch(500, 1).build().unwrap();
-        let mut plain = CoSim::new(CoSimConfig::new(tags.clone(), 3));
-        let mut scripted = CoSim::with_scenario(CoSimConfig::new(tags, 3), scenario);
-        for _ in 0..20 {
-            let a = plain.step();
-            let b = scripted.step();
-            assert_eq!(a.transmitters, b.transmitters, "scenario perturbed the sim");
-            assert_eq!(a.collision, b.collision);
-            assert_eq!(a.beacon_losses, b.beacon_losses);
-        }
-    }
-
-    #[test]
-    fn reader_outage_darkens_waveform_slots_and_recovers() {
-        let tags = vec![(8, p(2)), (7, p(2))];
-        let scenario = Scenario::builder().outage(10, 6).build().unwrap();
-        let mut sim = CoSim::with_scenario(CoSimConfig::new(tags, 3), scenario);
-        sim.attach_recorder(Recorder::enabled(3));
-        for _ in 0..10 {
-            sim.step();
-        }
-        for _ in 0..6 {
-            let s = sim.step();
-            assert!(
-                s.transmitters.is_empty(),
-                "tag transmitted into a dark slot"
-            );
-            assert!(s.rx.packet.is_none() && !s.collision);
-            assert_eq!(s.beacon_losses.len(), 2, "both tags must time out");
-        }
-        let at = sim.run_until_converged(4, 140);
-        assert!(at.is_some(), "no re-convergence after the outage");
-        let snap = sim.take_recorder_snapshot();
-        assert!(
-            snap.count_at(EventKind::ReaderOutage { slots: 0 }.index()) >= 1,
-            "outage not recorded: {:?}",
-            snap.counts
-        );
-    }
-
-    #[test]
-    fn churn_join_and_leave_play_out_on_real_waveforms() {
-        let scenario = Scenario::builder()
-            .join(15, 7, p(2))
-            .leave(40, 8)
-            .build()
-            .unwrap();
-        let mut sim = CoSim::with_scenario(CoSimConfig::new(vec![(8, p(2))], 5), scenario);
-        sim.attach_recorder(Recorder::enabled(5));
-        assert_eq!(sim.deployed(), 1);
-        for _ in 0..16 {
-            sim.step();
-        }
-        assert_eq!(sim.deployed(), 2, "joined tag not deployed");
-        while sim.slots_run() <= 40 {
-            sim.step();
-        }
-        assert_eq!(sim.deployed(), 1, "departed tag still deployed");
-        let mut saw_joined_tx = false;
-        for _ in 0..30 {
-            let s = sim.step();
-            assert!(!s.transmitters.contains(&8), "departed tag transmitted");
-            saw_joined_tx |= s.transmitters.contains(&7);
-        }
-        assert!(
-            saw_joined_tx,
-            "joined tag never transmitted after the churn"
-        );
-        let snap = sim.take_recorder_snapshot();
-        assert!(snap.count_at(EventKind::TagJoined.index()) >= 1);
-        assert!(snap.count_at(EventKind::TagDeparted.index()) >= 1);
     }
 
     /// Per slot: transmitters, decoded tid, collision verdict, clusters.

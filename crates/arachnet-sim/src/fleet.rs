@@ -114,16 +114,6 @@ impl FleetWaveSim {
         Self::new(plan, seed, NoiseConfig::paper())
     }
 
-    /// The underlying channel matrix.
-    pub fn channel(&self) -> &FleetChannel {
-        &self.channel
-    }
-
-    /// The frequency plan this fleet runs under.
-    pub fn plan(&self) -> &FleetPlan {
-        &self.plan
-    }
-
     /// A fleet receiver for `reader` at `ul_bps`, with interference
     /// rejection enabled. Build one per (reader, rate) — not per packet.
     pub fn fleet_rx(&self, reader: usize, ul_bps: f64) -> FleetReceiver {

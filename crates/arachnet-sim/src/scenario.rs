@@ -3,9 +3,10 @@
 //! Every experiment the paper reproduces runs a *static* deployment: the
 //! tag set, the channel, and the reader are fixed for the whole run. A
 //! [`Scenario`] makes time a first-class dimension — it is a validated,
-//! zero-dependency description of timed disturbances that the simulators
-//! ([`crate::slotsim::SlotSim`], [`crate::cosim::CoSim`], and the
-//! waveform-level drift path in [`crate::wavesim`]) replay deterministically:
+//! zero-dependency description of timed disturbances that
+//! [`crate::slotsim::SlotSim`], the one scenario engine, replays
+//! deterministically (the fleet soak in [`crate::fleet`] replays one per
+//! cell through it):
 //!
 //! * **tag churn** — [`ScenarioEvent::TagJoin`] /
 //!   [`ScenarioEvent::TagLeave`] / [`ScenarioEvent::Brownout`] (forced
@@ -14,9 +15,10 @@
 //!   goes dark for a window, so tags see beacon timeouts *and* harvest
 //!   nothing (the carrier is off);
 //! * **channel weather** — [`ScenarioEvent::NoiseBurst`] (slot-domain loss
-//!   storm) and [`ScenarioEvent::ChannelEpoch`] (PHY drift epoch marker;
-//!   the waveform simulators pair it with
-//!   `biw_channel::timevarying::TimeVaryingChannel`).
+//!   storm) and [`ScenarioEvent::ChannelEpoch`] (PHY drift epoch marker,
+//!   which the slot engine only records; the waveform drift path in
+//!   [`crate::wavesim`] switches `biw_channel::timevarying::TimeVaryingChannel`
+//!   epochs on its own schedule).
 //!
 //! Scenarios are plain data: replaying one draws no randomness of its own,
 //! so a simulation with a scenario attached stays bit-identical at any

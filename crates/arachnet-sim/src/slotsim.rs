@@ -102,8 +102,6 @@ pub struct SimRun {
     /// Per-window trajectories (window = 32 slots), sampled every slot:
     /// `(non_empty, collision)`.
     pub trajectory: Vec<(f64, f64)>,
-    /// Ground-truth per-slot outcomes (only kept when requested).
-    pub outcomes: Vec<TruthOutcome>,
 }
 
 /// Progress of an attached [`Scenario`] replay.
@@ -152,8 +150,6 @@ pub struct SlotSim {
     slots_run: u64,
     keep_trajectory: bool,
     trajectory: Vec<(f64, f64)>,
-    keep_outcomes: bool,
-    outcomes: Vec<TruthOutcome>,
     recorder: Recorder,
     scenario: Option<Box<ScenarioState>>,
 }
@@ -239,8 +235,6 @@ impl SlotSim {
             slots_run: 0,
             keep_trajectory: false,
             trajectory: Vec::new(),
-            keep_outcomes: false,
-            outcomes: Vec::new(),
             recorder: Recorder::disabled(),
             scenario,
         }
@@ -251,11 +245,6 @@ impl SlotSim {
     /// instrumentation is a single branch.
     pub fn attach_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-    }
-
-    /// The attached flight recorder.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Detaches and consumes the flight recorder into a snapshot.
@@ -444,9 +433,6 @@ impl SlotSim {
             self.trajectory
                 .push((self.stats.non_empty_ratio(), self.stats.collision_ratio()));
         }
-        if self.keep_outcomes {
-            self.outcomes.push(TruthOutcome::Empty);
-        }
         self.slots_run += 1;
         self.close_disruption_if_converged();
         TruthOutcome::Empty
@@ -577,9 +563,6 @@ impl SlotSim {
             self.trajectory
                 .push((self.stats.non_empty_ratio(), self.stats.collision_ratio()));
         }
-        if self.keep_outcomes {
-            self.outcomes.push(truth.clone());
-        }
         self.slots_run += 1;
         self.close_disruption_if_converged();
 
@@ -627,7 +610,6 @@ impl SlotSim {
         self.stats = SlotStats::new();
         self.slots_run = 0;
         self.trajectory.clear();
-        self.outcomes.clear();
     }
 
     /// Snapshot of the run so far.
@@ -638,7 +620,6 @@ impl SlotSim {
             non_empty_ratio: self.stats.avg_non_empty_ratio(),
             collision_ratio: self.stats.avg_collision_ratio(),
             trajectory: self.trajectory.clone(),
-            outcomes: self.outcomes.clone(),
         }
     }
 
@@ -978,12 +959,22 @@ mod tests {
         assert!(slots.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// `n` more slots of `sim`, as the ground truth `step` returns.
+    fn steps(sim: &mut SlotSim, n: u64) -> Vec<TruthOutcome> {
+        (0..n).map(|_| sim.step()).collect()
+    }
+
     #[test]
-    fn outcomes_recording_works() {
+    fn step_outcomes_are_what_the_run_ratios_count() {
         let mut sim = SlotSim::new(SlotSimConfig::ideal(small_pattern(), 17));
-        sim.keep_outcomes = true;
-        sim.run(50);
-        assert_eq!(sim.summary().outcomes.len(), 50);
+        let outcomes = steps(&mut sim, 50);
+        let count = |f: fn(&TruthOutcome) -> bool| outcomes.iter().filter(|o| f(o)).count();
+        let non_empty = count(|o| *o != TruthOutcome::Empty);
+        let collisions = count(|o| matches!(o, TruthOutcome::Collision(_)));
+        let run = sim.summary();
+        assert_eq!(run.slots, 50);
+        assert_eq!(run.non_empty_ratio, non_empty as f64 / 50.0);
+        assert_eq!(run.collision_ratio, collisions as f64 / 50.0);
     }
 
     #[test]
@@ -991,12 +982,8 @@ mod tests {
         let mut bare = SlotSim::new(SlotSimConfig::new(small_pattern(), 23));
         let mut with =
             SlotSim::with_scenario(SlotSimConfig::new(small_pattern(), 23), Scenario::empty());
-        bare.keep_outcomes = true;
-        with.keep_outcomes = true;
-        let a = bare.run(500);
-        let b = with.run(500);
-        assert_eq!(a.outcomes, b.outcomes);
-        assert_eq!(a.converged_at, b.converged_at);
+        assert_eq!(steps(&mut bare, 500), steps(&mut with, 500));
+        assert_eq!(bare.summary().converged_at, with.summary().converged_at);
     }
 
     #[test]
@@ -1025,23 +1012,20 @@ mod tests {
         let mut sim =
             SlotSim::with_scenario(SlotSimConfig::ideal(small_pattern(), 37), scenario.clone());
         sim.attach_recorder(Recorder::enabled(37));
-        sim.keep_outcomes = true;
         sim.run(200);
         // The reader's slot counter freezes for the whole dark window.
         let frozen = sim.reader().current_slot();
-        sim.run(40);
+        let dark = steps(&mut sim, 40);
         assert_eq!(sim.reader().current_slot(), frozen);
-        let run = sim.run(160);
+        let after = steps(&mut sim, 160);
         assert_eq!(sim.reader().current_slot(), frozen + 160);
         // Every outage slot is ground-truth Empty (nobody hears a beacon).
-        for (i, o) in run.outcomes[200..240].iter().enumerate() {
+        for (i, o) in dark.iter().enumerate() {
             assert_eq!(*o, TruthOutcome::Empty, "slot {}", 200 + i);
         }
         // Transmissions resume after the outage.
         assert!(
-            run.outcomes[240..]
-                .iter()
-                .any(|o| matches!(o, TruthOutcome::Single(_))),
+            after.iter().any(|o| matches!(o, TruthOutcome::Single(_))),
             "network never recovered"
         );
         let snap = sim.take_recorder_snapshot();
@@ -1070,12 +1054,9 @@ mod tests {
             .build()
             .unwrap();
         let mut sim = SlotSim::with_scenario(SlotSimConfig::ideal(small_pattern(), 43), scenario);
-        sim.keep_outcomes = true;
         sim.run(300);
-        let before = sim.summary().outcomes.len();
-        assert_eq!(before, 300);
-        let run = sim.run(1_000);
-        let stormy = &run.outcomes[300..364];
+        let run = steps(&mut sim, 1_000);
+        let stormy = &run[..64];
         assert!(
             stormy
                 .iter()

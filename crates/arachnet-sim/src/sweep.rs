@@ -367,14 +367,6 @@ pub struct SweepRun<T> {
     pub lanes: Vec<TrialLane>,
 }
 
-impl<T> SweepRun<T> {
-    /// Flight-recorder events for the quarantined slots (deterministic:
-    /// safe to merge into exported snapshots).
-    pub fn quarantine_events(&self) -> Vec<Event> {
-        quarantine_events(&self.results)
-    }
-}
-
 /// A resilient matrix run: `cells[cell][trial]` plus execution counters.
 #[derive(Debug, Clone)]
 pub struct MatrixRun<T> {
@@ -385,33 +377,6 @@ pub struct MatrixRun<T> {
     /// Per-worker trial and help lanes (empty unless
     /// [`SweepConfig::lanes`]; lane `trial` values are flat job indices).
     pub lanes: Vec<TrialLane>,
-}
-
-impl<T> MatrixRun<T> {
-    /// Flight-recorder events for the quarantined slots (slot = flat job
-    /// index over the `cells × trials` grid).
-    pub fn quarantine_events(&self) -> Vec<Event> {
-        quarantine_events(self.cells.iter().flatten())
-    }
-}
-
-/// One [`EventKind::TrialQuarantined`] per quarantined slot (budget skips
-/// excluded — they are partial-report markers, not failures).
-pub fn quarantine_events<'a, T: 'a>(
-    results: impl IntoIterator<Item = &'a TrialResult<T>>,
-) -> Vec<Event> {
-    results
-        .into_iter()
-        .filter_map(|r| r.as_ref().err())
-        .filter(|e| !e.is_budget_skip())
-        .map(|e| Event {
-            slot: e.trial,
-            tag: NO_TAG,
-            kind: EventKind::TrialQuarantined {
-                attempts: e.attempts.min(u8::MAX as u32) as u8,
-            },
-        })
-        .collect()
 }
 
 /// Provenance events for how this run executed ([`EventKind::SweepResumed`],
@@ -1354,10 +1319,6 @@ mod tests {
                 }
             }
         }
-        // The quarantined slot surfaces as a deterministic recorder event.
-        let events = quarantine_events(grid.iter().flatten());
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::TrialQuarantined { attempts: 2 });
     }
 
     #[test]
@@ -1408,15 +1369,12 @@ mod tests {
             i
         });
         let e = run.results[1].as_ref().unwrap_err();
+        assert_eq!(e.trial, 1);
         assert_eq!(e.attempts, 2, "first attempt plus one retry");
         assert!(!e.is_budget_skip());
         assert_eq!(run.stats.quarantined, 1);
         assert_eq!(run.stats.retried, 1);
         assert_eq!(run.stats.completed, 3);
-        let events = run.quarantine_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].slot, 1);
-        assert_eq!(events[0].kind, EventKind::TrialQuarantined { attempts: 2 });
     }
 
     #[test]
@@ -1443,7 +1401,6 @@ mod tests {
             .all(|r| r.as_ref().is_err_and(TrialError::is_budget_skip)));
         // Skips are partial-report markers, not quarantined failures.
         assert_eq!(run.stats.quarantined, 0);
-        assert!(run.quarantine_events().is_empty());
         let prov = provenance_events(&run.stats);
         assert_eq!(prov.len(), 1);
         assert_eq!(prov[0].kind, EventKind::BudgetExhausted);

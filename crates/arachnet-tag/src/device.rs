@@ -262,19 +262,7 @@ impl TagDevice {
     /// Spends `dt` in `mode` while harvesting; returns `true` on brownout.
     fn spend_interval(&mut self, mode: PowerMode, dt: f64) -> bool {
         self.ledger.spend(mode, dt);
-        let load = mode.total_current();
-        // Coarse integration: a few sub-steps per interval are plenty at
-        // these time constants (RC ≈ 33 s).
-        let steps = 4;
-        let h = dt / steps as f64;
-        for _ in 0..steps {
-            let i = self
-                .chain
-                .multiplier
-                .output_current(self.vp, self.cap.voltage())
-                - load;
-            self.cap.step(i, h);
-        }
+        self.integrate(dt, mode.total_current());
         if let Some(arachnet_energy::cutoff::CutoffEvent::PoweredOff) =
             self.cutoff.update(self.cap.voltage())
         {
@@ -289,6 +277,21 @@ impl TagDevice {
     /// Charges for `dt` with an extra constant load; returns `true` if the
     /// device activated.
     fn charge_interval(&mut self, dt: f64, load: f64) -> bool {
+        self.integrate(dt, load);
+        if let Some(arachnet_energy::cutoff::CutoffEvent::PoweredOn) =
+            self.cutoff.update(self.cap.voltage())
+        {
+            self.lifecycle = Lifecycle::Active;
+            self.activations += 1;
+            return true;
+        }
+        false
+    }
+
+    /// Integrates the supercap over `dt` while harvesting against a
+    /// constant `load`. Coarse integration: a few sub-steps per interval
+    /// are plenty at these time constants (RC ≈ 33 s).
+    fn integrate(&mut self, dt: f64, load: f64) {
         let steps = 4;
         let h = dt / steps as f64;
         for _ in 0..steps {
@@ -299,14 +302,6 @@ impl TagDevice {
                 - load;
             self.cap.step(i, h);
         }
-        if let Some(arachnet_energy::cutoff::CutoffEvent::PoweredOn) =
-            self.cutoff.update(self.cap.voltage())
-        {
-            self.lifecycle = Lifecycle::Active;
-            self.activations += 1;
-            return true;
-        }
-        false
     }
 }
 

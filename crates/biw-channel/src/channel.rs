@@ -166,11 +166,6 @@ impl ChannelCache {
     pub fn link(&self, id: u8) -> Option<&TagLink> {
         self.links.iter().find(|l| l.id == id)
     }
-
-    /// All links, ordered as the deployment's sites.
-    pub fn links(&self) -> &[TagLink] {
-        &self.links
-    }
 }
 
 /// The waveform-level BiW channel.
@@ -188,7 +183,6 @@ impl ChannelCache {
 pub struct BiwChannel {
     config: ChannelConfig,
     deployment: Deployment,
-    tag_pzt: Pzt,
     cache: ChannelCache,
 }
 
@@ -208,12 +202,10 @@ impl BiwChannel {
     /// `config.sample_rate` ([`exact_carrier_period`]): synthesis runs
     /// from period-length tables only.
     pub fn new(config: ChannelConfig, deployment: Deployment) -> Self {
-        let tag_pzt = Pzt::arachnet_tag();
-        let cache = ChannelCache::build(&config, &deployment, &tag_pzt);
+        let cache = ChannelCache::build(&config, &deployment, &Pzt::arachnet_tag());
         Self {
             config,
             deployment,
-            tag_pzt,
             cache,
         }
     }
@@ -226,11 +218,6 @@ impl BiwChannel {
     /// Deployment.
     pub fn deployment(&self) -> &Deployment {
         &self.deployment
-    }
-
-    /// Tag PZT model.
-    pub fn tag_pzt(&self) -> &Pzt {
-        &self.tag_pzt
     }
 
     /// Precomputed per-deployment synthesis cache.
@@ -513,6 +500,7 @@ mod tests {
         let mut fast = Vec::new();
         ch.uplink_waveform_seeded_into(&tags, len, 1, &mut fast);
         let cfg = ch.config();
+        let tag_pzt = Pzt::arachnet_tag();
         let w = 2.0 * std::f64::consts::PI * cfg.carrier_hz / cfg.sample_rate;
         let mut direct: Vec<f64> = (0..len)
             .map(|i| cfg.carrier_leakage * (w * i as f64).sin())
@@ -521,7 +509,7 @@ mod tests {
             let link = ch.cache().link(id).unwrap();
             for (j, x) in direct[link.up_delay..].iter_mut().enumerate() {
                 let state = states.get(j).copied().unwrap_or(PztState::Absorptive);
-                *x += link.up_gain * ch.tag_pzt().reflect(1.0, state) * (w * j as f64).sin();
+                *x += link.up_gain * tag_pzt.reflect(1.0, state) * (w * j as f64).sin();
             }
         }
         for (i, (a, b)) in fast.iter().zip(&direct).enumerate() {

@@ -164,11 +164,6 @@ impl FleetChannel {
         &self.cells[i]
     }
 
-    /// Reader `i`'s assigned carrier (Hz).
-    pub fn carrier_hz(&self, i: usize) -> f64 {
-        self.cells[i].config().carrier_hz
-    }
-
     /// Effective cross gain between readers `i` and `j` (0 on the
     /// diagonal and where the matrix pruned the entry).
     pub fn cross_gain(&self, i: usize, j: usize) -> f64 {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification: build, lint, full test suite, the benchmark's
-# self-tests plus one short checked benchmark run, a quick pass over every
-# registered experiment, a full seed-1 run byte-identical to
-# repro_output.txt, the parallel-sweep determinism check
+# Repo verification: build, every example built and run, lint, full test
+# suite, the benchmark's self-tests plus one short checked benchmark run,
+# a quick pass over every registered experiment, a full seed-1 run
+# byte-identical to repro_output.txt, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
 # gate (dyn-churn, fig12a12b and dyn-drift at 1/2/8 threads) and the rejection of
@@ -40,6 +40,25 @@ echo "   formatted"
 
 echo "== build (release, workspace) =="
 cargo build --release --workspace
+
+echo "== examples: build and run every one =="
+# Each example asserts its own outcome, so a non-zero exit is a failure;
+# `waveform_network` is the one caller of `CoSim` outside its unit tests.
+# Their stderr carries the reader's routine eviction warnings, so it is
+# shown only for an example that fails.
+cargo build --release --examples
+ex_err="$(mktemp)"
+for src in examples/*.rs; do
+  name="$(basename "$src" .rs)"
+  if ! "target/release/examples/$name" > /dev/null 2> "$ex_err"; then
+    echo "FAIL: example $name exited non-zero" >&2
+    tail -5 "$ex_err" >&2
+    rm -f "$ex_err"
+    exit 1
+  fi
+  echo "   $name: ok"
+done
+rm -f "$ex_err"
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
