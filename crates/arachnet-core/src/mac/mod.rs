@@ -18,12 +18,16 @@ pub mod tag;
 pub use reader::{ReaderMac, SlotObservation, SlotOutcome};
 pub use tag::{MacState, TagAction, TagMac};
 
+/// The paper's consecutive-NACK threshold `N` (Sec. 5.3): this many NACKs
+/// in a row knock a SETTLEd tag back to MIGRATE.
+pub const NACK_THRESHOLD: u8 = 3;
+
 /// Tunable protocol parameters. Defaults reproduce the paper's deployment;
 /// the boolean switches expose each refinement for ablation experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolConfig {
     /// Consecutive-NACK threshold `N` that knocks a SETTLEd tag back to
-    /// MIGRATE (Sec. 5.3; paper uses 3).
+    /// MIGRATE (Sec. 5.3; the paper's is [`NACK_THRESHOLD`]).
     pub nack_threshold: u8,
     /// Sec. 5.4 refinement: a tag that detects a missed beacon by timer
     /// immediately re-enters MIGRATE instead of waiting for NACKs.
@@ -39,7 +43,7 @@ pub struct ProtocolConfig {
 impl Default for ProtocolConfig {
     fn default() -> Self {
         Self {
-            nack_threshold: 3,
+            nack_threshold: NACK_THRESHOLD,
             beacon_timeout_migrate: true,
             empty_gating: true,
             future_collision_avoidance: true,
@@ -52,7 +56,7 @@ impl ProtocolConfig {
     /// refinement switched off. Useful as an ablation baseline.
     pub fn vanilla_feedback() -> Self {
         Self {
-            nack_threshold: 3,
+            nack_threshold: NACK_THRESHOLD,
             beacon_timeout_migrate: false,
             empty_gating: false,
             future_collision_avoidance: false,

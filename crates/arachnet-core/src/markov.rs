@@ -29,7 +29,8 @@ use crate::slot::{Period, Schedule};
 pub struct MarkovConfig {
     /// Tag periods (powers of two).
     pub periods: Vec<Period>,
-    /// Consecutive-NACK threshold `N` (paper: 3).
+    /// Consecutive-NACK threshold `N` (the paper's is
+    /// [`NACK_THRESHOLD`](crate::mac::NACK_THRESHOLD)).
     pub nack_threshold: u8,
 }
 
@@ -387,7 +388,7 @@ mod tests {
     fn cfg(periods: &[u32]) -> MarkovConfig {
         MarkovConfig {
             periods: periods.iter().map(|&p| Period::new(p).unwrap()).collect(),
-            nack_threshold: 3,
+            nack_threshold: crate::mac::NACK_THRESHOLD,
         }
     }
 

@@ -42,12 +42,6 @@ pub fn encode<I: Iterator<Item = bool>>(data: I) -> BitBuf {
     out
 }
 
-/// Raw line length of an encoded message with `zeros` zero-bits and `ones`
-/// one-bits.
-pub fn raw_len(zeros: usize, ones: usize) -> usize {
-    zeros * ZERO_RAW_LEN + ones * ONE_RAW_LEN
-}
-
 /// Errors from raw-bit PIE decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PieError {
@@ -170,14 +164,6 @@ mod tests {
     #[test]
     fn roundtrip_empty() {
         roundtrip(&[]);
-    }
-
-    #[test]
-    fn raw_len_matches_encode() {
-        let data = [true, false, false, true, true];
-        let raw = encode(data.into_iter());
-        let ones = data.iter().filter(|&&b| b).count();
-        assert_eq!(raw.len(), raw_len(data.len() - ones, ones));
     }
 
     #[test]

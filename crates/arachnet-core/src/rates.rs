@@ -55,11 +55,6 @@ impl BitRate {
         }
     }
 
-    /// Raw-bit interval in seconds.
-    pub fn raw_interval_s(&self) -> f64 {
-        1.0 / self.bps
-    }
-
     /// MCU timer ticks per raw interval at the 12 kHz clock.
     pub fn ticks_per_raw(&self) -> f64 {
         MCU_CLOCK_HZ / self.bps
@@ -79,16 +74,16 @@ pub fn ul_rates() -> Vec<BitRate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pie;
+    use crate::pie::{ONE_RAW_LEN, ZERO_RAW_LEN};
 
     /// On-air duration of `data_bits` FM0-coded bits (2 raw bits each).
     fn fm0_duration_s(bps: f64, data_bits: usize) -> f64 {
-        2.0 * data_bits as f64 * BitRate { bps }.raw_interval_s()
+        2.0 * data_bits as f64 / bps
     }
 
     /// On-air duration of a PIE-coded message with the given bit counts.
     fn pie_duration_s(bps: f64, zeros: usize, ones: usize) -> f64 {
-        pie::raw_len(zeros, ones) as f64 * BitRate { bps }.raw_interval_s()
+        (zeros * ZERO_RAW_LEN + ones * ONE_RAW_LEN) as f64 / bps
     }
 
     #[test]

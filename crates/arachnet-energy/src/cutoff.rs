@@ -18,6 +18,11 @@ pub const R2_OHM: f64 = 180_000.0;
 /// Divider resistor R3 (Ω).
 pub const R3_OHM: f64 = 1_000_000.0;
 
+/// Rising (connect) threshold `V_REF · (R1+R2+R3)/R3` ≈ 2.31 V.
+pub const V_HTH: f64 = V_REF * (R1_OHM + R2_OHM + R3_OHM) / R3_OHM;
+/// Falling (disconnect) threshold `V_REF · (R1+R2+R3)/(R2+R3)` ≈ 1.95 V.
+pub const V_LTH: f64 = V_REF * (R1_OHM + R2_OHM + R3_OHM) / (R2_OHM + R3_OHM);
+
 /// Quiescent current of the cutoff circuit (divider + comparator), amps.
 /// Appendix A bounds it below 1 µA.
 pub const CUTOFF_QUIESCENT_A: f64 = 0.9e-6;
@@ -25,8 +30,6 @@ pub const CUTOFF_QUIESCENT_A: f64 = 0.9e-6;
 /// The hysteretic power switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowVoltageCutoff {
-    v_hth: f64,
-    v_lth: f64,
     connected: bool,
 }
 
@@ -37,30 +40,9 @@ impl Default for LowVoltageCutoff {
 }
 
 impl LowVoltageCutoff {
-    /// The paper's circuit from its published resistor values.
+    /// The paper's circuit ([`V_HTH`], [`V_LTH`]), disconnected.
     pub fn paper() -> Self {
-        let total = R1_OHM + R2_OHM + R3_OHM;
-        Self::new(V_REF * total / R3_OHM, V_REF * total / (R2_OHM + R3_OHM))
-    }
-
-    /// A cutoff with explicit thresholds.
-    pub fn new(v_hth: f64, v_lth: f64) -> Self {
-        assert!(v_hth > v_lth, "hysteresis requires HTH > LTH");
-        Self {
-            v_hth,
-            v_lth,
-            connected: false,
-        }
-    }
-
-    /// Rising (connect) threshold.
-    pub fn v_hth(&self) -> f64 {
-        self.v_hth
-    }
-
-    /// Falling (disconnect) threshold.
-    pub fn v_lth(&self) -> f64 {
-        self.v_lth
+        Self { connected: false }
     }
 
     /// Whether the MCU is currently powered.
@@ -71,10 +53,10 @@ impl LowVoltageCutoff {
     /// Updates the switch with the current capacitor voltage. Returns the
     /// transition that occurred, if any.
     pub fn update(&mut self, v_cap: f64) -> Option<CutoffEvent> {
-        if !self.connected && v_cap >= self.v_hth {
+        if !self.connected && v_cap >= V_HTH {
             self.connected = true;
             Some(CutoffEvent::PoweredOn)
-        } else if self.connected && v_cap <= self.v_lth {
+        } else if self.connected && v_cap <= V_LTH {
             self.connected = false;
             Some(CutoffEvent::PoweredOff)
         } else {
@@ -103,9 +85,8 @@ mod tests {
 
     #[test]
     fn paper_thresholds() {
-        let c = LowVoltageCutoff::paper();
-        assert!((c.v_hth() - 2.3).abs() < 0.02, "HTH {}", c.v_hth());
-        assert!((c.v_lth() - 1.95).abs() < 0.01, "LTH {}", c.v_lth());
+        assert!((V_HTH - 2.3).abs() < 0.02, "HTH {V_HTH}");
+        assert!((V_LTH - 1.95).abs() < 0.01, "LTH {V_LTH}");
     }
 
     #[test]
@@ -166,12 +147,6 @@ mod tests {
             quiescent < 1.0e-6,
             "cutoff quiescent draw {quiescent} A exceeds 1 uA"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "HTH > LTH")]
-    fn inverted_thresholds_panic() {
-        LowVoltageCutoff::new(1.9, 2.3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! closed forms below are exact for zero leakage and the step simulator
 //! handles the general case.
 
-use crate::cutoff::LowVoltageCutoff;
+use crate::cutoff::{V_HTH, V_LTH};
 use crate::multiplier::Multiplier;
 
 /// The chain of one tag.
@@ -36,8 +36,6 @@ pub struct HarvestChain {
     pub multiplier: Multiplier,
     /// Capacitance of the store (F).
     pub capacitance: f64,
-    /// The cutoff thresholds.
-    pub cutoff: LowVoltageCutoff,
 }
 
 impl Default for HarvestChain {
@@ -52,7 +50,6 @@ impl HarvestChain {
         Self {
             multiplier: Multiplier::default(),
             capacitance: crate::storage::DEFAULT_CAPACITANCE_F,
-            cutoff: LowVoltageCutoff::paper(),
         }
     }
 
@@ -76,21 +73,20 @@ impl HarvestChain {
 
     /// Full activation charge: 0 V → V_HTH (the Fig. 11(b) metric).
     pub fn full_charge_time(&self, vp: f64) -> Option<f64> {
-        self.charge_time(vp, 0.0, self.cutoff.v_hth())
+        self.charge_time(vp, 0.0, V_HTH)
     }
 
     /// Resume charge: V_LTH → V_HTH (the footnote-4 metric — "re-activation
     /// within 10 s" thanks to the cutoff).
     pub fn resume_charge_time(&self, vp: f64) -> Option<f64> {
-        self.charge_time(vp, self.cutoff.v_lth(), self.cutoff.v_hth())
+        self.charge_time(vp, V_LTH, V_HTH)
     }
 
     /// Net charging power `½·C·V²_HTH / t_full` (W) — how the paper turns
     /// charge times into the 587.8/47.1 µW figures.
     pub fn net_charging_power(&self, vp: f64) -> Option<f64> {
         let t = self.full_charge_time(vp)?;
-        let v = self.cutoff.v_hth();
-        Some(0.5 * self.capacitance * v * v / t)
+        Some(0.5 * self.capacitance * V_HTH * V_HTH / t)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests over the energy chain (arachnet-testkit).
 
-use arachnet_energy::cutoff::LowVoltageCutoff;
+use arachnet_energy::cutoff::{LowVoltageCutoff, V_HTH, V_LTH};
 use arachnet_energy::harvester::HarvestChain;
 use arachnet_energy::ledger::{PowerLedger, PowerMode};
 use arachnet_energy::multiplier::Multiplier;
@@ -51,10 +51,10 @@ fn cutoff_transitions_only_at_thresholds() {
             let event = c.update(v);
             match event {
                 Some(arachnet_energy::cutoff::CutoffEvent::PoweredOn) => {
-                    prop_assert!(!was && v >= c.v_hth());
+                    prop_assert!(!was && v >= V_HTH);
                 }
                 Some(arachnet_energy::cutoff::CutoffEvent::PoweredOff) => {
-                    prop_assert!(was && v <= c.v_lth());
+                    prop_assert!(was && v <= V_LTH);
                 }
                 None => {}
             }

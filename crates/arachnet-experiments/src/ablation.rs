@@ -320,7 +320,6 @@ impl Experiment for AblationStages {
 /// Multiplier-stage ablation (Sec. 3.2): how many tags can activate at
 /// each stage count, and at what charging speed.
 pub fn report_stages() -> Report {
-    use arachnet_energy::cutoff::LowVoltageCutoff;
     use arachnet_energy::harvester::HarvestChain;
     use arachnet_energy::multiplier::Multiplier;
     use biw_channel::channel::{BiwChannel, ChannelConfig};
@@ -334,7 +333,6 @@ pub fn report_stages() -> Report {
         let chain = HarvestChain {
             multiplier: Multiplier::new(stages),
             capacitance: 1.0e-3,
-            cutoff: LowVoltageCutoff::paper(),
         };
         let mut activated = 0;
         let mut fastest = f64::MAX;

@@ -19,9 +19,9 @@
 //! Flags: `--quick` shrinks trial counts; `--seed N` reseeds every random
 //! stream; `--threads N` caps the parallel sweep pool (results are
 //! bit-identical at any thread count); `--metrics` / `--trace <tag|all>`
-//! toggle observability output; `--readers K` / `--cells K` size a
-//! multi-reader fleet and `--bands B` caps its sub-band budget (mr-*
-//! experiments only — single-reader artifacts reject fleet flags).
+//! toggle observability output; `--readers K` sizes a multi-reader fleet
+//! and `--bands B` caps its sub-band budget (mr-* experiments only —
+//! single-reader artifacts reject fleet flags).
 //!
 //! Resilience flags: `--checkpoint-every N` persists completed trials to
 //! `CHECKPOINT_<id>.bin` every N trials; `--resume` restores them on the
@@ -32,10 +32,11 @@
 //! dispatches (testing/verify hook for interrupting a run mid-sweep);
 //! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` into `DIR`,
 //! creating it if needed (a directory that cannot be created is a clear
-//! exit-3 error, never a panic). Every sweep experiment honours these
-//! flags; an experiment that runs no sweep rejects them with exit 2 when
-//! it is named on its own, and `all` applies them to its sweep
-//! experiments only.
+//! exit-3 error, never a panic); it needs `--checkpoint-every` or
+//! `--resume`, since without them no checkpoint is written or read. Every
+//! sweep experiment honours these flags and `--threads`; an experiment
+//! that runs no sweep rejects them with exit 2 when it is named on its
+//! own, and `all` applies them to its sweep experiments only.
 //!
 //! Trace flags (DESIGN.md §15, all wall-domain — the deterministic exports
 //! never change): `--chrome` additionally writes
@@ -161,11 +162,11 @@ fn main() {
                         .unwrap_or_else(|| usage("--threads needs a number")),
                 );
             }
-            "--readers" | "--cells" => {
+            "--readers" => {
                 readers = Some(
                     it.next()
                         .and_then(|s| s.parse::<usize>().ok())
-                        .unwrap_or_else(|| usage("--readers/--cells needs a number")),
+                        .unwrap_or_else(|| usage("--readers needs a number")),
                 );
             }
             "--bands" => {
@@ -340,6 +341,11 @@ fn main() {
                 usage(&format!("{flag} needs the `trace` subcommand (or --trace)"));
             }
         }
+    }
+    // It only places checkpoint files; with none written or read it would
+    // create an empty directory and change nothing else.
+    if checkpoint_dir.is_some() && checkpoint_every.is_none() && !resume {
+        usage("--checkpoint-dir needs --checkpoint-every or --resume");
     }
     let mut b = ExperimentCtx::builder(seed)
         .observe(obs.metrics || obs.trace.is_some())
@@ -705,7 +711,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: repro <run|metrics|trace|list> <artifact|all> [--quick] [--seed N] \
-         [--threads N] [--readers K] [--cells K] [--bands B] [--metrics] [--trace <tag|all>] \
+         [--threads N] [--readers K] [--bands B] [--metrics] [--trace <tag|all>] \
          [--checkpoint-every N] [--resume] [--budget-secs S] [--halt-after N] \
          [--checkpoint-dir DIR] [--chrome] [--trace-window N] [--ring-capacity N]"
     );

@@ -2,7 +2,7 @@
 
 use arachnet_core::packet::UlPacket;
 use arachnet_core::rng::TagRng;
-use arachnet_reader::fdma::{FdmaConfig, FdmaReceiver};
+use arachnet_reader::fdma::{samples_per_chip, FdmaReceiver};
 use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::wavesim::with_phy_scratch;
 use arachnet_tag::subcarrier::SubcarrierChannel;
@@ -56,8 +56,7 @@ fn chips_to_states(chips: &[bool], spc: f64, lead: usize) -> Vec<PztState> {
 /// functions of the sweep seed, so results are bit-identical at any
 /// thread count.
 pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
-    let cfg = FdmaConfig::default();
-    let rx = FdmaReceiver::new(cfg);
+    let rx = FdmaReceiver::new();
     // Evaluation tags and subcarrier channels (distinct cycle counts).
     let assignments: Vec<(u8, SubcarrierChannel)> = vec![
         (8, SubcarrierChannel::new(6)),
@@ -89,7 +88,7 @@ pub fn report(trials: u64, sweep: &SweepConfig) -> Report {
             let pkt = UlPacket::new(tid, (rng.next_u64() & 0xFFF) as u16)
                 .unwrap_or_else(|e| panic!("FDMA uplink from tag {tid}: {e}"));
             let chips = sub.modulate(&pkt.to_bits());
-            let spc = cfg.sample_rate / (cfg.bit_rate * f64::from(sub.chips_per_bit()));
+            let spc = samples_per_chip(&sub);
             let states = chips_to_states(&chips, spc, spc as usize);
             max_len = max_len.max(states.len());
             streams.push((tid, states));

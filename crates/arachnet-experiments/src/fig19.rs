@@ -39,7 +39,6 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
     let run = run_aloha(&AlohaConfig {
         duration_s,
         seed: sweep.base_seed,
-        ..AlohaConfig::default()
     });
     let rows: Vec<Vec<Cell>> = run
         .tags
@@ -55,13 +54,7 @@ pub fn report(duration_s: f64, extra_seeds: u64, sweep: &SweepConfig) -> Report 
         })
         .collect();
     let sweep_rates = run_sweep(sweep, extra_seeds, |_trial, seed| {
-        run_aloha(&AlohaConfig {
-            duration_s,
-            seed,
-            ..AlohaConfig::default()
-        })
-        .overall_success_rate()
-            * 100.0
+        run_aloha(&AlohaConfig { duration_s, seed }).overall_success_rate() * 100.0
     });
     let rates: Vec<f64> = sweep_rates
         .results

@@ -1,5 +1,6 @@
 //! Appendix C — machine-checked absorbing-Markov-chain analysis.
 
+use arachnet_core::mac::NACK_THRESHOLD;
 use arachnet_core::markov::{analyze, MarkovConfig};
 use arachnet_core::slot::Period;
 use arachnet_sim::patterns::Pattern;
@@ -44,7 +45,7 @@ pub fn report(sim_trials: u64) -> Report {
     for (name, periods) in &configs {
         let cfg = MarkovConfig {
             periods: periods.iter().map(|&p| Period::new(p).unwrap()).collect(),
-            nack_threshold: 3,
+            nack_threshold: NACK_THRESHOLD,
         };
         let a = analyze(&cfg).expect("config within tractability cap");
         // Cross-check: simulate the same config (ideal channel) and measure

@@ -76,8 +76,9 @@ impl ExperimentCtxBuilder {
         self
     }
 
-    /// Pins the worker-thread count (sweep-backed experiments only).
-    /// Validated at [`Self::build`]: zero is rejected.
+    /// Pins the worker-thread count (sweep-backed experiments only:
+    /// [`ExperimentCtx::validate_report`] rejects it on a report without a
+    /// sweep). Validated at [`Self::build`]: zero is rejected.
     pub fn threads(mut self, threads: usize) -> Self {
         self.ctx.threads = Some(threads);
         self
@@ -316,9 +317,10 @@ impl ExperimentCtx {
             cfg = cfg.with_halt_after(jobs);
         }
         if self.resume || self.checkpoint_every.is_some() {
-            let spec = CheckpointSpec::new(self.checkpoint_path(id))
-                .with_every(self.checkpoint_every.unwrap_or(8))
-                .with_resume(self.resume);
+            let mut spec = CheckpointSpec::new(self.checkpoint_path(id)).with_resume(self.resume);
+            if let Some(every) = self.checkpoint_every {
+                spec = spec.with_every(every);
+            }
             cfg = cfg.with_checkpoint(spec);
         }
         cfg.with_lanes(self.lanes)
@@ -349,21 +351,22 @@ impl ExperimentCtx {
         Ok(())
     }
 
-    /// Checks this context against a finished report: the resilience
-    /// options (`resume`, `checkpoint_every`, `budget_secs`, `halt_after`)
-    /// act only on sweeps, so a report with no sweep trials rejects them as
-    /// [`ConfigError::Inconsistent`] rather than silently ignoring them.
-    /// Trial lanes stay allowed: a Chrome export without them still
-    /// carries sim events and spans.
+    /// Checks this context against a finished report: the worker count and
+    /// the resilience options (`threads`, `resume`, `checkpoint_every`,
+    /// `budget_secs`, `halt_after`) act only on sweeps, so a report with no
+    /// sweep trials rejects them as [`ConfigError::Inconsistent`] rather
+    /// than silently ignoring them. Trial lanes stay allowed: a Chrome
+    /// export without them still carries sim events and spans.
     pub fn validate_report(&self, report: &Report) -> Result<(), ConfigError> {
-        let sweep_only = self.resume
+        let sweep_only = self.threads.is_some()
+            || self.resume
             || self.checkpoint_every.is_some()
             || self.budget_secs.is_some()
             || self.halt_after.is_some();
         if sweep_only && report.sweep.trials == 0 {
             return Err(ConfigError::Inconsistent {
-                reason: "resume/checkpoint/budget/halt options on an experiment that runs no \
-                         sweep",
+                reason: "threads/resume/checkpoint/budget/halt options on an experiment that \
+                         runs no sweep",
             });
         }
         Ok(())
@@ -902,6 +905,12 @@ mod tests {
             Err(ConfigError::Inconsistent { .. })
         ));
         assert!(halted.validate_report(&swept).is_ok());
+        let threaded = ExperimentCtx::builder(1).threads(2).build().unwrap();
+        assert!(matches!(
+            threaded.validate_report(&Report::default()),
+            Err(ConfigError::Inconsistent { .. })
+        ));
+        assert!(threaded.validate_report(&swept).is_ok());
         // Lanes (`--chrome`) and plain contexts pass either way.
         let lanes = ExperimentCtx::builder(1).lanes(true).build().unwrap();
         assert!(lanes.validate_report(&Report::default()).is_ok());
@@ -920,9 +929,9 @@ mod tests {
             .build()
             .unwrap();
         let cfg = ctx.sweep_for("dyn-churn");
-        assert_eq!(cfg.policy.halt_after, Some(10));
-        assert_eq!(cfg.policy.budget, Some(std::time::Duration::from_secs(60)));
-        let spec = cfg.policy.checkpoint.expect("checkpoint wired");
+        assert_eq!(cfg.halt_after, Some(10));
+        assert_eq!(cfg.budget, Some(std::time::Duration::from_secs(60)));
+        let spec = cfg.checkpoint.expect("checkpoint wired");
         assert_eq!(
             spec.path,
             std::path::PathBuf::from("CHECKPOINT_dyn-churn.bin")
@@ -931,7 +940,7 @@ mod tests {
         assert!(spec.resume);
         // Without resume/checkpoint flags no file is ever touched.
         let plain = ExperimentCtx::builder(5).build().unwrap().sweep_for("x");
-        assert!(plain.policy.checkpoint.is_none());
+        assert!(plain.checkpoint.is_none());
         // Zero flush interval is a config error, not a runtime surprise.
         assert_eq!(
             ExperimentCtx::builder(1).checkpoint_every(0).build(),

@@ -156,10 +156,20 @@ fn list_run_and_diff_reject_flags_they_do_not_read() {
         ("metrics dyn-soak --quick --journal", "--journal"),
         ("run dyn-soak --quick --stall-secs 5", "--stall-secs"),
         ("trace dyn-churn --quick --journal", "--journal"),
+        // A worker count for an experiment that runs no sweep.
+        ("metrics table1 --quick --threads 4", "--threads"),
+        // A checkpoint directory with no checkpoint to write or read.
+        (
+            "run fig14b --quick --checkpoint-dir ckpts",
+            "--checkpoint-dir",
+        ),
+        // The deleted second spelling of --readers.
+        ("run mr-fdma --quick --cells 2", "--cells"),
     ] {
         let args: Vec<&str> = cmd.split(' ').collect();
         assert_rejects(&repro_in(&dir, &args), &args, flag);
     }
+    assert!(!dir.join("ckpts").exists(), "rejected before creating it");
     assert!(!dir.join("METRICS_table1.json").exists());
     assert!(!dir.join("METRICS_fig12a12b.json").exists());
     assert!(!dir.join("METRICS_dyn-soak.json").exists());

@@ -11,35 +11,19 @@
 
 use arachnet_core::rng::TagRng;
 
-/// Latency model of the reader software (Fig. 14b).
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyModel {
-    /// Fixed pipeline latency: buffering + filtering group delay (s).
-    pub base_s: f64,
-    /// Additional uniformly distributed scheduling latency (s).
-    pub jitter_max_s: f64,
-}
+/// Fixed reader-software pipeline latency: buffering and filtering group
+/// delay (s). With [`SOFTWARE_JITTER_MAX_S`], calibrated so the mean
+/// software delay is the paper's ≈ 58.9 ms (Fig. 14b).
+pub const SOFTWARE_BASE_S: f64 = 0.040;
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        // Calibrated so the mean software delay ≈ 58.9 ms.
-        Self {
-            base_s: 0.040,
-            jitter_max_s: 0.038,
-        }
-    }
-}
+/// Upper bound of the uniformly distributed scheduling latency added to
+/// [`SOFTWARE_BASE_S`] (s).
+pub const SOFTWARE_JITTER_MAX_S: f64 = 0.038;
 
-impl LatencyModel {
-    /// Samples one processing delay.
-    pub fn sample(&self, rng: &mut TagRng) -> f64 {
-        self.base_s + self.jitter_max_s * rng.unit_f64()
-    }
-
-    /// Mean processing delay.
-    pub fn mean(&self) -> f64 {
-        self.base_s + self.jitter_max_s / 2.0
-    }
+/// Samples one reader-software processing delay:
+/// `SOFTWARE_BASE_S + U(0, SOFTWARE_JITTER_MAX_S)`.
+pub fn software_delay_s(rng: &mut TagRng) -> f64 {
+    SOFTWARE_BASE_S + SOFTWARE_JITTER_MAX_S * rng.unit_f64()
 }
 
 /// One ping-pong latency sample (Fig. 14).
@@ -64,11 +48,7 @@ mod tests {
 
     #[test]
     fn software_delay_mean_matches_paper() {
-        let latency = LatencyModel::default();
-        assert!(
-            (latency.mean() - 0.0589).abs() < 0.002,
-            "{}",
-            latency.mean()
-        );
+        let mean = SOFTWARE_BASE_S + SOFTWARE_JITTER_MAX_S / 2.0;
+        assert!((mean - 0.0589).abs() < 0.002, "{mean}");
     }
 }

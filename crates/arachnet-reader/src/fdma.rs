@@ -18,28 +18,18 @@ use biw_channel::channel::{CARRIER_HZ, SAMPLE_RATE_HZ};
 
 use crate::rx::carrier_table;
 
-/// Configuration of the FDMA receiver.
-#[derive(Debug, Clone, Copy)]
-pub struct FdmaConfig {
-    /// DAQ sample rate (Hz).
-    pub sample_rate: f64,
-    /// Carrier frequency (Hz).
-    pub carrier_hz: f64,
-    /// Data bit rate shared by all FDMA tags (bps).
-    pub bit_rate: f64,
-    /// Minimum preamble correlation to accept a frame.
-    pub sync_threshold: f64,
-}
+/// Data bit rate shared by every FDMA tag (bps): the slowest Fig. 12
+/// rate, a reproduction choice for the Sec. 6.3 extension.
+pub const FDMA_BIT_RATE_BPS: f64 = 93.75;
 
-impl Default for FdmaConfig {
-    fn default() -> Self {
-        Self {
-            sample_rate: SAMPLE_RATE_HZ,
-            carrier_hz: CARRIER_HZ,
-            bit_rate: 93.75,
-            sync_threshold: 0.6,
-        }
-    }
+/// Minimum preamble correlation at which a channel's frame is accepted (a
+/// reproduction choice).
+pub const SYNC_THRESHOLD: f64 = 0.6;
+
+/// DAQ samples per chip of `ch` at [`FDMA_BIT_RATE_BPS`]: the chip timing
+/// that the tag-side chip streams and the despreader share.
+pub fn samples_per_chip(ch: &SubcarrierChannel) -> f64 {
+    SAMPLE_RATE_HZ / (FDMA_BIT_RATE_BPS * f64::from(ch.chips_per_bit()))
 }
 
 /// Per-tag decode result.
@@ -56,33 +46,22 @@ pub struct FdmaDecode {
 /// The FDMA receiver.
 #[derive(Debug, Clone)]
 pub struct FdmaReceiver {
-    cfg: FdmaConfig,
     /// Exact-period conjugate-carrier table.
     carrier_tab: CarrierTable,
 }
 
+impl Default for FdmaReceiver {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FdmaReceiver {
-    /// Receiver with the given configuration.
-    ///
-    /// # Panics
-    /// When `cfg.carrier_hz` has no exact sample period at
-    /// `cfg.sample_rate`
-    /// ([`exact_carrier_period`](biw_channel::channel::exact_carrier_period)).
-    pub fn new(cfg: FdmaConfig) -> Self {
+    /// Receiver on the paper carrier at the DAQ rate.
+    pub fn new() -> Self {
         Self {
-            cfg,
-            carrier_tab: carrier_table(cfg.sample_rate, cfg.carrier_hz),
+            carrier_tab: carrier_table(SAMPLE_RATE_HZ, CARRIER_HZ),
         }
-    }
-
-    /// Configuration.
-    pub fn config(&self) -> &FdmaConfig {
-        &self.cfg
-    }
-
-    /// Samples per chip for a channel.
-    fn samples_per_chip(&self, ch: &SubcarrierChannel) -> f64 {
-        self.cfg.sample_rate / (self.cfg.bit_rate * f64::from(ch.chips_per_bit()))
     }
 
     /// Mixes a slot waveform to (undecimated) baseband IQ with the carrier
@@ -92,7 +71,7 @@ impl FdmaReceiver {
         let mut iq: Vec<Cplx> = wave.iter().zip(phasors).map(|(&x, &c)| c * x).collect();
         // Light smoothing to suppress the 2fc image: boxcar over ~2 carrier
         // cycles.
-        let d = (2.0 * self.cfg.sample_rate / self.cfg.carrier_hz) as usize;
+        let d = (2.0 * SAMPLE_RATE_HZ / CARRIER_HZ) as usize;
         let mut acc = Cplx::ZERO;
         let src = iq.clone();
         for (i, z) in iq.iter_mut().enumerate() {
@@ -111,7 +90,7 @@ impl FdmaReceiver {
     /// Despreads one channel at a given start-sample lag, returning one
     /// complex value per data bit.
     fn despread(&self, iq: &[Cplx], ch: &SubcarrierChannel, lag: usize) -> Vec<Cplx> {
-        let spc = self.samples_per_chip(ch);
+        let spc = samples_per_chip(ch);
         let chips = ch.chip_template();
         let bits_avail = ((iq.len() - lag) as f64 / (spc * chips.len() as f64)).floor() as usize;
         let n_bits = bits_avail.min(UL_PACKET_BITS);
@@ -157,7 +136,7 @@ impl FdmaReceiver {
 
     /// Decodes one channel from the slot's baseband IQ.
     fn decode_iq(&self, iq: &[Cplx], ch: SubcarrierChannel) -> FdmaDecode {
-        let spc = self.samples_per_chip(&ch);
+        let spc = samples_per_chip(&ch);
         let bit_samples = spc * f64::from(ch.chips_per_bit());
         // Lag search over one bit duration in quarter-chip steps.
         let step = (spc / 4.0).max(1.0) as usize;
@@ -179,7 +158,7 @@ impl FdmaReceiver {
                 sync_score: 0.0,
             };
         };
-        if score < self.cfg.sync_threshold {
+        if score < SYNC_THRESHOLD {
             return FdmaDecode {
                 channel: ch,
                 packet: None,
@@ -246,16 +225,12 @@ mod tests {
         states
     }
 
-    fn make_slot(
-        ch: &BiwChannel,
-        cfg: &FdmaConfig,
-        tags: &[(u8, SubcarrierChannel, UlPacket)],
-    ) -> Vec<f64> {
+    fn make_slot(ch: &BiwChannel, tags: &[(u8, SubcarrierChannel, UlPacket)]) -> Vec<f64> {
         let mut streams: Vec<(u8, Vec<PztState>)> = Vec::new();
         let mut max_len = 0;
         for (tid, sub, pkt) in tags {
             let chips = sub.modulate(&pkt.to_bits());
-            let spc = cfg.sample_rate / (cfg.bit_rate * f64::from(sub.chips_per_bit()));
+            let spc = samples_per_chip(sub);
             let states = chips_to_states(&chips, spc, spc as usize);
             max_len = max_len.max(states.len());
             streams.push((*tid, states));
@@ -267,12 +242,11 @@ mod tests {
 
     #[test]
     fn single_tag_decodes() {
-        let cfg = FdmaConfig::default();
-        let rx = FdmaReceiver::new(cfg);
+        let rx = FdmaReceiver::new();
         let ch = channel(NoiseConfig::silent());
         let sub = SubcarrierChannel::new(6);
         let pkt = UlPacket::new(8, 0x5A5).unwrap();
-        let wave = make_slot(&ch, &cfg, &[(8, sub, pkt)]);
+        let wave = make_slot(&ch, &[(8, sub, pkt)]);
         let out = rx.decode_channel(&wave, sub);
         assert_eq!(out.packet, Some(pkt), "sync {:.2}", out.sync_score);
     }
@@ -281,14 +255,13 @@ mod tests {
     fn two_tags_decode_in_parallel() {
         // The headline: two tags, same slot, different subcarriers — both
         // packets recovered. FM0 would have called this a collision.
-        let cfg = FdmaConfig::default();
-        let rx = FdmaReceiver::new(cfg);
+        let rx = FdmaReceiver::new();
         let ch = channel(NoiseConfig::silent());
         let sub_a = SubcarrierChannel::new(6);
         let sub_b = SubcarrierChannel::new(9);
         let pkt_a = UlPacket::new(8, 0x111).unwrap();
         let pkt_b = UlPacket::new(7, 0xEEE).unwrap();
-        let wave = make_slot(&ch, &cfg, &[(8, sub_a, pkt_a), (7, sub_b, pkt_b)]);
+        let wave = make_slot(&ch, &[(8, sub_a, pkt_a), (7, sub_b, pkt_b)]);
         let outs = rx.decode_all(&wave, &[sub_a, sub_b]);
         assert_eq!(
             outs[0].packet,
@@ -306,14 +279,13 @@ mod tests {
 
     #[test]
     fn parallel_decode_survives_noise() {
-        let cfg = FdmaConfig::default();
-        let rx = FdmaReceiver::new(cfg);
+        let rx = FdmaReceiver::new();
         let ch = channel(NoiseConfig::default());
         let sub_a = SubcarrierChannel::new(6);
         let sub_b = SubcarrierChannel::new(9);
         let pkt_a = UlPacket::new(5, 0x234).unwrap();
         let pkt_b = UlPacket::new(11, 0xABC).unwrap();
-        let wave = make_slot(&ch, &cfg, &[(8, sub_a, pkt_a), (11, sub_b, pkt_b)]);
+        let wave = make_slot(&ch, &[(8, sub_a, pkt_a), (11, sub_b, pkt_b)]);
         let outs = rx.decode_all(&wave, &[sub_a, sub_b]);
         assert_eq!(outs[0].packet, Some(pkt_a));
         assert_eq!(outs[1].packet, Some(pkt_b));
@@ -327,30 +299,19 @@ mod tests {
     fn unused_channel_stays_silent() {
         // Despreading a channel nobody transmits on must not hallucinate a
         // packet (CRC + sync threshold).
-        let cfg = FdmaConfig::default();
-        let rx = FdmaReceiver::new(cfg);
+        let rx = FdmaReceiver::new();
         let ch = channel(NoiseConfig::default());
         let sub_a = SubcarrierChannel::new(6);
         let sub_idle = SubcarrierChannel::new(4);
         let pkt = UlPacket::new(8, 0x777).unwrap();
-        let wave = make_slot(&ch, &cfg, &[(8, sub_a, pkt)]);
+        let wave = make_slot(&ch, &[(8, sub_a, pkt)]);
         let out = rx.decode_channel(&wave, sub_idle);
         assert_eq!(out.packet, None);
     }
 
     #[test]
-    #[should_panic(expected = "carrier 90000.7 Hz has no exact sample period")]
-    fn carrier_without_an_exact_period_is_refused() {
-        FdmaReceiver::new(FdmaConfig {
-            carrier_hz: 90_000.7,
-            ..FdmaConfig::default()
-        });
-    }
-
-    #[test]
     fn empty_slot_decodes_nothing() {
-        let cfg = FdmaConfig::default();
-        let rx = FdmaReceiver::new(cfg);
+        let rx = FdmaReceiver::new();
         let ch = channel(NoiseConfig::default());
         let wave = ch.uplink_waveform(&[], 60_000);
         let out = rx.decode_channel(&wave, SubcarrierChannel::new(6));

@@ -268,7 +268,6 @@ impl FleetReceiver {
             sample_rate: plan.sample_rate(),
             carrier_hz: own,
             ul_bps,
-            ..RxConfig::default()
         };
         let interferers = plan
             .carriers()
@@ -347,7 +346,7 @@ mod tests {
     use arachnet_core::packet::UlPacket;
     use arachnet_dsp::cplx::Cplx;
     use biw_channel::channel::{BiwChannel, ChannelConfig};
-    use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
+    use biw_channel::fleet::FleetChannel;
     use biw_channel::noise::NoiseConfig;
     use biw_channel::pzt::PztState;
 
@@ -425,14 +424,13 @@ mod tests {
         // in; the rejection stage must recover the packet, and must
         // measurably remove the foreign carrier.
         let plan = FleetPlan::fdma(2, 500_000.0).unwrap();
-        let fleet = FleetChannel::new(FleetChannelConfig {
-            base: ChannelConfig {
+        let fleet = FleetChannel::new(
+            ChannelConfig {
                 noise: NoiseConfig::silent(),
                 ..ChannelConfig::default()
             },
-            carriers: plan.carriers().to_vec(),
-            cross_gain: 0.25,
-        });
+            plan.carriers(),
+        );
         let pkt = UlPacket::new(8, 0x3A5).unwrap();
         let spb = (500_000.0f64 / 375.0).round() as usize;
         let states = packet_states(&pkt, spb);

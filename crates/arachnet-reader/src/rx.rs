@@ -107,6 +107,10 @@ pub struct RxScratch {
     psd: Psd,
 }
 
+/// Minimum modulation contrast (fraction of the envelope midpoint) below
+/// which a slot is declared empty (a reproduction choice).
+pub const MIN_CONTRAST: f64 = 0.002;
+
 /// Receiver configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RxConfig {
@@ -116,9 +120,6 @@ pub struct RxConfig {
     pub carrier_hz: f64,
     /// Expected UL raw bit rate (bps).
     pub ul_bps: f64,
-    /// Minimum modulation contrast (fraction of the envelope midpoint)
-    /// below which the slot is declared empty.
-    pub min_contrast: f64,
 }
 
 impl Default for RxConfig {
@@ -127,7 +128,6 @@ impl Default for RxConfig {
             sample_rate: SAMPLE_RATE_HZ,
             carrier_hz: CARRIER_HZ,
             ul_bps: DEFAULT_UL_BPS,
-            min_contrast: 0.002,
         }
     }
 }
@@ -349,7 +349,7 @@ impl UplinkReceiver {
         let mid = 0.5 * (lo + hi);
         let range = hi - lo;
         let leak_scale = mean.abs().max(1e-12);
-        if !range.is_finite() || range < self.cfg.min_contrast * leak_scale {
+        if !range.is_finite() || range < MIN_CONTRAST * leak_scale {
             // A non-finite range means NaN/Inf samples poisoned the
             // percentiles (degenerate channel config); there is no usable
             // modulation contrast either way, and building a Schmitt slicer

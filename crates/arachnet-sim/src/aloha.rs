@@ -18,18 +18,20 @@ use arachnet_energy::harvester::HarvestChain;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
 
+/// Packet on-air time (s) — "each 200 ms packet transmission".
+pub const PACKET_S: f64 = 0.2;
+
+/// Resume charge as a fraction of the full charge duration (paper: 15.2 %).
+pub const RESUME_FRACTION: f64 = 0.152;
+
+/// Multiplicative Gaussian noise on each charge duration (paper: 2 %).
+pub const CHARGE_NOISE: f64 = 0.02;
+
 /// Configuration of the ALOHA simulation.
 #[derive(Debug, Clone)]
 pub struct AlohaConfig {
     /// Simulated duration (s) — the paper uses 10 000 s.
     pub duration_s: f64,
-    /// Packet on-air time (s) — "each 200 ms packet transmission".
-    pub packet_s: f64,
-    /// Resume-charge fraction of the full charge duration (paper: 15.2 %).
-    /// `None` derives per-tag fractions from the harvesting chain instead.
-    pub resume_fraction: Option<f64>,
-    /// Multiplicative Gaussian noise on each recharge duration (paper: 2 %).
-    pub charge_noise: f64,
     /// Random seed.
     pub seed: u64,
 }
@@ -38,9 +40,6 @@ impl Default for AlohaConfig {
     fn default() -> Self {
         Self {
             duration_s: 10_000.0,
-            packet_s: 0.2,
-            resume_fraction: Some(0.152),
-            charge_noise: 0.02,
             seed: 1,
         }
     }
@@ -113,14 +112,10 @@ pub fn run_aloha(config: &AlohaConfig) -> AlohaRun {
         .map(|tid| {
             let vp = channel.tag_carrier_voltage(tid).expect("deployment tag");
             let full = chain.full_charge_time(vp).expect("all tags activate");
-            let resume = match config.resume_fraction {
-                Some(f) => full * f,
-                None => chain.resume_charge_time(vp).expect("all tags resume"),
-            };
             TagState {
                 tid,
                 full_s: full,
-                resume_s: resume,
+                resume_s: full * RESUME_FRACTION,
                 rng: TagRng::for_tag(config.seed, tid),
                 intervals: Vec::new(),
             }
@@ -130,11 +125,11 @@ pub fn run_aloha(config: &AlohaConfig) -> AlohaRun {
     // Generate each tag's transmission intervals. Charging pauses during
     // TX, so the cycle is strictly sequential: charge → transmit → charge…
     for t in &mut tags {
-        let mut now = (t.full_s * (1.0 + config.charge_noise * gaussian(&mut t.rng))).max(0.0);
+        let mut now = (t.full_s * (1.0 + CHARGE_NOISE * gaussian(&mut t.rng))).max(0.0);
         while now < config.duration_s {
-            t.intervals.push((now, now + config.packet_s));
-            let recharge = t.resume_s * (1.0 + config.charge_noise * gaussian(&mut t.rng));
-            now += config.packet_s + recharge.max(0.0);
+            t.intervals.push((now, now + PACKET_S));
+            let recharge = t.resume_s * (1.0 + CHARGE_NOISE * gaussian(&mut t.rng));
+            now += PACKET_S + recharge.max(0.0);
         }
     }
 
@@ -286,18 +281,6 @@ mod tests {
         let long = run_default();
         let ratio = long.total_tx() as f64 / short.total_tx() as f64;
         assert!((ratio - 10.0).abs() < 1.0, "scaling ratio {ratio:.2}");
-    }
-
-    #[test]
-    fn chain_derived_resume_fractions_also_work() {
-        let run = run_aloha(&AlohaConfig {
-            resume_fraction: None,
-            ..AlohaConfig::default()
-        });
-        // Physically derived resumes are slower for weak tags → fewer TX.
-        let paper = run_default();
-        let t11 = |r: &AlohaRun| r.tags.iter().find(|t| t.tid == 11).unwrap().total_tx;
-        assert!(t11(&run) < t11(&paper));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use arachnet_core::packet::UlPacket;
 use arachnet_obs::{DecodeFailReason, Event, EventKind, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetReceiver, FleetRxScratch};
 use biw_channel::channel::ChannelConfig;
-use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
+use biw_channel::fleet::FleetChannel;
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
 
@@ -92,14 +92,14 @@ impl FleetWaveSim {
     /// Fleet environment over the plan's carriers with the given noise
     /// floor at every cell.
     pub fn new(plan: FleetPlan, seed: u64, noise: NoiseConfig) -> Self {
-        let channel = FleetChannel::new(FleetChannelConfig {
-            base: ChannelConfig {
+        let channel = FleetChannel::new(
+            ChannelConfig {
                 noise,
                 seed,
                 ..ChannelConfig::default()
             },
-            ..FleetChannelConfig::paper(plan.carriers().to_vec())
-        });
+            plan.carriers(),
+        );
         Self {
             channel,
             plan,
@@ -288,7 +288,7 @@ pub struct CellOutcome {
 /// `trial_seed(trial_seed(sweep.base_seed, c), t)` — the derivation
 /// [`run_matrix_sweep`] applies, since it runs the grid — so the result
 /// grid is byte-identical at any thread count. Retries and the sweep
-/// config's resilience policy (checkpoint/resume, budget) apply over the
+/// config's resilience options (checkpoint/resume, budget) apply over the
 /// flattened job space; counters land in the run's `stats`.
 ///
 /// When `observe` is set, trial 0 of every cell records its flight; the

@@ -48,6 +48,5 @@ pub use patterns::Pattern;
 pub use scenario::{ReconvergenceSample, Scenario, ScenarioEvent, TimedEvent};
 pub use slotsim::{SlotSim, SlotSimConfig};
 pub use sweep::{
-    run_matrix_sweep, run_sweep, CheckpointSpec, MatrixRun, ResiliencePolicy, SweepConfig,
-    SweepRun, SweepStats,
+    run_matrix_sweep, run_sweep, CheckpointSpec, MatrixRun, SweepConfig, SweepRun, SweepStats,
 };

@@ -27,8 +27,8 @@
 //!   index and folded in index order by the trial that owns them, so
 //!   helping changes wall time only (DESIGN.md §14).
 //!
-//! On top of that baseline, [`ResiliencePolicy`] adds the machinery long
-//! sweeps need to survive real hosts:
+//! On top of that baseline, [`SweepConfig`]'s resilience options add the
+//! machinery long sweeps need to survive real hosts:
 //!
 //! * **trial quarantine** — a panicking trial is retried once, at a
 //!   deterministically-salted seed ([`retry_seed`]); a trial that fails
@@ -44,11 +44,11 @@
 //!   interrupted-then-resumed run is byte-identical to an uninterrupted
 //!   one at any thread count. The file is deleted when the sweep
 //!   completes.
-//! * **deadline budgets** — [`ResiliencePolicy::budget`] stops
+//! * **deadline budgets** — [`SweepConfig::budget`] stops
 //!   *dispatching* new trials once the wall-clock deadline passes (already
 //!   running trials finish and are checkpointed); undispatched slots come
 //!   back as budget-skip errors and [`SweepStats::partial`] flags the
-//!   report. [`ResiliencePolicy::halt_after`] is the deterministic
+//!   report. [`SweepConfig::halt_after`] is the deterministic
 //!   test/CI analogue: it caps the number of dispatched jobs by *index*,
 //!   which is scheduler-independent.
 //!
@@ -73,15 +73,24 @@ use arachnet_obs::{flush_thread_spans, span, Event, EventKind, TrialLane, NO_TAG
 
 use crate::codec::TrialCodec;
 
-/// Sweep configuration: worker count, base seed, and resilience policy.
+/// Sweep configuration: worker count, base seed, and what the sweep does
+/// when hosts die or time runs out. A panicking trial is always retried
+/// once before it is quarantined.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Worker threads (at least 1). Every count runs the same scoped pool.
     pub threads: usize,
     /// Base seed; trial `i` runs with [`trial_seed`]`(base_seed, i)`.
     pub base_seed: u64,
-    /// Retry / checkpoint / budget behaviour (see [`ResiliencePolicy`]).
-    pub policy: ResiliencePolicy,
+    /// Wall-clock dispatch budget. `None` (default) runs to completion.
+    pub budget: Option<Duration>,
+    /// Deterministic dispatch cap: at most this many jobs (by dispatch
+    /// index) run; the rest are budget-skipped. `None` (default) is
+    /// unlimited. Unlike [`Self::budget`], the skip set is independent of
+    /// scheduling, so partial results stay thread-invariant.
+    pub halt_after: Option<u64>,
+    /// Persist completed trials for crash/interrupt recovery.
+    pub checkpoint: Option<CheckpointSpec>,
     /// Capture per-worker [`TrialLane`]s for the Chrome trace export (a
     /// small allocation per trial). Wall-domain: lanes never change a
     /// result. Off by default.
@@ -89,13 +98,15 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// A sweep seeded with `base_seed`, using all available cores and the
-    /// default resilience policy (no checkpoint, no budget).
+    /// A sweep seeded with `base_seed`, using all available cores, with no
+    /// checkpoint and no budget.
     pub fn new(base_seed: u64) -> Self {
         Self {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             base_seed,
-            policy: ResiliencePolicy::default(),
+            budget: None,
+            halt_after: None,
+            checkpoint: None,
             lanes: false,
         }
     }
@@ -109,20 +120,20 @@ impl SweepConfig {
     /// Sets a wall-clock budget: once it elapses, no new trials are
     /// dispatched and the sweep reports [`SweepStats::partial`].
     pub fn with_budget(mut self, budget: Duration) -> Self {
-        self.policy.budget = Some(budget);
+        self.budget = Some(budget);
         self
     }
 
     /// Caps the number of jobs dispatched this run (deterministic
     /// interruption for tests and the resume-determinism CI gate).
     pub fn with_halt_after(mut self, jobs: u64) -> Self {
-        self.policy.halt_after = Some(jobs);
+        self.halt_after = Some(jobs);
         self
     }
 
     /// Attaches a checkpoint file.
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
-        self.policy.checkpoint = Some(spec);
+        self.checkpoint = Some(spec);
         self
     }
 
@@ -131,8 +142,8 @@ impl SweepConfig {
     /// share one checkpoint file between them.
     pub fn checkpoint_tagged(&self, tag: &str) -> Self {
         let mut cfg = self.clone();
-        if let Some(spec) = cfg.policy.checkpoint.take() {
-            cfg.policy.checkpoint = Some(spec.tagged(tag));
+        if let Some(spec) = cfg.checkpoint.take() {
+            cfg.checkpoint = Some(spec.tagged(tag));
         }
         cfg
     }
@@ -148,21 +159,6 @@ impl SweepConfig {
 /// Extra attempts a panicking trial gets, each at a salted deterministic
 /// seed ([`retry_seed`]), before its slot is quarantined.
 const RETRIES: u32 = 1;
-
-/// How a sweep behaves when hosts die or time runs out. A panicking trial
-/// is always retried once before it is quarantined.
-#[derive(Debug, Clone, Default)]
-pub struct ResiliencePolicy {
-    /// Wall-clock dispatch budget. `None` (default) runs to completion.
-    pub budget: Option<Duration>,
-    /// Deterministic dispatch cap: at most this many jobs (by dispatch
-    /// index) run; the rest are budget-skipped. `None` (default) is
-    /// unlimited. Unlike [`Self::budget`], the skip set is independent of
-    /// scheduling, so partial results stay thread-invariant.
-    pub halt_after: Option<u64>,
-    /// Persist completed trials for crash/interrupt recovery.
-    pub checkpoint: Option<CheckpointSpec>,
-}
 
 /// Where and how often a sweep checkpoints completed trials.
 ///
@@ -196,11 +192,11 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
-    /// A spec at `path`, flushing every 16 trials, not resuming.
+    /// A spec at `path`, flushing every 8 trials, not resuming.
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            every: 16,
+            every: 8,
             resume: false,
         }
     }
@@ -851,7 +847,7 @@ where
 
 /// The runner core behind both entry points: seed derivation via
 /// `seed_of`, retry/quarantine around `f`, checkpoint restore + append
-/// when the policy has a [`CheckpointSpec`], budget/halt dispatch gating,
+/// when the config has a [`CheckpointSpec`], budget/halt dispatch gating,
 /// and the scheduling-independent merge.
 fn run_core<T, F, S>(cfg: &SweepConfig, trials: u64, seed_of: S, f: F) -> SweepRun<T>
 where
@@ -859,13 +855,12 @@ where
     F: Fn(u64, u64) -> T + Sync,
     S: Fn(u64) -> u64 + Sync,
 {
-    let pol = &cfg.policy;
     let mut slots: Vec<Option<TrialResult<T>>> = (0..trials).map(|_| None).collect();
     let mut attempts_of: Vec<u32> = vec![0; trials as usize];
     let mut restored = 0u64;
 
     // --- restore from checkpoint ---------------------------------------
-    let ckpt = pol.checkpoint.as_ref();
+    let ckpt = cfg.checkpoint.as_ref();
     let mut writer: Option<CkptWriter> = None;
     if let Some(spec) = ckpt {
         let mut append_at = None;
@@ -950,7 +945,7 @@ where
 
     let _sweep_span = span("sweep.run");
 
-    let deadline = pol.budget.map(|b| Instant::now() + b);
+    let deadline = cfg.budget.map(|b| Instant::now() + b);
     let next_job = AtomicU64::new(0);
     let pool = Arc::new(HelpPool::default());
     let starved = AtomicBool::new(false);
@@ -1038,7 +1033,7 @@ where
             if k >= pending.len() as u64 {
                 break;
             }
-            if pol.halt_after.is_some_and(|h| k >= h)
+            if cfg.halt_after.is_some_and(|h| k >= h)
                 || deadline.is_some_and(|d| Instant::now() >= d)
             {
                 starved.store(true, Ordering::Relaxed);
@@ -1552,7 +1547,7 @@ mod tests {
             let mut cfg = SweepConfig::new(41)
                 .with_threads(2)
                 .with_checkpoint(CheckpointSpec::new(&path).with_every(1).with_resume(true));
-            cfg.policy.halt_after = halt;
+            cfg.halt_after = halt;
             arachnet_obs::capture(|| run_sweep(&cfg, 6, |i, seed| (i, seed)))
         };
         // A resume that runs nothing truncates the file to its valid prefix.
@@ -1833,7 +1828,7 @@ mod tests {
         assert_eq!(c.path, PathBuf::from("CHECKPOINT_mr-fdma.______etc.bin"));
         // Configs without a checkpoint pass through tagging unchanged.
         let cfg = SweepConfig::new(1).checkpoint_tagged("x");
-        assert!(cfg.policy.checkpoint.is_none());
+        assert!(cfg.checkpoint.is_none());
     }
 
     /// Property (testkit): whatever the trial count, thread count and

@@ -24,7 +24,7 @@ use arachnet_core::rates::{
 };
 use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, NO_TAG};
-use arachnet_reader::driver::{LatencyModel, PingPong};
+use arachnet_reader::driver::{software_delay_s, PingPong};
 use arachnet_reader::rx::{RxConfig, RxScratch, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
@@ -555,11 +555,10 @@ impl WaveSim {
     /// guard + UL + software-latency reply stage. Pure in `round_seed`.
     pub fn ping_pong_sample(&self, round_seed: u64) -> PingPong {
         let tx = BeaconTransmitter::new(DEFAULT_DL_BPS, round_seed);
-        let latency = LatencyModel::default();
         let mut rng = TagRng::new(round_seed ^ 0xB0B0);
         let beacon = DlBeacon::new(DlCmd::ack());
         let stage1 = tx.beacon_duration(&beacon);
-        let stage2 = ul_reply_s(DEFAULT_UL_BPS) + latency.sample(&mut rng);
+        let stage2 = ul_reply_s(DEFAULT_UL_BPS) + software_delay_s(&mut rng);
         PingPong {
             stage1_s: stage1,
             stage2_s: stage2,

@@ -19,7 +19,7 @@ use arachnet_core::packet::DlCmd;
 use arachnet_core::rates::{ul_reply_s, DEFAULT_DL_BPS, DEFAULT_UL_BPS, SLOT_DURATION_S};
 use arachnet_core::rng::TagRng;
 use arachnet_core::slot::Period;
-use arachnet_energy::cutoff::LowVoltageCutoff;
+use arachnet_energy::cutoff::{LowVoltageCutoff, V_HTH};
 use arachnet_energy::harvester::HarvestChain;
 use arachnet_energy::ledger::{PowerLedger, PowerMode};
 use arachnet_energy::storage::SuperCap;
@@ -128,7 +128,7 @@ impl TagDevice {
         rng: TagRng,
     ) -> Self {
         let mut d = Self::new(tid, period, vp, protocol, timing, rng);
-        d.cap.set_voltage(d.cutoff.v_hth() + 0.01);
+        d.cap.set_voltage(V_HTH + 0.01);
         d.cutoff.update(d.cap.voltage());
         d.lifecycle = Lifecycle::Active;
         d.activations = 1;

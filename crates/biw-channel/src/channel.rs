@@ -190,18 +190,11 @@ impl BiwChannel {
     /// Channel over the paper's 12-tag deployment.
     ///
     /// # Panics
-    /// As [`BiwChannel::new`].
-    pub fn paper(config: ChannelConfig) -> Self {
-        Self::new(config, Deployment::paper())
-    }
-
-    /// Channel over a custom deployment.
-    ///
-    /// # Panics
     /// When `config.carrier_hz` has no exact sample period at
     /// `config.sample_rate` ([`exact_carrier_period`]): synthesis runs
     /// from period-length tables only.
-    pub fn new(config: ChannelConfig, deployment: Deployment) -> Self {
+    pub fn paper(config: ChannelConfig) -> Self {
+        let deployment = Deployment::paper();
         let cache = ChannelCache::build(&config, &deployment, &Pzt::arachnet_tag());
         Self {
             config,

@@ -5,11 +5,12 @@
 //! models that fleet as a *reader-indexed channel matrix*:
 //!
 //! * **diagonal** — each reader drives its own cell (its own
-//!   [`Deployment::paper`] copy of the BiW) on its assigned sub-band
-//!   carrier, exactly like the single-reader [`BiwChannel`];
+//!   [`Deployment::paper`](crate::geometry::Deployment::paper) copy of
+//!   the BiW) on its assigned sub-band carrier, exactly like the
+//!   single-reader [`BiwChannel`];
 //! * **reader→reader leakage** — reader *j*'s CW carrier couples into
 //!   reader *i*'s RX PZT through the shared fixture/floor, attenuated by
-//!   the pairwise cross gain;
+//!   the pairwise cross gain ([`CROSS_GAIN`] per hop);
 //! * **reader→tag leakage** — reader *j*'s carrier also reaches the tags
 //!   of cell *i* (and reader *i* hears cell *j*'s tags), so backscatter on
 //!   *foreign* carriers appears in every RX stream at the same cross gain.
@@ -27,7 +28,6 @@
 //! interference rejection live in `arachnet-reader::fleet`.
 
 use crate::channel::{BiwChannel, ChannelConfig};
-use crate::geometry::Deployment;
 use crate::noise::NoiseConfig;
 use crate::pzt::PztState;
 
@@ -38,37 +38,14 @@ pub const MIN_BAND_HZ: f64 = 78_000.0;
 /// Upper edge of the usable acoustic band (Hz).
 pub const MAX_BAND_HZ: f64 = 104_000.0;
 
+/// Adjacent-cell cross-coupling gain, −12 dB: cells `|i−j|` apart couple
+/// at `CROSS_GAIN^(|i−j|)`. A reproduction choice: the paper deploys one
+/// reader, and the fleet follows Trident's frequency-space division.
+pub const CROSS_GAIN: f64 = 0.25;
+
 /// Cross gains below this are dropped from the matrix entirely (the
 /// off-diagonal channel is simply not built).
 const NEGLIGIBLE_CROSS_GAIN: f64 = 1e-4;
-
-/// Fleet channel configuration.
-#[derive(Debug, Clone)]
-pub struct FleetChannelConfig {
-    /// Template configuration shared by every cell; `carrier_hz` is
-    /// overridden per reader from `carriers`.
-    pub base: ChannelConfig,
-    /// Per-reader carrier assignment (Hz), one entry per cell. Each needs
-    /// an exact sample period at the base sample rate
-    /// ([`exact_carrier_period`](crate::channel::exact_carrier_period));
-    /// `FleetPlan` in the reader crate hands out only such carriers.
-    pub carriers: Vec<f64>,
-    /// Adjacent-cell cross-coupling gain in `[0, 1)`; cells `|i−j|` apart
-    /// couple at `cross_gain^(|i−j|)`.
-    pub cross_gain: f64,
-}
-
-impl FleetChannelConfig {
-    /// Paper-calibrated base config with the given sub-band carriers and
-    /// the default adjacent-cell coupling of −12 dB (0.25).
-    pub fn paper(carriers: Vec<f64>) -> Self {
-        Self {
-            base: ChannelConfig::default(),
-            carriers,
-            cross_gain: 0.25,
-        }
-    }
-}
 
 /// The reader-indexed channel matrix (see the module docs).
 #[derive(Debug, Clone)]
@@ -79,42 +56,37 @@ pub struct FleetChannel {
     /// reader `tx`'s carrier and of backscatter riding on it. `None` on
     /// the diagonal and where the coupling is negligible.
     cross: Vec<Vec<Option<BiwChannel>>>,
-    cross_gain: f64,
 }
 
 impl FleetChannel {
     /// Builds the matrix over the paper deployment, one cell per carrier.
+    /// `base` is the configuration every cell shares; each cell's
+    /// `carrier_hz` comes from `carriers`, one entry per reader. Each
+    /// carrier needs an exact sample period at the base sample rate
+    /// ([`exact_carrier_period`](crate::channel::exact_carrier_period));
+    /// `FleetPlan` in the reader crate hands out only such carriers.
     ///
     /// # Panics
-    /// When `carriers` is empty, a carrier is outside
+    /// When `carriers` is empty, or a carrier is outside
     /// [`MIN_BAND_HZ`]..=[`MAX_BAND_HZ`] or has no exact sample period
-    /// ([`BiwChannel::new`]), or `cross_gain` is not in `[0, 1)` —
-    /// plan-level validation (`FleetPlan` in the reader crate) is expected
-    /// to run first.
-    pub fn new(cfg: FleetChannelConfig) -> Self {
-        assert!(!cfg.carriers.is_empty(), "fleet needs at least one reader");
-        assert!(
-            (0.0..1.0).contains(&cfg.cross_gain),
-            "cross_gain must be in [0, 1)"
-        );
-        for &f in &cfg.carriers {
+    /// ([`BiwChannel::paper`]) — plan-level validation (`FleetPlan` in the
+    /// reader crate) is expected to run first.
+    pub fn new(base: ChannelConfig, carriers: &[f64]) -> Self {
+        assert!(!carriers.is_empty(), "fleet needs at least one reader");
+        for &f in carriers {
             assert!(
                 (MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f),
                 "carrier {f} Hz outside the usable band"
             );
         }
-        let k = cfg.carriers.len();
-        let cells: Vec<BiwChannel> = cfg
-            .carriers
+        let k = carriers.len();
+        let cells: Vec<BiwChannel> = carriers
             .iter()
             .map(|&f| {
-                BiwChannel::new(
-                    ChannelConfig {
-                        carrier_hz: f,
-                        ..cfg.base.clone()
-                    },
-                    Deployment::paper(),
-                )
+                BiwChannel::paper(ChannelConfig {
+                    carrier_hz: f,
+                    ..base.clone()
+                })
             })
             .collect();
         let cross = (0..k)
@@ -124,7 +96,7 @@ impl FleetChannel {
                         if rx == tx {
                             return None;
                         }
-                        let g = cfg.cross_gain.powi((rx as i32 - tx as i32).abs());
+                        let g = CROSS_GAIN.powi((rx as i32 - tx as i32).abs());
                         if g < NEGLIGIBLE_CROSS_GAIN {
                             return None;
                         }
@@ -133,25 +105,18 @@ impl FleetChannel {
                         // path, its tag tables the cross backscatter.
                         // Noise is synthesized once by the diagonal cell,
                         // so the cross channel is silent.
-                        Some(BiwChannel::new(
-                            ChannelConfig {
-                                carrier_hz: cfg.carriers[tx],
-                                drive_amplitude: cfg.base.drive_amplitude * g,
-                                carrier_leakage: cfg.base.carrier_leakage * g,
-                                noise: NoiseConfig::silent(),
-                                ..cfg.base.clone()
-                            },
-                            Deployment::paper(),
-                        ))
+                        Some(BiwChannel::paper(ChannelConfig {
+                            carrier_hz: carriers[tx],
+                            drive_amplitude: base.drive_amplitude * g,
+                            carrier_leakage: base.carrier_leakage * g,
+                            noise: NoiseConfig::silent(),
+                            ..base.clone()
+                        }))
                     })
                     .collect()
             })
             .collect();
-        Self {
-            cells,
-            cross,
-            cross_gain: cfg.cross_gain,
-        }
+        Self { cells, cross }
     }
 
     /// Number of reader cells.
@@ -170,7 +135,7 @@ impl FleetChannel {
         if i == j || self.cross[i][j].is_none() {
             0.0
         } else {
-            self.cross_gain.powi((i as i32 - j as i32).abs())
+            CROSS_GAIN.powi((i as i32 - j as i32).abs())
         }
     }
 
@@ -220,11 +185,7 @@ mod tests {
 
     #[test]
     fn single_reader_fleet_matches_plain_channel() {
-        let fleet = FleetChannel::new(FleetChannelConfig {
-            base: silent_base(),
-            carriers: vec![90_000.0],
-            cross_gain: 0.25,
-        });
+        let fleet = FleetChannel::new(silent_base(), &[90_000.0]);
         let plain = BiwChannel::paper(silent_base());
         let states = BiwChannel::states_from_raw_bits(&[true, false, true], 600);
         let tags: [(u8, &[PztState]); 1] = [(8, &states)];
@@ -236,11 +197,7 @@ mod tests {
 
     #[test]
     fn cross_reader_carrier_leaks_into_the_rx() {
-        let fleet = FleetChannel::new(FleetChannelConfig {
-            base: silent_base(),
-            carriers: vec![90_000.0, 94_000.0],
-            cross_gain: 0.25,
-        });
+        let fleet = FleetChannel::new(silent_base(), &[90_000.0, 94_000.0]);
         let none: [(u8, &[PztState]); 0] = [];
         let mut duo = Vec::new();
         fleet.rx_waveform_into(0, &[&none, &none], 5_000, 1, &mut duo);
@@ -262,11 +219,7 @@ mod tests {
 
     #[test]
     fn cross_gain_decays_with_cell_distance() {
-        let fleet = FleetChannel::new(FleetChannelConfig {
-            base: silent_base(),
-            carriers: vec![86_000.0, 90_000.0, 94_000.0],
-            cross_gain: 0.25,
-        });
+        let fleet = FleetChannel::new(silent_base(), &[86_000.0, 90_000.0, 94_000.0]);
         assert_eq!(fleet.cross_gain(0, 0), 0.0);
         assert!((fleet.cross_gain(0, 1) - 0.25).abs() < 1e-12);
         assert!((fleet.cross_gain(0, 2) - 0.0625).abs() < 1e-12);
@@ -275,11 +228,7 @@ mod tests {
 
     #[test]
     fn foreign_tags_are_audible_across_cells() {
-        let fleet = FleetChannel::new(FleetChannelConfig {
-            base: silent_base(),
-            carriers: vec![90_000.0, 94_000.0],
-            cross_gain: 0.25,
-        });
+        let fleet = FleetChannel::new(silent_base(), &[90_000.0, 94_000.0]);
         let states = BiwChannel::states_from_raw_bits(&[true; 6], 500);
         let none: [(u8, &[PztState]); 0] = [];
         let busy: [(u8, &[PztState]); 1] = [(8, &states)];
@@ -293,7 +242,7 @@ mod tests {
 
     #[test]
     fn synthesis_is_deterministic_and_reuses_capacity() {
-        let fleet = FleetChannel::new(FleetChannelConfig::paper(vec![90_000.0, 94_000.0]));
+        let fleet = FleetChannel::new(ChannelConfig::default(), &[90_000.0, 94_000.0]);
         let none: [(u8, &[PztState]); 0] = [];
         let mut a = Vec::new();
         fleet.rx_waveform_into(1, &[&none, &none], 10_000, 3, &mut a);
@@ -309,7 +258,7 @@ mod tests {
         // Every carrier the default FDMA plan hands out builds a cell, and
         // its table period holds a whole number of carrier cycles.
         for f in [82_000.0, 86_000.0, 90_000.0, 94_000.0, 98_000.0, 102_000.0] {
-            let fleet = FleetChannel::new(FleetChannelConfig::paper(vec![f]));
+            let fleet = FleetChannel::new(ChannelConfig::default(), &[f]);
             let p = fleet.cell(0).cache().period();
             let cycles = f * p as f64 / 500_000.0;
             assert_eq!(cycles, cycles.round(), "carrier {f} Hz over {p} samples");
@@ -319,6 +268,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "usable band")]
     fn out_of_band_carrier_is_rejected() {
-        FleetChannel::new(FleetChannelConfig::paper(vec![90_000.0, 200_000.0]));
+        FleetChannel::new(ChannelConfig::default(), &[90_000.0, 200_000.0]);
     }
 }

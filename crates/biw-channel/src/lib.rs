@@ -53,7 +53,7 @@ pub mod resonator;
 pub mod timevarying;
 
 pub use channel::BiwChannel;
-pub use fleet::{FleetChannel, FleetChannelConfig};
+pub use fleet::FleetChannel;
 pub use geometry::{Deployment, TagSite, Zone};
 pub use propagation::PathSpec;
 pub use timevarying::{ChannelDrift, TimeVaryingChannel};

@@ -19,7 +19,6 @@
 use std::sync::Arc;
 
 use crate::channel::{BiwChannel, ChannelConfig};
-use crate::geometry::Deployment;
 
 /// Multiplicative drift of one epoch relative to the base configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,24 +94,15 @@ impl TimeVaryingChannel {
     /// deployment. An empty schedule gets a single identity epoch so
     /// `channel_at` is total.
     pub fn paper(base: ChannelConfig, drifts: &[ChannelDrift]) -> Self {
-        Self::new(base, Deployment::paper(), drifts)
-    }
-
-    /// Builds one channel per drift entry over a custom deployment.
-    pub fn new(base: ChannelConfig, deployment: Deployment, drifts: &[ChannelDrift]) -> Self {
-        let schedule: &[ChannelDrift] = if drifts.is_empty() {
-            &[ChannelDrift {
-                gain_scale: 1.0,
-                leakage_scale: 1.0,
-                noise_scale: 1.0,
-                q_scale: 1.0,
-            }]
+        let identity = [ChannelDrift::identity()];
+        let schedule = if drifts.is_empty() {
+            &identity[..]
         } else {
             drifts
         };
         let epochs = schedule
             .iter()
-            .map(|d| BiwChannel::new(d.apply(&base), deployment.clone()))
+            .map(|d| BiwChannel::paper(d.apply(&base)))
             .collect();
         Self { epochs }
     }
