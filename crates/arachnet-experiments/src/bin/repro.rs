@@ -20,16 +20,19 @@
 //! stream; `--threads N` caps the parallel sweep pool (results are
 //! bit-identical at any thread count); `--metrics` / `--trace <tag|all>`
 //! toggle observability output; `--readers K` sizes a multi-reader fleet
-//! and `--bands B` caps its sub-band budget (mr-* experiments only —
-//! single-reader artifacts reject fleet flags).
+//! (at most 8) and `--bands B` caps its sub-band budget (at most the FDMA
+//! grid's 7; mr-* experiments only — single-reader artifacts reject fleet
+//! flags).
 //!
-//! Resilience flags: `--checkpoint-every N` persists completed trials to
-//! `CHECKPOINT_<id>.bin` every N trials; `--resume` restores them on the
-//! next run (skipping finished work) and produces byte-identical
-//! `METRICS_<id>.json` output at any `--threads` count; `--budget-secs S`
-//! stops dispatching new trials at the deadline and marks the report
-//! `partial=true`; `--halt-after N` deterministically stops after N
-//! dispatches (testing/verify hook for interrupting a run mid-sweep);
+//! Resilience flags: every sweep experiment runs one sweep, so each flag
+//! acts once per experiment. `--checkpoint-every N` persists completed
+//! trials to `CHECKPOINT_<id>.bin` every N trials; `--resume` restores
+//! them on the next run (skipping finished work) and produces
+//! byte-identical `METRICS_<id>.json` output at any `--threads` count;
+//! `--budget-secs S` stops dispatching new trials S seconds into the
+//! experiment's sweep and marks the report `partial=true`; `--halt-after
+//! N` deterministically stops after the experiment's first N dispatches
+//! (testing/verify hook for interrupting a run mid-sweep);
 //! `--checkpoint-dir DIR` redirects `CHECKPOINT_<id>.bin` into `DIR`,
 //! creating it if needed (a directory that cannot be created is a clear
 //! exit-3 error, never a panic); it needs `--checkpoint-every` or
@@ -572,25 +575,11 @@ fn run_one(e: &'static dyn Experiment, ctx: &ExperimentCtx, obs: ObsOpts, named:
     // Delete-before-run policy for the per-id artifacts: a stale trace or
     // checkpoint left by an aborted run of this id would otherwise survive
     // (and confuse verify.sh, which asserts on artifact presence after a
-    // run). The checkpoint is kept when --resume asked
-    // for it, and the trace files are only stale if this invocation is
-    // not about to rewrite them anyway.
+    // run). An experiment runs one sweep, so it has one checkpoint file,
+    // kept when --resume asked for it; the trace files are only stale if
+    // this invocation is not about to rewrite them anyway.
     if !ctx.is_resume() {
-        let primary = ctx.checkpoint_path(e.id());
-        let _ = fs::remove_file(&primary);
-        // Fleet experiments checkpoint per cell through `.tagged(..)`
-        // (`CHECKPOINT_<id>.<tag>.bin`); sweep those too.
-        let dir = primary.parent().filter(|p| !p.as_os_str().is_empty());
-        let prefix = format!("CHECKPOINT_{}.", e.id());
-        if let Ok(entries) = fs::read_dir(dir.unwrap_or(std::path::Path::new("."))) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with(&prefix) && name.ends_with(".bin") {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
+        let _ = fs::remove_file(ctx.checkpoint_path(e.id()));
     }
     let _ = fs::remove_file(format!("TRACE_{}.jsonl", e.id()));
     let _ = fs::remove_file(format!("TRACE_{}.chrome.json", e.id()));

@@ -16,13 +16,12 @@
 
 use arachnet_core::rates::DEFAULT_UL_BPS;
 use arachnet_core::slot::Period;
-use arachnet_obs::{EventKind, Recorder, RecorderSnapshot, TrialLane};
+use arachnet_obs::{EventKind, Recorder};
 use arachnet_reader::fleet::{FleetPlan, FleetPlanError};
 use arachnet_sim::fleet::{run_fleet, FleetCell, FleetWaveSim};
 use arachnet_sim::scenario::Scenario;
-use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig, SweepStats};
+use arachnet_sim::sweep::{run_matrix_sweep, SweepConfig};
 use arachnet_sim::Pattern;
-use biw_channel::channel::{CARRIER_HZ, SAMPLE_RATE_HZ};
 
 use crate::report::{representative, Cell, Experiment, ExperimentCtx, Num, Report, Section};
 
@@ -33,39 +32,45 @@ const CAP: u64 = 100_000;
 /// (band reuse when the budget is short).
 fn plan_for(readers: usize, bands: usize) -> Result<FleetPlan, FleetPlanError> {
     if bands >= readers {
-        FleetPlan::fdma(readers, SAMPLE_RATE_HZ)
+        FleetPlan::fdma(readers)
     } else {
-        FleetPlan::fdma_reuse(readers, bands, SAMPLE_RATE_HZ)
+        FleetPlan::fdma_reuse(readers, bands)
     }
 }
 
-/// One waveform-level fleet pass: every reader decodes its own tag while
-/// the whole fleet transmits. Returns per-reader rows plus its
-/// representative trace.
+/// One waveform-level fleet pass: every reader of `plan` decodes its own
+/// copy of tag `tid` while the whole fleet transmits.
 struct FleetPass {
-    rows: Vec<Vec<Cell>>,
-    snapshot: RecorderSnapshot,
-    stats: SweepStats,
-    lanes: Vec<TrialLane>,
+    label: String,
+    plan: FleetPlan,
+    tid: u8,
+    reject: bool,
 }
 
-fn fleet_pass(
-    plan: &FleetPlan,
-    label: &str,
-    tid: u8,
+/// Runs every pass as one sweep — each reader of each pass is a cell of
+/// one trial, pass-major — so `--halt-after`, `--budget-secs` and the
+/// checkpoint act once per experiment. Returns one row per reader under
+/// the section `section` builds, plus the representative trace.
+fn fleet_report(
+    passes: &[FleetPass],
     n: u64,
-    reject: bool,
     sweep: &SweepConfig,
     observe: bool,
-) -> FleetPass {
-    let sim = FleetWaveSim::paper(plan.clone(), sweep.base_seed);
-    let readers: Vec<usize> = (0..plan.readers()).collect();
-    // Several passes run per experiment, so each gets its own checkpoint
-    // file (when the context wired one in) keyed by the pass label.
-    let sweep = sweep.checkpoint_tagged(label);
-    let matrix = run_matrix_sweep(&sweep, &readers, 1, |&r, _trial, seed| {
+    section: impl FnOnce(Vec<Vec<Cell>>) -> Section,
+) -> Report {
+    let sims: Vec<FleetWaveSim> = passes
+        .iter()
+        .map(|p| FleetWaveSim::paper(p.plan.clone(), sweep.base_seed))
+        .collect();
+    let cells: Vec<(usize, usize)> = passes
+        .iter()
+        .enumerate()
+        .flat_map(|(p, pass)| (0..pass.plan.readers()).map(move |r| (p, r)))
+        .collect();
+    let matrix = run_matrix_sweep(sweep, &cells, 1, |&(p, r), _trial, seed| {
+        let (pass, sim) = (&passes[p], &sims[p]);
         let mut rx = sim.fleet_rx(r, DEFAULT_UL_BPS);
-        rx.set_rejection(reject);
+        rx.set_rejection(pass.reject);
         let mut recorder = if observe {
             Recorder::enabled(seed)
         } else {
@@ -75,29 +80,20 @@ fn fleet_pass(
             0,
             r as u8,
             EventKind::ReaderAssigned {
-                band: plan.band(r) as u16,
+                band: pass.plan.band(r) as u16,
             },
         );
-        // A library error here (bad tid, absent reader) panics the trial,
-        // which the sweep quarantines instead of aborting the experiment.
-        let result = sim
-            .uplink_trial_observed(&rx, r, tid, n, &mut recorder)
-            .unwrap_or_else(|e| panic!("fleet uplink: {e}"));
+        let result = sim.uplink_trial_observed(&rx, r, pass.tid, n, &mut recorder);
         (result, recorder.into_snapshot())
     });
-    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
-    let mut out = FleetPass {
-        rows: Vec::new(),
-        snapshot: representative(trial0.map(|(_, snap)| snap)),
-        stats: matrix.stats,
-        lanes: matrix.lanes,
-    };
-    for (&r, cell) in readers.iter().zip(&matrix.cells) {
+    let mut rows = Vec::new();
+    for (&(p, r), cell) in cells.iter().zip(&matrix.cells) {
         let Some(Ok((res, _))) = cell.first() else {
             continue;
         };
-        out.rows.push(vec![
-            Cell::label(label),
+        let plan = &passes[p].plan;
+        rows.push(vec![
+            Cell::label(passes[p].label.clone()),
             Cell::label(format!("R{r}")),
             Num::Real(plan.carrier_hz(r) / 1_000.0, 0).into(),
             Num::Int(plan.band(r) as u64).into(),
@@ -107,7 +103,11 @@ fn fleet_pass(
             Num::finite(res.snr_db, 1).into(),
         ]);
     }
-    out
+    let trial0 = matrix.cells.iter().filter_map(|c| c.first()?.as_ref().ok());
+    Report::single(section(rows))
+        .with_snapshot(representative(trial0.map(|(_, snap)| snap)))
+        .with_sweep(matrix.stats)
+        .with_lanes(matrix.lanes)
 }
 
 /// `mr-fdma`: fleet FDMA throughput scaling.
@@ -131,27 +131,21 @@ impl Experiment for MrFdma {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        let n = ctx.scale(3, 16);
         let fleets: Vec<usize> = match ctx.readers() {
             Some(k) => vec![k],
             None => vec![1, 2, 4],
         };
-        let mut rows = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut stats = SweepStats::default();
-        let mut lanes = Vec::new();
+        let passes: Vec<FleetPass> = fleets
+            .iter()
+            .map(|&k| FleetPass {
+                label: format!("k{k}"),
+                plan: plan_for(k, ctx.fleet_bands(k)).expect("validated fleet shape"),
+                tid: 8,
+                reject: true,
+            })
+            .collect();
         let sweep = ctx.sweep_for(self.id());
-        for &k in &fleets {
-            let bands = ctx.fleet_bands(k).min(k).max(1);
-            let plan = plan_for(k, bands).expect("validated fleet shape");
-            let label = format!("k{k}");
-            let pass = fleet_pass(&plan, &label, 8, n, true, &sweep, ctx.observe());
-            rows.extend(pass.rows);
-            stats.merge(&pass.stats);
-            lanes.extend(pass.lanes);
-            snapshots.push(pass.snapshot);
-        }
-        Report::single(
+        fleet_report(&passes, ctx.scale(3, 16), &sweep, ctx.observe(), |rows| {
             Section::new(
                 "fleet",
                 "Fleet FDMA — per-reader uplink over shared sheet metal (Tag 8, 375 bps)",
@@ -164,11 +158,8 @@ impl Experiment for MrFdma {
                 "every cell's copy of the tag transmits concurrently; sub-band separation plus \
                  coherent carrier rejection keeps each reader's link clean, so delivered packets \
                  scale with fleet size.",
-            )),
-        )
-        .with_snapshot(representative(&snapshots))
-        .with_sweep(stats)
-        .with_lanes(lanes)
+            ))
+        })
     }
 }
 
@@ -193,38 +184,26 @@ impl Experiment for MrInterference {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Report {
-        let n = ctx.scale(3, 16);
         let k = ctx.fleet_readers(2);
         let fdma = plan_for(k, ctx.fleet_bands(k)).expect("validated fleet shape");
-        let co =
-            FleetPlan::co_channel(k, CARRIER_HZ, SAMPLE_RATE_HZ).expect("validated fleet shape");
-        let sweep = ctx.sweep_for(self.id());
-        let mut rows = Vec::new();
-        let mut snapshots = Vec::new();
-        let mut stats = SweepStats::default();
-        let mut lanes = Vec::new();
+        let co = FleetPlan::co_channel(k).expect("validated fleet shape");
+        let mut passes = Vec::new();
         for (plan, label, reject) in [
             (&fdma, "fdma-reject", true),
             (&fdma, "fdma-raw", false),
             (&co, "co-channel", true),
         ] {
             for tid in [8u8, 11] {
-                let pass = fleet_pass(
-                    plan,
-                    &format!("{label}.tag{tid}"),
+                passes.push(FleetPass {
+                    label: format!("{label}.tag{tid}"),
+                    plan: plan.clone(),
                     tid,
-                    n,
                     reject,
-                    &sweep,
-                    ctx.observe(),
-                );
-                rows.extend(pass.rows);
-                stats.merge(&pass.stats);
-                lanes.extend(pass.lanes);
-                snapshots.push(pass.snapshot);
+                });
             }
         }
-        Report::single(
+        let sweep = ctx.sweep_for(self.id());
+        fleet_report(&passes, ctx.scale(3, 16), &sweep, ctx.observe(), |rows| {
             Section::new(
                 "fleet",
                 format!("Cross-reader interference — {k}-reader fleet, rejection A/B (375 bps)"),
@@ -237,11 +216,8 @@ impl Experiment for MrInterference {
                 "co-channel neighbours backscatter in band, so the IQ clustering flags \
                  cross-reader collisions the FDMA plan never sees; rejection removes the \
                  foreign CW leak that would otherwise bias the decimated baseband.",
-            )),
-        )
-        .with_snapshot(representative(&snapshots))
-        .with_sweep(stats)
-        .with_lanes(lanes)
+            ))
+        })
     }
 }
 
@@ -307,7 +283,7 @@ pub fn report_fleet_soak(
             scenario: soak_scenario(c),
         })
         .collect();
-    let run = run_fleet(&plan, &cells, trials, sweep, CAP, observe).expect("validated fleet shape");
+    let run = run_fleet(&plan, &cells, trials, sweep, CAP, observe);
     let mut rows = Vec::new();
     for (cell, row) in cells.iter().zip(&run.cells) {
         let mut finite: Vec<u64> = Vec::new();

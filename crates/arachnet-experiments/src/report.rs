@@ -19,14 +19,11 @@
 use std::fmt;
 
 use arachnet_obs::{json_escape, MetricSet, RecorderSnapshot, TrialLane};
+use arachnet_reader::fleet::{GRID_BANDS, MAX_READERS};
 use arachnet_sim::sweep::{CheckpointSpec, SweepConfig, SweepStats, TrialResult};
 use arachnet_sim::ConfigError;
 
 use crate::render;
-
-/// Most readers a fleet context accepts — the `FleetPlan` limit in the
-/// reader crate, checked here too so the error surfaces at build time.
-const MAX_FLEET_READERS: usize = 8;
 
 /// Largest flight-recorder ring capacity the builder accepts — an event is
 /// tens of bytes, so this caps the ring at a few tens of megabytes.
@@ -99,7 +96,9 @@ impl ExperimentCtxBuilder {
     }
 
     /// Sub-band budget override for multi-reader experiments (`--bands`):
-    /// fewer bands than readers forces frequency-space reuse.
+    /// fewer bands than readers forces frequency-space reuse. Validated at
+    /// [`Self::build`]: zero and more than the FDMA grid's
+    /// [`GRID_BANDS`] are rejected.
     pub fn bands(mut self, bands: usize) -> Self {
         self.ctx.bands = Some(bands);
         self
@@ -201,8 +200,15 @@ impl ExperimentCtxBuilder {
                 });
             }
         }
+        // The limits the fleet plan enforces, checked here too so the
+        // error surfaces before the run instead of in its middle.
+        if c.bands.is_some_and(|b| b > GRID_BANDS) {
+            return Err(ConfigError::Inconsistent {
+                reason: "bands exceeds the 7 sub-bands of the FDMA grid",
+            });
+        }
         if let Some(r) = c.readers {
-            if r > MAX_FLEET_READERS {
+            if r > MAX_READERS {
                 return Err(ConfigError::Inconsistent {
                     reason: "readers exceeds the 8-reader fleet plan limit",
                 });
@@ -275,9 +281,11 @@ impl ExperimentCtx {
 
     /// Sub-band budget for a multi-reader experiment: the `--bands`
     /// override or the experiment's default, never above the fleet size.
+    /// The default is capped at the FDMA grid's [`GRID_BANDS`], so a
+    /// larger fleet reuses bands instead of planning a carrier out of band.
     pub fn fleet_bands(&self, default: usize) -> usize {
         let readers = self.fleet_readers(default);
-        self.bands.unwrap_or(default).min(readers)
+        self.bands.unwrap_or(default.min(GRID_BANDS)).min(readers)
     }
 
     /// Picks the quick or full variant of a count.
@@ -638,21 +646,19 @@ impl Report {
         self
     }
 
-    /// Attaches sweep resilience counters (chainable). Experiments that
-    /// run several sweeps merge their stats first.
+    /// Attaches the experiment's sweep resilience counters (chainable).
     pub fn with_sweep(mut self, sweep: SweepStats) -> Self {
         self.sweep = sweep;
         self
     }
 
-    /// Attaches trial lanes (chainable). Experiments that run several
-    /// sweeps concatenate theirs first.
+    /// Attaches the experiment's sweep trial lanes (chainable).
     pub fn with_lanes(mut self, lanes: Vec<TrialLane>) -> Self {
         self.lanes = lanes;
         self
     }
 
-    /// `true` when any of this report's sweeps ran out of budget before
+    /// `true` when the report's sweep ran out of budget before
     /// dispatching every trial — the numbers cover a subset of the
     /// intended trial set.
     pub fn is_partial(&self) -> bool {
@@ -827,6 +833,16 @@ mod tests {
             ExperimentCtx::builder(1).readers(2).bands(3).build(),
             Err(ConfigError::Inconsistent { .. })
         ));
+        // The grid holds GRID_BANDS sub-bands, and the error names them.
+        let err = ExperimentCtx::builder(1)
+            .readers(MAX_READERS)
+            .bands(GRID_BANDS + 1)
+            .build()
+            .unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("{GRID_BANDS} sub-bands")),
+            "{err}"
+        );
         let ok = ExperimentCtx::builder(1)
             .readers(4)
             .bands(2)
@@ -845,6 +861,12 @@ mod tests {
         // The band budget never exceeds the fleet size.
         let two = ExperimentCtx::builder(1).readers(2).build().unwrap();
         assert_eq!(two.fleet_bands(4), 2);
+        // A full fleet gets the whole grid and reuses one band.
+        let full = ExperimentCtx::builder(1)
+            .readers(MAX_READERS)
+            .build()
+            .unwrap();
+        assert_eq!(full.fleet_bands(MAX_READERS), GRID_BANDS);
     }
 
     #[test]

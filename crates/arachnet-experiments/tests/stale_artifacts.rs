@@ -5,6 +5,7 @@
 //! from. Sweep-only flags on a named experiment that runs no sweep, and
 //! any flag a subcommand does not read, are usage errors that write
 //! nothing; under `all` the sweep-only flags act on the sweep experiments.
+//! A fleet shape the plan cannot build is a usage error too.
 
 use std::fs;
 use std::path::PathBuf;
@@ -29,13 +30,11 @@ fn repro_in(dir: &PathBuf, args: &[&str]) -> std::process::Output {
 #[test]
 fn fresh_run_deletes_stale_traces_and_checkpoints() {
     let dir = scratch("fresh");
-    // Debris from an "aborted" earlier run of the same id, including a
-    // tagged per-cell checkpoint from a fleet sweep.
+    // Debris from an "aborted" earlier run of the same id.
     let stale = [
         "TRACE_table1.jsonl",
         "TRACE_table1.chrome.json",
         "CHECKPOINT_table1.bin",
-        "CHECKPOINT_table1.k2.bin",
     ];
     for f in &stale {
         fs::write(dir.join(f), b"stale garbage").unwrap();
@@ -99,6 +98,35 @@ fn all_applies_sweep_only_flags_to_its_sweep_experiments() {
     let read = |id: &str| fs::read_to_string(dir.join(format!("METRICS_{id}.json"))).unwrap();
     assert!(read("fig12a12b").contains("\"partial\":true"));
     assert!(read("table1").contains("\"partial\":false"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_full_fleet_runs_on_seven_bands_and_an_eighth_band_is_rejected() {
+    // The FDMA grid holds seven sub-bands, so eight readers reuse one;
+    // asking for eight distinct bands is a usage error, before any run.
+    let dir = scratch("fleet8");
+    for cmd in [
+        "run mr-fdma --quick --readers 8",
+        "run mr-interference --quick --readers 8",
+        "run mr-fleet-soak --quick --readers 8",
+        "run mr-fleet-soak --quick --readers 8 --bands 7",
+    ] {
+        let args: Vec<&str> = cmd.split(' ').collect();
+        let out = repro_in(&dir, &args);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {out:?}");
+    }
+    let args = [
+        "run",
+        "mr-fleet-soak",
+        "--quick",
+        "--readers",
+        "8",
+        "--bands",
+        "8",
+    ];
+    let out = repro_in(&dir, &args);
+    assert_rejects(&out, &args, "7 sub-bands");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -10,23 +10,31 @@
 //! (`a = (2/N) Σ x[n] e^{-jωn}`, the same estimate the SNR metric uses for
 //! the own carrier) and subtracted before the single-reader chain runs.
 //!
-//! Every sub-band carrier has an *exact* sample period at the DAQ rate, as
-//! every carrier must: synthesis, mixing and the rejection itself index
-//! one-period tables ([`CarrierTable`]) with no per-sample trig, and a plan
-//! with any other carrier fails validation.
+//! Every plan carrier sits on one fixed grid at the 500 kHz DAQ rate, so
+//! each has an *exact* sample period: synthesis, mixing and the rejection
+//! itself index one-period tables ([`CarrierTable`]) with no per-sample
+//! trig.
 
 use std::fmt;
 
 use arachnet_dsp::nco::CarrierTable;
-use biw_channel::channel::{exact_carrier_period, CARRIER_HZ};
+use biw_channel::channel::{CARRIER_HZ, SAMPLE_RATE_HZ};
 use biw_channel::fleet::{MAX_BAND_HZ, MIN_BAND_HZ};
 
 use crate::rx::{carrier_corrections, carrier_table, RxConfig, RxScratch, SlotRx, UplinkReceiver};
 
-/// Minimum sub-band separation (Hz) a valid FDMA plan must keep: wide
-/// enough that the decimation filter puts a foreign carrier well outside
-/// the modulation band at every paper bit rate.
-pub const MIN_SPACING_HZ: f64 = 2_000.0;
+/// Step of the FDMA grid (Hz): carriers sit at 90 kHz, then alternately
+/// above and below it, one step further out each pair. Wide enough that
+/// the decimation filter puts a foreign carrier well outside the
+/// modulation band at every paper bit rate.
+const GRID_SPACING_HZ: f64 = 4_000.0;
+
+/// Distinct sub-bands the grid holds inside the usable band
+/// ([`MIN_BAND_HZ`]..=[`MAX_BAND_HZ`]): 90 kHz and three steps on each
+/// side, 78–102 kHz. An eighth carrier would land at 106 kHz, so
+/// [`FleetPlan::fdma`] plans at most this many readers, and a larger fleet
+/// reuses bands ([`FleetPlan::fdma_reuse`]).
+pub const GRID_BANDS: usize = 7;
 
 /// Most readers a single plan will coordinate.
 pub const MAX_READERS: usize = 8;
@@ -43,20 +51,6 @@ pub enum FleetPlanError {
     },
     /// A sub-band carrier left the usable acoustic band.
     OutOfBand {
-        /// The offending carrier (Hz).
-        carrier_hz: f64,
-    },
-    /// Two sub-bands sit closer than [`MIN_SPACING_HZ`].
-    TooClose {
-        /// One carrier of the offending pair (Hz).
-        a: f64,
-        /// The other carrier (Hz).
-        b: f64,
-    },
-    /// A carrier has no exact sample period at the DAQ rate
-    /// ([`exact_carrier_period`]), so neither its channel nor its receiver
-    /// can be built.
-    NoExactPeriod {
         /// The offending carrier (Hz).
         carrier_hz: f64,
     },
@@ -77,14 +71,6 @@ impl fmt::Display for FleetPlanError {
                 "sub-band {carrier_hz} Hz outside the usable band \
                  [{MIN_BAND_HZ}, {MAX_BAND_HZ}] Hz"
             ),
-            FleetPlanError::TooClose { a, b } => write!(
-                f,
-                "sub-bands {a} Hz and {b} Hz closer than {MIN_SPACING_HZ} Hz"
-            ),
-            FleetPlanError::NoExactPeriod { carrier_hz } => write!(
-                f,
-                "carrier {carrier_hz} Hz has no exact sample period at the DAQ rate"
-            ),
         }
     }
 }
@@ -94,122 +80,69 @@ impl std::error::Error for FleetPlanError {}
 /// A validated per-reader FDMA sub-band assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetPlan {
-    sample_rate: f64,
     carriers: Vec<f64>,
 }
 
 impl FleetPlan {
-    /// The default plan: `readers` sub-bands on a grid centred on the
-    /// 90 kHz resonance at 4 kHz spacing (offsets 0, +4, −4, +8, … kHz),
-    /// validated end to end.
-    pub fn fdma(readers: usize, sample_rate: f64) -> Result<Self, FleetPlanError> {
-        Self::with_spacing(readers, CARRIER_HZ, 4_000.0, sample_rate)
-    }
-
-    /// A plan on a centred grid with explicit base carrier and spacing.
-    pub fn with_spacing(
-        readers: usize,
-        base_hz: f64,
-        spacing_hz: f64,
-        sample_rate: f64,
-    ) -> Result<Self, FleetPlanError> {
+    /// The default plan: `readers` sub-bands on the grid centred on the
+    /// 90 kHz resonance (offsets 0, +4, −4, +8, … kHz). More than
+    /// [`GRID_BANDS`] readers put a carrier out of band.
+    pub fn fdma(readers: usize) -> Result<Self, FleetPlanError> {
         let carriers = (0..readers)
             .map(|r| {
                 // 0, +1, -1, +2, -2, … grid steps.
                 let step = (r as i64 + 1) / 2;
                 let sign = if r % 2 == 1 { 1.0 } else { -1.0 };
-                base_hz + sign * step as f64 * spacing_hz
+                CARRIER_HZ + sign * step as f64 * GRID_SPACING_HZ
             })
             .collect();
-        let plan = Self {
-            sample_rate,
-            carriers,
-        };
-        plan.validate(true)?;
-        Ok(plan)
+        Self::validated(carriers)
     }
 
     /// A plan for more readers than available sub-bands: `bands` distinct
     /// sub-bands of the default grid, assigned round-robin, so some cells
-    /// share a band. Spacing is validated across the *distinct* carriers;
-    /// sharing itself is legal — the fleet soak uses exactly this shape to
-    /// measure the cost of frequency-space collision (see
+    /// share a band. Sharing is legal — the fleet soak uses exactly this
+    /// shape to measure the cost of frequency-space collision (see
     /// [`FleetPlan::band`]).
-    pub fn fdma_reuse(
-        readers: usize,
-        bands: usize,
-        sample_rate: f64,
-    ) -> Result<Self, FleetPlanError> {
+    pub fn fdma_reuse(readers: usize, bands: usize) -> Result<Self, FleetPlanError> {
         if readers > MAX_READERS {
             return Err(FleetPlanError::TooManyReaders { readers });
         }
-        let grid = Self::fdma(bands.min(readers.max(1)), sample_rate)?;
+        let grid = Self::fdma(bands.min(readers.max(1)))?;
         let carriers = (0..readers)
             .map(|r| grid.carriers[r % grid.readers()])
             .collect();
-        let plan = Self {
-            sample_rate,
-            carriers,
-        };
-        plan.validate(false)?;
-        Ok(plan)
+        Self::validated(carriers)
     }
 
-    /// The deliberately degenerate baseline: every reader on the *same*
-    /// carrier. Skips the spacing check (that is the point) but still
-    /// validates band membership and the exact-period requirement — this
-    /// is the "no frequency-space division" arm of the interference
-    /// experiments, not a plan anyone should deploy.
-    pub fn co_channel(
-        readers: usize,
-        base_hz: f64,
-        sample_rate: f64,
-    ) -> Result<Self, FleetPlanError> {
-        let plan = Self {
-            sample_rate,
-            carriers: vec![base_hz; readers],
-        };
-        plan.validate(false)?;
-        Ok(plan)
+    /// The deliberately degenerate baseline: every reader on the 90 kHz
+    /// carrier — the "no frequency-space division" arm of the
+    /// interference experiments, not a plan anyone should deploy.
+    pub fn co_channel(readers: usize) -> Result<Self, FleetPlanError> {
+        Self::validated(vec![CARRIER_HZ; readers])
     }
 
-    fn validate(&self, check_spacing: bool) -> Result<(), FleetPlanError> {
-        if self.carriers.is_empty() {
+    fn validated(carriers: Vec<f64>) -> Result<Self, FleetPlanError> {
+        if carriers.is_empty() {
             return Err(FleetPlanError::NoReaders);
         }
-        if self.carriers.len() > MAX_READERS {
+        if carriers.len() > MAX_READERS {
             return Err(FleetPlanError::TooManyReaders {
-                readers: self.carriers.len(),
+                readers: carriers.len(),
             });
         }
-        for &f in &self.carriers {
-            if !(MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f) {
-                return Err(FleetPlanError::OutOfBand { carrier_hz: f });
-            }
-            if exact_carrier_period(self.sample_rate, f).is_none() {
-                return Err(FleetPlanError::NoExactPeriod { carrier_hz: f });
-            }
+        if let Some(&f) = carriers
+            .iter()
+            .find(|f| !(MIN_BAND_HZ..=MAX_BAND_HZ).contains(*f))
+        {
+            return Err(FleetPlanError::OutOfBand { carrier_hz: f });
         }
-        if check_spacing {
-            for (i, &a) in self.carriers.iter().enumerate() {
-                for &b in &self.carriers[i + 1..] {
-                    if (a - b).abs() < MIN_SPACING_HZ {
-                        return Err(FleetPlanError::TooClose { a, b });
-                    }
-                }
-            }
-        }
-        Ok(())
+        Ok(Self { carriers })
     }
 
     /// Number of readers in the plan.
     pub fn readers(&self) -> usize {
         self.carriers.len()
-    }
-
-    /// DAQ sample rate the plan was validated against (Hz).
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
     }
 
     /// Per-reader carrier assignment (Hz), indexed by reader.
@@ -265,16 +198,16 @@ impl FleetReceiver {
     pub fn new(plan: &FleetPlan, reader: usize, ul_bps: f64) -> Self {
         let own = plan.carrier_hz(reader);
         let cfg = RxConfig {
-            sample_rate: plan.sample_rate(),
             carrier_hz: own,
             ul_bps,
+            ..RxConfig::default()
         };
         let interferers = plan
             .carriers()
             .iter()
             .enumerate()
             .filter(|&(r, &f)| r != reader && (f - own).abs() > 1.0)
-            .map(|(_, &f)| carrier_table(plan.sample_rate(), f))
+            .map(|(_, &f)| carrier_table(SAMPLE_RATE_HZ, f))
             .collect();
         Self {
             rx: UplinkReceiver::new(cfg),
@@ -345,25 +278,16 @@ mod tests {
     use arachnet_core::fm0::Fm0Encoder;
     use arachnet_core::packet::UlPacket;
     use arachnet_dsp::cplx::Cplx;
-    use biw_channel::channel::{BiwChannel, ChannelConfig};
+    use biw_channel::channel::{exact_carrier_period, BiwChannel, ChannelConfig};
     use biw_channel::fleet::FleetChannel;
     use biw_channel::noise::NoiseConfig;
     use biw_channel::pzt::PztState;
 
     #[test]
     fn fdma_plan_assigns_distinct_inband_carriers() {
-        let plan = FleetPlan::fdma(4, 500_000.0).unwrap();
+        let plan = FleetPlan::fdma(4).unwrap();
         assert_eq!(plan.readers(), 4);
-        let mut seen = std::collections::BTreeSet::new();
-        for r in 0..4 {
-            let f = plan.carrier_hz(r);
-            assert!((MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f), "reader {r}: {f}");
-            assert!(seen.insert(f as i64), "duplicate carrier {f}");
-            assert!(
-                exact_carrier_period(500_000.0, f).is_some(),
-                "reader {r}: carrier {f} has no exact period"
-            );
-        }
+        assert_eq!(plan.carriers(), [90_000.0, 94_000.0, 86_000.0, 98_000.0]);
         // Bands are a permutation of 0..readers.
         let mut bands: Vec<usize> = (0..4).map(|r| plan.band(r)).collect();
         bands.sort_unstable();
@@ -371,38 +295,66 @@ mod tests {
     }
 
     #[test]
-    fn plan_validation_catches_bad_configs() {
+    fn every_grid_carrier_has_an_exact_period_and_room_to_its_neighbours() {
+        // The grid is fixed, so the plan need not check per call what holds
+        // for every plan `fdma` can build: each carrier closes its table at
+        // the DAQ rate and sits at least 2 kHz from every other.
+        for readers in 1..=GRID_BANDS {
+            let plan = FleetPlan::fdma(readers).unwrap();
+            for (r, &f) in plan.carriers().iter().enumerate() {
+                assert!((MIN_BAND_HZ..=MAX_BAND_HZ).contains(&f), "reader {r}: {f}");
+                assert!(
+                    exact_carrier_period(SAMPLE_RATE_HZ, f).is_some(),
+                    "reader {r}: carrier {f} has no exact period"
+                );
+                for &g in &plan.carriers()[r + 1..] {
+                    assert!((f - g).abs() >= 2_000.0, "{f} Hz and {g} Hz too close");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_grid_holds_seven_bands_and_no_eighth() {
+        assert_eq!(FleetPlan::fdma(GRID_BANDS).unwrap().readers(), GRID_BANDS);
         assert_eq!(
-            FleetPlan::fdma(0, 500_000.0),
-            Err(FleetPlanError::NoReaders)
+            FleetPlan::fdma(GRID_BANDS + 1),
+            Err(FleetPlanError::OutOfBand {
+                carrier_hz: 106_000.0
+            })
         );
+        // More readers than bands reuse them, up to the fleet limit.
+        let reuse = FleetPlan::fdma_reuse(MAX_READERS, GRID_BANDS).unwrap();
+        assert_eq!(reuse.band(GRID_BANDS), reuse.band(0));
+    }
+
+    #[test]
+    fn plan_validation_catches_bad_configs() {
+        assert_eq!(FleetPlan::fdma(0), Err(FleetPlanError::NoReaders));
         assert_eq!(
-            FleetPlan::fdma(9, 500_000.0),
+            FleetPlan::fdma(9),
             Err(FleetPlanError::TooManyReaders { readers: 9 })
         );
-        assert!(matches!(
-            FleetPlan::with_spacing(2, 90_000.0, 500.0, 500_000.0),
-            Err(FleetPlanError::TooClose { .. })
-        ));
-        assert!(matches!(
-            FleetPlan::with_spacing(8, 90_000.0, 4_000.0, 500_000.0),
-            Err(FleetPlanError::OutOfBand { .. })
-        ));
-        assert!(matches!(
-            FleetPlan::with_spacing(2, 90_000.0, 2_000.0 + 0.12345, 500_000.0),
-            Err(FleetPlanError::NoExactPeriod { .. })
-        ));
+        assert_eq!(
+            FleetPlan::fdma_reuse(9, 2),
+            Err(FleetPlanError::TooManyReaders { readers: 9 })
+        );
+        assert_eq!(
+            FleetPlan::co_channel(9),
+            Err(FleetPlanError::TooManyReaders { readers: 9 })
+        );
         // Errors render readable messages.
-        let e = FleetPlan::fdma(9, 500_000.0).unwrap_err();
+        let e = FleetPlan::fdma(9).unwrap_err();
         assert!(e.to_string().contains("fleet size"));
     }
 
     #[test]
     fn co_channel_plan_shares_one_band() {
-        let plan = FleetPlan::co_channel(3, 90_000.0, 500_000.0).unwrap();
+        let plan = FleetPlan::co_channel(3).unwrap();
         assert_eq!(plan.readers(), 3);
         for r in 0..3 {
             assert_eq!(plan.band(r), 0);
+            assert_eq!(plan.carrier_hz(r), CARRIER_HZ);
         }
         // A co-channel receiver has nothing it can coherently reject.
         let rx = FleetReceiver::new(&plan, 0, 375.0);
@@ -423,7 +375,7 @@ mod tests {
         // Reader 0 decodes its tag while reader 1's 94 kHz carrier leaks
         // in; the rejection stage must recover the packet, and must
         // measurably remove the foreign carrier.
-        let plan = FleetPlan::fdma(2, 500_000.0).unwrap();
+        let plan = FleetPlan::fdma(2).unwrap();
         let fleet = FleetChannel::new(
             ChannelConfig {
                 noise: NoiseConfig::silent(),
@@ -467,7 +419,7 @@ mod tests {
 
     #[test]
     fn single_reader_fleet_receiver_is_the_plain_chain() {
-        let plan = FleetPlan::fdma(1, 500_000.0).unwrap();
+        let plan = FleetPlan::fdma(1).unwrap();
         let ch = BiwChannel::paper(ChannelConfig {
             seed: 7,
             ..ChannelConfig::default()

@@ -35,39 +35,6 @@ use biw_channel::resonator::DriveScheme;
 
 use crate::wavesim::{beacon_edges_at_tag, draw_supply_v, expand_states_into};
 
-/// Configuration of the co-simulation.
-#[derive(Debug, Clone)]
-pub struct CoSimConfig {
-    /// `(tid, period)` for each tag. A tid with no site in the paper
-    /// deployment never hears a beacon, so it never transmits: every slot
-    /// counts as a beacon loss for it.
-    pub tags: Vec<(u8, Period)>,
-    /// Protocol parameters.
-    pub protocol: ProtocolConfig,
-    /// DL raw bit rate (bps).
-    pub dl_bps: f64,
-    /// UL raw bit rate (bps).
-    pub ul_bps: f64,
-    /// Channel noise.
-    pub noise: NoiseConfig,
-    /// Experiment seed.
-    pub seed: u64,
-}
-
-impl CoSimConfig {
-    /// Paper-default rates over the given tag set.
-    pub fn new(tags: Vec<(u8, Period)>, seed: u64) -> Self {
-        Self {
-            tags,
-            protocol: ProtocolConfig::default(),
-            dl_bps: DEFAULT_DL_BPS,
-            ul_bps: DEFAULT_UL_BPS,
-            noise: NoiseConfig::paper(),
-            seed,
-        }
-    }
-}
-
 /// Ground truth + reader view of one co-simulated slot.
 #[derive(Debug, Clone)]
 pub struct CoSimSlot {
@@ -104,7 +71,6 @@ struct CoSimScratch {
 
 /// The engine.
 pub struct CoSim {
-    config: CoSimConfig,
     channel: BiwChannel,
     reader_mac: ReaderMac,
     tx: BeaconTransmitter,
@@ -116,36 +82,36 @@ pub struct CoSim {
 }
 
 impl CoSim {
-    /// Builds the engine over the paper deployment.
-    pub fn new(config: CoSimConfig) -> Self {
+    /// Builds the engine over the paper deployment, at the paper's noise
+    /// floor, protocol and default DL/UL rates, with one `(tid, period)`
+    /// per tag. A tid with no site in the paper deployment never hears a
+    /// beacon, so it never transmits: every slot counts as a beacon loss
+    /// for it.
+    pub fn new(tags: Vec<(u8, Period)>, seed: u64) -> Self {
+        let protocol = ProtocolConfig::default();
         let channel = BiwChannel::paper(ChannelConfig {
-            noise: config.noise,
-            seed: config.seed,
+            noise: NoiseConfig::paper(),
+            seed,
             ..ChannelConfig::default()
         });
-        let reader_mac = ReaderMac::new(config.protocol, &config.tags);
-        let tx = BeaconTransmitter::new(config.dl_bps, config.seed ^ 0xBEAC);
-        let rx = UplinkReceiver::new(RxConfig {
-            ul_bps: config.ul_bps,
-            ..RxConfig::default()
-        });
-        let tags = config
-            .tags
+        let reader_mac = ReaderMac::new(protocol, &tags);
+        let tx = BeaconTransmitter::new(DEFAULT_DL_BPS, seed ^ 0xBEAC);
+        let rx = UplinkReceiver::new(RxConfig::default());
+        let tags = tags
             .iter()
             .map(|&(tid, period)| CoSimTag {
                 tid,
                 mac: arachnet_core::mac::TagMac::new(
                     tid,
                     period,
-                    config.protocol,
-                    TagRng::for_tag(config.seed, tid),
+                    protocol,
+                    TagRng::for_tag(seed, tid),
                 ),
-                clock: McuClock::for_tag(config.seed, tid),
-                rng: TagRng::for_tag(config.seed ^ 0x51de, tid),
+                clock: McuClock::for_tag(seed, tid),
+                rng: TagRng::for_tag(seed ^ 0x51de, tid),
             })
             .collect();
         Self {
-            config,
             channel,
             reader_mac,
             tx,
@@ -184,7 +150,6 @@ impl CoSim {
         let edges = self.tx.edges(&beacon, 0.0);
         let mut transmitters: Vec<u8> = Vec::new();
         let mut beacon_losses: Vec<u8> = Vec::new();
-        let dl_bps = self.config.dl_bps;
         for tag in &mut self.tags {
             // The paper's FSK-in/OOK-out drive: the reader PZT's ring tail
             // is the damped one.
@@ -196,7 +161,7 @@ impl CoSim {
                 &mut self.scratch.tag_edges,
             );
             let decoded = if heard {
-                let mut demod = PieDemodulator::new(tag.clock, dl_bps);
+                let mut demod = PieDemodulator::new(tag.clock, DEFAULT_DL_BPS);
                 demod.set_supply(draw_supply_v(&mut tag.rng));
                 demod.feed_edges(&self.scratch.tag_edges)
             } else {
@@ -231,7 +196,7 @@ impl CoSim {
                 .unwrap_or_else(|e| panic!("uplink packet from tag {tid}: {e}"));
             // The tag's timer fires every `divider` ticks of its own
             // drifting clock (Fig. 6b).
-            let divider = (MCU_CLOCK_HZ / self.config.ul_bps) as u32;
+            let divider = (MCU_CLOCK_HZ / DEFAULT_UL_BPS) as u32;
             assert!(divider >= 1);
             let raw = Fm0Encoder::new().encode(pkt.to_bits().iter());
             let spb = (fs * tag.clock.ticks_to_seconds(divider)).round() as usize;
@@ -305,7 +270,7 @@ mod tests {
 
     #[test]
     fn two_tag_network_converges_on_real_waveforms() {
-        let mut sim = CoSim::new(CoSimConfig::new(vec![(8, p(2)), (7, p(2))], 3));
+        let mut sim = CoSim::new(vec![(8, p(2)), (7, p(2))], 3);
         let at = sim.run_until_converged(4, 60);
         assert!(at.is_some(), "no convergence in 60 waveform slots");
         assert_eq!(sim.settled(), 2);
@@ -314,7 +279,7 @@ mod tests {
     #[test]
     fn four_tag_table1_network_converges() {
         let tags = vec![(8, p(2)), (7, p(4)), (5, p(8)), (6, p(8))];
-        let mut sim = CoSim::new(CoSimConfig::new(tags, 7));
+        let mut sim = CoSim::new(tags, 7);
         let at = sim.run_until_converged(8, 150);
         assert!(
             at.is_some(),
@@ -327,7 +292,7 @@ mod tests {
         // Two period-1 tags must collide every slot until migration breaks
         // the tie — the collision flag must come from IQ clustering, and
         // eventually single transmissions decode.
-        let mut sim = CoSim::new(CoSimConfig::new(vec![(8, p(2)), (5, p(2))], 11));
+        let mut sim = CoSim::new(vec![(8, p(2)), (5, p(2))], 11);
         let mut saw_collision = false;
         let mut saw_decode = false;
         for _ in 0..40 {
@@ -413,7 +378,7 @@ mod tests {
             (&[7], Some(7), false, 2),
             (&[8], Some(8), false, 2),
         ];
-        assert_golden(CoSim::new(CoSimConfig::new(tags, 21)), &want);
+        assert_golden(CoSim::new(tags, 21), &want);
         // It never collides, so also pin two period-2 tags that collide in
         // slot 0 (four clusters; capture still decodes Tag 8) and then
         // alternate.
@@ -425,12 +390,12 @@ mod tests {
             (&[8], Some(8), false, 2),
             (&[5], Some(5), false, 2),
         ];
-        assert_golden(CoSim::new(CoSimConfig::new(pair, 11)), &want);
+        assert_golden(CoSim::new(pair, 11), &want);
     }
 
     #[test]
     fn beacon_losses_are_rare_at_default_rate() {
-        let mut sim = CoSim::new(CoSimConfig::new(vec![(8, p(2)), (11, p(4))], 13));
+        let mut sim = CoSim::new(vec![(8, p(2)), (11, p(4))], 13);
         let mut losses = 0;
         for _ in 0..30 {
             losses += sim.step().beacon_losses.len();

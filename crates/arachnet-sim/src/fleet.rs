@@ -30,11 +30,10 @@ use biw_channel::fleet::FleetChannel;
 use biw_channel::noise::NoiseConfig;
 use biw_channel::pzt::PztState;
 
-use crate::config::ConfigError;
 use crate::patterns::Pattern;
 use crate::scenario::{ReconvergenceSample, Scenario};
 use crate::slotsim::run_scenario_trial;
-use crate::sweep::{run_matrix_sweep, trial_seed, MatrixRun, SweepConfig, TrialError};
+use crate::sweep::{run_matrix_sweep, trial_seed, MatrixRun, SweepConfig};
 use crate::wavesim::modulate_uplink;
 
 /// Reusable fleet PHY working set: one PZT state stream per reader cell,
@@ -89,12 +88,13 @@ pub struct FleetWaveSim {
 }
 
 impl FleetWaveSim {
-    /// Fleet environment over the plan's carriers with the given noise
-    /// floor at every cell.
-    pub fn new(plan: FleetPlan, seed: u64, noise: NoiseConfig) -> Self {
+    /// The fleet over the plan's carriers, every cell at the calibrated
+    /// noise floor of [`WaveSim::paper`](crate::wavesim::WaveSim::paper),
+    /// so a one-reader fleet is the single-reader simulator exactly.
+    pub fn paper(plan: FleetPlan, seed: u64) -> Self {
         let channel = FleetChannel::new(
             ChannelConfig {
-                noise,
+                noise: NoiseConfig::paper(),
                 seed,
                 ..ChannelConfig::default()
             },
@@ -105,13 +105,6 @@ impl FleetWaveSim {
             plan,
             seed,
         }
-    }
-
-    /// Default environment: the same calibrated noise floor as
-    /// [`WaveSim::paper`](crate::wavesim::WaveSim::paper), so a one-reader
-    /// fleet is the single-reader simulator exactly.
-    pub fn paper(plan: FleetPlan, seed: u64) -> Self {
-        Self::new(plan, seed, NoiseConfig::paper())
     }
 
     /// A fleet receiver for `reader` at `ul_bps`, with interference
@@ -133,9 +126,11 @@ impl FleetWaveSim {
     }
 
     /// Sends packet `i` of every cell's sequence and decodes at `reader`.
-    /// Returns `(own packet, decode)`, or a [`TrialError`] (trial = packet
-    /// index) when `reader` is not in the fleet or `tid` overflows the
-    /// packet's 4-bit TID field. Pure in `(reader, tid, i)`.
+    /// Returns `(own packet, decode)`. Pure in `(reader, tid, i)`.
+    ///
+    /// # Panics
+    /// When `reader` is not in the fleet, or `tid` overflows the packet's
+    /// 4-bit TID field; a sweep quarantines the trial with this message.
     fn uplink_packet_at(
         &self,
         rx: &FleetReceiver,
@@ -143,7 +138,7 @@ impl FleetWaveSim {
         tid: u8,
         i: u64,
         s: &mut FleetPhyScratch,
-    ) -> Result<(UlPacket, arachnet_reader::rx::SlotRx), TrialError> {
+    ) -> (UlPacket, arachnet_reader::rx::SlotRx) {
         let k = self.channel.readers();
         let ul_bps = rx.inner().config().ul_bps;
         s.states.resize_with(k, Vec::new);
@@ -155,20 +150,13 @@ impl FleetWaveSim {
             let seed_c = trial_seed(self.uplink_base_seed(c, tid, ul_bps), i);
             let clock_seed = self.seed ^ ((c as u64) << 40);
             let pkt = modulate_uplink(clock_seed, tid, fs, ul_bps, seed_c, &mut s.states[c])
-                .map_err(|e| TrialError {
-                    trial: i,
-                    payload: format!("cell {c} packet synthesis: {e}"),
-                    attempts: 1,
-                })?;
+                .unwrap_or_else(|e| panic!("uplink packet from tag {tid} in cell {c}: {e}"));
             if c == reader {
                 own_pkt = Some(pkt);
             }
         }
-        let own_pkt = own_pkt.ok_or_else(|| TrialError {
-            trial: i,
-            payload: format!("observed reader {reader} is not in the {k}-reader fleet"),
-            attempts: 1,
-        })?;
+        let own_pkt = own_pkt
+            .unwrap_or_else(|| panic!("observed reader {reader} is not in the {k}-reader fleet"));
         let tags: Vec<[(u8, &[PztState]); 1]> =
             s.states.iter().map(|st| [(tid, st.as_slice())]).collect();
         let cell_tags: Vec<&[(u8, &[PztState])]> = tags.iter().map(|t| t.as_slice()).collect();
@@ -177,22 +165,25 @@ impl FleetWaveSim {
         self.channel
             .rx_waveform_into(reader, &cell_tags, len, seed_own, &mut s.wave);
         let out = rx.process_slot_with(&s.wave, &mut s.rx);
-        Ok((own_pkt, out))
+        (own_pkt, out)
     }
 
     /// Multi-reader Fig. 12 analogue: sends `n` packets from `reader`'s
     /// own tag `tid` while every other cell's copy of the tag transmits
     /// concurrently on its own carrier; counts losses at `reader` and
-    /// packets where cross-reader interference was implicated. Errors
-    /// (rather than panicking) on an out-of-range `tid` or a `reader`
-    /// index outside the fleet.
+    /// packets where cross-reader interference was implicated.
+    ///
+    /// # Panics
+    /// When `reader` is not in the fleet, or `tid` overflows the packet's
+    /// 4-bit TID field (a panic naming the TID, as in
+    /// [`WaveSim`](crate::wavesim::WaveSim)).
     pub fn uplink_trial(
         &self,
         rx: &FleetReceiver,
         reader: usize,
         tid: u8,
         n: u64,
-    ) -> Result<FleetUplinkResult, TrialError> {
+    ) -> FleetUplinkResult {
         self.uplink_trial_observed(rx, reader, tid, n, &mut Recorder::disabled())
     }
 
@@ -207,14 +198,14 @@ impl FleetWaveSim {
         tid: u8,
         n: u64,
         recorder: &mut Recorder,
-    ) -> Result<FleetUplinkResult, TrialError> {
+    ) -> FleetUplinkResult {
         let k = self.channel.readers();
         with_fleet_scratch(|s| {
             let mut snr_db = f64::NAN;
             let mut lost = 0;
             let mut cross = 0;
             for i in 0..n.max(1) {
-                let (pkt, out) = self.uplink_packet_at(rx, reader, tid, i, s)?;
+                let (pkt, out) = self.uplink_packet_at(rx, reader, tid, i, s);
                 if i == 0 {
                     snr_db = rx.uplink_snr_db_with(&s.wave, &mut s.rx);
                 }
@@ -243,12 +234,12 @@ impl FleetWaveSim {
                     );
                 }
             }
-            Ok(FleetUplinkResult {
+            FleetUplinkResult {
                 sent: n,
                 lost,
                 cross_collisions: cross,
                 snr_db,
-            })
+            }
         })
     }
 }
@@ -296,9 +287,8 @@ pub struct CellOutcome {
 /// index) and, for cells whose sub-band is reused by a neighbour, an
 /// [`EventKind::CrossReaderCollision`] marker counting the sharers.
 ///
-/// # Errors
-///
-/// [`ConfigError::Inconsistent`] when `plan.readers() != cells.len()`.
+/// # Panics
+/// When `plan.readers() != cells.len()`.
 pub fn run_fleet(
     plan: &FleetPlan,
     cells: &[FleetCell],
@@ -306,12 +296,12 @@ pub fn run_fleet(
     sweep: &SweepConfig,
     cap: u64,
     observe: bool,
-) -> Result<MatrixRun<CellOutcome>, ConfigError> {
-    if plan.readers() != cells.len() {
-        return Err(ConfigError::Inconsistent {
-            reason: "fleet needs one FleetCell per planned reader",
-        });
-    }
+) -> MatrixRun<CellOutcome> {
+    assert_eq!(
+        plan.readers(),
+        cells.len(),
+        "fleet needs one FleetCell per planned reader"
+    );
     let sharing: Vec<u8> = (0..cells.len())
         .map(|c| {
             (0..cells.len())
@@ -321,7 +311,7 @@ pub fn run_fleet(
         })
         .collect();
     let indexed: Vec<(usize, &FleetCell)> = cells.iter().enumerate().collect();
-    let run = run_matrix_sweep(sweep, &indexed, trials, |&(c, cell), trial, seed| {
+    run_matrix_sweep(sweep, &indexed, trials, |&(c, cell), trial, seed| {
         let record = observe && trial == 0;
         let t = run_scenario_trial(&cell.pattern, &cell.scenario, seed, cap, false, record);
         let mut snapshot = t.snapshot;
@@ -357,8 +347,7 @@ pub fn run_fleet(
             slots: t.slots,
             snapshot,
         }
-    });
-    Ok(run)
+    })
 }
 
 #[cfg(test)]
@@ -368,16 +357,14 @@ mod tests {
     use crate::wavesim::{PhyScratch, WaveSim};
     use arachnet_core::slot::Period;
 
-    const FS: f64 = 500_000.0;
-
     #[test]
     fn one_reader_fleet_matches_the_single_reader_wavesim() {
         // The whole point of the K=1 degenerate case: same seeds, same
         // channel, same receiver → bit-identical losses and SNR.
-        let plan = FleetPlan::fdma(1, FS).unwrap();
+        let plan = FleetPlan::fdma(1).unwrap();
         let fleet = FleetWaveSim::paper(plan, 42);
         let rx = fleet.fleet_rx(0, 375.0);
-        let a = fleet.uplink_trial(&rx, 0, 8, 6).unwrap();
+        let a = fleet.uplink_trial(&rx, 0, 8, 6);
         let sim = WaveSim::paper(42);
         let b = sim.uplink_trial(8, 375.0, 6);
         assert_eq!(a.sent, b.sent);
@@ -399,7 +386,7 @@ mod tests {
                 let base = sim.uplink_base_seed(tid, bps);
                 for i in 0..4 {
                     let at = format!("tag {tid} at {bps} bps, packet {i}");
-                    let (pkt, out) = fleet.uplink_packet_at(&frx, 0, tid, i, &mut fs).unwrap();
+                    let (pkt, out) = fleet.uplink_packet_at(&frx, 0, tid, i, &mut fs);
                     let ok = sim.uplink_packet(&wrx, tid, trial_seed(base, i), &mut ws);
                     assert_eq!(fs.states[0], ws.states, "state stream: {at}");
                     assert!(same_bits(&fs.wave, &ws.wave), "waveform: {at}");
@@ -415,10 +402,10 @@ mod tests {
     fn fdma_fleet_survives_an_active_neighbour() {
         // Two cells 4 kHz apart, both tags transmitting: the observed
         // reader's rejection keeps the strong tag decodable.
-        let plan = FleetPlan::fdma(2, FS).unwrap();
+        let plan = FleetPlan::fdma(2).unwrap();
         let fleet = FleetWaveSim::paper(plan, 7);
         let rx = fleet.fleet_rx(0, 375.0);
-        let r = fleet.uplink_trial(&rx, 0, 8, 5).unwrap();
+        let r = fleet.uplink_trial(&rx, 0, 8, 5);
         assert!(r.lost <= 1, "{}/{} lost under FDMA", r.lost, r.sent);
         assert!(r.snr_db > 5.0, "snr {:.1}", r.snr_db);
     }
@@ -432,16 +419,16 @@ mod tests {
         // clean. (The PSD band-ratio SNR is deliberately not compared:
         // in-band interference masquerades as signal energy there.)
         let fdma = {
-            let plan = FleetPlan::fdma(2, FS).unwrap();
+            let plan = FleetPlan::fdma(2).unwrap();
             let fleet = FleetWaveSim::paper(plan, 9);
             let rx = fleet.fleet_rx(0, 375.0);
-            fleet.uplink_trial(&rx, 0, 8, 6).unwrap()
+            fleet.uplink_trial(&rx, 0, 8, 6)
         };
         let co = {
-            let plan = FleetPlan::co_channel(2, 90_000.0, FS).unwrap();
+            let plan = FleetPlan::co_channel(2).unwrap();
             let fleet = FleetWaveSim::paper(plan, 9);
             let rx = fleet.fleet_rx(0, 375.0);
-            fleet.uplink_trial(&rx, 0, 8, 6).unwrap()
+            fleet.uplink_trial(&rx, 0, 8, 6)
         };
         assert_eq!(
             fdma.cross_collisions, 0,
@@ -459,18 +446,16 @@ mod tests {
 
     #[test]
     fn fleet_trial_records_cross_reader_events() {
-        let plan = FleetPlan::co_channel(2, 90_000.0, FS).unwrap();
+        let plan = FleetPlan::co_channel(2).unwrap();
         let fleet = FleetWaveSim::paper(plan, 21);
         let rx = fleet.fleet_rx(0, 1_500.0);
         let mut rec = Recorder::enabled(21);
-        let r = fleet
-            .uplink_trial_observed(&rx, 0, 11, 8, &mut rec)
-            .unwrap();
+        let r = fleet.uplink_trial_observed(&rx, 0, 11, 8, &mut rec);
         let snap = rec.into_snapshot();
         let xidx = EventKind::CrossReaderCollision { readers: 0 }.index();
         assert_eq!(snap.count_at(xidx), r.cross_collisions);
         // Observed trials and bare trials agree.
-        let bare = fleet.uplink_trial(&rx, 0, 11, 8).unwrap();
+        let bare = fleet.uplink_trial(&rx, 0, 11, 8);
         assert_eq!(bare.lost, r.lost);
         assert_eq!(bare.cross_collisions, r.cross_collisions);
         assert_eq!(bare.snr_db, r.snr_db);
@@ -493,11 +478,11 @@ mod tests {
 
     #[test]
     fn fleet_run_is_thread_invariant() {
-        let plan = FleetPlan::fdma_reuse(3, 2, FS).unwrap();
+        let plan = FleetPlan::fdma_reuse(3, 2).unwrap();
         let cells = cells3();
         let run = |threads| {
             let cfg = SweepConfig::new(77).with_threads(threads);
-            run_fleet(&plan, &cells, 2, &cfg, 20_000, true).unwrap()
+            run_fleet(&plan, &cells, 2, &cfg, 20_000, true)
         };
         let a = run(1);
         let b = run(4);
@@ -512,49 +497,52 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_tid_is_an_error_not_a_panic() {
-        // TID is a 4-bit packet field; 31 overflows it. The old library
-        // `expect` aborted the whole sweep here.
-        let plan = FleetPlan::fdma(2, FS).unwrap();
+    #[should_panic(expected = "TID 31")]
+    fn out_of_range_tid_panics_naming_it() {
+        // TID is a 4-bit packet field; 31 overflows it.
+        let plan = FleetPlan::fdma(2).unwrap();
         let fleet = FleetWaveSim::paper(plan, 13);
         let rx = fleet.fleet_rx(0, 375.0);
-        let e = fleet.uplink_trial(&rx, 0, 31, 4).unwrap_err();
-        assert_eq!(e.trial, 0, "fails on the first packet");
+        fleet.uplink_trial(&rx, 0, 31, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "reader 5 is not in the 2-reader fleet")]
+    fn absent_observed_reader_panics() {
+        let plan = FleetPlan::fdma(2).unwrap();
+        let fleet = FleetWaveSim::paper(plan, 13);
+        let rx = fleet.fleet_rx(0, 375.0);
+        fleet.uplink_trial(&rx, 5, 8, 4);
+    }
+
+    #[test]
+    fn a_sweep_quarantines_a_bad_tid_with_its_message() {
+        let fleet = FleetWaveSim::paper(FleetPlan::fdma(2).unwrap(), 13);
+        let rx = fleet.fleet_rx(0, 375.0);
+        let cfg = SweepConfig::new(1).with_threads(1);
+        let run = crate::sweep::run_sweep(&cfg, 1, |_, _| fleet.uplink_trial(&rx, 0, 31, 1));
+        assert_eq!(run.stats.quarantined, 1);
+        let e = run.results[0].as_ref().unwrap_err();
         assert!(e.payload.contains("TID 31"), "{}", e.payload);
     }
 
     #[test]
-    fn absent_observed_reader_is_an_error_not_a_panic() {
-        let plan = FleetPlan::fdma(2, FS).unwrap();
-        let fleet = FleetWaveSim::paper(plan, 13);
-        let rx = fleet.fleet_rx(0, 375.0);
-        let e = fleet.uplink_trial(&rx, 5, 8, 4).unwrap_err();
-        assert!(
-            e.payload.contains("reader 5 is not in the 2-reader fleet"),
-            "{}",
-            e.payload
-        );
-    }
-
-    #[test]
-    fn mismatched_plan_and_cells_is_a_config_error() {
-        let plan = FleetPlan::fdma(2, FS).unwrap();
+    #[should_panic(expected = "fleet needs one FleetCell per planned reader")]
+    fn mismatched_plan_and_cells_panics() {
+        let plan = FleetPlan::fdma(2).unwrap();
         let cells = cells3(); // 3 cells against a 2-reader plan
         let cfg = SweepConfig::new(1).with_threads(1);
-        let err = run_fleet(&plan, &cells, 1, &cfg, 20_000, false).unwrap_err();
-        assert!(matches!(err, ConfigError::Inconsistent { .. }));
+        run_fleet(&plan, &cells, 1, &cfg, 20_000, false);
     }
 
     #[test]
     fn fleet_snapshots_open_with_reader_assignment() {
         // fdma_reuse(3, 2) puts cells 0 and 2 on band 0, cell 1 on band 1:
         // the sharers get a CrossReaderCollision marker, the loner none.
-        let plan = FleetPlan::fdma_reuse(3, 2, FS).unwrap();
+        let plan = FleetPlan::fdma_reuse(3, 2).unwrap();
         let cells = cells3();
         let cfg = SweepConfig::new(5).with_threads(1);
-        let grid = run_fleet(&plan, &cells, 1, &cfg, 20_000, true)
-            .unwrap()
-            .cells;
+        let grid = run_fleet(&plan, &cells, 1, &cfg, 20_000, true).cells;
         for (c, row) in grid.iter().enumerate() {
             let out = row[0].as_ref().unwrap();
             let first = out.snapshot.events.first().expect("recorded trial");
@@ -586,12 +574,10 @@ mod tests {
 
     #[test]
     fn unobserved_fleet_trials_carry_empty_snapshots() {
-        let plan = FleetPlan::fdma(2, FS).unwrap();
+        let plan = FleetPlan::fdma(2).unwrap();
         let cells = cells3().into_iter().take(2).collect::<Vec<_>>();
         let cfg = SweepConfig::new(3).with_threads(2);
-        let grid = run_fleet(&plan, &cells, 2, &cfg, 20_000, false)
-            .unwrap()
-            .cells;
+        let grid = run_fleet(&plan, &cells, 2, &cfg, 20_000, false).cells;
         for row in &grid {
             for t in row {
                 assert!(t.as_ref().unwrap().snapshot.events.is_empty());

@@ -20,7 +20,7 @@
 use arachnet_core::convergence::{ConvergenceDetector, SlotStats};
 use arachnet_core::mac::{ProtocolConfig, ReaderMac, SlotObservation, SlotOutcome};
 use arachnet_core::rng::TagRng;
-use arachnet_core::slot::Schedule;
+use arachnet_core::slot::{Period, Schedule};
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, RecorderSnapshot, NO_TAG};
 use arachnet_tag::device::{Lifecycle, SlotTiming, TagDevice};
 use biw_channel::channel::{BiwChannel, ChannelConfig};
@@ -180,7 +180,7 @@ impl SlotSim {
             noise: NoiseConfig::silent(),
             ..ChannelConfig::default()
         });
-        let mut registry: Vec<(u8, arachnet_core::slot::Period)> = config.pattern.tags.clone();
+        let mut registry: Vec<(u8, Period)> = config.pattern.tags.clone();
         if let Some(sc) = &scenario {
             for (tid, period) in sc.join_registry() {
                 if !registry.iter().any(|&(t, _)| t == tid) {
@@ -195,12 +195,7 @@ impl SlotSim {
             .iter()
             .map(|&(tid, period)| {
                 let vp = channel.tag_carrier_voltage(tid).unwrap_or(1.0);
-                let rng = TagRng::for_tag(config.seed, tid);
-                if config.charged_start {
-                    TagDevice::new_charged(tid, period, vp, config.protocol, config.timing, rng)
-                } else {
-                    TagDevice::new(tid, period, vp, config.protocol, config.timing, rng)
-                }
+                new_device(&config, tid, period, vp)
             })
             .collect();
         let scenario = scenario.map(|sc| {
@@ -245,6 +240,14 @@ impl SlotSim {
     /// instrumentation is a single branch.
     pub fn attach_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
+    }
+
+    /// Starts a trial's flight recording, stamped with the trial `seed`,
+    /// when `record` is set.
+    fn record_trial(&mut self, record: bool, seed: u64) {
+        if record {
+            self.attach_recorder(Recorder::enabled(seed));
+        }
     }
 
     /// Detaches and consumes the flight recorder into a snapshot.
@@ -328,27 +331,7 @@ impl SlotSim {
                             .iter()
                             .find(|&&(t, _)| t == tid)
                             .map_or(1.0, |&(_, v)| v);
-                        let rng = TagRng::for_tag(self.config.seed, tid);
-                        let dev = if self.config.charged_start {
-                            TagDevice::new_charged(
-                                tid,
-                                period,
-                                vp,
-                                self.config.protocol,
-                                self.config.timing,
-                                rng,
-                            )
-                        } else {
-                            TagDevice::new(
-                                tid,
-                                period,
-                                vp,
-                                self.config.protocol,
-                                self.config.timing,
-                                rng,
-                            )
-                        };
-                        self.tags.push(dev);
+                        self.tags.push(new_device(&self.config, tid, period, vp));
                         self.recorder.record(slot, tid, EventKind::TagJoined);
                     }
                 }
@@ -394,6 +377,21 @@ impl SlotSim {
         }
     }
 
+    /// Ends the current slot on its ground-truth `outcome`: the
+    /// convergence detector and the statistics see it, the trajectory
+    /// records it, the slot clock advances, and an open re-convergence
+    /// measurement closes if the detector fired.
+    fn close_slot(&mut self, outcome: SlotOutcome) {
+        self.detector.push(outcome);
+        self.stats.push(outcome);
+        if self.keep_trajectory {
+            self.trajectory
+                .push((self.stats.non_empty_ratio(), self.stats.collision_ratio()));
+        }
+        self.slots_run += 1;
+        self.close_disruption_if_converged();
+    }
+
     /// Closes the open re-convergence measurement if the detector fired.
     fn close_disruption_if_converged(&mut self) {
         if let Some(st) = self.scenario.as_mut() {
@@ -427,14 +425,7 @@ impl SlotSim {
                 }
             }
         }
-        self.detector.push(SlotOutcome::Empty);
-        self.stats.push(SlotOutcome::Empty);
-        if self.keep_trajectory {
-            self.trajectory
-                .push((self.stats.non_empty_ratio(), self.stats.collision_ratio()));
-        }
-        self.slots_run += 1;
-        self.close_disruption_if_converged();
+        self.close_slot(SlotOutcome::Empty);
         TruthOutcome::Empty
     }
 
@@ -557,14 +548,7 @@ impl SlotSim {
             TruthOutcome::Single(t) => SlotOutcome::Received(*t),
             TruthOutcome::Collision(_) => SlotOutcome::Collision,
         };
-        self.detector.push(stat_outcome);
-        self.stats.push(stat_outcome);
-        if self.keep_trajectory {
-            self.trajectory
-                .push((self.stats.non_empty_ratio(), self.stats.collision_ratio()));
-        }
-        self.slots_run += 1;
-        self.close_disruption_if_converged();
+        self.close_slot(stat_outcome);
 
         self.beacon = Some(self.reader.end_slot(obs));
         truth
@@ -655,6 +639,27 @@ impl SlotSim {
     }
 }
 
+/// A tag device of `config`'s network: charged or cold per
+/// `config.charged_start`, its random stream keyed by the sim seed.
+fn new_device(config: &SlotSimConfig, tid: u8, period: Period, vp: f64) -> TagDevice {
+    let rng = TagRng::for_tag(config.seed, tid);
+    if config.charged_start {
+        TagDevice::new_charged(tid, period, vp, config.protocol, config.timing, rng)
+    } else {
+        TagDevice::new(tid, period, vp, config.protocol, config.timing, rng)
+    }
+}
+
+/// The config a trial runner starts from: the ideal channel or the lossy
+/// paper one.
+fn trial_config(pattern: &Pattern, seed: u64, ideal: bool) -> SlotSimConfig {
+    if ideal {
+        SlotSimConfig::ideal(pattern.clone(), seed)
+    } else {
+        SlotSimConfig::new(pattern.clone(), seed)
+    }
+}
+
 /// Result of one recorded convergence trial (Fig. 15 protocol).
 #[derive(Debug, Clone)]
 pub struct ConvergenceTrial {
@@ -682,19 +687,12 @@ pub fn first_convergence_trial(
     ideal: bool,
     record: bool,
 ) -> ConvergenceTrial {
-    let config = if ideal {
-        SlotSimConfig::ideal(pattern.clone(), seed)
-    } else {
-        SlotSimConfig::new(pattern.clone(), seed)
-    };
-    let mut sim = SlotSim::new(config);
+    let mut sim = SlotSim::new(trial_config(pattern, seed, ideal));
     // Warm the network slightly, then reset — mirrors "following the
     // transmission of a RESET packet".
     sim.run(4);
     sim.reset_network();
-    if record {
-        sim.attach_recorder(Recorder::enabled(seed));
-    }
+    sim.record_trial(record, seed);
     let converged_at = sim.run_until_converged(cap).converged_at;
     ConvergenceTrial {
         converged_at,
@@ -727,15 +725,8 @@ pub fn run_scenario_trial(
     ideal: bool,
     record: bool,
 ) -> ScenarioTrial {
-    let config = if ideal {
-        SlotSimConfig::ideal(pattern.clone(), seed)
-    } else {
-        SlotSimConfig::new(pattern.clone(), seed)
-    };
-    let mut sim = SlotSim::with_scenario(config, scenario.clone());
-    if record {
-        sim.attach_recorder(Recorder::enabled(seed));
-    }
+    let mut sim = SlotSim::with_scenario(trial_config(pattern, seed, ideal), scenario.clone());
+    sim.record_trial(record, seed);
     let horizon = scenario.horizon();
     while sim.slots_run() < cap && (sim.slots_run() <= horizon || sim.open_disruption().is_some()) {
         sim.step();

@@ -137,17 +137,6 @@ impl SweepConfig {
         self
     }
 
-    /// A copy of this config whose checkpoint path (if any) is suffixed
-    /// with `tag` — for experiments that run several sweeps and must not
-    /// share one checkpoint file between them.
-    pub fn checkpoint_tagged(&self, tag: &str) -> Self {
-        let mut cfg = self.clone();
-        if let Some(spec) = cfg.checkpoint.take() {
-            cfg.checkpoint = Some(spec.tagged(tag));
-        }
-        cfg
-    }
-
     /// Turns per-worker trial-lane capture on or off (see
     /// [`SweepConfig::lanes`]).
     pub fn with_lanes(mut self, lanes: bool) -> Self {
@@ -211,35 +200,6 @@ impl CheckpointSpec {
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
-    }
-
-    /// A copy of this spec whose file name carries `.<tag>` before the
-    /// extension (`CHECKPOINT_x.bin` → `CHECKPOINT_x.<tag>.bin`), so
-    /// multiple sweeps inside one experiment get distinct files. Tag
-    /// characters outside `[A-Za-z0-9_-]` are replaced with `_`.
-    pub fn tagged(&self, tag: &str) -> Self {
-        let safe: String = tag
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("CHECKPOINT");
-        let name = match self.path.extension().and_then(|e| e.to_str()) {
-            Some(ext) => format!("{stem}.{safe}.{ext}"),
-            None => format!("{stem}.{safe}"),
-        };
-        let mut spec = self.clone();
-        spec.path = self.path.with_file_name(name);
-        spec
     }
 }
 
@@ -338,8 +298,8 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Accumulates another sweep's counters into this one (for
-    /// experiments that run several sweeps and report once).
+    /// Accumulates another sweep's counters into this one (for a caller
+    /// that runs several sweeps and reports once).
     pub fn merge(&mut self, other: &SweepStats) {
         self.trials += other.trials;
         self.completed += other.completed;
@@ -1814,21 +1774,6 @@ mod tests {
                 Ok(())
             },
         );
-    }
-
-    #[test]
-    fn tagged_checkpoint_specs_get_distinct_files() {
-        let spec = CheckpointSpec::new("CHECKPOINT_mr-fdma.bin");
-        let a = spec.tagged("k2");
-        let b = spec.tagged("k4");
-        assert_eq!(a.path, PathBuf::from("CHECKPOINT_mr-fdma.k2.bin"));
-        assert_eq!(b.path, PathBuf::from("CHECKPOINT_mr-fdma.k4.bin"));
-        // Hostile tag characters are sanitized away from the filesystem.
-        let c = spec.tagged("../../etc");
-        assert_eq!(c.path, PathBuf::from("CHECKPOINT_mr-fdma.______etc.bin"));
-        // Configs without a checkpoint pass through tagging unchanged.
-        let cfg = SweepConfig::new(1).checkpoint_tagged("x");
-        assert!(cfg.checkpoint.is_none());
     }
 
     /// Property (testkit): whatever the trial count, thread count and

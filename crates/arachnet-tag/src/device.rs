@@ -181,13 +181,7 @@ impl TagDevice {
     /// (Sec. 5.5) once the carrier recharges it.
     pub fn force_discharge(&mut self) {
         self.cap.set_voltage(0.0);
-        if let Some(arachnet_energy::cutoff::CutoffEvent::PoweredOff) =
-            self.cutoff.update(self.cap.voltage())
-        {
-            self.lifecycle = Lifecycle::Dormant;
-            self.brownouts += 1;
-            self.mac.power_on_reset();
-        }
+        self.brown_out_if_cut();
     }
 
     /// Advances one slot with the reader dark: no beacon arrives *and* the
@@ -263,6 +257,13 @@ impl TagDevice {
     fn spend_interval(&mut self, mode: PowerMode, dt: f64) -> bool {
         self.ledger.spend(mode, dt);
         self.integrate(dt, mode.total_current());
+        self.brown_out_if_cut()
+    }
+
+    /// Feeds the storage voltage to the cutoff; when it powers the tag off,
+    /// the tag browns out: dormant, counted, and its MAC reset. Returns
+    /// `true` on a brownout.
+    fn brown_out_if_cut(&mut self) -> bool {
         if let Some(arachnet_energy::cutoff::CutoffEvent::PoweredOff) =
             self.cutoff.update(self.cap.voltage())
         {

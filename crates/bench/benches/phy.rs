@@ -18,7 +18,7 @@ use bench::{black_box, Suite};
 use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::packet::UlPacket;
 use arachnet_reader::rx::{RxConfig, UplinkReceiver};
-use arachnet_sim::cosim::{CoSim, CoSimConfig};
+use arachnet_sim::cosim::CoSim;
 use arachnet_sim::wavesim::WaveSim;
 use biw_channel::channel::{BiwChannel, ChannelConfig};
 use biw_channel::noise::NoiseConfig;
@@ -94,14 +94,11 @@ fn bench_trials(s: &mut Suite) {
     // superpose, the interfering CW is estimated and subtracted). Not
     // gated — it pins the cost of the multi-reader path next to the
     // single-reader baseline so regressions are visible in review.
-    let plan = arachnet_reader::fleet::FleetPlan::fdma(2, 500_000.0).unwrap();
+    let plan = arachnet_reader::fleet::FleetPlan::fdma(2).unwrap();
     let fleet = arachnet_sim::fleet::FleetWaveSim::paper(plan, 1);
     let fleet_rx = fleet.fleet_rx(0, 375.0);
     s.bench("phy/full_uplink_trial_two_readers", || {
-        let r = fleet
-            .uplink_trial(&fleet_rx, 0, 8, 1)
-            .expect("in-range bench trial");
-        black_box(r.lost)
+        black_box(fleet.uplink_trial(&fleet_rx, 0, 8, 1).lost)
     });
     // The drifting trial over a single identity epoch must cost the same
     // as the static trial: epoch selection is one slice index, and every
@@ -125,7 +122,7 @@ fn bench_trials(s: &mut Suite) {
     });
     s.bench("phy/cosim_slot", || {
         let p = arachnet_core::slot::Period::new(2).unwrap();
-        let mut cs = CoSim::new(CoSimConfig::new(vec![(8, p), (7, p)], 3));
+        let mut cs = CoSim::new(vec![(8, p), (7, p)], 3);
         cs.step()
     });
 }

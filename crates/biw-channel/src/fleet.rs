@@ -129,16 +129,6 @@ impl FleetChannel {
         &self.cells[i]
     }
 
-    /// Effective cross gain between readers `i` and `j` (0 on the
-    /// diagonal and where the matrix pruned the entry).
-    pub fn cross_gain(&self, i: usize, j: usize) -> f64 {
-        if i == j || self.cross[i][j].is_none() {
-            0.0
-        } else {
-            CROSS_GAIN.powi((i as i32 - j as i32).abs())
-        }
-    }
-
     /// Synthesizes the RX waveform at reader `rx` over `len` samples.
     ///
     /// `cell_tags[c]` lists cell `c`'s active tags and their per-sample
@@ -195,22 +185,26 @@ mod tests {
         assert_eq!(a, b, "K=1 fleet must degenerate to the plain channel");
     }
 
+    /// Coherent amplitude of the `f` Hz sine in `wave` (500 kHz samples).
+    fn tone_amplitude(wave: &[f64], f: f64) -> f64 {
+        let w = 2.0 * std::f64::consts::PI * f / 500_000.0;
+        wave.iter()
+            .enumerate()
+            .map(|(n, &x)| x * (w * n as f64).sin())
+            .sum::<f64>()
+            * 2.0
+            / wave.len() as f64
+    }
+
     #[test]
     fn cross_reader_carrier_leaks_into_the_rx() {
         let fleet = FleetChannel::new(silent_base(), &[90_000.0, 94_000.0]);
         let none: [(u8, &[PztState]); 0] = [];
         let mut duo = Vec::new();
         fleet.rx_waveform_into(0, &[&none, &none], 5_000, 1, &mut duo);
-        // Coherent correlation against the neighbour's 94 kHz carrier.
-        let w = 2.0 * std::f64::consts::PI * 94_000.0 / 500_000.0;
-        let corr: f64 = duo
-            .iter()
-            .enumerate()
-            .map(|(n, &x)| x * (w * n as f64).sin())
-            .sum::<f64>()
-            * 2.0
-            / duo.len() as f64;
-        // Expected amplitude: leakage 2.0 × cross gain 0.25.
+        // Expected amplitude of the neighbour's 94 kHz carrier: leakage
+        // 2.0 × cross gain 0.25.
+        let corr = tone_amplitude(&duo, 94_000.0);
         assert!(
             (corr - 0.5).abs() < 0.05,
             "94 kHz leak amplitude {corr} (expected ≈0.5)"
@@ -219,11 +213,26 @@ mod tests {
 
     #[test]
     fn cross_gain_decays_with_cell_distance() {
+        // Three silent cells: a foreign carrier reaches a reader at the
+        // leakage 2.0 times CROSS_GAIN per cell between them.
         let fleet = FleetChannel::new(silent_base(), &[86_000.0, 90_000.0, 94_000.0]);
-        assert_eq!(fleet.cross_gain(0, 0), 0.0);
-        assert!((fleet.cross_gain(0, 1) - 0.25).abs() < 1e-12);
-        assert!((fleet.cross_gain(0, 2) - 0.0625).abs() < 1e-12);
-        assert_eq!(fleet.cross_gain(0, 1), fleet.cross_gain(1, 0));
+        let none: [(u8, &[PztState]); 0] = [];
+        let heard = |rx: usize, f: f64| {
+            let mut wave = Vec::new();
+            fleet.rx_waveform_into(rx, &[&none, &none, &none], 5_000, 1, &mut wave);
+            tone_amplitude(&wave, f)
+        };
+        for (rx, f, want) in [
+            (0, 90_000.0, 2.0 * 0.25),
+            (0, 94_000.0, 2.0 * 0.0625),
+            (1, 86_000.0, 0.5),
+        ] {
+            let got = heard(rx, f);
+            assert!(
+                (got - want).abs() < 0.05 * want,
+                "reader {rx} hears {f} Hz at {got} (expected ≈{want})"
+            );
+        }
     }
 
     #[test]

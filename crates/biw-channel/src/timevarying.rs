@@ -26,8 +26,6 @@ pub struct ChannelDrift {
     /// Scales the drive amplitude — and with it every link's path
     /// amplitude and harvested voltage.
     pub gain_scale: f64,
-    /// Scales the direct TX→RX carrier leakage.
-    pub leakage_scale: f64,
     /// Scales the white-noise floor.
     pub noise_scale: f64,
     /// Scales the reader PZT's quality factors (the ring-down tail that
@@ -40,7 +38,6 @@ impl ChannelDrift {
     pub fn identity() -> Self {
         Self {
             gain_scale: 1.0,
-            leakage_scale: 1.0,
             noise_scale: 1.0,
             q_scale: 1.0,
         }
@@ -60,7 +57,6 @@ impl ChannelDrift {
         noise.floor_sigma *= self.noise_scale;
         ChannelConfig {
             drive_amplitude: base.drive_amplitude * self.gain_scale,
-            carrier_leakage: base.carrier_leakage * self.leakage_scale,
             q_scale: base.q_scale * self.q_scale,
             noise,
             ..base.clone()
@@ -213,19 +209,24 @@ mod tests {
             ChannelDrift::identity(),
             ChannelDrift {
                 noise_scale: 10.0,
-                gain_scale: 0.0,
-                leakage_scale: 0.0,
-                q_scale: 1.0,
+                ..ChannelDrift::identity()
             },
         ];
         let tvc = TimeVaryingChannel::paper(noisy_base, &drifts);
-        let rms = |ch: &BiwChannel| {
-            let w = ch.uplink_waveform(&[] as &[(u8, &[PztState])], 10_000);
-            (w.iter().map(|x| x * x).sum::<f64>() / w.len() as f64).sqrt()
-        };
-        // Epoch 1 has no carrier at all (gain/leakage zero), so its RMS is
-        // pure noise at 10× the base sigma.
-        let floor = rms(tvc.channel_at(1));
+        let wave = |ch: &BiwChannel| ch.uplink_waveform(&[] as &[(u8, &[PztState])], 10_000);
+        // The epoch's waveform minus the same epoch synthesized with a
+        // silent floor is the noise alone, at 10× the base sigma.
+        let epoch = tvc.channel_at(1);
+        let silent = BiwChannel::paper(ChannelConfig {
+            noise: NoiseConfig::silent(),
+            ..epoch.config().clone()
+        });
+        let noise: Vec<f64> = wave(epoch)
+            .iter()
+            .zip(wave(&silent))
+            .map(|(x, c)| x - c)
+            .collect();
+        let floor = (noise.iter().map(|x| x * x).sum::<f64>() / noise.len() as f64).sqrt();
         assert!((floor / 0.1 - 1.0).abs() < 0.1, "floor {floor}");
     }
 }

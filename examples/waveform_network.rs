@@ -11,14 +11,14 @@
 
 use arachnet_core::mac::MacState;
 use arachnet_core::slot::Period;
-use arachnet_sim::cosim::{CoSim, CoSimConfig};
+use arachnet_sim::cosim::CoSim;
 
 fn main() {
     let p = |v| Period::new(v).unwrap();
     // Four tags around the reader: periods 2/4/8/8 (the Table 1 mix) on
     // deployment sites 8, 7, 5, 6.
     let tags = vec![(8, p(2)), (7, p(4)), (5, p(8)), (6, p(8))];
-    let mut sim = CoSim::new(CoSimConfig::new(tags, 21));
+    let mut sim = CoSim::new(tags, 21);
 
     println!("slot | TX tags    | reader saw          | settled");
     println!("-----+------------+---------------------+--------");

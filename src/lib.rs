@@ -63,7 +63,6 @@ pub mod prelude {
     };
     pub use arachnet_sim::aloha::AlohaConfig;
     pub use arachnet_sim::config::ConfigError;
-    pub use arachnet_sim::cosim::CoSimConfig;
     pub use arachnet_sim::slotsim::SlotSimConfig;
     pub use arachnet_sim::sweep::{run_matrix_sweep, run_sweep, SweepConfig};
 }

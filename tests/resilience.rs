@@ -7,11 +7,13 @@
 //! quarantined along the way. `tools/verify.sh` drives the same loop
 //! through the `repro` binary; this test exercises the library path. A
 //! halted run of any registered experiment must still report, flagged
-//! partial.
+//! partial, and a fleet experiment's passes share one sweep, so one
+//! dispatch cap and one checkpoint file.
 
 use std::fs;
 use std::path::PathBuf;
 
+use arachnet_experiments::multireader::MrInterference;
 use arachnet_experiments::registry;
 use arachnet_experiments::report::{export_metrics, metrics_json, Experiment, ExperimentCtx, Num};
 use arachnet_experiments::resilience::Resilience;
@@ -211,4 +213,40 @@ fn every_experiment_reports_a_run_halted_before_its_sweep_finished() {
     let doc = metrics_json("fdma", &fdma);
     assert!(doc.contains("\"fdma.2.success\":null"), "{doc}");
     assert!(!fdma.render().contains("0/0"));
+}
+
+#[test]
+fn a_fleet_experiment_halts_once_not_once_per_pass() {
+    // mr-interference's six passes (three plans × Tags 8 and 11) are the
+    // cells of one sweep, so the dispatch cap counts across all of them.
+    let report = MrInterference.run(&ctx_halt(1));
+    let m = export_metrics(&report);
+    assert_eq!(m.get_count("sweep.completed"), Some(1));
+    assert_eq!(m.get_count("sweep.trials"), Some(12));
+    assert!(report.is_partial());
+}
+
+#[test]
+fn an_interrupted_fleet_experiment_leaves_one_checkpoint_and_resumes_byte_identically() {
+    let id = "mr-interference";
+    let baseline = metrics_json(id, &MrInterference.run(&ctx(2)));
+    for threads in [1usize, 2, 8] {
+        let dir = scratch(&format!("fleet_t{threads}"));
+        let halted = MrInterference.run(&ctx_halted(threads, &dir));
+        assert!(halted.is_partial(), "threads {threads}");
+        let files: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, [format!("CHECKPOINT_{id}.bin")], "threads {threads}");
+        let resumed = MrInterference.run(&ctx_resumed(threads, &dir));
+        assert_eq!(resumed.sweep.restored, HALT_AFTER, "threads {threads}");
+        assert_eq!(
+            metrics_json(id, &resumed),
+            baseline,
+            "threads {threads}: resumed metrics differ from uninterrupted run"
+        );
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "threads {threads}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -5,7 +5,8 @@
 # byte-identical to repro_output.txt, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the checkpoint/resume
-# gate (dyn-churn, fig12a12b and dyn-drift at 1/2/8 threads) and the rejection of
+# gate (dyn-churn, fig12a12b, dyn-drift and mr-interference at 1/2/8 threads,
+# each leaving one checkpoint file) and the rejection of
 # sweep-only flags on a sweep-less experiment, the Chrome trace smoke
 # (worker lanes and sim events load), the serve smoke
 # (admission control, structured errors, graceful drain over a real
@@ -91,6 +92,9 @@ echo "   perfbench: self-tests pass, uplink-sweep seed 7 correct (re-checked aga
 
 echo "== quick pass over every artifact =="
 "$repro" all --quick --seed "$seed" > /dev/null
+# A full fleet: eight readers on the seven-band grid, one band reused.
+"$repro" mr-fdma --quick --seed "$seed" --readers 8 > /dev/null
+echo "   repro all --quick and mr-fdma --readers 8: ok"
 
 echo "== full seed-1 run equals repro_output.txt =="
 # repro_output.txt is the recorded full run (seed 1, the default) that
@@ -160,7 +164,9 @@ echo "== checkpoint/resume determinism (seed $seed) =="
 # dyn-drift has 3 trials, so it halts after 1: the resume then replays
 # that trial off the worker pool (its packet fan-out runs inline) and
 # runs the other 2, whose packets idle workers help finish.
-for job in dyn-churn:3 fig12a12b:3 dyn-drift:1; do
+# mr-interference runs its six passes as the cells of one sweep, so the
+# halted run leaves exactly one checkpoint file.
+for job in dyn-churn:3 fig12a12b:3 dyn-drift:1 mr-interference:3; do
   artifact="${job%%:*}" halt="${job##*:}"
   base="$(mktemp -d)"
   (cd "$base" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads 2 > stdout.txt)
@@ -176,14 +182,24 @@ for job in dyn-churn:3 fig12a12b:3 dyn-drift:1; do
       echo "FAIL: halted $artifact run at --threads $threads left no checkpoint" >&2
       exit 1
     fi
+    ckpts="$(find "$rdir" -maxdepth 1 -name "CHECKPOINT_$artifact*.bin" | wc -l)"
+    if [ "$ckpts" != "1" ]; then
+      echo "FAIL: halted $artifact run at --threads $threads left $ckpts checkpoint files, expected 1" >&2
+      ls "$rdir" >&2
+      exit 1
+    fi
     (cd "$rdir" && "$OLDPWD/$repro" metrics "$artifact" --quick --seed "$seed" --threads "$threads" \
        --resume > run2.txt)
     if [ -f "$rdir/CHECKPOINT_$artifact.bin" ]; then
       echo "FAIL: completed $artifact resume at --threads $threads did not delete the checkpoint" >&2
       exit 1
     fi
-    if ! cmp -s "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json"; then
+    # `repro diff --tolerance 0` names any metric that moved; `cmp` also
+    # holds the envelope and key order to the byte.
+    if ! "$repro" diff "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json" --tolerance 0 > "$rdir/diff.txt" \
+       || ! cmp -s "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json"; then
       echo "FAIL: resumed METRICS_$artifact.json differs from an uninterrupted run at --threads $threads" >&2
+      cat "$rdir/diff.txt" >&2
       diff "$rdir/METRICS_$artifact.json" "$base/METRICS_$artifact.json" | head >&2
       exit 1
     fi
